@@ -31,8 +31,15 @@ build:
 	$(GO) build ./...
 
 # The exp package replays every table/figure scenario; under the race
-# detector that runs well past go test's default 10 m per-package timeout
-# (~35 min on a loaded box). -shuffle=on randomizes test order so
+# detector that runs well past go test's default 10 m per-package timeout.
+# Re-measured after the allocation-free event core (PR 12), 2-core box:
+# exp 33 min (1990 s), all of `make check` 35 min (2081 s) — unchanged
+# from before it, so the timeout stays at 60m (1.8x). The race build
+# spends 60 % of its CPU in tsan's read instrumentation and racecall,
+# reached from tcp's per-ACK window scans (pipe/nextLost/detectLosses);
+# the event core is 2 % of that profile, so a faster engine does not move
+# this number — the window scans of ROADMAP item 2 would. Without -race
+# the same package takes 78 s. -shuffle=on randomizes test order so
 # inter-test state dependencies surface instead of hiding behind source
 # order; failures print the shuffle seed to reproduce.
 test:

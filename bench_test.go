@@ -19,6 +19,7 @@ import (
 	"element/internal/exp"
 	"element/internal/fleet"
 	"element/internal/netem"
+	"element/internal/pkt"
 	"element/internal/sim"
 	"element/internal/stack"
 	"element/internal/tcpinfo"
@@ -539,4 +540,75 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		})
 	}
 	b.ReportMetric(float64(10*b.N)/b.Elapsed().Seconds(), "sim-s/wall-s")
+}
+
+func benchNoop() {}
+
+// dispatchBatch is how many events one benchmark op covers, so that a
+// single -benchtime 1x iteration (what benchsmoke and the gate run) times
+// thousands of events rather than one cold one.
+const dispatchBatch = 4096
+
+// BenchmarkEngineDispatch measures the event core alone: one op is
+// dispatchBatch Schedule+Step pairs with the queue held at a fixed depth
+// (random delays, so every push and pop sifts). Gated at zero allocs/op:
+// a closure or a boxed event on this path fails `make bench-gate`.
+func BenchmarkEngineDispatch(b *testing.B) {
+	for _, depth := range []int{64, 1024, 16384} {
+		b.Run("depth="+strconv.Itoa(depth), func(b *testing.B) {
+			eng := sim.New(1)
+			delay := func() units.Duration { return units.Duration(1 + eng.Rand().Intn(1_000_000)) }
+			for i := 0; i < depth; i++ {
+				eng.Schedule(delay(), benchNoop)
+			}
+			for i := 0; i < dispatchBatch; i++ { // warm: slab and heap at their peak
+				eng.Schedule(delay(), benchNoop)
+				eng.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < dispatchBatch; j++ {
+					eng.Schedule(delay(), benchNoop)
+					eng.Step()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dispatchBatch), "ns/event")
+		})
+	}
+}
+
+// BenchmarkLinkCrossing measures the per-packet path through one
+// netem.Link: enqueue, serialisation-done event, arrival event, sink. One
+// op is a 256-packet burst drained to completion. Gated at zero allocs/op.
+func BenchmarkLinkCrossing(b *testing.B) {
+	const burst = 256
+	eng := sim.New(1)
+	delivered := 0
+	l := netem.NewLink(eng, netem.LinkConfig{Rate: 100 * units.Mbps, Delay: 5 * units.Millisecond},
+		func(*pkt.Packet) { delivered++ })
+	pkts := make([]*pkt.Packet, burst)
+	for i := range pkts {
+		pkts[i] = &pkt.Packet{Seq: uint64(i), PayloadLen: 1460, HeaderLen: pkt.DefaultHeaderLen}
+	}
+	cross := func() {
+		for _, p := range pkts {
+			l.Send(p)
+		}
+		eng.Run()
+	}
+	const warm = 3 // the queue's ring settles on its second burst
+	for i := 0; i < warm; i++ {
+		cross()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cross()
+	}
+	b.StopTimer()
+	if delivered != (b.N+warm)*burst {
+		b.Fatalf("delivered %d packets, want %d", delivered, (b.N+warm)*burst)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/pkt")
 }

@@ -74,9 +74,10 @@ func (s *Snapshot) Write(w io.Writer) error {
 //
 //	BenchmarkFig2-8   1   123456789 ns/op   4096 B/op   12 allocs/op
 //
-// and each package's results are preceded by a "pkg: <import path>"
-// context line (or followed by an "ok <import path> ..." summary, which
-// is used as a fallback when no pkg line appeared).
+// (recorded as "BenchmarkFig2", see stripProcs) and each package's
+// results are preceded by a "pkg: <import path>" context line (or
+// followed by an "ok <import path> ..." summary, which is used as a
+// fallback when no pkg line appeared).
 func ParseGoBench(r io.Reader) ([]Result, error) {
 	var (
 		results []Result
@@ -122,8 +123,21 @@ func ParseGoBench(r io.Reader) ([]Result, error) {
 	return results, nil
 }
 
-// parseLine decodes one benchmark result line: the name, the iteration
-// count, then (value, unit) pairs.
+// stripProcs drops the "-N" suffix go test appends to a benchmark's name
+// when GOMAXPROCS is N > 1, so a snapshot names a benchmark the same on
+// any machine; otherwise a baseline recorded on a 2-core box would read
+// as "every benchmark missing" on a 4-core one and gate nothing.
+func stripProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
+// parseLine decodes one benchmark result line: the name (without its
+// GOMAXPROCS suffix), the iteration count, then (value, unit) pairs.
 func parseLine(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
@@ -133,7 +147,7 @@ func parseLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: fields[0], Iterations: iters}
+	r := Result{Name: stripProcs(fields[0]), Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

@@ -31,8 +31,13 @@ func TestParseGoBench(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 3", len(snap.Benchmarks))
 	}
 	ring := snap.Benchmarks[0]
-	if ring.Pkg != "element/internal/core" || ring.Name != "BenchmarkRingMatch/impl=ring-8" {
+	if ring.Pkg != "element/internal/core" || ring.Name != "BenchmarkRingMatch/impl=ring" {
 		t.Fatalf("first benchmark misparsed: %+v", ring)
+	}
+	// The -8 GOMAXPROCS suffix is dropped; a name go test printed without
+	// one (GOMAXPROCS=1) is kept whole, hyphens and all.
+	if got := stripProcs("BenchmarkAblationAutotune/fixed-128KiB"); got != "BenchmarkAblationAutotune/fixed-128KiB" {
+		t.Fatalf("stripProcs ate part of a name: %q", got)
 	}
 	if ring.NsPerOp != 488.6 || ring.AllocsPerOp == nil || *ring.AllocsPerOp != 0 {
 		t.Fatalf("ring metrics misparsed: %+v", ring)

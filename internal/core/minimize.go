@@ -78,7 +78,7 @@ type Minimizer struct {
 	davg    units.Duration // D_avg, EWMA of measured buffer delay
 	starget float64        // S_target, bytes
 	tlast   units.Time
-	ticker  *sim.Timer
+	ticker  sim.Timer
 	stopped bool
 
 	// Safe mode: when D_measure goes predominantly low-confidence the
@@ -181,13 +181,17 @@ func (m *Minimizer) onMeasurement(ms Measurement) {
 // schedule runs the checking thread at the tracker's cadence; each tick
 // applies the per-SRTT target update when due.
 func (m *Minimizer) schedule() {
-	m.ticker = m.eng.Schedule(m.tracker.interval, func() {
-		if m.stopped {
-			return
-		}
-		m.check()
-		m.schedule()
-	})
+	m.ticker = m.eng.ScheduleCall(m.tracker.interval, tickMinimizer, m)
+}
+
+// tickMinimizer is the checking thread's shared handler (see tickSender).
+func tickMinimizer(arg any) {
+	m := arg.(*Minimizer)
+	if m.stopped {
+		return
+	}
+	m.check()
+	m.schedule()
 }
 
 // check is one pass of Algorithm 3's checking thread.
@@ -319,7 +323,5 @@ func (m *Minimizer) SafeModeEntries() int { return m.safeEntries }
 // Stop halts the checking thread.
 func (m *Minimizer) Stop() {
 	m.stopped = true
-	if m.ticker != nil {
-		m.ticker.Stop()
-	}
+	m.ticker.Stop()
 }

@@ -37,7 +37,7 @@ type SenderTracker struct {
 	list      fifo // (cumulative written bytes, write time), the paper's linked list
 	est       Estimates
 	lastBest  uint64
-	ticker    *sim.Timer
+	ticker    sim.Timer
 	stopped   bool
 	onDelay   func(m Measurement) // minimizer subscription
 	bestCache uint64              // latest B_est, exposed for Algorithm 3
@@ -126,13 +126,18 @@ func NewSenderTrackerOpts(eng *sim.Engine, src InfoSource, opts TrackerOptions) 
 }
 
 func (t *SenderTracker) schedule() {
-	t.ticker = t.eng.Schedule(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.poll()
-		t.schedule()
-	})
+	t.ticker = t.eng.ScheduleCall(t.interval, tickSender, t)
+}
+
+// tickSender is the sender ticker's handler: shared by every tracker, with
+// the tracker as the event argument, so a tick allocates nothing.
+func tickSender(arg any) {
+	t := arg.(*SenderTracker)
+	if t.stopped {
+		return
+	}
+	t.poll()
+	t.schedule()
 }
 
 // OnWrite is the data-sending-thread half of Algorithm 1: the application
@@ -372,9 +377,7 @@ func (t *SenderTracker) FoldOutage(d units.Duration) {
 // Stop halts the tracking thread.
 func (t *SenderTracker) Stop() {
 	t.stopped = true
-	if t.ticker != nil {
-		t.ticker.Stop()
-	}
+	t.ticker.Stop()
 }
 
 // subscribe registers the minimizer's (or a watcher's) measurement
@@ -391,7 +394,7 @@ type ReceiverTracker struct {
 	list    fifo // (estimated received bytes at TCP, time)
 	est     Estimates
 	prev    uint64 // B_prev
-	ticker  *sim.Timer
+	ticker  sim.Timer
 	stopped bool
 	polls   int
 
@@ -471,13 +474,17 @@ func NewReceiverTrackerOpts(eng *sim.Engine, src InfoSource, opts TrackerOptions
 }
 
 func (t *ReceiverTracker) schedule() {
-	t.ticker = t.eng.Schedule(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.poll()
-		t.schedule()
-	})
+	t.ticker = t.eng.ScheduleCall(t.interval, tickReceiver, t)
+}
+
+// tickReceiver is the receiver ticker's shared handler (see tickSender).
+func tickReceiver(arg any) {
+	t := arg.(*ReceiverTracker)
+	if t.stopped {
+		return
+	}
+	t.poll()
+	t.schedule()
 }
 
 // poll is one iteration of the tcp_info tracking thread: record the
@@ -742,7 +749,5 @@ func (t *ReceiverTracker) FoldOutage(d units.Duration) {
 // Stop halts the tracking thread.
 func (t *ReceiverTracker) Stop() {
 	t.stopped = true
-	if t.ticker != nil {
-		t.ticker.Stop()
-	}
+	t.ticker.Stop()
 }

@@ -51,6 +51,10 @@ type Link struct {
 	rateG       *telemetry.Gauge
 
 	onLost Sink // tap: packets dropped by random loss after serialization
+
+	// Event handlers bound once in NewLink; each event carries its packet
+	// as the argument, so the per-packet path schedules without a closure.
+	serializedFn, arriveFn func(any)
 }
 
 // Tap attaches per-packet observers: queue wraps the discipline so every
@@ -95,7 +99,7 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, sink Sink) *Link {
 	if d == nil {
 		d = aqm.NewFIFO(aqm.Config{})
 	}
-	return &Link{
+	l := &Link{
 		eng:      eng,
 		rate:     cfg.Rate,
 		delay:    cfg.Delay,
@@ -104,6 +108,8 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, sink Sink) *Link {
 		disc:     d,
 		sink:     sink,
 	}
+	l.serializedFn, l.arriveFn = l.serialized, l.arrive
+	return l
 }
 
 // Send offers a packet to the link. Packets rejected by the queue are
@@ -128,10 +134,13 @@ func (l *Link) transmitNext() {
 	l.busy = true
 	tx := l.rate.TransmissionTime(p.Size())
 	l.busySecsC.Add(tx.Seconds())
-	l.eng.Schedule(tx, func() {
-		l.deliver(p)
-		l.transmitNext()
-	})
+	l.eng.ScheduleCall(tx, l.serializedFn, p)
+}
+
+// serialized fires when the transmitter has clocked out packet arg.
+func (l *Link) serialized(arg any) {
+	l.deliver(arg.(*pkt.Packet))
+	l.transmitNext()
 }
 
 // deliver applies loss, propagation and jitter to a serialized packet.
@@ -158,16 +167,20 @@ func (l *Link) deliver(p *pkt.Packet) {
 		at = l.lastDelivery
 	}
 	l.lastDelivery = at
+	l.eng.AtCall(at, l.arriveFn, p)
+}
+
+// arrive fires when packet arg reaches the far end of the link.
+func (l *Link) arrive(arg any) {
+	p := arg.(*pkt.Packet)
 	size := p.Size()
-	l.eng.At(at, func() {
-		l.stats.Delivered++
-		l.stats.Bytes += size
-		if l.telem != nil {
-			l.deliveredC.Inc()
-			l.deliveredBC.Add(float64(size))
-		}
-		l.sink(p)
-	})
+	l.stats.Delivered++
+	l.stats.Bytes += size
+	if l.telem != nil {
+		l.deliveredC.Inc()
+		l.deliveredBC.Add(float64(size))
+	}
+	l.sink(p)
 }
 
 // SetRate changes the link rate; it takes effect for the next serialized

@@ -254,3 +254,25 @@ func TestPropertyLinkConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLinkCrossingZeroAlloc pins the per-packet path: Send → serialise →
+// propagate → sink schedules two events, neither through a closure, so a
+// crossing allocates nothing once the engine's slab is warm.
+func TestLinkCrossingZeroAlloc(t *testing.T) {
+	eng := sim.New(1)
+	delivered := 0
+	l := NewLink(eng, LinkConfig{Rate: 100 * units.Mbps, Delay: 5 * units.Millisecond},
+		func(p *pkt.Packet) { delivered++ })
+	p := &pkt.Packet{PayloadLen: 1460, HeaderLen: 40}
+	cross := func() {
+		l.Send(p)
+		eng.Run()
+	}
+	cross()
+	if n := testing.AllocsPerRun(1000, cross); n != 0 {
+		t.Fatalf("one link crossing allocates %v, want 0", n)
+	}
+	if delivered != 1002 { // warm-up + AllocsPerRun's own warm-up call + 1000
+		t.Fatalf("delivered %d packets, want 1002", delivered)
+	}
+}

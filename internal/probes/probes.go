@@ -49,7 +49,7 @@ type RTTProber struct {
 	rtts     stats.Series
 	nextID   int
 	inFlight map[int]units.Time
-	ticker   *sim.Timer
+	ticker   sim.Timer
 	stopped  bool
 }
 
@@ -145,9 +145,7 @@ func (p *RTTProber) RTTs() stats.Series { return p.rtts }
 // Stop halts the prober.
 func (p *RTTProber) Stop() {
 	p.stopped = true
-	if p.ticker != nil {
-		p.ticker.Stop()
-	}
+	p.ticker.Stop()
 }
 
 // EchoPing emulates echoping: it repeatedly transfers a fixed-size object

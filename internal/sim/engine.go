@@ -11,63 +11,70 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
 	"element/internal/units"
 )
 
-// event is a scheduled callback.
-type event struct {
-	at       units.Time
-	seq      uint64 // tie-breaker: FIFO among same-time events
-	fn       func()
-	canceled bool
-	index    int // heap index, maintained by eventHeap
+// The event queue is a 4-ary min-heap of small value keys over a slab of
+// callback records. A key is what ordering needs — (at, seq) — plus the
+// slab slot holding what firing needs. Slots are recycled through a free
+// list, so once the slab has grown to the peak number of queued events,
+// scheduling and firing allocate nothing.
+//
+// (at, seq) is a strict total order: seq is unique, so pop order is the
+// FIFO-among-ties order whatever the heap's shape.
+
+// eventKey is one heap element.
+type eventKey struct {
+	at   units.Time
+	seq  uint64 // tie-breaker: FIFO among same-time events
+	slot int32
 }
 
-// eventHeap is a min-heap ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+func (k eventKey) before(o eventKey) bool {
+	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
 }
 
-// Timer is a handle to a scheduled event; it allows cancellation.
-type Timer struct{ ev *event }
+// eventRec is one slab record. A nil fn marks a queued record as canceled
+// (its key is dropped when it reaches the top of the heap) and a free
+// record as free; next links the free list.
+type eventRec struct {
+	fn   func(any)
+	arg  any
+	gen  uint32 // bumped on fire and on Stop; a Timer is live while it matches
+	next int32
+}
+
+// Timer is a handle to a scheduled event; it allows cancellation. It is a
+// small value: copy it freely. The zero Timer is inert.
+type Timer struct {
+	eng  *Engine
+	slot int32
+	gen  uint32
+}
+
+// Active reports whether the event is still scheduled: not yet fired and
+// not stopped. It is already false inside the event's own callback.
+func (t Timer) Active() bool {
+	return t.eng != nil && t.eng.slab[t.slot].gen == t.gen
+}
 
 // Stop cancels the timer. It is safe to call on an already-fired or
 // already-stopped timer, and reports whether the call prevented the event
 // from firing.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.canceled || t.ev.index == -1 {
+func (t Timer) Stop() bool {
+	if !t.Active() {
 		return false
 	}
-	t.ev.canceled = true
+	// Lazy cancel: the key stays in the heap, so the slot cannot be
+	// recycled yet, but the record stops pinning its callback and argument
+	// now and every copy of the handle goes stale.
+	r := &t.eng.slab[t.slot]
+	r.fn, r.arg = nil, nil
+	r.gen++
+	t.eng.live--
 	return true
 }
 
@@ -75,10 +82,13 @@ func (t *Timer) Stop() bool {
 // concurrent use; all interaction must happen from the goroutine that calls
 // Run (which includes all Proc goroutines, since only one runs at a time).
 type Engine struct {
-	now    units.Time
-	seq    uint64
-	events eventHeap
-	rng    *rand.Rand
+	now  units.Time
+	seq  uint64
+	heap []eventKey
+	slab []eventRec
+	free int32 // head of the slab's free list, -1 when empty
+	live int   // queued events that have not been stopped
+	rng  *rand.Rand
 
 	// parked is the rendezvous channel processes use to hand control back
 	// to the event loop. Exactly one process (or the loop itself) runs at a
@@ -94,6 +104,7 @@ type Engine struct {
 // every run reproducible.
 func New(seed int64) *Engine {
 	return &Engine{
+		free:   -1,
 		rng:    rand.New(rand.NewSource(seed)),
 		parked: make(chan struct{}),
 		procs:  make(map[*Proc]struct{}),
@@ -108,35 +119,122 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Schedule arranges for fn to run after delay d. Negative delays are treated
 // as zero (run "immediately", after currently queued same-time events).
-func (e *Engine) Schedule(d units.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now.Add(d), fn)
+func (e *Engine) Schedule(d units.Duration, fn func()) Timer {
+	return e.ScheduleCall(d, callFunc, fn)
 }
 
 // At arranges for fn to run at absolute virtual time t. Times in the past
 // are clamped to now.
-func (e *Engine) At(t units.Time, fn func()) *Timer {
+func (e *Engine) At(t units.Time, fn func()) Timer {
+	return e.AtCall(t, callFunc, fn)
+}
+
+// callFunc adapts a plain func() to the queue's one representation; a func
+// value is pointer-shaped, so boxing it in arg does not allocate.
+func callFunc(arg any) { arg.(func())() }
+
+// ScheduleCall is Schedule for hot paths: fn(arg) runs after delay d. With
+// fn a package-level function (or a method value bound once) and arg a
+// pointer, scheduling needs no per-event closure.
+func (e *Engine) ScheduleCall(d units.Duration, fn func(any), arg any) Timer {
+	if d < 0 {
+		d = 0
+	}
+	return e.AtCall(e.now.Add(d), fn, arg)
+}
+
+// AtCall is At for hot paths; see ScheduleCall.
+func (e *Engine) AtCall(t units.Time, fn func(any), arg any) Timer {
 	if t < e.now {
 		t = e.now
 	}
+	slot := e.free
+	if slot >= 0 {
+		e.free = e.slab[slot].next
+	} else {
+		slot = int32(len(e.slab))
+		e.slab = append(e.slab, eventRec{})
+	}
+	r := &e.slab[slot]
+	r.fn, r.arg = fn, arg
 	e.seq++
-	ev := &event{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.events, ev)
-	return &Timer{ev: ev}
+	e.live++
+	e.push(eventKey{at: t, seq: e.seq, slot: slot})
+	return Timer{eng: e, slot: slot, gen: r.gen}
+}
+
+// push adds k to the heap and sifts it up.
+func (e *Engine) push(k eventKey) {
+	h := append(e.heap, k)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !k.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = k
+	e.heap = h
+}
+
+// pop removes the minimum key, recycles its slot, and returns the key with
+// the callback it held (fn is nil if the event was stopped). The record is
+// cleared so a fired event does not pin its argument.
+func (e *Engine) pop() (k eventKey, fn func(any), arg any) {
+	h := e.heap
+	k = h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	e.heap = h
+	// Sift last down from the root.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	r := &e.slab[k.slot]
+	fn, arg = r.fn, r.arg
+	r.fn, r.arg = nil, nil
+	r.gen++
+	r.next = e.free
+	e.free = k.slot
+	return k, fn, arg
 }
 
 // Step executes the next pending event, advancing the clock. It reports
 // whether an event was executed.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.canceled {
-			continue
+	for len(e.heap) > 0 {
+		k, fn, arg := e.pop()
+		if fn == nil {
+			continue // stopped
 		}
-		e.now = ev.at
-		ev.fn()
+		e.live--
+		e.now = k.at
+		fn(arg)
 		return true
 	}
 	return false
@@ -158,11 +256,10 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t units.Time) {
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.events) > 0 && !e.stopped {
-		// Peek.
-		next := e.events[0]
-		if next.canceled {
-			heap.Pop(&e.events)
+	for len(e.heap) > 0 && !e.stopped {
+		next := e.heap[0]
+		if e.slab[next.slot].fn == nil {
+			e.pop() // stopped
 			continue
 		}
 		if next.at > t {
@@ -197,16 +294,8 @@ func (e *Engine) Shutdown() {
 }
 
 // Pending reports the number of scheduled (non-canceled) events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) Pending() int { return e.live }
 
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now=%v, pending=%d}", e.now, len(e.events))
+	return fmt.Sprintf("sim.Engine{now=%v, pending=%d}", e.now, e.live)
 }

@@ -47,7 +47,7 @@ func TestRunUntilLeavesParkedProcsIntact(t *testing.T) {
 
 func TestTimerStopInsideOwnCallback(t *testing.T) {
 	e := New(1)
-	var tm *Timer
+	var tm Timer
 	ran := false
 	tm = e.Schedule(units.Millisecond, func() {
 		ran = true

@@ -76,14 +76,17 @@ func (p *Proc) park() {
 
 // wake schedules an event that resumes p. It is the only way to restart a
 // parked process and must be called exactly once per park.
-func (p *Proc) wake() {
-	p.eng.Schedule(0, func() {
-		if p.state != procParked {
-			return // process was killed or already woken
-		}
-		p.resume <- struct{}{}
-		<-p.eng.parked
-	})
+func (p *Proc) wake() { p.eng.ScheduleCall(0, resumeProc, p) }
+
+// resumeProc is the one wakeup handler every Proc shares (arg is the *Proc),
+// so waking and sleeping schedule without a closure.
+func resumeProc(arg any) {
+	p := arg.(*Proc)
+	if p.state != procParked {
+		return // process was killed or already woken
+	}
+	p.resume <- struct{}{}
+	<-p.eng.parked
 }
 
 // Engine returns the engine this process runs on.
@@ -100,19 +103,14 @@ func (p *Proc) Sleep(d units.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.Schedule(d, func() {
-		if p.state != procParked {
-			return
-		}
-		p.resume <- struct{}{}
-		<-p.eng.parked
-	})
+	p.eng.ScheduleCall(d, resumeProc, p)
 	p.park()
 }
 
 // Cond is a condition variable for processes. Waiters park until another
 // event context calls Signal or Broadcast. As with sync.Cond, waiters must
-// re-check their predicate in a loop.
+// re-check their predicate in a loop. The waiter list keeps its backing
+// array across wakeups (vacated slots are nil-ed so they pin no Proc).
 type Cond struct {
 	eng     *Engine
 	waiters []*Proc
@@ -139,7 +137,7 @@ func (c *Cond) WaitTimeout(p *Proc, d units.Duration) bool {
 		// Remove p from the waiter list so a later Signal skips it.
 		for i, w := range c.waiters {
 			if w == p {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+				c.removeWaiter(i)
 				break
 			}
 		}
@@ -159,17 +157,26 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	c.removeWaiter(0)
 	p.wake()
+}
+
+// removeWaiter deletes waiters[i] in place, preserving order.
+func (c *Cond) removeWaiter(i int) {
+	n := len(c.waiters) - 1
+	copy(c.waiters[i:], c.waiters[i+1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
 }
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	// wake only queues an event, so nothing can Wait during the loop.
+	for i, p := range c.waiters {
 		p.wake()
+		c.waiters[i] = nil
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // NumWaiters reports how many processes are waiting on the condition.

@@ -112,8 +112,8 @@ type Endpoint struct {
 	inRecov   bool
 	recover   uint64
 	rtt       rttEstimator
-	rtoTimer  *sim.Timer
-	paceTimer *sim.Timer
+	rtoTimer  sim.Timer
+	paceTimer sim.Timer
 	nextSend  units.Time // earliest next transmission when pacing
 
 	// Receiver state.
@@ -125,7 +125,7 @@ type Endpoint struct {
 	lastArrival interval // most recent out-of-order arrival (first SACK block, RFC 2018)
 	lastAdvWnd  int      // last advertised window (for window updates)
 	unackedSegs int      // data segments since last ACK (delayed-ACK state)
-	ackTimer    *sim.Timer
+	ackTimer    sim.Timer
 	echoECE     bool
 
 	// Counters for TCP_INFO.
@@ -275,15 +275,18 @@ func (e *Endpoint) segSize() int {
 }
 
 func (e *Endpoint) armPaceTimer() {
-	if e.paceTimer != nil {
+	if e.paceTimer.Active() {
 		return
 	}
-	d := e.nextSend.Sub(e.eng.Now())
-	e.paceTimer = e.eng.Schedule(d, func() {
-		e.paceTimer = nil
-		e.trySend()
-	})
+	e.paceTimer = e.eng.ScheduleCall(e.nextSend.Sub(e.eng.Now()), firePace, e)
 }
+
+// The endpoint's three timers share package-level handlers that take the
+// *Endpoint as the event argument, so arming one allocates nothing and
+// constructing an endpoint binds nothing.
+func firePace(arg any)       { arg.(*Endpoint).trySend() }
+func fireRTO(arg any)        { arg.(*Endpoint).onRTO() }
+func fireDelayedAck(arg any) { arg.(*Endpoint).onDelayedAck() }
 
 // transmit emits one segment and does the bookkeeping shared by new sends
 // and retransmissions.
@@ -328,17 +331,14 @@ func (e *Endpoint) transmit(seq uint64, n int, retx bool) {
 
 // armRTO (re)starts the retransmission timer.
 func (e *Endpoint) armRTO() {
-	if e.rtoTimer != nil {
+	if e.rtoTimer.Active() {
 		return
 	}
-	e.rtoTimer = e.eng.Schedule(e.rtt.rto, e.onRTO)
+	e.rtoTimer = e.eng.ScheduleCall(e.rtt.rto, fireRTO, e)
 }
 
 func (e *Endpoint) resetRTO() {
-	if e.rtoTimer != nil {
-		e.rtoTimer.Stop()
-		e.rtoTimer = nil
-	}
+	e.rtoTimer.Stop()
 	if e.packetsOut() > 0 {
 		e.armRTO()
 	}
@@ -348,7 +348,6 @@ func (e *Endpoint) resetRTO() {
 // segment is considered lost, the window collapses, and retransmission
 // restarts from snd_una under the new (tiny) window.
 func (e *Endpoint) onRTO() {
-	e.rtoTimer = nil
 	if e.closed || e.packetsOut() == 0 {
 		return
 	}
@@ -575,8 +574,12 @@ func (e *Endpoint) HandleData(p *pkt.Packet) {
 		if seq < e.rcvNxt {
 			seq = e.rcvNxt
 		}
-		for _, r := range e.subtractOOO(seq, end) {
-			e.reportNew(r.start, r.end)
+		if len(e.ooo) == 0 {
+			e.reportNew(seq, end) // nothing queued to subtract: the common case allocates nothing
+		} else {
+			for _, r := range e.subtractOOO(seq, end) {
+				e.reportNew(r.start, r.end)
+			}
 		}
 		e.rcvNxt = end
 		e.mergeOOO()
@@ -594,16 +597,18 @@ func (e *Endpoint) HandleData(p *pkt.Packet) {
 	e.unackedSegs++
 	if immediateAck || e.unackedSegs >= 2 {
 		e.sendAck()
-	} else if e.ackTimer == nil {
-		e.ackTimer = e.eng.Schedule(delayedAckTimeout, func() {
-			e.ackTimer = nil
-			if e.unackedSegs > 0 {
-				if e.tm != nil {
-					e.tm.delayedAckC.Inc()
-				}
-				e.sendAck()
-			}
-		})
+	} else if !e.ackTimer.Active() {
+		e.ackTimer = e.eng.ScheduleCall(delayedAckTimeout, fireDelayedAck, e)
+	}
+}
+
+// onDelayedAck fires when the delayed-ACK timer expires.
+func (e *Endpoint) onDelayedAck() {
+	if e.unackedSegs > 0 {
+		if e.tm != nil {
+			e.tm.delayedAckC.Inc()
+		}
+		e.sendAck()
 	}
 }
 
@@ -710,10 +715,7 @@ func (e *Endpoint) reportNew(seq, end uint64) {
 // sendAck emits a (possibly duplicate) cumulative ACK.
 func (e *Endpoint) sendAck() {
 	e.unackedSegs = 0
-	if e.ackTimer != nil {
-		e.ackTimer.Stop()
-		e.ackTimer = nil
-	}
+	e.ackTimer.Stop()
 	held := int(e.rcvNxt-e.appConsumed) + e.oooBytes
 	// Include up to four SACK blocks, like the TCP option space allows.
 	// Per RFC 2018 the first block must be the range containing the most
@@ -792,12 +794,9 @@ func (e *Endpoint) Handle(p *pkt.Packet) {
 // Close stops all timers. Further events are ignored.
 func (e *Endpoint) Close() {
 	e.closed = true
-	for _, t := range []*sim.Timer{e.rtoTimer, e.paceTimer, e.ackTimer} {
-		if t != nil {
-			t.Stop()
-		}
-	}
-	e.rtoTimer, e.paceTimer, e.ackTimer = nil, nil, nil
+	e.rtoTimer.Stop()
+	e.paceTimer.Stop()
+	e.ackTimer.Stop()
 }
 
 // SRTT reports the smoothed RTT estimate.

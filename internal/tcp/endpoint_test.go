@@ -369,3 +369,30 @@ func TestPropertyReceiverReassembly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRTORearmOnAckZeroAlloc pins the hot timer path: an ACK that advances
+// snd_una stops the retransmission timer and arms a new one, and (with the
+// peer's window closed so no new segment goes out) the whole HandleAck
+// allocates nothing. The clock advances between ACKs so stopped timers
+// drain from the engine's queue as they would in a run.
+func TestRTORearmOnAckZeroAlloc(t *testing.T) {
+	h := newSenderHarness(t, cc.KindReno)
+	h.ep.SetAvailable(1 << 20)
+	ack := &pkt.Packet{Flags: pkt.FlagACK, Wnd: 1}
+	step := func() {
+		h.eng.RunFor(10 * units.Millisecond)
+		ack.Ack++
+		h.ep.HandleAck(ack)
+	}
+	for i := 0; i < 300; i++ { // past the initial RTO: the queue is in steady state
+		step()
+	}
+	sent := len(h.out)
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("HandleAck re-arming the RTO allocates %v, want 0", n)
+	}
+	if !h.ep.rtoTimer.Active() || len(h.out) != sent {
+		t.Fatalf("RTO armed = %v, segments sent during the run = %d (want armed, 0)",
+			h.ep.rtoTimer.Active(), len(h.out)-sent)
+	}
+}

@@ -146,9 +146,9 @@ func TestCollectorPropertyOutOfOrder(t *testing.T) {
 
 		// The final full read must pop every receive stamp — duplicates
 		// included — or the matcher is leaking state.
-		if len(c.receives) != 0 {
+		if live := c.receives[c.recvHead:]; len(live) != 0 {
 			t.Fatalf("seed %d: %d receive stamps left after full read (readCum %d, first start %d)",
-				seed, len(c.receives), c.readCum, c.receives[0].start)
+				seed, len(live), c.readCum, live[0].start)
 		}
 
 		// Every read byte was covered by at least one receive stamp, so the
@@ -182,4 +182,72 @@ func TestCollectorPropertyDeterministic(t *testing.T) {
 	same("senderDelay", a.senderDelay, b.senderDelay)
 	same("networkDelay", a.networkDelay, b.networkDelay)
 	same("receiverDelay", a.receiverDelay, b.receiverDelay)
+}
+
+// TestReceivesOrderMatchesSort pins the collector's sort-free receive list
+// against the append-and-sort it replaced: under out-of-order, duplicate
+// and overlapping stamps interleaved with partial reads, the live stamps
+// must be exactly what re-sorting after every append gives. The reference
+// sorts stably — the order the old sort.Slice produced whenever it was
+// defined (equal starts only arise from duplicates, which a real receiver
+// never reports twice). Enough stamps are consumed that head compaction
+// runs many times.
+func TestReceivesOrderMatchesSort(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		eng := sim.New(seed)
+		rng := rand.New(rand.NewSource(seed))
+		c := New(eng)
+		var ref []rangeStamp
+		var next, read uint64 // stream extent stamped so far; bytes read
+		compactions := 0
+		for step := 0; step < 6000; step++ {
+			eng.RunFor(units.Duration(1 + rng.Intn(1000)))
+			var seq uint64
+			n := 1 + rng.Intn(1448)
+			switch r := rng.Intn(10); {
+			case r < 6: // in order
+				seq = next
+			case r < 8: // ahead of a hole
+				seq = next + uint64(1+rng.Intn(3000))
+			case r < 9 && len(ref) > 0: // duplicate of a live stamp
+				d := ref[rng.Intn(len(ref))]
+				seq, n = d.start, int(d.end-d.start)
+			default: // late arrival somewhere in the unread stream
+				seq = read + uint64(rng.Int63n(int64(next-read)+1))
+			}
+			c.onTCPReceive(seq, n)
+			ref = append(ref, rangeStamp{start: seq, end: seq + uint64(n), at: eng.Now()})
+			sort.SliceStable(ref, func(a, b int) bool { return ref[a].start < ref[b].start })
+			if end := seq + uint64(n); end > next {
+				next = end
+			}
+			if rng.Intn(3) == 0 && next > read {
+				read += 1 + uint64(rng.Int63n(int64(next-read)))
+				head := c.recvHead
+				c.onAppRead(read, 0)
+				if c.recvHead < head {
+					compactions++
+				}
+				for len(ref) > 0 && ref[0].start < read {
+					if ref[0].end > read {
+						ref[0].start = read
+						break
+					}
+					ref = ref[1:]
+				}
+			}
+			live := c.receives[c.recvHead:]
+			if len(live) != len(ref) {
+				t.Fatalf("seed %d step %d: %d live stamps, reference has %d", seed, step, len(live), len(ref))
+			}
+			for i := range ref {
+				if live[i] != ref[i] {
+					t.Fatalf("seed %d step %d: stamp %d is %+v, reference %+v", seed, step, i, live[i], ref[i])
+				}
+			}
+		}
+		if compactions == 0 {
+			t.Fatalf("seed %d: head compaction never ran; test does not cover it", seed)
+		}
+	}
 }

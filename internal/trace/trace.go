@@ -40,7 +40,8 @@ type Collector struct {
 	transmits []rangeStamp // first transmissions, by start seq (sorted)
 
 	// Receiver side: receive stamps awaiting app reads.
-	receives []rangeStamp // sorted by start, disjoint
+	receives []rangeStamp // sorted by start, disjoint; live from recvHead
+	recvHead int
 	readCum  uint64
 
 	senderDelay   Series
@@ -95,11 +96,16 @@ func (c *Collector) onTCPTransmit(seq uint64, n int, retx bool) {
 		}
 		c.writeHead++
 	}
-	if c.writeHead > 256 && c.writeHead*2 >= len(c.writes) {
-		m := copy(c.writes, c.writes[c.writeHead:])
-		c.writes = c.writes[:m]
-		c.writeHead = 0
+	c.writes, c.writeHead = compact(c.writes, c.writeHead)
+}
+
+// compact drops the consumed prefix s[:head] once it is at least half of s,
+// keeping the backing array.
+func compact(s []rangeStamp, head int) ([]rangeStamp, int) {
+	if head > 256 && head*2 >= len(s) {
+		return s[:copy(s, s[head:])], 0
 	}
+	return s, head
 }
 
 // recordTransmit keeps the FIRST transmission time per byte range. The
@@ -130,17 +136,34 @@ func (c *Collector) onTCPReceive(seq uint64, n int) {
 		c.networkDelay = append(c.networkDelay, Sample{At: now, Delay: now.Sub(tx.at), Bytes: n})
 	}
 	// Stash for the receiver-delay match at app-read time.
-	c.receives = append(c.receives, rangeStamp{start: seq, end: end, at: now})
-	sort.Slice(c.receives, func(a, b int) bool { return c.receives[a].start < c.receives[b].start })
+	c.insertReceive(rangeStamp{start: seq, end: end, at: now})
 	// Trim transmission records below the fully received prefix lazily.
 	c.trimTransmits()
 }
 
+// insertReceive keeps receives sorted by start without re-sorting: a stamp
+// goes after every stamp that does not start later, which for the in-order
+// common case is a plain append. Only the head can be out of place before
+// that — a partial read advanced its start, past a duplicate stamp that
+// overlaps it — and it is moved back first, so the list is always what a
+// stable sort after every append would give.
+func (c *Collector) insertReceive(r rangeStamp) {
+	for i := c.recvHead; i+1 < len(c.receives) && c.receives[i+1].start < c.receives[i].start; i++ {
+		c.receives[i], c.receives[i+1] = c.receives[i+1], c.receives[i]
+	}
+	i := len(c.receives)
+	c.receives = append(c.receives, r)
+	for ; i > c.recvHead && c.receives[i-1].start > r.start; i-- {
+		c.receives[i] = c.receives[i-1]
+	}
+	c.receives[i] = r
+}
+
 func (c *Collector) trimTransmits() {
-	if len(c.receives) == 0 || len(c.transmits) < 4096 {
+	if c.recvHead == len(c.receives) || len(c.transmits) < 4096 {
 		return
 	}
-	low := c.receives[0].start
+	low := c.receives[c.recvHead].start
 	i := sort.Search(len(c.transmits), func(i int) bool { return c.transmits[i].end > low })
 	if i > 0 {
 		c.transmits = append(c.transmits[:0], c.transmits[i:]...)
@@ -151,22 +174,23 @@ func (c *Collector) trimTransmits() {
 func (c *Collector) onAppRead(endSeq uint64, n int) {
 	now := c.eng.Now()
 	c.readCum = endSeq
-	for len(c.receives) > 0 && c.receives[0].start < endSeq {
-		r := c.receives[0]
+	for c.recvHead < len(c.receives) && c.receives[c.recvHead].start < endSeq {
+		r := c.receives[c.recvHead]
 		if r.end <= endSeq {
 			c.receiverDelay = append(c.receiverDelay, Sample{
 				At: now, Delay: now.Sub(r.at), Bytes: int(r.end - r.start),
 			})
-			c.receives = c.receives[1:]
+			c.recvHead++
 			continue
 		}
 		// Partially read range: split it.
 		c.receiverDelay = append(c.receiverDelay, Sample{
 			At: now, Delay: now.Sub(r.at), Bytes: int(endSeq - r.start),
 		})
-		c.receives[0].start = endSeq
+		c.receives[c.recvHead].start = endSeq
 		break
 	}
+	c.receives, c.recvHead = compact(c.receives, c.recvHead)
 }
 
 // SenderDelay reports the ground-truth sender-side (socket buffer) delays.

@@ -57,7 +57,7 @@ type Flow struct {
 
 	rate    units.Rate
 	nextSeq int
-	timer   *sim.Timer
+	timer   sim.Timer
 	stopped bool
 
 	// Receiver state.
@@ -67,7 +67,7 @@ type Flow struct {
 	minOneWay    units.Duration
 	qdelayEWMA   units.Duration
 	delaySamples stats.Series
-	fbTimer      *sim.Timer
+	fbTimer      sim.Timer
 }
 
 // newFlow wires the sender, receiver and feedback loop.
@@ -182,11 +182,8 @@ func (f *Flow) ReceivedBytes() int { return f.received * datagramSize }
 // Stop halts the flow.
 func (f *Flow) Stop() {
 	f.stopped = true
-	for _, t := range []*sim.Timer{f.timer, f.fbTimer} {
-		if t != nil {
-			t.Stop()
-		}
-	}
+	f.timer.Stop()
+	f.fbTimer.Stop()
 }
 
 // Sprout's tick budget: drain everything within this horizon.
