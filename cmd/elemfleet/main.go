@@ -94,7 +94,6 @@ func main() {
 		minimize  = flag.Bool("minimize", false, "run the Algorithm 3 minimizer on every monitor")
 		cpEvery   = flag.Float64("checkpoint-every", 500, "checkpoint cadence in ms (negative disables)")
 		shards    = flag.Int("shards", 0, "parallel shard count (0 = one per core, 1 = single-threaded); results are identical for any value")
-		eventLoop = flag.Bool("event-loop", false, "drive monitors from per-shard event loops (hashed timer wheel) instead of per-monitor goroutines; results are identical")
 		scaleN    = flag.Int("scale", 0, "million-monitor mode: run N closed-form flows through per-shard event loops with two-phase escalation (replaces the simulated-stack fleet; honors -seed -dur -interval -shards -escalate -window-ms and the -budget-* flags)")
 
 		openWindow = flag.Float64("open-window", 1, "stagger connection opens over this many seconds")
@@ -123,7 +122,7 @@ func main() {
 		lowWater     = flag.Float64("low-water", 0, "overload pressure below which flows promote (0 = 0.75*high)")
 		queueCap     = flag.Int("export-queue", 0, "bounded retry/backoff queue of this many windows fronting the stream sink (0 = direct export)")
 		drainT       = flag.Float64("drain-timeout", 0, "end-of-run export-backlog drain grace in seconds; on expiry the partial export is marked truncated and elemfleet exits non-zero (0 = 2s, negative = none)")
-		snapOut      = flag.String("snapshot", "", "write a resumable fleet snapshot (estimator checkpoints + ladder tiers, JSON) to this file after the run")
+		snapOut      = flag.String("snapshot", "", "write a resumable snapshot (estimator checkpoints + ladder tiers, JSON; one format for both modes) to this file after the run")
 		snapIn       = flag.String("resume", "", "resume estimator state and ladder tiers from a snapshot file; re-homes onto this run's -shards layout by connection ID")
 
 		fanout   = flag.Int("fanout", 0, "fan-out degree: group connections into fan-out RPC groups of this many backends (0 = bulk workload)")
@@ -149,9 +148,26 @@ func main() {
 		os.Exit(2)
 	}
 
+	var resume *fleet.Snapshot
+	if *snapIn != "" {
+		raw, err := os.ReadFile(*snapIn)
+		if err == nil {
+			resume, err = fleet.UnmarshalSnapshot(raw)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "elemfleet: resume:", err)
+			os.Exit(1)
+		}
+	}
+
+	// Ctrl-C stops the virtual clock at the next slice boundary; the
+	// fleet still drains, so partial results and exports are intact.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	if *scaleN > 0 {
-		runScale(*scaleN, *seed, *dur, *interval, *shards, *escalate, *windowMs,
-			*budgetLive, *budgetSamp, *budgetSketch, *streamOn, *metrics, *snapOut, *snapIn)
+		runScale(ctx, *scaleN, *seed, *dur, *interval, *shards, *escalate, *windowMs,
+			*budgetLive, *budgetSamp, *budgetSketch, *streamOn, *metrics, *snapOut, resume)
 		return
 	}
 
@@ -166,7 +182,7 @@ func main() {
 		Minimize:        *minimize,
 		Shards:          *shards,
 		CheckpointEvery: units.DurationFromSeconds(*cpEvery / 1e3),
-		EventLoop:       *eventLoop,
+		Resume:          resume,
 		Churn: fleet.ChurnConfig{
 			OpenWindow: units.DurationFromSeconds(*openWindow),
 			CloseFrac:  *closeFrac,
@@ -265,24 +281,6 @@ func main() {
 	if *drainT < 0 {
 		cfg.DrainTimeout = -1
 	}
-	if *snapIn != "" {
-		raw, err := os.ReadFile(*snapIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elemfleet: resume:", err)
-			os.Exit(1)
-		}
-		snap, err := fleet.UnmarshalSnapshot(raw)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elemfleet: resume:", err)
-			os.Exit(1)
-		}
-		cfg.Resume = snap
-	}
-
-	// Ctrl-C stops the virtual clock at the next slice boundary; the
-	// fleet still drains, so partial results and exports are intact.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	fl := fleet.New(cfg)
 	res := fl.RunContext(ctx)
@@ -325,15 +323,7 @@ func main() {
 			q.Enqueued, q.Delivered, q.Retries, q.Dropped, q.Deadlined, q.BreakerTrips, q.HighWater, res.SinkFaults)
 	}
 	if *snapOut != "" {
-		raw, err := fl.Snapshot().Marshal()
-		if err == nil {
-			err = os.WriteFile(*snapOut, raw, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elemfleet: snapshot:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("snapshot: %d connections -> %s\n", len(res.Conns), *snapOut)
+		writeSnapshot(*snapOut, fl.Snapshot(), "connections")
 	}
 
 	if rt != nil {
@@ -385,7 +375,7 @@ func main() {
 // simulated stack is replaced by closed-form flows, so the only
 // per-flow cost is the lite poll column sweep; escalated flows get the
 // same full SenderTracker the big fleet uses.
-func runScale(flows int, seed int64, dur, intervalMs float64, shards int, escalateMs, windowMs float64, budgetLive, budgetSamp, budgetSketch int, streamOn, metrics bool, snapOut, snapIn string) {
+func runScale(ctx context.Context, flows int, seed int64, dur, intervalMs float64, shards int, escalateMs, windowMs float64, budgetLive, budgetSamp, budgetSketch int, streamOn, metrics bool, snapOut string, resume *fleet.Snapshot) {
 	cfg := fleet.ScaleConfig{
 		Seed:     seed,
 		Flows:    flows,
@@ -393,6 +383,7 @@ func runScale(flows int, seed int64, dur, intervalMs float64, shards int, escala
 		Interval: units.DurationFromSeconds(intervalMs / 1e3),
 		Shards:   shards,
 		Window:   units.DurationFromSeconds(windowMs / 1e3),
+		Resume:   resume,
 	}
 	if escalateMs > 0 {
 		cfg.EscalateAbove = units.DurationFromSeconds(escalateMs / 1e3)
@@ -412,21 +403,14 @@ func runScale(flows int, seed int64, dur, intervalMs float64, shards int, escala
 		telem = telemetry.New()
 		cfg.Telem = telem
 	}
-	if snapIn != "" {
-		raw, err := os.ReadFile(snapIn)
-		if err == nil {
-			cfg.Resume, err = fleet.UnmarshalScaleSnapshot(raw)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elemfleet: resume:", err)
-			os.Exit(1)
-		}
-	}
 
 	fl := fleet.NewScale(cfg)
-	res := fl.Run()
+	res := fl.RunContext(ctx)
+	if res.Interrupted {
+		fmt.Fprintln(os.Stderr, "elemfleet: interrupted — reporting the partial run")
+	}
 	fmt.Printf("scale{flows=%d shards=%d polls=%d tracker_polls=%d flagged=%d}\n",
-		res.Flows, shards, res.Polls, res.TrackerPolls, res.Flagged)
+		res.Flows, fl.Shards(), res.Polls, res.TrackerPolls, res.Flagged)
 	fmt.Printf("escalation{escalations=%d demotions=%d false_alarms=%d escalated=%d restores=%d retained=%d}\n",
 		res.Escalations, res.Demotions, res.FalseAlarms, res.Escalated, res.Restores, res.RetainedSamples)
 	fmt.Printf("stream{windows=%d late=%d} snd_p50=%.1fms snd_p99=%.1fms rcv_p99=%.1fms\n",
@@ -445,14 +429,21 @@ func runScale(flows int, seed int64, dur, intervalMs float64, shards int, escala
 		telem.WriteText(os.Stdout)
 	}
 	if snapOut != "" {
-		raw, err := fl.Snapshot().Marshal()
-		if err == nil {
-			err = os.WriteFile(snapOut, raw, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elemfleet: snapshot:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("snapshot: %d flows -> %s\n", res.Flows, snapOut)
+		writeSnapshot(snapOut, fl.Snapshot(), "flows")
 	}
+}
+
+// writeSnapshot persists a run's snapshot. The write is atomic: a crash
+// part-way leaves the previous file (or none), never a truncated one a
+// later -resume would trip over.
+func writeSnapshot(path string, snap *fleet.Snapshot, noun string) {
+	raw, err := snap.Marshal()
+	if err == nil {
+		err = cliutil.WriteFileAtomic(path, raw, 0o644)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "elemfleet: snapshot:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("snapshot: %d %s -> %s\n", snap.Flows, noun, path)
 }

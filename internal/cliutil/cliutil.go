@@ -78,3 +78,35 @@ func ValidateOutputPaths(pairs map[string]string) error {
 	}
 	return nil
 }
+
+// WriteFileAtomic writes data to path so that a reader — or a later run
+// after a crash — sees either the previous contents or the new ones,
+// never a prefix: the bytes go to a temporary file in the target's own
+// directory (rename is only atomic within a file system), are synced to
+// disk, and then renamed over path. On any error the temporary file is
+// removed and path is left untouched.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close() // already failing; the first error is the one to report
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err = tmp.Write(data); err != nil {
+		return err
+	}
+	if err = tmp.Chmod(perm); err != nil {
+		return err
+	}
+	if err = tmp.Sync(); err != nil {
+		return err
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}

@@ -71,3 +71,71 @@ func TestValidateOutputPathsNamesFirstSortedFailure(t *testing.T) {
 		t.Fatalf("want sorted-first flag (-telemetry) in error, got: %v", err)
 	}
 }
+
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	entries := func() []string {
+		t.Helper()
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		return names
+	}
+
+	// Success: creates, then replaces, leaving only the target behind.
+	path := filepath.Join(dir, "run.snap")
+	for _, want := range []string{"first", "second, longer"} {
+		if err := WriteFileAtomic(path, []byte(want), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("read back %q, %v; want %q", got, err, want)
+		}
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o600 {
+		t.Fatalf("mode = %v, %v; want 0600", fi.Mode(), err)
+	}
+	if got := entries(); len(got) != 1 || got[0] != "run.snap" {
+		t.Fatalf("directory holds %v after two writes, want only run.snap", got)
+	}
+
+	// Failure at the rename (the target is a non-empty directory): the
+	// error surfaces, the target is untouched and the temporary file is
+	// gone.
+	busy := filepath.Join(dir, "busy")
+	if err := os.MkdirAll(filepath.Join(busy, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(busy, []byte("x"), 0o644); err == nil {
+		t.Fatal("writing over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(busy, "keep")); err != nil {
+		t.Fatalf("failed write damaged the target: %v", err)
+	}
+	if got := entries(); len(got) != 2 {
+		t.Fatalf("failed write left litter: %v", got)
+	}
+
+	// Failure before any byte is written (no room for the temporary
+	// file's name beside a maximum-length target): the existing file
+	// survives intact.
+	long := filepath.Join(dir, strings.Repeat("n", 255))
+	if err := os.WriteFile(long, []byte("precious"), 0o644); err != nil {
+		t.Skipf("file system rejects 255-byte names: %v", err)
+	}
+	if err := WriteFileAtomic(long, []byte("new"), 0o644); err == nil {
+		t.Fatal("write with an over-long temporary name succeeded")
+	}
+	if got, err := os.ReadFile(long); err != nil || string(got) != "precious" {
+		t.Fatalf("existing file after a failed write: %q, %v", got, err)
+	}
+	if got := entries(); len(got) != 3 {
+		t.Fatalf("failed write left litter: %v", got)
+	}
+}

@@ -146,7 +146,7 @@ func TestFleetFanoutStreamSeries(t *testing.T) {
 		cfg.Stream = &StreamConfig{Window: 250 * units.Millisecond}
 		f := New(cfg)
 		f.Run()
-		return f.streamNames
+		return f.pipe.names
 	}
 	names := run(1)
 	found := 0

@@ -27,8 +27,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"element/internal/aqm"
 	"element/internal/cc"
@@ -130,19 +128,6 @@ type Config struct {
 	// across shard counts for a fixed seed.
 	Shards int
 
-	// EventLoop replaces the per-monitor engine-scheduled tick closures
-	// with one hashed timer wheel per shard: a single recurring engine
-	// event per wheel tick expires every due monitor and batch-polls
-	// them, so the per-poll cost is an array scan instead of a heap
-	// insert + closure allocation. Poll deadlines (and crash-restart
-	// delays) quantize up to the wheel granularity — one poll interval —
-	// and the supervisor cadences (watchdog, checkpoints, governor
-	// barriers) fold into every Nth wheel tick. Same-seed results remain
-	// byte-identical across shard counts; see TestFleetEventLoopEquivalence
-	// for the exact conditions under which they also match goroutine
-	// mode sample-for-sample.
-	EventLoop bool
-
 	Backoff BackoffConfig
 	// Watchdog is the no-poll-progress deadline after which a monitor is
 	// recycled (0 = max(10 polling intervals, 100 ms)).
@@ -226,22 +211,8 @@ type Config struct {
 }
 
 // slice is the barrier interval: shards advance in parallel between
-// barriers of this length. In event-loop mode the barrier rounds up to
-// a whole number of wheel ticks, so the governor's barrier ticks land
-// exactly on wheel ticks — the ladder walks the same virtual instants
-// the wheel polls at.
-func (c Config) slice() units.Duration {
-	s := c.Duration / 64
-	if s < c.Interval {
-		s = c.Interval
-	}
-	if c.EventLoop {
-		if rem := s % c.Interval; rem != 0 {
-			s += c.Interval - rem
-		}
-	}
-	return s
-}
+// barriers of this length.
+func (c Config) slice() units.Duration { return barrierSlice(c.Duration, c.Interval) }
 
 func (c Config) normalize() Config {
 	if c.Connections <= 0 {
@@ -302,16 +273,9 @@ func connSeed(seed int64, id int) int64 {
 // telemetry, waterfall, supervisor timers — is shard-local, so shards
 // never synchronize between barriers.
 type shard struct {
-	id       int
 	fl       *Fleet
 	eng      *sim.Engine
 	monitors []*Monitor
-
-	// Event-loop state (nil/zero in goroutine mode): the shard's hashed
-	// timer wheel and its tick counter, from which the watchdog and
-	// checkpoint cadences are derived.
-	wh         *wheel
-	wheelTicks int64
 
 	// Per-shard observability buffers (nil when the fleet's are nil),
 	// merged into Config.Telem / Config.Waterfall at drain.
@@ -354,30 +318,21 @@ type Fleet struct {
 	shards   []*shard
 	monitors []*Monitor // all monitors in connection-ID order
 
-	// Streaming merge state (unused when cfg.Stream is nil): the
-	// reusable fleet-level merge window, the series names shared by
-	// every shard stream, and export accounting.
-	fwin          stream.Window
-	streamNames   []string
-	streamWindows uint64
-	streamErr     error
+	// pipe is the barrier pipeline: the run loop, the per-shard stream
+	// seal/merge/export and the overload governor.
+	pipe pipeline
 
-	// Overload state (nil without Config.Overload / Config.ExportQueue):
-	// the governor, the backpressured queue fronting the sink chain, the
-	// fleet-level sink fault injector, and the effective sink the sealed
-	// windows actually go to. baseSink is the chain below the queue,
-	// kept for export-rate metering.
-	gov      *overload.Governor
+	// Export chain (nil without Config.Stream / Config.ExportQueue): the
+	// backpressured queue fronting the sink chain and the fleet-level
+	// sink fault injector. baseSink is the chain below the queue, kept
+	// for export-rate metering; the pipeline exports to the top of it.
 	queue    *overload.Queue
 	sinkInj  *faults.SinkInjector
-	expSink  stream.Sink
 	baseSink stream.Sink
 	// Export-rate metering: bytes the base sink had written at the last
 	// governor tick.
-	exportMark  int
-	exportRate  float64
-	exportTrunc bool
-	lastTickAt  units.Time
+	exportMark int
+	lastTickAt units.Time
 
 	draining bool
 }
@@ -386,21 +341,16 @@ type Fleet struct {
 // churn plans, supervisor timers. Nothing runs until Run.
 func New(cfg Config) *Fleet {
 	cfg = cfg.normalize()
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-	if nshards > cfg.Connections {
-		nshards = cfg.Connections
-	}
+	nshards := shardCount(cfg.Shards, cfg.Connections)
 	if g := cfg.groups(); g > 0 && nshards > g {
 		// Groups are shard-atomic: never split a fan-out group.
 		nshards = g
 	}
 	f := &Fleet{cfg: cfg}
+	f.buildPipeline(nshards)
 
 	for s := 0; s < nshards; s++ {
-		sh := &shard{id: s, fl: f, eng: sim.New(connSeed(cfg.Seed, -1-s))}
+		sh := &shard{fl: f, eng: sim.New(connSeed(cfg.Seed, -1-s))}
 		if cfg.Telem != nil {
 			sh.telem = telemetry.New()
 			sh.telem.SetClock(sh.eng.Now)
@@ -430,11 +380,6 @@ func New(cfg Config) *Fleet {
 		}
 		f.shards = append(f.shards, sh)
 	}
-	if cfg.Stream != nil {
-		f.streamNames = f.shards[0].stream.Names()
-		f.fwin.Sketches = make([]stream.Sketch, len(f.streamNames))
-	}
-	f.buildOverload()
 
 	// Churn plans draw from each connection's private stream at build
 	// time, so the whole schedule is fixed before any event runs and is
@@ -442,7 +387,6 @@ func New(cfg Config) *Fleet {
 	// the fleet's export layer, so a sink-only profile builds no
 	// per-connection injectors.
 	injectFaults := cfg.Faults != nil && cfg.Faults.ConnActive()
-	resume := cfg.Resume.index()
 	for i := 0; i < cfg.Connections; i++ {
 		si := i % nshards
 		if cfg.Fanout != nil {
@@ -469,26 +413,24 @@ func New(cfg Config) *Fleet {
 			}
 		}
 		m.plan = drawPlan(cfg, m.rng)
-		if cs, ok := resume[i]; ok && len(cs.Snd) > 0 && len(cs.Rcv) > 0 {
-			// Resume: seed the crash-restore path with the snapshot's
-			// rebased checkpoints; open() restores instead of starting
-			// fresh, counting the Restores anomaly.
-			m.sndCP, m.rcvCP, m.minCP = cs.Snd, cs.Rcv, cs.Min
-			m.haveCP = true
-		}
-		if f.gov != nil {
-			m.tier = f.gov.Tier(i)
+		if f.pipe.gov != nil {
+			m.tier = f.pipe.gov.Tier(i)
 		}
 		f.monitors = append(f.monitors, m)
-		m.slot = int32(len(sh.monitors))
 		sh.monitors = append(sh.monitors, m)
 	}
-
-	if cfg.EventLoop {
-		// Wheels exist before any monitor opens: an open-at-zero
-		// monitor arms its first poll deadline during the loop below.
-		for _, sh := range f.shards {
-			sh.wh = newWheel(cfg.Interval, len(sh.monitors), len(sh.monitors)/4)
+	if cfg.Resume != nil {
+		// Resume: seed the crash-restore path with the snapshot's rebased
+		// checkpoints, by connection ID; open() then restores instead of
+		// starting fresh, counting the Restores anomaly. Entries outside
+		// this fleet's ID range, or without both trackers, are dropped.
+		for _, cs := range cfg.Resume.Conns {
+			if cs.ID < 0 || cs.ID >= len(f.monitors) || len(cs.Snd) == 0 || len(cs.Rcv) == 0 {
+				continue
+			}
+			m := f.monitors[cs.ID]
+			m.sndCP, m.rcvCP, m.minCP = cs.Snd, cs.Rcv, cs.Min
+			m.haveCP = true
 		}
 	}
 
@@ -505,61 +447,13 @@ func New(cfg Config) *Fleet {
 		f.startFanout()
 	}
 
-	// Per-shard supervisor timers. In event-loop mode the wheel driver
-	// subsumes them: the watchdog and checkpoint passes run on every
-	// Nth wheel tick, before that tick's polls — the same within-instant
-	// order the goroutine mode's engine event sequence produces.
 	for _, sh := range f.shards {
-		if cfg.EventLoop {
-			sh.runWheel()
-			continue
-		}
 		sh.scheduleWatchdog()
 		if cfg.CheckpointEvery > 0 {
 			sh.scheduleCheckpoints()
 		}
 	}
 	return f
-}
-
-// wheelTicksFor converts a supervisor cadence into wheel ticks, rounding
-// up so a cadence never fires early.
-func (c Config) wheelTicksFor(d units.Duration) int64 {
-	n := (int64(d) + int64(c.Interval) - 1) / int64(c.Interval)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// runWheel is the event-loop driver: one recurring engine event per
-// wheel tick per shard. Each firing runs the due supervisor cadences
-// (checkpoints, then watchdog — matching the goroutine mode's event
-// creation order at shared instants), then expires the wheel and wakes
-// every due monitor in arm order.
-func (sh *shard) runWheel() {
-	cfg := sh.fl.cfg
-	sh.eng.Schedule(cfg.Interval, func() {
-		if sh.fl.draining {
-			return
-		}
-		sh.wheelTicks++
-		if cfg.CheckpointEvery > 0 && sh.wheelTicks%cfg.wheelTicksFor(cfg.CheckpointEvery) == 0 {
-			for _, m := range sh.monitors {
-				m.checkpoint()
-			}
-		}
-		if sh.wheelTicks%cfg.wheelTicksFor(cfg.Watchdog) == 0 {
-			for _, m := range sh.monitors {
-				m.watchdogCheck()
-			}
-			sh.updateGauges()
-		}
-		for _, slot := range sh.wh.expire(sh.eng.Now()) {
-			sh.monitors[slot].wake()
-		}
-		sh.runWheel()
-	})
 }
 
 func (sh *shard) scheduleWatchdog() {
@@ -680,44 +574,8 @@ func (f *Fleet) Run() *Result { return f.RunContext(context.Background()) }
 // canceled context stops the run early; the fleet still drains, so
 // partial series, telemetry and waterfall state are intact.
 func (f *Fleet) RunContext(ctx context.Context) *Result {
-	end := units.Time(f.cfg.Duration)
-	slice := f.cfg.slice()
-	now := units.Time(0)
-	for now < end {
-		if ctx.Err() != nil {
-			break
-		}
-		next := now.Add(slice)
-		if next > end {
-			next = end
-		}
-		f.advance(next)
-		f.streamAdvance(next)
-		f.overloadTick(next)
-		now = next
-	}
+	f.pipe.run(ctx)
 	return f.drain(ctx.Err() != nil)
-}
-
-// advance runs every shard engine up to the barrier time. A single shard
-// runs inline on the calling goroutine; multiple shards run in parallel
-// and join before returning, so everything outside advance is
-// single-threaded.
-func (f *Fleet) advance(next units.Time) {
-	if len(f.shards) == 1 {
-		f.shards[0].eng.RunUntil(next)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, sh := range f.shards {
-		sh := sh
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sh.eng.RunUntil(next)
-		}()
-	}
-	wg.Wait()
 }
 
 // drain is the graceful shutdown: every live monitor takes a final poll
@@ -742,14 +600,14 @@ func (f *Fleet) drain(interrupted bool) *Result {
 		res.Escalations += cr.Escalations
 		res.Demotions += cr.Demotions
 	}
-	f.streamDrain()
+	f.pipe.finish()
 	f.drainExports(res)
-	res.StreamWindows = f.streamWindows
-	res.StreamErr = f.streamErr
-	if f.gov != nil {
-		res.Sheds = f.gov.Sheds()
-		res.Reclaims = f.gov.Reclaims()
-		res.TierCounts = f.gov.TierCounts()
+	res.StreamWindows = f.pipe.windows
+	res.StreamErr = f.pipe.sinkErr
+	if gov := f.pipe.gov; gov != nil {
+		res.Sheds = gov.Sheds()
+		res.Reclaims = gov.Reclaims()
+		res.TierCounts = gov.TierCounts()
 		res.Parked = res.TierCounts[overload.TierParked]
 	}
 	res.SinkFaults = f.sinkInj.Failures()

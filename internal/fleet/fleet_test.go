@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"element/internal/faults"
+	"element/internal/overload"
+	"element/internal/sim"
 	"element/internal/telemetry"
 	"element/internal/telemetry/stream"
 	"element/internal/testutil"
@@ -183,6 +185,55 @@ func TestFleetInterruptDrainsGracefully(t *testing.T) {
 	}
 	if len(res.Conns) != 6 {
 		t.Fatalf("drain reconciled %d conns, want 6", len(res.Conns))
+	}
+
+	// The scale fleet runs the same loop. Cancel it mid-run, from the
+	// sink, on the first exported window: it must stop at the next
+	// barrier with a drained result — some polls, not all of them, and
+	// every window up to where it stopped sealed.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	cfg := scaleTestConfig(19, 200)
+	cfg.Shards = 3
+	cfg.Sink = stream.SinkFunc(func([]string, *stream.Window) error {
+		cancel()
+		return nil
+	})
+	sf := NewScale(cfg)
+	sres := sf.RunContext(ctx)
+	if !sres.Interrupted {
+		t.Fatal("scale result not marked interrupted")
+	}
+	nominal := 2 * uint64(cfg.Flows) * uint64(cfg.Duration/cfg.Interval)
+	if sres.Polls == 0 || sres.Polls >= nominal/2 {
+		t.Fatalf("interrupted scale run executed %d polls, want some but under half of %d", sres.Polls, nominal)
+	}
+	reached := sf.pipe.now
+	if want := uint64(reached/units.Time(500*units.Millisecond)) + 1; sres.StreamWindows != want {
+		t.Fatalf("scale run interrupted at %v sealed %d windows, want %d", reached, sres.StreamWindows, want)
+	}
+}
+
+// TestMonitorRearmZeroAlloc pins the one way a fleet schedules a poll:
+// re-arming a monitor's tick on the shard engine, and the engine step
+// that fires it, allocate nothing. A parked monitor's tick does exactly
+// that and no more — it skips the poll and re-arms.
+func TestMonitorRearmZeroAlloc(t *testing.T) {
+	f := &Fleet{cfg: Config{}.normalize()}
+	sh := &shard{fl: f, eng: sim.New(1)}
+	m := &Monitor{fl: f, sh: sh, state: stateRunning, tier: overload.TierParked}
+	m.scheduleTick()
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !sh.eng.Step() {
+			t.Fatal("parked monitor's tick did not re-arm")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("tick re-arm allocates %.2f times per poll", allocs)
+	}
+	if got, want := sh.eng.Now(), units.Time(f.cfg.Interval)*(runs+1); got != want {
+		t.Fatalf("engine at %v after %d ticks, want %v", got, runs+1, want)
 	}
 }
 

@@ -68,12 +68,9 @@ func drawPlan(cfg Config, rng *rand.Rand) churnPlan {
 // derived from the connection ID so its behaviour never depends on which
 // shard runs it.
 type Monitor struct {
-	ID int
-	fl *Fleet
-	sh *shard
-	// slot is the monitor's index within its shard — its identity on
-	// the shard's timer wheel in event-loop mode.
-	slot int32
+	ID   int
+	fl   *Fleet
+	sh   *shard
 	plan churnPlan
 	// rng is the connection's private stream: churn plan (at build time)
 	// and backoff jitter draw here, never from a shared engine RNG.
@@ -271,28 +268,21 @@ func (m *Monitor) becomeRunning() {
 	m.scheduleTick()
 }
 
+// scheduleTick arms the next poll on the shard engine. The monitor rides
+// along as the event's argument — no closure per poll.
 func (m *Monitor) scheduleTick() {
-	if m.sh.wh != nil {
-		m.sh.wh.arm(m.slot, m.sh.eng.Now().Add(m.fl.cfg.Interval))
-		return
-	}
-	m.sh.eng.Schedule(m.fl.cfg.Interval, func() { m.tick() })
+	m.sh.eng.ScheduleCall(m.fl.cfg.Interval, tickMonitor, m)
 }
 
-// wake dispatches a wheel expiry to whatever the monitor is waiting on:
-// a poll deadline while running, a restart deadline while backing off.
-// The wheel holds at most one deadline per slot, mirroring the
-// goroutine-mode invariant of at most one pending closure per monitor.
-func (m *Monitor) wake() {
-	if m.fl.draining {
+func tickMonitor(arg any) { arg.(*Monitor).tick() }
+
+// restartMonitor fires when a crashed monitor's backoff expires.
+func restartMonitor(arg any) {
+	m := arg.(*Monitor)
+	if m.state != stateBackoff || m.fl.draining {
 		return
 	}
-	switch m.state {
-	case stateRunning:
-		m.tick()
-	case stateBackoff:
-		m.doRestart()
-	}
+	m.doRestart()
 }
 
 // tick is one supervised poll: the only place tracker code runs, wrapped
@@ -395,19 +385,7 @@ func (m *Monitor) onCrash() {
 	}
 	m.backoffCur = next
 	sh.updateGauges()
-	if sh.wh != nil {
-		// Event-loop mode: the restart deadline rides the same wheel as
-		// the poll deadlines (quantized up to the next tick); wake
-		// dispatches on the backoff state.
-		sh.wh.arm(m.slot, sh.eng.Now().Add(delay))
-		return
-	}
-	sh.eng.Schedule(delay, func() {
-		if m.state != stateBackoff || m.fl.draining {
-			return
-		}
-		m.doRestart()
-	})
+	sh.eng.ScheduleCall(delay, restartMonitor, m)
 }
 
 // watchdogCheck recycles a running monitor that made no poll progress

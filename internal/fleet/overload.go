@@ -6,78 +6,74 @@ import (
 	"element/internal/units"
 )
 
-// This file is the overload governor's fleet glue: building the export
-// chain (sink ← fault injector ← backpressured queue), metering usage
-// against the configured budgets at every barrier, and applying the
-// governor's ladder transitions to individual monitors. Everything here
-// runs on the coordinator goroutine between barriers, so governor
-// decisions — like stream exports — are single-threaded and
-// shard-count invariant: the metered usage is built from per-connection
-// state and fleet-level export accounting, never from per-shard heap
-// details.
+// This file is the big fleet's side of the barrier pipeline: building
+// the export chain (sink ← fault injector ← backpressured queue), the
+// fleet's own barrier work, metering usage against the configured
+// budgets, and applying the governor's ladder transitions to individual
+// monitors. Everything here runs on the coordinator goroutine between
+// barriers, so governor decisions — like stream exports — are
+// single-threaded and shard-count invariant: the metered usage is built
+// from per-connection state and fleet-level export accounting, never
+// from per-shard heap details.
 
 // DefaultDrainGrace is the end-of-run backlog drain allowance when
 // Config.DrainTimeout is zero.
 const DefaultDrainGrace = 2 * units.Second
 
-// buildOverload wires the governor and the export chain from the
-// normalized config. Called once from New, after the shard streams
-// exist.
-func (f *Fleet) buildOverload() {
+// buildPipeline wires the barrier pipeline from the normalized config:
+// the fleet's hooks, the governor, and the export chain the merged
+// windows go to. Called once from New, before the shards are built;
+// each shard adds its stream as it is built.
+func (f *Fleet) buildPipeline(nshards int) {
 	cfg := f.cfg
-	if cfg.Stream != nil {
-		base := cfg.Stream.Sink
-		if cfg.Faults != nil && base != nil {
-			// The sink injector is fleet-level: one injector for the
-			// whole export path, advanced at the same barrier that
-			// advances the queue, so every delivery attempt — including
-			// queue retries — sees the fault state at the current
-			// virtual time.
-			f.sinkInj = faults.NewSinkInjector(cfg.Faults.Sink, connSeed(cfg.Seed, -0x5349))
-			base = f.sinkInj.Wrap(base)
-		}
-		f.baseSink = base
-		f.expSink = base
-		if cfg.ExportQueue != nil && base != nil {
-			qc := *cfg.ExportQueue
-			if qc.Seed == 0 {
-				qc.Seed = connSeed(cfg.Seed, -0x5155)
-			}
-			f.queue = overload.NewQueue(qc, base)
-			f.expSink = f.queue
-		}
+	f.pipe = pipeline{
+		duration: cfg.Duration,
+		slice:    cfg.slice(),
+		nshards:  nshards,
+		advance:  func(i int, to units.Time) { f.shards[i].eng.RunUntil(to) },
+		barrier:  f.barrier,
+		gov:      newGovernor(cfg.Overload, cfg.Seed, cfg.Connections, cfg.Resume),
+		usage:    f.meterUsage,
+		apply: func(tr overload.Transition, now units.Time) {
+			f.monitors[tr.Flow].applyTier(tr.From, tr.To, now)
+		},
 	}
-	if cfg.Overload != nil {
-		oc := *cfg.Overload
-		if oc.Seed == 0 {
-			oc.Seed = cfg.Seed
+	if cfg.Stream == nil {
+		return
+	}
+	base := cfg.Stream.Sink
+	if cfg.Faults != nil && base != nil {
+		// The sink injector is fleet-level: one injector for the whole
+		// export path, advanced at the same barrier that advances the
+		// queue, so every delivery attempt — including queue retries —
+		// sees the fault state at the current virtual time.
+		f.sinkInj = faults.NewSinkInjector(cfg.Faults.Sink, connSeed(cfg.Seed, -0x5349))
+		base = f.sinkInj.Wrap(base)
+	}
+	f.baseSink = base
+	f.pipe.sink = base
+	if cfg.ExportQueue != nil && base != nil {
+		qc := *cfg.ExportQueue
+		if qc.Seed == 0 {
+			qc.Seed = connSeed(cfg.Seed, -0x5155)
 		}
-		if cfg.Resume != nil {
-			f.gov = overload.NewWithTiers(oc, cfg.Resume.tiers(cfg.Connections))
-		} else {
-			f.gov = overload.New(oc, cfg.Connections)
-		}
+		f.queue = overload.NewQueue(qc, base)
+		f.pipe.sink = f.queue
 	}
 }
 
-// overloadTick runs at every barrier, after the shards advanced and the
-// sealed windows were exported (enqueued): advance the export chain's
-// virtual clocks, meter usage, and walk the ladder.
-func (f *Fleet) overloadTick(now units.Time) {
+// barrier runs at every barrier after the sealed windows were exported
+// (enqueued): advance the export chain's virtual clocks, then mark the
+// escalated flows hot for the governor's cold-first ordering.
+func (f *Fleet) barrier(now units.Time) {
 	f.sinkInj.Advance(now)
 	if f.queue != nil {
 		f.queue.Advance(now)
 	}
-	if f.gov == nil {
-		f.meterExportRate(now)
-		return
-	}
-	for _, m := range f.monitors {
-		f.gov.SetHot(m.ID, m.esc.Escalated())
-	}
-	u := f.meterUsage(now)
-	for _, tr := range f.gov.Tick(u) {
-		f.monitors[tr.Flow].applyTier(tr.From, tr.To, now)
+	if gov := f.pipe.gov; gov != nil {
+		for _, m := range f.monitors {
+			gov.SetHot(m.ID, m.esc.Escalated())
+		}
 	}
 }
 
@@ -85,28 +81,19 @@ func (f *Fleet) overloadTick(now units.Time) {
 // metering degrades to zero for sinks that do not report it.
 type bytesWritten interface{ BytesWritten() int }
 
-// meterExportRate updates the export-rate EWMA-free estimate: bytes the
-// base sink absorbed since the previous barrier over the barrier length.
-func (f *Fleet) meterExportRate(now units.Time) {
-	bw, ok := f.baseSink.(bytesWritten)
-	if !ok || f.baseSink == nil {
-		return
-	}
-	n := bw.BytesWritten()
-	if dt := now.Sub(f.lastTickAt).Seconds(); dt > 0 {
-		f.exportRate = float64(n-f.exportMark) / dt
-	}
-	f.exportMark = n
-	f.lastTickAt = now
-}
-
 // meterUsage assembles the governor's pressure inputs. Every term is a
 // pure function of per-connection state or fleet-level export
 // accounting, so the metered usage — and therefore the ladder walk — is
 // identical at any shard count.
 func (f *Fleet) meterUsage(now units.Time) overload.Usage {
-	f.meterExportRate(now)
-	u := overload.Usage{ExportBytesPerSec: f.exportRate}
+	var u overload.Usage
+	if bw, ok := f.baseSink.(bytesWritten); ok {
+		// Export rate: bytes the base sink absorbed since the previous
+		// barrier over the barrier length.
+		n := bw.BytesWritten()
+		u.ExportBytesPerSec = float64(n-f.exportMark) / now.Sub(f.lastTickAt).Seconds()
+		f.exportMark, f.lastTickAt = n, now
+	}
 	for _, m := range f.monitors {
 		u.RetainedSamples += len(m.sndLog) + len(m.rcvLog)
 		if m.snd != nil {
@@ -179,10 +166,6 @@ func (m *Monitor) applyTier(from, to overload.Tier, now units.Time) {
 // still refuses it, reported as truncated rather than hanging the run.
 func (f *Fleet) drainExports(res *Result) {
 	if f.queue == nil {
-		if f.gov != nil {
-			// Still meter the final rate for callers reading LastPressure.
-			f.meterExportRate(units.Time(f.cfg.Duration))
-		}
 		return
 	}
 	now := units.Time(f.cfg.Duration)
@@ -193,18 +176,11 @@ func (f *Fleet) drainExports(res *Result) {
 		grace = 0
 	}
 	deadline := now.Add(grace)
-	step := f.cfg.Interval
-	if step <= 0 {
-		step = 10 * units.Millisecond
-	}
 	for f.queue.Depth() > 0 && now < deadline {
-		now = now.Add(step)
+		now = now.Add(f.cfg.Interval)
 		f.sinkInj.Advance(now)
 		f.queue.Advance(now)
 	}
-	if rem := f.queue.Flush(now); rem > 0 {
-		f.exportTrunc = true
-	}
-	res.ExportTruncated = f.exportTrunc
+	res.ExportTruncated = f.queue.Flush(now) > 0
 	res.Queue = f.queue.Stats()
 }

@@ -97,25 +97,11 @@ func overloadStack(seed int64, conns int, sinkProfile string, buf *bytes.Buffer)
 // fixed-seed run produces byte-identical exports and identical shed,
 // queue and per-flow ladder accounting at any shard count.
 func TestFleetOverloadShardInvariance(t *testing.T) {
-	overloadShardInvariance(t, false)
-}
-
-// TestFleetEventLoopOverloadShardInvariance re-pins the full overload
-// stack with the timer wheel driving polls: governor barrier ticks fold
-// into wheel ticks (Config.slice rounds to the wheel granularity), and
-// the shed/queue/export accounting must stay byte-identical across
-// shard counts.
-func TestFleetEventLoopOverloadShardInvariance(t *testing.T) {
-	overloadShardInvariance(t, true)
-}
-
-func overloadShardInvariance(t *testing.T, eventLoop bool) {
 	testutil.NoLeaks(t)
 	run := func(shards int) (*Result, []byte) {
 		var buf bytes.Buffer
 		cfg := overloadStack(57, 12, "flappy-sink", &buf)
 		cfg.Shards = shards
-		cfg.EventLoop = eventLoop
 		return New(cfg).Run(), buf.Bytes()
 	}
 	want, wantOut := run(1)

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"sync"
+	"context"
 
 	"element/internal/core"
 	"element/internal/overload"
@@ -43,7 +43,8 @@ type ScaleConfig struct {
 	// Interval is the per-flow lite poll period (default 100 ms — the
 	// fleet-scale setting; escalated flows poll every wheel tick).
 	Interval units.Duration
-	// Shards is the worker count (default 1). Results are invariant.
+	// Shards is the worker count (0 = GOMAXPROCS, capped at Flows).
+	// Results are invariant.
 	Shards int
 
 	// EscalateAbove is the lite delay threshold that arms the
@@ -75,8 +76,8 @@ type ScaleConfig struct {
 	// reads) after the run completes.
 	Telem *telemetry.Telemetry
 	// Resume restores tiers and escalated-tracker state from a
-	// ScaleSnapshot; flows re-home onto the new shard layout by id.
-	Resume *ScaleSnapshot
+	// Snapshot; flows re-home onto the new shard layout by id.
+	Resume *Snapshot
 }
 
 func (c ScaleConfig) normalize() ScaleConfig {
@@ -89,12 +90,7 @@ func (c ScaleConfig) normalize() ScaleConfig {
 	if c.Interval <= 0 {
 		c.Interval = 100 * units.Millisecond
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Shards > c.Flows {
-		c.Shards = c.Flows
-	}
+	c.Shards = shardCount(c.Shards, c.Flows)
 	if c.EscalateAbove == 0 {
 		c.EscalateAbove = 35 * units.Millisecond
 	}
@@ -130,10 +126,7 @@ func (c ScaleConfig) gran() units.Duration {
 // config — never of the shard count — which is what keeps stream seals
 // and governor ticks shard-invariant.
 func (c ScaleConfig) slice() units.Duration {
-	s := c.Duration / 64
-	if s < c.Interval {
-		s = c.Interval
-	}
+	s := barrierSlice(c.Duration, c.Interval)
 	if r := s % c.Interval; r != 0 {
 		s += c.Interval - r
 	}
@@ -211,6 +204,8 @@ type ScaleResult struct {
 	StreamWindows uint64
 	StreamLate    uint64
 	StreamErr     error
+	// Interrupted marks a run its context stopped before Duration.
+	Interrupted bool
 
 	Sheds, Reclaims int
 	TierCounts      [overload.NumTiers]int
@@ -224,14 +219,12 @@ type ScaleResult struct {
 type ScaleFleet struct {
 	cfg    ScaleConfig
 	shards []*scaleShard
-	gov    *overload.Governor
 
-	names []string
-	fwin  stream.Window // per-barrier merge scratch
-	total stream.Window // run-wide accumulation of every merged window
-
-	streamWindows uint64
-	streamErr     error
+	// pipe is the barrier pipeline shared with Fleet; total is the
+	// run-wide accumulation of every merged window it exports, which the
+	// result quantiles come from.
+	pipe  pipeline
+	total stream.Window
 
 	// demotions/falseAlarms are coordinator-only (demote runs at
 	// barriers); promotions count shard-locally in pollBatch.
@@ -255,16 +248,21 @@ type ScaleFleet struct {
 // phase-spread across the interval from its parameter hash.
 func NewScale(cfg ScaleConfig) *ScaleFleet {
 	cfg = cfg.normalize()
-	f := &ScaleFleet{cfg: cfg}
+	f := &ScaleFleet{cfg: cfg, promoteOK: true}
+	f.pipe = pipeline{
+		duration: cfg.Duration,
+		slice:    cfg.slice(),
+		nshards:  cfg.Shards,
+		advance:  func(i int, to units.Time) { f.shards[i].advance(to) },
+		barrier:  f.escalationTick,
+		total:    &f.total,
+		sink:     cfg.Sink,
+		gov:      newGovernor(cfg.Overload, cfg.Seed, cfg.Flows, cfg.Resume),
+		usage:    f.meterUsage,
+		apply:    f.applyTier,
+	}
 	gran := cfg.gran()
-	scfg := stream.Config{
-		Width:  cfg.Window,
-		Lag:    cfg.slice(),
-		Retain: int(cfg.slice()/cfg.Window) + 2,
-	}
-	if scfg.Retain < stream.DefaultRetain {
-		scfg.Retain = stream.DefaultRetain
-	}
+	scfg := shardStreamConfig(cfg.Window, 0, cfg.slice(), 0)
 	for s := 0; s < cfg.Shards; s++ {
 		n := cfg.Flows / cfg.Shards
 		if s < cfg.Flows%cfg.Shards {
@@ -288,9 +286,9 @@ func NewScale(cfg ScaleConfig) *ScaleFleet {
 		}
 		sh.seSnd = sh.stream.Series("snd_delay")
 		sh.seRcv = sh.stream.Series("rcv_delay")
+		f.pipe.addStream(sh.stream)
 		f.shards = append(f.shards, sh)
 	}
-	f.names = f.shards[0].stream.Names()
 	for id := 0; id < cfg.Flows; id++ {
 		sh := f.shards[id%cfg.Shards]
 		slot := int32(id / cfg.Shards)
@@ -304,21 +302,57 @@ func NewScale(cfg ScaleConfig) *ScaleFleet {
 		phase := units.Time(int64(fl.hash%uint64(cfg.Interval)) + int64(gran))
 		sh.wh.arm(slot, phase)
 	}
-	f.promoteOK = true
-	if cfg.Overload != nil {
-		oc := *cfg.Overload
-		if oc.Seed == 0 {
-			oc.Seed = cfg.Seed
-		}
-		if cfg.Resume != nil {
-			f.gov = overload.NewWithTiers(oc, cfg.Resume.tiers(cfg.Flows))
-		} else {
-			f.gov = overload.New(oc, cfg.Flows)
-		}
-	}
 	f.applyResume()
 	return f
 }
+
+// applyResume re-homes a snapshot into the freshly built fleet: tiers
+// land by flow id, and every snapshotted escalated flow is re-promoted
+// on its new shard — restoring the rebased tracker checkpoint when it
+// parses (counted in Restores), or starting a fresh escalated tracker
+// when it doesn't. Out-of-range and duplicate ids are dropped.
+func (f *ScaleFleet) applyResume() {
+	snap := f.cfg.Resume
+	if snap == nil {
+		return
+	}
+	for id, tier := range snap.Tiers {
+		if id >= f.cfg.Flows {
+			break
+		}
+		if tier >= overload.NumTiers {
+			// Out-of-range tier in a hand-edited or corrupted snapshot:
+			// park it, matching overload.NewWithTiers's clamp.
+			tier = overload.TierParked
+		}
+		sh, slot := f.shardSlot(id)
+		sh.tier[slot] = uint8(tier)
+	}
+	for _, cs := range snap.Conns {
+		id := cs.ID
+		if id < 0 || id >= f.cfg.Flows {
+			continue
+		}
+		sh, slot := f.shardSlot(id)
+		if sh.full[slot] != nil {
+			continue // duplicate entry
+		}
+		if overload.Tier(sh.tier[slot]) >= overload.TierCounters {
+			// The ladder already degraded this flow below full
+			// granularity; the tier wins over the escalation record.
+			continue
+		}
+		if cp, err := core.UnmarshalSenderCheckpoint(cs.Snd); err == nil && len(cs.Snd) > 0 {
+			sh.escalate(slot, 0, &cp)
+			f.restores++
+		} else {
+			sh.escalate(slot, 0, nil)
+		}
+	}
+}
+
+// Shards reports the worker count the fleet resolved to.
+func (f *ScaleFleet) Shards() int { return len(f.shards) }
 
 // shardSlot maps a global flow id to its (shard, slot) home.
 func (f *ScaleFleet) shardSlot(id int) (*scaleShard, int32) {
@@ -326,43 +360,20 @@ func (f *ScaleFleet) shardSlot(id int) (*scaleShard, int32) {
 }
 
 // Run executes the scale run: shards advance in parallel to each
-// barrier; stream sealing, export and the governor run single-threaded
-// between barriers.
-func (f *ScaleFleet) Run() *ScaleResult {
-	end := units.Time(f.cfg.Duration)
-	slice := f.cfg.slice()
-	now := units.Time(0)
-	for now < end {
-		next := now.Add(slice)
-		if next > end {
-			next = end
-		}
-		f.stepTo(next)
-		now = next
-	}
-	return f.drain()
-}
+// barrier; stream sealing, export, escalation settling and the governor
+// run single-threaded between barriers. Equivalent to
+// RunContext(context.Background()).
+func (f *ScaleFleet) Run() *ScaleResult { return f.RunContext(context.Background()) }
 
-// stepTo is one barrier: advance every shard to next (in parallel when
-// sharded), then seal/merge/export windows and tick the governor.
-func (f *ScaleFleet) stepTo(next units.Time) {
-	if len(f.shards) == 1 {
-		f.shards[0].advance(next)
-	} else {
-		var wg sync.WaitGroup
-		for _, sh := range f.shards {
-			sh := sh
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sh.advance(next)
-			}()
-		}
-		wg.Wait()
-	}
-	f.streamAdvance(next)
-	f.escalationTick(next)
-	f.governorTick(next)
+// RunContext is Run with cooperative cancellation: a canceled context
+// stops the run at the next barrier; the fleet still drains, so the
+// windows up to there are sealed and exported and the result covers
+// the partial run.
+func (f *ScaleFleet) RunContext(ctx context.Context) *ScaleResult {
+	f.pipe.run(ctx)
+	res := f.drain()
+	res.Interrupted = ctx.Err() != nil
+	return res
 }
 
 // advance steps the shard's wheel tick-by-tick to the barrier. Every
@@ -477,12 +488,6 @@ func (sh *scaleShard) pollFull(slot int32, fu *scaleFull, now units.Time) {
 	})
 }
 
-// newScaleEscalator builds an escalated flow's windowed demotion
-// escalator from the run policy.
-func newScaleEscalator(c *ScaleConfig) *stream.Escalator {
-	return stream.NewEscalator(c.Rules, c.Window)
-}
-
 // observe routes one sample into a stream series with its flag.
 func observe(se *stream.Series, at units.Time, v float64, flagged bool) {
 	if flagged {
@@ -492,24 +497,29 @@ func observe(se *stream.Series, at units.Time, v float64, flagged bool) {
 	}
 }
 
-// promote escalates a flow to full granularity: a real SenderTracker
-// (Detached — the shard drives every poll) over the flow's synthetic
-// socket surface, plus the windowed escalator that will decide when the
-// flow has been clean long enough to demote.
-func (sh *scaleShard) promote(slot int32, now units.Time) {
+// escalate installs full-granularity state on a slot: a real
+// SenderTracker (Detached — the shard drives every poll) over the
+// flow's synthetic socket surface, restored from cp when the flow is
+// resuming from a snapshot, plus the windowed escalator that will decide
+// when the flow has been clean long enough to demote.
+func (sh *scaleShard) escalate(slot int32, now units.Time, cp *core.SenderCheckpoint) *scaleFull {
 	cfg := &sh.fl.cfg
 	src := &synthSource{flow: sh.flows[slot], now: now}
-	fu := &scaleFull{
-		src:        src,
-		esc:        newScaleEscalator(cfg),
-		promotedAt: now,
+	fu := &scaleFull{src: src, esc: stream.NewEscalator(cfg.Rules, cfg.Window), promotedAt: now}
+	opts := core.TrackerOptions{Interval: cfg.Interval, Detached: true}
+	if cp != nil {
+		fu.tr = core.RestoreSenderTracker(sh.eng, src, *cp, opts)
+	} else {
+		fu.tr = core.NewSenderTrackerOpts(sh.eng, src, opts)
 	}
-	fu.tr = core.NewSenderTrackerOpts(sh.eng, src, core.TrackerOptions{
-		Interval: cfg.Interval,
-		Detached: true,
-	})
-	fu.tr.OnWrite(sh.flows[slot].written(now))
 	sh.full[slot] = fu
+	return fu
+}
+
+// promote escalates a flow whose lite estimates tripped the trigger.
+func (sh *scaleShard) promote(slot int32, now units.Time) {
+	fu := sh.escalate(slot, now, nil)
+	fu.tr.OnWrite(sh.flows[slot].written(now))
 	sh.sndStreak[slot] = 0
 	sh.escalations++
 }
@@ -527,8 +537,8 @@ func (sh *scaleShard) demote(slot int32, now units.Time, confirmed bool) {
 	if !confirmed {
 		sh.fl.falseAlarms++
 	}
-	if sh.fl.gov != nil {
-		sh.fl.gov.SetHot(int(sh.ids[slot]), false)
+	if gov := sh.fl.pipe.gov; gov != nil {
+		gov.SetHot(int(sh.ids[slot]), false)
 	}
 }
 
@@ -545,8 +555,8 @@ func (f *ScaleFleet) escalationTick(now units.Time) {
 				// goroutine, where the governor must not be touched):
 				// mark it hot now.
 				fu.hotSet = true
-				if f.gov != nil {
-					f.gov.SetHot(int(sh.ids[slot]), true)
+				if gov := f.pipe.gov; gov != nil {
+					gov.SetHot(int(sh.ids[slot]), true)
 				}
 			}
 			fu.esc.AdvanceTo(now)
@@ -563,20 +573,17 @@ func (f *ScaleFleet) escalationTick(now units.Time) {
 	}
 }
 
-// governorTick meters usage and applies ladder transitions at a
-// barrier. LiveFull reports the escalated population — in scale mode
-// full granularity is escalation-driven, so the governor's own tier
-// census cannot see it.
-func (f *ScaleFleet) governorTick(now units.Time) {
-	if f.gov == nil {
-		return
-	}
-	live, retained, sketchBytes := 0, 0, 0
+// meterUsage assembles the governor's pressure inputs at a barrier.
+// LiveFull reports the escalated population — in scale mode full
+// granularity is escalation-driven, so the governor's own tier census
+// cannot see it. The same census also sets the promotion gate.
+func (f *ScaleFleet) meterUsage(units.Time) overload.Usage {
+	var u overload.Usage
 	for _, sh := range f.shards {
-		live += len(sh.full)
-		sketchBytes += sh.stream.ApproxBytes()
+		u.LiveFull += len(sh.full)
+		u.SketchBytes += sh.stream.ApproxBytes()
 		for _, fu := range sh.full {
-			retained += len(fu.log)
+			u.RetainedSamples += len(fu.log)
 		}
 	}
 	// The promotion gate closes while the escalated census is at or
@@ -584,72 +591,37 @@ func (f *ScaleFleet) governorTick(now units.Time) {
 	// fact, so the gate is what bounds the full-tier population between
 	// its ticks (modulo one slice's worth of in-flight promotions).
 	if b := f.cfg.Overload.Budgets.LiveFull; b > 0 {
-		f.promoteOK = live < b
+		f.promoteOK = u.LiveFull < b
 	}
-	u := overload.Usage{
-		RetainedSamples: retained,
-		SketchBytes:     sketchBytes,
-		LiveFull:        live,
-	}
-	for _, tr := range f.gov.Tick(u) {
-		sh, slot := f.shardSlot(tr.Flow)
-		sh.tier[slot] = uint8(tr.To)
-		if tr.To >= overload.TierCounters && sh.full[slot] != nil {
-			// Degraded below sketch granularity: the full tracker goes
-			// too, confirmed or not.
-			sh.demote(slot, now, sh.full[slot].esc.Escalations() > 0)
-		}
-		if tr.From == overload.TierParked && tr.To < overload.TierParked {
-			// Unparked: warm-reset both lite columns from the
-			// closed-form counters so the first poll back never spans
-			// the parked gap.
-			fl := sh.flows[slot]
-			sh.sndPrev[slot] = fl.acked(now)
-			sh.rcvPrev[slot] = fl.read(now)
-			sh.sndRate[slot], sh.rcvRate[slot] = 0, 0
-			sh.sndStreak[slot] = 0
-			sh.lastPoll[slot] = int64(now)
-		}
-	}
+	return u
 }
 
-// streamAdvance seals every shard's watermark-expired windows at a
-// barrier and exports them merged, index-aligned — the same invariant
-// protocol as the big fleet. Every merged window also folds into the
-// run-wide accumulation window the result quantiles come from.
-func (f *ScaleFleet) streamAdvance(now units.Time) {
-	for _, sh := range f.shards {
-		sh.stream.AdvanceTo(now)
+// applyTier lands one governor transition on its flow's home slot.
+func (f *ScaleFleet) applyTier(tr overload.Transition, now units.Time) {
+	sh, slot := f.shardSlot(tr.Flow)
+	sh.tier[slot] = uint8(tr.To)
+	if tr.To >= overload.TierCounters && sh.full[slot] != nil {
+		// Degraded below sketch granularity: the full tracker goes
+		// too, confirmed or not.
+		sh.demote(slot, now, sh.full[slot].esc.Escalations() > 0)
 	}
-	f.exportSealed()
-}
-
-func (f *ScaleFleet) exportSealed() {
-	s0 := f.shards[0].stream
-	for s0.NextSealed() != nil {
-		f.fwin.Reset()
-		for _, sh := range f.shards {
-			f.fwin.Merge(sh.stream.NextSealed())
-			sh.stream.ReleaseSealed()
-		}
-		f.streamWindows++
-		f.total.Merge(&f.fwin)
-		if f.cfg.Sink != nil {
-			if err := f.cfg.Sink.ExportWindow(f.names, &f.fwin); err != nil && f.streamErr == nil {
-				f.streamErr = err
-			}
-		}
+	if tr.From == overload.TierParked && tr.To < overload.TierParked {
+		// Unparked: warm-reset both lite columns from the
+		// closed-form counters so the first poll back never spans
+		// the parked gap.
+		fl := sh.flows[slot]
+		sh.sndPrev[slot] = fl.acked(now)
+		sh.rcvPrev[slot] = fl.read(now)
+		sh.sndRate[slot], sh.rcvRate[slot] = 0, 0
+		sh.sndStreak[slot] = 0
+		sh.lastPoll[slot] = int64(now)
 	}
 }
 
 // drain finishes the run: seal through the final window, settle
 // escalators, fold counters, and compute the run-wide quantiles.
 func (f *ScaleFleet) drain() *ScaleResult {
-	final := int64(f.cfg.Duration) / int64(f.cfg.Window)
-	for _, sh := range f.shards {
-		sh.stream.SealThrough(final)
-	}
-	f.exportSealed()
+	f.pipe.finish()
 
 	res := &ScaleResult{
 		Flows:       f.cfg.Flows,
@@ -670,12 +642,12 @@ func (f *ScaleFleet) drain() *ScaleResult {
 			fu.tr.Stop()
 		}
 	}
-	res.StreamWindows = f.streamWindows
-	res.StreamErr = f.streamErr
-	if f.gov != nil {
-		res.Sheds = f.gov.Sheds()
-		res.Reclaims = f.gov.Reclaims()
-		res.TierCounts = f.gov.TierCounts()
+	res.StreamWindows = f.pipe.windows
+	res.StreamErr = f.pipe.sinkErr
+	if gov := f.pipe.gov; gov != nil {
+		res.Sheds = gov.Sheds()
+		res.Reclaims = gov.Reclaims()
+		res.TierCounts = gov.TierCounts()
 	}
 	if len(f.total.Sketches) >= 2 {
 		res.SndP50 = f.total.Sketches[0].Quantile(0.50)

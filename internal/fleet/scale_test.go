@@ -136,7 +136,7 @@ func TestScaleGovernorBoundsEscalated(t *testing.T) {
 		if next > end {
 			next = end
 		}
-		f.stepTo(next)
+		f.pipe.step(next)
 		live := 0
 		for _, sh := range f.shards {
 			live += len(sh.full)
@@ -172,7 +172,7 @@ func TestScaleGovernorBoundsEscalated(t *testing.T) {
 func TestScaleParkedFlowsSkipPolls(t *testing.T) {
 	testutil.NoLeaks(t)
 	cfg := scaleTestConfig(5, 50)
-	snap := &ScaleSnapshot{Seed: 5, Flows: 50, Tiers: make([]overload.Tier, 50)}
+	snap := &Snapshot{Seed: 5, Flows: 50, Tiers: make([]overload.Tier, 50)}
 	for i := range snap.Tiers {
 		snap.Tiers[i] = overload.TierParked
 	}
@@ -204,21 +204,13 @@ func TestScaleSnapshotResumeRehomes(t *testing.T) {
 	f := NewScale(cfg)
 	f.Run()
 	snap := f.Snapshot()
-	if len(snap.Full) == 0 {
+	if len(snap.Conns) == 0 {
 		t.Fatal("run ended with no escalated flows; re-homing test is vacuous")
-	}
-	b, err := snap.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := UnmarshalScaleSnapshot(b)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 4} {
 		rcfg := cfg
 		rcfg.Shards = shards
-		rcfg.Resume = decoded
+		rcfg.Resume = snap
 		rf := NewScale(rcfg)
 		gotFull := 0
 		for _, sh := range rf.shards {
@@ -234,15 +226,15 @@ func TestScaleSnapshotResumeRehomes(t *testing.T) {
 				}
 			}
 		}
-		if gotFull != len(snap.Full) {
-			t.Fatalf("shards=%d: %d escalated flows re-homed, snapshot had %d", shards, gotFull, len(snap.Full))
+		if gotFull != len(snap.Conns) {
+			t.Fatalf("shards=%d: %d escalated flows re-homed, snapshot had %d", shards, gotFull, len(snap.Conns))
 		}
-		if rf.restores != len(snap.Full) {
-			t.Fatalf("shards=%d: %d restores for %d checkpointed trackers", shards, rf.restores, len(snap.Full))
+		if rf.restores != len(snap.Conns) {
+			t.Fatalf("shards=%d: %d restores for %d checkpointed trackers", shards, rf.restores, len(snap.Conns))
 		}
 		res := rf.Run()
-		if res.Restores != len(snap.Full) {
-			t.Fatalf("shards=%d: result reports %d restores, want %d", shards, res.Restores, len(snap.Full))
+		if res.Restores != len(snap.Conns) {
+			t.Fatalf("shards=%d: result reports %d restores, want %d", shards, res.Restores, len(snap.Conns))
 		}
 	}
 }
@@ -257,6 +249,7 @@ func TestScaleZeroAllocSteadyState(t *testing.T) {
 		Flows:         2000,
 		Duration:      60 * units.Second,
 		Interval:      100 * units.Millisecond,
+		Shards:        1,  // the parallel advance spawns goroutines; pin the inline barrier
 		EscalateAbove: -1, // promotions allocate by design; pin the lite plane
 	}
 	f := NewScale(cfg)
@@ -264,7 +257,7 @@ func TestScaleZeroAllocSteadyState(t *testing.T) {
 	now := units.Time(0)
 	step := func() {
 		now = now.Add(slice)
-		f.stepTo(now)
+		f.pipe.step(now)
 	}
 	// Warm-up must cover a full wheel revolution (nbuckets × gran ≈
 	// 6.4 s here): bucket slices only reach steady-state capacity once

@@ -19,18 +19,6 @@ import (
 // accidental draw from a shared RNG, or any cross-connection coupling,
 // shows up here as a shard-count-dependent divergence.
 func TestFleetShardCountInvariance(t *testing.T) {
-	shardCountInvariance(t, false)
-}
-
-// TestFleetEventLoopShardCountInvariance is the same pin for event-loop
-// mode: the wheel quantizes deadlines and batches polls, but every
-// quantization input is a pure function of (seed, connection ID), so
-// the invariance contract carries over unchanged.
-func TestFleetEventLoopShardCountInvariance(t *testing.T) {
-	shardCountInvariance(t, true)
-}
-
-func shardCountInvariance(t *testing.T, eventLoop bool) {
 	testutil.NoLeaks(t)
 	prof, err := faults.ByName("stale-info")
 	if err != nil {
@@ -38,7 +26,6 @@ func shardCountInvariance(t *testing.T, eventLoop bool) {
 	}
 	base := testConfig(29, 10)
 	base.Faults = &prof
-	base.EventLoop = eventLoop
 	run := func(shards int) *Result {
 		cfg := base
 		cfg.Shards = shards

@@ -3,74 +3,120 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"element/internal/core"
 	"element/internal/overload"
 	"element/internal/units"
 )
 
-// Snapshot is a whole run's resumable estimator state: one rebased
-// checkpoint pair (plus minimizer, when present) and ladder tier per
-// connection, keyed by connection ID. Because the key is the connection
-// ID — never the shard index — a snapshot taken on a 16-shard fleet
-// restores deterministically into a 1-shard fleet and vice versa: New
-// re-homes each connection onto whatever shard its ID maps to in the
-// new layout. Checkpoints are rebased at capture (see
-// core.SenderCheckpoint.Rebase), so restoring them into freshly built
-// connections counts a Restores anomaly and starts the resumed series
-// at degraded confidence instead of pretending continuity across runs.
+// SnapshotVersion is the snapshot schema UnmarshalSnapshot accepts.
+const SnapshotVersion = 1
+
+// Snapshot is a run's resumable state, for either fleet: the governor
+// tier of every flow, dense by flow ID, plus one entry per flow that
+// holds tracker state — rebased checkpoints of a Fleet connection's
+// sender, receiver and (when present) minimizer, or of a ScaleFleet
+// flow's escalated sender tracker. A scale flow's lite state is
+// deliberately absent: it is 16 bytes of smoothing that the closed-form
+// counters rebuild within a poll or two.
+//
+// Everything is keyed by flow ID — never by shard index — so a snapshot
+// taken at one shard count restores deterministically into any other:
+// the resuming fleet re-homes each flow onto whatever shard its ID maps
+// to in the new layout. Checkpoints are rebased at capture (see
+// core.SenderCheckpoint.Rebase), so restoring them counts a Restores
+// anomaly and starts the resumed series at degraded confidence instead
+// of pretending continuity across runs.
+//
+// Tiers is one byte per flow, which encoding/json writes as a base64
+// string — 1.3 MB for a million flows; a plain JSON array of numbers
+// decodes too.
 type Snapshot struct {
-	Seed    int64          `json:"seed"`
-	Shards  int            `json:"shards"` // layout at capture, informational only
-	TakenAt units.Time     `json:"taken_at"`
-	Conns   []ConnSnapshot `json:"conns"`
+	Version int             `json:"version"`
+	Seed    int64           `json:"seed"`
+	Flows   int             `json:"flows"`
+	Shards  int             `json:"shards"` // layout at capture, informational only
+	TakenAt units.Time      `json:"taken_at"`
+	Tiers   []overload.Tier `json:"tiers,omitempty"`
+	Conns   []ConnSnapshot  `json:"conns,omitempty"` // ascending ID
 }
 
-// ConnSnapshot is one connection's entry in a Snapshot.
+// ConnSnapshot is the tracker state of one flow in a Snapshot. A nil
+// Snd on a scale flow means the tracker did not serialize: the flow
+// resumes escalated with a fresh tracker.
 type ConnSnapshot struct {
-	ID   int             `json:"id"`
-	Tier overload.Tier   `json:"tier,omitempty"`
-	Snd  json.RawMessage `json:"snd,omitempty"`
-	Rcv  json.RawMessage `json:"rcv,omitempty"`
-	Min  json.RawMessage `json:"min,omitempty"`
+	ID  int             `json:"id"`
+	Snd json.RawMessage `json:"snd,omitempty"`
+	Rcv json.RawMessage `json:"rcv,omitempty"`
+	Min json.RawMessage `json:"min,omitempty"`
+}
+
+// capture starts a snapshot of the run as of its last barrier: the
+// header, and a tier vector for the fleet to fill in.
+func (p *pipeline) capture(seed int64, flows int) *Snapshot {
+	return &Snapshot{
+		Version: SnapshotVersion,
+		Seed:    seed,
+		Flows:   flows,
+		Shards:  p.nshards,
+		TakenAt: p.now,
+		Tiers:   make([]overload.Tier, flows),
+	}
 }
 
 // Snapshot captures the fleet's resumable state from the last persisted
 // per-monitor checkpoints — crash-consistent semantics: state produced
 // since a monitor's last checkpoint is lost, exactly like a process
 // that died before fsync. Monitors that never checkpointed (or with
-// checkpoints disabled) contribute a tier-only entry; resuming them
+// checkpoints disabled) contribute only their tier; resuming them
 // starts a fresh series. Valid during and after Run.
 func (f *Fleet) Snapshot() *Snapshot {
-	s := &Snapshot{Seed: f.cfg.Seed, Shards: len(f.shards), TakenAt: f.shards[0].eng.Now()}
+	s := f.pipe.capture(f.cfg.Seed, len(f.monitors))
 	for _, m := range f.monitors {
-		cs := ConnSnapshot{ID: m.ID, Tier: m.tier}
+		s.Tiers[m.ID] = m.tier
 		if m.haveCP {
-			cs.Snd = rebaseSnd(m.sndCP)
-			cs.Rcv = rebaseRcv(m.rcvCP)
-			cs.Min = m.minCP
+			s.Conns = append(s.Conns, ConnSnapshot{
+				ID:  m.ID,
+				Snd: rebase(core.UnmarshalSenderCheckpoint, m.sndCP),
+				Rcv: rebase(core.UnmarshalReceiverCheckpoint, m.rcvCP),
+				Min: m.minCP,
+			})
 		}
-		s.Conns = append(s.Conns, cs)
 	}
 	return s
 }
 
-// rebaseSnd re-serializes a sender checkpoint with its
-// connection-relative state stripped; nil if the bytes don't parse.
-func rebaseSnd(b []byte) json.RawMessage {
-	cp, err := core.UnmarshalSenderCheckpoint(b)
-	if err != nil {
-		return nil
+// Snapshot captures the scale fleet's resumable state: every flow's
+// tier and the escalated flows' rebased tracker checkpoints. Valid
+// during and after Run (between barriers).
+func (f *ScaleFleet) Snapshot() *Snapshot {
+	s := f.pipe.capture(f.cfg.Seed, f.cfg.Flows)
+	for _, sh := range f.shards {
+		for slot, id := range sh.ids {
+			s.Tiers[id] = overload.Tier(sh.tier[slot])
+		}
+		for slot, fu := range sh.full {
+			cs := ConnSnapshot{ID: int(sh.ids[slot])}
+			if b, err := fu.tr.Checkpoint().Rebase().Marshal(); err == nil {
+				cs.Snd = b
+			}
+			s.Conns = append(s.Conns, cs)
+		}
 	}
-	out, err := cp.Rebase().Marshal()
-	if err != nil {
-		return nil
-	}
-	return out
+	// Shards and their escalated maps iterate in no fixed order; sorting
+	// makes the encoding deterministic.
+	sort.Slice(s.Conns, func(i, j int) bool { return s.Conns[i].ID < s.Conns[j].ID })
+	return s
 }
 
-func rebaseRcv(b []byte) json.RawMessage {
-	cp, err := core.UnmarshalReceiverCheckpoint(b)
+// rebase re-serializes a checkpoint with its connection-relative state
+// stripped; nil if the bytes don't parse.
+func rebase[C interface {
+	Rebase() C
+	Marshal() ([]byte, error)
+}](parse func([]byte) (C, error), b []byte) json.RawMessage {
+	cp, err := parse(b)
 	if err != nil {
 		return nil
 	}
@@ -82,47 +128,37 @@ func rebaseRcv(b []byte) json.RawMessage {
 }
 
 // Marshal encodes the snapshot as JSON.
-func (s *Snapshot) Marshal() ([]byte, error) { return json.MarshalIndent(s, "", " ") }
+func (s *Snapshot) Marshal() ([]byte, error) { return json.Marshal(s) }
 
-// UnmarshalSnapshot decodes a snapshot produced by Marshal.
+// UnmarshalSnapshot decodes a snapshot produced by Marshal, rejecting
+// other schema versions and sizes that no capture could have produced.
+// The resume paths tolerate everything else: out-of-range IDs and
+// duplicate entries are dropped, invalid tiers clamped, unparseable
+// checkpoints replaced by fresh trackers — never trusted.
 func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(b, &s); err != nil {
 		return nil, fmt.Errorf("fleet: decoding snapshot: %w", err)
 	}
+	if s.Version != SnapshotVersion {
+		return nil, fmt.Errorf("fleet: snapshot version %d, want %d", s.Version, SnapshotVersion)
+	}
+	if s.Flows < 0 {
+		return nil, fmt.Errorf("fleet: snapshot with negative flow count %d", s.Flows)
+	}
+	if len(s.Tiers) > s.Flows {
+		return nil, fmt.Errorf("fleet: snapshot tiers length %d exceeds flow count %d", len(s.Tiers), s.Flows)
+	}
 	return &s, nil
 }
 
-// index maps connection ID → snapshot entry. Nil-safe: a nil snapshot
-// indexes to nothing. Entries whose ID falls outside the resuming
-// fleet's connection range are simply unmatched — their state is
-// dropped, which the caller can detect by comparing Conns length
-// against the new fleet's connection count.
-func (s *Snapshot) index() map[int]*ConnSnapshot {
-	if s == nil {
-		return nil
-	}
-	idx := make(map[int]*ConnSnapshot, len(s.Conns))
-	for i := range s.Conns {
-		idx[s.Conns[i].ID] = &s.Conns[i]
-	}
-	return idx
-}
-
-// tiers expands the snapshot's per-connection tiers into a dense slice
-// for the governor's resume constructor. Flows absent from the snapshot
-// resume at full fidelity; out-of-range tiers are clamped by
+// tiers adapts the snapshot's tier vector to the resuming fleet's flow
+// count for the governor's resume constructor. Flows the snapshot does
+// not cover resume at full fidelity; out-of-range tiers are clamped by
 // overload.NewWithTiers, so a corrupted snapshot still lands every flow
 // in a valid ladder tier.
 func (s *Snapshot) tiers(flows int) []overload.Tier {
 	out := make([]overload.Tier, flows)
-	if s == nil {
-		return out
-	}
-	for _, cs := range s.Conns {
-		if cs.ID >= 0 && cs.ID < flows {
-			out[cs.ID] = cs.Tier
-		}
-	}
+	copy(out, s.Tiers)
 	return out
 }

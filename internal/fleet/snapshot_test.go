@@ -1,12 +1,77 @@
 package fleet
 
 import (
+	"bytes"
 	"testing"
 
 	"element/internal/overload"
 	"element/internal/testutil"
 	"element/internal/units"
 )
+
+// TestSnapshotOneFormatBothFleets pins the single snapshot schema: a
+// Fleet capture and a ScaleFleet capture both encode as the same
+// versioned document — tiers dense by flow ID, tracker state only for
+// the flows that hold any — survive Marshal/UnmarshalSnapshot
+// byte-for-byte, and resume their fleet at a shard count other than the
+// one they were taken at.
+func TestSnapshotOneFormatBothFleets(t *testing.T) {
+	testutil.NoLeaks(t)
+	roundTrip := func(snap *Snapshot, flows, conns int) *Snapshot {
+		t.Helper()
+		if snap.Version != SnapshotVersion || snap.Flows != flows || len(snap.Tiers) != flows {
+			t.Fatalf("capture header: version=%d flows=%d tiers=%d, want %d/%d/%d",
+				snap.Version, snap.Flows, len(snap.Tiers), SnapshotVersion, flows, flows)
+		}
+		if len(snap.Conns) != conns {
+			t.Fatalf("capture holds tracker state for %d flows, want %d", len(snap.Conns), conns)
+		}
+		raw, err := snap.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := UnmarshalSnapshot(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decoded.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, again) {
+			t.Fatalf("snapshot does not survive a decode/encode round trip (%d vs %d bytes)", len(raw), len(again))
+		}
+		return decoded
+	}
+
+	// Big fleet: every monitor has checkpointed by the end of the run,
+	// so every connection carries tracker state.
+	fcfg := testConfig(71, 10)
+	fcfg.Churn = ChurnConfig{}
+	fcfg.Shards = 4
+	f := New(fcfg)
+	f.Run()
+	fsnap := roundTrip(f.Snapshot(), fcfg.Connections, fcfg.Connections)
+	fcfg.Shards, fcfg.Duration, fcfg.Resume = 3, 2*units.Second, fsnap
+	if res := New(fcfg).Run(); res.Restores < 2*fcfg.Connections {
+		t.Fatalf("fleet resume at 3 shards restored %d tracker states, want >= %d", res.Restores, 2*fcfg.Connections)
+	}
+
+	// Scale fleet: only the escalated few carry tracker state.
+	scfg := scaleTestConfig(61, 120)
+	scfg.Shards = 3
+	scfg.Overload = &overload.Config{Budgets: overload.Budgets{LiveFull: 8}}
+	sf := NewScale(scfg)
+	escalated := sf.Run().Escalated
+	if escalated == 0 || escalated >= scfg.Flows {
+		t.Fatalf("%d of %d flows escalated at the end; the sparse half of the format is vacuous", escalated, scfg.Flows)
+	}
+	ssnap := roundTrip(sf.Snapshot(), scfg.Flows, escalated)
+	scfg.Shards, scfg.Resume = 2, ssnap
+	if res := NewScale(scfg).Run(); res.Restores != escalated {
+		t.Fatalf("scale resume at 2 shards restored %d trackers, want %d", res.Restores, escalated)
+	}
+}
 
 // TestFleetSnapshotResumeRehomesAcrossShards is the rehoming bugfix's
 // pin: a snapshot taken on a many-shard fleet restores into fleets of
@@ -21,17 +86,7 @@ func TestFleetSnapshotResumeRehomesAcrossShards(t *testing.T) {
 	src.Shards = 4
 	f := New(src)
 	f.Run()
-	raw, err := f.Snapshot().Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := UnmarshalSnapshot(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Conns) != src.Connections {
-		t.Fatalf("snapshot holds %d conns, want %d", len(snap.Conns), src.Connections)
-	}
+	snap := f.Snapshot()
 
 	resume := func(shards int) *Result {
 		cfg := testConfig(72, 10) // different seed: a genuinely new run
@@ -82,11 +137,11 @@ func TestFleetSnapshotResumeRehomesAcrossShards(t *testing.T) {
 // bounded-or-flagged contract must hold across the whole resumed run.
 func TestFleetResumeMidOverloadLandsInValidTier(t *testing.T) {
 	testutil.NoLeaks(t)
-	snap := &Snapshot{Seed: 9, Conns: []ConnSnapshot{
-		{ID: 0, Tier: overload.TierSketch},
-		{ID: 1, Tier: overload.TierParked},
-		{ID: 2, Tier: overload.Tier(200)}, // corrupted: must clamp, not crash
-		{ID: 3, Tier: overload.TierCounters},
+	snap := &Snapshot{Seed: 9, Flows: 4, Tiers: []overload.Tier{
+		overload.TierSketch,
+		overload.TierParked,
+		overload.Tier(200), // corrupted: must clamp, not crash
+		overload.TierCounters,
 	}}
 	cfg := testConfig(9, 6)
 	cfg.Churn = ChurnConfig{}

@@ -40,30 +40,9 @@ type StreamConfig struct {
 	Sink stream.Sink
 }
 
-// streamCfg derives the per-shard stream configuration. Lag is the
-// barrier slice: shards observe up to a slice past the last AdvanceTo,
-// and sizing the open ring for it means no shard ever force-seals — the
-// sealed index sequence is a pure function of barrier times, which is
-// what makes stream exports byte-identical across shard counts.
+// streamCfg derives the per-shard stream configuration.
 func (c Config) streamCfg() stream.Config {
-	sc := stream.Config{
-		Width:     c.Stream.Window,
-		Watermark: c.Stream.Watermark,
-		Lag:       c.slice(),
-		Retain:    c.Stream.Retain,
-	}
-	if sc.Width <= 0 {
-		sc.Width = stream.DefaultWidth
-	}
-	if sc.Retain <= 0 {
-		// One barrier's worth of sealed windows plus slack, so the
-		// per-barrier drain never drops.
-		sc.Retain = int(c.slice()/sc.Width) + 2
-		if sc.Retain < stream.DefaultRetain {
-			sc.Retain = stream.DefaultRetain
-		}
-	}
-	return sc
+	return shardStreamConfig(c.Stream.Window, c.Stream.Watermark, c.slice(), c.Stream.Retain)
 }
 
 // buildStream attaches the streaming pipeline to a freshly built shard:
@@ -75,57 +54,11 @@ func (sh *shard) buildStream(cfg Config) {
 	sh.seRcv = sh.stream.Series("rcv_delay")
 	sh.wf.StreamTo(sh.stream)
 	sh.rt.StreamTo(sh.stream)
+	sh.fl.pipe.addStream(sh.stream)
 	if sh.telem != nil {
 		sc := sh.telem.Scope("fleet")
 		sh.ctrEscalations = sc.Counter("escalations")
 		sh.ctrDemotions = sc.Counter("demotions")
-	}
-}
-
-// streamAdvance runs at every fleet barrier, after the shards have
-// advanced to now: seal every shard's watermark-expired windows, then
-// merge and export them index-aligned. All shards seal to the same
-// horizon, so they agree on the sealed index sequence (idle shards emit
-// empty windows) and the merged export is shard-count invariant.
-func (f *Fleet) streamAdvance(now units.Time) {
-	if f.cfg.Stream == nil {
-		return
-	}
-	for _, sh := range f.shards {
-		sh.stream.AdvanceTo(now)
-	}
-	f.exportSealed()
-}
-
-// streamDrain is the final flush: seal everything through the window
-// containing the run end on every shard, then merge-export the tail.
-func (f *Fleet) streamDrain() {
-	if f.cfg.Stream == nil {
-		return
-	}
-	final := int64(f.cfg.Duration) / int64(f.shards[0].stream.Width())
-	for _, sh := range f.shards {
-		sh.stream.SealThrough(final)
-	}
-	f.exportSealed()
-}
-
-// exportSealed folds the shards' sealed windows into the fleet's
-// reusable merge window, index by index, and hands each to the sink.
-func (f *Fleet) exportSealed() {
-	s0 := f.shards[0].stream
-	for s0.NextSealed() != nil {
-		f.fwin.Reset()
-		for _, sh := range f.shards {
-			f.fwin.Merge(sh.stream.NextSealed())
-			sh.stream.ReleaseSealed()
-		}
-		f.streamWindows++
-		if sink := f.expSink; sink != nil {
-			if err := sink.ExportWindow(f.streamNames, &f.fwin); err != nil && f.streamErr == nil {
-				f.streamErr = err
-			}
-		}
 	}
 }
 
@@ -144,11 +77,7 @@ func (m *Monitor) observeStream(se *stream.Series, mm core.Measurement, sender b
 		return
 	}
 	flagged := mm.Confidence == core.ConfidenceLow
-	if flagged {
-		se.ObserveFlagged(mm.At, mm.Delay.Seconds())
-	} else {
-		se.Observe(mm.At, mm.Delay.Seconds())
-	}
+	observe(se, mm.At, mm.Delay.Seconds(), flagged)
 	if m.tier >= overload.TierSketch {
 		// Sketch-only: no escalation machinery, no raw-series retention.
 		return

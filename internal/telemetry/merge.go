@@ -8,7 +8,7 @@ package telemetry
 // source is still being written.
 
 // Merge folds src's metrics into r: counters add, histograms add
-// bucket-wise, and gauges sum. Summing gauges is the aggregation the
+// bucket-wise (the sketch merge is exact), and gauges sum. Summing gauges is the aggregation the
 // fleet's health gauges want (running connections per shard sum to
 // running connections fleet-wide); a gauge whose merged value should be
 // something other than a sum does not belong in a per-shard registry.
@@ -42,27 +42,8 @@ func (r *Registry) Merge(src *Registry) {
 			dst = &Histogram{Component: h.Component, Name: h.Name}
 			r.histograms[k] = dst
 		}
-		dst.merge(h)
-	}
-}
-
-// merge folds src's observations into h. Bucket counts add exactly;
-// count, zeros, and sum add; min/max widen.
-func (h *Histogram) merge(src *Histogram) {
-	if src.count == 0 {
-		return
-	}
-	if h.count == 0 || src.min < h.min {
-		h.min = src.min
-	}
-	if src.max > h.max {
-		h.max = src.max
-	}
-	h.count += src.count
-	h.zeros += src.zeros
-	h.sum += src.sum
-	for i := range h.buckets {
-		h.buckets[i] += src.buckets[i]
+		dst.sum += h.sum
+		dst.sk.Merge(&h.sk)
 	}
 }
 

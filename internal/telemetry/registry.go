@@ -3,6 +3,8 @@ package telemetry
 import (
 	"math"
 	"sort"
+
+	"element/internal/telemetry/stream"
 )
 
 // Registry holds the run's metrics, keyed by component/name. Handles are
@@ -152,78 +154,31 @@ func (g *Gauge) Value() (float64, bool) {
 	return g.v, g.set
 }
 
-// Log-linear histogram layout: histOctaves powers of two, each split into
-// histSubBuckets linear sub-buckets, covering 2^histMinExp .. 2^histMaxExp.
-// Values outside the range clamp into the first/last bucket. With exponents
-// [-64, 64) this spans attoseconds to exabytes in 1024 fixed buckets
-// (≤ ~12.5% relative bucket width), so one layout serves delays in seconds
-// and sizes in bytes alike.
-const (
-	histSubBuckets = 8
-	histMinExp     = -64
-	histMaxExp     = 64
-	histOctaves    = histMaxExp - histMinExp
-	histBuckets    = histOctaves * histSubBuckets
-)
-
-// Histogram is a fixed-memory log-linear histogram of non-negative values.
+// Histogram is a fixed-memory log-linear histogram of non-negative
+// values: a stream.Sketch — the one quantile structure the monitoring
+// plane uses, so registry histograms and streamed windows report the
+// same quantile for the same samples — plus the running sum the
+// Prometheus summary exposition needs. The sketch's range is tuned for
+// delays in seconds (a nanosecond to about seventeen minutes, ≤ 12.5 %
+// relative bucket width); values outside it clamp into the end buckets,
+// with quantiles still bounded by the exact observed min and max.
 type Histogram struct {
 	Component, Name string
 
-	count   uint64
-	zeros   uint64 // observations of exactly zero
-	sum     float64
-	min     float64
-	max     float64
-	buckets [histBuckets]uint64
+	sum float64
+	sk  stream.Sketch
 }
 
-// bucketIndex maps a positive value to its bucket.
-func bucketIndex(v float64) int {
-	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
-	octave := exp - 1 - histMinExp
-	if octave < 0 {
-		return 0
-	}
-	if octave >= histOctaves {
-		return histBuckets - 1
-	}
-	sub := int((frac - 0.5) * 2 * histSubBuckets)
-	if sub >= histSubBuckets {
-		sub = histSubBuckets - 1
-	}
-	return octave*histSubBuckets + sub
-}
-
-// bucketUpper is the inclusive upper edge of bucket i.
-func bucketUpper(i int) float64 {
-	octave := i / histSubBuckets
-	sub := i % histSubBuckets
-	lo := math.Ldexp(1, octave+histMinExp) // 2^(octave+minExp)
-	return lo + lo*float64(sub+1)/histSubBuckets
-}
-
-// Observe records one value. Negative values are clamped to zero.
+// Observe records one value. Negative values are clamped to zero; NaN
+// is ignored.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
+	if h == nil || math.IsNaN(v) {
 		return
 	}
-	if v < 0 {
-		v = 0
+	if v > 0 {
+		h.sum += v
 	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	if v == 0 {
-		h.zeros++
-		return
-	}
-	h.buckets[bucketIndex(v)]++
+	h.sk.Observe(v) // clamps negatives itself
 }
 
 // Count reports the number of observations.
@@ -231,7 +186,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count
+	return h.sk.Count()
 }
 
 // Sum reports the sum of observations.
@@ -247,7 +202,7 @@ func (h *Histogram) Min() float64 {
 	if h == nil {
 		return 0
 	}
-	return h.min
+	return h.sk.Min()
 }
 
 // Max reports the largest observation (0 if none).
@@ -255,41 +210,24 @@ func (h *Histogram) Max() float64 {
 	if h == nil {
 		return 0
 	}
-	return h.max
+	return h.sk.Max()
 }
 
 // Mean reports the arithmetic mean (0 if empty).
 func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
+	n := h.Count()
+	if n == 0 {
 		return 0
 	}
-	return h.sum / float64(h.count)
+	return h.sum / float64(n)
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the buckets: it
-// returns the upper edge of the bucket where the cumulative count crosses
-// q·count, clamped to the observed min/max.
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1): the upper edge of the
+// bucket where the cumulative count crosses q·count, clamped to the
+// observed min/max (see stream.Sketch.Quantile).
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.count == 0 {
+	if h == nil {
 		return 0
 	}
-	rank := uint64(math.Ceil(q * float64(h.count)))
-	if rank <= h.zeros {
-		return 0
-	}
-	cum := h.zeros
-	for i, n := range h.buckets {
-		cum += n
-		if cum >= rank {
-			v := bucketUpper(i)
-			if v > h.max {
-				v = h.max
-			}
-			if v < h.min {
-				v = h.min
-			}
-			return v
-		}
-	}
-	return h.max
+	return h.sk.Quantile(q)
 }

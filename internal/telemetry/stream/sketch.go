@@ -30,10 +30,8 @@ import "math"
 // sketchSubBuckets linear sub-buckets, covering 2^sketchMinExp ..
 // 2^sketchMaxExp. The range is tuned for delays in seconds — one
 // nanosecond to about seventeen minutes — and values outside it clamp
-// into the first/last bucket. The layout matches telemetry.Histogram's
-// octave/sub-bucket math exactly, so over the shared range the two
-// produce identical quantile estimates for identical inputs (pinned by
-// TestSketchCrossCheck).
+// into the first/last bucket. telemetry.Histogram is built on this
+// sketch, so registry histograms and streamed windows share one layout.
 const (
 	sketchSubBuckets = 8
 	sketchMinExp     = -30
@@ -60,8 +58,7 @@ type Sketch struct {
 	buckets [sketchBuckets]uint64
 }
 
-// sketchIndex maps a positive value to its bucket (same math as
-// telemetry.Histogram, over this sketch's narrower exponent range).
+// sketchIndex maps a positive value to its bucket.
 func sketchIndex(v float64) int {
 	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
 	octave := exp - 1 - sketchMinExp

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"element/internal/stats"
-	"element/internal/telemetry"
 	"element/internal/units"
 )
 
@@ -18,31 +17,26 @@ func withinRel(got, want, tol float64) bool {
 	return math.Abs(got-want) <= tol*math.Abs(want)
 }
 
-// TestSketchCrossCheck pins the satellite contract: on identical inputs
-// the sketch's quantiles agree with telemetry.Histogram.Quantile exactly
-// (same bucket math) and with the exact stats.CDF.Percentile within the
-// stated RelativeError bound.
+// TestSketchCrossCheck pins the sketch against an oracle that shares no
+// code with it: on identical inputs its quantiles agree with the exact
+// stats.CDF.Percentile within the stated RelativeError bound.
+// (telemetry.Histogram is this sketch, so there is nothing further to
+// cross-check there.)
 func TestSketchCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var sk Sketch
-	h := &telemetry.Histogram{Component: "x", Name: "x"}
 	vals := make([]units.Duration, 0, 5000)
 	exactMin, exactMax := math.Inf(1), math.Inf(-1)
 	for i := 0; i < 5000; i++ {
 		// Log-uniform over ~1 µs .. 10 s: the sketch's working range.
 		v := math.Exp(rng.Float64()*math.Log(1e7)) * 1e-6
 		sk.Observe(v)
-		h.Observe(v)
 		vals = append(vals, units.DurationFromSeconds(v))
 		exactMin, exactMax = math.Min(exactMin, v), math.Max(exactMax, v)
 	}
 	cdf := stats.NewCDF(vals)
 	for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0} {
 		skq := sk.Quantile(q)
-		hq := h.Quantile(q)
-		if skq != hq {
-			t.Errorf("q=%g: sketch %g != histogram %g", q, skq, hq)
-		}
 		exact := cdf.Percentile(q * 100).Seconds()
 		if !withinRel(skq, exact, RelativeError) {
 			t.Errorf("q=%g: sketch %g vs exact %g exceeds relative error %g", q, skq, exact, RelativeError)

@@ -105,10 +105,14 @@ func TestHistogramLogLinear(t *testing.T) {
 	if h2.Count() != 2 {
 		t.Fatalf("extreme count = %d", h2.Count())
 	}
-	// Out-of-range values land in the edge buckets, so the quantile
-	// reports the bucket edge (2^histMaxExp), not the true max.
-	if q := h2.Quantile(1); q < math.Ldexp(1, histMaxExp-1) || q > h2.Max() {
-		t.Fatalf("q1 = %v, want within [2^%d, max %v]", q, histMaxExp-1, h2.Max())
+	// Out-of-range values clamp into the end buckets: a quantile there
+	// reports the bucket's edge, not the true value, but never leaves the
+	// exact observed [min, max] — and the top rank is the max itself.
+	if q := h2.Quantile(0.5); q <= h2.Min() || q > 1e-8 {
+		t.Fatalf("q0.5 = %v, want the first bucket's edge: above min %v, far below 1", q, h2.Min())
+	}
+	if q := h2.Quantile(1); q != h2.Max() || q != math.Ldexp(1, 100) {
+		t.Fatalf("q1 = %v, want the observed max %v", q, h2.Max())
 	}
 }
 
