@@ -30,20 +30,18 @@ staticcheck:
 build:
 	$(GO) build ./...
 
-# The exp package replays every table/figure scenario; under the race
-# detector that runs well past go test's default 10 m per-package timeout.
-# Re-measured after the allocation-free event core (PR 12), 2-core box:
-# exp 33 min (1990 s), all of `make check` 35 min (2081 s) — unchanged
-# from before it, so the timeout stays at 60m (1.8x). The race build
-# spends 60 % of its CPU in tsan's read instrumentation and racecall,
-# reached from tcp's per-ACK window scans (pipe/nextLost/detectLosses);
-# the event core is 2 % of that profile, so a faster engine does not move
-# this number — the window scans of ROADMAP item 2 would. Without -race
-# the same package takes 78 s. -shuffle=on randomizes test order so
+# The exp package replays every table/figure scenario and is the longest
+# package under the race detector. Re-measured after tcp's scoreboard
+# became incremental (PR 16), 2-core box: exp 8.0 min (482 s, from 1990 s),
+# fleet 5.3 min beside it, and all of `make check` 9.1 min (546 s, from
+# 2081 s). The 33 min were tsan instrumenting every read of tcp's
+# per-ACK window scans; with the scans gone the race build costs about 10x
+# the plain one (exp without -race: 46 s) instead of 25x. The per-package
+# timeout is 2.5x the slowest package. -shuffle=on randomizes test order so
 # inter-test state dependencies surface instead of hiding behind source
 # order; failures print the shuffle seed to reproduce.
 test:
-	$(GO) test -race -shuffle=on -timeout 60m ./...
+	$(GO) test -race -shuffle=on -timeout 20m ./...
 
 ## conformance: the full analytical-twin conformance run — every
 ## hypothesis fit across seeds 1..5 at full sweep resolution plus the

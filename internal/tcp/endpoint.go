@@ -1,8 +1,33 @@
 // Package tcp implements a segment-level TCP machine: congestion-window and
 // receiver-window limited transmission, RFC 6298 RTO with exponential
-// backoff, NewReno-style fast retransmit/recovery on three duplicate ACKs,
-// receiver-side reassembly with an out-of-order queue, delayed ACKs, ECN
-// echo, and optional pacing (for BBR).
+// backoff, SACK-based loss recovery on an RFC 6675 scoreboard (FACK loss
+// marking three segments below the highest SACKed byte, RACK-style
+// detection of lost retransmissions, the three-duplicate-ACK rule only for
+// SACK-less peers), receiver-side reassembly with an out-of-order queue,
+// delayed ACKs, ECN echo, and optional pacing (for BBR).
+//
+// Like the kernel's packets_out/sacked_out/lost_out/retrans_out, the
+// scoreboard's summaries are kept as counters updated at the transition
+// that changes them, never re-derived by walking the window, so the work
+// per ACK and per segment does not depend on the window size. Over the
+// live segments sent[sentHead:], which are sorted by seq and contiguous:
+//
+//   - a segment is in exactly one of four states: outstanding, sacked,
+//     lost and queued for retransmission, or lost and retransmitted
+//     (queued implies lost; sacked excludes both);
+//   - pipeBytes is the size of every segment neither sacked nor queued,
+//     queuedSegs and sackedSegs count the segments in those states;
+//   - no segment below queuedCursor is queued, and every segment below
+//     fackCursor is sacked or lost;
+//   - highestSacked is the largest end among sacked segments and
+//     sackedLatest the latest (re)transmission time among them (an upper
+//     bound while latestStale is set), both 0 when none is sacked;
+//   - every lost-and-retransmitted segment has its {seq, retxAt} in
+//     retxLog, which is ordered by time;
+//   - a sacked segment's run counts sacked segments starting at it.
+//
+// At the receiver, ooo is sorted, its intervals neither overlap nor touch,
+// all lie above rcvNxt, and oooBytes is their total size.
 //
 // Payloads are never materialized: segments carry byte counts and sequence
 // numbers only, which is sufficient for every delay and throughput
@@ -10,6 +35,8 @@
 package tcp
 
 import (
+	"sort"
+
 	"element/internal/cc"
 	"element/internal/pkt"
 	"element/internal/sim"
@@ -90,6 +117,13 @@ type sentSeg struct {
 	sacked bool       // selectively acknowledged by the receiver
 	lost   bool       // deemed lost by the FACK rule; retransmit when possible
 	queued bool       // lost and not yet retransmitted since marked
+	run    int32      // when sacked: this many segments from here on are sacked (>= 1)
+}
+
+// retxRec logs one retransmission for the lost-retransmission rule.
+type retxRec struct {
+	seq uint64
+	at  units.Time
 }
 
 // interval is a half-open byte range [start, end) in the out-of-order queue.
@@ -115,6 +149,18 @@ type Endpoint struct {
 	rtoTimer  sim.Timer
 	paceTimer sim.Timer
 	nextSend  units.Time // earliest next transmission when pacing
+
+	// Scoreboard summaries; the package comment states what each equals.
+	pipeBytes     int
+	queuedSegs    int
+	sackedSegs    int
+	queuedCursor  int
+	fackCursor    int
+	highestSacked uint64
+	sackedLatest  units.Time
+	latestStale   bool
+	retxLog       []retxRec // retransmissions not yet ruled on, FIFO
+	retxHead      int
 
 	// Receiver state.
 	rcvNxt      uint64
@@ -194,32 +240,38 @@ func (e *Endpoint) SndNxt() uint64 { return e.sndNxt }
 // packetsOut reports the number of in-flight segments (tcpi_unacked).
 func (e *Endpoint) packetsOut() int { return len(e.sent) - e.sentHead }
 
-// pipe estimates the bytes currently in flight per the RFC 6675 pipe
-// algorithm: transmitted, not SACKed, and (unless retransmitted) not lost.
-func (e *Endpoint) pipe() int {
-	n := 0
-	for i := e.sentHead; i < len(e.sent); i++ {
-		s := &e.sent[i]
-		if s.sacked {
-			continue
-		}
-		if s.lost && s.queued {
-			continue // lost and its retransmission not out yet
-		}
-		n += int(s.end - s.seq)
+// nextQueued returns the first segment queued for retransmission by loss
+// recovery, resuming at queuedCursor.
+func (e *Endpoint) nextQueued() *sentSeg {
+	if e.queuedSegs == 0 {
+		return nil
 	}
-	return n
+	i := e.queuedCursor
+	for !e.sent[i].queued {
+		i++
+	}
+	e.queuedCursor = i
+	return &e.sent[i]
 }
 
-// nextLost returns the first segment queued for (re)transmission by loss
-// recovery.
-func (e *Endpoint) nextLost() *sentSeg {
-	for i := e.sentHead; i < len(e.sent); i++ {
-		if e.sent[i].lost && e.sent[i].queued {
-			return &e.sent[i]
-		}
+// queueLost marks the outstanding or retransmitted segment i lost and
+// queues it for retransmission, which takes it out of the pipe (RFC 6675:
+// lost and its retransmission not out yet).
+func (e *Endpoint) queueLost(i int) {
+	s := &e.sent[i]
+	s.lost, s.queued = true, true
+	e.pipeBytes -= int(s.end - s.seq)
+	e.queuedSegs++
+	if i < e.queuedCursor {
+		e.queuedCursor = i
 	}
-	return nil
+}
+
+// segFrom returns the index of the first live segment starting at or after
+// seq (len(e.sent) if there is none).
+func (e *Endpoint) segFrom(seq uint64) int {
+	live := e.sent[e.sentHead:]
+	return e.sentHead + sort.Search(len(live), func(i int) bool { return live[i].seq >= seq })
 }
 
 // trySend transmits retransmissions and new data as the congestion and
@@ -233,11 +285,11 @@ func (e *Endpoint) trySend() {
 		if e.rwnd < wnd {
 			wnd = e.rwnd
 		}
-		if e.pipe() >= wnd {
+		if e.pipeBytes >= wnd {
 			return // window-limited
 		}
 		// Loss retransmissions take priority over new data.
-		seg := e.nextLost()
+		seg := e.nextQueued()
 		var n int
 		if seg == nil {
 			if e.sndNxt >= e.appLimit {
@@ -255,13 +307,7 @@ func (e *Endpoint) trySend() {
 			}
 			e.nextSend = now.Add(rate.TransmissionTime(n + pkt.DefaultHeaderLen))
 		}
-		if seg != nil {
-			seg.queued = false
-			e.transmit(seg.seq, n, true)
-		} else {
-			e.transmit(e.sndNxt, n, false)
-			e.sndNxt += uint64(n)
-		}
+		e.transmit(seg, n)
 	}
 }
 
@@ -288,45 +334,50 @@ func firePace(arg any)       { arg.(*Endpoint).trySend() }
 func fireRTO(arg any)        { arg.(*Endpoint).onRTO() }
 func fireDelayedAck(arg any) { arg.(*Endpoint).onDelayedAck() }
 
-// transmit emits one segment and does the bookkeeping shared by new sends
-// and retransmissions.
-func (e *Endpoint) transmit(seq uint64, n int, retx bool) {
+// transmit emits one segment of n bytes and does the bookkeeping shared by
+// new sends and retransmissions: seg is the queued segment to retransmit,
+// or nil to send new data at snd_nxt.
+func (e *Endpoint) transmit(seg *sentSeg, n int) {
 	now := e.eng.Now()
 	p := &pkt.Packet{
 		FlowID:     e.cfg.FlowID,
-		Seq:        seq,
+		Seq:        e.sndNxt,
 		PayloadLen: n,
 		HeaderLen:  pkt.DefaultHeaderLen,
 		ECT:        e.cfg.ECN,
 		SentAt:     now,
 	}
 	e.segsOut++
-	if retx {
+	e.pipeBytes += n
+	if seg != nil {
+		p.Seq = seg.seq
 		e.totalRetrans++
 		if e.tm != nil {
 			e.tm.retransC.Inc()
 			e.tm.sc.Event(telemetry.SevInfo, "retransmit",
-				telemetry.F("seq", float64(seq)), telemetry.F("bytes", float64(n)))
+				telemetry.F("seq", float64(seg.seq)), telemetry.F("bytes", float64(n)))
 		}
-		// Update the existing record so a later ACK does not take an RTT
-		// sample from it (Karn's algorithm).
-		for i := e.sentHead; i < len(e.sent); i++ {
-			if e.sent[i].seq == seq {
-				e.sent[i].retx = true
-				e.sent[i].retxAt = now
-				e.sent[i].gen++
-				p.Gen = e.sent[i].gen
-				break
-			}
-		}
+		// Mark the record so a later ACK does not take an RTT sample from
+		// it (Karn's algorithm).
+		seg.queued = false
+		e.queuedSegs--
+		seg.retx = true
+		seg.retxAt = now
+		seg.gen++
+		p.Gen = seg.gen
+		e.retxLog = append(e.retxLog, retxRec{seg.seq, now})
 	} else {
-		e.sent = append(e.sent, sentSeg{seq: seq, end: seq + uint64(n), sentAt: now})
+		e.sent = append(e.sent, sentSeg{seq: e.sndNxt, end: e.sndNxt + uint64(n), sentAt: now})
 	}
+	retx := seg != nil // seg may not be used past the append
 	if e.cfg.OnTransmit != nil {
-		e.cfg.OnTransmit(seq, n, retx)
+		e.cfg.OnTransmit(p.Seq, n, retx)
 	}
 	e.armRTO()
 	e.cfg.Out(p)
+	if !retx {
+		e.sndNxt += uint64(n)
+	}
 }
 
 // armRTO (re)starts the retransmission timer.
@@ -368,6 +419,9 @@ func (e *Endpoint) onRTO() {
 			s.queued = true
 		}
 	}
+	e.pipeBytes = 0
+	e.queuedSegs = e.packetsOut() - e.sackedSegs
+	e.queuedCursor = e.sentHead
 	e.armRTO() // keep the timer running even if trySend cannot transmit
 	e.trySend()
 }
@@ -406,10 +460,8 @@ func (e *Endpoint) HandleAck(p *pkt.Packet) {
 			e.tm.dupAckC.Inc()
 		}
 		if e.dupAcks >= dupThresh && e.sentHead < len(e.sent) {
-			s := &e.sent[e.sentHead]
-			if !s.sacked && !s.lost {
-				s.lost = true
-				s.queued = true
+			if s := &e.sent[e.sentHead]; !s.sacked && !s.lost {
+				e.queueLost(e.sentHead)
 			}
 		}
 	}
@@ -418,35 +470,83 @@ func (e *Endpoint) HandleAck(p *pkt.Packet) {
 }
 
 // processSack marks segments covered by the receiver's SACK blocks and
-// reports whether any segment was newly SACKed.
+// reports whether any segment was newly SACKed. A segment is SACKed only
+// when one block covers it whole.
 func (e *Endpoint) processSack(blocks []pkt.Range) bool {
 	if len(blocks) == 0 {
 		return false
 	}
+	// Newly SACKed segments must be visited in ascending sequence order
+	// whatever order the blocks come in (the first is the latest arrival,
+	// not the lowest): the RTT estimator is order-sensitive. Visiting the
+	// blocks by ascending Start does that even when they overlap. The copy
+	// leaves the packet as it arrived; up to the four blocks the option
+	// space allows it stays on the stack.
+	var buf [4]pkt.Range
+	sorted := append(buf[:0], blocks...)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j].Start < sorted[j-1].Start; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
 	progress := false
 	now := e.eng.Now()
-	for i := e.sentHead; i < len(e.sent); i++ {
-		s := &e.sent[i]
-		if s.sacked {
-			continue
-		}
-		for _, b := range blocks {
-			if s.seq >= b.Start && s.end <= b.End {
-				s.sacked = true
-				s.lost = false
-				s.queued = false
-				progress = true
-				// Sample the RTT at first-SACK time (as Linux does in
-				// tcp_sacktag_one): waiting for the cumulative ACK would
-				// inflate the sample by the hole-blocking time.
-				if !s.retx {
-					e.rtt.sample(now.Sub(s.sentAt))
-				}
-				break
+	for _, b := range sorted {
+		first := e.segFrom(b.Start)
+		i := first
+		for i < len(e.sent) && e.sent[i].end <= b.End {
+			s := &e.sent[i]
+			if s.sacked {
+				i += int(s.run) // a block mostly repeats what earlier ACKs said
+				continue
 			}
+			e.markSacked(s, now)
+			progress = true
+			i++
+		}
+		if i > first {
+			e.sent[first].run = int32(i - first) // so the next ACK's walk of this block is one step
 		}
 	}
 	return progress
+}
+
+// markSacked moves the outstanding, queued or retransmitted segment s to
+// the sacked state.
+func (e *Endpoint) markSacked(s *sentSeg, now units.Time) {
+	if s.queued {
+		e.queuedSegs--
+	} else {
+		e.pipeBytes -= int(s.end - s.seq)
+	}
+	s.sacked, s.lost, s.queued, s.run = true, false, false, 1
+	e.sackedSegs++
+	if s.end > e.highestSacked {
+		e.highestSacked = s.end
+	}
+	if t := max(s.sentAt, s.retxAt); t >= e.sackedLatest {
+		e.sackedLatest, e.latestStale = t, false
+	}
+	// Sample the RTT at first-SACK time (as Linux does in
+	// tcp_sacktag_one): waiting for the cumulative ACK would inflate the
+	// sample by the hole-blocking time.
+	if !s.retx {
+		e.rtt.sample(now.Sub(s.sentAt))
+	}
+}
+
+// refreshSackedLatest recomputes sackedLatest over the SACKed segments
+// still in the window. The value can fall when a cumulative ACK removes the
+// segment that held it, so a running maximum would not do: the removal
+// marks it stale, and detectLosses refreshes it when the answer could
+// matter.
+func (e *Endpoint) refreshSackedLatest() {
+	e.sackedLatest, e.latestStale = 0, false
+	for i := e.sentHead; i < len(e.sent) && e.sent[i].seq < e.highestSacked; i++ {
+		if s := &e.sent[i]; s.sacked {
+			e.sackedLatest = max(e.sackedLatest, s.sentAt, s.retxAt)
+		}
+	}
 }
 
 // detectLosses applies the FACK rule: a segment is lost once bytes at least
@@ -456,41 +556,43 @@ func (e *Endpoint) processSack(blocks []pkt.Range) bool {
 // dropped. Newly detected losses enter fast recovery (one congestion event
 // per window).
 func (e *Endpoint) detectLosses(now units.Time) {
-	var highestSacked uint64
-	var latestSackedSentAt units.Time
-	for i := e.sentHead; i < len(e.sent); i++ {
-		s := &e.sent[i]
-		if !s.sacked {
-			continue
-		}
-		if s.end > highestSacked {
-			highestSacked = s.end
-		}
-		t := s.sentAt
-		if s.retxAt > t {
-			t = s.retxAt
-		}
-		if t > latestSackedSentAt {
-			latestSackedSentAt = t
-		}
-	}
 	newlyLost := false
-	for i := e.sentHead; i < len(e.sent); i++ {
-		s := &e.sent[i]
-		if s.sacked {
-			continue
-		}
-		if !s.lost && highestSacked >= s.end+uint64(dupThresh*e.mss) {
-			s.lost = true
-			s.queued = true
+	// highestSacked only rises while a segment is SACKed and segment ends
+	// rise with the index, so the rule can only newly hold at fackCursor.
+	thresh := uint64(dupThresh * e.mss)
+	for ; e.fackCursor < len(e.sent) && e.highestSacked >= e.sent[e.fackCursor].end+thresh; e.fackCursor++ {
+		if s := &e.sent[e.fackCursor]; !s.sacked && !s.lost {
+			e.queueLost(e.fackCursor)
 			newlyLost = true
 		}
-		if s.lost && !s.queued && s.retxAt > 0 && latestSackedSentAt > s.retxAt {
-			// The retransmission itself was lost: queue it again.
-			s.queued = true
-		}
 	}
-	if e.sentHead < len(e.sent) && e.sent[e.sentHead].lost && e.sent[e.sentHead].queued {
+	// Retransmissions are logged in time order, so those a later-sent SACKed
+	// segment has overtaken are at the front of the log, as are the records
+	// of segments that have since left the window.
+	firstSeq := e.sndNxt
+	if e.sentHead < len(e.sent) {
+		firstSeq = e.sent[e.sentHead].seq
+	}
+	for e.retxHead < len(e.retxLog) {
+		r := e.retxLog[e.retxHead]
+		if r.seq >= firstSeq {
+			if e.latestStale && r.at < e.sackedLatest {
+				e.refreshSackedLatest()
+			}
+			if r.at >= e.sackedLatest {
+				break
+			}
+			// The retransmission itself was lost, unless the segment has
+			// been SACKed, queued or retransmitted again since.
+			i := e.segFrom(r.seq)
+			if s := &e.sent[i]; s.lost && !s.queued && s.retxAt == r.at && r.at > 0 {
+				e.queueLost(i)
+			}
+		}
+		e.retxHead++
+	}
+	e.retxLog, e.retxHead = compact(e.retxLog, e.retxHead)
+	if e.sentHead < len(e.sent) && e.sent[e.sentHead].queued {
 		newlyLost = true
 	}
 	if newlyLost && !e.inRecov {
@@ -500,6 +602,16 @@ func (e *Endpoint) detectLosses(now units.Time) {
 	}
 }
 
+// compact drops the consumed prefix q[:head] of a FIFO kept as a slice and
+// a head index once it is at least half of q (and at once when nothing is
+// left), reusing the backing array.
+func compact[T any](q []T, head int) ([]T, int) {
+	if head == len(q) || (head > 64 && head*2 >= len(q)) {
+		return q[:copy(q, q[head:])], 0
+	}
+	return q, head
+}
+
 func (e *Endpoint) handleNewAck(now units.Time, ack uint64, ece bool) {
 	ackedBytes := int(ack - e.sndUna)
 	e.sndUna = ack
@@ -507,21 +619,37 @@ func (e *Endpoint) handleNewAck(now units.Time, ack uint64, ece bool) {
 
 	// Drop fully-acked segments; take an RTT sample from the newest
 	// fully-acked segment that was never retransmitted nor already sampled
-	// at SACK time.
+	// at SACK time. A segment the ACK covers only in part stays, counted
+	// whole.
 	var rttSample units.Duration
 	for e.sentHead < len(e.sent) && e.sent[e.sentHead].end <= ack {
 		s := e.sent[e.sentHead]
+		switch {
+		case s.sacked:
+			e.sackedSegs--
+			if max(s.sentAt, s.retxAt) == e.sackedLatest {
+				e.latestStale = true
+			}
+		case s.queued:
+			e.queuedSegs--
+		default:
+			e.pipeBytes -= int(s.end - s.seq)
+		}
 		if !s.retx && !s.sacked {
 			rttSample = now.Sub(s.sentAt)
 		}
 		e.sent[e.sentHead] = sentSeg{}
 		e.sentHead++
 	}
-	if e.sentHead > 64 && e.sentHead*2 >= len(e.sent) {
-		n := copy(e.sent, e.sent[e.sentHead:])
-		e.sent = e.sent[:n]
-		e.sentHead = 0
+	if e.sackedSegs == 0 {
+		e.highestSacked, e.sackedLatest, e.latestStale = 0, 0, false
 	}
+	e.queuedCursor = max(e.queuedCursor, e.sentHead)
+	e.fackCursor = max(e.fackCursor, e.sentHead)
+	head := e.sentHead
+	e.sent, e.sentHead = compact(e.sent, head)
+	e.queuedCursor -= head - e.sentHead
+	e.fackCursor -= head - e.sentHead
 	if rttSample > 0 {
 		e.rtt.sample(rttSample)
 		if e.tm != nil {
@@ -574,13 +702,7 @@ func (e *Endpoint) HandleData(p *pkt.Packet) {
 		if seq < e.rcvNxt {
 			seq = e.rcvNxt
 		}
-		if len(e.ooo) == 0 {
-			e.reportNew(seq, end) // nothing queued to subtract: the common case allocates nothing
-		} else {
-			for _, r := range e.subtractOOO(seq, end) {
-				e.reportNew(r.start, r.end)
-			}
-		}
+		e.reportGaps(0, seq, end)
 		e.rcvNxt = end
 		e.mergeOOO()
 		if e.cfg.OnInOrder != nil {
@@ -612,45 +734,53 @@ func (e *Endpoint) onDelayedAck() {
 	}
 }
 
-// subtractOOO returns the parts of [seq, end) not already present in the
-// out-of-order queue.
-func (e *Endpoint) subtractOOO(seq, end uint64) []interval {
-	newRanges := []interval{{seq, end}}
-	for _, iv := range e.ooo {
-		var next []interval
-		for _, r := range newRanges {
-			// Overlap split.
-			if iv.end <= r.start || iv.start >= r.end {
-				next = append(next, r)
-				continue
-			}
-			if r.start < iv.start {
-				next = append(next, interval{r.start, iv.start})
-			}
-			if r.end > iv.end {
-				next = append(next, interval{iv.end, r.end})
-			}
+// reportGaps reports, in ascending order, the parts of [seq, end) that the
+// out-of-order queue does not already hold. Intervals before ooo[i] must
+// end below seq. It returns the index past the last interval that overlaps
+// or touches [seq, end), and the number of new bytes.
+func (e *Endpoint) reportGaps(i int, seq, end uint64) (j, added int) {
+	for j = i; j < len(e.ooo) && e.ooo[j].start <= end; j++ {
+		iv := e.ooo[j]
+		if iv.start > seq {
+			e.reportNew(seq, iv.start)
+			added += int(iv.start - seq)
 		}
-		newRanges = next
+		seq = max(seq, iv.end)
 	}
-	return newRanges
+	if seq < end {
+		e.reportNew(seq, end)
+		added += int(end - seq)
+	}
+	return j, added
 }
 
 // insertOOO adds [seq, end) to the out-of-order queue, reporting only the
-// genuinely new byte ranges, and keeps the queue sorted and disjoint.
+// genuinely new byte ranges. The queue stays sorted with no two intervals
+// overlapping or touching: the new range is spliced in over the intervals
+// it overlaps or touches.
 func (e *Endpoint) insertOOO(seq, end uint64) {
-	newRanges := e.subtractOOO(seq, end)
-	for _, r := range newRanges {
-		e.reportNew(r.start, r.end)
-		e.oooBytes += int(r.end - r.start)
-	}
-	if len(newRanges) == 0 {
+	i := e.oooFrom(seq)
+	j, added := e.reportGaps(i, seq, end)
+	if added == 0 {
 		return
 	}
-	// Insert and coalesce.
-	e.ooo = append(e.ooo, interval{seq, end})
-	e.normalizeOOO()
+	e.oooBytes += added
+	if i == j {
+		e.ooo = append(e.ooo, interval{})
+		copy(e.ooo[i+1:], e.ooo[i:])
+	} else {
+		seq = min(seq, e.ooo[i].start)
+		end = max(end, e.ooo[j-1].end)
+		e.ooo = append(e.ooo[:i+1], e.ooo[j:]...)
+	}
+	e.ooo[i] = interval{seq, end}
 	e.sampleOOO()
+}
+
+// oooFrom returns the index of the first queued interval that ends at or
+// after seq (len(e.ooo) if there is none).
+func (e *Endpoint) oooFrom(seq uint64) int {
+	return sort.Search(len(e.ooo), func(i int) bool { return e.ooo[i].end >= seq })
 }
 
 // sampleOOO records the out-of-order queue depth after it changed.
@@ -664,43 +794,17 @@ func (e *Endpoint) sampleOOO() {
 	}
 }
 
-// normalizeOOO sorts and merges the out-of-order intervals.
-func (e *Endpoint) normalizeOOO() {
-	// Insertion sort: the queue is tiny in practice.
-	for i := 1; i < len(e.ooo); i++ {
-		for j := i; j > 0 && e.ooo[j].start < e.ooo[j-1].start; j-- {
-			e.ooo[j], e.ooo[j-1] = e.ooo[j-1], e.ooo[j]
-		}
-	}
-	merged := e.ooo[:0]
-	for _, iv := range e.ooo {
-		if n := len(merged); n > 0 && iv.start <= merged[n-1].end {
-			if iv.end > merged[n-1].end {
-				merged[n-1].end = iv.end
-			}
-			continue
-		}
-		merged = append(merged, iv)
-	}
-	e.ooo = merged
-}
-
 // mergeOOO pulls now-in-order intervals out of the queue after rcvNxt
-// advanced.
+// advanced, shifting the rest down so the backing array is kept.
 func (e *Endpoint) mergeOOO() {
-	merged := false
-	for len(e.ooo) > 0 && e.ooo[0].start <= e.rcvNxt {
-		iv := e.ooo[0]
-		if iv.end > e.rcvNxt {
-			e.oooBytes -= int(iv.end - iv.start)
-			e.rcvNxt = iv.end
-		} else {
-			e.oooBytes -= int(iv.end - iv.start)
-		}
-		e.ooo = e.ooo[1:]
-		merged = true
+	n := 0
+	for ; n < len(e.ooo) && e.ooo[n].start <= e.rcvNxt; n++ {
+		iv := e.ooo[n]
+		e.oooBytes -= int(iv.end - iv.start)
+		e.rcvNxt = max(e.rcvNxt, iv.end)
 	}
-	if merged {
+	if n > 0 {
+		e.ooo = e.ooo[:copy(e.ooo, e.ooo[n:])]
 		e.sampleOOO()
 	}
 }
@@ -712,41 +816,52 @@ func (e *Endpoint) reportNew(seq, end uint64) {
 	}
 }
 
+// sackAck is an ACK together with the storage for its SACK blocks. ACKs
+// without blocks stay bare packets.
+type sackAck struct {
+	pkt.Packet
+	blocks [4]pkt.Range
+}
+
 // sendAck emits a (possibly duplicate) cumulative ACK.
 func (e *Endpoint) sendAck() {
 	e.unackedSegs = 0
 	e.ackTimer.Stop()
 	held := int(e.rcvNxt-e.appConsumed) + e.oooBytes
-	// Include up to four SACK blocks, like the TCP option space allows.
-	// Per RFC 2018 the first block must be the range containing the most
-	// recently received segment — with many holes this is what lets the
-	// sender learn about every delivered range, not just the lowest ones.
-	var sack []pkt.Range
-	for _, iv := range e.ooo {
-		if e.lastArrival.start >= iv.start && e.lastArrival.start < iv.end {
-			sack = append(sack, pkt.Range{Start: iv.start, End: iv.end})
-			break
-		}
-	}
-	for i := 0; i < len(e.ooo) && len(sack) < 4; i++ {
-		blk := pkt.Range{Start: e.ooo[i].start, End: e.ooo[i].end}
-		if len(sack) > 0 && blk == sack[0] {
-			continue
-		}
-		sack = append(sack, blk)
-	}
 	wnd := e.rcvBuf.AdvertisedWindow(held)
 	e.lastAdvWnd = wnd
-	p := &pkt.Packet{
-		FlowID:    e.cfg.FlowID,
-		Flags:     pkt.FlagACK,
-		Ack:       e.rcvNxt,
-		Wnd:       wnd,
-		Sack:      sack,
-		ECE:       e.echoECE,
-		HeaderLen: pkt.DefaultHeaderLen,
-		SentAt:    e.eng.Now(),
+	var p *pkt.Packet
+	if len(e.ooo) == 0 {
+		p = &pkt.Packet{}
+	} else {
+		// Include up to four SACK blocks, like the TCP option space allows;
+		// the ACK and its blocks are one allocation. Per RFC 2018 the first
+		// block must be the range containing the most recently received
+		// segment — with many holes this is what lets the sender learn
+		// about every delivered range, not just the lowest ones.
+		a := &sackAck{}
+		sack := a.blocks[:0]
+		first := e.oooFrom(e.lastArrival.start + 1)
+		if first < len(e.ooo) && e.ooo[first].start <= e.lastArrival.start {
+			sack = append(sack, pkt.Range{Start: e.ooo[first].start, End: e.ooo[first].end})
+		} else {
+			first = -1
+		}
+		for i := 0; i < len(e.ooo) && len(sack) < cap(sack); i++ {
+			if i != first {
+				sack = append(sack, pkt.Range{Start: e.ooo[i].start, End: e.ooo[i].end})
+			}
+		}
+		p = &a.Packet
+		p.Sack = sack
 	}
+	p.FlowID = e.cfg.FlowID
+	p.Flags = pkt.FlagACK
+	p.Ack = e.rcvNxt
+	p.Wnd = wnd
+	p.ECE = e.echoECE
+	p.HeaderLen = pkt.DefaultHeaderLen
+	p.SentAt = e.eng.Now()
 	e.echoECE = false
 	e.cfg.Out(p)
 }
