@@ -31,15 +31,16 @@ build:
 	$(GO) build ./...
 
 # The exp package replays every table/figure scenario and is the longest
-# package under the race detector. Re-measured after tcp's scoreboard
-# became incremental (PR 16), 2-core box: exp 8.0 min (482 s, from 1990 s),
-# fleet 5.3 min beside it, and all of `make check` 9.1 min (546 s, from
-# 2081 s). The 33 min were tsan instrumenting every read of tcp's
-# per-ACK window scans; with the scans gone the race build costs about 10x
-# the plain one (exp without -race: 46 s) instead of 25x. The per-package
-# timeout is 2.5x the slowest package. -shuffle=on randomizes test order so
-# inter-test state dependencies surface instead of hiding behind source
-# order; failures print the shuffle seed to reproduce.
+# package under the race detector. Re-measured after processes became
+# iter.Pull coroutines (PR 17), 2-core box: exp 7.6 min (454 s, from 482 s),
+# fleet 5.7 min beside it, and all of `make check` 9.0 min (539 s, from
+# 546 s). The plain build gained far more (exp without -race: 40 s to 27 s):
+# under tsan the hand-off was never the cost, instrumented memory accesses
+# are, so the race build now costs about 17x the plain one. (It was 33 min
+# until PR 16 took tcp's per-ACK window scans out from under tsan.) The
+# per-package timeout is 2.5x the slowest package. -shuffle=on randomizes
+# test order so inter-test state dependencies surface instead of hiding
+# behind source order; failures print the shuffle seed to reproduce.
 test:
 	$(GO) test -race -shuffle=on -timeout 20m ./...
 

@@ -23,6 +23,7 @@ import (
 	"element/internal/sim"
 	"element/internal/sockbuf"
 	"element/internal/stack"
+	"element/internal/stats"
 	"element/internal/tcp"
 	"element/internal/tcpinfo"
 	"element/internal/telemetry"
@@ -576,6 +577,61 @@ func BenchmarkEngineDispatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dispatchBatch), "ns/event")
+		})
+	}
+}
+
+// BenchmarkProcSwitch measures the Proc hand-off alone: one op is
+// dispatchBatch Sleep round trips of one process (schedule the wake-up,
+// switch to the event loop, fire it, switch back). Gated at zero allocs/op.
+func BenchmarkProcSwitch(b *testing.B) {
+	eng := sim.New(1)
+	eng.Spawn("sleeper", func(p *sim.Proc) {
+		for {
+			p.Sleep(units.Microsecond)
+		}
+	})
+	eng.Step() // start; every further Step is one round trip
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < dispatchBatch; j++ {
+			eng.Step()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dispatchBatch), "ns/switch")
+	b.StopTimer()
+	eng.Shutdown()
+}
+
+// BenchmarkReconcile measures the ground-truth reconcile per estimator
+// sample as the truth series grows: one op is core.CheckReceiverBounds over
+// a log with one sample per eight truth points (a point per simulated
+// millisecond, so the 150 ms lookback holds 150 of them at every size).
+// ns/sample must stay flat from 1 k to 128 k points; walking the series
+// once per sample made it linear.
+func BenchmarkReconcile(b *testing.B) {
+	for _, points := range []int{1 << 10, 1 << 14, 1 << 17} {
+		b.Run("truth="+strconv.Itoa(points), func(b *testing.B) {
+			truth := make(stats.Series, points)
+			for i := range truth {
+				truth[i] = stats.Sample{At: units.Time(i) * units.Time(units.Millisecond), Delay: units.Duration(i%97) * units.Millisecond}
+			}
+			log := make([]core.Measurement, points/8)
+			for i := range log {
+				log[i] = core.Measurement{
+					At: truth[8*i].At.Add(500 * units.Microsecond), Delay: 50 * units.Millisecond,
+					Confidence: core.ConfidenceHigh, ErrBound: units.Duration(i%5) * 100 * units.Millisecond,
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc := core.CheckReceiverBounds(log, truth); bc.Checked != len(log) {
+					b.Fatalf("checked %d of %d samples", bc.Checked, len(log))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/sample")
 		})
 	}
 }

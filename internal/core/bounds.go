@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"element/internal/stats"
 	"element/internal/units"
 )
@@ -56,35 +58,160 @@ func (b *BoundCheck) Merge(o BoundCheck) {
 	}
 }
 
-// gtBand computes the [min, max] envelope of truth over (from, to],
-// including values interpolated at both endpoints. ok is false when the
-// window holds no comparable ground truth.
-func gtBand(truth stats.Series, from, to units.Time) (lo, hi units.Duration, ok bool) {
-	first := true
-	add := func(d units.Duration) {
-		if first {
-			lo, hi, first = d, d, false
-			return
+// band is a [lo, hi] range of ground-truth delays.
+type band struct{ lo, hi units.Duration }
+
+func (b band) merge(o band) band { return band{min(b.lo, o.lo), max(b.hi, o.hi)} }
+
+// envBlock is the number of consecutive truth points one envelope block
+// summarizes: a query scans at most two partial blocks of it, and the
+// table over whole blocks is 1/envBlock the length of the series.
+const envBlock = 32
+
+// envelope answers "what range did ground truth span over (from, to]" for
+// one truth series, at a cost per query that depends neither on the length
+// of the series nor on how many points the window holds: the window's two
+// ends located by a search that starts where the previous query's ended, at
+// most 2·(envBlock-1) points scanned, and two lookups in a sparse min/max
+// table over whole blocks (level l, entry b covers blocks b … b+2^l-1).
+// Lookback windows vary per sample, so the near end of the window is not
+// monotone across a log and a sliding-window structure does not fit; the
+// table is built once per log, (n/32)·log₂(n/32) entries in one
+// allocation, and dropped with it.
+type envelope struct {
+	truth  stats.Series // sorted by At, as stats.Series.At requires
+	levels [][]band
+	// Where the previous query's window began and ended.
+	fromHint, toHint int
+}
+
+func newEnvelope(truth stats.Series) envelope {
+	e := envelope{truth: truth}
+	nb := len(truth) / envBlock // whole blocks; a trailing partial one is scanned
+	if nb == 0 {
+		return e
+	}
+	total := 0
+	for span := 1; span <= nb; span *= 2 {
+		total += nb - span + 1
+	}
+	flat := make([]band, total)
+	e.levels = make([][]band, 0, bits.Len(uint(nb)))
+	base := flat[:nb]
+	for b := range base {
+		base[b] = scanBand(truth[b*envBlock : (b+1)*envBlock])
+	}
+	e.levels = append(e.levels, base)
+	for span, off := 2, nb; span <= nb; span *= 2 {
+		prev, cur := e.levels[len(e.levels)-1], flat[off:off+nb-span+1]
+		for b := range cur {
+			cur[b] = prev[b].merge(prev[b+span/2])
 		}
-		if d < lo {
-			lo = d
+		e.levels = append(e.levels, cur)
+		off += len(cur)
+	}
+	return e
+}
+
+// scanBand is the envelope of a non-empty run of points.
+func scanBand(pts stats.Series) band {
+	b := band{pts[0].Delay, pts[0].Delay}
+	for _, s := range pts[1:] {
+		b = b.merge(band{s.Delay, s.Delay})
+	}
+	return b
+}
+
+// after returns the index of the first truth point later than t, searching
+// outward from hint in doubling steps: consecutive samples of a log ask
+// about neighbouring instants, so the answer is usually a few points from
+// the previous one and the search costs the logarithm of that distance,
+// whatever the order of the log.
+func (e *envelope) after(t units.Time, hint int) int {
+	s := e.truth
+	// Every point before lo is at or before t, every point from hi on is later.
+	lo, hi := 0, len(s)
+	if hint < len(s) && s[hint].At <= t {
+		lo = hint + 1
+		for step := 1; lo+step-1 < len(s); step *= 2 {
+			p := lo + step - 1
+			if s[p].At > t {
+				hi = p
+				break
+			}
+			lo = p + 1
 		}
-		if d > hi {
-			hi = d
+	} else {
+		hi = hint
+		for step := 1; hi-step >= 0; step *= 2 {
+			p := hi - step
+			if s[p].At <= t {
+				lo = p + 1
+				break
+			}
+			hi = p
 		}
 	}
-	if d, within := truth.At(from); within {
-		add(d)
-	}
-	if d, within := truth.At(to); within {
-		add(d)
-	}
-	for _, s := range truth {
-		if s.At > from && s.At <= to {
-			add(s.Delay)
+	for lo < hi {
+		mid := int(uint(lo+hi) / 2)
+		if s[mid].At > t {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return lo, hi, !first
+	return lo
+}
+
+// valueAt is truth.At(t) — the same arithmetic, so the same bits — given
+// i, the index of the first point not earlier than t.
+func (e *envelope) valueAt(t units.Time, i int) units.Duration {
+	s := e.truth
+	switch {
+	case i == 0:
+		return s[0].Delay
+	case i == len(s):
+		return s[len(s)-1].Delay
+	}
+	a, b := s[i-1], s[i]
+	frac := float64(t-a.At) / float64(b.At-a.At)
+	return a.Delay + units.Duration(frac*float64(b.Delay-a.Delay))
+}
+
+// points is the envelope of truth[i:j], i < j.
+func (e *envelope) points(i, j int) band {
+	bi, bj := (i+envBlock-1)/envBlock, j/envBlock // whole blocks bi … bj-1
+	if bi >= bj {
+		return scanBand(e.truth[i:j])
+	}
+	l := bits.Len(uint(bj-bi)) - 1
+	b := e.levels[l][bi].merge(e.levels[l][bj-1<<l])
+	if head := e.truth[i : bi*envBlock]; len(head) > 0 {
+		b = b.merge(scanBand(head))
+	}
+	if tail := e.truth[bj*envBlock : j]; len(tail) > 0 {
+		b = b.merge(scanBand(tail))
+	}
+	return b
+}
+
+// band computes the [min, max] envelope of truth over (from, to],
+// including values interpolated at both endpoints. ok is false when there
+// is no ground truth to compare against.
+func (e *envelope) band(from, to units.Time) (lo, hi units.Duration, ok bool) {
+	if len(e.truth) == 0 {
+		return 0, 0, false
+	}
+	// Times are whole nanoseconds: the first point not earlier than t is
+	// the first one later than t-1.
+	fi, ti := e.after(from-1, e.fromHint), e.after(to-1, e.toHint)
+	e.fromHint, e.toHint = fi, ti
+	a, z := e.valueAt(from, fi), e.valueAt(to, ti)
+	b := band{a, a}.merge(band{z, z})
+	if i, j := e.after(from, fi), e.after(to, ti); i < j {
+		b = b.merge(e.points(i, j))
+	}
+	return b.lo, b.hi, true
 }
 
 // NumConfidence is the number of confidence grades (indexable by
@@ -137,8 +264,9 @@ func SenderCoverage(log []Measurement, truth stats.Series, interval units.Durati
 		interval = DefaultInterval
 	}
 	var cov Coverage
+	env := newEnvelope(truth)
 	for _, m := range log {
-		lo, hi, ok := gtBand(truth, m.At.Add(-2*interval-m.ErrBound), m.At)
+		lo, hi, ok := env.band(m.At.Add(-2*interval-m.ErrBound), m.At)
 		if !ok {
 			continue
 		}
@@ -159,12 +287,13 @@ func SenderCoverage(log []Measurement, truth stats.Series, interval units.Durati
 // plus its bound.
 func ReceiverCoverage(log []Measurement, truth stats.Series) Coverage {
 	var cov Coverage
+	env := newEnvelope(truth)
 	for _, m := range log {
 		window := receiverWindow
 		if m.ErrBound > window {
 			window = m.ErrBound
 		}
-		_, hi, ok := gtBand(truth, m.At.Add(-window), m.At)
+		_, hi, ok := env.band(m.At.Add(-window), m.At)
 		if !ok {
 			continue
 		}
@@ -187,13 +316,14 @@ func CheckSenderBounds(log []Measurement, truth stats.Series, interval units.Dur
 		interval = DefaultInterval
 	}
 	var bc BoundCheck
+	env := newEnvelope(truth)
 	for _, m := range log {
 		bc.Samples++
 		if m.Confidence == ConfidenceLow {
 			bc.Flagged++
 			continue
 		}
-		lo, hi, ok := gtBand(truth, m.At.Add(-2*interval-m.ErrBound), m.At)
+		lo, hi, ok := env.band(m.At.Add(-2*interval-m.ErrBound), m.At)
 		if !ok {
 			continue
 		}
@@ -222,6 +352,7 @@ func CheckSenderBounds(log []Measurement, truth stats.Series, interval units.Dur
 // count as violations.
 func CheckReceiverBounds(log []Measurement, truth stats.Series) BoundCheck {
 	var bc BoundCheck
+	env := newEnvelope(truth)
 	for _, m := range log {
 		bc.Samples++
 		if m.Confidence == ConfidenceLow {
@@ -232,7 +363,7 @@ func CheckReceiverBounds(log []Measurement, truth stats.Series) BoundCheck {
 		if m.ErrBound > window {
 			window = m.ErrBound
 		}
-		_, hi, ok := gtBand(truth, m.At.Add(-window), m.At)
+		_, hi, ok := env.band(m.At.Add(-window), m.At)
 		if !ok {
 			continue
 		}

@@ -80,7 +80,7 @@ func (t Timer) Stop() bool {
 
 // Engine is a discrete-event simulator instance. It is not safe for
 // concurrent use; all interaction must happen from the goroutine that calls
-// Run (which includes all Proc goroutines, since only one runs at a time).
+// Run (which includes all Proc coroutines, since only one runs at a time).
 type Engine struct {
 	now  units.Time
 	seq  uint64
@@ -90,11 +90,7 @@ type Engine struct {
 	live int   // queued events that have not been stopped
 	rng  *rand.Rand
 
-	// parked is the rendezvous channel processes use to hand control back
-	// to the event loop. Exactly one process (or the loop itself) runs at a
-	// time, so one shared channel suffices.
-	parked chan struct{}
-	procs  map[*Proc]struct{}
+	procs map[*Proc]struct{}
 
 	running bool
 	stopped bool
@@ -104,10 +100,9 @@ type Engine struct {
 // every run reproducible.
 func New(seed int64) *Engine {
 	return &Engine{
-		free:   -1,
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(chan struct{}),
-		procs:  make(map[*Proc]struct{}),
+		free:  -1,
+		rng:   rand.New(rand.NewSource(seed)),
+		procs: make(map[*Proc]struct{}),
 	}
 }
 
@@ -284,11 +279,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // Experiments call this once measurements are collected.
 func (e *Engine) Shutdown() {
 	for p := range e.procs {
-		if p.state == procParked {
-			p.killed = true
-			p.resume <- struct{}{}
-			<-e.parked
-		}
+		p.killed = p.state == procParked
+		p.run()
 		delete(e.procs, p)
 	}
 }

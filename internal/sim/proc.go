@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 
 	"element/internal/units"
 )
@@ -16,18 +18,21 @@ const (
 )
 
 // procKilled is the panic sentinel used by Engine.Shutdown to unwind parked
-// process goroutines.
+// processes through their deferred calls.
 type procKilled struct{}
 
-// Proc is a simulated process: a goroutine that runs in virtual time.
-// Exactly one process goroutine executes at a time; a process runs until it
-// parks (Sleep, Cond.Wait, WaitTimer) and the event loop resumes it when its
-// wakeup event fires. This gives application code ordinary blocking
-// semantics with fully deterministic scheduling.
+// Proc is a simulated process: a coroutine that runs in virtual time.
+// Exactly one of {the event loop, one process} executes at a time; a
+// process runs until it parks (Sleep, Cond.Wait, WaitTimeout) and the event
+// loop resumes it when its wakeup event fires. This gives application code
+// ordinary blocking semantics with fully deterministic scheduling. The
+// coroutine is an iter.Pull over the process body, so a hand-off is one
+// direct switch each way and never goes through the Go scheduler.
 type Proc struct {
 	eng    *Engine
 	name   string
-	resume chan struct{}
+	next   func() (struct{}, bool) // run the process to its next park; false once it has finished
+	yield  func(struct{}) bool     // park: hand control back to whoever called next
 	state  procState
 	killed bool
 }
@@ -35,42 +40,51 @@ type Proc struct {
 // Spawn starts fn as a new process. The process begins executing at the
 // current virtual time, after already-queued same-time events.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name}
 	e.procs[p] = struct{}{}
 	e.Schedule(0, func() { p.start(fn) })
 	return p
 }
 
-// start launches the process goroutine and waits for it to park or finish.
-// It runs in event-loop context.
+// start creates the process coroutine and runs it to its first park (or to
+// completion). It runs in event-loop context.
 func (p *Proc) start(fn func(p *Proc)) {
-	go func() {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					// Re-panic on the process goroutine: a real bug.
-					// The engine goroutine is blocked on parked, so
-					// crash loudly rather than deadlock.
-					panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-				}
-			}
 			p.state = procDone
 			delete(p.eng.procs, p)
-			p.eng.parked <- struct{}{}
+			if r := recover(); r != nil {
+				if _, ok := r.(procKilled); !ok {
+					// A real bug: crash loudly. iter.Pull re-raises this
+					// from next, on the goroutine driving the engine, so
+					// the process's own stack travels in the message.
+					panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+				}
+			}
 		}()
 		fn(p)
-	}()
-	<-p.eng.parked
+	})
+	p.next()
 }
 
 // park hands control back to the event loop and blocks until resumed.
 func (p *Proc) park() {
 	p.state = procParked
-	p.eng.parked <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	p.state = procRunning
 	if p.killed {
 		panic(procKilled{})
+	}
+}
+
+// run switches to p until it parks again or finishes, and does nothing
+// unless p is parked (not started yet, already woken, or finished). Every
+// resumption — wake-up events, the WaitTimeout timer, Shutdown — is this
+// call, from event-loop context.
+func (p *Proc) run() {
+	if p.state == procParked {
+		p.next()
 	}
 }
 
@@ -80,14 +94,7 @@ func (p *Proc) wake() { p.eng.ScheduleCall(0, resumeProc, p) }
 
 // resumeProc is the one wakeup handler every Proc shares (arg is the *Proc),
 // so waking and sleeping schedule without a closure.
-func resumeProc(arg any) {
-	p := arg.(*Proc)
-	if p.state != procParked {
-		return // process was killed or already woken
-	}
-	p.resume <- struct{}{}
-	<-p.eng.parked
-}
+func resumeProc(arg any) { arg.(*Proc).run() }
 
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -131,19 +138,17 @@ func (c *Cond) Wait(p *Proc) {
 func (c *Cond) WaitTimeout(p *Proc, d units.Duration) bool {
 	timedOut := false
 	timer := c.eng.Schedule(d, func() {
-		if p.state != procParked {
-			return
-		}
-		// Remove p from the waiter list so a later Signal skips it.
+		// p is off the wait list if a Signal got there first, at this same
+		// instant: its wake-up is queued, and resuming p here as well would
+		// leave that wake-up to fire into whatever p parks on next.
 		for i, w := range c.waiters {
 			if w == p {
 				c.removeWaiter(i)
-				break
+				timedOut = true
+				p.run()
+				return
 			}
 		}
-		timedOut = true
-		p.resume <- struct{}{}
-		<-c.eng.parked
 	})
 	c.waiters = append(c.waiters, p)
 	p.park()
