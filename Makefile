@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
+.PHONY: check fmt vet staticcheck build test fuzz-smoke bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
 
 ## check: the full local gate — format, vet, staticcheck, build,
 ## race-enabled tests, the CI-sized overload and scale soaks, and the
@@ -31,18 +31,30 @@ build:
 	$(GO) build ./...
 
 # The exp package replays every table/figure scenario and is the longest
-# package under the race detector. Re-measured after processes became
-# iter.Pull coroutines (PR 17), 2-core box: exp 7.6 min (454 s, from 482 s),
-# fleet 5.7 min beside it, and all of `make check` 9.0 min (539 s, from
-# 546 s). The plain build gained far more (exp without -race: 40 s to 27 s):
-# under tsan the hand-off was never the cost, instrumented memory accesses
-# are, so the race build now costs about 17x the plain one. (It was 33 min
-# until PR 16 took tcp's per-ACK window scans out from under tsan.) The
-# per-package timeout is 2.5x the slowest package. -shuffle=on randomizes
-# test order so inter-test state dependencies surface instead of hiding
-# behind source order; failures print the shuffle seed to reproduce.
+# package under the race detector. Re-measured after the event queue went
+# to eager removal and lanes (PR 18), 2-core box, parent and change back
+# to back: exp 383 s -> 357 s, fleet 274 s -> 303 s beside it, and all of
+# `make check` 7.7 min on both (463 s and 466 s; the box itself reads
+# about 15 % faster than when PR 17 measured 9.0 min with exp at 454 s).
+# The plain build is where the queue shows (the bulk scenario 486 ->
+# 373 ms): under tsan the cost is instrumented memory accesses, as PR 17
+# found for the hand-off, so the timeout stays. (It was 33 min until PR 16
+# took tcp's per-ACK window scans out from under tsan.) The per-package
+# timeout is 3x the slowest package. -shuffle=on randomizes test order so
+# inter-test state dependencies surface instead of hiding behind source
+# order; failures print the shuffle seed to reproduce.
 test:
 	$(GO) test -race -shuffle=on -timeout 20m ./...
+
+## fuzz-smoke: a 20 s live burst of each differential fuzzer whose oracle
+## is a from-scratch reference — the event queue against container/heap
+## (with the heap/slab/lane invariants checked after every op) and the SACK
+## scoreboard against the full-window scans. Corpus replays already run in
+## `make test`; this looks for new inputs. One target per go test run (go
+## fuzz rejects several), two workers so a 2-core CI box is not oversubscribed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 20s -parallel 2 ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzScoreboard$$' -fuzztime 20s -parallel 2 ./internal/tcp
 
 ## conformance: the full analytical-twin conformance run — every
 ## hypothesis fit across seeds 1..5 at full sweep resolution plus the

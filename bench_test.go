@@ -545,41 +545,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(10*b.N)/b.Elapsed().Seconds(), "sim-s/wall-s")
 }
 
-func benchNoop() {}
-
 // dispatchBatch is how many events one benchmark op covers, so that a
 // single -benchtime 1x iteration (what benchsmoke and the gate run) times
 // thousands of events rather than one cold one.
 const dispatchBatch = 4096
-
-// BenchmarkEngineDispatch measures the event core alone: one op is
-// dispatchBatch Schedule+Step pairs with the queue held at a fixed depth
-// (random delays, so every push and pop sifts). Gated at zero allocs/op:
-// a closure or a boxed event on this path fails `make bench-gate`.
-func BenchmarkEngineDispatch(b *testing.B) {
-	for _, depth := range []int{64, 1024, 16384} {
-		b.Run("depth="+strconv.Itoa(depth), func(b *testing.B) {
-			eng := sim.New(1)
-			delay := func() units.Duration { return units.Duration(1 + eng.Rand().Intn(1_000_000)) }
-			for i := 0; i < depth; i++ {
-				eng.Schedule(delay(), benchNoop)
-			}
-			for i := 0; i < dispatchBatch; i++ { // warm: slab and heap at their peak
-				eng.Schedule(delay(), benchNoop)
-				eng.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < dispatchBatch; j++ {
-					eng.Schedule(delay(), benchNoop)
-					eng.Step()
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dispatchBatch), "ns/event")
-		})
-	}
-}
 
 // BenchmarkProcSwitch measures the Proc hand-off alone: one op is
 // dispatchBatch Sleep round trips of one process (schedule the wake-up,

@@ -54,7 +54,11 @@ type Link struct {
 
 	// Event handlers bound once in NewLink; each event carries its packet
 	// as the argument, so the per-packet path schedules without a closure.
-	serializedFn, arriveFn func(any)
+	// Packets in flight wait in a FIFO lane (handler: arrive) — deliver
+	// keeps their arrival times monotonic through lastDelivery — so the
+	// engine's heap sees one of them at a time.
+	serializedFn func(any)
+	arrivals     *sim.Lane
 }
 
 // Tap attaches per-packet observers: queue wraps the discipline so every
@@ -108,7 +112,8 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, sink Sink) *Link {
 		disc:     d,
 		sink:     sink,
 	}
-	l.serializedFn, l.arriveFn = l.serialized, l.arrive
+	l.serializedFn = l.serialized
+	l.arrivals = eng.NewLane(l.arrive)
 	return l
 }
 
@@ -167,7 +172,7 @@ func (l *Link) deliver(p *pkt.Packet) {
 		at = l.lastDelivery
 	}
 	l.lastDelivery = at
-	l.eng.AtCall(at, l.arriveFn, p)
+	l.arrivals.At(at, p)
 }
 
 // arrive fires when packet arg reaches the far end of the link.

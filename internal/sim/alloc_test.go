@@ -31,6 +31,52 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLaneZeroAlloc: adding a lane entry and firing one allocates nothing
+// once the ring has grown to the number in flight (64 here, so every fire
+// also moves the next entry's key into the heap).
+func TestLaneZeroAlloc(t *testing.T) {
+	e := New(1)
+	l := e.NewLane(func(any) {})
+	arg := any(e) // pointer-shaped: boxing it does not allocate
+	at := units.Time(0)
+	add := func() {
+		at += units.Time(1 + e.Rand().Intn(1000))
+		l.At(at, arg)
+	}
+	for i := 0; i < 65; i++ {
+		add()
+	}
+	e.Step()
+	if n := testing.AllocsPerRun(2000, func() {
+		add()
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("Lane.At+Step at 64 in flight allocates %v per entry, want 0", n)
+	}
+	if e.Pending() != 64 {
+		t.Fatalf("Pending = %d, want 64", e.Pending())
+	}
+}
+
+// TestStopRearmZeroAlloc: stopping a far-future timer and arming its
+// replacement — TCP's RTO on every ACK — allocates nothing and leaves the
+// heap no larger: the stopped key is gone, not waiting for its deadline.
+func TestStopRearmZeroAlloc(t *testing.T) {
+	e := New(1)
+	tm := e.Schedule(units.Second, noop)
+	if n := testing.AllocsPerRun(2000, func() {
+		tm.Stop()
+		tm = e.Schedule(units.Second, noop)
+		e.Schedule(1, noop)
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("Stop+re-arm allocates %v, want 0", n)
+	}
+	if len(e.heap) != 1 || len(e.slab) != 2 {
+		t.Fatalf("after 2000 re-arms the heap holds %d keys over %d slots, want 1 over 2", len(e.heap), len(e.slab))
+	}
+}
+
 // TestSleepZeroAlloc: a Proc.Sleep round trip (schedule the wakeup, park,
 // fire, resume) allocates nothing.
 func TestSleepZeroAlloc(t *testing.T) {

@@ -25,6 +25,11 @@ import (
 //
 // (at, seq) is a strict total order: seq is unique, so pop order is the
 // FIFO-among-ties order whatever the heap's shape.
+//
+// The heap is indexed: every record knows where its key sits, so Stop takes
+// the key out on the spot and the heap holds exactly the events that will
+// fire. TCP stops and re-arms a 200 ms timer on every ACK; keys kept until
+// their deadline would outnumber the live ones eight to one.
 
 // eventKey is one heap element.
 type eventKey struct {
@@ -37,13 +42,13 @@ func (k eventKey) before(o eventKey) bool {
 	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
 }
 
-// eventRec is one slab record. A nil fn marks a queued record as canceled
-// (its key is dropped when it reaches the top of the heap) and a free
-// record as free; next links the free list.
+// eventRec is one slab record: queued (its key is at heap[pos]) or free
+// (fn is nil and next links the free list).
 type eventRec struct {
 	fn   func(any)
 	arg  any
 	gen  uint32 // bumped on fire and on Stop; a Timer is live while it matches
+	pos  int32  // index of the record's key in the heap, while queued
 	next int32
 }
 
@@ -68,13 +73,11 @@ func (t Timer) Stop() bool {
 	if !t.Active() {
 		return false
 	}
-	// Lazy cancel: the key stays in the heap, so the slot cannot be
-	// recycled yet, but the record stops pinning its callback and argument
-	// now and every copy of the handle goes stale.
-	r := &t.eng.slab[t.slot]
-	r.fn, r.arg = nil, nil
-	r.gen++
-	t.eng.live--
+	// The slot is reused by the very next event; the generation bump in
+	// release is what keeps every copy of this handle from acting on it.
+	e := t.eng
+	e.remove(int(e.slab[t.slot].pos))
+	e.release(t.slot)
 	return true
 }
 
@@ -87,12 +90,13 @@ type Engine struct {
 	heap []eventKey
 	slab []eventRec
 	free int32 // head of the slab's free list, -1 when empty
-	live int   // queued events that have not been stopped
-	rng  *rand.Rand
+	// waiting counts lane entries queued behind their lane's head: they
+	// will fire, but have no key in the heap yet.
+	waiting int
+	rng     *rand.Rand
 
 	procs map[*Proc]struct{}
 
-	running bool
 	stopped bool
 }
 
@@ -143,6 +147,13 @@ func (e *Engine) AtCall(t units.Time, fn func(any), arg any) Timer {
 	if t < e.now {
 		t = e.now
 	}
+	e.seq++
+	slot := e.enqueue(t, e.seq, fn, arg)
+	return Timer{eng: e, slot: slot, gen: e.slab[slot].gen}
+}
+
+// enqueue takes a slot for fn(arg) and queues its key under (at, seq).
+func (e *Engine) enqueue(at units.Time, seq uint64, fn func(any), arg any) int32 {
 	slot := e.free
 	if slot >= 0 {
 		e.free = e.slab[slot].next
@@ -152,40 +163,41 @@ func (e *Engine) AtCall(t units.Time, fn func(any), arg any) Timer {
 	}
 	r := &e.slab[slot]
 	r.fn, r.arg = fn, arg
-	e.seq++
-	e.live++
-	e.push(eventKey{at: t, seq: e.seq, slot: slot})
-	return Timer{eng: e, slot: slot, gen: r.gen}
+	e.heap = append(e.heap, eventKey{})
+	e.siftUp(len(e.heap)-1, eventKey{at: at, seq: seq, slot: slot})
+	return slot
 }
 
-// push adds k to the heap and sifts it up.
-func (e *Engine) push(k eventKey) {
-	h := append(e.heap, k)
-	i := len(h) - 1
+// release returns a fired or stopped event's slot to the free list. The
+// record is cleared so it does not pin its callback or argument.
+func (e *Engine) release(slot int32) {
+	r := &e.slab[slot]
+	r.fn, r.arg = nil, nil
+	r.gen++
+	r.next = e.free
+	e.free = slot
+}
+
+// siftUp places k at the hole i or above it.
+func (e *Engine) siftUp(i int, k eventKey) {
+	h := e.heap
 	for i > 0 {
 		parent := (i - 1) / 4
 		if !k.before(h[parent]) {
 			break
 		}
 		h[i] = h[parent]
+		e.slab[h[i].slot].pos = int32(i)
 		i = parent
 	}
 	h[i] = k
-	e.heap = h
+	e.slab[k.slot].pos = int32(i)
 }
 
-// pop removes the minimum key, recycles its slot, and returns the key with
-// the callback it held (fn is nil if the event was stopped). The record is
-// cleared so a fired event does not pin its argument.
-func (e *Engine) pop() (k eventKey, fn func(any), arg any) {
+// siftDown places k at the hole i or below it.
+func (e *Engine) siftDown(i int, k eventKey) {
 	h := e.heap
-	k = h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	e.heap = h
-	// Sift last down from the root.
-	i := 0
+	n := len(h)
 	for {
 		c := 4*i + 1
 		if c >= n {
@@ -201,66 +213,69 @@ func (e *Engine) pop() (k eventKey, fn func(any), arg any) {
 				m = j
 			}
 		}
-		if !h[m].before(last) {
+		if !h[m].before(k) {
 			break
 		}
 		h[i] = h[m]
+		e.slab[h[i].slot].pos = int32(i)
 		i = m
 	}
-	if n > 0 {
-		h[i] = last
+	h[i] = k
+	e.slab[k.slot].pos = int32(i)
+}
+
+// remove takes the key at heap index i out: the last key moves into the
+// hole and sifts whichever way restores order. Taken from the middle it may
+// have to rise — it came from another subtree, so it can sort before the
+// hole's parent.
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i == n {
+		return
 	}
-	r := &e.slab[k.slot]
-	fn, arg = r.fn, r.arg
-	r.fn, r.arg = nil, nil
-	r.gen++
-	r.next = e.free
-	e.free = k.slot
-	return k, fn, arg
+	if i > 0 && last.before(e.heap[(i-1)/4]) {
+		e.siftUp(i, last)
+	} else {
+		e.siftDown(i, last)
+	}
 }
 
 // Step executes the next pending event, advancing the clock. It reports
 // whether an event was executed.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		k, fn, arg := e.pop()
-		if fn == nil {
-			continue // stopped
-		}
-		e.live--
-		e.now = k.at
-		fn(arg)
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	k := e.heap[0]
+	e.remove(0)
+	r := &e.slab[k.slot]
+	fn, arg := r.fn, r.arg
+	e.release(k.slot)
+	e.now = k.at
+	fn(arg)
+	return true
 }
 
-// Run executes events until the queue is empty. Parked processes that are
-// never woken again do not keep Run alive.
+// Run executes events until the queue is empty or Stop is called. Parked
+// processes that are never woken again do not keep Run alive.
 func (e *Engine) Run() {
-	e.running = true
-	defer func() { e.running = false }()
-	for e.Step() {
-		if e.stopped {
-			return
-		}
+	e.stopped = false
+	for !e.stopped && e.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
+// If Stop ends it early the clock stays at the last event executed, since
+// events before t are still queued.
 func (e *Engine) RunUntil(t units.Time) {
-	e.running = true
-	defer func() { e.running = false }()
-	for len(e.heap) > 0 && !e.stopped {
-		next := e.heap[0]
-		if e.slab[next.slot].fn == nil {
-			e.pop() // stopped
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	e.stopped = false
+	for len(e.heap) > 0 && e.heap[0].at <= t {
 		e.Step()
+		if e.stopped {
+			return
+		}
 	}
 	if e.now < t {
 		e.now = t
@@ -270,8 +285,9 @@ func (e *Engine) RunUntil(t units.Time) {
 // RunFor executes events for duration d of virtual time from now.
 func (e *Engine) RunFor(d units.Duration) { e.RunUntil(e.now.Add(d)) }
 
-// Stop makes Run/RunUntil return after the current event completes. It is
-// typically called from within an event or process.
+// Stop makes the Run/RunUntil in progress return after the current event
+// completes; the next Run/RunUntil starts afresh. It is typically called
+// from within an event or process.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Shutdown terminates all parked processes so their goroutines exit. It must
@@ -285,9 +301,10 @@ func (e *Engine) Shutdown() {
 	}
 }
 
-// Pending reports the number of scheduled (non-canceled) events.
-func (e *Engine) Pending() int { return e.live }
+// Pending reports the number of events that will fire: every key in the
+// heap plus the lane entries waiting behind them.
+func (e *Engine) Pending() int { return len(e.heap) + e.waiting }
 
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now=%v, pending=%d}", e.now, e.live)
+	return fmt.Sprintf("sim.Engine{now=%v, pending=%d}", e.now, e.Pending())
 }

@@ -24,6 +24,41 @@ func TestStopFromProcess(t *testing.T) {
 	e.Shutdown()
 }
 
+// TestStopIsNotSticky: Stop ends the Run or RunUntil in progress and no
+// later one. (It used to latch: every later RunUntil executed nothing yet
+// moved the clock past the events it skipped, and every later Run executed
+// one event.)
+func TestStopIsNotSticky(t *testing.T) {
+	e := New(1)
+	var fired []units.Time
+	for i := 1; i <= 6; i++ {
+		e.At(units.Time(i*10), func() {
+			fired = append(fired, e.Now())
+			if e.Now() == 20 || e.Now() == 40 {
+				e.Stop()
+			}
+		})
+	}
+	e.Run()
+	if len(fired) != 2 || e.Now() != 20 {
+		t.Fatalf("Run with Stop at 20: fired %v, clock %v", fired, e.Now())
+	}
+	// Stopped early, RunUntil leaves the clock at the event it stopped on:
+	// the events at 50 and 60 are still due before 100.
+	e.RunUntil(100)
+	if len(fired) != 4 || e.Now() != 40 {
+		t.Fatalf("RunUntil(100) with Stop at 40: fired %v, clock %v", fired, e.Now())
+	}
+	e.RunUntil(55)
+	if len(fired) != 5 || e.Now() != 55 {
+		t.Fatalf("RunUntil(55): fired %v, clock %v", fired, e.Now())
+	}
+	e.Run()
+	if len(fired) != 6 || e.Pending() != 0 {
+		t.Fatalf("final Run: fired %v, %d pending", fired, e.Pending())
+	}
+}
+
 func TestRunUntilLeavesParkedProcsIntact(t *testing.T) {
 	e := New(1)
 	var wakes []units.Time
