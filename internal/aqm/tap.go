@@ -10,13 +10,19 @@ import (
 // packets themselves, which is what per-byte-range attribution needs: the
 // waterfall subsystem uses Enqueued/Dequeued to time each segment's queue
 // residency. All hooks are optional.
+//
+// What a tap does not see: a packet the discipline accepts and later
+// drops from inside the queue — CoDel's and FQ-CoDel's drops at dequeue
+// (PIE drops on enqueue, and is seen) — raises no event. It was Enqueued
+// with accepted true and is never Dequeued; only the discipline's own
+// drop counter records it.
 type TapHooks struct {
 	// Enqueued fires after every Enqueue attempt; accepted reports whether
-	// the discipline took the packet (false = tail/AQM rejection, i.e. a
-	// drop at the queue's front door).
+	// the discipline took the packet (false = a rejection at the queue's
+	// front door: the limit reached, or an AQM that drops on enqueue).
 	Enqueued func(p *pkt.Packet, now units.Time, accepted bool)
 	// Dequeued fires for every packet the discipline hands to the
-	// transmitter.
+	// transmitter — not for one it drops while choosing that packet.
 	Dequeued func(p *pkt.Packet, now units.Time)
 }
 

@@ -27,7 +27,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"element/internal/stats"
 	"element/internal/tcpinfo"
@@ -88,31 +87,34 @@ type Measurement struct {
 	ErrBound   units.Duration
 }
 
-// Estimates holds a tracker's output series.
+// Estimates holds a tracker's output series. Both logs are stats.Log: an
+// append costs the same however long the run, and the accessors that hand
+// out a whole slice (Series, Log) consolidate on read — so, like the
+// tracker that fills it, an Estimates belongs to one goroutine.
 type Estimates struct {
-	samples stats.Series
-	log     []Measurement
+	samples stats.Log[stats.Sample]
+	log     stats.Log[Measurement]
 }
 
 func (e *Estimates) add(m Measurement, bytes int) {
-	e.samples = append(e.samples, stats.Sample{At: m.At, Delay: m.Delay, Bytes: bytes})
-	e.log = append(e.log, m)
+	e.samples.Append(stats.Sample{At: m.At, Delay: m.Delay, Bytes: bytes})
+	e.log.Append(m)
 }
 
 // Grow pre-reserves capacity for n further samples, so a caller that
 // knows its horizon (a benchmark, a fixed-duration monitor) can take the
 // append amortization off the poll hot path and run allocation-free.
 func (e *Estimates) Grow(n int) {
-	e.samples = slices.Grow(e.samples, n)
-	e.log = slices.Grow(e.log, n)
+	e.samples.Grow(n)
+	e.log.Grow(n)
 }
 
 // Reset drops every sample while keeping the backing capacity. For
 // callers that have fully consumed the series (benchmark harnesses
 // recycling one tracker); the series restarts empty, not a window.
 func (e *Estimates) Reset() {
-	e.samples = e.samples[:0]
-	e.log = e.log[:0]
+	e.samples.Truncate(0)
+	e.log.Truncate(0)
 }
 
 // DrainLog hands every retained measurement to fn in production order,
@@ -120,32 +122,47 @@ func (e *Estimates) Reset() {
 // consumers' primitive: a monitor that drains after every poll holds
 // O(poll batch) samples instead of O(run).
 func (e *Estimates) DrainLog(fn func(Measurement)) {
-	for _, m := range e.log {
+	// A log drained every poll is never chunked, so Slice is the first
+	// slice itself; a long one is folded once and its slice kept.
+	for _, m := range e.log.Slice() {
 		fn(m)
 	}
-	e.samples = e.samples[:0]
-	e.log = e.log[:0]
+	e.Reset()
 }
 
-// Series returns the delay estimates as a stats series.
-func (e *Estimates) Series() stats.Series { return e.samples }
+// Series returns the delay estimates as a stats series. It consolidates
+// the log (see stats.Log.Slice): owner goroutine only.
+func (e *Estimates) Series() stats.Series { return e.samples.Slice() }
 
-// Log returns the full measurement log.
-func (e *Estimates) Log() []Measurement { return e.log }
+// Log returns the full measurement log. It consolidates the log (see
+// stats.Log.Slice): owner goroutine only. A caller that reads the log
+// incrementally while it grows wants AppendLogSince.
+func (e *Estimates) Log() []Measurement { return e.log.Slice() }
+
+// LogLen reports the number of measurements logged.
+func (e *Estimates) LogLen() int { return e.log.Len() }
+
+// AppendLogSince appends measurements [off, LogLen()) to dst and returns
+// it, without consolidating: the per-poll tail read costs the new samples
+// only.
+func (e *Estimates) AppendLogSince(dst []Measurement, off int) []Measurement {
+	return e.log.AppendSince(dst, off)
+}
 
 // Latest returns the most recent measurement (zero value if none).
 func (e *Estimates) Latest() Measurement {
-	if len(e.log) == 0 {
+	n := e.log.Len()
+	if n == 0 {
 		return Measurement{}
 	}
-	return e.log[len(e.log)-1]
+	return *e.log.At(n - 1)
 }
 
 // ConfidenceCounts tallies the log's samples by confidence grade:
 // counts[ConfidenceLow] is the number of explicitly-flagged samples.
 func (e *Estimates) ConfidenceCounts() [3]int {
 	var counts [3]int
-	for _, m := range e.log {
+	for m := range e.log.All() {
 		counts[m.Confidence]++
 	}
 	return counts
@@ -154,10 +171,10 @@ func (e *Estimates) ConfidenceCounts() [3]int {
 // FlaggedFraction reports the fraction of samples marked low-confidence
 // (0 when the log is empty).
 func (e *Estimates) FlaggedFraction() float64 {
-	if len(e.log) == 0 {
+	if e.log.Len() == 0 {
 		return 0
 	}
-	return float64(e.ConfidenceCounts()[ConfidenceLow]) / float64(len(e.log))
+	return float64(e.ConfidenceCounts()[ConfidenceLow]) / float64(e.log.Len())
 }
 
 // WriteTo dumps the measurement log in the columns the paper's trackers
@@ -170,7 +187,7 @@ func (e *Estimates) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return total, err
 	}
-	for _, m := range e.log {
+	for m := range e.log.All() {
 		n, err := fmt.Fprintf(w, "%.6f\t%.6f\t%d\t%d\t%.6f\n",
 			m.At.Seconds(), m.Delay.Seconds(), m.Cwnd, m.Ssthresh, m.RTT.Seconds())
 		total += int64(n)

@@ -341,26 +341,26 @@ func (m *Monitor) flush() {
 		return
 	}
 	if m.snd != nil {
-		log := m.snd.Estimates().Log()
-		if m.tier >= overload.TierSketch {
-			// Shed below full retention: the samples are counted, not
-			// kept — the flow's Sheds anomaly and widened bounds already
-			// flag the gap.
-			m.shedSamples += len(log) - m.sndOff
-		} else {
-			m.sndLog = append(m.sndLog, log[m.sndOff:]...)
-		}
-		m.sndOff = len(log)
+		m.sndLog, m.sndOff = m.flushLog(m.snd.Estimates(), m.sndLog, m.sndOff)
 	}
 	if m.rcv != nil {
-		log := m.rcv.Estimates().Log()
-		if m.tier >= overload.TierSketch {
-			m.shedSamples += len(log) - m.rcvOff
-		} else {
-			m.rcvLog = append(m.rcvLog, log[m.rcvOff:]...)
-		}
-		m.rcvOff = len(log)
+		m.rcvLog, m.rcvOff = m.flushLog(m.rcv.Estimates(), m.rcvLog, m.rcvOff)
 	}
+}
+
+// flushLog moves the measurements est produced since offset off onto
+// kept, and returns it with the new offset. It reads the tail without
+// consolidating the tracker's log, so each poll costs what it produced.
+func (m *Monitor) flushLog(est *core.Estimates, kept []core.Measurement, off int) ([]core.Measurement, int) {
+	n := est.LogLen()
+	if m.tier >= overload.TierSketch {
+		// Shed below full retention: the samples are counted, not
+		// kept — the flow's Sheds anomaly and widened bounds already
+		// flag the gap.
+		m.shedSamples += n - off
+		return kept, n
+	}
+	return est.AppendLogSince(kept, off), n
 }
 
 // onCrash handles a recovered panic: count it, drop the incarnation, and

@@ -127,9 +127,9 @@ func TestCollectorPropertyOutOfOrder(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		c := propSchedule(t, seed, 2000)
 
-		checkSeries(t, "senderDelay", c.senderDelay)
-		checkSeries(t, "networkDelay", c.networkDelay)
-		checkSeries(t, "receiverDelay", c.receiverDelay)
+		checkSeries(t, "senderDelay", c.SenderDelay())
+		checkSeries(t, "networkDelay", c.NetworkDelay())
+		checkSeries(t, "receiverDelay", c.ReceiverDelay())
 
 		// First-stamp-wins transmit records stay strictly sorted and
 		// duplicate-free even under spurious re-transmissions.
@@ -155,7 +155,7 @@ func TestCollectorPropertyOutOfOrder(t *testing.T) {
 		// receiver-delay samples must account for the whole stream; with
 		// duplicates they may exceed it, never undershoot.
 		var rcvBytes uint64
-		for _, x := range c.receiverDelay {
+		for _, x := range c.ReceiverDelay() {
 			rcvBytes += uint64(x.Bytes)
 		}
 		if rcvBytes < c.readCum {
@@ -179,9 +179,9 @@ func TestCollectorPropertyDeterministic(t *testing.T) {
 			}
 		}
 	}
-	same("senderDelay", a.senderDelay, b.senderDelay)
-	same("networkDelay", a.networkDelay, b.networkDelay)
-	same("receiverDelay", a.receiverDelay, b.receiverDelay)
+	same("senderDelay", a.SenderDelay(), b.SenderDelay())
+	same("networkDelay", a.NetworkDelay(), b.NetworkDelay())
+	same("receiverDelay", a.ReceiverDelay(), b.ReceiverDelay())
 }
 
 // TestReceivesOrderMatchesSort pins the collector's sort-free receive list
@@ -191,7 +191,8 @@ func TestCollectorPropertyDeterministic(t *testing.T) {
 // sorts stably — the order the old sort.Slice produced whenever it was
 // defined (equal starts only arise from duplicates, which a real receiver
 // never reports twice). Enough stamps are consumed that head compaction
-// runs many times.
+// runs many times, and enough late arrivals land near the head that the
+// hole-fill moves the shorter, front side down into the consumed slack.
 func TestReceivesOrderMatchesSort(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		eng := sim.New(seed)
@@ -199,7 +200,7 @@ func TestReceivesOrderMatchesSort(t *testing.T) {
 		c := New(eng)
 		var ref []rangeStamp
 		var next, read uint64 // stream extent stamped so far; bytes read
-		compactions := 0
+		compactions, frontFills := 0, 0
 		for step := 0; step < 6000; step++ {
 			eng.RunFor(units.Duration(1 + rng.Intn(1000)))
 			var seq uint64
@@ -215,7 +216,11 @@ func TestReceivesOrderMatchesSort(t *testing.T) {
 			default: // late arrival somewhere in the unread stream
 				seq = read + uint64(rng.Int63n(int64(next-read)+1))
 			}
+			head := c.recvHead
 			c.onTCPReceive(seq, n)
+			if c.recvHead < head {
+				frontFills++
+			}
 			ref = append(ref, rangeStamp{start: seq, end: seq + uint64(n), at: eng.Now()})
 			sort.SliceStable(ref, func(a, b int) bool { return ref[a].start < ref[b].start })
 			if end := seq + uint64(n); end > next {
@@ -248,6 +253,9 @@ func TestReceivesOrderMatchesSort(t *testing.T) {
 		}
 		if compactions == 0 {
 			t.Fatalf("seed %d: head compaction never ran; test does not cover it", seed)
+		}
+		if frontFills == 0 {
+			t.Fatalf("seed %d: no hole-fill shifted the front side; test does not cover it", seed)
 		}
 	}
 }

@@ -44,9 +44,11 @@ type Collector struct {
 	recvHead int
 	readCum  uint64
 
-	senderDelay   Series
-	networkDelay  Series
-	receiverDelay Series
+	// The three result series: append-only, read after (or between)
+	// runs through the consolidating accessors below.
+	senderDelay   stats.Log[Sample]
+	networkDelay  stats.Log[Sample]
+	receiverDelay stats.Log[Sample]
 }
 
 // New returns an empty collector bound to eng.
@@ -91,7 +93,7 @@ func (c *Collector) onTCPTransmit(seq uint64, n int, retx bool) {
 	for c.writeHead < len(c.writes) {
 		w := c.writes[c.writeHead]
 		if w.end >= end {
-			c.senderDelay = append(c.senderDelay, Sample{At: now, Delay: now.Sub(w.at), Bytes: n})
+			c.senderDelay.Append(Sample{At: now, Delay: now.Sub(w.at), Bytes: n})
 			break
 		}
 		c.writeHead++
@@ -133,7 +135,7 @@ func (c *Collector) onTCPReceive(seq uint64, n int) {
 	i := sort.Search(len(c.transmits), func(i int) bool { return c.transmits[i].start > seq })
 	if i > 0 {
 		tx := c.transmits[i-1]
-		c.networkDelay = append(c.networkDelay, Sample{At: now, Delay: now.Sub(tx.at), Bytes: n})
+		c.networkDelay.Append(Sample{At: now, Delay: now.Sub(tx.at), Bytes: n})
 	}
 	// Stash for the receiver-delay match at app-read time.
 	c.insertReceive(rangeStamp{start: seq, end: end, at: now})
@@ -146,16 +148,33 @@ func (c *Collector) onTCPReceive(seq uint64, n int) {
 // common case is a plain append. Only the head can be out of place before
 // that — a partial read advanced its start, past a duplicate stamp that
 // overlaps it — and it is moved back first, so the list is always what a
-// stable sort after every append would give.
+// stable sort after every append would give. Filling a hole is a binary
+// search and one copy of the shorter side: the stamps behind the slot move
+// up, or — when the slot is nearer the head, where a retransmission lands,
+// and reads have left slack before it — the stamps ahead of it move down.
 func (c *Collector) insertReceive(r rangeStamp) {
-	for i := c.recvHead; i+1 < len(c.receives) && c.receives[i+1].start < c.receives[i].start; i++ {
-		c.receives[i], c.receives[i+1] = c.receives[i+1], c.receives[i]
+	head, n := c.recvHead, len(c.receives)
+	if head+1 < n && c.receives[head+1].start < c.receives[head].start {
+		h := c.receives[head]
+		rest := c.receives[head+1:]
+		k := sort.Search(len(rest), func(i int) bool { return rest[i].start >= h.start })
+		copy(c.receives[head:], rest[:k])
+		c.receives[head+k] = h
 	}
-	i := len(c.receives)
-	c.receives = append(c.receives, r)
-	for ; i > c.recvHead && c.receives[i-1].start > r.start; i-- {
-		c.receives[i] = c.receives[i-1]
+	if n == head || c.receives[n-1].start <= r.start {
+		c.receives = append(c.receives, r)
+		return
 	}
+	live := c.receives[head:]
+	i := head + sort.Search(len(live), func(i int) bool { return live[i].start > r.start })
+	if head > 0 && i-head < n-i {
+		copy(c.receives[head-1:], c.receives[head:i])
+		c.receives[i-1] = r
+		c.recvHead--
+		return
+	}
+	c.receives = append(c.receives, rangeStamp{})
+	copy(c.receives[i+1:], c.receives[i:])
 	c.receives[i] = r
 }
 
@@ -177,14 +196,14 @@ func (c *Collector) onAppRead(endSeq uint64, n int) {
 	for c.recvHead < len(c.receives) && c.receives[c.recvHead].start < endSeq {
 		r := c.receives[c.recvHead]
 		if r.end <= endSeq {
-			c.receiverDelay = append(c.receiverDelay, Sample{
+			c.receiverDelay.Append(Sample{
 				At: now, Delay: now.Sub(r.at), Bytes: int(r.end - r.start),
 			})
 			c.recvHead++
 			continue
 		}
 		// Partially read range: split it.
-		c.receiverDelay = append(c.receiverDelay, Sample{
+		c.receiverDelay.Append(Sample{
 			At: now, Delay: now.Sub(r.at), Bytes: int(endSeq - r.start),
 		})
 		c.receives[c.recvHead].start = endSeq
@@ -194,10 +213,13 @@ func (c *Collector) onAppRead(endSeq uint64, n int) {
 }
 
 // SenderDelay reports the ground-truth sender-side (socket buffer) delays.
-func (c *Collector) SenderDelay() Series { return c.senderDelay }
+//
+// The three accessors consolidate their series on read (see
+// stats.Log.Slice), so they belong to the goroutine that runs the engine.
+func (c *Collector) SenderDelay() Series { return c.senderDelay.Slice() }
 
 // NetworkDelay reports the ground-truth one-way network delays.
-func (c *Collector) NetworkDelay() Series { return c.networkDelay }
+func (c *Collector) NetworkDelay() Series { return c.networkDelay.Slice() }
 
 // ReceiverDelay reports the ground-truth receiver-side delays.
-func (c *Collector) ReceiverDelay() Series { return c.receiverDelay }
+func (c *Collector) ReceiverDelay() Series { return c.receiverDelay.Slice() }

@@ -181,10 +181,10 @@ func TestSenderDelayMatchesOccupancyLaw(t *testing.T) {
 func TestConservationAcrossLayers(t *testing.T) {
 	col := buildFlow(t, 0.01, 20*units.Second)
 	var wrote, read int
-	for _, s := range col.senderDelay {
+	for _, s := range col.SenderDelay() {
 		wrote += s.Bytes
 	}
-	for _, s := range col.receiverDelay {
+	for _, s := range col.ReceiverDelay() {
 		read += s.Bytes
 	}
 	if read > wrote {

@@ -8,119 +8,292 @@ import (
 	"element/internal/units"
 )
 
-// propDrive feeds one Recorder a seeded-random schedule through its public
-// hook surface — no stack, no links — with deliveries arriving out of
-// order, duplicated, and as overlapping fragments, the stamp patterns the
-// faults package's reorder and flaky-path profiles generate. Packet-level
-// snapshots (onPacketRecv) are attached to only some deliveries so both
-// the snapshot path and the coveringSeg fallback run. Returns the recorder
-// after a full drain (everything delivered, released in order, and read).
-func propDrive(t *testing.T, seed int64, steps int) *Recorder {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	var now units.Time
-	wf := New()
-	wf.SetClock(func() units.Time { return now })
-	r := wf.NewFlow()
-	sh, rh := r.SenderHooks(), r.ReceiverHooks()
+// chooser is where a schedule's decisions come from: a seeded generator
+// for the property tests, the fuzzer's bytes for FuzzRecorder.
+type chooser interface {
+	// Intn returns a value in [0, n); n > 0.
+	Intn(n int) int
+}
 
+// byteChooser draws decisions from a fuzz input, two bytes each, and
+// answers 0 once it runs out — which done reports, ending the schedule.
+type byteChooser struct{ data []byte }
+
+func (c *byteChooser) Intn(n int) int {
+	if len(c.data) < 2 {
+		c.data = nil
+		return 0
+	}
+	v := int(c.data[0])<<8 | int(c.data[1])
+	c.data = c.data[2:]
+	return v % n
+}
+
+func (c *byteChooser) done() bool { return len(c.data) < 2 }
+
+// propDrive feeds h a schedule drawn from src through the recorder's whole
+// hook surface — no stack, no links. Deliveries arrive out of order,
+// duplicated, and as overlapping fragments, the stamp patterns the faults
+// package's reorder and flaky-path profiles generate; packet-level
+// snapshots (onPacketRecv) are attached to only some deliveries so both
+// the snapshot path and the coveringSeg fallback run. Every transmitted
+// copy also meets one of the link tap's fates: untapped, rejected at
+// enqueue, queued and dequeued, lost on the wire, dropped inside the queue
+// with no event (the stale copy a CoDel head drop leaves), or enqueued
+// twice under the same (seq, gen). A stale burst leaves hundreds of such
+// copies at once, so a few of them cross maxMarks and the sweep runs. The
+// schedule ends after steps ops, or when stop (if not nil) reports true,
+// with a full drain: everything delivered, released in order, and read.
+func propDrive(src chooser, steps int, stop func() bool, now *units.Time, h recHooks) {
 	type seg struct {
 		start, end uint64
 		gen        int
+		delivered  bool
+	}
+	// copyState is where one transmitted copy of a segment is.
+	type copyState uint8
+	const (
+		untapped copyState = iota // no link record; deliverable
+		queued                    // enqueued, not yet dequeued
+		wire                      // dequeued; deliverable
+	)
+	type pktCopy struct {
+		seg   int
+		gen   int
+		state copyState
 	}
 	var (
 		written, txEnd, inOrder, readCum uint64
 		segs                             []seg
-		undeliv                          []int // indices into segs awaiting first delivery
-		delivered                        []bool
-		inOrderIdx                       int // segs[:inOrderIdx] all delivered
+		copies                           []pktCopy // live copies, any order
+		inOrderIdx                       int       // segs[:inOrderIdx] all delivered
 	)
-	deliver := func(s seg) {
-		if rng.Intn(2) == 0 {
+	packet := func(c pktCopy) *pkt.Packet {
+		s := segs[c.seg]
+		return &pkt.Packet{Seq: s.start, PayloadLen: int(s.end - s.start), Gen: c.gen}
+	}
+	dropCopy := func(i int) {
+		copies[i] = copies[len(copies)-1]
+		copies = copies[:len(copies)-1]
+	}
+	// launch gives a freshly transmitted copy its fate at the link.
+	launch := func(c pktCopy) {
+		switch fate := src.Intn(8); {
+		case fate < 2:
+			c.state = untapped
+			copies = append(copies, c)
+		case fate < 3:
+			h.onLinkEnqueue(packet(c), *now, false)
+		case fate < 4: // accepted, then dropped in the queue: no further event
+			h.onLinkEnqueue(packet(c), *now, true)
+		default:
+			h.onLinkEnqueue(packet(c), *now, true)
+			c.state = queued
+			copies = append(copies, c)
+		}
+	}
+	transmitNew := func(n int) {
+		h.onTransmit(txEnd, n, false)
+		segs = append(segs, seg{start: txEnd, end: txEnd + uint64(n)})
+		txEnd += uint64(n)
+	}
+	retransmit := func(idx int) pktCopy {
+		s := &segs[idx]
+		h.onTransmit(s.start, int(s.end-s.start), true)
+		s.gen++
+		return pktCopy{seg: idx, gen: s.gen}
+	}
+	receive := func(start, end uint64, gen int, snapshot bool) {
+		if snapshot {
 			// Snapshot path: the packet-recv hook fires in the same virtual
 			// instant as the TCPReceive it feeds.
-			rh.PacketRecv(&pkt.Packet{Seq: s.start, PayloadLen: int(s.end - s.start), Gen: s.gen})
+			h.onPacketRecv(&pkt.Packet{Seq: start, PayloadLen: int(end - start), Gen: gen})
 		}
-		rh.TCPReceive(s.start, int(s.end-s.start))
+		h.onTCPReceive(start, int(end-start))
 	}
 	advanceInOrder := func() {
-		for inOrderIdx < len(segs) && delivered[inOrderIdx] {
+		for inOrderIdx < len(segs) && segs[inOrderIdx].delivered {
 			inOrder = segs[inOrderIdx].end
 			inOrderIdx++
 		}
-		rh.TCPInOrder(inOrder)
+		h.onInOrder(inOrder)
+	}
+	// recoverOldest retransmits the k oldest undelivered segments through
+	// the whole link and delivers them, as loss recovery does: it is what
+	// lets the read horizon pass a burst of stale copies.
+	recoverOldest := func(k int) {
+		for idx := inOrderIdx; idx < len(segs) && k > 0; idx++ {
+			if segs[idx].delivered {
+				continue
+			}
+			c := retransmit(idx)
+			h.onLinkEnqueue(packet(c), *now, true)
+			h.onLinkDequeue(packet(c), *now)
+			receive(segs[idx].start, segs[idx].end, c.gen, true)
+			segs[idx].delivered = true
+			k--
+		}
+		advanceInOrder()
 	}
 
-	for i := 0; i < steps; i++ {
-		now = now.Add(units.Duration(rng.Intn(2_000_001))) // 0..2ms
-		switch action := rng.Intn(10); {
-		case action < 3: // app write
-			n := 1 + rng.Intn(3000)
+	for i := 0; i < steps && (stop == nil || !stop()); i++ {
+		*now = now.Add(units.Duration(src.Intn(2_000_001))) // 0..2ms
+		switch action := src.Intn(20); {
+		case action < 4: // app write
+			n := 1 + src.Intn(3000)
 			written += uint64(n)
-			sh.AppWrite(written, n)
-		case action < 6: // first transmission, in sequence order
+			h.onAppWrite(written, n)
+		case action < 8: // first transmission, in sequence order
 			if txEnd >= written {
 				continue
 			}
-			n := 1 + rng.Intn(1448)
+			n := 1 + src.Intn(1448)
 			if uint64(n) > written-txEnd {
 				n = int(written - txEnd)
 			}
-			sh.TCPTransmit(txEnd, n, false)
-			segs = append(segs, seg{start: txEnd, end: txEnd + uint64(n)})
-			delivered = append(delivered, false)
-			undeliv = append(undeliv, len(segs)-1)
-			txEnd += uint64(n)
-		case action < 7: // retransmission bumps the segment generation
-			if len(undeliv) == 0 {
+			transmitNew(n)
+			launch(pktCopy{seg: len(segs) - 1})
+		case action < 10: // retransmission: a new generation, a new copy
+			if inOrderIdx >= len(segs) {
 				continue
 			}
-			j := undeliv[rng.Intn(len(undeliv))]
-			sh.TCPTransmit(segs[j].start, int(segs[j].end-segs[j].start), true)
-			segs[j].gen++
-		case action < 9: // out-of-order delivery with duplicates and overlaps
-			if len(undeliv) == 0 {
+			idx := inOrderIdx + src.Intn(len(segs)-inOrderIdx)
+			if segs[idx].delivered {
 				continue
 			}
-			j := rng.Intn(len(undeliv))
-			idx := undeliv[j]
-			s := segs[idx]
-			switch rng.Intn(4) {
+			launch(retransmit(idx))
+		case action < 12: // the link moves a copy along
+			if len(copies) == 0 {
+				continue
+			}
+			j := src.Intn(len(copies))
+			c := copies[j]
+			switch {
+			case c.state == queued && src.Intn(6) == 0: // dropped in the queue, silently
+				dropCopy(j)
+			case c.state == queued && src.Intn(6) == 0: // the same (seq, gen) enqueued again
+				h.onLinkEnqueue(packet(c), *now, true)
+			case c.state == queued:
+				h.onLinkDequeue(packet(c), *now)
+				copies[j].state = wire
+			case c.state == wire && src.Intn(4) == 0:
+				h.onLinkLost(packet(c))
+				dropCopy(j)
+			}
+		case action < 16: // out-of-order delivery with duplicates and overlaps
+			if len(copies) == 0 {
+				continue
+			}
+			j := src.Intn(len(copies))
+			c := copies[j]
+			s := segs[c.seg]
+			snapshot := src.Intn(2) == 0
+			switch src.Intn(4) {
 			case 0: // duplicate: deliver now, again later
 			case 1: // overlapping fragment from mid-segment first
-				if span := s.end - s.start; span > 1 {
-					off := 1 + uint64(rng.Int63n(int64(span-1)))
-					deliver(seg{start: s.start + off, end: s.end, gen: s.gen})
+				if span := int(s.end - s.start); span > 1 {
+					off := uint64(1 + src.Intn(span-1))
+					receive(s.start+off, s.end, c.gen, src.Intn(2) == 0)
 				}
 				fallthrough
 			default:
-				delivered[idx] = true
-				undeliv = append(undeliv[:j], undeliv[j+1:]...)
+				segs[c.seg].delivered = true
+				dropCopy(j)
 			}
-			deliver(s)
+			receive(s.start, s.end, c.gen, snapshot)
 			advanceInOrder()
+		case action < 17: // loss recovery of the oldest holes
+			recoverOldest(1 + src.Intn(256))
+		case action < 18 && src.Intn(12) == 0: // stale burst
+			k := 1 + src.Intn(1200)
+			written += uint64(100 * k)
+			h.onAppWrite(written, 100*k)
+			for ; k > 0; k-- {
+				transmitNew(100)
+				c := pktCopy{seg: len(segs) - 1}
+				h.onLinkEnqueue(packet(c), *now, true)
+			}
 		default: // app read within the in-order prefix
 			if inOrder <= readCum {
 				continue
 			}
-			n := 1 + uint64(rng.Int63n(int64(inOrder-readCum)))
+			n := uint64(1 + src.Intn(int(inOrder-readCum)))
 			readCum += n
-			rh.AppRead(readCum, int(n))
+			h.onAppRead(readCum, int(n))
 		}
 	}
-	// Drain: deliver stragglers, release them in order, read the stream.
-	now = now.Add(units.Millisecond)
-	for _, idx := range undeliv {
-		deliver(segs[idx])
-		delivered[idx] = true
+	// Drain: deliver what is still in flight, recover the rest, release it
+	// in order, read the stream.
+	*now = now.Add(units.Millisecond)
+	for _, c := range copies {
+		s := segs[c.seg]
+		receive(s.start, s.end, c.gen, src.Intn(2) == 0)
+		segs[c.seg].delivered = true
 	}
-	advanceInOrder()
-	now = now.Add(units.Millisecond)
+	recoverOldest(len(segs))
+	*now = now.Add(units.Millisecond)
 	if txEnd > readCum {
-		rh.AppRead(txEnd, int(txEnd-readCum))
-		readCum = txEnd
+		h.onAppRead(txEnd, int(txEnd-readCum))
 	}
+}
+
+// propRecorder runs one seeded schedule against a lone Recorder.
+func propRecorder(seed int64, steps int) *Recorder {
+	var now units.Time
+	wf := New()
+	wf.SetClock(func() units.Time { return now })
+	r := wf.NewFlow()
+	propDrive(rand.New(rand.NewSource(seed)), steps, nil, &now, r)
 	return r
+}
+
+// TestRecorderMatchesReference holds the recorder's link table and
+// arrival queue to the sorted-slice bodies they replaced, after every op
+// of seeded schedules long enough for the sweep to run many times.
+func TestRecorderMatchesReference(t *testing.T) {
+	sweeps := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		var now units.Time
+		p := newRecorderPair(t, &now)
+		propDrive(rand.New(rand.NewSource(seed)), 3000, nil, &now, p)
+		p.checkRetained()
+		if len(p.refFinal) == 0 {
+			t.Fatalf("seed %d: nothing finalized", seed)
+		}
+		sweeps += p.sweeps
+	}
+	if sweeps == 0 {
+		t.Fatal("the link table never crossed maxMarks: sweepLinks is not covered")
+	}
+}
+
+// FuzzRecorder is the same oracle under the fuzzer's schedules.
+func FuzzRecorder(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 600)
+		rng.Read(data)
+		f.Add(data)
+	}
+	// A schedule that opens with stale bursts, so the sweep is in reach.
+	burst := make([]byte, 0, 400)
+	for i := 0; i < 4; i++ {
+		burst = append(burst, 0, 1, 0, 17, 0, 0, 4, 175) // advance 1ns; action 17; burst roll 0; k = 1200
+	}
+	for i := 0; i < 150; i++ {
+		burst = append(burst, byte(i), byte(i*7))
+	}
+	f.Add(burst)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2048 {
+			t.Skip() // bursts make a schedule's cost quadratic in its length
+		}
+		var now units.Time
+		src := &byteChooser{data: data}
+		p := newRecorderPair(t, &now)
+		propDrive(src, 1<<30, src.done, &now, p)
+		p.checkRetained()
+	})
 }
 
 // TestRecorderPropertyOutOfOrder asserts the attribution invariants that
@@ -130,15 +303,15 @@ func propDrive(t *testing.T, seed int64, steps int) *Recorder {
 // sums reconcile exactly with the end-to-end integral.
 func TestRecorderPropertyOutOfOrder(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		r := propDrive(t, seed, 2000)
+		r := propRecorder(seed, 2000)
 
-		if len(r.arrivals) != 0 {
-			t.Fatalf("seed %d: %d arrivals left after full drain", seed, len(r.arrivals))
+		if live := r.arrivals[r.arrHead:]; len(live) != 0 {
+			t.Fatalf("seed %d: %d arrivals left after full drain", seed, len(live))
 		}
 		if r.inHead != 0 {
 			t.Fatalf("seed %d: inHead %d out of sync with drained arrivals", seed, r.inHead)
 		}
-		for _, rr := range r.ranges {
+		for rr := range r.ranges.All() {
 			for i := 1; i < numBounds; i++ {
 				if rr.b[i] < rr.b[i-1] {
 					t.Fatalf("seed %d: range [%d,%d) boundary %d at %v before boundary %d at %v",
@@ -159,7 +332,7 @@ func TestRecorderPropertyOutOfOrder(t *testing.T) {
 		// Duplicates and overlaps inflate the byte count, never shrink it
 		// below the distinct stream.
 		var streamEnd uint64
-		for _, rr := range r.ranges {
+		for rr := range r.ranges.All() {
 			if rr.end > streamEnd {
 				streamEnd = rr.end
 			}
@@ -185,8 +358,8 @@ func TestRecorderPropertyOutOfOrder(t *testing.T) {
 // fixed schedule: identical seeds must reproduce identical aggregates and
 // retained spans.
 func TestRecorderPropertyDeterministic(t *testing.T) {
-	a := propDrive(t, 42, 1500)
-	b := propDrive(t, 42, 1500)
+	a := propRecorder(42, 1500)
+	b := propRecorder(42, 1500)
 	ba, bb := a.Breakdown(), b.Breakdown()
 	if ba != bb {
 		t.Fatalf("breakdowns diverge across identical runs:\n%+v\n%+v", ba, bb)

@@ -1,0 +1,430 @@
+package waterfall
+
+import (
+	"slices"
+	"sort"
+	"testing"
+
+	"element/internal/pkt"
+	"element/internal/units"
+)
+
+// recHooks is the recorder's whole input surface: what the stack's trace
+// hooks and the link tap call. The drivers in prop_test.go speak it, so
+// one schedule can feed a Recorder, the reference below, or both.
+type recHooks interface {
+	onAppWrite(endSeq uint64, n int)
+	onTransmit(seq uint64, n int, retx bool)
+	onLinkEnqueue(p *pkt.Packet, now units.Time, accepted bool)
+	onLinkDequeue(p *pkt.Packet, now units.Time)
+	onLinkLost(p *pkt.Packet)
+	onPacketRecv(p *pkt.Packet)
+	onTCPReceive(seq uint64, n int)
+	onInOrder(cum uint64)
+	onAppRead(endSeq uint64, n int)
+}
+
+// refLinkRec is the link-table record as it was when the table was a
+// slice sorted by (seq, gen).
+type refLinkRec struct {
+	seq, end uint64
+	gen      int
+	enqAt    units.Time
+	deqAt    units.Time
+}
+
+// refRecorder is the oracle for the structures the recorder no longer
+// keeps as sorted slices: it holds the link table and the arrival queue
+// exactly as they were — binary search, insert and delete by shifting the
+// tail, arrivals = arrivals[1:] — and runs the seven hooks that touch them
+// with their old bodies. Everything those hooks feed (segment records,
+// finalize, the aggregate, drop markers) is the embedded Recorder's own,
+// unchanged code, so a difference in output is a difference in the tables.
+// The embedded Recorder's links and arrivals stay empty.
+type refRecorder struct {
+	*Recorder
+	links    []refLinkRec
+	arrivals []arrival
+	inHead   int
+}
+
+func (r *refRecorder) findLink(seq uint64, gen int) (int, bool) {
+	lo, hi := 0, len(r.links)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		l := r.links[mid]
+		if l.seq < seq || (l.seq == seq && l.gen < gen) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(r.links) && r.links[lo].seq == seq && r.links[lo].gen == gen {
+		return lo, true
+	}
+	return lo, false
+}
+
+func (r *refRecorder) onLinkEnqueue(p *pkt.Packet, now units.Time, accepted bool) {
+	if !accepted {
+		r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: now, Kind: DropQueue})
+		return
+	}
+	i, ok := r.findLink(p.Seq, p.Gen)
+	if ok {
+		r.links[i] = refLinkRec{seq: p.Seq, end: p.End(), gen: p.Gen, enqAt: now}
+		return
+	}
+	r.links = append(r.links, refLinkRec{})
+	copy(r.links[i+1:], r.links[i:])
+	r.links[i] = refLinkRec{seq: p.Seq, end: p.End(), gen: p.Gen, enqAt: now}
+	r.sweepLinks()
+}
+
+func (r *refRecorder) onLinkDequeue(p *pkt.Packet, now units.Time) {
+	if i, ok := r.findLink(p.Seq, p.Gen); ok {
+		r.links[i].deqAt = now
+	}
+}
+
+func (r *refRecorder) onLinkLost(p *pkt.Packet) {
+	r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: r.wf.now(), Kind: DropWire})
+	if i, ok := r.findLink(p.Seq, p.Gen); ok {
+		r.links = append(r.links[:i], r.links[i+1:]...)
+	}
+}
+
+func (r *refRecorder) sweepLinks() {
+	if len(r.links) < maxMarks {
+		return
+	}
+	kept := r.links[:0]
+	for _, l := range r.links {
+		if l.end > r.readCum {
+			kept = append(kept, l)
+		}
+	}
+	r.links = kept
+}
+
+func (r *refRecorder) onPacketRecv(p *pkt.Packet) {
+	r.pending.valid = true
+	r.pending.seq, r.pending.end, r.pending.gen = p.Seq, p.End(), p.Gen
+	var b [numBounds]units.Time
+	if seg, ok := r.coveringSeg(p.Seq); ok {
+		b[StageSndbuf] = seg.writeAt
+		b[StageRetx] = seg.firstTx
+		if p.Gen == 0 {
+			b[StageQueue] = seg.firstTx
+		} else {
+			b[StageQueue] = seg.lastTx
+		}
+	}
+	if i, ok := r.findLink(p.Seq, p.Gen); ok {
+		l := r.links[i]
+		b[StageQueue] = l.enqAt
+		b[StageWire] = l.deqAt
+		r.links = append(r.links[:i], r.links[i+1:]...)
+	}
+	r.pending.b = b
+}
+
+func (r *refRecorder) onTCPReceive(seq uint64, n int) {
+	now := r.wf.now()
+	end := seq + uint64(n)
+	a := arrival{start: seq, end: end}
+	if r.pending.valid && seq >= r.pending.seq && end <= r.pending.end {
+		a.gen = r.pending.gen
+		a.b = r.pending.b
+	} else if seg, ok := r.coveringSeg(seq); ok {
+		a.b[StageSndbuf] = seg.writeAt
+		a.b[StageRetx] = seg.firstTx
+		a.b[StageQueue] = seg.lastTx
+	}
+	a.b[StageReassembly] = now
+	i := sort.Search(len(r.arrivals), func(i int) bool { return r.arrivals[i].start >= a.start })
+	r.arrivals = append(r.arrivals, arrival{})
+	copy(r.arrivals[i+1:], r.arrivals[i:])
+	r.arrivals[i] = a
+}
+
+func (r *refRecorder) onInOrder(cum uint64) {
+	now := r.wf.now()
+	for r.inHead < len(r.arrivals) && r.arrivals[r.inHead].end <= cum {
+		r.arrivals[r.inHead].b[StageRcvbuf] = now
+		r.inHead++
+	}
+	if r.inHead < len(r.arrivals) && r.arrivals[r.inHead].start < cum {
+		a := r.arrivals[r.inHead]
+		left := a
+		left.end = cum
+		left.b[StageRcvbuf] = now
+		r.arrivals[r.inHead].start = cum
+		r.arrivals = append(r.arrivals, arrival{})
+		copy(r.arrivals[r.inHead+1:], r.arrivals[r.inHead:])
+		r.arrivals[r.inHead] = left
+		r.inHead++
+	}
+}
+
+func (r *refRecorder) onAppRead(endSeq uint64, n int) {
+	now := r.wf.now()
+	r.readCum = endSeq
+	for len(r.arrivals) > 0 && r.arrivals[0].start < endSeq {
+		a := r.arrivals[0]
+		if a.end <= endSeq {
+			r.finalize(a, a.start, a.end, now)
+			r.arrivals = r.arrivals[1:]
+			if r.inHead > 0 {
+				r.inHead--
+			}
+			continue
+		}
+		r.finalize(a, a.start, endSeq, now)
+		r.arrivals[0].start = endSeq
+		break
+	}
+	for r.segHead < len(r.segs) && r.segs[r.segHead].end <= endSeq {
+		r.segHead++
+	}
+	if r.segHead > 256 && r.segHead*2 >= len(r.segs) {
+		m := copy(r.segs, r.segs[r.segHead:])
+		r.segs = r.segs[:m]
+		r.segHead = 0
+	}
+}
+
+// refRetain is the retention rule over a plain slice, as it was.
+type refRetain struct {
+	ranges     []rangeRec
+	stride     int
+	strideSkip int
+}
+
+func (r *refRetain) retain(rr rangeRec) {
+	if r.strideSkip > 0 {
+		r.strideSkip--
+		return
+	}
+	if len(r.ranges) >= maxRanges {
+		k := 0
+		for i := 0; i < len(r.ranges); i += 2 {
+			r.ranges[k] = r.ranges[i]
+			k++
+		}
+		r.ranges = r.ranges[:k]
+		r.stride *= 2
+	}
+	r.strideSkip = r.stride - 1
+	r.ranges = append(r.ranges, rr)
+}
+
+// finalRec is one OnFinalize callback.
+type finalRec struct {
+	start, end uint64
+	gen        int
+	b          Bounds
+}
+
+// recorderPair feeds one schedule to a Recorder and to the reference and
+// compares them after every op.
+type recorderPair struct {
+	t         testing.TB
+	got       *Recorder
+	ref       *refRecorder
+	gotFinal  []finalRec
+	refFinal  []finalRec
+	checked   int // finals compared so far
+	retained  refRetain
+	sweeps    int // times the reference's table shrank on an enqueue
+	ops       int
+	lastLinks int // the reference's table size at the previous check
+}
+
+func newRecorderPair(t testing.TB, now *units.Time) *recorderPair {
+	p := &recorderPair{t: t, retained: refRetain{stride: 1}}
+	clock := func() units.Time { return *now }
+	wa, wb := New(), New()
+	wa.SetClock(clock)
+	wb.SetClock(clock)
+	p.got = wa.NewFlow()
+	p.ref = &refRecorder{Recorder: wb.NewFlow()}
+	p.got.OnFinalize(func(start, end uint64, gen int, b Bounds) {
+		p.gotFinal = append(p.gotFinal, finalRec{start, end, gen, b})
+	})
+	p.ref.OnFinalize(func(start, end uint64, gen int, b Bounds) {
+		p.refFinal = append(p.refFinal, finalRec{start, end, gen, b})
+		p.retained.retain(rangeRec{start: start, end: end, gen: gen, b: b})
+	})
+	return p
+}
+
+func (p *recorderPair) onAppWrite(endSeq uint64, n int) {
+	p.got.onAppWrite(endSeq, n)
+	p.ref.onAppWrite(endSeq, n)
+	p.check("AppWrite", nil)
+}
+
+func (p *recorderPair) onTransmit(seq uint64, n int, retx bool) {
+	p.got.onTransmit(seq, n, retx)
+	p.ref.onTransmit(seq, n, retx)
+	p.check("TCPTransmit", nil)
+}
+
+func (p *recorderPair) onLinkEnqueue(pk *pkt.Packet, now units.Time, accepted bool) {
+	before := len(p.ref.links)
+	p.got.onLinkEnqueue(pk, now, accepted)
+	p.ref.onLinkEnqueue(pk, now, accepted)
+	if len(p.ref.links) < before {
+		p.sweeps++
+	}
+	p.check("LinkEnqueue", pk)
+}
+
+func (p *recorderPair) onLinkDequeue(pk *pkt.Packet, now units.Time) {
+	p.got.onLinkDequeue(pk, now)
+	p.ref.onLinkDequeue(pk, now)
+	p.check("LinkDequeue", pk)
+}
+
+func (p *recorderPair) onLinkLost(pk *pkt.Packet) {
+	p.got.onLinkLost(pk)
+	p.ref.onLinkLost(pk)
+	p.check("LinkLost", pk)
+}
+
+func (p *recorderPair) onPacketRecv(pk *pkt.Packet) {
+	p.got.onPacketRecv(pk)
+	p.ref.onPacketRecv(pk)
+	p.check("PacketRecv", pk)
+}
+
+func (p *recorderPair) onTCPReceive(seq uint64, n int) {
+	p.got.onTCPReceive(seq, n)
+	p.ref.onTCPReceive(seq, n)
+	p.check("TCPReceive", nil)
+}
+
+func (p *recorderPair) onInOrder(cum uint64) {
+	p.got.onInOrder(cum)
+	p.ref.onInOrder(cum)
+	p.check("TCPInOrder", nil)
+}
+
+func (p *recorderPair) onAppRead(endSeq uint64, n int) {
+	p.got.onAppRead(endSeq, n)
+	p.ref.onAppRead(endSeq, n)
+	p.check("AppRead", nil)
+}
+
+// fullCheckBelow is the link-table size up to which check compares the
+// whole table after every op. Above it — the few hundred ops around a
+// sweep, where a whole-table walk per op would make the test quadratic —
+// every op still compares the table sizes and the copy it touched, and
+// the whole table every 64th op and whenever the reference's shrank.
+const fullCheckBelow = 512
+
+// check holds the recorder to the reference after one op: every
+// OnFinalize record so far, the drop markers, the breakdown, the count of
+// retained ranges, and the contents of the link table and the arrival
+// queue. touched is the packet the op named, if any.
+func (p *recorderPair) check(op string, touched *pkt.Packet) {
+	t := p.t
+	t.Helper()
+	p.ops++
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("op %d (%s): "+format, append([]any{p.ops, op}, args...)...)
+	}
+	if len(p.gotFinal) != len(p.refFinal) {
+		fail("%d ranges finalized, reference %d", len(p.gotFinal), len(p.refFinal))
+	}
+	for ; p.checked < len(p.refFinal); p.checked++ {
+		if g, r := p.gotFinal[p.checked], p.refFinal[p.checked]; g != r {
+			fail("finalized range %d is %+v, reference %+v", p.checked, g, r)
+		}
+	}
+	if !slices.Equal(p.got.Drops(), p.ref.Drops()) {
+		fail("drop markers diverge: %d vs reference %d", len(p.got.Drops()), len(p.ref.Drops()))
+	}
+	if g, r := p.got.Breakdown(), p.ref.Breakdown(); g != r {
+		fail("breakdown\n%+v\nreference\n%+v", g, r)
+	}
+	if p.got.ranges.Len() != len(p.retained.ranges) {
+		fail("%d ranges retained, reference %d", p.got.ranges.Len(), len(p.retained.ranges))
+	}
+
+	n := len(p.ref.links)
+	if len(p.got.links) != n {
+		fail("link table holds %d copies, reference %d", len(p.got.links), n)
+	}
+	sameCopy := func(want refLinkRec) {
+		l, ok := p.got.links[linkKey{want.seq, want.gen}]
+		if !ok || l.end != want.end || l.enqAt != want.enqAt || l.deqAt != want.deqAt {
+			fail("link copy (%d, gen %d) is %+v (present=%v), reference %+v", want.seq, want.gen, l, ok, want)
+		}
+	}
+	if n <= fullCheckBelow || p.ops%64 == 0 || n < p.lastLinks-1 {
+		for _, want := range p.ref.links {
+			sameCopy(want)
+		}
+	} else if touched != nil {
+		if i, ok := p.ref.findLink(touched.Seq, touched.Gen); ok {
+			sameCopy(p.ref.links[i])
+		} else if _, ok := p.got.links[linkKey{touched.Seq, touched.Gen}]; ok {
+			fail("link copy (%d, gen %d) present, absent from the reference", touched.Seq, touched.Gen)
+		}
+	}
+	p.lastLinks = n
+
+	if live := p.got.arrivals[p.got.arrHead:]; !slices.Equal(live, p.ref.arrivals) {
+		fail("arrival queue holds %d ranges, reference %d, or their contents differ", len(live), len(p.ref.arrivals))
+	}
+	if p.got.inHead != p.ref.inHead {
+		fail("inHead %d, reference %d", p.got.inHead, p.ref.inHead)
+	}
+	if p.got.readCum != p.ref.readCum || p.got.pending != p.ref.pending {
+		fail("read horizon or packet snapshot diverged")
+	}
+}
+
+// checkRetained compares the retained ranges element by element — after a
+// schedule rather than after every op, since it walks all of them.
+func (p *recorderPair) checkRetained() {
+	p.t.Helper()
+	i := 0
+	for rr := range p.got.ranges.All() {
+		if rr != p.retained.ranges[i] {
+			p.t.Fatalf("retained range %d is %+v, reference %+v", i, rr, p.retained.ranges[i])
+		}
+		i++
+	}
+}
+
+// TestRetainDecimationMatchesSlice pushes enough ranges through retain to
+// decimate twice and holds the chunked log to the plain-slice rule.
+func TestRetainDecimationMatchesSlice(t *testing.T) {
+	wf := New()
+	r := wf.NewFlow()
+	ref := refRetain{stride: 1}
+	for i := 0; i < 2*maxRanges+maxRanges/2+17; i++ {
+		rr := rangeRec{start: uint64(i), end: uint64(i + 1), gen: i % 3}
+		rr.b[0] = units.Time(i)
+		r.retain(rr)
+		ref.retain(rr)
+		if r.ranges.Len() != len(ref.ranges) || r.stride != ref.stride || r.strideSkip != ref.strideSkip {
+			t.Fatalf("range %d: retained %d stride %d skip %d, reference %d/%d/%d",
+				i, r.ranges.Len(), r.stride, r.strideSkip, len(ref.ranges), ref.stride, ref.strideSkip)
+		}
+	}
+	if r.stride != 4 {
+		t.Fatalf("stride %d after %d ranges, want 4: the test does not cover decimation", r.stride, 2*maxRanges+maxRanges/2+17)
+	}
+	i := 0
+	for rr := range r.ranges.All() {
+		if rr != ref.ranges[i] {
+			t.Fatalf("retained range %d is %+v, reference %+v", i, rr, ref.ranges[i])
+		}
+		i++
+	}
+}

@@ -52,7 +52,7 @@ type Breakdown struct {
 
 func (r *Recorder) fold(b *Breakdown) {
 	b.Ranges += r.agg.ranges
-	b.Retained += len(r.ranges)
+	b.Retained += r.ranges.Len()
 	b.Bytes += r.agg.bytes
 	for s := 0; s < NumStages; s++ {
 		b.Stage[s].ByteSeconds += r.agg.stageByteSec[s]
@@ -223,18 +223,19 @@ func (r *Recorder) writeASCII(bw *bufio.Writer) {
 	fmt.Fprintf(bw, "flow %d: %d byte ranges, %s, mean end-to-end %s (stage-sum residual %.4f%%)\n",
 		b.Flow, b.Ranges, fmtBytes(b.Bytes), b.MeanE2E, b.Residual*100)
 	writeTable(bw, b)
-	if len(r.ranges) == 0 {
+	retained := r.ranges.Len()
+	if retained == 0 {
 		return
 	}
 
 	// Sample up to asciiMaxRows retained ranges, evenly spaced.
-	step := len(r.ranges) / asciiMaxRows
+	step := retained / asciiMaxRows
 	if step < 1 {
 		step = 1
 	}
 	var rows []rangeRec
-	for i := 0; i < len(r.ranges); i += step {
-		rows = append(rows, r.ranges[i])
+	for i := 0; i < retained; i += step {
+		rows = append(rows, *r.ranges.At(i))
 	}
 	var maxE2E units.Duration
 	for _, rr := range rows {
@@ -247,7 +248,7 @@ func (r *Recorder) writeASCII(bw *bufio.Writer) {
 	}
 	perChar := float64(maxE2E) / asciiBarWidth
 	fmt.Fprintf(bw, "  waterfall (%d of %d ranges, one glyph ≈ %s; S=sndbuf R=retx Q=queue W=wire O=reassembly B=rcvbuf):\n",
-		len(rows), len(r.ranges), units.Duration(perChar))
+		len(rows), retained, units.Duration(perChar))
 	for _, rr := range rows {
 		bar := make([]byte, 0, asciiBarWidth)
 		for s := 0; s < NumStages; s++ {

@@ -28,6 +28,7 @@ import (
 	"element/internal/netem"
 	"element/internal/pkt"
 	"element/internal/stack"
+	"element/internal/stats"
 	"element/internal/telemetry"
 	"element/internal/telemetry/stream"
 	"element/internal/units"
@@ -114,8 +115,11 @@ type DropKind uint8
 
 // Drop kinds.
 const (
-	// DropQueue is a rejection at the queue's front door (tail drop or AQM
-	// early drop on enqueue).
+	// DropQueue is a rejection at the queue's front door: the limit
+	// reached, or an AQM that drops on enqueue. Drops a discipline makes
+	// at dequeue (CoDel and FQ-CoDel head drops) are not here: the link
+	// tap has no event for them (see aqm.TapHooks), so Drops() and
+	// Breakdown.QueueDrops count enqueue rejections only.
 	DropQueue DropKind = iota
 	// DropWire is a random loss after serialization.
 	DropWire
@@ -339,12 +343,18 @@ type segRec struct {
 	gen      int        // current retransmission generation
 }
 
-// linkRec times one packet copy (seq, gen) through the tapped link queue.
+// linkKey names one packet copy on the tapped link: a retransmission of
+// seq is a new generation and so a new copy.
+type linkKey struct {
+	seq uint64
+	gen int
+}
+
+// linkRec times one packet copy through the tapped link queue.
 type linkRec struct {
-	seq, end uint64
-	gen      int
-	enqAt    units.Time
-	deqAt    units.Time
+	end   uint64
+	enqAt units.Time
+	deqAt units.Time
 }
 
 // numBounds is the number of boundary timestamps per range: NumStages
@@ -399,12 +409,19 @@ type Recorder struct {
 	segs      []segRec // sorted by seq
 	segHead   int
 
-	// Link tap: live (seq, gen) copies, sorted by (seq, gen).
-	links []linkRec
+	// Link tap: the copies enqueued and not yet received, lost on the wire
+	// or swept. A hash table, so a copy costs the same to add, find and
+	// remove however many stale ones (see sweepLinks) sit beside it;
+	// allocated on the first accepted enqueue.
+	links map[linkKey]linkRec
 
-	// Receiver side.
-	arrivals []arrival // sorted by start, disjoint
-	inHead   int       // arrivals[:inHead] have in-order stamps
+	// Receiver side. The live arrivals are arrivals[arrHead:], sorted by
+	// start and disjoint; the consumed prefix before arrHead is slack that
+	// a hole-fill near the head may shift into, and is compacted away once
+	// it is half the slice.
+	arrivals []arrival
+	arrHead  int
+	inHead   int // the first inHead live arrivals have in-order stamps
 	pending  struct {
 		valid    bool
 		seq, end uint64
@@ -414,7 +431,7 @@ type Recorder struct {
 	readCum uint64
 
 	// Finalized ranges, decimated for bounded retention.
-	ranges      []rangeRec
+	ranges      stats.Log[rangeRec]
 	stride      int
 	strideSkip  int
 	agg         aggregate
@@ -553,52 +570,32 @@ func (r *Recorder) coveringSeg(seq uint64) (segRec, bool) {
 
 // --- Link tap -------------------------------------------------------------
 
-// findLink locates the live copy (seq, gen); insert reports the insertion
-// index when absent.
-func (r *Recorder) findLink(seq uint64, gen int) (int, bool) {
-	lo, hi := 0, len(r.links)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		l := r.links[mid]
-		if l.seq < seq || (l.seq == seq && l.gen < gen) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(r.links) && r.links[lo].seq == seq && r.links[lo].gen == gen {
-		return lo, true
-	}
-	return lo, false
-}
-
 func (r *Recorder) onLinkEnqueue(p *pkt.Packet, now units.Time, accepted bool) {
 	if !accepted {
 		r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: now, Kind: DropQueue})
 		return
 	}
-	i, ok := r.findLink(p.Seq, p.Gen)
-	if ok {
-		r.links[i] = linkRec{seq: p.Seq, end: p.End(), gen: p.Gen, enqAt: now}
-		return
+	if r.links == nil {
+		r.links = make(map[linkKey]linkRec)
 	}
-	r.links = append(r.links, linkRec{})
-	copy(r.links[i+1:], r.links[i:])
-	r.links[i] = linkRec{seq: p.Seq, end: p.End(), gen: p.Gen, enqAt: now}
-	r.sweepLinks()
+	n := len(r.links)
+	r.links[linkKey{p.Seq, p.Gen}] = linkRec{end: p.End(), enqAt: now}
+	if len(r.links) > n { // a new copy, not the same (seq, gen) enqueued again
+		r.sweepLinks()
+	}
 }
 
 func (r *Recorder) onLinkDequeue(p *pkt.Packet, now units.Time) {
-	if i, ok := r.findLink(p.Seq, p.Gen); ok {
-		r.links[i].deqAt = now
+	k := linkKey{p.Seq, p.Gen}
+	if l, ok := r.links[k]; ok {
+		l.deqAt = now
+		r.links[k] = l
 	}
 }
 
 func (r *Recorder) onLinkLost(p *pkt.Packet) {
 	r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: r.wf.now(), Kind: DropWire})
-	if i, ok := r.findLink(p.Seq, p.Gen); ok {
-		r.links = append(r.links[:i], r.links[i+1:]...)
-	}
+	delete(r.links, linkKey{p.Seq, p.Gen})
 }
 
 func (r *Recorder) recordDrop(d Drop) {
@@ -609,20 +606,23 @@ func (r *Recorder) recordDrop(d Drop) {
 	r.drops = append(r.drops, d)
 }
 
-// sweepLinks discards stale copies (lost packets that were retransmitted
-// as a new generation, duplicates never consumed) once the table grows
-// well past any plausible in-flight window.
+// sweepLinks discards stale copies once the table grows well past any
+// plausible in-flight window. A copy goes stale when it was enqueued and
+// nothing after that names it again: a discipline that drops at dequeue
+// (CoDel and FQ-CoDel head drops) raises no tap event, so every such
+// drop leaves its copy here until the bytes — delivered by a later
+// generation — have been read; duplicates the receiver never consumed do
+// the same. The result is the set of copies ending above the read
+// horizon, whatever order the table is walked in.
 func (r *Recorder) sweepLinks() {
 	if len(r.links) < maxMarks {
 		return
 	}
-	kept := r.links[:0]
-	for _, l := range r.links {
-		if l.end > r.readCum {
-			kept = append(kept, l)
+	for k, l := range r.links {
+		if l.end <= r.readCum {
+			delete(r.links, k)
 		}
 	}
-	r.links = kept
 }
 
 // --- Receiver side --------------------------------------------------------
@@ -643,14 +643,14 @@ func (r *Recorder) onPacketRecv(p *pkt.Packet) {
 			b[StageQueue] = seg.lastTx
 		}
 	}
-	if i, ok := r.findLink(p.Seq, p.Gen); ok {
-		l := r.links[i]
+	k := linkKey{p.Seq, p.Gen}
+	if l, ok := r.links[k]; ok {
 		// The link enqueue happens in the same virtual instant as the TCP
 		// transmit, so enqAt refines the queue boundary for this exact
 		// generation.
 		b[StageQueue] = l.enqAt
 		b[StageWire] = l.deqAt
-		r.links = append(r.links[:i], r.links[i+1:]...)
+		delete(r.links, k)
 	}
 	r.pending.b = b
 }
@@ -671,44 +671,70 @@ func (r *Recorder) onTCPReceive(seq uint64, n int) {
 		a.b[StageQueue] = seg.lastTx
 	}
 	a.b[StageReassembly] = now // rcvAt
-	i := sort.Search(len(r.arrivals), func(i int) bool { return r.arrivals[i].start >= a.start })
-	r.arrivals = append(r.arrivals, arrival{})
-	copy(r.arrivals[i+1:], r.arrivals[i:])
-	r.arrivals[i] = a
+	r.insertArrival(a)
+}
+
+// insertArrival puts a before the first live arrival that does not start
+// earlier. In-order arrival ends in a plain append; filling a hole is one
+// copy of the shorter side — the arrivals behind the slot move up, or,
+// when the slot is nearer the head (where a retransmission lands) and
+// reads have left slack before it, the arrivals ahead of it move down.
+// inHead counts from arrHead, so it names the same arrivals either way.
+// The search always runs, over exactly the live arrivals: duplicate and
+// overlapping deliveries followed by a partial read can leave the queue
+// out of order, and where the slot falls then is whatever this probe
+// sequence finds — which exports have always depended on.
+func (r *Recorder) insertArrival(a arrival) {
+	head, n := r.arrHead, len(r.arrivals)
+	live := r.arrivals[head:]
+	i := head + sort.Search(len(live), func(i int) bool { return live[i].start >= a.start })
+	switch {
+	case i == n:
+		r.arrivals = append(r.arrivals, a)
+	case head > 0 && i-head < n-i:
+		copy(r.arrivals[head-1:], r.arrivals[head:i])
+		r.arrivals[i-1] = a
+		r.arrHead--
+	default:
+		r.arrivals = append(r.arrivals, arrival{})
+		copy(r.arrivals[i+1:], r.arrivals[i:])
+		r.arrivals[i] = a
+	}
 }
 
 // onInOrder stamps the reassembly-exit boundary on every arrival released
 // by a rcv_nxt advance.
 func (r *Recorder) onInOrder(cum uint64) {
 	now := r.wf.now()
-	for r.inHead < len(r.arrivals) && r.arrivals[r.inHead].end <= cum {
-		r.arrivals[r.inHead].b[StageRcvbuf] = now
-		r.inHead++
+	i := r.arrHead + r.inHead
+	for i < len(r.arrivals) && r.arrivals[i].end <= cum {
+		r.arrivals[i].b[StageRcvbuf] = now
+		i++
 	}
 	// Defensive: rcv_nxt landing inside an arrival (cannot happen with the
 	// current TCP reassembly, which releases whole reported ranges).
-	if r.inHead < len(r.arrivals) && r.arrivals[r.inHead].start < cum {
-		a := r.arrivals[r.inHead]
-		left := a
+	if i < len(r.arrivals) && r.arrivals[i].start < cum {
+		left := r.arrivals[i]
 		left.end = cum
 		left.b[StageRcvbuf] = now
-		r.arrivals[r.inHead].start = cum
+		r.arrivals[i].start = cum
 		r.arrivals = append(r.arrivals, arrival{})
-		copy(r.arrivals[r.inHead+1:], r.arrivals[r.inHead:])
-		r.arrivals[r.inHead] = left
-		r.inHead++
+		copy(r.arrivals[i+1:], r.arrivals[i:])
+		r.arrivals[i] = left
+		i++
 	}
+	r.inHead = i - r.arrHead
 }
 
 // onAppRead finalizes every arrival the read consumed.
 func (r *Recorder) onAppRead(endSeq uint64, n int) {
 	now := r.wf.now()
 	r.readCum = endSeq
-	for len(r.arrivals) > 0 && r.arrivals[0].start < endSeq {
-		a := r.arrivals[0]
+	for r.arrHead < len(r.arrivals) && r.arrivals[r.arrHead].start < endSeq {
+		a := r.arrivals[r.arrHead]
 		if a.end <= endSeq {
 			r.finalize(a, a.start, a.end, now)
-			r.arrivals = r.arrivals[1:]
+			r.arrHead++
 			if r.inHead > 0 {
 				r.inHead--
 			}
@@ -716,8 +742,16 @@ func (r *Recorder) onAppRead(endSeq uint64, n int) {
 		}
 		// Partially read arrival: finalize the consumed prefix.
 		r.finalize(a, a.start, endSeq, now)
-		r.arrivals[0].start = endSeq
+		r.arrivals[r.arrHead].start = endSeq
 		break
+	}
+	// Compact once the consumed prefix is half the slice — or all of it,
+	// which costs no copy and is what keeps a flow whose reader keeps up
+	// at a few arrivals of capacity.
+	if r.arrHead == len(r.arrivals) || (r.arrHead > 256 && r.arrHead*2 >= len(r.arrivals)) {
+		m := copy(r.arrivals, r.arrivals[r.arrHead:])
+		r.arrivals = r.arrivals[:m]
+		r.arrHead = 0
 	}
 	// Drop sender segment records fully below the read horizon; their
 	// boundaries have been snapshotted into arrivals already.
@@ -778,17 +812,17 @@ func (r *Recorder) retain(rr rangeRec) {
 		r.strideSkip--
 		return
 	}
-	if len(r.ranges) >= maxRanges {
+	if n := r.ranges.Len(); n >= maxRanges {
 		k := 0
-		for i := 0; i < len(r.ranges); i += 2 {
-			r.ranges[k] = r.ranges[i]
+		for i := 0; i < n; i += 2 {
+			*r.ranges.At(k) = *r.ranges.At(i)
 			k++
 		}
-		r.ranges = r.ranges[:k]
+		r.ranges.Truncate(k)
 		r.stride *= 2
 	}
 	r.strideSkip = r.stride - 1
-	r.ranges = append(r.ranges, rr)
+	r.ranges.Append(rr)
 }
 
 // Spans materializes the retained ranges as stage spans (zero-duration
@@ -798,8 +832,8 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	spans := make([]Span, 0, len(r.ranges)*3)
-	for _, rr := range r.ranges {
+	spans := make([]Span, 0, r.ranges.Len()*NumStages)
+	for rr := range r.ranges.All() {
 		for s := 0; s < NumStages; s++ {
 			if rr.b[s+1] <= rr.b[s] {
 				continue
