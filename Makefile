@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test fuzz-smoke bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
+.PHONY: check fmt vet staticcheck build test-poison test fuzz-smoke bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
 
-## check: the full local gate — format, vet, staticcheck, build,
-## race-enabled tests, the CI-sized overload and scale soaks, and the
-## CI-sized conformance gate.
-check: fmt vet staticcheck build test soak-overload-short soak-scale-short conformance-short
+## check: the full local gate — format, vet, staticcheck, build, the
+## packet-lifetime (poison) tests, race-enabled tests, the CI-sized
+## overload and scale soaks, and the CI-sized conformance gate.
+check: fmt vet staticcheck build test-poison test soak-overload-short soak-scale-short conformance-short
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -30,6 +30,16 @@ staticcheck:
 build:
 	$(GO) build ./...
 
+## test-poison: the internal packages' tests with every released packet
+## poisoned (build tag pktpoison: pkt.Release scribbles sentinels and never
+## recycles), so a read after release fails a golden, a digest or an
+## ownership test instead of going unnoticed. No -race: the tag changes
+## what a stale read sees, not who reads. It runs before `test` so it is
+## not lost behind that step's flaky last test. 45 to 75 s on the 2-core
+## box, build included (fleet 55 s beside exp 23 s).
+test-poison:
+	$(GO) test -tags pktpoison ./internal/...
+
 # The exp package replays every table/figure scenario and is the longest
 # package under the race detector. Re-measured after the observers went
 # to O(1) per packet (PR 20), 2-core box, parent and change back to back:
@@ -46,7 +56,12 @@ build:
 # per-ACK window scans out from under tsan.) The per-package timeout is
 # about 4x the slowest package. -shuffle=on randomizes test order so
 # inter-test state dependencies surface instead of hiding behind source
-# order; failures print the shuffle seed to reproduce.
+# order; failures print the shuffle seed to reproduce. Re-measured when
+# packets were pooled (PR 21), parent and change back to back on a box
+# reading slower than at PR 20: test step 513 s -> 519 s (exp 356 -> 357,
+# fleet 359 -> 391 beside it, stack 14 -> 19 and tcp 44 -> 49 for the
+# ownership tests; both ended in the flake above), and a whole
+# `make check` with test-poison in it 694 s, that run all green.
 test:
 	$(GO) test -race -shuffle=on -timeout 20m ./...
 

@@ -535,6 +535,7 @@ func BenchmarkAblationAutotune(b *testing.B) {
 // BenchmarkSimulatorThroughput reports raw engine performance: simulated
 // seconds of a loaded 3-flow testbed per wall-clock second.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		exp.RunScenario(exp.ScenarioConfig{
 			Seed: int64(i + 1), Rate: 10 * units.Mbps, RTT: 50 * units.Millisecond,
@@ -607,37 +608,53 @@ func BenchmarkReconcile(b *testing.B) {
 
 // BenchmarkLinkCrossing measures the per-packet path through one
 // netem.Link: enqueue, serialisation-done event, arrival event, sink. One
-// op is a 256-packet burst drained to completion. Gated at zero allocs/op.
+// op is a 256-packet burst drained to completion. packets=literal sends
+// the same caller-owned packets every burst (the link alone);
+// packets=pooled draws each from a pkt.Pool and releases it in the sink,
+// as the stack does. Both are gated at zero allocs/op.
 func BenchmarkLinkCrossing(b *testing.B) {
 	const burst = 256
-	eng := sim.New(1)
-	delivered := 0
-	l := netem.NewLink(eng, netem.LinkConfig{Rate: 100 * units.Mbps, Delay: 5 * units.Millisecond},
-		func(*pkt.Packet) { delivered++ })
-	pkts := make([]*pkt.Packet, burst)
-	for i := range pkts {
-		pkts[i] = &pkt.Packet{Seq: uint64(i), PayloadLen: 1460, HeaderLen: pkt.DefaultHeaderLen}
-	}
-	cross := func() {
-		for _, p := range pkts {
-			l.Send(p)
-		}
-		eng.Run()
-	}
 	const warm = 3 // the queue's ring settles on its second burst
-	for i := 0; i < warm; i++ {
-		cross()
+	run := func(b *testing.B, next func(i int) *pkt.Packet) {
+		eng := sim.New(1)
+		delivered := 0
+		l := netem.NewLink(eng, netem.LinkConfig{Rate: 100 * units.Mbps, Delay: 5 * units.Millisecond},
+			func(p *pkt.Packet) { delivered++; p.Release() })
+		cross := func() {
+			for i := 0; i < burst; i++ {
+				l.Send(next(i))
+			}
+			eng.Run()
+		}
+		for i := 0; i < warm; i++ {
+			cross()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cross()
+		}
+		b.StopTimer()
+		if delivered != (b.N+warm)*burst {
+			b.Fatalf("delivered %d packets, want %d", delivered, (b.N+warm)*burst)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/pkt")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cross()
-	}
-	b.StopTimer()
-	if delivered != (b.N+warm)*burst {
-		b.Fatalf("delivered %d packets, want %d", delivered, (b.N+warm)*burst)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/pkt")
+	b.Run("packets=literal", func(b *testing.B) {
+		pkts := make([]*pkt.Packet, burst)
+		for i := range pkts {
+			pkts[i] = &pkt.Packet{Seq: uint64(i), PayloadLen: 1460, HeaderLen: pkt.DefaultHeaderLen}
+		}
+		run(b, func(i int) *pkt.Packet { return pkts[i] })
+	})
+	b.Run("packets=pooled", func(b *testing.B) {
+		pool := pkt.NewPool()
+		run(b, func(i int) *pkt.Packet {
+			p := pool.Get()
+			p.Seq, p.PayloadLen, p.HeaderLen = uint64(i), 1460, pkt.DefaultHeaderLen
+			return p
+		})
+	})
 }
 
 // heldWindow is a congestion controller that never reacts, so the peer's

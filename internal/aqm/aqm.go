@@ -18,11 +18,14 @@ import (
 // Discipline is a queueing discipline instance for a single link direction.
 type Discipline interface {
 	// Enqueue offers a packet to the queue at virtual time now. It reports
-	// false if the packet was dropped (tail drop or AQM drop).
+	// false if the packet was dropped (tail drop or AQM drop); the packet
+	// is then still the caller's, to release. Accepted, the queue holds it
+	// until Dequeue hands it on.
 	Enqueue(p *pkt.Packet, now units.Time) bool
 	// Dequeue removes and returns the next packet to transmit, or nil if
 	// the queue is empty. AQMs may drop packets internally before
-	// returning one.
+	// returning one; a packet dropped from inside the queue is released
+	// by the discipline (dropQueued).
 	Dequeue(now units.Time) *pkt.Packet
 	// Len reports the number of queued packets.
 	Len() int
@@ -56,6 +59,8 @@ type Config struct {
 // dropOrMark applies an AQM "drop" decision to p honoring ECN: if ECN is
 // enabled and the packet is ECN-capable it is marked and kept. It reports
 // true if the packet was (or would be) dropped, false if it was marked.
+// It only decides: PIE calls it on the enqueue path, where a drop is the
+// link's to release, so the in-queue callers follow it with dropQueued.
 func dropOrMark(cfg Config, st *Stats, p *pkt.Packet) bool {
 	if cfg.ECN && p.ECT {
 		p.CE = true
@@ -65,6 +70,12 @@ func dropOrMark(cfg Config, st *Stats, p *pkt.Packet) bool {
 	st.AQMDrops++
 	return true
 }
+
+// dropQueued ends the life of a packet the discipline had accepted and now
+// drops from inside the queue: CoDel's and FQ-CoDel's drops at dequeue and
+// FQ-CoDel's overflow drop from the longest flow. Nobody else will see p
+// again, so the discipline releases it here.
+func dropQueued(p *pkt.Packet) { p.Release() }
 
 // fifoRing is a slice-backed FIFO of packets shared by the disciplines.
 type fifoRing struct {

@@ -149,7 +149,8 @@ func (c *CoDel) Dequeue(now units.Time) *pkt.Packet {
 				c.stats.Dequeued++
 				return p
 			}
-			continue // dropped; try the next packet
+			dropQueued(p)
+			continue // try the next packet
 		}
 		c.stats.Dequeued++
 		return p

@@ -136,7 +136,8 @@ func (f *FQCoDel) Dequeue(now units.Time) *pkt.Packet {
 }
 
 // dropFromLongest discards the head packet of the flow with the largest
-// byte backlog.
+// byte backlog. It runs inside Enqueue of a different packet: the victim is
+// released here, the offered packet carries on.
 func (f *FQCoDel) dropFromLongest() {
 	longest := -1
 	maxBytes := 0
@@ -153,6 +154,7 @@ func (f *FQCoDel) dropFromLongest() {
 		f.count--
 		f.bytes -= p.Size()
 		f.stats.AQMDrops++
+		dropQueued(p)
 	}
 }
 
@@ -174,6 +176,7 @@ func (f *FQCoDel) codelDequeue(fl *fqFlow, now units.Time) *pkt.Packet {
 			if !dropOrMark(f.cfg, &f.stats, p) {
 				return p
 			}
+			dropQueued(p)
 			continue
 		}
 		return p

@@ -9,13 +9,15 @@ import (
 // telemetry instrumentation (counters and histograms), a tap sees the
 // packets themselves, which is what per-byte-range attribution needs: the
 // waterfall subsystem uses Enqueued/Dequeued to time each segment's queue
-// residency. All hooks are optional.
+// residency. All hooks are optional. A hook borrows the packet: p is valid
+// only during the call (a rejected packet is released right after
+// Enqueued returns), so a tap copies the fields it keeps.
 //
 // What a tap does not see: a packet the discipline accepts and later
 // drops from inside the queue — CoDel's and FQ-CoDel's drops at dequeue
 // (PIE drops on enqueue, and is seen) — raises no event. It was Enqueued
 // with accepted true and is never Dequeued; only the discipline's own
-// drop counter records it.
+// drop counter records it (and dropQueued releases it).
 type TapHooks struct {
 	// Enqueued fires after every Enqueue attempt; accepted reports whether
 	// the discipline took the packet (false = a rejection at the queue's

@@ -68,14 +68,17 @@ func (inj *Injector) scheduleOsc(p *netem.Path, pf PathFaults, base units.Rate, 
 	})
 }
 
-// ackBatch is the per-direction ACK-compression state.
+// ackBatch is the per-direction ACK-compression state. It holds the
+// packets it batches and passes each on to the sink at the flush.
 type ackBatch struct {
 	held      []*pkt.Packet
 	scheduled bool
 }
 
 // wrapSinks interposes the reorder and ACK faults between each link and
-// its endpoint.
+// its endpoint. The wrapper owns each packet the link delivers: it passes
+// it on to the wrapped sink (now, or later from the reorder closure or the
+// ACK batch) or, on ACK loss, releases it.
 func (inj *Injector) wrapSinks(p *netem.Path, pf PathFaults) {
 	p.WrapSinks(func(reverse bool, s netem.Sink) netem.Sink {
 		batch := &ackBatch{}
@@ -84,6 +87,7 @@ func (inj *Injector) wrapSinks(p *netem.Path, pf PathFaults) {
 				// Pure ACK: loss first, then compression batching.
 				if pf.AckLossProb > 0 && inj.rng.Float64() < pf.AckLossProb {
 					inj.counts.AcksDropped++
+					q.Release()
 					return
 				}
 				if pf.AckCompress > 0 {

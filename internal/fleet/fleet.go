@@ -34,6 +34,7 @@ import (
 	"element/internal/faults"
 	"element/internal/netem"
 	"element/internal/overload"
+	"element/internal/pkt"
 	"element/internal/reqtrace"
 	"element/internal/sim"
 	"element/internal/stack"
@@ -275,6 +276,7 @@ func connSeed(seed int64, id int) int64 {
 type shard struct {
 	fl       *Fleet
 	eng      *sim.Engine
+	pkts     *pkt.Pool // one free list for every connection's Net on eng
 	monitors []*Monitor
 
 	// Per-shard observability buffers (nil when the fleet's are nil),
@@ -350,7 +352,7 @@ func New(cfg Config) *Fleet {
 	f.buildPipeline(nshards)
 
 	for s := 0; s < nshards; s++ {
-		sh := &shard{fl: f, eng: sim.New(connSeed(cfg.Seed, -1-s))}
+		sh := &shard{fl: f, eng: sim.New(connSeed(cfg.Seed, -1-s)), pkts: pkt.NewPool()}
 		if cfg.Telem != nil {
 			sh.telem = telemetry.New()
 			sh.telem.SetClock(sh.eng.Now)
@@ -522,7 +524,7 @@ func (sh *shard) buildConn(m *Monitor) {
 	}
 	sh.wf.TapLink(path.Forward)
 	sh.wf.TapLink(path.Reverse)
-	net := stack.NewNet(eng, path)
+	net := stack.NewNetPool(eng, path, sh.pkts)
 	var sndHooks, rcvHooks stack.TraceHooks
 	if cfg.Stream == nil {
 		// Ground truth costs O(samples) per connection; stream mode's

@@ -28,6 +28,8 @@ func mm1Cell(seed int64, rho float64, npackets int) float64 {
 	fifo := aqm.NewFIFO(aqm.Config{LimitPackets: 1 << 20})
 	link := netem.NewLink(eng, netem.LinkConfig{Rate: mm1Rate, Discipline: fifo},
 		func(p *pkt.Packet) {})
+	// Keyed by pointer: that names one packet only because every packet
+	// here is a literal of its own, never a pooled one that comes back.
 	enqueued := map[*pkt.Packet]units.Time{}
 	var waitSum float64
 	var waited int

@@ -12,7 +12,9 @@ import (
 	"element/internal/units"
 )
 
-// Sink consumes packets delivered by a link.
+// Sink consumes packets delivered by a link: it takes ownership, and passes
+// the packet on or releases it (stack.Net's demux is the terminal one). As
+// the lost tap of Link.Tap a Sink only borrows p for the call.
 type Sink func(p *pkt.Packet)
 
 // LinkStats are cumulative counters for one link direction.
@@ -117,11 +119,16 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, sink Sink) *Link {
 	return l
 }
 
-// Send offers a packet to the link. Packets rejected by the queue are
-// dropped silently (the queue's stats record the drop).
+// Send offers a packet to the link and takes ownership of it. A packet the
+// queue rejects (tail drop, PIE's enqueue drop) is released here, after the
+// tap and instrument wrappers around the discipline have seen it, so p may
+// be back in its pool when Send returns; the queue's stats record the drop.
+// An accepted packet is the link's until it hands it to the sink, or
+// releases it on random loss.
 func (l *Link) Send(p *pkt.Packet) {
 	l.stats.Sent++
 	if !l.disc.Enqueue(p, l.eng.Now()) {
+		p.Release()
 		return
 	}
 	if !l.busy {
@@ -160,6 +167,7 @@ func (l *Link) deliver(p *pkt.Packet) {
 		if l.onLost != nil {
 			l.onLost(p)
 		}
+		p.Release()
 		return
 	}
 	d := l.delay

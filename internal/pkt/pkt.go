@@ -1,6 +1,12 @@
 // Package pkt defines the Packet type exchanged between protocol endpoints
 // and network elements. It is shared by the TCP stack, the UDP-based
 // low-latency protocols, the probing tools, and the queueing disciplines.
+//
+// Ownership: a *Packet has exactly one owner. Whoever is handed one either
+// passes it on or calls Release, and Release is the last thing it does
+// with the packet. Observers (taps, trace hooks) borrow the packet for the
+// call and copy what they keep. DESIGN §9 lists the creators, holders and
+// release points; pool.go holds the free list Release returns packets to.
 package pkt
 
 import (
@@ -29,10 +35,15 @@ const DefaultHeaderLen = 40
 // Range is a half-open byte range [Start, End) used for SACK blocks.
 type Range struct{ Start, End uint64 }
 
+// MaxSackBlocks is how many SACK blocks one packet can carry — what the
+// TCP option space allows.
+const MaxSackBlocks = 4
+
 // Packet is a network packet in flight or in a queue. Fields beyond the
 // universal ones (sizes, flow identity, ECN bits) are interpreted by the
-// protocol that created the packet: TCP uses Seq/Ack/Flags, UDP-based
-// protocols and probes carry their state in Payload.
+// protocol that created the packet: TCP uses Seq/Ack/Flags, probes carry
+// their id in Seq (echoed in Ack), UDP-based protocols number datagrams in
+// Seq and put their feedback report in Payload.
 type Packet struct {
 	// FlowID identifies the flow for fair-queueing and per-flow stats.
 	FlowID int
@@ -50,7 +61,9 @@ type Packet struct {
 	// Wnd is the advertised receive window in bytes (on ACKs).
 	Wnd int
 	// Sack carries up to a few selective-acknowledgment blocks (received
-	// byte ranges above Ack), like the TCP SACK option.
+	// byte ranges above Ack), like the TCP SACK option. The creator builds
+	// it on SackBuf, so it aliases the packet's own storage: a Packet that
+	// carries blocks is never copied by value.
 	Sack []Range
 
 	// ECN bits. ECT marks an ECN-capable transport; CE is set by an AQM in
@@ -73,10 +86,20 @@ type Packet struct {
 	// basis for sojourn-time AQMs (CoDel, PIE).
 	EnqueuedAt units.Time
 
-	// Payload carries protocol-private data for non-TCP protocols
-	// (probe IDs, UDP protocol headers, VR frame metadata).
+	// Payload carries protocol-private data for non-TCP protocols (the
+	// UDP protocols' feedback report). Per-packet state belongs in the
+	// fields above: boxing it here costs an allocation per packet.
 	Payload any
+
+	sackBuf  [MaxSackBlocks]Range // inline storage for Sack
+	pool     *Pool                // where Release returns it; nil for a literal
+	released bool                 // set between Release and the next Get
 }
+
+// SackBuf returns the packet's inline SACK storage, empty, with capacity
+// MaxSackBlocks. Appending up to that many blocks and assigning the result
+// to Sack allocates nothing.
+func (p *Packet) SackBuf() []Range { return p.sackBuf[:0] }
 
 // Size reports the wire size of the packet in bytes.
 func (p *Packet) Size() int {

@@ -14,8 +14,6 @@
 package probes
 
 import (
-	"sync"
-
 	"element/internal/pkt"
 	"element/internal/sim"
 	"element/internal/stack"
@@ -23,23 +21,12 @@ import (
 	"element/internal/units"
 )
 
-// probePayload identifies a probe packet and its echo.
-type probePayload struct {
-	id     int
-	sentAt units.Time
-}
-
-// payloadPool recycles probe payloads between send and echo receipt, so
-// an always-on prober stops allocating one boxed payload per probe (the
-// same snapshot-reuse discipline as tcpinfo.Get/Put). A payload lost
-// with its packet simply falls to the GC — it is never double-referenced.
-var payloadPool = sync.Pool{New: func() any { return new(probePayload) }}
-
 // RTTProber is the common machinery of tcpping/paping/hping3: send a small
 // TCP control packet, wait for the peer's immediate response, record the
 // round trip. The three tools differ only in packet details that do not
 // matter at this abstraction level, so each gets a named constructor for
-// reporting purposes.
+// reporting purposes. A probe carries its id in Seq (as a SYN carries its
+// initial sequence number), and the response echoes it in Ack.
 type RTTProber struct {
 	name     string
 	eng      *sim.Engine
@@ -47,8 +34,8 @@ type RTTProber struct {
 	flowID   int
 	interval units.Duration
 	rtts     stats.Series
-	nextID   int
-	inFlight map[int]units.Time
+	nextID   uint64
+	inFlight map[uint64]units.Time
 	ticker   sim.Timer
 	stopped  bool
 }
@@ -62,28 +49,21 @@ func newRTTProber(name string, net *stack.Net, interval units.Duration) *RTTProb
 		net:      net,
 		flowID:   net.AllocProbeFlowID(),
 		interval: interval,
-		inFlight: make(map[int]units.Time),
+		inFlight: make(map[uint64]units.Time),
 	}
 	// The B side behaves like a server replying to SYN with SYN-ACK (or
 	// RST): an immediate, kernel-level response that never touches the
 	// application layer.
 	net.RegisterB(p.flowID, func(q *pkt.Packet) {
-		resp := &pkt.Packet{
-			FlowID:    p.flowID,
-			Flags:     pkt.FlagSYN | pkt.FlagACK,
-			HeaderLen: pkt.DefaultHeaderLen,
-			Payload:   q.Payload,
-		}
+		resp := net.Pool().Get()
+		resp.FlowID = p.flowID
+		resp.Flags = pkt.FlagSYN | pkt.FlagACK
+		resp.HeaderLen = pkt.DefaultHeaderLen
+		resp.Ack = q.Seq
 		net.Path().SendBtoA(resp)
 	})
 	net.RegisterA(p.flowID, func(q *pkt.Packet) {
-		pl, ok := q.Payload.(*probePayload)
-		if !ok {
-			return
-		}
-		id := pl.id
-		q.Payload = nil
-		payloadPool.Put(pl)
+		id := q.Ack
 		if sentAt, ok := p.inFlight[id]; ok {
 			delete(p.inFlight, id)
 			p.rtts = append(p.rtts, stats.Sample{
@@ -125,15 +105,13 @@ func (p *RTTProber) sendProbe() {
 	id := p.nextID
 	now := p.eng.Now()
 	p.inFlight[id] = now
-	pl := payloadPool.Get().(*probePayload)
-	pl.id, pl.sentAt = id, now
-	p.net.Path().SendAtoB(&pkt.Packet{
-		FlowID:    p.flowID,
-		Flags:     pkt.FlagSYN,
-		HeaderLen: pkt.DefaultHeaderLen,
-		SentAt:    now,
-		Payload:   pl,
-	})
+	q := p.net.Pool().Get()
+	q.FlowID = p.flowID
+	q.Flags = pkt.FlagSYN
+	q.HeaderLen = pkt.DefaultHeaderLen
+	q.Seq = id
+	q.SentAt = now
+	p.net.Path().SendAtoB(q)
 }
 
 // Name reports the emulated tool's name.

@@ -15,7 +15,9 @@ import (
 // Figure 1/5: application write/read at the socket API, and TCP
 // transmit/receive in the transport layer — plus finer-grained points
 // (in-order advance, raw packet arrival, sndbuf resizes) used by the
-// waterfall attribution. All hooks are optional.
+// waterfall attribution. All hooks are optional. The three packet hooks
+// borrow p: it is valid only during the call, so an observer copies the
+// fields it keeps.
 type TraceHooks struct {
 	AppWrite     func(endSeq uint64, n int)         // socket write accepted n bytes up to endSeq
 	TCPTransmit  func(seq uint64, n int, retx bool) // tcp_transmit_skb
@@ -197,6 +199,7 @@ func dial(n *Net, cfg ConnConfig, reverse bool) *Conn {
 		CC:     alg,
 		ECN:    cfg.ECN,
 		Telem:  tcpSc,
+		Pool:   n.pool,
 		Out: func(p *pkt.Packet) {
 			if sndSock.hooks.PacketSent != nil {
 				sndSock.hooks.PacketSent(p)
@@ -216,6 +219,7 @@ func dial(n *Net, cfg ConnConfig, reverse bool) *Conn {
 		MSS:    mss,
 		ECN:    cfg.ECN,
 		Telem:  tcpSc,
+		Pool:   n.pool,
 		RcvBuf: rcvBuf,
 		Out: func(p *pkt.Packet) {
 			if rcvSock.hooks.AckSent != nil {

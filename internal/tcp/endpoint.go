@@ -64,8 +64,14 @@ type Config struct {
 	// ECN negotiates ECN: data packets are sent ECT and CE marks are
 	// echoed back as ECE.
 	ECN bool
-	// Out transmits a packet toward the peer (required).
+	// Out transmits a packet toward the peer (required). It takes
+	// ownership: a tail drop releases the packet before Out returns, so the
+	// endpoint reads nothing of it afterwards.
 	Out func(*pkt.Packet)
+	// Pool is where the endpoint's segments and ACKs come from; whoever
+	// ends up with one releases it (stack.Net's demux, or a drop site).
+	// Nil means heap packets that the GC owns.
+	Pool *pkt.Pool
 	// RcvBuf is the receive buffer (nil = default capacity).
 	RcvBuf *sockbuf.ReceiveBuffer
 
@@ -339,14 +345,13 @@ func fireDelayedAck(arg any) { arg.(*Endpoint).onDelayedAck() }
 // or nil to send new data at snd_nxt.
 func (e *Endpoint) transmit(seg *sentSeg, n int) {
 	now := e.eng.Now()
-	p := &pkt.Packet{
-		FlowID:     e.cfg.FlowID,
-		Seq:        e.sndNxt,
-		PayloadLen: n,
-		HeaderLen:  pkt.DefaultHeaderLen,
-		ECT:        e.cfg.ECN,
-		SentAt:     now,
-	}
+	p := e.cfg.Pool.Get()
+	p.FlowID = e.cfg.FlowID
+	p.Seq = e.sndNxt
+	p.PayloadLen = n
+	p.HeaderLen = pkt.DefaultHeaderLen
+	p.ECT = e.cfg.ECN
+	p.SentAt = now
 	e.segsOut++
 	e.pipeBytes += n
 	if seg != nil {
@@ -482,7 +487,7 @@ func (e *Endpoint) processSack(blocks []pkt.Range) bool {
 	// blocks by ascending Start does that even when they overlap. The copy
 	// leaves the packet as it arrived; up to the four blocks the option
 	// space allows it stays on the stack.
-	var buf [4]pkt.Range
+	var buf [pkt.MaxSackBlocks]pkt.Range
 	sorted := append(buf[:0], blocks...)
 	for i := 1; i < len(sorted); i++ {
 		for j := i; j > 0 && sorted[j].Start < sorted[j-1].Start; j-- {
@@ -816,13 +821,6 @@ func (e *Endpoint) reportNew(seq, end uint64) {
 	}
 }
 
-// sackAck is an ACK together with the storage for its SACK blocks. ACKs
-// without blocks stay bare packets.
-type sackAck struct {
-	pkt.Packet
-	blocks [4]pkt.Range
-}
-
 // sendAck emits a (possibly duplicate) cumulative ACK.
 func (e *Endpoint) sendAck() {
 	e.unackedSegs = 0
@@ -830,17 +828,14 @@ func (e *Endpoint) sendAck() {
 	held := int(e.rcvNxt-e.appConsumed) + e.oooBytes
 	wnd := e.rcvBuf.AdvertisedWindow(held)
 	e.lastAdvWnd = wnd
-	var p *pkt.Packet
-	if len(e.ooo) == 0 {
-		p = &pkt.Packet{}
-	} else {
-		// Include up to four SACK blocks, like the TCP option space allows;
-		// the ACK and its blocks are one allocation. Per RFC 2018 the first
-		// block must be the range containing the most recently received
-		// segment — with many holes this is what lets the sender learn
-		// about every delivered range, not just the lowest ones.
-		a := &sackAck{}
-		sack := a.blocks[:0]
+	p := e.cfg.Pool.Get()
+	if len(e.ooo) > 0 {
+		// Include up to four SACK blocks, like the TCP option space allows,
+		// in the packet's own storage. Per RFC 2018 the first block must be
+		// the range containing the most recently received segment — with
+		// many holes this is what lets the sender learn about every
+		// delivered range, not just the lowest ones.
+		sack := p.SackBuf()
 		first := e.oooFrom(e.lastArrival.start + 1)
 		if first < len(e.ooo) && e.ooo[first].start <= e.lastArrival.start {
 			sack = append(sack, pkt.Range{Start: e.ooo[first].start, End: e.ooo[first].end})
@@ -852,7 +847,6 @@ func (e *Endpoint) sendAck() {
 				sack = append(sack, pkt.Range{Start: e.ooo[i].start, End: e.ooo[i].end})
 			}
 		}
-		p = &a.Packet
 		p.Sack = sack
 	}
 	p.FlowID = e.cfg.FlowID

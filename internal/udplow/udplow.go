@@ -30,13 +30,9 @@ const datagramSize = 1400
 // feedbackInterval is how often the receiver reports back.
 const feedbackInterval = 20 * units.Millisecond
 
-// dgram is the protocol payload carried in packets.
-type dgram struct {
-	seq    int
-	sentAt units.Time
-}
-
-// feedback is the receiver's periodic report.
+// A data datagram carries its sequence number and send time in the
+// packet's own Seq and SentAt. feedback is the receiver's periodic report,
+// carried as the Payload of a packet toward the sender.
 type feedback struct {
 	received   int            // datagrams received so far
 	deliveryBW units.Rate     // delivery rate over the last interval
@@ -56,7 +52,7 @@ type Flow struct {
 	control func(fb feedback) units.Rate
 
 	rate    units.Rate
-	nextSeq int
+	nextSeq uint64
 	timer   sim.Timer
 	stopped bool
 
@@ -83,12 +79,8 @@ func newFlow(name string, net *stack.Net, control func(*Flow, feedback) units.Ra
 
 	// Receiver at B: record delays, periodically send feedback.
 	net.RegisterB(f.flowID, func(q *pkt.Packet) {
-		d, ok := q.Payload.(dgram)
-		if !ok {
-			return
-		}
 		now := f.eng.Now()
-		oneWay := now.Sub(d.sentAt)
+		oneWay := now.Sub(q.SentAt)
 		if f.minOneWay == 0 || oneWay < f.minOneWay {
 			f.minOneWay = oneWay
 		}
@@ -132,14 +124,13 @@ func (f *Flow) scheduleSend() {
 			return
 		}
 		f.nextSeq++
-		now := f.eng.Now()
-		f.net.Path().SendAtoB(&pkt.Packet{
-			FlowID:     f.flowID,
-			PayloadLen: datagramSize,
-			HeaderLen:  pkt.DefaultHeaderLen,
-			SentAt:     now,
-			Payload:    dgram{seq: f.nextSeq, sentAt: now},
-		})
+		q := f.net.Pool().Get()
+		q.FlowID = f.flowID
+		q.PayloadLen = datagramSize
+		q.HeaderLen = pkt.DefaultHeaderLen
+		q.Seq = f.nextSeq
+		q.SentAt = f.eng.Now()
+		f.net.Path().SendAtoB(q)
 		f.scheduleSend()
 	})
 }
@@ -158,14 +149,14 @@ func (f *Flow) scheduleFeedback() {
 		}
 		f.lastCount = f.received
 		f.lastFbAt = now
-		f.net.Path().SendBtoA(&pkt.Packet{
-			FlowID:    f.flowID,
-			Flags:     pkt.FlagACK,
-			HeaderLen: pkt.DefaultHeaderLen,
-			Payload: feedback{
-				received: f.received, deliveryBW: bw, qdelay: f.qdelayEWMA,
-			},
-		})
+		q := f.net.Pool().Get()
+		q.FlowID = f.flowID
+		q.Flags = pkt.FlagACK
+		q.HeaderLen = pkt.DefaultHeaderLen
+		q.Payload = feedback{
+			received: f.received, deliveryBW: bw, qdelay: f.qdelayEWMA,
+		}
+		f.net.Path().SendBtoA(q)
 		f.scheduleFeedback()
 	})
 }
