@@ -69,14 +69,17 @@ test:
 ## is a from-scratch reference — the event queue against container/heap
 ## (with the heap/slab/lane invariants checked after every op), the SACK
 ## scoreboard against the full-window scans, and the waterfall recorder's
-## link table and arrival queue against the sorted slices they replaced.
-## Corpus replays already run in `make test`; this looks for new inputs.
+## link table and arrival queue against the sorted slices they replaced,
+## and the sketch's bit-read bucket index against its math.Frexp
+## definition. Corpus replays already run in `make test`; this looks for
+## new inputs.
 ## One target per go test run (go fuzz rejects several), two workers so a
 ## 2-core CI box is not oversubscribed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 20s -parallel 2 ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreboard$$' -fuzztime 20s -parallel 2 ./internal/tcp
 	$(GO) test -run '^$$' -fuzz '^FuzzRecorder$$' -fuzztime 20s -parallel 2 ./internal/waterfall
+	$(GO) test -run '^$$' -fuzz '^FuzzSketchIndex$$' -fuzztime 20s -parallel 2 ./internal/telemetry/stream
 
 ## conformance: the full analytical-twin conformance run — every
 ## hypothesis fit across seeds 1..5 at full sweep resolution plus the
@@ -121,10 +124,10 @@ soak-overload-short:
 	$(GO) test -race -timeout 10m -run TestFleetOverloadSoakShort -v ./internal/fleet/
 
 ## soak-scale: the million-monitor-mode scale soak — 100k closed-form
-## flows through the per-shard event loops (hashed timer wheel, SoA
-## lite columns, budget-gated two-phase escalation) under the race
-## detector, asserting zero goroutine leaks and a byte-identical result
-## across two different shard counts of the same seed.
+## flows through the per-shard event loops (static poll schedule, SoA
+## lite columns in poll order, budget-gated two-phase escalation) under
+## the race detector, asserting zero goroutine leaks and a byte-identical
+## result across two different shard counts of the same seed.
 soak-scale:
 	$(GO) test -race -timeout 30m -run 'TestFleetScaleSoak$$' -v ./internal/fleet/
 

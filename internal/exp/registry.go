@@ -60,7 +60,7 @@ var Registry = []Experiment{
 	{"overload", "Overload governor: budgeted shedding and backpressured export",
 		"unbudgeted vs budgeted vs budgeted+flapping-sink fleets: degradation-ladder sheds and reclaims, widened-but-flagged bounds, queue retry/backoff accounting", Overload},
 	{"scale", "Million-monitor fleet: event-loop polling with two-phase escalation",
-		"closed-form flows on per-shard timer wheels at 10k-100k scale: escalation funnel, merged quantiles, per-poll cost independent of fleet size", Scale},
+		"closed-form flows on per-shard static poll schedules at 10k-100k scale: escalation funnel, merged quantiles, per-poll cost independent of fleet size", Scale},
 }
 
 // Register appends an experiment contributed by a higher layer. The

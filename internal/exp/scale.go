@@ -9,10 +9,11 @@ import (
 )
 
 // Scale demonstrates the million-monitor mode: per-shard event loops
-// over a hashed timer wheel, struct-of-arrays lite trackers, and
-// budget-gated two-phase escalation — the same pipeline the big fleet
-// runs, with the simulated stack replaced by closed-form flows so one
-// process can poll a fleet the paper's deployment section describes.
+// over a static poll schedule, struct-of-arrays lite trackers laid out
+// in poll order, and budget-gated two-phase escalation — the same
+// pipeline the big fleet runs, with the simulated stack replaced by
+// closed-form flows so one process can poll a fleet the paper's
+// deployment section describes.
 // Rows sweep the fleet size an order of magnitude at a time; every run
 // reports the escalation funnel and the merged run-wide quantiles. With
 // DefaultTelemetry attached, the scale fleet's snd/rcv poll counters

@@ -102,8 +102,16 @@ func FuzzScaleResume(f *testing.F) {
 				if overload.Tier(sh.tier[slot]) >= overload.TierCounters {
 					t.Fatalf("slot %d escalated on degraded tier %d", slot, sh.tier[slot])
 				}
-				if id := sh.ids[slot]; int(id)%len(fl.shards) != si || int(id)/len(fl.shards) != int(slot) {
-					t.Fatalf("full entry id %d landed on shard %d slot %d: wrong home", id, si, slot)
+				if home, at := fl.shardSlot(int(sh.ids[slot])); home != sh || at != slot {
+					t.Fatalf("full entry id %d landed on shard %d slot %d: wrong home", sh.ids[slot], si, slot)
+				}
+			}
+			// ids and slotOf are inverse permutations of the shard's flows,
+			// wherever the layout put them: they are equally long, so
+			// slotOf undoing ids at every slot makes both bijections.
+			for slot, id := range sh.ids {
+				if int(id)%len(fl.shards) != si || sh.slotOf[int(id)/len(fl.shards)] != int32(slot) {
+					t.Fatalf("shard %d slot %d holds id %d, whose home is elsewhere", si, slot, id)
 				}
 			}
 		}

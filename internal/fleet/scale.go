@@ -19,11 +19,11 @@ import (
 // event loops, barrier-synchronized streaming telemetry, the overload
 // governor — applied to 10^6 flows by inverting the default
 // granularity: every flow starts in the lightweight phase (16 bytes of
-// lite-poll state in struct-of-arrays columns, a hashed timer wheel
-// deadline, windowed sketch aggregation) and only flows whose lite
-// estimates trip the escalation trigger are promoted to a full
-// SenderTracker with a retained measurement series — the two-phase
-// Dapper-style design from the streaming layer, at fleet scale.
+// lite-poll state in struct-of-arrays columns laid out in poll order,
+// windowed sketch aggregation) and only flows whose lite estimates trip
+// the escalation trigger are promoted to a full SenderTracker with a
+// retained measurement series — the two-phase Dapper-style design from
+// the streaming layer, at fleet scale.
 //
 // Workload counters come from the closed-form synthetic flows in
 // synth.go, so every observable is a pure function of (seed, flow id,
@@ -41,7 +41,7 @@ type ScaleConfig struct {
 	// Duration is the virtual run length (default 10 s).
 	Duration units.Duration
 	// Interval is the per-flow lite poll period (default 100 ms — the
-	// fleet-scale setting; escalated flows poll every wheel tick).
+	// fleet-scale setting; escalated flows poll every tick).
 	Interval units.Duration
 	// Shards is the worker count (0 = GOMAXPROCS, capped at Flows).
 	// Results are invariant.
@@ -109,7 +109,7 @@ func (c ScaleConfig) normalize() ScaleConfig {
 	return c
 }
 
-// gran is the wheel tick width: an eighth of the poll interval when it
+// gran is the tick width: an eighth of the poll interval when it
 // divides evenly (so per-flow phases spread polls across sub-ticks of
 // the interval instead of thundering on one instant), else the interval
 // itself.
@@ -120,9 +120,12 @@ func (c ScaleConfig) gran() units.Duration {
 	return c.Interval
 }
 
+// period is the number of ticks in one poll interval: 8 or 1.
+func (c ScaleConfig) period() int64 { return int64(c.Interval / c.gran()) }
+
 // slice is the barrier length: ~1/64 of the run, never under one poll
-// interval, rounded up to a whole number of intervals so wheel ticks
-// and barriers share a grid. Barrier times are a pure function of the
+// interval, rounded up to a whole number of intervals so ticks and
+// barriers share a grid. Barrier times are a pure function of the
 // config — never of the shard count — which is what keeps stream seals
 // and governor ticks shard-invariant.
 func (c ScaleConfig) slice() units.Duration {
@@ -147,16 +150,33 @@ type scaleFull struct {
 }
 
 // scaleShard is one worker: a bare engine used only as the clock for
-// escalated trackers, the timer wheel, and the lite flow state in
-// packed parallel columns indexed by slot.
+// escalated trackers, the static poll schedule, and the lite flow state
+// in packed parallel columns indexed by slot.
+//
+// The schedule is computed, not queued. Every poll is followed by the
+// next exactly one Interval later — parked flows included — and nothing
+// ever cancels, so a flow's deadlines are its first tick plus whole
+// periods, for ever, and the order a timer queue would fire them in is
+// known at construction. Slots are laid out in that order: sorted by
+// (class = first tick mod period, late before on-time, flow id), where a
+// flow is late when its phase rounds up to tick period+1 and so shares a
+// class with the flows that first fired a whole period earlier. Tick t
+// then polls the contiguous slot range of class t mod period as one
+// sequential sweep over the columns. Late flows lead their class because
+// a queue fires in arm order, and their one deadline was armed at
+// construction, before the on-time flows re-armed at their first poll.
 type scaleShard struct {
 	fl  *ScaleFleet
 	eng *sim.Engine
-	wh  *wheel
 	now units.Time
 
-	ids   []int32 // slot → global flow id
-	flows []synthFlow
+	// Class c owns slots lo[c] ≤ slot < lo[c+1]; the first late[c] of
+	// them are skipped while tick ≤ period.
+	lo, late []int32
+
+	ids    []int32 // slot → global flow id
+	slotOf []int32 // flow id / shard count → slot: the inverse of ids
+	flows  []synthFlow
 
 	// Lite poll state, struct-of-arrays: previous drained counter and
 	// smoothed drain rate per side, escalation streak, last poll
@@ -243,8 +263,8 @@ type ScaleFleet struct {
 
 // NewScale builds a scale fleet: flows deal round-robin onto shards
 // (flow id mod shard count — the same id-keyed re-homing rule the big
-// fleet uses, so snapshots restore into any layout), each shard gets a
-// wheel sized for its population, and every flow's first deadline is
+// fleet uses, so snapshots restore into any layout), and each shard
+// lays its flows out in poll order, every flow's first deadline
 // phase-spread across the interval from its parameter hash.
 func NewScale(cfg ScaleConfig) *ScaleFleet {
 	cfg = cfg.normalize()
@@ -261,8 +281,10 @@ func NewScale(cfg ScaleConfig) *ScaleFleet {
 		usage:    f.meterUsage,
 		apply:    f.applyTier,
 	}
-	gran := cfg.gran()
 	scfg := shardStreamConfig(cfg.Window, 0, cfg.slice(), 0)
+	// Sort scratch, shared by the shards: shard 0 is never the smaller.
+	most := (cfg.Flows + cfg.Shards - 1) / cfg.Shards
+	params, keys := make([]synthFlow, most), make([]uint8, most)
 	for s := 0; s < cfg.Shards; s++ {
 		n := cfg.Flows / cfg.Shards
 		if s < cfg.Flows%cfg.Shards {
@@ -271,8 +293,8 @@ func NewScale(cfg ScaleConfig) *ScaleFleet {
 		sh := &scaleShard{
 			fl:        f,
 			eng:       sim.New(connSeed(cfg.Seed, -1-s)),
-			wh:        newWheel(gran, n, n/4),
 			ids:       make([]int32, n),
+			slotOf:    make([]int32, n),
 			flows:     make([]synthFlow, n),
 			sndPrev:   make([]uint64, n),
 			sndRate:   make([]float64, n),
@@ -284,26 +306,57 @@ func NewScale(cfg ScaleConfig) *ScaleFleet {
 			full:      map[int32]*scaleFull{},
 			stream:    stream.New(scfg),
 		}
+		sh.schedule(s, params[:n], keys[:n])
 		sh.seSnd = sh.stream.Series("snd_delay")
 		sh.seRcv = sh.stream.Series("rcv_delay")
 		f.pipe.addStream(sh.stream)
 		f.shards = append(f.shards, sh)
 	}
-	for id := 0; id < cfg.Flows; id++ {
-		sh := f.shards[id%cfg.Shards]
-		slot := int32(id / cfg.Shards)
-		sh.ids[slot] = int32(id)
-		fl := synthParams(cfg.Seed, int32(id))
-		sh.flows[slot] = fl
-		// First deadline: the flow's phase within one interval, plus a
-		// tick so the first dt is strictly positive. The wheel
-		// quantizes up; subsequent polls re-arm at +Interval, keeping
-		// the phase.
-		phase := units.Time(int64(fl.hash%uint64(cfg.Interval)) + int64(gran))
-		sh.wh.arm(slot, phase)
-	}
 	f.applyResume()
 	return f
+}
+
+// schedule lays shard s's flows out in poll order: a counting sort in
+// two passes over the shard's ids, ascending both times, so slots within
+// a sort key stay in id order. The key is 2·class, plus one for on-time
+// flows. params and keys are scratch, one element per flow.
+func (sh *scaleShard) schedule(s int, params []synthFlow, keys []uint8) {
+	cfg := &sh.fl.cfg
+	gran, period := uint64(cfg.gran()), cfg.period()
+	start := make([]int32, 2*period+1) // start[k+1] counts key k, then start[k] is its first slot
+	for i := range params {
+		fl := synthParams(cfg.Seed, int32(s+i*cfg.Shards))
+		// First deadline: the flow's phase within one interval, plus a
+		// tick so the first dt is strictly positive, quantized up to the
+		// tick grid — tick 1 to period+1. Later polls are +Interval each,
+		// keeping the phase. Interval is period ticks and period a power
+		// of two, so ⌈(hash mod Interval)/gran⌉ takes one division.
+		tick := 1 + int64(fl.hash/gran)&(period-1)
+		if fl.hash%gran != 0 {
+			tick++
+		}
+		key := uint8(2 * (tick & (period - 1)))
+		if tick <= period {
+			key++
+		}
+		params[i], keys[i] = fl, key
+		start[key+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	sh.lo, sh.late = make([]int32, period+1), make([]int32, period)
+	for c := range sh.late {
+		sh.lo[c], sh.late[c] = start[2*c], start[2*c+1]-start[2*c]
+	}
+	sh.lo[period] = int32(len(params))
+	for i, key := range keys {
+		slot := start[key]
+		start[key]++
+		sh.flows[slot] = params[i]
+		sh.ids[slot] = int32(s + i*cfg.Shards)
+		sh.slotOf[i] = slot
+	}
 }
 
 // applyResume re-homes a snapshot into the freshly built fleet: tiers
@@ -356,7 +409,8 @@ func (f *ScaleFleet) Shards() int { return len(f.shards) }
 
 // shardSlot maps a global flow id to its (shard, slot) home.
 func (f *ScaleFleet) shardSlot(id int) (*scaleShard, int32) {
-	return f.shards[id%len(f.shards)], int32(id / len(f.shards))
+	sh := f.shards[id%len(f.shards)]
+	return sh, sh.slotOf[id/len(f.shards)]
 }
 
 // Run executes the scale run: shards advance in parallel to each
@@ -376,45 +430,55 @@ func (f *ScaleFleet) RunContext(ctx context.Context) *ScaleResult {
 	return res
 }
 
-// advance steps the shard's wheel tick-by-tick to the barrier. Every
-// fired batch polls at its exact tick instant; the bare engine tracks
-// the same instant so escalated trackers timestamp correctly.
+// advance steps the shard tick by tick to the barrier. Every tick polls
+// its class's slot range at the exact tick instant; the bare engine
+// tracks the same instant so escalated trackers timestamp correctly.
 //
-// Escalated flows additionally record a write at every wheel tick, not
-// just their poll ticks: the tracker's delay resolution is the spacing
-// of its write records (a record pushed at the poll instant itself can
-// only ever match one whole interval later, which would pin every
-// escalated estimate at exactly the interval). Tick-grain writes
-// restore sub-interval resolution — and the escalated set is small and
+// Escalated flows additionally record a write at every tick, not just
+// their poll ticks: the tracker's delay resolution is the spacing of its
+// write records (a record pushed at the poll instant itself can only
+// ever match one whole interval later, which would pin every escalated
+// estimate at exactly the interval). Tick-grain writes restore
+// sub-interval resolution — and the escalated set is small and
 // budget-bounded, so the extra per-tick sweep is O(live full), not
 // O(flows).
 func (sh *scaleShard) advance(to units.Time) {
-	g := sh.wh.gran
+	g := sh.fl.cfg.gran()
 	for t := sh.now.Add(g); t <= to; t = t.Add(g) {
-		fired := sh.wh.expire(t)
-		if len(fired) == 0 && len(sh.full) == 0 {
+		lo, hi := sh.due(int64(t) / int64(g))
+		if lo == hi && len(sh.full) == 0 {
 			continue
 		}
 		sh.eng.RunUntil(t)
 		for slot, fu := range sh.full {
 			sh.pollFull(slot, fu, t)
 		}
-		sh.pollBatch(t, fired)
+		sh.pollBatch(t, lo, hi)
 	}
 	sh.eng.RunUntil(to)
 	sh.now = to
 }
 
-// pollBatch services one wheel tick's expiries: a packed sweep over the
-// fired slots' columns. Lite flows take a LitePoll per side and feed
-// the shard sketches; escalated flows drive their full tracker instead
-// of the lite send path. Steady state allocates nothing — the wheel
-// batch, the columns and the open stream windows are all reused.
-func (sh *scaleShard) pollBatch(now units.Time, fired []int32) {
+// due is the slot range tick polls: its class, less the late prefix
+// until that has come due.
+func (sh *scaleShard) due(tick int64) (lo, hi int32) {
+	period := int64(len(sh.late))
+	c := tick % period
+	lo, hi = sh.lo[c], sh.lo[c+1]
+	if tick <= period {
+		lo += sh.late[c]
+	}
+	return lo, hi
+}
+
+// pollBatch services one tick: a sequential sweep over the columns of
+// slots lo to hi. Lite flows take a LitePoll per side and feed the shard
+// sketches; escalated flows drive their full tracker instead of the lite
+// send path. It allocates nothing — the columns and the open stream
+// windows are all reused.
+func (sh *scaleShard) pollBatch(now units.Time, lo, hi int32) {
 	cfg := &sh.fl.cfg
-	interval := cfg.Interval
-	for _, slot := range fired {
-		sh.wh.arm(slot, now.Add(interval))
+	for slot := lo; slot < hi; slot++ {
 		if overload.Tier(sh.tier[slot]) == overload.TierParked {
 			sh.parkedSkips++
 			continue
@@ -423,11 +487,13 @@ func (sh *scaleShard) pollBatch(now units.Time, fired []int32) {
 		dt := units.Duration(int64(now) - sh.lastPoll[slot])
 		sh.lastPoll[slot] = int64(now)
 		sketch := overload.Tier(sh.tier[slot]) <= overload.TierSketch
+		// What the sender has had acknowledged is what the receiver has
+		// been handed: one evaluation serves both sides.
+		acked := fl.acked(now)
 
 		if sh.full[slot] == nil {
-			enq, dr := fl.written(now), fl.acked(now)
-			delay, rate, flg := core.LitePoll(enq, dr, sh.sndPrev[slot], sh.sndRate[slot], dt)
-			sh.sndPrev[slot], sh.sndRate[slot] = dr, rate
+			delay, rate, flg := core.LitePoll(fl.written(now), acked, sh.sndPrev[slot], sh.sndRate[slot], dt)
+			sh.sndPrev[slot], sh.sndRate[slot] = acked, rate
 			sh.polls++
 			if flg {
 				sh.flagged++
@@ -449,8 +515,8 @@ func (sh *scaleShard) pollBatch(now units.Time, fired []int32) {
 		// Receive side stays lite even for escalated flows: the
 		// receiver model drains promptly, the sender is where the
 		// paper's pathologies live.
-		renq, rdr := fl.acked(now), fl.read(now)
-		rdelay, rrate, rflg := core.LitePoll(renq, rdr, sh.rcvPrev[slot], sh.rcvRate[slot], dt)
+		rdr := fl.read(now)
+		rdelay, rrate, rflg := core.LitePoll(acked, rdr, sh.rcvPrev[slot], sh.rcvRate[slot], dt)
 		sh.rcvPrev[slot], sh.rcvRate[slot] = rdr, rrate
 		sh.polls++
 		if rflg {
@@ -462,7 +528,7 @@ func (sh *scaleShard) pollBatch(now units.Time, fired []int32) {
 	}
 }
 
-// pollFull drives one escalated flow's send side for one wheel tick:
+// pollFull drives one escalated flow's send side for one tick:
 // record the write, poll the tracker, and drain any matched estimates
 // into the shard sketch, the flow's demotion escalator, and its
 // retained series. Escalated flows run at tick grain — not the lite

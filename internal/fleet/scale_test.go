@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"element/internal/overload"
@@ -168,7 +169,7 @@ func TestScaleGovernorBoundsEscalated(t *testing.T) {
 
 // TestScaleParkedFlowsSkipPolls resumes a snapshot that parks every
 // flow: the run must execute zero lite polls, count every suppressed
-// wheel expiry, and still seal its (empty) stream windows on schedule.
+// poll, and still seal its (empty) stream windows on schedule.
 func TestScaleParkedFlowsSkipPolls(t *testing.T) {
 	testutil.NoLeaks(t)
 	cfg := scaleTestConfig(5, 50)
@@ -240,33 +241,170 @@ func TestScaleSnapshotResumeRehomes(t *testing.T) {
 }
 
 // TestScaleZeroAllocSteadyState pins the hot path's allocation
-// contract: once the wheel buckets, stream rings and merge windows are
-// warm, a full barrier step — wheel expiry, batched lite polls, sketch
-// observation, seal and merge — allocates nothing.
+// contract: after the one barrier step that builds the stream rings and
+// merge windows, a full step — the scheduled sweeps, batched lite polls,
+// sketch observation, seal and merge — allocates nothing, whatever the
+// fleet's size.
 func TestScaleZeroAllocSteadyState(t *testing.T) {
-	cfg := ScaleConfig{
-		Seed:          7,
-		Flows:         2000,
-		Duration:      60 * units.Second,
-		Interval:      100 * units.Millisecond,
-		Shards:        1,  // the parallel advance spawns goroutines; pin the inline barrier
-		EscalateAbove: -1, // promotions allocate by design; pin the lite plane
-	}
-	f := NewScale(cfg)
-	slice := f.cfg.slice()
-	now := units.Time(0)
-	step := func() {
-		now = now.Add(slice)
-		f.pipe.step(now)
-	}
-	// Warm-up must cover a full wheel revolution (nbuckets × gran ≈
-	// 6.4 s here): bucket slices only reach steady-state capacity once
-	// every bucket has held its rotation's entries.
-	for i := 0; i < 8; i++ {
+	for _, flows := range []int{2000, 40_000} {
+		cfg := ScaleConfig{
+			Seed:          7,
+			Flows:         flows,
+			Duration:      60 * units.Second,
+			Interval:      100 * units.Millisecond,
+			Shards:        1,  // the parallel advance spawns goroutines; pin the inline barrier
+			EscalateAbove: -1, // promotions allocate by design; pin the lite plane
+		}
+		f := NewScale(cfg)
+		slice := f.cfg.slice()
+		now := units.Time(0)
+		step := func() {
+			now = now.Add(slice)
+			f.pipe.step(now)
+		}
 		step()
+		if allocs := testing.AllocsPerRun(8, step); allocs != 0 {
+			t.Fatalf("%d flows: steady-state barrier step allocates %.1f times", flows, allocs)
+		}
 	}
-	if allocs := testing.AllocsPerRun(8, step); allocs != 0 {
-		t.Fatalf("steady-state barrier step allocates %.1f times", allocs)
+}
+
+// naiveSchedule is the timer queue the static schedule replaces, at its
+// most literal: every flow holds one deadline tick and the sequence
+// number of the arm that set it; a tick fires the flows due at it in arm
+// order, and each fired flow re-arms one period on.
+type naiveSchedule struct {
+	ids    []int32
+	next   []int64
+	seq    []int
+	arms   int
+	period int64
+}
+
+func newNaiveSchedule(cfg ScaleConfig, shard int) *naiveSchedule {
+	n := &naiveSchedule{period: cfg.period()}
+	g := int64(cfg.gran())
+	for id := shard; id < cfg.Flows; id += cfg.Shards {
+		first := int64(synthParams(cfg.Seed, int32(id)).hash%uint64(cfg.Interval)) + g
+		n.ids = append(n.ids, int32(id))
+		n.next = append(n.next, (first+g-1)/g)
+		n.seq = append(n.seq, n.arms)
+		n.arms++
+	}
+	return n
+}
+
+func (n *naiveSchedule) fire(tick int64) []int32 {
+	var due []int
+	for i, at := range n.next {
+		if at == tick {
+			due = append(due, i)
+		}
+	}
+	slices.SortFunc(due, func(a, b int) int { return n.seq[a] - n.seq[b] })
+	fired := make([]int32, len(due))
+	for k, i := range due {
+		fired[k] = n.ids[i]
+		n.next[i], n.seq[i] = tick+n.period, n.arms
+		n.arms++
+	}
+	return fired
+}
+
+// TestScaleScheduleMatchesNaiveOrder holds the static schedule to the
+// queue it replaced: tick by tick over three periods, the ids each shard
+// polls, in order, are what naiveSchedule fires — and they are what the
+// sweep did poll. Covered: eight ticks per interval and one, several
+// shard counts, shards with empty classes, and the flows whose first
+// poll comes a period late. At the fleet's intervals those are all of
+// their class (on time there means a phase of exactly zero); the
+// few-nanosecond intervals are what put both kinds in one class.
+func TestScaleScheduleMatchesNaiveOrder(t *testing.T) {
+	late, empty, mixed := 0, 0, 0
+	for interval, ticks := range map[units.Duration]int64{100 * units.Millisecond: 8, 100*units.Millisecond + 1: 1, 16: 8, 3: 1} {
+		for _, c := range []struct{ flows, shards int }{{500, 1}, {500, 2}, {500, 3}, {500, 7}, {10, 3}} {
+			f := NewScale(ScaleConfig{Seed: 3, Flows: c.flows, Interval: interval, Shards: c.shards, EscalateAbove: -1})
+			g, period := f.cfg.gran(), f.cfg.period()
+			if period != ticks {
+				t.Fatalf("interval %d ns: %d ticks per period, want %d", interval, period, ticks)
+			}
+			naive := make([]*naiveSchedule, c.shards)
+			for s, sh := range f.shards {
+				naive[s] = newNaiveSchedule(f.cfg, s)
+				for cl, n := range sh.late {
+					late += int(n)
+					if sh.lo[cl] == sh.lo[cl+1] {
+						empty++
+					} else if 0 < n && n < sh.lo[cl+1]-sh.lo[cl] {
+						mixed++
+					}
+				}
+			}
+			for tick := int64(1); tick <= 3*period+1; tick++ {
+				now := units.Time(tick * int64(g))
+				f.pipe.step(now)
+				for s, sh := range f.shards {
+					lo, hi := sh.due(tick)
+					if got, want := sh.ids[lo:hi], naive[s].fire(tick); !slices.Equal(got, want) {
+						t.Fatalf("interval %d ns, %d flows, shard %d of %d, tick %d: polls %v, the queue fires %v",
+							interval, c.flows, s, c.shards, tick, got, want)
+					}
+					for slot, at := range sh.lastPoll {
+						if in := int32(slot) >= lo && int32(slot) < hi; in != (at == int64(now)) {
+							t.Fatalf("interval %d ns, shard %d of %d, tick %d: slot %d due=%v but last polled at %d",
+								interval, s, c.shards, tick, slot, in, at)
+						}
+					}
+				}
+			}
+		}
+	}
+	if late == 0 || empty == 0 || mixed == 0 {
+		t.Fatalf("%d late flows, %d empty classes, %d classes with late and on-time flows; the cases are vacuous", late, empty, mixed)
+	}
+}
+
+// TestScaleResumeAcrossShardCounts: a snapshot taken at two shards, with
+// escalated flows in it, resumes at three into the same run — result,
+// stream export and the next snapshot — as it does at two.
+func TestScaleResumeAcrossShardCounts(t *testing.T) {
+	testutil.NoLeaks(t)
+	cfg := scaleTestConfig(61, 120)
+	cfg.Shards = 2
+	cfg.Overload = &overload.Config{Budgets: overload.Budgets{LiveFull: 8}}
+	first := NewScale(cfg)
+	first.Run()
+	snap := first.Snapshot()
+	if len(snap.Conns) == 0 {
+		t.Fatal("snapshot holds no escalated flows")
+	}
+	resume := func(shards int) (*ScaleResult, []byte, []byte) {
+		var export bytes.Buffer
+		rcfg := cfg
+		rcfg.Shards, rcfg.Resume, rcfg.Sink = shards, snap, stream.NewTextExporter(&export)
+		f := NewScale(rcfg)
+		res := f.Run()
+		next := f.Snapshot()
+		next.Shards = 0 // the one field that names the layout
+		raw, err := next.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, export.Bytes(), raw
+	}
+	res2, export2, snap2 := resume(2)
+	res3, export3, snap3 := resume(3)
+	if res2.Restores != len(snap.Conns) {
+		t.Fatalf("%d restores of %d escalated flows", res2.Restores, len(snap.Conns))
+	}
+	if !reflect.DeepEqual(res2, res3) {
+		t.Fatalf("resumed results differ:\n  2: %+v\n  3: %+v", res2, res3)
+	}
+	if !bytes.Equal(export2, export3) {
+		t.Fatalf("resumed stream exports differ (%d vs %d bytes)", len(export2), len(export3))
+	}
+	if !bytes.Equal(snap2, snap3) {
+		t.Fatalf("snapshots of the resumed runs differ (%d vs %d bytes)", len(snap2), len(snap3))
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // of (seed, flow id, virtual time). No per-flow state evolves between
 // polls; a poll at any instant computes both counters from scratch in a
 // few multiplies. That is what lets a shard batch-poll a packed column
-// of a hundred thousand flows per wheel tick, and it makes every
-// observable trivially shard-count invariant: nothing about a flow
-// depends on where or how often it is polled.
+// of a hundred thousand flows per tick, and it makes every observable
+// trivially shard-count invariant: nothing about a flow depends on
+// where or how often it is polled.
 //
 // The shape mirrors what the paper measures on real senders: a steady
 // drain with a small diurnal wobble, punctuated by bufferbloat bursts

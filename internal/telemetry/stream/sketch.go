@@ -27,13 +27,16 @@ package stream
 import "math"
 
 // Log-linear sketch layout: sketchOctaves powers of two, each split into
-// sketchSubBuckets linear sub-buckets, covering 2^sketchMinExp ..
-// 2^sketchMaxExp. The range is tuned for delays in seconds — one
-// nanosecond to about seventeen minutes — and values outside it clamp
-// into the first/last bucket. telemetry.Histogram is built on this
-// sketch, so registry histograms and streamed windows share one layout.
+// sketchSubBuckets linear sub-buckets (a power of two itself, which is
+// what lets sketchIndex read them off the mantissa), covering
+// 2^sketchMinExp .. 2^sketchMaxExp. The range is tuned for delays in
+// seconds — one nanosecond to about seventeen minutes — and values
+// outside it clamp into the first/last bucket. telemetry.Histogram is
+// built on this sketch, so registry histograms and streamed windows
+// share one layout.
 const (
-	sketchSubBuckets = 8
+	sketchSubBits    = 3
+	sketchSubBuckets = 1 << sketchSubBits
 	sketchMinExp     = -30
 	sketchMaxExp     = 10
 	sketchOctaves    = sketchMaxExp - sketchMinExp
@@ -58,21 +61,25 @@ type Sketch struct {
 	buckets [sketchBuckets]uint64
 }
 
-// sketchIndex maps a positive value to its bucket.
+// sketchIndex maps a positive value to its bucket, straight from the
+// float's bits: the biased exponent names the octave and the top
+// sketchSubBits mantissa bits are the linear sub-bucket — exactly.
+// Subnormals (exponent field 0) fall below the range and +Inf (all ones)
+// above it, so both clamp with everything else out of range.
 func sketchIndex(v float64) int {
-	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
-	octave := exp - 1 - sketchMinExp
+	const (
+		mantBits = 52
+		expBias  = 1023
+	)
+	bits := math.Float64bits(v)
+	octave := int(bits>>mantBits) - expBias - sketchMinExp
 	if octave < 0 {
 		return 0
 	}
 	if octave >= sketchOctaves {
 		return sketchBuckets - 1
 	}
-	sub := int((frac - 0.5) * 2 * sketchSubBuckets)
-	if sub >= sketchSubBuckets {
-		sub = sketchSubBuckets - 1
-	}
-	return octave*sketchSubBuckets + sub
+	return octave*sketchSubBuckets + int(bits>>(mantBits-sketchSubBits))&(sketchSubBuckets-1)
 }
 
 // sketchUpper is the inclusive upper edge of bucket i.

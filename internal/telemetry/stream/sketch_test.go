@@ -71,12 +71,74 @@ func TestSketchEdgeCases(t *testing.T) {
 	if got := s.Quantile(1.0); got != 1e9 {
 		t.Errorf("max clamp: got %g", got)
 	}
+	s.Observe(math.Inf(1)) // above everything: still the last bucket
+	if got := s.Quantile(1.0); !math.IsInf(got, 1) || s.Count() != 5 {
+		t.Errorf("+Inf: count=%d q1=%g", s.Count(), got)
+	}
 	var nilS *Sketch
 	nilS.Observe(1)
 	nilS.Merge(&s)
 	if nilS.Count() != 0 || nilS.Quantile(0.5) != 0 {
 		t.Fatal("nil sketch must no-op")
 	}
+}
+
+// sketchIndexRef is the bucket layout as arithmetic: the definition that
+// sketchIndex's reads of the float's bits stand in for.
+func sketchIndexRef(v float64) int {
+	if math.IsInf(v, 1) {
+		return sketchBuckets - 1 // Frexp hands Inf back; the range clamps it
+	}
+	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
+	octave := exp - 1 - sketchMinExp
+	if octave < 0 {
+		return 0
+	}
+	if octave >= sketchOctaves {
+		return sketchBuckets - 1
+	}
+	return octave*sketchSubBuckets + int((frac-0.5)*2*sketchSubBuckets)
+}
+
+// TestSketchIndexMatchesFrexp walks every bucket edge and its two
+// neighbouring floats, then the ends of the float range.
+func TestSketchIndexMatchesFrexp(t *testing.T) {
+	vals := []float64{
+		math.SmallestNonzeroFloat64,
+		math.Float64frombits(1<<52 - 1), // largest subnormal
+		math.Float64frombits(1 << 52),   // smallest normal
+		math.Ldexp(1, sketchMinExp), math.Ldexp(1, sketchMaxExp),
+		math.MaxFloat64, math.Inf(1),
+	}
+	for i := 0; i < sketchBuckets; i++ {
+		edge := sketchUpper(i)
+		vals = append(vals, math.Nextafter(edge, 0), edge, math.Nextafter(edge, math.Inf(1)))
+	}
+	for _, v := range vals {
+		if got, want := sketchIndex(v), sketchIndexRef(v); got != want {
+			t.Errorf("sketchIndex(%g = %#x) = %d, want %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	// An edge opens its bucket: the layout the reference encodes.
+	if lo, hi := sketchIndex(math.Nextafter(sketchUpper(17), 0)), sketchIndex(sketchUpper(17)); lo != 17 || hi != 18 {
+		t.Errorf("buckets either side of edge 17: %d and %d", lo, hi)
+	}
+}
+
+// FuzzSketchIndex is the same comparison over any positive float.
+func FuzzSketchIndex(f *testing.F) {
+	for _, v := range []float64{1e-12, 0.002, 1, 1e9, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1)} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		if !(v > 0) {
+			return // Observe never indexes zero, negatives or NaN
+		}
+		if got, want := sketchIndex(v), sketchIndexRef(v); got != want {
+			t.Fatalf("sketchIndex(%g = %#x) = %d, want %d", v, bits, got, want)
+		}
+	})
 }
 
 // TestSketchMergeOrderInvariance pins the satellite contract: folding
