@@ -40,28 +40,12 @@ build:
 test-poison:
 	$(GO) test -tags pktpoison ./internal/...
 
-# The exp package replays every table/figure scenario and is the longest
-# package under the race detector. Re-measured after the observers went
-# to O(1) per packet (PR 20), 2-core box, parent and change back to back:
-# exp 327 s -> 297 s, fleet 272 s -> 259 s beside it, waterfall 13 s ->
-# 49 s (its reference-recorder oracle and the FuzzRecorder corpus run
-# under tsan), and the test step of `make check` 408 s -> 421 s — 7 min
-# on both, as at PR 18 (463 s; the box reads faster today). On both
-# sides the step ended in benchmark's TestCostWaterfallFromProfile, which
-# fails about every other run under -race on this box (ROADMAP item 1a):
-# run the three targets after it by hand (about 10 s). Under tsan the
-# cost is instrumented memory accesses, not what the plain build spends
-# its time on (PR 17 found the same for the hand-off, PR 18 for the event
-# queue), so the timeout stays. (It was 33 min until PR 16 took tcp's
-# per-ACK window scans out from under tsan.) The per-package timeout is
-# about 4x the slowest package. -shuffle=on randomizes test order so
-# inter-test state dependencies surface instead of hiding behind source
-# order; failures print the shuffle seed to reproduce. Re-measured when
-# packets were pooled (PR 21), parent and change back to back on a box
-# reading slower than at PR 20: test step 513 s -> 519 s (exp 356 -> 357,
-# fleet 359 -> 391 beside it, stack 14 -> 19 and tcp 44 -> 49 for the
-# ownership tests; both ended in the flake above), and a whole
-# `make check` with test-poison in it 694 s, that run all green.
+# -timeout 20m: the per-package limit is about 4x the slowest package —
+# internal/exp replays every table/figure scenario and takes 5 to 8 min
+# under the race detector on a 2-core box (internal/fleet 4 to 6 beside
+# it). -shuffle=on randomizes test order so inter-test state
+# dependencies surface instead of hiding behind source order; a failure
+# prints the shuffle seed to reproduce it.
 test:
 	$(GO) test -race -shuffle=on -timeout 20m ./...
 
@@ -140,19 +124,21 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 ## bench-smoke: every benchmark once (-benchtime 1x); writes a
-## machine-readable BENCH_<date>.json snapshot for before/after diffs.
+## machine-readable BENCH_<date>.json snapshot (allocs/op, B/op and each
+## benchmark's domain metrics; no ns/op) for before/after diffs.
 bench-smoke:
 	$(GO) run ./cmd/benchsmoke
 
 ## bench-baseline: regenerate the committed benchmark baseline the gate
-## compares against. Run on the reference machine after intentional
-## performance changes, and commit the result.
+## compares against, after an intentional change to allocation counts or
+## to the set of benchmarks, and commit the result.
 bench-baseline:
 	$(GO) run ./cmd/benchsmoke -o BENCH_baseline.json
 
-## bench-gate: the benchmark-regression gate — rerun every benchmark and
-## fail on any regression against BENCH_baseline.json (allocs/op gated
-## tightly since it is machine-independent; ns/op only against
-## order-of-magnitude blowups — see internal/benchgate).
+## bench-gate: the benchmark-regression gate — one pass over every
+## benchmark that writes its snapshot to BENCH_gate.json (not committed)
+## and fails when a benchmark of BENCH_baseline.json is missing or its
+## allocs/op exceed the baseline by more than 25 % plus 5 (see
+## internal/benchgate). No timing is gated or asserted.
 bench-gate:
-	$(GO) run ./cmd/benchsmoke -gate BENCH_baseline.json
+	$(GO) run ./cmd/benchsmoke -gate BENCH_baseline.json -o BENCH_gate.json

@@ -243,12 +243,53 @@ func BenchmarkFig18VR(b *testing.B) {
 	b.ReportMetric(elemMiss, "elem-miss-%")
 }
 
+// overheadPairs is how many alternating pairs pairedOverhead's callers
+// time: a 60 s scenario simulates in about 30 ms, so this is seconds.
+const overheadPairs = 21
+
+// pairedOverhead answers "what does instrumentation cost end to end?": it
+// times base and instrumented back to back on identical seeds (so both
+// simulate the same event sequence), alternating which goes first so
+// machine-load drift hits both sides of the ratio equally, and returns
+// the median over the pairs of instrumented/base − 1, in percent. It
+// reports and never asserts: a wall-clock ratio on a shared machine is
+// not a test. The overhead budget is read against benchmark/'s
+// profile-measured cost.telemetry_frac.
+func pairedOverhead(pairs int, base, instrumented func(seed int64)) float64 {
+	timed := func(run func(int64), seed int64) float64 {
+		start := time.Now()
+		run(seed)
+		return time.Since(start).Seconds()
+	}
+	base(1) // warm both paths
+	instrumented(1)
+	ratios := make([]float64, pairs)
+	for rep := range ratios {
+		seed := int64(rep + 1)
+		var tb, ti float64
+		if rep%2 == 0 {
+			tb = timed(base, seed)
+			ti = timed(instrumented, seed)
+		} else {
+			ti = timed(instrumented, seed)
+			tb = timed(base, seed)
+		}
+		ratios[rep] = ti / tb
+	}
+	sort.Float64s(ratios)
+	median := ratios[pairs/2]
+	if pairs%2 == 0 {
+		median = (ratios[pairs/2-1] + median) / 2
+	}
+	return (median - 1) * 100
+}
+
 // BenchmarkTrackerOverhead measures the real CPU cost of one ELEMENT
 // TCP_INFO poll plus write-record bookkeeping — the §7 overhead question at
 // the granularity a Go profile cares about. The telemetry=on/off variants
 // expose what instrumentation adds to that hot loop, and scenario-overhead
-// asserts that a fully instrumented end-to-end run stays within the small
-// single-digit percentage the paper reports (§7, ≈4%).
+// reports what a fully instrumented end-to-end run costs over the
+// identical uninstrumented one (the paper's §7 number is ≈4 %).
 func BenchmarkTrackerOverhead(b *testing.B) {
 	hotLoop := func(b *testing.B, telem *telemetry.Telemetry) {
 		eng := sim.New(1)
@@ -273,7 +314,8 @@ func BenchmarkTrackerOverhead(b *testing.B) {
 	// Scenario-level comparison: a whole instrumented run (every layer
 	// recording) against the identical uninstrumented run. The hot-loop
 	// variants above amplify the per-site cost; this is the number that
-	// corresponds to the paper's CPU-overhead claim.
+	// corresponds to the paper's CPU-overhead claim. The pairs are the
+	// payload; nothing runs per b.N iteration.
 	b.Run("scenario-overhead", func(b *testing.B) {
 		scenario := func(seed int64, telem *telemetry.Telemetry) {
 			exp.RunScenario(exp.ScenarioConfig{
@@ -283,65 +325,20 @@ func BenchmarkTrackerOverhead(b *testing.B) {
 				Telemetry: telem,
 			})
 		}
-		// testing.Benchmark cannot run inside an active benchmark (it
-		// contends on the harness lock), so time the runs directly. Each rep
-		// times a base/instrumented pair back to back (alternating which goes
-		// first), so machine-load drift hits both sides of the ratio equally.
-		// Timing noise on a shared machine is one-sided — background load
-		// only ever makes a run slower — so the low end of the ratio
-		// distribution is the closest estimate of the true overhead; the
-		// second-smallest ratio additionally discards a pair whose base run
-		// got inflated. Both variants use identical seeds, so they simulate
-		// byte-identical event sequences.
-		run := func(rep int, instrumented bool) float64 {
-			var telem *telemetry.Telemetry
-			if instrumented {
-				telem = telemetry.New()
-			}
-			start := time.Now()
-			scenario(int64(rep+1), telem)
-			return time.Since(start).Seconds()
-		}
-		// Warm both paths once.
-		scenario(1, nil)
-		scenario(1, telemetry.New())
-		var ratios []float64
-		for rep := 0; rep < 7; rep++ {
-			var base, instr float64
-			if rep%2 == 0 {
-				base = run(rep, false)
-				instr = run(rep, true)
-			} else {
-				instr = run(rep, true)
-				base = run(rep, false)
-			}
-			ratios = append(ratios, instr/base)
-		}
-		sort.Float64s(ratios)
-		pct := (ratios[1] - 1) * 100
-		if pct < 0 {
-			pct = 0 // below the noise floor
-		}
+		pct := pairedOverhead(overheadPairs,
+			func(seed int64) { scenario(seed, nil) },
+			func(seed int64) { scenario(seed, telemetry.New()) })
 		b.ReportMetric(pct, "overhead-%")
-		if pct > 5 {
-			b.Errorf("telemetry overhead %.1f%% exceeds the ~5%% budget (paper §7 reports ≈4%%)", pct)
-		}
-		for i := 0; i < b.N; i++ {
-			// The comparison above is the payload; nothing per-iteration.
-		}
+		b.ReportMetric(overheadPairs, "pairs")
 	})
 }
 
-// BenchmarkStreamOverhead times the identical seeded fleet with the
-// streaming telemetry pipeline on and off, the same alternating-pair
-// second-smallest-ratio protocol as scenario-overhead above. This is the
-// -stream flag's end-to-end cost: tracker estimates drained into
-// windowed quantile sketches, merged at every barrier, windows sealed
-// and exported — all of which must stay within the ~5% budget the
-// telemetry-overhead contract set. (Stream mode also drops the
-// per-connection ground-truth collectors, so the measured ratio is
-// usually below 1; the gate catches the streaming hot path ever growing
-// into something per-sample expensive.)
+// BenchmarkStreamOverhead reports the -stream flag's end-to-end cost: the
+// identical seeded fleet with the streaming telemetry pipeline on and off
+// — tracker estimates drained into windowed quantile sketches, merged at
+// every barrier, windows sealed and exported. Stream mode also drops the
+// per-connection ground-truth collectors, so the median is usually
+// negative.
 func BenchmarkStreamOverhead(b *testing.B) {
 	fleetRun := func(seed int64, streaming bool) {
 		cfg := fleet.Config{
@@ -356,37 +353,11 @@ func BenchmarkStreamOverhead(b *testing.B) {
 		}
 		fleet.New(cfg).Run()
 	}
-	fleetRun(1, false) // warm both paths
-	fleetRun(1, true)
-	var ratios []float64
-	for rep := 0; rep < 7; rep++ {
-		var base, instr float64
-		timed := func(streaming bool) float64 {
-			start := time.Now()
-			fleetRun(int64(rep+1), streaming)
-			return time.Since(start).Seconds()
-		}
-		if rep%2 == 0 {
-			base = timed(false)
-			instr = timed(true)
-		} else {
-			instr = timed(true)
-			base = timed(false)
-		}
-		ratios = append(ratios, instr/base)
-	}
-	sort.Float64s(ratios)
-	pct := (ratios[1] - 1) * 100
-	if pct < 0 {
-		pct = 0 // streaming is cheaper than exit-export ground truth
-	}
+	pct := pairedOverhead(overheadPairs,
+		func(seed int64) { fleetRun(seed, false) },
+		func(seed int64) { fleetRun(seed, true) })
 	b.ReportMetric(pct, "overhead-%")
-	if pct > 5 {
-		b.Errorf("streaming overhead %.1f%% exceeds the ~5%% budget", pct)
-	}
-	for i := 0; i < b.N; i++ {
-		// The comparison above is the payload; nothing per-iteration.
-	}
+	b.ReportMetric(overheadPairs, "pairs")
 }
 
 // staticInfo is a fixed TCP_INFO source for micro-benchmarks.

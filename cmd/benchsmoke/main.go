@@ -1,21 +1,22 @@
 // Command benchsmoke runs every benchmark exactly once (-benchtime 1x)
-// and writes a machine-readable BENCH_<date>.json snapshot of the
-// results. It is the quick before/after comparison tool behind
-// `make bench-smoke`: a full `make bench` takes minutes, this takes
-// seconds, and the JSON diffs cleanly across commits.
+// and writes a machine-readable BENCH_<date>.json snapshot of what one
+// iteration supports: allocs/op, B/op and the domain metrics each
+// benchmark reports (see internal/benchgate; ns/op is not recorded). It
+// is the quick before/after comparison tool behind `make bench-smoke`,
+// and the JSON diffs cleanly across commits.
 //
-// With -gate, benchsmoke instead compares the fresh run against a
-// committed baseline snapshot (see internal/benchgate for the tolerance
-// contract: allocs/op is gated tightly because it is machine-independent,
-// ns/op only against order-of-magnitude blowups) and exits non-zero on
-// any regression. `make bench-gate` wires this against BENCH_baseline.json.
+// With -gate, the same run is also compared against a committed baseline
+// snapshot — allocs/op within +25 % and 5 of the baseline, no benchmark
+// missing — and benchsmoke exits non-zero on any regression, after
+// writing the snapshot. `make bench-gate` wires this against
+// BENCH_baseline.json.
 //
 // Usage:
 //
 //	benchsmoke                         # writes BENCH_2006-01-02.json in the cwd
 //	benchsmoke -o smoke.json           # explicit output path
 //	benchsmoke -benchtime 5x           # more iterations, same format
-//	benchsmoke -gate BENCH_baseline.json   # regression gate, no snapshot written
+//	benchsmoke -gate BENCH_baseline.json   # also gate the run against a baseline
 package main
 
 import (
@@ -33,10 +34,10 @@ import (
 
 func main() {
 	var (
-		out       = flag.String("o", "", "output path (default BENCH_<date>.json; ignored with -gate)")
+		out       = flag.String("o", "", "output path (default BENCH_<date>.json)")
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime value")
 		pattern   = flag.String("bench", ".", "go test -bench pattern")
-		gate      = flag.String("gate", "", "baseline snapshot to gate against instead of writing a snapshot")
+		gate      = flag.String("gate", "", "baseline snapshot to gate the run against")
 	)
 	flag.Parse()
 
@@ -95,23 +96,6 @@ func main() {
 		Benchmarks: benchmarks,
 	}
 
-	if baseline != nil {
-		if baseline.GOOS != snap.GOOS || baseline.GOARCH != snap.GOARCH {
-			fmt.Fprintf(os.Stderr, "benchsmoke: note: baseline is %s/%s, this host is %s/%s — ns/op limits are cross-machine\n",
-				baseline.GOOS, baseline.GOARCH, snap.GOOS, snap.GOARCH)
-		}
-		regs := benchgate.Compare(baseline, snap, benchgate.Tolerance{})
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "benchsmoke: %d benchmark regression(s) against %s:\n", len(regs), *gate)
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("benchsmoke: %d benchmarks within tolerance of %s\n", len(snap.Benchmarks), *gate)
-		return
-	}
-
 	path := *out
 	if path == "" {
 		path = "BENCH_" + time.Now().Format("2006-01-02") + ".json"
@@ -131,4 +115,16 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchsmoke: %d benchmarks written to %s\n", len(snap.Benchmarks), path)
+
+	if baseline != nil {
+		regs := benchgate.Compare(baseline, snap)
+		if len(regs) > 0 {
+			fmt.Fprintf(os.Stderr, "benchsmoke: %d benchmark regression(s) against %s:\n", len(regs), *gate)
+			for _, r := range regs {
+				fmt.Fprintf(os.Stderr, "  %s\n", r)
+			}
+			os.Exit(1)
+		}
+		fmt.Printf("benchsmoke: %d benchmarks within tolerance of %s\n", len(snap.Benchmarks), *gate)
+	}
 }

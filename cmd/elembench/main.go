@@ -30,10 +30,7 @@ import (
 	// Registers the "conformance" experiment (hypothesis harness +
 	// bound calibration) into the experiment registry.
 	_ "element/internal/hypotheses"
-	"element/internal/overload"
-	"element/internal/reqtrace"
 	"element/internal/telemetry"
-	"element/internal/telemetry/stream"
 	"element/internal/units"
 	"element/internal/waterfall"
 )
@@ -123,28 +120,8 @@ func main() {
 			var memAfter runtime.MemStats
 			runtime.ReadMemStats(&memAfter)
 			fmt.Printf("--- metrics (%s) ---\n", e.ID)
-			trackerNs := printCost(elapsed, memAfter.Mallocs-memBefore.Mallocs,
+			printCost(elapsed, memAfter.Mallocs-memBefore.Mallocs,
 				memAfter.TotalAlloc-memBefore.TotalAlloc, pollCount(exp.DefaultTelemetry))
-			// The overhead budgets below are defined against a full
-			// tracker poll (~2.8 µs in the baseline). Experiments whose
-			// poll population is dominated by the scale mode's lite
-			// polls (a few hundred ns each) would misnormalize the
-			// fraction — a cheaper fleet must not read as a more
-			// expensive pipeline — so the baseline never drops below a
-			// nominal full poll.
-			budgetNs := trackerNs
-			if budgetNs > 0 && budgetNs < nominalTrackerPollNs {
-				budgetNs = nominalTrackerPollNs
-			}
-			if !printStreamCost(budgetNs) {
-				failed++
-			}
-			if !printReqtraceCost(budgetNs) {
-				failed++
-			}
-			if !printGovernorCost(budgetNs) {
-				failed++
-			}
 			if err := exp.DefaultTelemetry.Export(os.Stdout, telemetry.FormatText); err != nil {
 				failed++
 				fmt.Fprintf(os.Stderr, "elembench: metrics export (%s): %v\n", e.ID, err)
@@ -191,11 +168,6 @@ func main() {
 // natural "op" to normalize the run's cost by: one poll is one iteration
 // of the Algorithm 1/2 tracking thread, the hot path the paper's
 // overhead argument is about.
-// nominalTrackerPollNs is the overhead checks' normalization floor: a
-// conservative full SenderTracker poll cost (the baseline's
-// BenchmarkTrackerOverhead/telemetry=off measures ~2.8 µs).
-const nominalTrackerPollNs = 2000
-
 func pollCount(telem *telemetry.Telemetry) uint64 {
 	if telem == nil {
 		return 0
@@ -210,190 +182,17 @@ func pollCount(telem *telemetry.Telemetry) uint64 {
 }
 
 // printCost reports the run's measured cost as ns/op and allocs/op —
-// benchmark-style, normalized per tracker poll — so a metrics summary
-// doubles as an overhead check without rerunning `make bench`. It
-// returns the per-poll nanoseconds (0 when there were no polls) so the
-// streaming cost line can express itself as a fraction of it.
-func printCost(elapsed time.Duration, mallocs, bytes, polls uint64) float64 {
+// benchmark-style, normalized per tracker poll. The fleet-backed
+// experiments publish no poll counters, so there it prints totals only.
+func printCost(elapsed time.Duration, mallocs, bytes, polls uint64) {
 	if polls == 0 {
 		fmt.Printf("cost: %d allocs, %d B total (%s wall-clock, no tracker polls to normalize by)\n",
 			mallocs, bytes, elapsed.Round(time.Millisecond))
-		return 0
+		return
 	}
 	ns := float64(elapsed.Nanoseconds()) / float64(polls)
 	fmt.Printf("cost: %.0f ns/op, %.1f allocs/op, %.0f B/op over %d tracker polls\n",
 		ns, float64(mallocs)/float64(polls), float64(bytes)/float64(polls), polls)
-	return ns
-}
-
-// printStreamCost micro-measures the streaming pipeline — sketch
-// observation plus tumbling-window rotation and drain, the exact hot
-// path a -stream fleet adds per estimate sample — and prints it
-// benchmark-style alongside the per-poll tracker line. Expressed as a
-// fraction of one tracker poll, it must stay under the same ~5% budget
-// the telemetry-overhead contract enforces; returns false when it
-// doesn't.
-func printStreamCost(trackerNs float64) bool {
-	st := stream.New(stream.Config{Width: units.Millisecond, Retain: 4})
-	se := st.Series("cost")
-	const (
-		samples   = 1 << 20
-		perWindow = 256 // samples per 1 ms window before it rotates
-	)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	at := units.Time(0)
-	for i := 0; i < samples; i++ {
-		if i%perWindow == 0 {
-			at = at.Add(units.Millisecond)
-			st.AdvanceTo(at)
-			st.Drain(func(*stream.Window) {})
-		}
-		se.Observe(at, float64(i&1023)*1e-4)
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	ns := float64(elapsed.Nanoseconds()) / samples
-	bOp := float64(after.TotalAlloc-before.TotalAlloc) / samples
-	line := fmt.Sprintf("stream cost: %.1f ns/op, %.2f B/op per sample over %d samples across %d windows",
-		ns, bOp, samples, samples/perWindow)
-	if trackerNs > 0 {
-		pct := 100 * ns / trackerNs
-		line += fmt.Sprintf(" (%.2f%% of a tracker poll)", pct)
-		if pct > 5 {
-			fmt.Println(line)
-			fmt.Fprintf(os.Stderr, "elembench: streaming adds %.1f%% per sample — exceeds the ~5%% overhead budget\n", pct)
-			return false
-		}
-	}
-	fmt.Println(line)
-	return true
-}
-
-// printReqtraceCost micro-measures the request-span hot path — Begin,
-// leg declaration, waterfall-range finalization, completion, sketch
-// observation — the per-request cost a fan-out fleet adds on top of the
-// tracker, and prints it benchmark-style. The zero-alloc pin is part of
-// the line: steady-state allocations fail the summary, matching the
-// BenchmarkReqtraceSpan baseline the bench gate enforces.
-func printReqtraceCost(trackerNs float64) bool {
-	tr := reqtrace.New()
-	tr.MaxRecords = 1 << 12
-	var now units.Time
-	tr.SetClock(func() units.Time { return now })
-	f := tr.Flow(0, nil)
-	var seq, next uint64
-	cycle := func() {
-		now = now.Add(1000)
-		r := tr.Begin(seq, 1, nil)
-		seq++
-		start := next
-		next += 1024
-		f.Send(r, start, next)
-		var b waterfall.Bounds
-		for i := range b {
-			b[i] = now.Add(units.Duration(100 * (i + 1)))
-		}
-		f.RecordRange(start, next, 0, b)
-	}
-	const warm, samples = 1 << 13, 1 << 19
-	for i := 0; i < warm; i++ { // past every amortized growth: caps, heap, FIFO compaction
-		cycle()
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < samples; i++ {
-		cycle()
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	ns := float64(elapsed.Nanoseconds()) / samples
-	allocsOp := float64(after.Mallocs-before.Mallocs) / samples
-	line := fmt.Sprintf("reqtrace cost: %.1f ns/op, %.3f allocs/op per span event over %d request cycles",
-		ns, allocsOp, samples)
-	if trackerNs > 0 {
-		line += fmt.Sprintf(" (%.2f%% of a tracker poll)", 100*ns/trackerNs)
-	}
-	fmt.Println(line)
-	// Epsilon absorbs stray runtime-internal mallocs during the burst; the
-	// hot path itself is pinned at zero by TestRecordRangeZeroAlloc too.
-	if allocsOp > 0.001 {
-		fmt.Fprintf(os.Stderr, "elembench: reqtrace span cycle allocates %.3f objects/op in steady state — the hot path is pinned at zero\n", allocsOp)
-		return false
-	}
-	return true
-}
-
-// printGovernorCost micro-measures the overload governor's per-barrier
-// cost — one Tick over a fleet-sized flow table with pressure cycling
-// across the deadband, plus one window through the backpressured export
-// queue — and prints it benchmark-style. The governor runs once per
-// barrier, not per sample, so the budget compares one tick against one
-// tracker poll: it must stay under the same ~5% overhead budget the
-// rest of the observability plane is held to; returns false when it
-// doesn't. The queue's depth high-water rides along so the summary shows
-// how much backlog the drive built up.
-func printGovernorCost(trackerNs float64) bool {
-	const flows = 1024
-	g := overload.New(overload.Config{
-		Budgets:   overload.Budgets{RetainedSamples: 1 << 20},
-		HoldTicks: 8,
-		Seed:      1,
-	}, flows)
-	sink := stream.SinkFunc(func([]string, *stream.Window) error { return nil })
-	q := overload.NewQueue(overload.QueueConfig{Capacity: 64}, sink)
-	names := []string{"snd_delay", "rcv_delay"}
-	w := &stream.Window{Index: 1, Samples: 100, Sketches: make([]stream.Sketch, 2)}
-	w.Sketches[0].Observe(0.01)
-	w.Sketches[1].Observe(0.02)
-	over := overload.Usage{RetainedSamples: 3 << 20}
-	under := overload.Usage{RetainedSamples: 1 << 10}
-	const warm, ticks = 1 << 8, 1 << 16
-	for i := 0; i < warm; i++ { // warm the ring so slots reuse sketch buffers
-		q.ExportWindow(names, w)
-		q.Advance(units.Time(i) * units.Time(units.Millisecond))
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < ticks; i++ {
-		u := under
-		if i&0x1f < 16 {
-			u = over
-		}
-		u.QueueFrac = q.Frac()
-		g.Tick(u)
-		w.Index = int64(i)
-		q.ExportWindow(names, w)
-		q.Advance(units.Time(warm+i) * units.Time(units.Millisecond))
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	ns := float64(elapsed.Nanoseconds()) / ticks
-	perFlow := ns / flows
-	allocsOp := float64(after.Mallocs-before.Mallocs) / ticks
-	line := fmt.Sprintf("governor cost: %.0f ns/op per tick (%.1f ns/flow), %.3f allocs/op over %d ticks of %d flows (%d sheds, %d reclaims, queue high-water %d)",
-		ns, perFlow, allocsOp, ticks, flows, g.Sheds(), g.Reclaims(), q.Stats().HighWater)
-	if trackerNs > 0 {
-		// One tick governs every flow at once, so the marginal cost a
-		// governed flow pays per barrier is ns/flows — that is the number
-		// held to the budget, against the poll that flow runs anyway.
-		pct := 100 * perFlow / trackerNs
-		line += fmt.Sprintf(" (%.2f%% of a tracker poll per flow)", pct)
-		if pct > 5 {
-			fmt.Println(line)
-			fmt.Fprintf(os.Stderr, "elembench: governor adds %.1f%% per flow per barrier — exceeds the ~5%% overhead budget\n", pct)
-			return false
-		}
-	}
-	fmt.Println(line)
-	if allocsOp > 0.001 {
-		fmt.Fprintf(os.Stderr, "elembench: governor tick allocates %.3f objects/op in steady state — the hot path is pinned at zero\n", allocsOp)
-		return false
-	}
-	return true
 }
 
 // exitIfFailed turns mid-sweep failures into a non-zero exit so CI and

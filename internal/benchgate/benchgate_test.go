@@ -1,6 +1,8 @@
 package benchgate
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -39,7 +41,7 @@ func TestParseGoBench(t *testing.T) {
 	if got := stripProcs("BenchmarkAblationAutotune/fixed-128KiB"); got != "BenchmarkAblationAutotune/fixed-128KiB" {
 		t.Fatalf("stripProcs ate part of a name: %q", got)
 	}
-	if ring.NsPerOp != 488.6 || ring.AllocsPerOp == nil || *ring.AllocsPerOp != 0 {
+	if ring.AllocsPerOp == nil || *ring.AllocsPerOp != 0 || len(ring.Extra) != 0 {
 		t.Fatalf("ring metrics misparsed: %+v", ring)
 	}
 	// The fleet line has no preceding pkg: header — the trailing "ok"
@@ -51,58 +53,63 @@ func TestParseGoBench(t *testing.T) {
 	if fl.Iterations != 3 || *fl.AllocsPerOp != 195642 {
 		t.Fatalf("fleet metrics misparsed: %+v", fl)
 	}
+	// One iteration is not a timing: ns/op is parsed past, not recorded.
+	var out strings.Builder
+	if err := snap.Write(&out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "ns_per_op") || strings.Contains(out.String(), "ns/op") {
+		t.Fatalf("snapshot records ns/op:\n%s", out.String())
+	}
 }
 
 func TestCompareAdmitsNoise(t *testing.T) {
 	base := parseSample(t)
 	cur := parseSample(t)
-	// Within-tolerance drift: 2x ns (limit 4x), +10% allocs (limit +25%).
-	cur.Benchmarks[0].NsPerOp *= 2
+	// Within-tolerance drift: +10% allocs (limit +25%).
 	*cur.Benchmarks[2].AllocsPerOp *= 1.10
-	if regs := Compare(base, cur, Tolerance{}); len(regs) != 0 {
+	if regs := Compare(base, cur); len(regs) != 0 {
 		t.Fatalf("in-tolerance run flagged: %v", regs)
 	}
 }
 
 // TestCompareFlagsSyntheticRegressions injects each regression class the
-// gate exists to catch and checks it fails: a new allocation on a
-// zero-alloc path, an alloc-count blowup, an order-of-magnitude ns/op
-// slowdown, and a deleted benchmark.
+// gate exists to catch and checks it fails: allocations on a zero-alloc
+// path beyond the stray-allocation slack, an alloc-count blowup, and a
+// deleted benchmark.
 func TestCompareFlagsSyntheticRegressions(t *testing.T) {
 	base := parseSample(t)
 
+	// A 1x run counts a stray runtime allocation whole, so a zero baseline
+	// admits allocSlack and not one more; exact zero is the packages'
+	// AllocsPerRun tests' job.
 	t.Run("alloc on zero-alloc path", func(t *testing.T) {
 		cur := parseSample(t)
-		one := 1.0
-		cur.Benchmarks[0].AllocsPerOp = &one
-		regs := Compare(base, cur, Tolerance{})
-		if len(regs) != 1 || regs[0].Metric != "allocs/op" || regs[0].Limit != 0 {
-			t.Fatalf("0→1 allocs/op not gated exactly: %v", regs)
+		n := float64(allocSlack)
+		cur.Benchmarks[0].AllocsPerOp = &n
+		if regs := Compare(base, cur); len(regs) != 0 {
+			t.Fatalf("0→%v allocs/op is inside the slack but was flagged: %v", n, regs)
+		}
+		n++
+		regs := Compare(base, cur)
+		if len(regs) != 1 || regs[0].Metric != "allocs/op" || regs[0].Limit != allocSlack {
+			t.Fatalf("0→%v allocs/op not gated at the slack: %v", n, regs)
 		}
 	})
 
 	t.Run("alloc blowup", func(t *testing.T) {
 		cur := parseSample(t)
 		*cur.Benchmarks[2].AllocsPerOp *= 1.5
-		regs := Compare(base, cur, Tolerance{})
+		regs := Compare(base, cur)
 		if len(regs) != 1 || regs[0].Metric != "allocs/op" {
 			t.Fatalf("+50%% allocs/op not gated: %v", regs)
-		}
-	})
-
-	t.Run("ns blowup", func(t *testing.T) {
-		cur := parseSample(t)
-		cur.Benchmarks[1].NsPerOp *= 10
-		regs := Compare(base, cur, Tolerance{})
-		if len(regs) != 1 || regs[0].Metric != "ns/op" {
-			t.Fatalf("10x ns/op not gated: %v", regs)
 		}
 	})
 
 	t.Run("deleted benchmark", func(t *testing.T) {
 		cur := parseSample(t)
 		cur.Benchmarks = cur.Benchmarks[:2]
-		regs := Compare(base, cur, Tolerance{})
+		regs := Compare(base, cur)
 		if len(regs) != 1 || regs[0].Metric != "missing" {
 			t.Fatalf("deleted benchmark not gated: %v", regs)
 		}
@@ -113,9 +120,41 @@ func TestCompareIgnoresNewBenchmarks(t *testing.T) {
 	base := parseSample(t)
 	cur := parseSample(t)
 	cur.Benchmarks = append(cur.Benchmarks, Result{
-		Pkg: "element/internal/new", Name: "BenchmarkBrandNew-8", NsPerOp: 1e12,
+		Pkg: "element/internal/new", Name: "BenchmarkBrandNew-8",
 	})
-	if regs := Compare(base, cur, Tolerance{}); len(regs) != 0 {
+	if regs := Compare(base, cur); len(regs) != 0 {
 		t.Fatalf("benchmark absent from baseline flagged: %v", regs)
+	}
+}
+
+// TestLoadIgnoresNsPerOp: snapshots committed before ns/op left the
+// format carry the field; they must still load and gate.
+func TestLoadIgnoresNsPerOp(t *testing.T) {
+	const old = `{"date":"2026-10-03","go_version":"go1.24.0","goos":"linux","goarch":"amd64","benchtime":"1x",
+"benchmarks":[{"pkg":"element/internal/core","name":"BenchmarkRingMatch/impl=ring","iterations":1,
+"ns_per_op":10576,"bytes_per_op":0,"allocs_per_op":0,"extra":{"sim-s/wall-s":1245}}]}`
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := snap.Benchmarks[0]
+	if r.AllocsPerOp == nil || *r.AllocsPerOp != 0 || r.Extra["sim-s/wall-s"] != 1245 {
+		t.Fatalf("pre-change snapshot misread: %+v", r)
+	}
+	if regs := Compare(snap, parseSample(t)); len(regs) != 0 {
+		t.Fatalf("gating against a pre-change snapshot: %v", regs)
+	}
+	// Every snapshot committed at the repo root, either shape.
+	committed, _ := filepath.Glob("../../BENCH_*.json")
+	for _, path := range committed {
+		if snap, err := Load(path); err != nil {
+			t.Error(err)
+		} else if len(snap.Benchmarks) == 0 {
+			t.Errorf("%s: no benchmarks", path)
+		}
 	}
 }

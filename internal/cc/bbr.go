@@ -10,7 +10,6 @@ const (
 	bbrDrainGain     = 1 / bbrHighGain
 	bbrCwndGain      = 2.0
 	bbrBtlBwWindow   = 10                      // max-filter window, in RTTs (packet-timed rounds)
-	bbrRTpropWindow  = 10 * units.Second       // min-filter window
 	bbrProbeRTTEvery = 10 * units.Second       // how often to enter PROBE_RTT
 	bbrProbeRTTTime  = 200 * units.Millisecond // PROBE_RTT dwell
 	bbrMinCwndSegs   = 4

@@ -35,7 +35,6 @@ type Cubic struct {
 	// whole window during startup.
 	hystartMinRTT units.Duration
 	hystartCount  int
-	noHyStart     bool
 }
 
 // HyStart parameters (Ha & Rhee 2011, as in Linux tcp_cubic).
@@ -48,15 +47,6 @@ const (
 // NewCubic returns a CUBIC instance.
 func NewCubic(mss int) *Cubic {
 	return &Cubic{mss: mss, cwnd: initialCwndSegs, ssthresh: maxSsthreshSegs}
-}
-
-// NewCubicNoHyStart returns CUBIC with HyStart disabled — pre-2011
-// behaviour, kept for the ablation benchmark that quantifies how much of
-// the stack's sanity depends on the delay-based slow-start exit.
-func NewCubicNoHyStart(mss int) *Cubic {
-	c := NewCubic(mss)
-	c.noHyStart = true
-	return c
 }
 
 // Name implements Algorithm.
@@ -76,7 +66,7 @@ func (c *Cubic) OnAck(now units.Time, ackedBytes int, rtt units.Duration, inFlig
 	}
 	segs := float64(ackedBytes) / float64(c.mss)
 	if c.cwnd < c.ssthresh {
-		if rtt > 0 && !c.noHyStart {
+		if rtt > 0 {
 			c.hystart(rtt)
 		}
 		if c.cwnd < c.ssthresh { // hystart may have just exited slow start

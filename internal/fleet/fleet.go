@@ -3,7 +3,7 @@
 // Algorithm 1 sender tracker, the Algorithm 2 receiver tracker and
 // optionally the Algorithm 3 minimizer — driven poll-by-poll by the
 // supervisor so every poll runs under a panic-recovery wrapper. A crashed
-// monitor is restarted with capped exponential backoff plus jitter; a
+// monitor is restarted with capped exponential backoff; a
 // wedged monitor (no poll progress within the watchdog deadline) is
 // recycled. Restarts resume from the last persisted JSON checkpoint, so
 // the estimate series continues with bounds widened over the outage
@@ -13,7 +13,7 @@
 // Execution is sharded: the fleet splits its connections across worker
 // shards, each owning a private deterministic engine, and advances all
 // shards in parallel between barrier points. Every source of randomness a
-// connection can observe — churn plan, backoff jitter, fault injection —
+// connection can observe — churn plan, fault injection —
 // is drawn from a per-connection RNG stream derived from the seed and the
 // connection ID, never from a shared engine RNG, so a run's results are a
 // pure function of the seed regardless of shard count or interleaving:
@@ -56,32 +56,6 @@ const (
 	// bounds how much estimator state a crash can lose.
 	DefaultCheckpointEvery = 500 * units.Millisecond
 )
-
-// BackoffConfig is the restart policy for crashed monitors: capped
-// exponential backoff with multiplicative jitter so a correlated crash
-// burst does not restart in lockstep.
-type BackoffConfig struct {
-	Initial units.Duration // first restart delay (default 50 ms)
-	Max     units.Duration // delay cap (default 2 s)
-	Factor  float64        // growth per consecutive crash (default 2)
-	Jitter  float64        // uniform extra fraction of the delay (default 0.2)
-}
-
-func (b BackoffConfig) normalize() BackoffConfig {
-	if b.Initial <= 0 {
-		b.Initial = 50 * units.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 2 * units.Second
-	}
-	if b.Factor < 1 {
-		b.Factor = 2
-	}
-	if b.Jitter < 0 {
-		b.Jitter = 0.2
-	}
-	return b
-}
 
 // ChurnConfig describes the connection/monitor churn schedule. All draws
 // come from each connection's private seeded RNG stream, so the schedule
@@ -129,10 +103,6 @@ type Config struct {
 	// across shard counts for a fixed seed.
 	Shards int
 
-	Backoff BackoffConfig
-	// Watchdog is the no-poll-progress deadline after which a monitor is
-	// recycled (0 = max(10 polling intervals, 100 ms)).
-	Watchdog units.Duration
 	// CheckpointEvery is the periodic serialization cadence (0 =
 	// DefaultCheckpointEvery, negative disables checkpoints — restarts
 	// then begin a fresh series).
@@ -231,19 +201,12 @@ func (c Config) normalize() Config {
 	if c.Interval <= 0 {
 		c.Interval = core.DefaultInterval
 	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 10 * c.Interval
-		if c.Watchdog < 100*units.Millisecond {
-			c.Watchdog = 100 * units.Millisecond
-		}
-	}
 	switch {
 	case c.CheckpointEvery == 0:
 		c.CheckpointEvery = DefaultCheckpointEvery
 	case c.CheckpointEvery < 0:
 		c.CheckpointEvery = 0
 	}
-	c.Backoff = c.Backoff.normalize()
 	if c.Fanout != nil {
 		fo := *c.Fanout // callers keep their struct; normalize a copy
 		fo.normalize()
@@ -400,7 +363,7 @@ func New(cfg Config) *Fleet {
 			fl:         f,
 			sh:         sh,
 			rng:        rand.New(rand.NewSource(connSeed(cfg.Seed, i))),
-			backoffCur: cfg.Backoff.Initial,
+			backoffCur: backoffInitial,
 		}
 		if injectFaults {
 			m.inj = faults.New(sh.eng, *cfg.Faults, connSeed(cfg.Seed, i)+0x6661756c74) // "fault"
@@ -458,8 +421,11 @@ func New(cfg Config) *Fleet {
 	return f
 }
 
+// scheduleWatchdog arms the no-poll-progress check: a monitor that made
+// no progress over ten polling intervals (at least 100 ms) is recycled.
 func (sh *shard) scheduleWatchdog() {
-	sh.eng.Schedule(sh.fl.cfg.Watchdog, func() {
+	deadline := max(10*sh.fl.cfg.Interval, 100*units.Millisecond)
+	sh.eng.Schedule(deadline, func() {
 		if sh.fl.draining {
 			return
 		}

@@ -363,9 +363,17 @@ func (m *Monitor) flushLog(est *core.Estimates, kept []core.Measurement, off int
 	return est.AppendLogSince(kept, off), n
 }
 
+// The restart policy for crashed monitors: capped exponential backoff,
+// no jitter (every run so far has restarted without it; adding it moves
+// every restart time, so it waits for the digest ledger — ROADMAP item 2).
+const (
+	backoffInitial = 50 * units.Millisecond
+	backoffMax     = 2 * units.Second
+	backoffFactor  = 2
+)
+
 // onCrash handles a recovered panic: count it, drop the incarnation, and
-// schedule a restart after backoff with jitter drawn from the monitor's
-// private stream.
+// schedule a restart after the current backoff.
 func (m *Monitor) onCrash() {
 	sh := m.sh
 	m.crashes++
@@ -376,14 +384,7 @@ func (m *Monitor) onCrash() {
 	m.dropIncarnation()
 	m.state = stateBackoff
 	delay := m.backoffCur
-	if j := m.fl.cfg.Backoff.Jitter; j > 0 {
-		delay += units.Duration(float64(delay) * j * m.rng.Float64())
-	}
-	next := units.Duration(float64(m.backoffCur) * m.fl.cfg.Backoff.Factor)
-	if next > m.fl.cfg.Backoff.Max {
-		next = m.fl.cfg.Backoff.Max
-	}
-	m.backoffCur = next
+	m.backoffCur = min(delay*backoffFactor, backoffMax)
 	sh.updateGauges()
 	sh.eng.ScheduleCall(delay, restartMonitor, m)
 }

@@ -51,13 +51,6 @@ type ScaleConfig struct {
 	// escalation streak (default 35 ms: above the synthetic workload's
 	// normal wobble, below every burst). Negative disables escalation.
 	EscalateAbove units.Duration
-	// EscalateAfter is how many consecutive hot lite polls promote a
-	// flow to a full tracker (default 2).
-	EscalateAfter uint8
-	// DemoteAfter is the false-alarm horizon: an escalated flow whose
-	// windowed rules never confirm within this many stream windows is
-	// demoted and counted in FalseAlarms (default 3).
-	DemoteAfter int
 	// Rules is the windowed demotion policy for escalated flows (zero →
 	// P99Above = EscalateAbove).
 	Rules stream.Rules
@@ -93,12 +86,6 @@ func (c ScaleConfig) normalize() ScaleConfig {
 	c.Shards = shardCount(c.Shards, c.Flows)
 	if c.EscalateAbove == 0 {
 		c.EscalateAbove = 35 * units.Millisecond
-	}
-	if c.EscalateAfter == 0 {
-		c.EscalateAfter = 2
-	}
-	if c.DemoteAfter <= 0 {
-		c.DemoteAfter = 3
 	}
 	if c.Window <= 0 {
 		c.Window = 500 * units.Millisecond
@@ -471,6 +458,10 @@ func (sh *scaleShard) due(tick int64) (lo, hi int32) {
 	return lo, hi
 }
 
+// escalateStreak is how many consecutive hot lite polls promote a flow
+// to a full tracker.
+const escalateStreak = 2
+
 // pollBatch services one tick: a sequential sweep over the columns of
 // slots lo to hi. Lite flows take a LitePoll per side and feed the shard
 // sketches; escalated flows drive their full tracker instead of the lite
@@ -502,7 +493,7 @@ func (sh *scaleShard) pollBatch(now units.Time, lo, hi int32) {
 				observe(sh.seSnd, now, delay.Seconds(), flg)
 			}
 			if cfg.EscalateAbove >= 0 && overload.Tier(sh.tier[slot]) <= overload.TierSketch {
-				streak, esc := core.LiteEscalate(sh.sndStreak[slot], delay, flg, cfg.EscalateAbove, cfg.EscalateAfter)
+				streak, esc := core.LiteEscalate(sh.sndStreak[slot], delay, flg, cfg.EscalateAbove, escalateStreak)
 				sh.sndStreak[slot] = streak
 				if esc && sh.fl.promoteOK {
 					sh.promote(slot, now)
@@ -608,12 +599,17 @@ func (sh *scaleShard) demote(slot int32, now units.Time, confirmed bool) {
 	}
 }
 
+// falseAlarmWindows is the false-alarm horizon: an escalated flow whose
+// windowed rules never confirm within this many stream windows is demoted
+// and counted in FalseAlarms.
+const falseAlarmWindows = 3
+
 // escalationTick runs at every barrier, single-threaded: settle each
 // escalated flow's windowed escalator up to the barrier and demote the
 // flows it has cleared (or never confirmed within the false-alarm
 // horizon). Decisions are a pure function of the flow's own samples.
 func (f *ScaleFleet) escalationTick(now units.Time) {
-	horizon := units.Duration(f.cfg.DemoteAfter) * f.cfg.Window
+	horizon := falseAlarmWindows * f.cfg.Window
 	for _, sh := range f.shards {
 		for slot, fu := range sh.full {
 			if !fu.hotSet {

@@ -226,9 +226,6 @@ func (l *Link) Delay() units.Duration { return l.delay }
 // QueueLen reports the number of packets waiting in the queue.
 func (l *Link) QueueLen() int { return l.disc.Len() }
 
-// QueueBytes reports the bytes waiting in the queue.
-func (l *Link) QueueBytes() int { return l.disc.Bytes() }
-
 // Stats reports the link's cumulative counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 

@@ -65,9 +65,6 @@ type QueueConfig struct {
 	RetryBase units.Duration
 	// RetryMax caps the exponential backoff (default 2 s).
 	RetryMax units.Duration
-	// RetryJitter is the ± fraction applied to each backoff (default
-	// 0.2), derived from Seed so runs stay reproducible.
-	RetryJitter float64
 	// BreakerFailures is the consecutive-failure run that trips the
 	// circuit breaker (default 5).
 	BreakerFailures int
@@ -90,9 +87,6 @@ func (c QueueConfig) normalize() QueueConfig {
 	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = 2 * units.Second
-	}
-	if c.RetryJitter <= 0 {
-		c.RetryJitter = 0.2
 	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 5
@@ -215,13 +209,16 @@ func (q *Queue) fail(now units.Time) {
 	}
 }
 
-// jittered spreads d by ±RetryJitter using the queue's seeded counter
+// retryJitter is the ± fraction applied to each retry backoff.
+const retryJitter = 0.2
+
+// jittered spreads d by ±retryJitter using the queue's seeded counter
 // stream: deterministic per run, decorrelated across fleets.
 func (q *Queue) jittered(d units.Duration) units.Duration {
 	q.rngCtr++
 	r := splitmix64(uint64(q.cfg.Seed) + q.rngCtr*0x6a697474)
 	frac := float64(r>>11) / (1 << 53) // [0, 1)
-	j := 1 + q.cfg.RetryJitter*(2*frac-1)
+	j := 1 + retryJitter*(2*frac-1)
 	out := units.Duration(float64(d) * j)
 	if out < 1 {
 		out = 1

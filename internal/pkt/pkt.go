@@ -23,7 +23,6 @@ const (
 	FlagSYN Flags = 1 << iota
 	FlagACK
 	FlagFIN
-	FlagRST
 )
 
 // Has reports whether all bits in f are set.

@@ -166,9 +166,22 @@ func TestPoisonScribbles(t *testing.T) {
 	}
 }
 
-// BenchmarkPacketCycle measures what pooling costs per packet: Get, fill
-// the fields a data segment sets, Release. One op is cycleBatch cycles, so
-// a -benchtime 1x run times thousands of them; gated at zero allocs/op.
+// cyclePackets is BenchmarkPacketCycle's op: n times Get, fill the fields
+// a data segment sets, Release.
+func cyclePackets(pl *Pool, n int) {
+	for j := 0; j < n; j++ {
+		p := pl.Get()
+		p.FlowID = 1
+		p.Seq = uint64(j) * 1460
+		p.PayloadLen = 1460
+		p.HeaderLen = DefaultHeaderLen
+		p.SentAt = 1
+		p.Release()
+	}
+}
+
+// BenchmarkPacketCycle measures what pooling costs per packet. One op is
+// cycleBatch cycles, so a -benchtime 1x run times thousands of them.
 func BenchmarkPacketCycle(b *testing.B) {
 	const cycleBatch = 4096
 	pl := NewPool()
@@ -176,15 +189,20 @@ func BenchmarkPacketCycle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < cycleBatch; j++ {
-			p := pl.Get()
-			p.FlowID = 1
-			p.Seq = uint64(j) * 1460
-			p.PayloadLen = 1460
-			p.HeaderLen = DefaultHeaderLen
-			p.SentAt = 1
-			p.Release()
-		}
+		cyclePackets(pl, cycleBatch)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cycleBatch), "ns/pkt")
+}
+
+// TestPacketCycleZeroAlloc pins the recycled Get/Release cycle
+// allocation-free.
+func TestPacketCycleZeroAlloc(t *testing.T) {
+	if poison {
+		t.Skip("the pktpoison build never recycles")
+	}
+	pl := NewPool()
+	pl.Get().Release() // the one packet the loop recycles
+	if n := testing.AllocsPerRun(1000, func() { cyclePackets(pl, 1) }); n != 0 {
+		t.Fatalf("a pooled packet cycle allocates %v, want 0", n)
+	}
 }

@@ -14,9 +14,6 @@ type Quantiles struct {
 	P50, P99, P999 float64
 }
 
-// reportQuantiles is the fixed quantile set tail reports tabulate.
-var reportQuantiles = []float64{0.5, 0.99, 0.999}
-
 // Report is the per-stage tail-contribution summary of a tracer:
 // exact quantiles computed from the retained records and approximate
 // quantiles from the mergeable sketches, cross-checkable against each

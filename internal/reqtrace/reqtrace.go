@@ -510,9 +510,6 @@ func (t *Tracer) StreamTo(st *stream.Stream) {
 	}
 }
 
-// Begun reports requests opened.
-func (t *Tracer) Begun() uint64 { return t.begun }
-
 // Completed reports requests whose every leg finished.
 func (t *Tracer) Completed() uint64 { return t.completed }
 

@@ -110,10 +110,8 @@ type ConnConfig struct {
 	// MSS is the segment size (default tcp.DefaultMSS).
 	MSS int
 	// SndBuf pins the send buffer (SO_SNDBUF); 0 enables Linux-style
-	// auto-tuning.
+	// auto-tuning, capped at sockbuf.DefaultSndBufMax.
 	SndBuf int
-	// SndBufMax caps auto-tuning (0 = sockbuf.DefaultSndBufMax).
-	SndBufMax int
 	// RcvBuf sets the receive buffer capacity (0 = default).
 	RcvBuf int
 	// ECN negotiates ECN on the connection.
@@ -168,7 +166,7 @@ func dial(n *Net, cfg ConnConfig, reverse bool) *Conn {
 	sndSock.hooks = cfg.SenderHooks
 	rcvSock.hooks = cfg.ReceiverHooks
 
-	sndSock.snd = sockbuf.NewSendBuffer(cfg.SndBuf, cfg.SndBufMax)
+	sndSock.snd = sockbuf.NewSendBuffer(cfg.SndBuf, sockbuf.DefaultSndBufMax)
 	if h := cfg.SenderHooks.SndbufResize; h != nil {
 		sndSock.snd.SetOnResize(h)
 	}

@@ -50,8 +50,8 @@ func (r *Registry) Merge(src *Registry) {
 // Merge folds src's retained events into t, re-interning their strings
 // into t's table, preserving src's internal (time) order. Events from
 // different sources interleave in call order, not globally by timestamp —
-// exporters that need strict time order sort on At. Eviction and
-// dropped-field accounting carries over. Nil-safe on both sides.
+// exporters that need strict time order sort on At. Eviction accounting
+// carries over. Nil-safe on both sides.
 func (t *Tracer) Merge(src *Tracer) {
 	if t == nil || src == nil {
 		return
@@ -60,7 +60,6 @@ func (t *Tracer) Merge(src *Tracer) {
 		t.emit(ev.At, ev.Component, ev.Flow, ev.Name, ev.Sev, ev.Sample, ev.Fields)
 	}
 	t.evicted += src.evicted
-	t.dropped += src.dropped
 }
 
 // Merge folds src's registry and tracer into t (nil-safe). The source

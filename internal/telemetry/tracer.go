@@ -20,8 +20,8 @@ type Event struct {
 	Fields []Field
 }
 
-// MaxEventFields is the per-event field limit. Fields beyond it are dropped
-// (and counted); every instrumentation site in the tree stays within it.
+// MaxEventFields is the per-event field limit. Fields beyond it are
+// dropped; every instrumentation site in the tree stays within it.
 const MaxEventFields = 3
 
 // rec is the in-ring representation of an event, packed into 56 bytes and
@@ -67,7 +67,6 @@ type Tracer struct {
 	strs     []string          // intern table, id -> string
 	strIDs   map[string]uint16 // string -> id
 	overflow uint16            // id returned once the intern table is full
-	dropped  uint64            // fields discarded beyond MaxEventFields
 
 	minSev Severity
 	mask   map[string]bool // nil = every component enabled
@@ -158,7 +157,6 @@ func (t *Tracer) emitInterned(at units.Time, comp uint16, flow int, name uint16,
 	}
 	n := len(fields)
 	if n > MaxEventFields {
-		t.dropped += uint64(n - MaxEventFields)
 		n = MaxEventFields
 	}
 	r.nf = uint8(n)
@@ -193,7 +191,6 @@ func (t *Tracer) emitVals(at units.Time, comp uint16, flow int, name uint16, key
 		n = len(keys)
 	}
 	if n > MaxEventFields {
-		t.dropped += uint64(n - MaxEventFields)
 		n = MaxEventFields
 	}
 	r.nf = uint8(n)
@@ -277,15 +274,6 @@ func (t *Tracer) Evicted() uint64 {
 		return 0
 	}
 	return t.evicted
-}
-
-// DroppedFields reports how many fields were discarded because an event
-// carried more than MaxEventFields.
-func (t *Tracer) DroppedFields() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
 }
 
 // Events returns the retained events oldest-first (nil-safe), freshly

@@ -29,10 +29,6 @@ const (
 	Minute               = 60 * Second
 )
 
-// MaxTime is the largest representable virtual time. It is used as an
-// "infinitely far in the future" sentinel for disabled timers.
-const MaxTime Time = math.MaxInt64
-
 // Add returns the time d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -78,9 +74,8 @@ const (
 )
 
 // TransmissionTime reports how long it takes to serialize n bytes at rate r.
-// A non-positive rate yields MaxTime-like behaviour (the caller should treat
-// the link as stalled); we return a very large duration instead of dividing
-// by zero.
+// For a non-positive rate (the caller should treat the link as stalled) it
+// returns a very large duration instead of dividing by zero.
 func (r Rate) TransmissionTime(n int) Duration {
 	if r <= 0 {
 		return Duration(math.MaxInt64 / 2)
