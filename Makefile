@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test-poison test fuzz-smoke bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
+.PHONY: check fmt vet staticcheck build test-poison experiments-current test digests fuzz-smoke bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
 
 ## check: the full local gate — format, vet, staticcheck, build, the
-## packet-lifetime (poison) tests, race-enabled tests, the CI-sized
-## overload and scale soaks, and the CI-sized conformance gate.
-check: fmt vet staticcheck build test-poison test soak-overload-short soak-scale-short conformance-short
+## packet-lifetime (poison) tests, EXPERIMENTS.md against a fresh run,
+## race-enabled tests, the CI-sized overload and scale soaks, and the
+## CI-sized conformance gate.
+check: fmt vet staticcheck build test-poison experiments-current test soak-overload-short soak-scale-short conformance-short
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -36,9 +37,25 @@ build:
 ## ownership test instead of going unnoticed. No -race: the tag changes
 ## what a stale read sees, not who reads. It runs before `test` so it is
 ## not lost behind that step's flaky last test. 45 to 75 s on the 2-core
-## box, build included (fleet 55 s beside exp 23 s).
+## box, build included (fleet 55 s beside exp 23 s). The second line holds
+## the poison build to the committed DIGESTS.json: the ledger has one set
+## of rows, so both builds simulate the same thing (15 s).
 test-poison:
 	$(GO) test -tags pktpoison ./internal/...
+	$(GO) test -tags pktpoison -run '^TestDigests$$' .
+
+## digests: regenerate the byte-identity ledger — DIGESTS.json, and with it
+## CONFORMANCE.json and hypotheses/*/FINDINGS.md — after an intentional
+## physics change, and commit the result: the diff is the review. `go test
+## .` (TestDigests, 15 s) is the check; on a tree whose physics did not
+## move this target changes no file.
+digests:
+	$(GO) test -count=1 -run '^TestDigests$$' -update .
+
+## experiments-current: EXPERIMENTS.md's generated tables against a fresh
+## seed-1, default-duration run of every experiment (2.5 min, no -race).
+experiments-current:
+	ELEMENT_SOAK=1 $(GO) test -count=1 -timeout 20m -run '^TestExperimentsDocCurrent$$' .
 
 # -timeout 20m: the per-package limit is about 4x the slowest package —
 # internal/exp replays every table/figure scenario and takes 5 to 8 min

@@ -64,6 +64,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -130,7 +131,7 @@ func main() {
 		rps      = flag.Float64("rps", 0, "fan-out per-group arrival rate, requests/s (0 = default)")
 		reqBytes = flag.Int("req-bytes", 0, "fan-out mean per-leg response size in bytes (0 = default)")
 		ccAlg    = flag.String("cc", "", "congestion control for every connection: reno|cubic|vegas|bbr (empty = cubic)")
-		rtOut    = flag.String("reqtrace", "", "export the slowest requests' span trees to this file (fanout mode)")
+		rtOut    = flag.String("reqtrace", "", "export the slowest requests' span trees to this file, \"-\" = stdout (fanout mode)")
 		rtForm   = flag.String("reqtrace-format", "chrome", "span-tree export format: chrome|jsonl")
 	)
 	flag.Parse()
@@ -335,14 +336,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *rtOut != "" {
-			out, err := os.Create(*rtOut)
-			if err == nil {
-				err = rt.Export(out, rtFormat)
-				if cerr := out.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
+			if err := cliutil.WriteExport(*rtOut, func(w io.Writer) error { return rt.Export(w, rtFormat) }); err != nil {
 				fmt.Fprintln(os.Stderr, "elemfleet: reqtrace export:", err)
 				os.Exit(1)
 			}

@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -58,15 +59,15 @@ func main() {
 		dur      = flag.Float64("dur", 30, "simulated duration (seconds)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		faultsPr = flag.String("faults", "", "inject a fault profile: "+strings.Join(faults.Names(), "|"))
-		telPath  = flag.String("telemetry", "", "write a telemetry export to this file (implies -element)")
+		telPath  = flag.String("telemetry", "", "write a telemetry export to this file, \"-\" = stdout (implies -element)")
 		telFmt   = flag.String("trace-format", "chrome", "telemetry export format: chrome|jsonl|text")
-		wfPath   = flag.String("waterfall", "", "write the per-byte-range delay waterfall to this file")
+		wfPath   = flag.String("waterfall", "", "write the per-byte-range delay waterfall to this file (\"-\" = stdout)")
 		wfFmt    = flag.String("waterfall-format", "chrome", "waterfall export format: chrome|jsonl|ascii")
 		fanout   = flag.Int("fanout", 0, "replace bulk flows with one fan-out group of this degree (0 = bulk)")
 		arrivals = flag.String("arrivals", "poisson", "fan-out arrival process: poisson|bursty|closed")
 		rps      = flag.Float64("rps", 200, "fan-out arrival rate (requests/s)")
 		reqBytes = flag.Int("req-bytes", 1024, "fan-out mean per-leg response size (bytes)")
-		rtPath   = flag.String("reqtrace", "", "write the slowest request span trees to this file (requires -fanout)")
+		rtPath   = flag.String("reqtrace", "", "write the slowest request span trees to this file, \"-\" = stdout (requires -fanout)")
 		rtFmt    = flag.String("reqtrace-format", "chrome", "span-tree export format: chrome|jsonl")
 		drainT   = flag.Float64("drain-timeout", 0, "wall-clock budget in seconds for end-of-run file exports (0 = no limit); on expiry partial exports are marked truncated and the run exits non-zero")
 	)
@@ -241,22 +242,16 @@ func main() {
 	}
 	guard := newDrainGuard(*drainT)
 	if telem != nil {
-		if guard.run("telemetry", func() error { return writeTelemetry(telem, *telPath, format) }) {
+		if guard.run("telemetry", func() error {
+			return cliutil.WriteExport(*telPath, func(w io.Writer) error { return telem.Export(w, format) })
+		}) {
 			fmt.Printf("\ntelemetry: %d events (%d evicted) written to %s (%s)\n",
 				telem.Tracer().Len(), telem.Tracer().Evicted(), *telPath, format)
 		}
 	}
 	if *wfPath != "" {
 		ok := guard.run("waterfall", func() error {
-			out, err := os.Create(*wfPath)
-			if err != nil {
-				return err
-			}
-			if err := wf.Export(out, wfForm); err != nil {
-				out.Close()
-				return err
-			}
-			return out.Close()
+			return cliutil.WriteExport(*wfPath, func(w io.Writer) error { return wf.Export(w, wfForm) })
 		})
 		if ok {
 			agg := wf.Aggregate()
@@ -275,15 +270,7 @@ func main() {
 		}
 		if *rtPath != "" {
 			ok := guard.run("reqtrace", func() error {
-				out, err := os.Create(*rtPath)
-				if err != nil {
-					return err
-				}
-				if err := rt.Export(out, rtForm); err != nil {
-					out.Close()
-					return err
-				}
-				return out.Close()
+				return cliutil.WriteExport(*rtPath, func(w io.Writer) error { return rt.Export(w, rtForm) })
 			})
 			if ok {
 				fmt.Printf("reqtrace: %d slowest span trees -> %s (%s)\n",
@@ -349,17 +336,4 @@ func (g *drainGuard) run(name string, fn func() error) bool {
 		fmt.Fprintf(os.Stderr, "elemsim: export %s truncated: drain timeout expired\n", name)
 		return false
 	}
-}
-
-// writeTelemetry exports telem to path in the requested format.
-func writeTelemetry(t *telemetry.Telemetry, path string, f telemetry.Format) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Export(out, f); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

@@ -40,7 +40,7 @@ func main() {
 		dur      = flag.Float64("dur", 40, "simulated duration (seconds)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		faultsPr = flag.String("faults", "", "inject a fault profile: "+strings.Join(faults.Names(), "|"))
-		telPath  = flag.String("telemetry", "", "also write a telemetry export to this file")
+		telPath  = flag.String("telemetry", "", "also write a telemetry export to this file (\"-\" = stdout)")
 		telFmt   = flag.String("trace-format", "chrome", "telemetry export format: chrome|jsonl|text")
 		wfPath   = flag.String("waterfall", "", "write the per-byte-range delay waterfall to this file (\"-\" = stdout)")
 		wfFmt    = flag.String("waterfall-format", "chrome", "waterfall export format: chrome|jsonl|ascii")
@@ -112,37 +112,13 @@ func main() {
 	f := s.Flows[0]
 
 	if telem != nil {
-		out, err := os.Create(*telPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := telem.Export(out, format); err == nil {
-			err = out.Close()
-		} else {
-			out.Close()
-		}
-		if err != nil {
+		if err := cliutil.WriteExport(*telPath, func(w io.Writer) error { return telem.Export(w, format) }); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 	if wf != nil {
-		var out io.WriteCloser = os.Stdout
-		if *wfPath != "-" {
-			var err error
-			if out, err = os.Create(*wfPath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		err := wf.Export(out, wfForm)
-		if out != os.Stdout {
-			if cerr := out.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := cliutil.WriteExport(*wfPath, func(w io.Writer) error { return wf.Export(w, wfForm) }); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

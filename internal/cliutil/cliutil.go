@@ -7,8 +7,10 @@ package cliutil
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // ValidateOutputPath checks that the file named by an output flag can
@@ -66,17 +68,33 @@ func ValidateOutputPaths(pairs map[string]string) error {
 	for f := range pairs {
 		flags = append(flags, f)
 	}
-	for i := 1; i < len(flags); i++ {
-		for j := i; j > 0 && flags[j] < flags[j-1]; j-- {
-			flags[j], flags[j-1] = flags[j-1], flags[j]
-		}
-	}
+	sort.Strings(flags)
 	for _, f := range flags {
 		if err := ValidateOutputPath(f, pairs[f]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WriteExport runs write against the file an export flag names, or against
+// standard output when path is "-" (the convention ValidateOutputPath
+// accepts for every export flag). It returns the first error of create,
+// write and close, so a caller that announces the file after a nil return
+// never announces one that did not reach the disk.
+func WriteExport(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close() // already failing; the write error is the one to report
+		return err
+	}
+	return f.Close()
 }
 
 // WriteFileAtomic writes data to path so that a reader — or a later run

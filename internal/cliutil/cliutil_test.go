@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,5 +139,51 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if got := entries(); len(got) != 3 {
 		t.Fatalf("failed write left litter: %v", got)
+	}
+}
+
+func TestWriteExport(t *testing.T) {
+	dir := t.TempDir()
+	hello := func(w io.Writer) error { _, err := io.WriteString(w, "hello"); return err }
+
+	path := filepath.Join(dir, "out.json")
+	if err := WriteExport(path, hello); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "hello" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+
+	// "-" is standard output, not a file of that name in the working
+	// directory.
+	stdout := os.Stdout
+	capture, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = capture
+	err = WriteExport("-", hello)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := capture.Close(); err != nil {
+		t.Fatalf("WriteExport closed standard output: %v", err)
+	}
+	if got, _ := os.ReadFile(capture.Name()); string(got) != "hello" {
+		t.Fatalf("standard output got %q", got)
+	}
+	if _, err := os.Stat("-"); err == nil {
+		os.Remove("-")
+		t.Fatal(`WriteExport("-") created a file named "-"`)
+	}
+
+	// The exporter's error and a failed create both come back.
+	boom := errors.New("boom")
+	if err := WriteExport(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("write error lost: %v", err)
+	}
+	if err := WriteExport(filepath.Join(dir, "missing", "x"), hello); err == nil {
+		t.Fatal("create in a missing directory succeeded")
 	}
 }
