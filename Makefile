@@ -69,9 +69,10 @@ test:
 ## fuzz-smoke: a 20 s live burst of each differential fuzzer whose oracle
 ## is a from-scratch reference — the event queue against container/heap
 ## (with the heap/slab/lane invariants checked after every op), the SACK
-## scoreboard against the full-window scans, and the waterfall recorder's
-## link table and arrival queue against the sorted slices they replaced,
-## and the sketch's bit-read bucket index against its math.Frexp
+## scoreboard against the full-window scans, the waterfall recorder's
+## packet stamps and arrival queue against the keyed link table and
+## sorted slice they replaced, and the sketch's bit-read bucket index
+## against its math.Frexp
 ## definition. Corpus replays already run in `make test`; this looks for
 ## new inputs.
 ## One target per go test run (go fuzz rejects several), two workers so a

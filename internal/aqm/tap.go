@@ -11,13 +11,17 @@ import (
 // waterfall subsystem uses Enqueued/Dequeued to time each segment's queue
 // residency. All hooks are optional. A hook borrows the packet: p is valid
 // only during the call (a rejected packet is released right after
-// Enqueued returns), so a tap copies the fields it keeps.
+// Enqueued returns), so a tap copies the fields it keeps. The one write a
+// tap may make is to its own stamps on the packet (pkt.Packet.Tapped and
+// DequeuedAt), which travel with the copy and are reset by Release.
 //
 // What a tap does not see: a packet the discipline accepts and later
 // drops from inside the queue — CoDel's and FQ-CoDel's drops at dequeue
 // (PIE drops on enqueue, and is seen) — raises no event. It was Enqueued
 // with accepted true and is never Dequeued; only the discipline's own
-// drop counter records it (and dropQueued releases it).
+// drop counter records it, and dropQueued releases it with whatever the
+// tap stamped on it. A tap that kept per-copy state of its own, keyed by
+// copy, would hold every such copy until something evicted it.
 type TapHooks struct {
 	// Enqueued fires after every Enqueue attempt; accepted reports whether
 	// the discipline took the packet (false = a rejection at the queue's

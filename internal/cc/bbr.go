@@ -27,37 +27,48 @@ const (
 	bbrProbeRTT
 )
 
-// maxFilter is a windowed max filter over integer round counts.
+// maxFilter is a windowed max filter over integer round counts. It is a
+// monotone deque: samples are in arrival order, so rounds never decrease
+// along it, and a sample survives only while no later one is at least as
+// large, so v strictly decreases along it. The maximum is the first
+// sample.
 type maxFilter struct {
-	samples []struct {
-		round int
-		v     units.Rate
-	}
-	window int
+	samples []maxSample
+	window  int
 }
 
+type maxSample struct {
+	round int
+	v     units.Rate
+}
+
+// update adds sample v of round, which is never below an earlier update's.
+// The samples that expire are a prefix (their rounds are the oldest) and
+// the ones v dominates a suffix (their values are the smallest), so
+// update drops both without a scan of what stays.
 func (f *maxFilter) update(round int, v units.Rate) {
-	// Evict expired and dominated samples.
-	keep := f.samples[:0]
-	for _, s := range f.samples {
-		if s.round > round-f.window && s.v > v {
-			keep = append(keep, s)
-		}
+	s := f.samples
+	i := 0
+	for i < len(s) && s[i].round <= round-f.window {
+		i++
 	}
-	f.samples = append(keep, struct {
-		round int
-		v     units.Rate
-	}{round, v})
+	j := len(s)
+	for j > i && s[j-1].v <= v {
+		j--
+	}
+	if i > 0 {
+		j = copy(s, s[i:j])
+	}
+	f.samples = append(s[:j], maxSample{round, v})
 }
 
+// get reports the largest sample in the window, floored at 0 (0 when
+// there is none).
 func (f *maxFilter) get() units.Rate {
-	var best units.Rate
-	for _, s := range f.samples {
-		if s.v > best {
-			best = s.v
-		}
+	if len(f.samples) == 0 {
+		return 0
 	}
-	return best
+	return max(f.samples[0].v, 0)
 }
 
 // BBR is a simplified BBR v1: it estimates the bottleneck bandwidth (max

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -237,6 +238,65 @@ func TestMaxFilterWindowEviction(t *testing.T) {
 	f.update(5, 30) // round 5: the 100 at round 1 has expired
 	if f.get() != 30 {
 		t.Fatalf("get after eviction = %v, want 30", f.get())
+	}
+}
+
+// refMaxFilter is the max filter's linear bodies, kept as the oracle: every
+// update walks all samples keeping those neither expired nor dominated, and
+// every get scans for the largest.
+type refMaxFilter struct {
+	samples []maxSample
+	window  int
+}
+
+func (f *refMaxFilter) update(round int, v units.Rate) {
+	keep := f.samples[:0]
+	for _, s := range f.samples {
+		if s.round > round-f.window && s.v > v {
+			keep = append(keep, s)
+		}
+	}
+	f.samples = append(keep, maxSample{round, v})
+}
+
+func (f *refMaxFilter) get() units.Rate {
+	var best units.Rate
+	for _, s := range f.samples {
+		if s.v > best {
+			best = s.v
+		}
+	}
+	return best
+}
+
+// TestMaxFilterMatchesLinear holds the deque to the linear bodies over
+// random sample sequences — rounds that stay put, step or jump past the
+// window, values that repeat, rise and fall — comparing get and the kept
+// samples after every update.
+func TestMaxFilterMatchesLinear(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		window := 1 + rng.Intn(12)
+		f, ref := maxFilter{window: window}, refMaxFilter{window: window}
+		round := rng.Intn(5)
+		for i := 0; i < 500; i++ {
+			switch r := rng.Intn(10); {
+			case r < 6: // same round
+			case r < 9:
+				round++
+			default:
+				round += 1 + rng.Intn(2*window)
+			}
+			v := units.Rate(rng.Intn(50)) // few distinct values: ties are common
+			f.update(round, v)
+			ref.update(round, v)
+			if g, w := f.get(), ref.get(); g != w {
+				t.Fatalf("seed %d, update %d (round %d, v %v): get %v, linear %v", seed, i, round, v, g, w)
+			}
+			if !slices.Equal(f.samples, ref.samples) {
+				t.Fatalf("seed %d, update %d: samples %v, linear %v", seed, i, f.samples, ref.samples)
+			}
+		}
 	}
 }
 

@@ -5,8 +5,10 @@
 // Ownership: a *Packet has exactly one owner. Whoever is handed one either
 // passes it on or calls Release, and Release is the last thing it does
 // with the packet. Observers (taps, trace hooks) borrow the packet for the
-// call and copy what they keep. DESIGN §9 lists the creators, holders and
-// release points; pool.go holds the free list Release returns packets to.
+// call and copy what they keep; the one write an observer makes is a link
+// tap stamping the packet's own Tapped and DequeuedAt, which Release
+// resets. DESIGN §9 lists the creators, holders and release points;
+// pool.go holds the free list Release returns packets to.
 package pkt
 
 import (
@@ -43,6 +45,9 @@ const MaxSackBlocks = 4
 // protocol that created the packet: TCP uses Seq/Ack/Flags, probes carry
 // their id in Seq (echoed in Ack), UDP-based protocols number datagrams in
 // Seq and put their feedback report in Payload.
+//
+// The one-byte fields sit together at the end, where they share one word:
+// that pays for DequeuedAt, and TestPacketSize holds the struct to 208 B.
 type Packet struct {
 	// FlowID identifies the flow for fair-queueing and per-flow stats.
 	FlowID int
@@ -53,10 +58,10 @@ type Packet struct {
 	HeaderLen int
 
 	// TCP fields. Seq is the sequence number of the first payload byte;
-	// Ack is the cumulative acknowledgment (valid when FlagACK is set).
-	Seq   uint64
-	Ack   uint64
-	Flags Flags
+	// Ack is the cumulative acknowledgment (valid when FlagACK is set);
+	// the control bits are Flags, below.
+	Seq uint64
+	Ack uint64
 	// Wnd is the advertised receive window in bytes (on ACKs).
 	Wnd int
 	// Sack carries up to a few selective-acknowledgment blocks (received
@@ -64,13 +69,6 @@ type Packet struct {
 	// it on SackBuf, so it aliases the packet's own storage: a Packet that
 	// carries blocks is never copied by value.
 	Sack []Range
-
-	// ECN bits. ECT marks an ECN-capable transport; CE is set by an AQM in
-	// place of dropping when ECN is negotiated. ECE is echoed by the
-	// receiver back to the sender.
-	ECT bool
-	CE  bool
-	ECE bool
 
 	// Gen is the retransmission generation of a TCP data segment: 0 for the
 	// first transmission, incremented on every retransmission of the same
@@ -84,15 +82,35 @@ type Packet struct {
 	// EnqueuedAt is stamped by a queueing discipline on enqueue and is the
 	// basis for sojourn-time AQMs (CoDel, PIE).
 	EnqueuedAt units.Time
+	// DequeuedAt is a link tap's dequeue stamp: written when the
+	// discipline hands a Tapped packet to the transmitter, and meaningful
+	// only while Tapped is set.
+	DequeuedAt units.Time
 
 	// Payload carries protocol-private data for non-TCP protocols (the
 	// UDP protocols' feedback report). Per-packet state belongs in the
 	// fields above: boxing it here costs an allocation per packet.
 	Payload any
 
-	sackBuf  [MaxSackBlocks]Range // inline storage for Sack
-	pool     *Pool                // where Release returns it; nil for a literal
-	released bool                 // set between Release and the next Get
+	sackBuf [MaxSackBlocks]Range // inline storage for Sack
+	pool    *Pool                // where Release returns it; nil for a literal
+
+	// Flags are the TCP control bits.
+	Flags Flags
+	// ECN bits. ECT marks an ECN-capable transport; CE is set by an AQM in
+	// place of dropping when ECN is negotiated. ECE is echoed by the
+	// receiver back to the sender.
+	ECT bool
+	CE  bool
+	ECE bool
+	// Tapped says this copy's EnqueuedAt and DequeuedAt are its pass
+	// through a tapped link queue: set by the tap (the waterfall's) on an
+	// accepted enqueue, cleared by the observer that reads the stamps when
+	// the packet reaches its receiver. A packet dropped in the queue takes
+	// its stamps with it to Release.
+	Tapped bool
+
+	released bool // set between Release and the next Get
 }
 
 // SackBuf returns the packet's inline SACK storage, empty, with capacity

@@ -1,5 +1,10 @@
 package pkt
 
+import "element/internal/units"
+
+// poisonTime is the stamp the pktpoison build leaves on a released packet.
+const poisonTime = units.Time(1<<63 - 1)
+
 // Pool is a free list of packets for one single-threaded domain — one
 // sim.Engine. It is LIFO and plain memory (never sync.Pool: reuse order
 // must depend on the seed alone), so Get and Release cost a slice pop and
@@ -52,8 +57,10 @@ func (p *Packet) Release() {
 	*p = Packet{pool: pl, released: true}
 	if poison {
 		// Wrong for ever: nothing recycles p, so whoever still reads it
-		// reads these.
+		// reads these. A stamp read after release is a time past any run's
+		// end, which the waterfall's monotone clamp carries to the read.
 		p.Seq, p.PayloadLen, p.FlowID, p.Gen = ^uint64(0), -1, -1, -1
+		p.Tapped, p.EnqueuedAt, p.DequeuedAt = true, poisonTime, poisonTime
 		return
 	}
 	pl.free = append(pl.free, p)

@@ -161,6 +161,9 @@ func TestPoisonScribbles(t *testing.T) {
 	if p.Seq != ^uint64(0) || p.PayloadLen >= 0 || p.FlowID >= 0 || p.Gen >= 0 {
 		t.Fatalf("released packet not poisoned: %+v", *p)
 	}
+	if !p.Tapped || p.EnqueuedAt != poisonTime || p.DequeuedAt != poisonTime {
+		t.Fatalf("released packet's tap stamps not poisoned: %+v", *p)
+	}
 	if q := pl.Get(); q == p {
 		t.Fatal("poison build recycled a released packet")
 	}

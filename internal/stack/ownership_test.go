@@ -280,10 +280,11 @@ func TestReleasePoints(t *testing.T) {
 	}
 }
 
-// TestPacketConservation runs a whole bulk transfer over every discipline
-// and fault profile and holds the pool to gets == releases once every
-// queue, lane, reorder closure and ACK batch has drained.
-func TestPacketConservation(t *testing.T) {
+// chaosTransfer runs a whole bulk transfer for every discipline × fault
+// profile pair, one subtest each, and calls done once the transfer is
+// complete and the connection idle. tap (optional) observes the forward
+// link's queue.
+func chaosTransfer(t *testing.T, tap func(t *testing.T) aqm.TapHooks, done func(t *testing.T, eng *sim.Engine, n *Net, c *Conn)) {
 	profiles := make([]string, 0, len(faults.Profiles))
 	for name := range faults.Profiles {
 		profiles = append(profiles, name)
@@ -297,6 +298,9 @@ func TestPacketConservation(t *testing.T) {
 					aqm.MustNew(kind, aqm.Config{LimitPackets: 20}, nil))
 				defer eng.Shutdown()
 				path := n.Path()
+				if tap != nil {
+					path.Forward.Tap(tap(t), nil)
+				}
 				inj := faults.New(eng, faults.Profiles[name], 5)
 				inj.ApplyPath(path)
 				c := Dial(n, ConnConfig{})
@@ -322,26 +326,75 @@ func TestPacketConservation(t *testing.T) {
 						read += got
 					}
 				})
-				// The chaos loops (flaps, rate oscillation) never stop, so
-				// "dry" is: transfer done, connection closed, then long
-				// enough for every packet still somewhere to arrive.
 				eng.RunUntil(units.Time(120 * units.Second))
 				if read != transfer || c.Sender.AckedCum() != transfer {
 					t.Fatalf("transfer incomplete: read %d, acked %d of %d", read, c.Sender.AckedCum(), transfer)
 				}
-				if n.Pool().Outstanding() != 0 {
-					t.Errorf("outstanding with the connection idle = %d, want 0", n.Pool().Outstanding())
-				}
-				c.Close()
-				eng.RunFor(5 * units.Second)
-				if q := path.Forward.QueueLen() + path.Reverse.QueueLen(); q != 0 {
-					t.Fatalf("queues not drained: %d packets", q)
-				}
-				if got := n.Pool().Outstanding(); got != 0 {
-					t.Errorf("outstanding once dry = %d, want 0", got)
-				}
+				done(t, eng, n, c)
 			})
 		}
+	}
+}
+
+// TestPacketConservation runs a whole bulk transfer over every discipline
+// and fault profile and holds the pool to gets == releases once every
+// queue, lane, reorder closure and ACK batch has drained.
+func TestPacketConservation(t *testing.T) {
+	chaosTransfer(t, nil, func(t *testing.T, eng *sim.Engine, n *Net, c *Conn) {
+		if n.Pool().Outstanding() != 0 {
+			t.Errorf("outstanding with the connection idle = %d, want 0", n.Pool().Outstanding())
+		}
+		// The chaos loops (flaps, rate oscillation) never stop, so "dry"
+		// is: transfer done, connection closed, then long enough for every
+		// packet still somewhere to arrive.
+		c.Close()
+		eng.RunFor(5 * units.Second)
+		if q := n.Path().Forward.QueueLen() + n.Path().Reverse.QueueLen(); q != 0 {
+			t.Fatalf("queues not drained: %d packets", q)
+		}
+		if got := n.Pool().Outstanding(); got != 0 {
+			t.Errorf("outstanding once dry = %d, want 0", got)
+		}
+	})
+}
+
+// TestTappedCopiesAreUnique holds the fact the waterfall's link tap stands
+// on: a flow never puts two data copies with the same (seq, gen) through a
+// tapped queue — sndNxt only grows and every retransmission bumps gen — so
+// a copy can carry its own stamps instead of being looked up by that key.
+// Every data enqueue, accepted or not, of the transfers above is recorded.
+func TestTappedCopiesAreUnique(t *testing.T) {
+	type copyKey struct {
+		flow int
+		seq  uint64
+		gen  int
+	}
+	var seen map[copyKey]bool
+	retx := 0
+	tap := func(t *testing.T) aqm.TapHooks {
+		seen = map[copyKey]bool{}
+		return aqm.TapHooks{Enqueued: func(p *pkt.Packet, _ units.Time, _ bool) {
+			if p.PayloadLen == 0 {
+				return
+			}
+			k := copyKey{p.FlowID, p.Seq, p.Gen}
+			if seen[k] {
+				// Errorf: a tap can run on a sim.Proc's goroutine.
+				t.Errorf("data copy (flow %d, seq %d, gen %d) enqueued twice", k.flow, k.seq, k.gen)
+			}
+			seen[k] = true
+			if p.Gen > 0 {
+				retx++
+			}
+		}}
+	}
+	chaosTransfer(t, tap, func(t *testing.T, _ *sim.Engine, _ *Net, _ *Conn) {
+		if len(seen) < (4<<20)/ownMSS {
+			t.Fatalf("%d data copies enqueued, fewer than the transfer's segments", len(seen))
+		}
+	})
+	if retx == 0 {
+		t.Fatal("no retransmission crossed the tapped queue: the test saw no second generation")
 	}
 }
 

@@ -12,20 +12,20 @@ import (
 // step, through everything a tapped flow's packet meets: app write,
 // transmit, link enqueue; then — linkDepth packets later — dequeue, packet
 // receive, TCP receive, in-order release; then — window packets later
-// still — the app read that finalizes it. So the link table holds
-// linkDepth live copies, and the segment records and the arrival queue
-// hold window ranges each. It uses only the hook surface, so the same
-// driver measures the commit before the tables were replaced.
-//
-// linkDepth stays fixed while window varies because the link table has a
-// second regime this does not measure: at maxMarks (4096) copies
-// sweepLinks walks the whole table on every enqueue, before and after.
+// still — the app read that finalizes it. So linkDepth packets stand in
+// the link queue, each carrying its own stamps, and the segment records
+// and the arrival queue hold window ranges each. It uses only the hook
+// surface, so the same driver measures the commit before the tables were
+// replaced.
 type packetCycle struct {
 	r      *Recorder
 	now    units.Time
 	window int
 	next   uint64 // packets started
-	p      pkt.Packet
+	// pkts holds the packets in the queue, packet i at i % len: one more
+	// slot than the depth, so step's enqueue never overwrites the packet
+	// it is about to dequeue.
+	pkts [cycleLinkDepth + 1]pkt.Packet
 }
 
 const (
@@ -33,30 +33,20 @@ const (
 	cycleSeg       = 1448
 )
 
-// newPacketCycle returns a cycle warmed past every slice's growth, with
-// stale copies left in the link table the way dequeue-time drops leave
-// them: enqueued, never named again, and — their bytes lying beyond the
-// read horizon — not yet sweepable.
-func newPacketCycle(window, stale int) *packetCycle {
+// newPacketCycle returns a cycle warmed past every slice's growth.
+func newPacketCycle(window int) *packetCycle {
 	c := &packetCycle{window: window}
 	wf := New()
 	wf.SetClock(func() units.Time { return c.now })
 	c.r = wf.NewFlow()
-	const far = 1 << 40
-	for i := 0; i < stale; i++ {
-		c.p = pkt.Packet{Seq: far + uint64(i)*cycleSeg, PayloadLen: cycleSeg}
-		c.r.onLinkEnqueue(&c.p, c.now, true)
-	}
 	for i := 0; i < 4*(window+cycleLinkDepth)+1024; i++ {
 		c.step()
 	}
 	return c
 }
 
-func (c *packetCycle) packet(i uint64) *pkt.Packet {
-	c.p = pkt.Packet{Seq: i * cycleSeg, PayloadLen: cycleSeg}
-	return &c.p
-}
+// packet returns packet i's slot.
+func (c *packetCycle) packet(i uint64) *pkt.Packet { return &c.pkts[i%uint64(len(c.pkts))] }
 
 func (c *packetCycle) step() {
 	r, i := c.r, c.next
@@ -64,7 +54,9 @@ func (c *packetCycle) step() {
 	c.now = c.now.Add(100 * units.Microsecond)
 	r.onAppWrite((i+1)*cycleSeg, cycleSeg)
 	r.onTransmit(i*cycleSeg, cycleSeg, false)
-	r.onLinkEnqueue(c.packet(i), c.now, true)
+	p := c.packet(i)
+	*p = pkt.Packet{Seq: i * cycleSeg, PayloadLen: cycleSeg, EnqueuedAt: c.now}
+	r.onLinkEnqueue(p, c.now, true)
 	if i < cycleLinkDepth {
 		return
 	}
@@ -80,40 +72,37 @@ func (c *packetCycle) step() {
 }
 
 // BenchmarkRecorderPacket is the recorder's cost per data packet (ns/op)
-// against the two sizes it must not depend on: the in-flight window, and
-// the number of stale copies waiting in the link table for the sweep. One
-// step in 512 takes the retained-range log's next chunk; newPacketCycle's
-// warm-up stops mid-chunk at all three windows, so the single step the gate
-// times at -benchtime 1x reads 0 allocs/op.
+// against the in-flight window, which it must not depend on. One step in
+// 512 takes the retained-range log's next chunk; newPacketCycle's warm-up
+// stops mid-chunk at all three windows, so the single step the gate times
+// at -benchtime 1x reads 0 allocs/op.
 func BenchmarkRecorderPacket(b *testing.B) {
 	for _, window := range []int{64, 512, 4096} {
-		for _, stale := range []int{0, 4000} {
-			b.Run(fmt.Sprintf("window=%d/stale=%d", window, stale), func(b *testing.B) {
-				c := newPacketCycle(window, stale)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.step()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
+			c := newPacketCycle(window)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.step()
+			}
+		})
 	}
 }
 
 // TestPacketCycleAllocs pins what a packet costs in allocations at a
-// warmed 512-packet window with stale copies present. Over 8192 packets
-// the commit before the tables were replaced (5bea3a9) allocated 23 or 24
-// times under this same driver — the arrival queue re-grown each time
-// arrivals[1:] had given its capacity away, and the retained-range slice
-// growing. Now the retained-range log alone allocates, one chunk per 512
-// ranges: 16 exactly, so none comes from the link table or the arrival
-// queue, whose capacity is also checked directly. AllocsPerRun truncates
-// its average, so over four runs a stray runtime allocation (one in eight
-// -race runs at PR 22) is not counted as a 17th.
+// warmed 512-packet window. Over 8192 packets the commit before the tables
+// were replaced (5bea3a9) allocated 23 or 24 times under this same driver
+// — the arrival queue re-grown each time arrivals[1:] had given its
+// capacity away, and the retained-range slice growing. Now the
+// retained-range log alone allocates, one chunk per 512 ranges: 16
+// exactly, so none comes from the arrival queue, whose capacity is also
+// checked directly. AllocsPerRun truncates its average, so over four runs
+// a stray runtime allocation (one in eight -race runs at PR 22) is not
+// counted as a 17th.
 func TestPacketCycleAllocs(t *testing.T) {
 	const packets, rangesPerChunk = 8192, 512
-	c := newPacketCycle(512, 1000)
-	arrCap, links := cap(c.r.arrivals), len(c.r.links)
+	c := newPacketCycle(512)
+	arrCap := cap(c.r.arrivals)
 	total := testing.AllocsPerRun(4, func() {
 		for i := 0; i < packets; i++ {
 			c.step()
@@ -123,8 +112,44 @@ func TestPacketCycleAllocs(t *testing.T) {
 		t.Fatalf("%d packets allocated %.0f times, want at most %d (one chunk per %d retained ranges)",
 			packets, total, packets/rangesPerChunk, rangesPerChunk)
 	}
-	if cap(c.r.arrivals) != arrCap || len(c.r.links) != links {
-		t.Fatalf("steady state moved: arrival queue capacity %d -> %d, link table %d -> %d copies",
-			arrCap, cap(c.r.arrivals), links, len(c.r.links))
+	if cap(c.r.arrivals) != arrCap {
+		t.Fatalf("steady state moved: arrival queue capacity %d -> %d", arrCap, cap(c.r.arrivals))
+	}
+}
+
+// TestStaleCopiesLeaveNoState drops copies inside the queue between the
+// steps of a warmed cycle — accepted at enqueue, then reset as Release
+// resets them, with no further event, which is what a CoDel or FQ-CoDel
+// head drop looks like to the tap. Their bytes lie beyond the read
+// horizon, where the link table once kept such copies until a sweep. They
+// cost no allocation and change nothing the recorder reports.
+func TestStaleCopiesLeaveNoState(t *testing.T) {
+	const steps, perStep, far = 4096, 8, 1 << 40
+	plain, stale := newPacketCycle(512), newPacketCycle(512)
+	var dead pkt.Packet
+	n := uint64(0)
+	dropInQueue := func(k int) {
+		for ; k > 0; k-- {
+			dead = pkt.Packet{Seq: far + n*cycleSeg, PayloadLen: cycleSeg, EnqueuedAt: stale.now}
+			stale.r.onLinkEnqueue(&dead, stale.now, true)
+			dead = pkt.Packet{}
+			n++
+		}
+	}
+	// One measured run of 8192 copies, after as many unmeasured: a table
+	// keyed by copy would have grown through both.
+	if a := testing.AllocsPerRun(1, func() { dropInQueue(8192) }); a != 0 {
+		t.Fatalf("8192 copies dropped in the queue allocated %v times, want 0", a)
+	}
+	for i := 0; i < steps; i++ {
+		plain.step()
+		stale.step()
+		dropInQueue(perStep)
+	}
+	if g, w := stale.r.Breakdown(), plain.r.Breakdown(); g != w {
+		t.Fatalf("%d copies dropped in the queue moved the breakdown:\n%+v\nwithout them\n%+v", n, g, w)
+	}
+	if len(stale.r.Drops()) != 0 {
+		t.Fatalf("%d drop markers for in-queue drops the tap cannot see", len(stale.r.Drops()))
 	}
 }

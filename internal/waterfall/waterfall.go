@@ -285,7 +285,9 @@ func (w *Waterfall) Flows() []*Recorder {
 // TapLink attaches the waterfall to a link so queue residency and wire
 // drops are observed for every bound flow whose data crosses it. Tap both
 // directions of a path when reverse-direction flows exist; packets of
-// unbound flows are ignored.
+// unbound flows are ignored. The tap's only state is on the packets it
+// sees: a bound flow's accepted data copy is marked pkt.Packet.Tapped and
+// stamped DequeuedAt when it leaves the queue.
 func (w *Waterfall) TapLink(l *netem.Link) {
 	if w == nil || l == nil {
 		return
@@ -343,20 +345,6 @@ type segRec struct {
 	gen      int        // current retransmission generation
 }
 
-// linkKey names one packet copy on the tapped link: a retransmission of
-// seq is a new generation and so a new copy.
-type linkKey struct {
-	seq uint64
-	gen int
-}
-
-// linkRec times one packet copy through the tapped link queue.
-type linkRec struct {
-	end   uint64
-	enqAt units.Time
-	deqAt units.Time
-}
-
 // numBounds is the number of boundary timestamps per range: NumStages
 // stages have NumStages+1 fenceposts (write, firstTx, tx, deq, rcv,
 // in-order, read).
@@ -398,7 +386,10 @@ type aggregate struct {
 
 // Recorder accumulates the waterfall of one flow. It observes both sides
 // of the connection (single-threaded virtual time makes that safe) plus
-// the link tap.
+// the link tap. The tap keeps nothing here: each packet copy carries its
+// own queue entry and exit stamps (pkt.Packet.Tapped, EnqueuedAt,
+// DequeuedAt) from the tapped link to the receiver, so a copy dropped
+// inside the queue leaves no state behind.
 type Recorder struct {
 	wf     *Waterfall
 	flowID int
@@ -408,12 +399,6 @@ type Recorder struct {
 	writeHead int
 	segs      []segRec // sorted by seq
 	segHead   int
-
-	// Link tap: the copies enqueued and not yet received, lost on the wire
-	// or swept. A hash table, so a copy costs the same to add, find and
-	// remove however many stale ones (see sweepLinks) sit beside it;
-	// allocated on the first accepted enqueue.
-	links map[linkKey]linkRec
 
 	// Receiver side. The live arrivals are arrivals[arrHead:], sorted by
 	// start and disjoint; the consumed prefix before arrHead is slack that
@@ -570,32 +555,27 @@ func (r *Recorder) coveringSeg(seq uint64) (segRec, bool) {
 
 // --- Link tap -------------------------------------------------------------
 
+// onLinkEnqueue marks an accepted copy as tapped; its entry stamp is the
+// EnqueuedAt the discipline has just written. A flow never sends two data
+// copies with the same (seq, gen) through a tapped link (sndNxt only grows
+// and every retransmission bumps gen; stack's TestTappedCopiesAreUnique),
+// so the packet names its copy as the (seq, gen) key once did.
 func (r *Recorder) onLinkEnqueue(p *pkt.Packet, now units.Time, accepted bool) {
 	if !accepted {
 		r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: now, Kind: DropQueue})
 		return
 	}
-	if r.links == nil {
-		r.links = make(map[linkKey]linkRec)
-	}
-	n := len(r.links)
-	r.links[linkKey{p.Seq, p.Gen}] = linkRec{end: p.End(), enqAt: now}
-	if len(r.links) > n { // a new copy, not the same (seq, gen) enqueued again
-		r.sweepLinks()
-	}
+	p.Tapped = true
 }
 
 func (r *Recorder) onLinkDequeue(p *pkt.Packet, now units.Time) {
-	k := linkKey{p.Seq, p.Gen}
-	if l, ok := r.links[k]; ok {
-		l.deqAt = now
-		r.links[k] = l
+	if p.Tapped {
+		p.DequeuedAt = now
 	}
 }
 
 func (r *Recorder) onLinkLost(p *pkt.Packet) {
 	r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: r.wf.now(), Kind: DropWire})
-	delete(r.links, linkKey{p.Seq, p.Gen})
 }
 
 func (r *Recorder) recordDrop(d Drop) {
@@ -604,25 +584,6 @@ func (r *Recorder) recordDrop(d Drop) {
 		return
 	}
 	r.drops = append(r.drops, d)
-}
-
-// sweepLinks discards stale copies once the table grows well past any
-// plausible in-flight window. A copy goes stale when it was enqueued and
-// nothing after that names it again: a discipline that drops at dequeue
-// (CoDel and FQ-CoDel head drops) raises no tap event, so every such
-// drop leaves its copy here until the bytes — delivered by a later
-// generation — have been read; duplicates the receiver never consumed do
-// the same. The result is the set of copies ending above the read
-// horizon, whatever order the table is walked in.
-func (r *Recorder) sweepLinks() {
-	if len(r.links) < maxMarks {
-		return
-	}
-	for k, l := range r.links {
-		if l.end <= r.readCum {
-			delete(r.links, k)
-		}
-	}
 }
 
 // --- Receiver side --------------------------------------------------------
@@ -643,14 +604,13 @@ func (r *Recorder) onPacketRecv(p *pkt.Packet) {
 			b[StageQueue] = seg.lastTx
 		}
 	}
-	k := linkKey{p.Seq, p.Gen}
-	if l, ok := r.links[k]; ok {
+	if p.Tapped {
 		// The link enqueue happens in the same virtual instant as the TCP
-		// transmit, so enqAt refines the queue boundary for this exact
-		// generation.
-		b[StageQueue] = l.enqAt
-		b[StageWire] = l.deqAt
-		delete(r.links, k)
+		// transmit, so the entry stamp refines the queue boundary for this
+		// exact generation.
+		b[StageQueue] = p.EnqueuedAt
+		b[StageWire] = p.DequeuedAt
+		p.Tapped = false
 	}
 	r.pending.b = b
 }
