@@ -3,10 +3,10 @@ GO ?= go
 .PHONY: check fmt vet staticcheck build test-poison experiments-current test digests fuzz-smoke bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
 
 ## check: the full local gate — format, vet, staticcheck, build, the
-## packet-lifetime (poison) tests, EXPERIMENTS.md against a fresh run,
-## race-enabled tests, the CI-sized overload and scale soaks, and the
-## CI-sized conformance gate.
-check: fmt vet staticcheck build test-poison experiments-current test soak-overload-short soak-scale-short conformance-short
+## packet-lifetime (poison) tests, EXPERIMENTS.md against a fresh run, the
+## CI-sized overload and scale soaks, the CI-sized conformance gate, and
+## the race-enabled tests last, so a flake there skips nothing after it.
+check: fmt vet staticcheck build test-poison experiments-current soak-overload-short soak-scale-short conformance-short test
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -35,8 +35,7 @@ build:
 ## poisoned (build tag pktpoison: pkt.Release scribbles sentinels and never
 ## recycles), so a read after release fails a golden, a digest or an
 ## ownership test instead of going unnoticed. No -race: the tag changes
-## what a stale read sees, not who reads. It runs before `test` so it is
-## not lost behind that step's flaky last test. 45 to 75 s on the 2-core
+## what a stale read sees, not who reads. 45 to 75 s on the 2-core
 ## box, build included (fleet 55 s beside exp 23 s). The second line holds
 ## the poison build to the committed DIGESTS.json: the ledger has one set
 ## of rows, so both builds simulate the same thing (15 s).

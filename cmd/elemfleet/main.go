@@ -294,7 +294,7 @@ func main() {
 			"conn", "snd samples", "flagged%", "violations", "restarts", "crashes", "recycles", "goodput Mbps")
 		for _, c := range res.Conns {
 			fmt.Printf("%-5d %12d %9.1f %11d %9d %8d %9d %13.2f\n",
-				c.ID, c.Sender.Samples, 100*c.Sender.FlaggedFraction(),
+				c.ID, c.Sender.Samples, 100*c.Sender.FlaggedShare(),
 				c.Sender.Violations+c.Receiver.Violations,
 				c.Restarts, c.Crashes, c.Recycles, c.GoodputBps/1e6)
 		}

@@ -331,7 +331,7 @@ func latestRetInfo(s *core.Sender) core.RetInfo {
 	return core.RetInfo{
 		BufDelay:   m.Delay.Seconds(),
 		RTT:        m.RTT.Seconds(),
-		Cwnd:       m.Cwnd,
+		Cwnd:       int(m.Cwnd),
 		Throughput: s.ThroughputEstimate(),
 	}
 }

@@ -39,8 +39,8 @@ type BoundCheck struct {
 	WorstExcess units.Duration
 }
 
-// FlaggedFraction reports Flagged/Samples (0 when empty).
-func (b BoundCheck) FlaggedFraction() float64 {
+// FlaggedShare reports Flagged/Samples (0 when empty).
+func (b BoundCheck) FlaggedShare() float64 {
 	if b.Samples == 0 {
 		return 0
 	}

@@ -71,12 +71,16 @@ const DefaultRecordCap = 1 << 16
 
 // Measurement is what ELEMENT reports alongside each delay sample — the
 // columns the paper's trackers print (elapsed time, delay, cwnd, ssthresh,
-// rtt).
+// rtt). Streaming fleets hold millions of these, so the segment counts are
+// int32 and the struct stays at 56 bytes.
 type Measurement struct {
-	At       units.Time
-	Delay    units.Duration
-	Cwnd     int
-	Ssthresh int
+	At    units.Time
+	Delay units.Duration
+	// Bytes weights the sample: the bytes its matched write record moved
+	// into TCP (sender) or the read that matched it returned (receiver).
+	Bytes    int
+	Cwnd     int32
+	Ssthresh int32
 	RTT      units.Duration
 	// Confidence grades the sample and ErrBound is its self-reported
 	// error bar: unless Confidence is ConfidenceLow, the true delay lies
@@ -87,40 +91,30 @@ type Measurement struct {
 	ErrBound   units.Duration
 }
 
-// Estimates holds a tracker's output series. Both logs are stats.Log: an
-// append costs the same however long the run, and the accessors that hand
-// out a whole slice (Series, Log) consolidate on read — so, like the
-// tracker that fills it, an Estimates belongs to one goroutine.
+// Estimates holds a tracker's output: one stats.Log of measurements, so an
+// append costs the same however long the run. The accessors that hand out
+// a whole slice (Series, Log) consolidate on read — so, like the tracker
+// that fills it, an Estimates belongs to one goroutine.
 type Estimates struct {
-	samples stats.Log[stats.Sample]
-	log     stats.Log[Measurement]
+	log stats.Log[Measurement]
 }
 
-func (e *Estimates) add(m Measurement, bytes int) {
-	e.samples.Append(stats.Sample{At: m.At, Delay: m.Delay, Bytes: bytes})
-	e.log.Append(m)
-}
+func (e *Estimates) add(m Measurement) { e.log.Append(m) }
 
 // Grow pre-reserves capacity for n further samples, so a caller that
 // knows its horizon (a benchmark, a fixed-duration monitor) can take the
 // append amortization off the poll hot path and run allocation-free.
-func (e *Estimates) Grow(n int) {
-	e.samples.Grow(n)
-	e.log.Grow(n)
-}
+func (e *Estimates) Grow(n int) { e.log.Grow(n) }
 
 // Reset drops every sample while keeping the backing capacity. For
 // callers that have fully consumed the series (benchmark harnesses
 // recycling one tracker); the series restarts empty, not a window.
-func (e *Estimates) Reset() {
-	e.samples.Truncate(0)
-	e.log.Truncate(0)
-}
+func (e *Estimates) Reset() { e.log.Truncate(0) }
 
 // DrainLog hands every retained measurement to fn in production order,
-// then empties the series keeping the backing capacity — the streaming
-// consumers' primitive: a monitor that drains after every poll holds
-// O(poll batch) samples instead of O(run).
+// then empties the series keeping the backing capacity — the fleets'
+// primitive: a monitor that drains after every poll holds O(poll batch)
+// samples in its trackers instead of O(run).
 func (e *Estimates) DrainLog(fn func(Measurement)) {
 	// A log drained every poll is never chunked, so Slice is the first
 	// slice itself; a long one is folded once and its slice kept.
@@ -130,24 +124,22 @@ func (e *Estimates) DrainLog(fn func(Measurement)) {
 	e.Reset()
 }
 
-// Series returns the delay estimates as a stats series. It consolidates
-// the log (see stats.Log.Slice): owner goroutine only.
-func (e *Estimates) Series() stats.Series { return e.samples.Slice() }
+// Series returns the delay estimates as a stats series: a fresh
+// {At, Delay, Bytes} projection of the log, made at read time. It
+// consolidates the log (see stats.Log.Slice): owner goroutine only.
+func (e *Estimates) Series() stats.Series {
+	log := e.log.Slice()
+	s := make(stats.Series, len(log))
+	for i, m := range log {
+		s[i] = stats.Sample{At: m.At, Delay: m.Delay, Bytes: m.Bytes}
+	}
+	return s
+}
 
 // Log returns the full measurement log. It consolidates the log (see
-// stats.Log.Slice): owner goroutine only. A caller that reads the log
-// incrementally while it grows wants AppendLogSince.
+// stats.Log.Slice): owner goroutine only. A consumer that reads the log
+// while it grows drains it instead (DrainLog).
 func (e *Estimates) Log() []Measurement { return e.log.Slice() }
-
-// LogLen reports the number of measurements logged.
-func (e *Estimates) LogLen() int { return e.log.Len() }
-
-// AppendLogSince appends measurements [off, LogLen()) to dst and returns
-// it, without consolidating: the per-poll tail read costs the new samples
-// only.
-func (e *Estimates) AppendLogSince(dst []Measurement, off int) []Measurement {
-	return e.log.AppendSince(dst, off)
-}
 
 // Latest returns the most recent measurement (zero value if none).
 func (e *Estimates) Latest() Measurement {
@@ -156,25 +148,6 @@ func (e *Estimates) Latest() Measurement {
 		return Measurement{}
 	}
 	return *e.log.At(n - 1)
-}
-
-// ConfidenceCounts tallies the log's samples by confidence grade:
-// counts[ConfidenceLow] is the number of explicitly-flagged samples.
-func (e *Estimates) ConfidenceCounts() [3]int {
-	var counts [3]int
-	for m := range e.log.All() {
-		counts[m.Confidence]++
-	}
-	return counts
-}
-
-// FlaggedFraction reports the fraction of samples marked low-confidence
-// (0 when the log is empty).
-func (e *Estimates) FlaggedFraction() float64 {
-	if e.log.Len() == 0 {
-		return 0
-	}
-	return float64(e.ConfidenceCounts()[ConfidenceLow]) / float64(e.log.Len())
 }
 
 // WriteTo dumps the measurement log in the columns the paper's trackers

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"element/internal/cc"
 	"element/internal/netem"
@@ -418,3 +419,43 @@ func TestTrackerPollIntervalAffectsResolution(t *testing.T) {
 }
 
 func time1ms() units.Duration { return units.Millisecond }
+
+// TestSeriesIsProjectionOfLog holds the single-log design: Series is the
+// {At, Delay, Bytes} projection of Log, sample for sample, for both
+// trackers over a lossy transfer (Cubic overflowing the bufferbloated
+// FIFO) long enough to chunk the sender's log.
+func TestSeriesIsProjectionOfLog(t *testing.T) {
+	tb := newElementTestbed(12, 10*units.Mbps, 50*units.Millisecond, cc.KindCubic, false)
+	tb.eng.RunUntil(units.Time(40 * units.Second))
+	tb.eng.Shutdown()
+	for _, tc := range []struct {
+		name string
+		est  *Estimates
+		min  int
+	}{{"sender", tb.snd.Estimates(), 1024}, {"receiver", tb.rcv.Estimates(), 50}} {
+		series, log := tc.est.Series(), tc.est.Log()
+		if len(log) < tc.min {
+			t.Fatalf("%s: %d measurements, want ≥ %d", tc.name, len(log), tc.min)
+		}
+		if len(series) != len(log) {
+			t.Fatalf("%s: %d series samples but %d log entries", tc.name, len(series), len(log))
+		}
+		for i, m := range log {
+			if want := (stats.Sample{At: m.At, Delay: m.Delay, Bytes: m.Bytes}); series[i] != want {
+				t.Fatalf("%s: sample %d is %+v, log projects to %+v", tc.name, i, series[i], want)
+			}
+			if m.Bytes <= 0 {
+				t.Fatalf("%s: measurement %d has weight %d", tc.name, i, m.Bytes)
+			}
+		}
+	}
+}
+
+// TestMeasurementSize pins the 56 B a Measurement costs: streaming fleets
+// hold millions of them, and Bytes fits only because Cwnd and Ssthresh
+// are int32.
+func TestMeasurementSize(t *testing.T) {
+	if n := unsafe.Sizeof(Measurement{}); n > 56 {
+		t.Fatalf("Measurement is %d B, want ≤ 56", n)
+	}
+}

@@ -10,9 +10,9 @@ import (
 func TestEstimatesWriteTo(t *testing.T) {
 	var e Estimates
 	e.add(Measurement{
-		At: units.Time(1500 * units.Millisecond), Delay: 25 * units.Millisecond,
+		At: units.Time(1500 * units.Millisecond), Delay: 25 * units.Millisecond, Bytes: 1460,
 		Cwnd: 42, Ssthresh: 100, RTT: 50 * units.Millisecond,
-	}, 1460)
+	})
 	var sb strings.Builder
 	n, err := e.WriteTo(&sb)
 	if err != nil {
@@ -32,7 +32,7 @@ func TestEstimatesWriteTo(t *testing.T) {
 
 func TestEstimatesWriteToError(t *testing.T) {
 	var e Estimates
-	e.add(Measurement{}, 0)
+	e.add(Measurement{})
 	if _, err := e.WriteTo(failWriter{}); err == nil {
 		t.Fatal("error not propagated")
 	}

@@ -262,10 +262,11 @@ func (t *SenderTracker) poll() {
 		}
 		t.prevDelay, t.prevDelaySet = d, true
 		m := Measurement{
-			At: now, Delay: d, Cwnd: ti.SndCwnd, Ssthresh: ti.SndSsthresh, RTT: ti.RTT,
+			At: now, Delay: d, Bytes: int(r.bytes - t.lastBest),
+			Cwnd: int32(ti.SndCwnd), Ssthresh: int32(ti.SndSsthresh), RTT: ti.RTT,
 			Confidence: conf, ErrBound: bound + slack,
 		}
-		t.est.add(m, int(r.bytes-t.lastBest))
+		t.est.add(m)
 		t.lastBest = r.bytes
 		if t.telem != nil {
 			t.matchesC.Inc()
@@ -643,10 +644,11 @@ func (t *ReceiverTracker) OnRead(cumBytes uint64, readBytes int, drained bool) {
 		}
 		t.prevDelay, t.prevDelaySet = d, true
 		m := Measurement{
-			At: now, Delay: d, Cwnd: ti.SndCwnd, Ssthresh: ti.SndSsthresh, RTT: ti.RTT,
+			At: now, Delay: d, Bytes: readBytes,
+			Cwnd: int32(ti.SndCwnd), Ssthresh: int32(ti.SndSsthresh), RTT: ti.RTT,
 			Confidence: conf, ErrBound: bound + slack,
 		}
-		t.est.add(m, readBytes)
+		t.est.add(m)
 		if t.telem != nil {
 			t.matchesC.Inc()
 			t.matchH.Observe(d.Seconds())

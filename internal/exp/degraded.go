@@ -94,10 +94,10 @@ func Degraded(seed int64, duration units.Duration) *Result {
 		res.Rows = append(res.Rows, []string{
 			name,
 			fmt.Sprintf("%d", run.Sender.Samples),
-			fmt.Sprintf("%.1f", 100*run.Sender.FlaggedFraction()),
+			fmt.Sprintf("%.1f", 100*run.Sender.FlaggedShare()),
 			fmt.Sprintf("%d", run.Sender.Violations),
 			fmt.Sprintf("%d", run.Receiver.Samples),
-			fmt.Sprintf("%.1f", 100*run.Receiver.FlaggedFraction()),
+			fmt.Sprintf("%.1f", 100*run.Receiver.FlaggedShare()),
 			fmt.Sprintf("%d", run.Receiver.Violations),
 			fmt.Sprintf("%d", run.Anomalies.Total()),
 			fmt.Sprintf("%d", run.FaultCount.Total()),

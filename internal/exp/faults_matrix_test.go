@@ -42,12 +42,12 @@ func TestFaultMatrixBoundedOrFlagged(t *testing.T) {
 			// drift — unrecoverable from TCP_INFO, so flagging Low is the
 			// correct (honest) outcome, not giving up.
 			hopeless := run.Profile.Info.HideBytesAcked && run.Profile.Info.MSSDriftProb > 0
-			if f := run.Sender.FlaggedFraction(); f > 0.5 && !hopeless {
+			if f := run.Sender.FlaggedShare(); f > 0.5 && !hopeless {
 				t.Errorf("sender flagged fraction %.2f: estimator gave up instead of degrading", f)
 			}
 			t.Logf("sender: %d samples, %.1f%% flagged, %d checked; receiver: %d samples, %.1f%% flagged, %d checked; anomalies %d, faults %d",
-				run.Sender.Samples, 100*run.Sender.FlaggedFraction(), run.Sender.Checked,
-				run.Receiver.Samples, 100*run.Receiver.FlaggedFraction(), run.Receiver.Checked,
+				run.Sender.Samples, 100*run.Sender.FlaggedShare(), run.Sender.Checked,
+				run.Receiver.Samples, 100*run.Receiver.FlaggedShare(), run.Receiver.Checked,
 				run.Anomalies.Total(), run.FaultCount.Total())
 		})
 	}
@@ -63,10 +63,10 @@ func TestFaultMatrixCleanRunStaysConfident(t *testing.T) {
 	if run.Scenario.Inj != nil {
 		t.Fatal("profile none must not build an injector")
 	}
-	if f := run.Sender.FlaggedFraction(); f > 0.10 {
+	if f := run.Sender.FlaggedShare(); f > 0.10 {
 		t.Errorf("clean sender flagged fraction %.2f, want <= 0.10", f)
 	}
-	if f := run.Receiver.FlaggedFraction(); f > 0.10 {
+	if f := run.Receiver.FlaggedShare(); f > 0.10 {
 		t.Errorf("clean receiver flagged fraction %.2f, want <= 0.10", f)
 	}
 	if n := run.Anomalies.Backwards + run.Anomalies.ZeroFields + run.Anomalies.MSSChanges; n > 0 {

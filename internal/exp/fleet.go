@@ -68,7 +68,7 @@ func Fleet(seed int64, duration units.Duration) *Result {
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", c.ID),
 			fmt.Sprintf("%d", c.Sender.Samples),
-			fmt.Sprintf("%.1f", 100*c.Sender.FlaggedFraction()),
+			fmt.Sprintf("%.1f", 100*c.Sender.FlaggedShare()),
 			fmt.Sprintf("%d", c.Sender.Violations+c.Receiver.Violations),
 			fmt.Sprintf("%d", c.Restarts),
 			fmt.Sprintf("%d", c.Crashes),

@@ -52,8 +52,6 @@ type FlowSpec struct {
 	SndBuf int
 	// StartAt delays the flow's traffic start.
 	StartAt units.Duration
-	// StopAt ends the flow's traffic (0 = run to the end).
-	StopAt units.Duration
 	// Idle suppresses the bulk writer/reader pair; the caller drives the
 	// connection itself (e.g. apps.RunFanout over several idle flows).
 	Idle bool
@@ -248,14 +246,10 @@ func Build(cfg ScenarioConfig) *Scenario {
 		if spec.Idle {
 			continue
 		}
-		stopAt := spec.StopAt
-		if stopAt == 0 {
-			stopAt = cfg.Duration
-		}
 		startWriter := func() {
 			eng.Spawn("writer", func(p *sim.Proc) {
 				const chunk = 8 << 10 // iperf2's default TCP block size
-				for p.Now() < units.Time(stopAt) {
+				for p.Now() < units.Time(cfg.Duration) {
 					if d := s.Inj.WriteStall(); d > 0 {
 						p.Sleep(d)
 					}
@@ -325,14 +319,8 @@ func (s *Scenario) RunContext(ctx context.Context) bool {
 // terminates all parked processes.
 func (s *Scenario) finish() {
 	ran := units.Duration(s.Eng.Now())
+	stop := min(s.cfg.Duration, ran)
 	for _, f := range s.Flows {
-		stop := s.cfg.Duration
-		if f.Spec.StopAt > 0 && f.Spec.StopAt < stop {
-			stop = f.Spec.StopAt
-		}
-		if stop > ran {
-			stop = ran
-		}
 		active := stop - f.Spec.StartAt
 		if active <= 0 {
 			active = ran

@@ -237,6 +237,54 @@ func TestMonitorRearmZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestExitModeTrackersHoldNoSecondCopy pins the one-way hand-over in exit
+// mode: every poll drains the trackers into the stitched series, so after
+// every barrier a polling monitor's sender tracker holds no measurement
+// and its receiver tracker only what reads produced since its last poll,
+// under one interval ago. Churn crashes, wedges and restarts monitors;
+// fan-out drives the trackers from the request workload instead.
+func TestExitModeTrackersHoldNoSecondCopy(t *testing.T) {
+	testutil.NoLeaks(t)
+	fanout := fanoutConfig(5, 3, 2)
+	fanout.Churn = ChurnConfig{CrashFrac: 0.4, StallFrac: 0.3}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"churn", testConfig(3, 8)}, {"fanout", fanout}} {
+		tc.cfg.Shards = 2
+		f := New(tc.cfg)
+		checked := 0
+		inner := f.pipe.barrier
+		f.pipe.barrier = func(now units.Time) {
+			inner(now)
+			for _, m := range f.monitors {
+				if m.state != stateRunning || m.wedged {
+					continue
+				}
+				checked++
+				if n := len(m.snd.Estimates().Log()); n != 0 {
+					t.Fatalf("%s: at %v conn %d's sender tracker holds %d measurements", tc.name, now, m.ID, n)
+				}
+				for _, mm := range m.rcv.Estimates().Log() {
+					if now.Sub(mm.At) >= f.cfg.Interval {
+						t.Fatalf("%s: at %v conn %d's receiver tracker still holds a measurement from %v",
+							tc.name, now, m.ID, mm.At)
+					}
+				}
+			}
+		}
+		res := f.Run()
+		if checked == 0 || res.Crashes == 0 {
+			t.Fatalf("%s: checked %d running monitors over %d crashes", tc.name, checked, res.Crashes)
+		}
+		for _, c := range res.Conns {
+			if len(c.SndLog) == 0 {
+				t.Errorf("%s: conn %d stitched no sender samples", tc.name, c.ID)
+			}
+		}
+	}
+}
+
 // TestFleetSoak is the churn soak harness: FLEET_SOAK_CONNS connections
 // with full churn under -race, asserting zero goroutine leaks, zero
 // bound violations, and counter-for-counter determinism across two

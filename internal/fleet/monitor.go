@@ -72,8 +72,9 @@ type Monitor struct {
 	fl   *Fleet
 	sh   *shard
 	plan churnPlan
-	// rng is the connection's private stream: churn plan (at build time)
-	// and backoff jitter draw here, never from a shared engine RNG.
+	// rng is the connection's private stream: the churn plan (at build
+	// time) and the bottleneck discipline draw here, never from a shared
+	// engine RNG. Restarts draw nothing: backoff has no jitter.
 	rng *rand.Rand
 	// inj is the connection's private fault injector (nil when the fleet
 	// has no fault profile).
@@ -106,17 +107,15 @@ type Monitor struct {
 	sndCP, rcvCP, minCP []byte
 	haveCP              bool
 
-	// Series stitched across incarnations, flushed after every poll. In
-	// stream mode these stay empty except while the flow is escalated.
+	// Series stitched across incarnations, flushed after every poll: the
+	// only copy of a measurement the monitor keeps. In stream mode these
+	// stay empty except while the flow is escalated.
 	sndLog, rcvLog []core.Measurement
-	sndOff, rcvOff int
 
-	// Streaming state (nil/zero without Config.Stream): the per-flow
-	// escalation state machine, the waterfall hook gate it drives, and
-	// the anomaly-total mark for per-poll deltas.
-	esc      *stream.Escalator
-	gate     *hookGate
-	anomMark int
+	// Streaming state (nil without Config.Stream): the per-flow
+	// escalation state machine and the waterfall hook gate it drives.
+	esc  *stream.Escalator
+	gate *hookGate
 
 	// Overload state (zero without Config.Overload): the flow's current
 	// ladder tier, when it was parked (for the unpark outage fold), and
@@ -262,9 +261,7 @@ func (m *Monitor) restore() {
 func (m *Monitor) becomeRunning() {
 	m.state = stateRunning
 	m.alive = true
-	m.sndOff, m.rcvOff = 0, 0
-	m.anomMark = m.anomalyTotal() // restored counts are not new anomalies
-	m.pollMark = -1               // grace: the first watchdog pass after a start never fires
+	m.pollMark = -1 // grace: the first watchdog pass after a start never fires
 	m.scheduleTick()
 }
 
@@ -330,37 +327,40 @@ func (m *Monitor) protectedPoll() (ok bool) {
 	return true
 }
 
-// flush streams freshly produced samples into the per-connection series.
-// Exporting incrementally is what makes the series crash-safe: samples
-// already flushed survive the incarnation that produced them. In stream
-// mode the samples drain into the shard's windowed sketches instead, so
-// per-connection memory stays constant.
+// flush drains what the trackers produced since the last flush and
+// routes each measurement once (keep), so a tracker holds at most one
+// poll's worth. Exporting incrementally is what makes the stitched series
+// crash-safe: samples already flushed survive the incarnation that
+// produced them.
 func (m *Monitor) flush() {
-	if m.sh.stream != nil {
-		m.flushStream()
-		return
-	}
 	if m.snd != nil {
-		m.sndLog, m.sndOff = m.flushLog(m.snd.Estimates(), m.sndLog, m.sndOff)
+		m.snd.Estimates().DrainLog(func(mm core.Measurement) { m.keep(mm, true) })
 	}
 	if m.rcv != nil {
-		m.rcvLog, m.rcvOff = m.flushLog(m.rcv.Estimates(), m.rcvLog, m.rcvOff)
+		m.rcv.Estimates().DrainLog(func(mm core.Measurement) { m.keep(mm, false) })
 	}
 }
 
-// flushLog moves the measurements est produced since offset off onto
-// kept, and returns it with the new offset. It reads the tail without
-// consolidating the tracker's log, so each poll costs what it produced.
-func (m *Monitor) flushLog(est *core.Estimates, kept []core.Measurement, off int) ([]core.Measurement, int) {
-	n := est.LogLen()
-	if m.tier >= overload.TierSketch {
-		// Shed below full retention: the samples are counted, not
-		// kept — the flow's Sheds anomaly and widened bounds already
-		// flag the gap.
-		m.shedSamples += n - off
-		return kept, n
+// keep routes one drained measurement. In stream mode it goes to the
+// shard's windowed sketches and the stitched series keeps it only while
+// the flow is escalated, so per-connection memory stays constant. In
+// exit mode the stitched series keeps it unless the governor shed the
+// flow below full retention: then it is counted, not kept — the flow's
+// Sheds anomaly and widened bounds already flag the gap.
+func (m *Monitor) keep(mm core.Measurement, sender bool) {
+	if m.sh.stream != nil {
+		if !m.observeStream(mm, sender) {
+			return
+		}
+	} else if m.tier >= overload.TierSketch {
+		m.shedSamples++
+		return
 	}
-	return est.AppendLogSince(kept, off), n
+	if sender {
+		m.sndLog = append(m.sndLog, mm)
+	} else {
+		m.rcvLog = append(m.rcvLog, mm)
+	}
 }
 
 // The restart policy for crashed monitors: capped exponential backoff,

@@ -76,19 +76,14 @@ func barrierSlice(duration, interval units.Duration) units.Duration {
 // AdvanceTo, and sizing the open ring for it means no shard ever
 // force-seals — the sealed index sequence is a pure function of barrier
 // times, which is what makes stream exports byte-identical across shard
-// counts. A zero retain is one barrier's worth of sealed windows plus
-// slack, so the per-barrier drain never drops.
-func shardStreamConfig(width, watermark, slice units.Duration, retain int) stream.Config {
-	sc := stream.Config{Width: width, Watermark: watermark, Lag: slice, Retain: retain}
+// counts. Retain is one barrier's worth of sealed windows plus slack, so
+// the per-barrier drain never drops.
+func shardStreamConfig(width, watermark, slice units.Duration) stream.Config {
+	sc := stream.Config{Width: width, Watermark: watermark, Lag: slice}
 	if sc.Width <= 0 {
 		sc.Width = stream.DefaultWidth
 	}
-	if sc.Retain <= 0 {
-		sc.Retain = int(slice/sc.Width) + 2
-		if sc.Retain < stream.DefaultRetain {
-			sc.Retain = stream.DefaultRetain
-		}
-	}
+	sc.Retain = max(int(slice/sc.Width)+2, stream.DefaultRetain)
 	return sc
 }
 

@@ -268,7 +268,7 @@ func NewScale(cfg ScaleConfig) *ScaleFleet {
 		usage:    f.meterUsage,
 		apply:    f.applyTier,
 	}
-	scfg := shardStreamConfig(cfg.Window, 0, cfg.slice(), 0)
+	scfg := shardStreamConfig(cfg.Window, 0, cfg.slice())
 	// Sort scratch, shared by the shards: shard 0 is never the smaller.
 	most := (cfg.Flows + cfg.Shards - 1) / cfg.Shards
 	params, keys := make([]synthFlow, most), make([]uint8, most)
@@ -540,7 +540,7 @@ func (sh *scaleShard) pollFull(slot int32, fu *scaleFull, now units.Time) {
 		if sketch {
 			observe(sh.seSnd, mm.At, mm.Delay.Seconds(), flg)
 		}
-		fu.esc.Observe(mm.At, mm.Delay.Seconds(), flg)
+		fu.esc.Observe(mm.At, mm.Delay.Seconds())
 		fu.log = append(fu.log, mm)
 	})
 }

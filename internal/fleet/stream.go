@@ -15,8 +15,8 @@ import (
 // merged across shards at every barrier and exported window-by-window
 // through Sink. With Rules enabled, each flow runs the Dapper-style
 // two-phase state machine: lightweight sketch-only observation that
-// escalates to full tracker series + waterfall granularity when a rule
-// trips, and demotes after the configured number of clean windows.
+// escalates to full tracker series + waterfall granularity when the p99
+// rule trips, and demotes after the configured number of clean windows.
 //
 // In stream mode the fleet does not keep per-connection ground-truth
 // collectors or full estimate series (escalated flows excepted), so a
@@ -29,9 +29,6 @@ type StreamConfig struct {
 	// Watermark is the lateness allowance for samples landing in an
 	// already-advanced window (0 = Window).
 	Watermark units.Duration
-	// Retain bounds each shard's sealed-window queue (0 = enough for one
-	// barrier slice plus slack; the fleet drains every barrier).
-	Retain int
 	// Rules is the escalation policy (zero rules = no escalation; every
 	// flow stays lightweight).
 	Rules stream.Rules
@@ -42,7 +39,7 @@ type StreamConfig struct {
 
 // streamCfg derives the per-shard stream configuration.
 func (c Config) streamCfg() stream.Config {
-	return shardStreamConfig(c.Stream.Window, c.Stream.Watermark, c.slice(), c.Stream.Retain)
+	return shardStreamConfig(c.Stream.Window, c.Stream.Watermark, c.slice())
 }
 
 // buildStream attaches the streaming pipeline to a freshly built shard:
@@ -65,69 +62,33 @@ func (sh *shard) buildStream(cfg Config) {
 // --- Escalation glue ------------------------------------------------------
 
 // observeStream feeds one tracker measurement into the shard's stream
-// series and, for sender samples, the flow's escalator. Escalated flows
-// additionally retain the full measurement series, restoring the
-// non-stream granularity for exactly the flows that need diagnosis.
-func (m *Monitor) observeStream(se *stream.Series, mm core.Measurement, sender bool) {
+// series and, for sender samples, the flow's escalator. It reports
+// whether the measurement joins the flow's stitched series: escalated
+// flows retain it, restoring the non-stream granularity for exactly the
+// flows that need diagnosis.
+func (m *Monitor) observeStream(mm core.Measurement, sender bool) (retain bool) {
 	if m.tier >= overload.TierCounters {
 		// Counters-only (or lower): the sample is dropped before the
 		// sketches — only its existence is counted. The flow's widened
 		// bounds and Sheds anomaly flag the gap.
 		m.shedSamples++
-		return
+		return false
 	}
-	flagged := mm.Confidence == core.ConfidenceLow
-	observe(se, mm.At, mm.Delay.Seconds(), flagged)
+	se := m.sh.seRcv
+	if sender {
+		se = m.sh.seSnd
+	}
+	observe(se, mm.At, mm.Delay.Seconds(), mm.Confidence == core.ConfidenceLow)
 	if m.tier >= overload.TierSketch {
 		// Sketch-only: no escalation machinery, no raw-series retention.
-		return
+		return false
 	}
 	if sender && m.esc != nil {
-		if changed, esc := m.esc.Observe(mm.At, mm.Delay.Seconds(), flagged); changed {
+		if changed, esc := m.esc.Observe(mm.At, mm.Delay.Seconds()); changed {
 			m.setEscalated(esc)
 		}
 	}
-	if m.esc.Escalated() {
-		if sender {
-			m.sndLog = append(m.sndLog, mm)
-		} else {
-			m.rcvLog = append(m.rcvLog, mm)
-		}
-	}
-}
-
-// flushStream drains freshly produced samples into the stream instead of
-// the unbounded per-connection series, and credits the poll's sanitizer
-// anomaly delta to the escalator.
-func (m *Monitor) flushStream() {
-	if m.snd != nil {
-		m.snd.Estimates().DrainLog(func(mm core.Measurement) {
-			m.observeStream(m.sh.seSnd, mm, true)
-		})
-	}
-	if m.rcv != nil {
-		m.rcv.Estimates().DrainLog(func(mm core.Measurement) {
-			m.observeStream(m.sh.seRcv, mm, false)
-		})
-	}
-	if m.esc != nil {
-		tot := m.anomalyTotal()
-		if d := tot - m.anomMark; d > 0 {
-			m.esc.Anomalies(uint64(d))
-		}
-		m.anomMark = tot
-	}
-}
-
-func (m *Monitor) anomalyTotal() int {
-	tot := 0
-	if m.snd != nil {
-		tot += m.snd.Anomalies().Total()
-	}
-	if m.rcv != nil {
-		tot += m.rcv.Anomalies().Total()
-	}
-	return tot
+	return m.esc.Escalated()
 }
 
 // setEscalated applies a state transition decided by the escalator:

@@ -15,17 +15,15 @@ import (
 const logChunk = 512
 
 // Log is an append-only result log that never copies what it already
-// holds. It serves the three ways the simulator's observers use one:
+// holds. It serves the two ways the simulator's observers use one:
 //
 //   - run, then read (a scenario's ground truth and estimates): the log is
 //     a plain slice while shorter than logChunk, then a list of fixed-size
 //     chunks, so an append costs the same at any length and nothing is
 //     re-copied as the log grows; Slice consolidates once, at read time.
-//   - drain every poll (the streaming fleets): the log never gets long, so
+//   - drain every poll (the fleets' monitors): the log never gets long, so
 //     it stays one slice, and Truncate(0) keeps that slice's capacity
 //     exactly as s = s[:0] does — the steady state allocates nothing.
-//   - copy the tail every poll (fleet.Monitor.flush): AppendSince reads
-//     from an offset without consolidating.
 //
 // The zero value is an empty log. A Log belongs to one goroutine: Slice
 // writes on read.
@@ -108,23 +106,6 @@ func (l *Log[T]) All() iter.Seq[T] {
 	}
 }
 
-// AppendSince appends elements [off, Len()) to dst and returns it — the
-// incremental reader's primitive: no consolidation, so reading a few new
-// elements every poll costs those elements and not the log.
-func (l *Log[T]) AppendSince(dst []T, off int) []T {
-	if off < len(l.flat) {
-		dst = append(dst, l.flat[off:]...)
-		off = 0
-	} else {
-		off -= len(l.flat)
-	}
-	for k := off / logChunk; k < len(l.chunks); k++ {
-		dst = append(dst, l.chunks[k][off%logChunk:]...)
-		off = 0
-	}
-	return dst
-}
-
 // Slice returns the whole log as one slice; later appends never modify
 // what it holds. When chunks exist they are first folded into one slice
 // of exactly Len() elements, so Slice writes on read: the log's single
@@ -132,8 +113,11 @@ func (l *Log[T]) AppendSince(dst []T, off int) []T {
 // appended in between cost nothing.
 func (l *Log[T]) Slice() []T {
 	if len(l.chunks) > 0 {
-		l.flat = l.AppendSince(make([]T, 0, l.Len()), 0)
-		l.chunks = nil
+		flat := append(make([]T, 0, l.Len()), l.flat...)
+		for _, c := range l.chunks {
+			flat = append(flat, c...)
+		}
+		l.flat, l.chunks = flat, nil
 	}
 	return l.flat
 }

@@ -34,20 +34,19 @@ func checkLog(t *testing.T, l *Log[int], ref []int) {
 	}
 }
 
-// TestLogMatchesSlice drives a Log and a plain slice through the three
+// TestLogMatchesSlice drives a Log and a plain slice through the two
 // shapes the observers use, interleaved at random: long runs of appends
-// read once (a), drain-every-poll (b), and an incremental tail reader
-// whose copy must equal the whole log at every step (c) — plus the
-// in-place decimation the waterfall recorder does over At and Truncate.
+// read once (a) and drain-every-poll (b) — plus the in-place decimation
+// the waterfall recorder does over At and Truncate.
 func TestLogMatchesSlice(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var l Log[int]
-		var ref, tail []int
+		var ref []int
 		next := 0
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(10); {
-			case op < 5: // a burst of appends, sometimes several chunks long
+			case op < 6: // a burst of appends, sometimes several chunks long
 				n := 1 + rng.Intn(40)
 				if rng.Intn(8) == 0 {
 					n = logChunk + rng.Intn(3*logChunk)
@@ -56,11 +55,6 @@ func TestLogMatchesSlice(t *testing.T) {
 					l.Append(next)
 					ref = append(ref, next)
 					next++
-				}
-			case op < 7: // (c) the incremental reader catches up
-				tail = l.AppendSince(tail, len(tail))
-				if !slices.Equal(tail, ref) {
-					t.Fatalf("seed %d step %d: tail reader diverged at length %d", seed, step, len(ref))
 				}
 			case op < 8: // (a) the consolidating read; the result must stay intact
 				got := l.Slice()
@@ -83,10 +77,9 @@ func TestLogMatchesSlice(t *testing.T) {
 				}
 				l.Truncate(k)
 				ref = ref[:k]
-				tail = tail[:0]
 			default: // (b) drain
 				l.Truncate(0)
-				ref, tail = ref[:0], tail[:0]
+				ref = ref[:0]
 			}
 			checkLog(t, &l, ref)
 		}

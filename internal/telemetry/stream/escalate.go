@@ -3,21 +3,16 @@ package stream
 import "element/internal/units"
 
 // Rules is the sketch-driven escalation policy (Dapper-style two-phase
-// monitoring): a flow whose per-window summary trips any enabled rule
+// monitoring): a flow whose per-window p99 sender delay trips the rule
 // escalates from lightweight sketch-only observation to full tracker +
 // waterfall granularity, and demotes after CleanWindows consecutive
-// clean windows. A zero threshold disables its rule.
+// clean windows.
 type Rules struct {
-	// P99Above escalates when a window's p99 sender delay exceeds it.
+	// P99Above escalates when a window's p99 sender delay exceeds it
+	// (0 = no escalation).
 	P99Above units.Duration
-	// FlaggedFrac escalates when the flagged (low-confidence) fraction
-	// of a window's samples exceeds it — the confidence-collapse signal.
-	FlaggedFrac float64
-	// AnomalyPerSample escalates when sanitizer anomalies per observed
-	// sample exceed it — the anomaly-rate-spike signal.
-	AnomalyPerSample float64
-	// MinSamples guards every rule: windows with fewer samples never
-	// trip (default 4).
+	// MinSamples guards the rule: windows with fewer samples never trip
+	// (default 4).
 	MinSamples uint64
 	// CleanWindows is how many consecutive clean windows demote an
 	// escalated flow back to lightweight mode (default 3).
@@ -34,13 +29,11 @@ func (r Rules) normalize() Rules {
 	return r
 }
 
-// Enabled reports whether any rule has a live threshold.
-func (r Rules) Enabled() bool {
-	return r.P99Above > 0 || r.FlaggedFrac > 0 || r.AnomalyPerSample > 0
-}
+// Enabled reports whether the rule has a live threshold.
+func (r Rules) Enabled() bool { return r.P99Above > 0 }
 
 // Escalator is one flow's escalation state machine. It keeps a single
-// window's worth of sketch state (a few KB), evaluates the rules each
+// window's worth of sketch state (a few KB), evaluates the rule each
 // time virtual time crosses a window boundary, and tracks the
 // escalated/lightweight state plus transition counters. Decisions are a
 // pure function of the flow's own sample sequence, so they are
@@ -49,10 +42,8 @@ type Escalator struct {
 	rules Rules
 	width units.Duration
 
-	idx       int64 // current window ordinal
-	sketch    Sketch
-	flagged   uint64
-	anomalies uint64
+	idx    int64 // current window ordinal
+	sketch Sketch
 
 	escalated bool
 	clean     int // consecutive clean windows while escalated
@@ -106,27 +97,17 @@ func (e *Escalator) ForceDemote() (changed bool) {
 	return true
 }
 
-// Anomalies credits n sanitizer anomalies to the current window.
-func (e *Escalator) Anomalies(n uint64) {
-	if e != nil {
-		e.anomalies += n
-	}
-}
-
 // Observe records one sender-delay sample (seconds) at virtual time at,
 // rolling and evaluating any windows the sample's time has passed.
 // changed reports a state transition this call; escalated the state
 // after it. Samples must arrive in non-decreasing time order (monitor
 // polls are monotonic per flow). Allocation-free.
-func (e *Escalator) Observe(at units.Time, delay float64, flagged bool) (changed, escalated bool) {
+func (e *Escalator) Observe(at units.Time, delay float64) (changed, escalated bool) {
 	if e == nil {
 		return false, false
 	}
 	changed = e.advance(at)
 	e.sketch.Observe(delay)
-	if flagged {
-		e.flagged++
-	}
 	return changed, e.escalated
 }
 
@@ -147,7 +128,7 @@ func (e *Escalator) Finish() (changed bool) {
 	if e == nil {
 		return false
 	}
-	if e.sketch.Count() > 0 || e.anomalies > 0 {
+	if e.sketch.Count() > 0 {
 		changed = e.roll()
 	}
 	return changed
@@ -168,22 +149,12 @@ func (e *Escalator) advance(at units.Time) (changed bool) {
 	return changed
 }
 
-// roll evaluates the completed window against the rules and resets the
+// roll evaluates the completed window against the rule and resets the
 // window state. One transition at most per window.
 func (e *Escalator) roll() (changed bool) {
 	n := e.sketch.Count()
-	trip := false
-	if n >= e.rules.MinSamples {
-		if e.rules.P99Above > 0 && e.sketch.Quantile(0.99) > e.rules.P99Above.Seconds() {
-			trip = true
-		}
-		if e.rules.FlaggedFrac > 0 && float64(e.flagged) > e.rules.FlaggedFrac*float64(n) {
-			trip = true
-		}
-		if e.rules.AnomalyPerSample > 0 && float64(e.anomalies) > e.rules.AnomalyPerSample*float64(n) {
-			trip = true
-		}
-	}
+	trip := n >= e.rules.MinSamples && e.rules.P99Above > 0 &&
+		e.sketch.Quantile(0.99) > e.rules.P99Above.Seconds()
 	switch {
 	case trip && !e.escalated:
 		e.escalated = true
@@ -206,7 +177,5 @@ func (e *Escalator) roll() (changed bool) {
 		}
 	}
 	e.sketch.Reset()
-	e.flagged = 0
-	e.anomalies = 0
 	return changed
 }

@@ -10,11 +10,11 @@ const escWidth = units.Second
 
 // feedWindow pushes n samples of the given delay spread through window
 // idx and returns any state change observed while crossing into idx+1.
-func feedWindow(e *Escalator, idx int64, n int, delay float64, flagged bool) (changed, escalated bool) {
+func feedWindow(e *Escalator, idx int64, n int, delay float64) (changed, escalated bool) {
 	base := units.Time(idx) * units.Time(escWidth)
 	for i := 0; i < n; i++ {
 		at := base.Add(units.Duration(i+1) * units.Millisecond)
-		e.Observe(at, delay, flagged)
+		e.Observe(at, delay)
 	}
 	// Cross into the next window to trigger evaluation.
 	changed = e.AdvanceTo(units.Time(idx+1)*units.Time(escWidth) + 1)
@@ -23,10 +23,10 @@ func feedWindow(e *Escalator, idx int64, n int, delay float64, flagged bool) (ch
 
 func TestEscalatorP99Rule(t *testing.T) {
 	e := NewEscalator(Rules{P99Above: 500 * units.Millisecond, CleanWindows: 2}, escWidth)
-	if _, esc := feedWindow(e, 0, 20, 0.1, false); esc {
+	if _, esc := feedWindow(e, 0, 20, 0.1); esc {
 		t.Fatal("escalated on a clean window")
 	}
-	changed, esc := feedWindow(e, 1, 20, 0.9, false)
+	changed, esc := feedWindow(e, 1, 20, 0.9)
 	if !changed || !esc {
 		t.Fatalf("p99 rule did not escalate: changed=%v esc=%v", changed, esc)
 	}
@@ -34,11 +34,11 @@ func TestEscalatorP99Rule(t *testing.T) {
 		t.Fatalf("escalations = %d", e.Escalations())
 	}
 	// One clean window is not enough to demote...
-	if _, esc := feedWindow(e, 2, 20, 0.1, false); !esc {
+	if _, esc := feedWindow(e, 2, 20, 0.1); !esc {
 		t.Fatal("demoted after a single clean window")
 	}
 	// ...two are.
-	changed, esc = feedWindow(e, 3, 20, 0.1, false)
+	changed, esc = feedWindow(e, 3, 20, 0.1)
 	if !changed || esc {
 		t.Fatalf("did not demote after CleanWindows: changed=%v esc=%v", changed, esc)
 	}
@@ -49,38 +49,22 @@ func TestEscalatorP99Rule(t *testing.T) {
 
 func TestEscalatorMinSamplesGuard(t *testing.T) {
 	e := NewEscalator(Rules{P99Above: 500 * units.Millisecond, MinSamples: 10}, escWidth)
-	if _, esc := feedWindow(e, 0, 5, 2.0, false); esc {
+	if _, esc := feedWindow(e, 0, 5, 2.0); esc {
 		t.Fatal("escalated below MinSamples")
 	}
-	if _, esc := feedWindow(e, 1, 10, 2.0, false); !esc {
+	if _, esc := feedWindow(e, 1, 10, 2.0); !esc {
 		t.Fatal("did not escalate at MinSamples")
-	}
-}
-
-func TestEscalatorFlaggedAndAnomalyRules(t *testing.T) {
-	e := NewEscalator(Rules{FlaggedFrac: 0.5}, escWidth)
-	if _, esc := feedWindow(e, 0, 10, 0.1, false); esc {
-		t.Fatal("flagged rule tripped with no flags")
-	}
-	if _, esc := feedWindow(e, 1, 10, 0.1, true); !esc {
-		t.Fatal("confidence collapse did not escalate")
-	}
-
-	a := NewEscalator(Rules{AnomalyPerSample: 0.25}, escWidth)
-	a.Anomalies(100)
-	if _, esc := feedWindow(a, 0, 10, 0.1, false); !esc {
-		t.Fatal("anomaly spike did not escalate")
 	}
 }
 
 func TestEscalatorIdleWindowsDoNotDemote(t *testing.T) {
 	e := NewEscalator(Rules{P99Above: 100 * units.Millisecond, CleanWindows: 2}, escWidth)
-	feedWindow(e, 0, 20, 1.0, false)
+	feedWindow(e, 0, 20, 1.0)
 	if !e.Escalated() {
 		t.Fatal("setup: not escalated")
 	}
 	// Skip many empty windows: no evidence either way, stay escalated.
-	if _, esc := feedWindow(e, 50, 20, 1.0, false); !esc {
+	if _, esc := feedWindow(e, 50, 20, 1.0); !esc {
 		t.Fatal("idle windows demoted the flow without evidence")
 	}
 }
@@ -89,7 +73,7 @@ func TestEscalatorFinish(t *testing.T) {
 	e := NewEscalator(Rules{P99Above: 100 * units.Millisecond}, escWidth)
 	base := units.Time(0)
 	for i := 0; i < 20; i++ {
-		e.Observe(base.Add(units.Duration(i+1)*units.Millisecond), 1.0, false)
+		e.Observe(base.Add(units.Duration(i+1)*units.Millisecond), 1.0)
 	}
 	if e.Escalated() {
 		t.Fatal("mid-window state must not have evaluated yet")
@@ -110,8 +94,7 @@ func TestRulesEnabled(t *testing.T) {
 	if nilE.Escalated() || nilE.Escalations() != 0 {
 		t.Fatal("nil escalator must no-op")
 	}
-	nilE.Anomalies(1)
-	nilE.Observe(0, 1, false)
+	nilE.Observe(0, 1)
 	nilE.Finish()
 }
 
@@ -127,8 +110,8 @@ func TestEscalatorDemotesExactlyAtNthCleanBoundary(t *testing.T) {
 	}, units.Second)
 
 	// Window 0 trips; the transition lands when window 0 rolls.
-	e.Observe(units.Time(500*units.Millisecond), 0.5, false)
-	changed, esc := e.Observe(units.Time(1500*units.Millisecond), 0.001, false)
+	e.Observe(units.Time(500*units.Millisecond), 0.5)
+	changed, esc := e.Observe(units.Time(1500*units.Millisecond), 0.001)
 	if !changed || !esc {
 		t.Fatalf("window-0 roll: changed=%v escalated=%v, want true/true", changed, esc)
 	}
@@ -138,7 +121,7 @@ func TestEscalatorDemotesExactlyAtNthCleanBoundary(t *testing.T) {
 		units.Time(2500 * units.Millisecond),
 		units.Time(3500 * units.Millisecond),
 	} {
-		if changed, esc = e.Observe(at, 0.001, false); changed || !esc {
+		if changed, esc = e.Observe(at, 0.001); changed || !esc {
 			t.Fatalf("roll at %v: changed=%v escalated=%v, want false/true", at, changed, esc)
 		}
 	}

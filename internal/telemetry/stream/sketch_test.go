@@ -215,7 +215,7 @@ func TestStreamPathZeroAllocs(t *testing.T) {
 	at = 0
 	if n := testing.AllocsPerRun(1000, func() {
 		at = at.Add(10 * units.Millisecond)
-		esc.Observe(at, 0.002, false)
+		esc.Observe(at, 0.002)
 	}); n != 0 {
 		t.Errorf("Escalator.Observe allocates %v/op", n)
 	}
