@@ -396,9 +396,10 @@ func senderAccuracyWithInterval(seed int64, interval units.Duration) float64 {
 	conn := stack.Dial(net, stack.ConnConfig{
 		CC: cc.KindCubic, SenderHooks: col.SenderHooks(), ReceiverHooks: col.ReceiverHooks(),
 	})
-	snd := core.AttachSender(eng, conn.Sender, core.Options{Interval: interval})
+	tr := core.NewSenderTracker(eng, conn.Sender, interval)
 	eng.Spawn("w", func(p *sim.Proc) {
-		for snd.Send(p, 16<<10).Size > 0 {
+		for conn.Sender.Write(p, 16<<10) > 0 {
+			tr.OnWrite(conn.Sender.WrittenCum())
 		}
 	})
 	eng.Spawn("r", func(p *sim.Proc) {
@@ -408,7 +409,7 @@ func senderAccuracyWithInterval(seed int64, interval units.Duration) float64 {
 	eng.RunUntil(units.Time(benchDur))
 	eng.Shutdown()
 
-	est := snd.Estimates().Series()
+	est := tr.Estimates().Series()
 	truth := col.SenderDelay()
 	if len(est) == 0 || len(truth) == 0 {
 		return 0

@@ -1,7 +1,7 @@
 // Command elemfleet runs the supervised monitoring fleet: N concurrent
 // simulated connections, each watched by its own ELEMENT monitor under
 // the fleet supervisor (panic recovery, backoff restarts, watchdog
-// recycling, periodic JSON checkpoints). Connection and monitor churn is
+// recycling, JSON checkpoints every 500 ms). Connection and monitor churn is
 // scheduled deterministically from the seed and composes with the fault
 // profiles.
 //
@@ -85,17 +85,15 @@ import (
 
 func main() {
 	var (
-		conns     = flag.Int("conns", 8, "number of concurrent connections")
-		seed      = flag.Int64("seed", 1, "simulation seed (fixes the churn schedule)")
-		dur       = flag.Float64("dur", 8, "simulated duration in seconds")
-		rateMbps  = flag.Float64("rate", 4, "per-connection path rate in Mbps")
-		rttMs     = flag.Float64("rtt", 40, "per-connection RTT in ms")
-		interval  = flag.Float64("interval", 10, "TCP_INFO polling interval in ms")
-		recordCap = flag.Int("record-cap", 0, "tracker record FIFO cap (0 = default, negative = unlimited)")
-		minimize  = flag.Bool("minimize", false, "run the Algorithm 3 minimizer on every monitor")
-		cpEvery   = flag.Float64("checkpoint-every", 500, "checkpoint cadence in ms (negative disables)")
-		shards    = flag.Int("shards", 0, "parallel shard count (0 = one per core, 1 = single-threaded); results are identical for any value")
-		scaleN    = flag.Int("scale", 0, "million-monitor mode: run N closed-form flows through per-shard event loops with two-phase escalation (replaces the simulated-stack fleet; honors -seed -dur -interval -shards -escalate -window-ms and the -budget-* flags)")
+		conns    = flag.Int("conns", 8, "number of concurrent connections")
+		seed     = flag.Int64("seed", 1, "simulation seed (fixes the churn schedule)")
+		dur      = flag.Float64("dur", 8, "simulated duration in seconds")
+		rateMbps = flag.Float64("rate", 4, "per-connection path rate in Mbps")
+		rttMs    = flag.Float64("rtt", 40, "per-connection RTT in ms")
+		interval = flag.Float64("interval", 10, "TCP_INFO polling interval in ms")
+		minimize = flag.Bool("minimize", false, "run the Algorithm 3 minimizer on every monitor")
+		shards   = flag.Int("shards", 0, "parallel shard count (0 = one per core, 1 = single-threaded); results are identical for any value")
+		scaleN   = flag.Int("scale", 0, "million-monitor mode: run N closed-form flows through per-shard event loops with two-phase escalation (replaces the simulated-stack fleet; honors -seed -dur -interval -shards -escalate -window-ms and the -budget-* flags)")
 
 		openWindow = flag.Float64("open-window", 1, "stagger connection opens over this many seconds")
 		closeFrac  = flag.Float64("close-frac", 0.25, "fraction of connections closing early")
@@ -173,26 +171,21 @@ func main() {
 	}
 
 	cfg := fleet.Config{
-		Seed:            *seed,
-		Connections:     *conns,
-		Duration:        units.DurationFromSeconds(*dur),
-		Rate:            units.Rate(*rateMbps * 1e6),
-		RTT:             units.DurationFromSeconds(*rttMs / 1e3),
-		Interval:        units.DurationFromSeconds(*interval / 1e3),
-		RecordCap:       *recordCap,
-		Minimize:        *minimize,
-		Shards:          *shards,
-		CheckpointEvery: units.DurationFromSeconds(*cpEvery / 1e3),
-		Resume:          resume,
+		Seed:        *seed,
+		Connections: *conns,
+		Duration:    units.DurationFromSeconds(*dur),
+		Rate:        units.Rate(*rateMbps * 1e6),
+		RTT:         units.DurationFromSeconds(*rttMs / 1e3),
+		Interval:    units.DurationFromSeconds(*interval / 1e3),
+		Minimize:    *minimize,
+		Shards:      *shards,
+		Resume:      resume,
 		Churn: fleet.ChurnConfig{
 			OpenWindow: units.DurationFromSeconds(*openWindow),
 			CloseFrac:  *closeFrac,
 			CrashFrac:  *crashFrac,
 			StallFrac:  *stallFrac,
 		},
-	}
-	if *cpEvery < 0 {
-		cfg.CheckpointEvery = -1
 	}
 	cfg.CC = cc.Kind(*ccAlg)
 	var rt *reqtrace.Tracer

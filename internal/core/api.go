@@ -41,14 +41,10 @@ type Controller interface {
 	AfterSend(p *sim.Proc, cumWritten uint64)
 }
 
-// Options configures an ELEMENT attachment (the init_em arguments plus the
-// polling interval).
+// Options configures an ELEMENT attachment (the init_em arguments). The
+// trackers poll at DefaultInterval with DefaultRecordCap records; a caller
+// that needs either changed builds them with NewSenderTrackerOpts.
 type Options struct {
-	// Interval is the TCP_INFO polling period (0 = 10 ms).
-	Interval units.Duration
-	// RecordCap bounds each tracker's record FIFO (0 = DefaultRecordCap,
-	// negative = unlimited); see TrackerOptions.RecordCap.
-	RecordCap int
 	// Minimize runs Algorithm 3 on the sender (the "default latency
 	// minimization algorithm" used for legacy applications).
 	Minimize bool
@@ -93,7 +89,7 @@ func AttachSender(eng *sim.Engine, sock *stack.Socket, opts Options) *Sender {
 		src = opts.Info
 	}
 	s := &Sender{eng: eng, sock: sock}
-	s.Tracker = NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: opts.Interval, RecordCap: opts.RecordCap})
+	s.Tracker = NewSenderTrackerOpts(eng, src, TrackerOptions{})
 	sc := opts.Telem.Scope("core").WithFlow(sock.FlowID())
 	s.Tracker.Instrument(sc)
 	switch {
@@ -234,7 +230,7 @@ func AttachReceiver(eng *sim.Engine, sock *stack.Socket, opts Options) *Receiver
 	r := &Receiver{
 		eng:     eng,
 		sock:    sock,
-		Tracker: NewReceiverTrackerOpts(eng, src, TrackerOptions{Interval: opts.Interval, RecordCap: opts.RecordCap}),
+		Tracker: NewReceiverTrackerOpts(eng, src, TrackerOptions{}),
 	}
 	r.Tracker.Instrument(opts.Telem.Scope("core").WithFlow(sock.FlowID()))
 	return r

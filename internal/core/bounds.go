@@ -257,51 +257,6 @@ func (c Coverage) Fraction(grade Confidence) float64 {
 	return float64(c.Covered[grade]) / float64(c.Samples[grade])
 }
 
-// SenderCoverage tallies per-grade bound coverage of a sender log against
-// ground truth, using the same envelope comparison as CheckSenderBounds.
-func SenderCoverage(log []Measurement, truth stats.Series, interval units.Duration) Coverage {
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
-	var cov Coverage
-	env := newEnvelope(truth)
-	for _, m := range log {
-		lo, hi, ok := env.band(m.At.Add(-2*interval-m.ErrBound), m.At)
-		if !ok {
-			continue
-		}
-		var dist units.Duration
-		if m.Delay < lo {
-			dist = lo - m.Delay
-		} else if m.Delay > hi {
-			dist = m.Delay - hi
-		}
-		cov.Add(m.Confidence, dist <= m.ErrBound+boundEps)
-	}
-	return cov
-}
-
-// ReceiverCoverage tallies per-grade coverage of a receiver log. The
-// receiver contract is one-sided (see CheckReceiverBounds): a sample is
-// covered unless it claims more waiting than the recent true maximum
-// plus its bound.
-func ReceiverCoverage(log []Measurement, truth stats.Series) Coverage {
-	var cov Coverage
-	env := newEnvelope(truth)
-	for _, m := range log {
-		window := receiverWindow
-		if m.ErrBound > window {
-			window = m.ErrBound
-		}
-		_, hi, ok := env.band(m.At.Add(-window), m.At)
-		if !ok {
-			continue
-		}
-		cov.Add(m.Confidence, m.Delay-hi <= m.ErrBound+boundEps)
-	}
-	return cov
-}
-
 // CheckSenderBounds evaluates the sender log: a non-flagged sample
 // violates the contract when its delay is farther than ErrBound from the
 // ground-truth envelope over the sample's own timestamp-quantization
@@ -312,36 +267,15 @@ func ReceiverCoverage(log []Measurement, truth stats.Series) Coverage {
 // ErrBound (tight samples keep a tight window; only samples that already
 // admit lateness look further back).
 func CheckSenderBounds(log []Measurement, truth stats.Series, interval units.Duration) BoundCheck {
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
-	var bc BoundCheck
-	env := newEnvelope(truth)
-	for _, m := range log {
-		bc.Samples++
-		if m.Confidence == ConfidenceLow {
-			bc.Flagged++
-			continue
-		}
-		lo, hi, ok := env.band(m.At.Add(-2*interval-m.ErrBound), m.At)
-		if !ok {
-			continue
-		}
-		bc.Checked++
-		var dist units.Duration
-		if m.Delay < lo {
-			dist = lo - m.Delay
-		} else if m.Delay > hi {
-			dist = m.Delay - hi
-		}
-		if excess := dist - m.ErrBound - boundEps; excess > 0 {
-			bc.Violations++
-			if excess > bc.WorstExcess {
-				bc.WorstExcess = excess
-			}
-		}
-	}
+	bc, _ := gradeLog(log, truth, interval, false)
 	return bc
+}
+
+// SenderCoverage tallies per-grade bound coverage of a sender log against
+// ground truth, by the same comparison as CheckSenderBounds.
+func SenderCoverage(log []Measurement, truth stats.Series, interval units.Duration) Coverage {
+	_, cov := gradeLog(log, truth, interval, false)
+	return cov
 }
 
 // CheckReceiverBounds evaluates the receiver log. The contract is
@@ -351,29 +285,58 @@ func CheckSenderBounds(log []Measurement, truth stats.Series, interval units.Dur
 // match bytes younger than the oldest waiting range — so they do not
 // count as violations.
 func CheckReceiverBounds(log []Measurement, truth stats.Series) BoundCheck {
-	var bc BoundCheck
+	bc, _ := gradeLog(log, truth, 0, true)
+	return bc
+}
+
+// ReceiverCoverage tallies per-grade coverage of a receiver log, by the
+// same one-sided comparison as CheckReceiverBounds.
+func ReceiverCoverage(log []Measurement, truth stats.Series) Coverage {
+	_, cov := gradeLog(log, truth, 0, true)
+	return cov
+}
+
+// gradeLog is the one grader behind the four entry points above: a single
+// walk of the log against the truth envelope that fills both tallies. A
+// sample's excess is its distance from the envelope beyond its own bound
+// (and boundEps); the receiver looks back max(receiverWindow, ErrBound)
+// and counts only overestimates. Coverage grades every sample with ground
+// truth to compare against; the bound check exempts flagged ones.
+func gradeLog(log []Measurement, truth stats.Series, interval units.Duration, receiver bool) (bc BoundCheck, cov Coverage) {
+	if interval <= 0 {
+		interval = DefaultInterval
+	}
 	env := newEnvelope(truth)
 	for _, m := range log {
 		bc.Samples++
-		if m.Confidence == ConfidenceLow {
+		flagged := m.Confidence == ConfidenceLow
+		if flagged {
 			bc.Flagged++
-			continue
 		}
-		window := receiverWindow
-		if m.ErrBound > window {
-			window = m.ErrBound
+		lookback := 2*interval + m.ErrBound
+		if receiver {
+			lookback = max(receiverWindow, m.ErrBound)
 		}
-		_, hi, ok := env.band(m.At.Add(-window), m.At)
+		lo, hi, ok := env.band(m.At.Add(-lookback), m.At)
 		if !ok {
 			continue
 		}
+		var dist units.Duration
+		if m.Delay > hi {
+			dist = m.Delay - hi
+		} else if m.Delay < lo && !receiver {
+			dist = lo - m.Delay
+		}
+		excess := dist - m.ErrBound - boundEps
+		cov.Add(m.Confidence, excess <= 0)
+		if flagged {
+			continue
+		}
 		bc.Checked++
-		if excess := m.Delay - hi - m.ErrBound - boundEps; excess > 0 {
+		if excess > 0 {
 			bc.Violations++
-			if excess > bc.WorstExcess {
-				bc.WorstExcess = excess
-			}
+			bc.WorstExcess = max(bc.WorstExcess, excess)
 		}
 	}
-	return bc
+	return bc, cov
 }

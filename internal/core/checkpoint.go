@@ -21,8 +21,15 @@ import (
 // outage carries the outage in its error bound and a degraded confidence
 // grade. That upholds the bounded-or-flagged contract across restarts.
 //
-// Checkpoints are plain exported structs; Marshal/Unmarshal helpers use
-// encoding/json so a supervisor can persist them anywhere bytes go.
+// Two invariants hold it together. A checkpoint is its object's state:
+// each of the four objects (both trackers, the minimizer, the sanitizer)
+// declares its resumable fields once, in a state struct that the live
+// type and its checkpoint both embed, in wire order — so Checkpoint is
+// one struct copy plus the records, and a restore is one assignment, and
+// a field cannot be added to one side only. And there is one restore
+// rule: the trackers' fold, which Shed and FoldOutage share.
+// Marshal/Unmarshal use encoding/json so a supervisor can persist
+// checkpoints anywhere bytes go.
 
 // RecordCheckpoint is one serialized FIFO record.
 type RecordCheckpoint struct {
@@ -32,61 +39,16 @@ type RecordCheckpoint struct {
 	Stall units.Duration `json:"stall,omitempty"`
 }
 
-// SanitizerCheckpoint captures the defended-view state shared by both
-// trackers: the last good snapshot the monotonicity clamps compare
-// against, the tcpi_bytes_acked capability verdict, the MSS envelope and
-// the anomaly audit trail.
-type SanitizerCheckpoint struct {
-	Seen      bool            `json:"seen"`
-	Cap       uint8           `json:"cap"`
-	Last      tcpinfo.TCPInfo `json:"last"`
-	Counts    AnomalyCounts   `json:"counts"`
-	SndMSSMin int             `json:"snd_mss_min,omitempty"`
-	SndMSSMax int             `json:"snd_mss_max,omitempty"`
-}
-
-func (s *sanitizer) checkpoint() SanitizerCheckpoint {
-	return SanitizerCheckpoint{
-		Seen:      s.seen,
-		Cap:       uint8(s.cap),
-		Last:      s.last,
-		Counts:    s.counts,
-		SndMSSMin: s.sndMSSMin,
-		SndMSSMax: s.sndMSSMax,
-	}
-}
-
-func (s *sanitizer) restore(cp SanitizerCheckpoint) {
-	s.seen = cp.Seen
-	s.cap = capState(cp.Cap)
-	s.last = cp.Last
-	s.counts = cp.Counts
-	s.sndMSSMin = cp.SndMSSMin
-	s.sndMSSMax = cp.SndMSSMax
-}
-
-// SenderCheckpoint is the serializable state of Algorithm 1's tracker.
+// SenderCheckpoint is the serializable state of Algorithm 1's tracker: the
+// construction options, the outstanding records, the tracker's state and
+// its sanitizer's, in that order on the wire.
 type SenderCheckpoint struct {
 	TakenAt   units.Time         `json:"taken_at"`
 	Interval  units.Duration     `json:"interval"`
 	RecordCap int                `json:"record_cap,omitempty"`
 	Records   []RecordCheckpoint `json:"records,omitempty"`
-
-	CumWritten uint64 `json:"cum_written"`
-	BestCache  uint64 `json:"best_cache"`
-	LastBest   uint64 `json:"last_best"`
-	PrevBest   uint64 `json:"prev_best"`
-
-	Polls        int            `json:"polls"`
-	StalePolls   int            `json:"stale_polls"`
-	StallCum     units.Duration `json:"stall_cum"`
-	RateEst      float64        `json:"rate_est"`
-	LastAnomaly  int            `json:"last_anomaly"`
-	PrevAnomTot  int            `json:"prev_anom_tot"`
-	PrevDelay    units.Duration `json:"prev_delay"`
-	PrevDelaySet bool           `json:"prev_delay_set"`
-
-	Sanitizer SanitizerCheckpoint `json:"sanitizer"`
+	senderState
+	Sanitizer sanitizerState `json:"sanitizer"`
 }
 
 // Checkpoint serializes the tracker's resumable state at the current
@@ -95,26 +57,14 @@ type SenderCheckpoint struct {
 // what the checkpoint preserves is the ability to keep producing correct
 // ones.
 func (t *SenderTracker) Checkpoint() SenderCheckpoint {
-	cp := SenderCheckpoint{
-		TakenAt:      t.eng.Now(),
-		Interval:     t.interval,
-		RecordCap:    t.list.cap,
-		CumWritten:   t.cumWritten,
-		BestCache:    t.bestCache,
-		LastBest:     t.lastBest,
-		PrevBest:     t.prevBest,
-		Polls:        t.polls,
-		StalePolls:   t.stalePolls,
-		StallCum:     t.stallCum,
-		RateEst:      t.rateEst,
-		LastAnomaly:  t.lastAnomaly,
-		PrevAnomTot:  t.prevAnomTot,
-		PrevDelay:    t.prevDelay,
-		PrevDelaySet: t.prevDelaySet,
-		Sanitizer:    t.san.checkpoint(),
+	return SenderCheckpoint{
+		TakenAt:     t.eng.Now(),
+		Interval:    t.interval,
+		RecordCap:   t.list.cap,
+		Records:     checkpointRecords(&t.list),
+		senderState: t.senderState,
+		Sanitizer:   t.san.sanitizerState,
 	}
-	cp.Records = checkpointRecords(&t.list)
-	return cp
 }
 
 // Marshal encodes the checkpoint as JSON.
@@ -129,56 +79,24 @@ func UnmarshalSenderCheckpoint(b []byte) (SenderCheckpoint, error) {
 	return cp, nil
 }
 
-// RestoreSenderTracker resumes Algorithm 1 from a checkpoint. The outage
-// window — the gap between the checkpoint's timestamp and the engine's
-// current time — is folded into the tracker's stall debt, so every record
-// that sat through the outage produces a sample whose error bound admits
-// the whole unobserved window, at degraded confidence; an outage longer
-// than the stale-poll threshold flags samples outright until the estimator
-// observes fresh progress. opts.Interval and opts.RecordCap default to the
-// checkpoint's values when zero; opts.Detached works as in
-// NewSenderTrackerOpts.
+// RestoreSenderTracker resumes Algorithm 1 from a checkpoint: the state is
+// assigned whole, then the restore rule (fold) charges the outage window —
+// the gap between the checkpoint's timestamp and the engine's current
+// time — as stall debt and stale polls, counts a Restores anomaly and
+// opens the post-anomaly holdoff. Every record that sat through the
+// outage produces a sample whose error bound admits the whole unobserved
+// window, at degraded confidence; an outage longer than the stale-poll
+// threshold flags samples outright until the estimator observes fresh
+// progress. opts.Interval and opts.RecordCap default to the checkpoint's
+// values when zero; opts.Detached works as in NewSenderTrackerOpts.
 func RestoreSenderTracker(eng *sim.Engine, src InfoSource, cp SenderCheckpoint, opts TrackerOptions) *SenderTracker {
-	if opts.Interval <= 0 {
-		opts.Interval = cp.Interval
-	}
-	if opts.RecordCap == 0 {
-		opts.RecordCap = cp.RecordCap
-	}
-	t := NewSenderTrackerOpts(eng, src, opts)
-	t.san.restore(cp.Sanitizer)
-	if cp.StallCum < 0 {
-		cp.StallCum = 0
-	}
-	restoreRecords(&t.list, cp.Records, eng.Now(), cp.StallCum)
-	t.cumWritten = cp.CumWritten
-	t.bestCache = cp.BestCache
-	t.lastBest = cp.LastBest
-	t.prevBest = cp.PrevBest
-	t.polls = cp.Polls
-	t.stalePolls = cp.StalePolls
-	t.stallCum = cp.StallCum
-	t.rateEst = cp.RateEst
-	t.lastAnomaly = cp.LastAnomaly
-	t.prevAnomTot = cp.PrevAnomTot
-	t.prevDelay = cp.PrevDelay
-	t.prevDelaySet = cp.PrevDelaySet
-
-	outage := eng.Now().Sub(cp.TakenAt)
-	if outage < 0 {
-		outage = 0
-	}
-	// The outage is stalled time every outstanding record sat through:
-	// records snapshot stallCum at push, so bumping the total here widens
-	// exactly the samples produced from pre-outage state. Counting the gap
-	// into stalePolls makes a long outage flag samples low-confidence until
-	// B_est provably advances again, and the Restores anomaly opens the
-	// usual post-anomaly holdoff window.
-	t.stallCum += outage
-	t.stalePolls += int(outage / t.interval)
-	t.san.counts.Restores++
-	t.lastAnomaly = t.polls
-	t.prevAnomTot = t.san.counts.Total()
+	t := NewSenderTrackerOpts(eng, src, restoreOptions(opts, cp.Interval, cp.RecordCap))
+	t.senderState = cp.senderState
+	t.san.sanitizerState = cp.Sanitizer
+	t.StallCum = max(t.StallCum, 0) // negative debt would narrow bounds
+	restoreRecords(&t.list, cp.Records, eng.Now(), t.StallCum)
+	t.san.Counts.Restores++
+	t.fold(eng.Now().Sub(cp.TakenAt))
 	return t
 }
 
@@ -206,61 +124,28 @@ func (cp SenderCheckpoint) Rebase() SenderCheckpoint {
 	return cp
 }
 
-// ReceiverCheckpoint is the serializable state of Algorithm 2's tracker.
+// ReceiverCheckpoint is the serializable state of Algorithm 2's tracker,
+// laid out like SenderCheckpoint.
 type ReceiverCheckpoint struct {
 	TakenAt   units.Time         `json:"taken_at"`
 	Interval  units.Duration     `json:"interval"`
 	RecordCap int                `json:"record_cap,omitempty"`
 	Records   []RecordCheckpoint `json:"records,omitempty"`
-
-	Prev        uint64         `json:"prev"`
-	Polls       int            `json:"polls"`
-	LastGrowth  units.Time     `json:"last_growth"`
-	LastRcvMSS  int            `json:"last_rcv_mss"`
-	MSSLowUntil int            `json:"mss_low_until"`
-	ExcEpoch    [2]uint64      `json:"exc_epoch"`
-	ExcBound    uint64         `json:"exc_bound"`
-	StallCum    units.Duration `json:"stall_cum"`
-	OffWinMin   [2]uint64      `json:"off_win_min"`
-	OffWinStart int            `json:"off_win_start"`
-	PrevFloor   uint64         `json:"prev_floor"`
-	RateEst     float64        `json:"rate_est"`
-
-	LastAnomaly  int            `json:"last_anomaly"`
-	PrevAnomTot  int            `json:"prev_anom_tot"`
-	PrevDelay    units.Duration `json:"prev_delay"`
-	PrevDelaySet bool           `json:"prev_delay_set"`
-
-	Sanitizer SanitizerCheckpoint `json:"sanitizer"`
+	receiverState
+	Sanitizer sanitizerState `json:"sanitizer"`
 }
 
 // Checkpoint serializes the tracker's resumable state at the current
 // instant.
 func (t *ReceiverTracker) Checkpoint() ReceiverCheckpoint {
-	cp := ReceiverCheckpoint{
-		TakenAt:      t.eng.Now(),
-		Interval:     t.interval,
-		RecordCap:    t.list.cap,
-		Prev:         t.prev,
-		Polls:        t.polls,
-		LastGrowth:   t.lastGrowth,
-		LastRcvMSS:   t.lastRcvMSS,
-		MSSLowUntil:  t.mssLowUntil,
-		ExcEpoch:     t.excEpoch,
-		ExcBound:     t.excBound,
-		StallCum:     t.stallCum,
-		OffWinMin:    t.offWinMin,
-		OffWinStart:  t.offWinStart,
-		PrevFloor:    t.prevFloor,
-		RateEst:      t.rateEst,
-		LastAnomaly:  t.lastAnomaly,
-		PrevAnomTot:  t.prevAnomTot,
-		PrevDelay:    t.prevDelay,
-		PrevDelaySet: t.prevDelaySet,
-		Sanitizer:    t.san.checkpoint(),
+	return ReceiverCheckpoint{
+		TakenAt:       t.eng.Now(),
+		Interval:      t.interval,
+		RecordCap:     t.list.cap,
+		Records:       checkpointRecords(&t.list),
+		receiverState: t.receiverState,
+		Sanitizer:     t.san.sanitizerState,
 	}
-	cp.Records = checkpointRecords(&t.list)
-	return cp
 }
 
 // Marshal encodes the checkpoint as JSON.
@@ -275,51 +160,34 @@ func UnmarshalReceiverCheckpoint(b []byte) (ReceiverCheckpoint, error) {
 	return cp, nil
 }
 
-// RestoreReceiverTracker resumes Algorithm 2 from a checkpoint. The
-// outage window is folded into the stall debt of every outstanding record
-// (samples they produce admit the whole unobserved window); the restored
-// lastGrowth timestamp predates the outage, so the first post-restore
-// record additionally inherits the outage as sampling slack — arrivals
-// during the outage were observed up to that late.
+// RestoreReceiverTracker resumes Algorithm 2 from a checkpoint under the
+// same restore rule as RestoreSenderTracker: the outage window is folded
+// into the stall debt of every outstanding record (samples they produce
+// admit the whole unobserved window). The restored LastGrowth timestamp
+// predates the outage, so the first post-restore record additionally
+// inherits the outage as sampling slack — arrivals during the outage were
+// observed up to that late.
 func RestoreReceiverTracker(eng *sim.Engine, src InfoSource, cp ReceiverCheckpoint, opts TrackerOptions) *ReceiverTracker {
+	t := NewReceiverTrackerOpts(eng, src, restoreOptions(opts, cp.Interval, cp.RecordCap))
+	t.receiverState = cp.receiverState
+	t.san.sanitizerState = cp.Sanitizer
+	t.StallCum = max(t.StallCum, 0) // negative debt would narrow bounds
+	restoreRecords(&t.list, cp.Records, eng.Now(), t.StallCum)
+	t.san.Counts.Restores++
+	t.fold(eng.Now().Sub(cp.TakenAt))
+	return t
+}
+
+// restoreOptions fills the options a restore leaves zero from the
+// checkpoint's own.
+func restoreOptions(opts TrackerOptions, interval units.Duration, recordCap int) TrackerOptions {
 	if opts.Interval <= 0 {
-		opts.Interval = cp.Interval
+		opts.Interval = interval
 	}
 	if opts.RecordCap == 0 {
-		opts.RecordCap = cp.RecordCap
+		opts.RecordCap = recordCap
 	}
-	t := NewReceiverTrackerOpts(eng, src, opts)
-	t.san.restore(cp.Sanitizer)
-	if cp.StallCum < 0 {
-		cp.StallCum = 0
-	}
-	restoreRecords(&t.list, cp.Records, eng.Now(), cp.StallCum)
-	t.prev = cp.Prev
-	t.polls = cp.Polls
-	t.lastGrowth = cp.LastGrowth
-	t.lastRcvMSS = cp.LastRcvMSS
-	t.mssLowUntil = cp.MSSLowUntil
-	t.excEpoch = cp.ExcEpoch
-	t.excBound = cp.ExcBound
-	t.stallCum = cp.StallCum
-	t.offWinMin = cp.OffWinMin
-	t.offWinStart = cp.OffWinStart
-	t.prevFloor = cp.PrevFloor
-	t.rateEst = cp.RateEst
-	t.lastAnomaly = cp.LastAnomaly
-	t.prevAnomTot = cp.PrevAnomTot
-	t.prevDelay = cp.PrevDelay
-	t.prevDelaySet = cp.PrevDelaySet
-
-	outage := eng.Now().Sub(cp.TakenAt)
-	if outage < 0 {
-		outage = 0
-	}
-	t.stallCum += outage
-	t.san.counts.Restores++
-	t.lastAnomaly = t.polls
-	t.prevAnomTot = t.san.counts.Total()
-	return t
+	return opts
 }
 
 // Rebase strips a receiver checkpoint's connection-relative state for
@@ -335,7 +203,7 @@ func (cp ReceiverCheckpoint) Rebase() ReceiverCheckpoint {
 	cp.ExcEpoch = [2]uint64{}
 	cp.ExcBound = 0
 	cp.OffWinMin = [2]uint64{offUnset, offUnset}
-	cp.OffWinStart = cp.Polls
+	cp.OffWinStart = cp.PollCount
 	cp.PrevFloor = 0
 	cp.PrevDelay, cp.PrevDelaySet = 0, false
 	cp.Sanitizer.Seen = false
@@ -343,42 +211,17 @@ func (cp ReceiverCheckpoint) Rebase() ReceiverCheckpoint {
 	return cp
 }
 
-// MinimizerCheckpoint is the serializable state of Algorithm 3.
+// MinimizerCheckpoint is the serializable state of Algorithm 3: its
+// configuration, then its state.
 type MinimizerCheckpoint struct {
 	TakenAt units.Time      `json:"taken_at"`
 	Config  MinimizerConfig `json:"config"`
-
-	Davg    units.Duration `json:"davg"`
-	Starget float64        `json:"starget"`
-
-	ConfWin     [safeWindow]Confidence `json:"conf_win"`
-	ConfN       int                    `json:"conf_n"`
-	ConfIdx     int                    `json:"conf_idx"`
-	Safe        bool                   `json:"safe"`
-	SafeEntries int                    `json:"safe_entries"`
-
-	Sleeps     int            `json:"sleeps"`
-	SleepTotal units.Duration `json:"sleep_total"`
-	Updates    int            `json:"updates"`
+	minimizerState
 }
 
-// Checkpoint serializes Algorithm 3's resumable state: D_avg, S_target,
-// the safe-mode confidence window and the pacing counters.
+// Checkpoint serializes Algorithm 3's resumable state.
 func (m *Minimizer) Checkpoint() MinimizerCheckpoint {
-	return MinimizerCheckpoint{
-		TakenAt:     m.eng.Now(),
-		Config:      m.cfg,
-		Davg:        m.davg,
-		Starget:     m.starget,
-		ConfWin:     m.confWin,
-		ConfN:       m.confN,
-		ConfIdx:     m.confIdx,
-		Safe:        m.safe,
-		SafeEntries: m.safeEntries,
-		Sleeps:      m.sleeps,
-		SleepTotal:  m.sleepTotal,
-		Updates:     m.updates,
-	}
+	return MinimizerCheckpoint{TakenAt: m.eng.Now(), Config: m.cfg, minimizerState: m.minimizerState}
 }
 
 // Marshal encodes the checkpoint as JSON.
@@ -401,26 +244,13 @@ func UnmarshalMinimizerCheckpoint(b []byte) (MinimizerCheckpoint, error) {
 // NewMinimizerDetached.
 func RestoreMinimizer(eng *sim.Engine, tracker *SenderTracker, cp MinimizerCheckpoint, detached bool) *Minimizer {
 	m := NewMinimizerDetached(eng, tracker.san, tracker, cp.Config)
-	m.davg = cp.Davg
-	m.starget = cp.Starget
-	m.confWin = cp.ConfWin
+	m.minimizerState = cp.minimizerState
 	// A corrupted checkpoint must not index outside the confidence window:
 	// the cursor and fill count are clamped into the window's range.
-	m.confN = cp.ConfN
-	if m.confN < 0 {
-		m.confN = 0
-	} else if m.confN > safeWindow {
-		m.confN = safeWindow
+	m.ConfN = min(max(m.ConfN, 0), safeWindow)
+	if m.ConfIdx < 0 || m.ConfIdx >= safeWindow {
+		m.ConfIdx = 0
 	}
-	m.confIdx = cp.ConfIdx
-	if m.confIdx < 0 || m.confIdx >= safeWindow {
-		m.confIdx = 0
-	}
-	m.safe = cp.Safe
-	m.safeEntries = cp.SafeEntries
-	m.sleeps = cp.Sleeps
-	m.sleepTotal = cp.SleepTotal
-	m.updates = cp.Updates
 	m.tlast = eng.Now()
 	if !detached {
 		m.schedule()

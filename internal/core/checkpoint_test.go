@@ -167,7 +167,7 @@ func TestReceiverRestoreWidensBoundsOverOutage(t *testing.T) {
 	}
 
 	// A growth observed after restore carries the gap since the restored
-	// lastGrowth as slack (arrivals during the outage were observed late).
+	// LastGrowth as slack (arrivals during the outage were observed late).
 	src.info.SegsIn = 6
 	eng.RunUntil(units.Time(30*units.Millisecond + outage + 20*units.Millisecond))
 	rt.OnRead(5500, 3000, false)
@@ -410,5 +410,153 @@ func TestTrackerRecordCapEvicts(t *testing.T) {
 		t.Fatalf("sample after eviction is high-confidence, want degraded")
 	}
 	tr.Stop()
+	eng.Shutdown()
+}
+
+// TestStateIsComplete holds the rule that a checkpoint is its object's
+// state: every field of the four resumable objects is either inside the
+// embedded state struct (which the checkpoint embeds too, so it is saved
+// and restored without further code) or on this allowlist of what a
+// checkpoint deliberately leaves out. Telemetry handles are recognised
+// by package. A new field has to go into the state or onto the list.
+func TestStateIsComplete(t *testing.T) {
+	const telemetryPkg = "element/internal/telemetry"
+	for _, c := range []struct {
+		live, state, checkpoint reflect.Type
+		allow                   map[string]string
+	}{
+		{reflect.TypeOf(SenderTracker{}), reflect.TypeOf(senderState{}), reflect.TypeOf(SenderCheckpoint{}), map[string]string{
+			"eng":      "engine",
+			"san":      "source; its own state is the checkpoint's Sanitizer",
+			"interval": "option; the checkpoint carries it beside the state",
+			"list":     "ring; the checkpoint carries it as Records",
+			"est":      "estimates; the supervisor drains them",
+			"ticker":   "timer",
+			"stopped":  "stop flag",
+			"onDelay":  "subscriber; the minimizer re-subscribes on restore",
+		}},
+		{reflect.TypeOf(ReceiverTracker{}), reflect.TypeOf(receiverState{}), reflect.TypeOf(ReceiverCheckpoint{}), map[string]string{
+			"eng":      "engine",
+			"san":      "source; its own state is the checkpoint's Sanitizer",
+			"interval": "option; the checkpoint carries it beside the state",
+			"list":     "ring; the checkpoint carries it as Records",
+			"est":      "estimates; the supervisor drains them",
+			"ticker":   "timer",
+			"stopped":  "stop flag",
+		}},
+		{reflect.TypeOf(Minimizer{}), reflect.TypeOf(minimizerState{}), reflect.TypeOf(MinimizerCheckpoint{}), map[string]string{
+			"eng":     "engine",
+			"src":     "source",
+			"tracker": "source; the tracker restores on its own",
+			"cfg":     "option; the checkpoint carries it as Config",
+			"tlast":   "per-SRTT update clock; a restore restarts it",
+			"ticker":  "timer",
+			"stopped": "stop flag",
+		}},
+		{reflect.TypeOf(sanitizer{}), reflect.TypeOf(sanitizerState{}), reflect.TypeOf(SenderCheckpoint{}.Sanitizer), map[string]string{
+			"src": "source",
+		}},
+	} {
+		embedded := false
+		for i := 0; i < c.live.NumField(); i++ {
+			f := c.live.Field(i)
+			switch {
+			case f.Anonymous && f.Type == c.state:
+				embedded = true
+			case f.Type.Kind() == reflect.Pointer && f.Type.Elem().PkgPath() == telemetryPkg:
+			case c.allow[f.Name] != "":
+			default:
+				t.Errorf("%v.%s is neither in %v nor on the allowlist", c.live, f.Name, c.state)
+			}
+		}
+		if !embedded {
+			t.Errorf("%v does not embed %v", c.live, c.state)
+		}
+		if c.checkpoint != c.state {
+			if f, ok := c.checkpoint.FieldByName(c.state.Name()); !ok || !f.Anonymous {
+				t.Errorf("%v does not embed %v", c.checkpoint, c.state)
+			}
+		}
+	}
+}
+
+// TestZeroOutageContinuation restores each object from a checkpoint taken
+// at the same instant, mid-run, and compares the restored state with the
+// live one. Only the documented restore adjustments may differ: the
+// Restores anomaly and the holdoff stamp it opens (the sender's stale-poll
+// advance is zero for a zero outage). Everything else — records, options,
+// every state field — must come back exactly.
+func TestZeroOutageContinuation(t *testing.T) {
+	eng := sim.New(1)
+	ssrc := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000, SndCwnd: 10, SndBuf: 64 << 10, RTT: 20 * units.Millisecond, BytesAcked: 1}}
+	rsrc := &fakeSource{info: tcpinfo.TCPInfo{RcvMSS: 1000}}
+	opts := TrackerOptions{Interval: 10 * units.Millisecond, RecordCap: 64, Detached: true}
+	snd := NewSenderTrackerOpts(eng, ssrc, opts)
+	rcv := NewReceiverTrackerOpts(eng, rsrc, opts)
+	mz := NewMinimizerDetached(eng, ssrc, snd, MinimizerConfig{})
+	for i := 1; i <= 60; i++ {
+		snd.OnWrite(uint64(i) * 3000)
+		if i%4 != 0 { // every fourth poll stalls
+			ssrc.info.BytesAcked = uint64(i) * 2000
+			rsrc.info.SegsIn = i * 3
+		}
+		if i%17 == 0 { // MSS drift and a backwards counter
+			ssrc.info.SndMSS += 8
+			ssrc.info.BytesAcked -= 500
+		}
+		eng.RunFor(10 * units.Millisecond)
+		snd.PollOnce()
+		rcv.PollOnce()
+		mz.CheckOnce()
+		rcv.OnRead(uint64(i)*2500, 2500, i%3 == 0)
+		if i == 50 {
+			snd.Shed(15 * units.Millisecond)
+		}
+	}
+	if snd.Pending() == 0 || rcv.Pending() == 0 || snd.Anomalies().Total() == 0 || mz.Davg == 0 {
+		t.Fatalf("scenario too quiet to test anything: pending %d/%d, anomalies %+v, D_avg %v",
+			snd.Pending(), rcv.Pending(), snd.Anomalies(), mz.Davg)
+	}
+
+	snd2 := RestoreSenderTracker(eng, ssrc, snd.Checkpoint(), TrackerOptions{Detached: true})
+	rcv2 := RestoreReceiverTracker(eng, rsrc, rcv.Checkpoint(), TrackerOptions{Detached: true})
+	min2 := RestoreMinimizer(eng, snd2, mz.Checkpoint(), true)
+
+	wantSan := snd.san.sanitizerState
+	wantSan.Counts.Restores++
+	wantSnd := snd.senderState
+	wantSnd.stamp(wantSnd.PollCount, &sanitizer{sanitizerState: wantSan})
+	if snd2.san.sanitizerState != wantSan {
+		t.Errorf("sender sanitizer:\n  restored %+v\n  want     %+v", snd2.san.sanitizerState, wantSan)
+	}
+	if snd2.senderState != wantSnd {
+		t.Errorf("sender state:\n  restored %+v\n  want     %+v", snd2.senderState, wantSnd)
+	}
+
+	wantRSan := rcv.san.sanitizerState
+	wantRSan.Counts.Restores++
+	wantRcv := rcv.receiverState
+	wantRcv.stamp(wantRcv.PollCount, &sanitizer{sanitizerState: wantRSan})
+	if rcv2.san.sanitizerState != wantRSan {
+		t.Errorf("receiver sanitizer:\n  restored %+v\n  want     %+v", rcv2.san.sanitizerState, wantRSan)
+	}
+	if rcv2.receiverState != wantRcv {
+		t.Errorf("receiver state:\n  restored %+v\n  want     %+v", rcv2.receiverState, wantRcv)
+	}
+
+	if min2.minimizerState != mz.minimizerState || min2.cfg != mz.cfg {
+		t.Errorf("minimizer:\n  restored %+v %+v\n  want     %+v %+v", min2.minimizerState, min2.cfg, mz.minimizerState, mz.cfg)
+	}
+	for _, c := range []struct {
+		name       string
+		live, back *fifo
+	}{{"sender", &snd.list, &snd2.list}, {"receiver", &rcv.list, &rcv2.list}} {
+		if !reflect.DeepEqual(checkpointRecords(c.back), checkpointRecords(c.live)) || c.back.cap != c.live.cap {
+			t.Errorf("%s records or cap changed across the restore", c.name)
+		}
+	}
+	if snd2.interval != snd.interval || rcv2.interval != rcv.interval {
+		t.Errorf("interval changed across the restore")
+	}
 	eng.Shutdown()
 }

@@ -35,17 +35,17 @@ func senderBoundAfter(t *testing.T, seed int64, seq []composeOp, k int) Measurem
 
 	tr.OnWrite(1000)
 	eng.RunUntil(units.Time(interval))
-	prevStall := tr.stallCum
+	prevStall := tr.StallCum
 	for _, op := range seq[:k] {
 		if op.shed {
 			tr.Shed(op.arg)
 		} else {
 			tr.FoldOutage(op.arg)
 		}
-		if tr.stallCum < prevStall {
-			t.Fatalf("seed %d: stall debt shrank %v -> %v", seed, prevStall, tr.stallCum)
+		if tr.StallCum < prevStall {
+			t.Fatalf("seed %d: stall debt shrank %v -> %v", seed, prevStall, tr.StallCum)
 		}
-		prevStall = tr.stallCum
+		prevStall = tr.StallCum
 	}
 	eng.RunUntil(units.Time(2 * interval))
 	src.info.BytesAcked = 1000
@@ -110,13 +110,13 @@ func TestComposedDegradationReceiverAndRestore(t *testing.T) {
 			} else {
 				tr.FoldOutage(units.Duration(1+rng.Intn(8)) * interval)
 			}
-			if tr.stallCum < prev {
-				t.Fatalf("seed %d op %d: receiver stall debt shrank %v -> %v", seed, k, prev, tr.stallCum)
+			if tr.StallCum < prev {
+				t.Fatalf("seed %d op %d: receiver stall debt shrank %v -> %v", seed, k, prev, tr.StallCum)
 			}
-			if tr.stallCum < 0 {
-				t.Fatalf("seed %d op %d: negative stall debt %v", seed, k, tr.stallCum)
+			if tr.StallCum < 0 {
+				t.Fatalf("seed %d op %d: negative stall debt %v", seed, k, tr.StallCum)
 			}
-			prev = tr.stallCum
+			prev = tr.StallCum
 		}
 		eng.RunUntil(units.Time(3 * interval))
 		tr.OnRead(1500, 1500, false)

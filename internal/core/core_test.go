@@ -324,15 +324,15 @@ func TestMinimizerTargetLaw(t *testing.T) {
 	}}
 	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
 	m := NewMinimizer(eng, src, tr, MinimizerConfig{})
-	m.davg = 200 * units.Millisecond // 8× D_thr
-	m.starget = 400000
+	m.Davg = 200 * units.Millisecond // 8× D_thr
+	m.Starget = 400000
 	m.tlast = 0
 	eng.RunUntil(units.Time(50 * units.Millisecond)) // several checks
 	if m.Target() >= 400000 {
 		t.Fatalf("target did not shrink under high delay: %d", m.Target())
 	}
 	shrunk := m.Target()
-	m.davg = units.Millisecond // far below D_thr
+	m.Davg = units.Millisecond // far below D_thr
 	eng.RunUntil(units.Time(500 * units.Millisecond))
 	if m.Target() <= shrunk {
 		t.Fatalf("target did not grow under low delay: %d", m.Target())

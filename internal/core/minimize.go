@@ -75,26 +75,10 @@ type Minimizer struct {
 	tracker *SenderTracker
 	cfg     MinimizerConfig
 
-	davg    units.Duration // D_avg, EWMA of measured buffer delay
-	starget float64        // S_target, bytes
-	tlast   units.Time
+	tlast   units.Time // last per-SRTT update; a restore restarts this clock
 	ticker  sim.Timer
 	stopped bool
-
-	// Safe mode: when D_measure goes predominantly low-confidence the
-	// pacer stops acting on it — throttling a healthy connection because
-	// of garbage measurements is worse than not pacing at all. confWin is
-	// a ring of the last safeWindow sample confidences.
-	confWin     [safeWindow]Confidence
-	confN       int
-	confIdx     int
-	safe        bool
-	safeEntries int
-
-	// Instrumentation.
-	sleeps     int
-	sleepTotal units.Duration
-	updates    int
+	minimizerState
 
 	// Telemetry handles (nil when uninstrumented).
 	telem      *telemetry.Scope
@@ -102,6 +86,30 @@ type Minimizer struct {
 	sleepSecsC *telemetry.Counter
 	updatesC   *telemetry.Counter
 	stargetG   *telemetry.Gauge
+}
+
+// minimizerState is Algorithm 3's resumable state, declared in the order
+// its checkpoint carries it: D_avg, S_target, the safe-mode confidence
+// window and the pacing counters. The live Minimizer and
+// MinimizerCheckpoint both embed it.
+type minimizerState struct {
+	Davg    units.Duration `json:"davg"`    // D_avg, EWMA of measured buffer delay
+	Starget float64        `json:"starget"` // S_target, bytes
+
+	// Safe mode: when D_measure goes predominantly low-confidence the
+	// pacer stops acting on it — throttling a healthy connection because
+	// of garbage measurements is worse than not pacing at all. ConfWin is
+	// a ring of the last safeWindow sample confidences.
+	ConfWin     [safeWindow]Confidence `json:"conf_win"`
+	ConfN       int                    `json:"conf_n"`
+	ConfIdx     int                    `json:"conf_idx"`
+	Safe        bool                   `json:"safe"`
+	SafeEntries int                    `json:"safe_entries"`
+
+	// Instrumentation.
+	SleepCount  int            `json:"sleeps"`
+	SleepTotal  units.Duration `json:"sleep_total"`
+	UpdateCount int            `json:"updates"`
 }
 
 // Instrument records Algorithm 3's decisions under sc: S_target/D_avg
@@ -147,35 +155,35 @@ func (m *Minimizer) CheckOnce() { m.check() }
 // Low-confidence samples do not move D_avg — their Delay is explicitly
 // disclaimed — but they do count toward tripping safe mode.
 func (m *Minimizer) onMeasurement(ms Measurement) {
-	m.confWin[m.confIdx] = ms.Confidence
-	m.confIdx = (m.confIdx + 1) % safeWindow
-	if m.confN < safeWindow {
-		m.confN++
+	m.ConfWin[m.ConfIdx] = ms.Confidence
+	m.ConfIdx = (m.ConfIdx + 1) % safeWindow
+	if m.ConfN < safeWindow {
+		m.ConfN++
 	}
 	low := 0
-	for i := 0; i < m.confN; i++ {
-		if m.confWin[i] == ConfidenceLow {
+	for i := 0; i < m.ConfN; i++ {
+		if m.ConfWin[i] == ConfidenceLow {
 			low++
 		}
 	}
-	wasSafe := m.safe
-	m.safe = m.confN >= safeWindow/2 && low*2 > m.confN
-	if m.safe && !wasSafe {
-		m.safeEntries++
+	wasSafe := m.Safe
+	m.Safe = m.ConfN >= safeWindow/2 && low*2 > m.ConfN
+	if m.Safe && !wasSafe {
+		m.SafeEntries++
 		if m.telem != nil {
 			m.telem.Event(telemetry.SevWarn, "pacer_safe_mode",
 				telemetry.F("low_samples", float64(low)),
-				telemetry.F("window", float64(m.confN)))
+				telemetry.F("window", float64(m.ConfN)))
 		}
 	}
 	if ms.Confidence == ConfidenceLow {
 		return
 	}
-	if m.davg == 0 {
-		m.davg = ms.Delay
+	if m.Davg == 0 {
+		m.Davg = ms.Delay
 		return
 	}
-	m.davg = m.davg*7/8 + ms.Delay/8
+	m.Davg = m.Davg*7/8 + ms.Delay/8
 }
 
 // schedule runs the checking thread at the tracker's cadence; each tick
@@ -204,47 +212,47 @@ func (m *Minimizer) check() {
 	if m.eng.Now().Sub(m.tlast) <= srtt {
 		return
 	}
-	if m.davg == 0 {
+	if m.Davg == 0 {
 		return // no measurements yet
 	}
-	if m.safe {
+	if m.Safe {
 		// D_measure is untrustworthy: hold S_target instead of rescaling
 		// it on garbage input. The pacing loop is also suspended, so the
 		// application sends unpaced until confidence recovers.
 		m.tlast = m.eng.Now()
 		return
 	}
-	if m.starget == 0 {
+	if m.Starget == 0 {
 		// Seed with the send buffer size obtained by getsockopt.
-		m.starget = float64(ti.SndBuf)
+		m.Starget = float64(ti.SndBuf)
 	}
-	ratio := math.Pow(m.davg.Seconds()/m.cfg.Dthr.Seconds(), m.cfg.Delta)
+	ratio := math.Pow(m.Davg.Seconds()/m.cfg.Dthr.Seconds(), m.cfg.Delta)
 	if ratio > 0 {
-		m.starget /= ratio
+		m.Starget /= ratio
 	}
-	if cap := m.cfg.Beta * float64(ti.SndCwnd*ti.SndMSS); m.starget > cap {
-		m.starget = cap
+	if cap := m.cfg.Beta * float64(ti.SndCwnd*ti.SndMSS); m.Starget > cap {
+		m.Starget = cap
 	}
 	// Practical floor: at least one segment may always be buffered,
 	// otherwise the pacing loop can deadlock against its own estimate.
-	if min := float64(ti.SndMSS); m.starget < min {
-		m.starget = min
+	if min := float64(ti.SndMSS); m.Starget < min {
+		m.Starget = min
 	}
 	m.tlast = m.eng.Now()
-	m.updates++
+	m.UpdateCount++
 	if m.telem != nil {
 		m.updatesC.Inc()
-		m.stargetG.Set(m.starget)
+		m.stargetG.Set(m.Starget)
 		m.telem.Sample("minimizer",
-			telemetry.F("starget_bytes", m.starget),
-			telemetry.F("davg_ms", m.davg.Milliseconds()))
+			telemetry.F("starget_bytes", m.Starget),
+			telemetry.F("davg_ms", m.Davg.Milliseconds()))
 		m.telem.Event(telemetry.SevDebug, "starget_update",
-			telemetry.F("starget_bytes", m.starget),
-			telemetry.F("davg_ms", m.davg.Milliseconds()),
+			telemetry.F("starget_bytes", m.Starget),
+			telemetry.F("davg_ms", m.Davg.Milliseconds()),
 			telemetry.F("ratio", ratio))
 	}
 	if m.cfg.Wireless {
-		m.src.SetSndBuf(int(m.starget * m.cfg.Gamma))
+		m.src.SetSndBuf(int(m.Starget * m.cfg.Gamma))
 	}
 }
 
@@ -261,10 +269,10 @@ func (m *Minimizer) check() {
 // intent). Algorithm 3's pseudo-code reads the "current estimated sent
 // bytes at the TCP layer" at this point.
 func (m *Minimizer) AfterSend(p *sim.Proc, cumWritten uint64) {
-	if m.starget == 0 {
+	if m.Starget == 0 {
 		return // not calibrated yet
 	}
-	if m.safe {
+	if m.Safe {
 		return // low-confidence D_measure: do not pace on garbage
 	}
 	cnt := 0
@@ -274,20 +282,20 @@ func (m *Minimizer) AfterSend(p *sim.Proc, cumWritten uint64) {
 		if best > cumWritten {
 			best = cumWritten // fallback estimator drift
 		}
-		if c := m.tracker.bestCache; best < c {
+		if c := m.tracker.BestCache; best < c {
 			best = c // never regress below the tracker's clamped view
 		}
 		buffered := float64(0)
 		if cumWritten > best {
 			buffered = float64(cumWritten - best)
 		}
-		if cnt > m.cfg.MaxSleeps || buffered <= m.starget {
+		if cnt > m.cfg.MaxSleeps || buffered <= m.Starget {
 			return
 		}
 		cnt++
 		d := units.DurationFromSeconds(math.Pow(float64(cnt), m.cfg.Lambda) / 1000)
-		m.sleeps++
-		m.sleepTotal += d
+		m.SleepCount++
+		m.SleepTotal += d
 		if m.telem != nil {
 			m.sleepsC.Inc()
 			m.sleepSecsC.Add(d.Seconds())
@@ -300,25 +308,25 @@ func (m *Minimizer) AfterSend(p *sim.Proc, cumWritten uint64) {
 }
 
 // Target reports the current S_target in bytes.
-func (m *Minimizer) Target() int { return int(m.starget) }
+func (m *Minimizer) Target() int { return int(m.Starget) }
 
 // AvgDelay reports the current D_avg.
-func (m *Minimizer) AvgDelay() units.Duration { return m.davg }
+func (m *Minimizer) AvgDelay() units.Duration { return m.Davg }
 
 // Sleeps reports how many pacing sleeps have been taken and their total
 // duration.
-func (m *Minimizer) Sleeps() (int, units.Duration) { return m.sleeps, m.sleepTotal }
+func (m *Minimizer) Sleeps() (int, units.Duration) { return m.SleepCount, m.SleepTotal }
 
 // Updates reports how many per-SRTT target updates have run.
-func (m *Minimizer) Updates() int { return m.updates }
+func (m *Minimizer) Updates() int { return m.UpdateCount }
 
 // SafeMode reports whether the pacer is currently backed off because its
 // D_measure input went predominantly low-confidence.
-func (m *Minimizer) SafeMode() bool { return m.safe }
+func (m *Minimizer) SafeMode() bool { return m.Safe }
 
 // SafeModeEntries reports how many times the pacer tripped into safe
 // mode.
-func (m *Minimizer) SafeModeEntries() int { return m.safeEntries }
+func (m *Minimizer) SafeModeEntries() int { return m.SafeEntries }
 
 // Stop halts the checking thread.
 func (m *Minimizer) Stop() {

@@ -135,22 +135,30 @@ const (
 // unsupported and switches to the segment-counter estimator.
 const fallbackProbeSegs = 4
 
+// sanitizerState is the sanitizer's resumable state, declared in the
+// order its checkpoint carries it: the last good snapshot the
+// monotonicity clamps compare against, the tcpi_bytes_acked capability
+// verdict, the anomaly audit trail and the MSS envelope.
+type sanitizerState struct {
+	Seen   bool            `json:"seen"`
+	Cap    capState        `json:"cap"`
+	Last   tcpinfo.TCPInfo `json:"last"`
+	Counts AnomalyCounts   `json:"counts"`
+	// SndMSSMin/Max span every SndMSS value ever reported (after zero
+	// substitution). Under PMTU flapping or a lying kernel the true MSS is
+	// unknowable from TCP_INFO, but it lies inside the observed envelope —
+	// the spread converts into an honest widening of the sender bound.
+	SndMSSMin int `json:"snd_mss_min,omitempty"`
+	SndMSSMax int `json:"snd_mss_max,omitempty"`
+}
+
 // sanitizer wraps an InfoSource with monotonicity clamps, zero-field
 // substitution and capability detection. It implements InfoSource itself,
 // so the minimizer and the throughput EWMA read through the same defence
 // as the trackers.
 type sanitizer struct {
-	src    InfoSource
-	last   tcpinfo.TCPInfo
-	seen   bool
-	cap    capState
-	counts AnomalyCounts
-
-	// sndMSSMin/Max span every SndMSS value ever reported (after zero
-	// substitution). Under PMTU flapping or a lying kernel the true MSS is
-	// unknowable from TCP_INFO, but it lies inside the observed envelope —
-	// the spread converts into an honest widening of the sender bound.
-	sndMSSMin, sndMSSMax int
+	src InfoSource
+	sanitizerState
 
 	// Telemetry handles (nil when uninstrumented).
 	backwardsC *telemetry.Counter
@@ -180,52 +188,52 @@ func (s *sanitizer) GetsockoptTCPInfo() tcpinfo.TCPInfo {
 	if ti.Unacked < 0 {
 		ti.Unacked = 0
 	}
-	if !s.seen {
-		s.seen = true
+	if !s.Seen {
+		s.Seen = true
 		s.trackMSS(ti)
 		s.probeCap(ti)
-		s.last = ti
+		s.Last = ti
 		return ti
 	}
 	// Zero-field substitution before the drift check, so a transient zero
 	// is not double-counted as two MSS changes.
-	if ti.SndMSS == 0 && s.last.SndMSS != 0 {
-		ti.SndMSS = s.last.SndMSS
-		s.counts.ZeroFields++
+	if ti.SndMSS == 0 && s.Last.SndMSS != 0 {
+		ti.SndMSS = s.Last.SndMSS
+		s.Counts.ZeroFields++
 	}
-	if ti.RcvMSS == 0 && s.last.RcvMSS != 0 {
-		ti.RcvMSS = s.last.RcvMSS
-		s.counts.ZeroFields++
+	if ti.RcvMSS == 0 && s.Last.RcvMSS != 0 {
+		ti.RcvMSS = s.Last.RcvMSS
+		s.Counts.ZeroFields++
 	}
-	if (ti.SndMSS != s.last.SndMSS && s.last.SndMSS != 0) ||
-		(ti.RcvMSS != s.last.RcvMSS && s.last.RcvMSS != 0) {
-		s.counts.MSSChanges++
+	if (ti.SndMSS != s.Last.SndMSS && s.Last.SndMSS != 0) ||
+		(ti.RcvMSS != s.Last.RcvMSS && s.Last.RcvMSS != 0) {
+		s.Counts.MSSChanges++
 		s.mssC.Inc()
 	}
 	back := false
-	if ti.BytesAcked < s.last.BytesAcked {
-		ti.BytesAcked = s.last.BytesAcked
+	if ti.BytesAcked < s.Last.BytesAcked {
+		ti.BytesAcked = s.Last.BytesAcked
 		back = true
 	}
-	if ti.SegsIn < s.last.SegsIn {
-		ti.SegsIn = s.last.SegsIn
+	if ti.SegsIn < s.Last.SegsIn {
+		ti.SegsIn = s.Last.SegsIn
 		back = true
 	}
-	if ti.SegsOut < s.last.SegsOut {
-		ti.SegsOut = s.last.SegsOut
+	if ti.SegsOut < s.Last.SegsOut {
+		ti.SegsOut = s.Last.SegsOut
 		back = true
 	}
-	if ti.TotalRetrans < s.last.TotalRetrans {
-		ti.TotalRetrans = s.last.TotalRetrans
+	if ti.TotalRetrans < s.Last.TotalRetrans {
+		ti.TotalRetrans = s.Last.TotalRetrans
 		back = true
 	}
 	if back {
-		s.counts.Backwards++
+		s.Counts.Backwards++
 		s.backwardsC.Inc()
 	}
 	s.trackMSS(ti)
 	s.probeCap(ti)
-	s.last = ti
+	s.Last = ti
 	return ti
 }
 
@@ -234,11 +242,11 @@ func (s *sanitizer) trackMSS(ti tcpinfo.TCPInfo) {
 	if ti.SndMSS <= 0 {
 		return
 	}
-	if s.sndMSSMin == 0 || ti.SndMSS < s.sndMSSMin {
-		s.sndMSSMin = ti.SndMSS
+	if s.SndMSSMin == 0 || ti.SndMSS < s.SndMSSMin {
+		s.SndMSSMin = ti.SndMSS
 	}
-	if ti.SndMSS > s.sndMSSMax {
-		s.sndMSSMax = ti.SndMSS
+	if ti.SndMSS > s.SndMSSMax {
+		s.SndMSSMax = ti.SndMSS
 	}
 }
 
@@ -246,8 +254,8 @@ func (s *sanitizer) trackMSS(ti tcpinfo.TCPInfo) {
 // a healthy connection, positive once the reported MSS has drifted. The
 // true MSS lies inside the envelope, so |reported − true| ≤ spread.
 func (s *sanitizer) sndMSSSpread() int {
-	if s.sndMSSMax > s.sndMSSMin {
-		return s.sndMSSMax - s.sndMSSMin
+	if s.SndMSSMax > s.SndMSSMin {
+		return s.SndMSSMax - s.SndMSSMin
 	}
 	return 0
 }
@@ -262,21 +270,21 @@ func (s *sanitizer) SetSndBuf(bytes int) { s.src.SetSndBuf(bytes) }
 // it absent, which enables the fallback estimator.
 func (s *sanitizer) probeCap(ti tcpinfo.TCPInfo) {
 	if ti.BytesAcked > 0 {
-		s.cap = capPresent
+		s.Cap = capPresent
 		return
 	}
 	// Subtract Unacked so segments still in flight don't count: during the
 	// first RTT many segments are out while BytesAcked is legitimately
 	// still zero. Only segments the counters say were delivered and acked
 	// with BytesAcked stuck at zero prove the field is missing.
-	if s.cap == capUnknown && ti.SegsOut-ti.TotalRetrans-ti.Unacked >= fallbackProbeSegs {
-		s.cap = capAbsent
+	if s.Cap == capUnknown && ti.SegsOut-ti.TotalRetrans-ti.Unacked >= fallbackProbeSegs {
+		s.Cap = capAbsent
 	}
 }
 
 // bytesAckedAbsent reports whether the capability probe has concluded the
 // kernel does not expose tcpi_bytes_acked.
-func (s *sanitizer) bytesAckedAbsent() bool { return s.cap == capAbsent }
+func (s *sanitizer) bytesAckedAbsent() bool { return s.Cap == capAbsent }
 
 // BEst computes the sender-side "bytes that left the TCP layer" estimate
 // from a sanitized snapshot. The primary form is the paper's
@@ -291,7 +299,7 @@ func (s *sanitizer) BEst(ti tcpinfo.TCPInfo) (best uint64, fallback bool) {
 		if segs < 0 {
 			segs = 0
 		}
-		s.counts.FallbackPolls++
+		s.Counts.FallbackPolls++
 		s.fallbackC.Inc()
 		return uint64(segs) * uint64(ti.SndMSS), true
 	}
@@ -299,4 +307,4 @@ func (s *sanitizer) BEst(ti tcpinfo.TCPInfo) (best uint64, fallback bool) {
 }
 
 // Anomalies reports the audit trail so far.
-func (s *sanitizer) Anomalies() AnomalyCounts { return s.counts }
+func (s *sanitizer) Anomalies() AnomalyCounts { return s.Counts }

@@ -37,10 +37,10 @@ func TestSenderShedWidensBoundsMonotone(t *testing.T) {
 	// both guard windows, and the second shed must widen past the first.
 	tr.OnWrite(2000)
 	tr.Shed(5 * interval)
-	afterOne := tr.stallCum
+	afterOne := tr.StallCum
 	tr.Shed(5 * interval)
-	if tr.stallCum <= afterOne {
-		t.Fatalf("stall debt not monotone across sheds: %v then %v", afterOne, tr.stallCum)
+	if tr.StallCum <= afterOne {
+		t.Fatalf("stall debt not monotone across sheds: %v then %v", afterOne, tr.StallCum)
 	}
 	if n := tr.Anomalies().Sheds; n != 2 {
 		t.Fatalf("Sheds = %d, want 2", n)

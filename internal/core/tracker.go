@@ -34,25 +34,12 @@ type SenderTracker struct {
 	san      *sanitizer
 	interval units.Duration
 
-	list      fifo // (cumulative written bytes, write time), the paper's linked list
-	est       Estimates
-	lastBest  uint64
-	ticker    sim.Timer
-	stopped   bool
-	onDelay   func(m Measurement) // minimizer subscription
-	bestCache uint64              // latest B_est, exposed for Algorithm 3
-	polls     int
-
-	// Hostile-input bookkeeping.
-	cumWritten   uint64         // latest OnWrite cumulative count (fallback clamp)
-	prevBest     uint64         // B_est at the previous poll (stall detection)
-	stalePolls   int            // consecutive polls without B_est progress
-	stallCum     units.Duration // total stalled time ever (per-record stall debt)
-	rateEst      float64        // EWMA of B_est progress, bytes/s (MSS-spread bound)
-	lastAnomaly  int            // poll index of the last sanitizer anomaly
-	prevAnomTot  int            // sanitizer count snapshot for recency detection
-	prevDelay    units.Duration
-	prevDelaySet bool
+	list    fifo // (cumulative written bytes, write time), the paper's linked list
+	est     Estimates
+	ticker  sim.Timer
+	stopped bool
+	onDelay func(m Measurement) // minimizer subscription
+	senderState
 
 	// Telemetry handles (nil when uninstrumented).
 	telem    *telemetry.Scope
@@ -62,6 +49,85 @@ type SenderTracker struct {
 	lowC     *telemetry.Counter
 	delayS   *telemetry.Sampler
 	fifoS    *telemetry.Sampler
+}
+
+// senderState is everything Algorithm 1 carries from one poll to the
+// next besides its records, declared in the order its checkpoint carries
+// it: the live tracker and SenderCheckpoint both embed it, so a field
+// added here is checkpointed and restored without further code.
+type senderState struct {
+	CumWritten uint64 `json:"cum_written"` // latest OnWrite cumulative count (fallback clamp)
+	BestCache  uint64 `json:"best_cache"`  // latest B_est, exposed for Algorithm 3
+	LastBest   uint64 `json:"last_best"`   // byte-weight cursor: bytes already matched
+	PrevBest   uint64 `json:"prev_best"`   // B_est at the previous poll (stall detection)
+
+	PollCount  int            `json:"polls"`
+	StalePolls int            `json:"stale_polls"` // consecutive polls without B_est progress
+	StallCum   units.Duration `json:"stall_cum"`   // total stalled time ever (per-record stall debt)
+	RateEst    float64        `json:"rate_est"`    // EWMA of B_est progress, bytes/s (MSS-spread bound)
+	grading
+}
+
+// grading is the sample-grading state both trackers' states end with, in
+// the order both checkpoints carry it: the post-anomaly holdoff stamp and
+// the previous sample's delay, which the next sample's jitter slack is
+// measured from.
+type grading struct {
+	LastAnomaly  int            `json:"last_anomaly"`  // poll index of the last input anomaly
+	PrevAnomTot  int            `json:"prev_anom_tot"` // anomaly total at that poll
+	PrevDelay    units.Duration `json:"prev_delay"`
+	PrevDelaySet bool           `json:"prev_delay_set"`
+}
+
+// stamp opens the post-anomaly holdoff at poll polls: samples stay
+// downgraded for anomalyHoldoffPolls polls while the estimator re-bases.
+func (g *grading) stamp(polls int, san *sanitizer) {
+	g.LastAnomaly = polls
+	g.PrevAnomTot = san.Counts.Total()
+}
+
+// noteAnomalies stamps the holdoff when the sanitizer counted an anomaly
+// since the last stamp.
+func (g *grading) noteAnomalies(polls int, san *sanitizer) {
+	if san.Counts.Total() != g.PrevAnomTot {
+		g.stamp(polls, san)
+	}
+}
+
+// recentAnomaly reports whether poll polls falls inside the holdoff.
+func (g *grading) recentAnomaly(polls int) bool {
+	return g.LastAnomaly > 0 && polls-g.LastAnomaly <= anomalyHoldoffPolls
+}
+
+// jitter is the per-sample slack: how far delay d moved from the previous
+// sample's. The local delay variation bounds the interpolation error
+// against a continuously-sampled ground truth.
+func (g *grading) jitter(d units.Duration) units.Duration {
+	slack := units.Duration(0)
+	if g.PrevDelaySet {
+		slack = d - g.PrevDelay
+		if slack < 0 {
+			slack = -slack
+		}
+	}
+	g.PrevDelay, g.PrevDelaySet = d, true
+	return slack
+}
+
+// fold is the one restore rule, shared by both trackers and by every
+// path that loses sight of a flow (a restore outage, a shed guard, a
+// park): the unobserved window d, clamped at zero, is stalled time every
+// outstanding record sat through. Records snapshot the stall total at
+// push, so bumping it widens exactly the samples produced from state that
+// sat through the window. The post-anomaly holdoff then opens at the
+// current poll; a caller auditing the window as an anomaly (Restores,
+// Sheds) counts it first, so the stamp includes it. fold returns the
+// clamped window.
+func (g *grading) fold(d units.Duration, stallCum *units.Duration, polls int, san *sanitizer) units.Duration {
+	d = max(d, 0)
+	*stallCum += d
+	g.stamp(polls, san)
+	return d
 }
 
 // Instrument records the tracker's activity under sc: a histogram and time
@@ -144,23 +210,22 @@ func tickSender(arg any) {
 // wrapper calls it after every socket write with the cumulative number of
 // bytes written (seq).
 func (t *SenderTracker) OnWrite(cumBytes uint64) {
-	if cumBytes > t.cumWritten {
-		t.cumWritten = cumBytes
+	if cumBytes > t.CumWritten {
+		t.CumWritten = cumBytes
 	}
 	// stall carries the stalled-time total at push; the difference against
 	// the total at match time is exactly how long this record sat behind a
 	// non-advancing estimate — uncertainty its error bound must admit.
-	if ev, evicted := t.list.push(record{bytes: cumBytes, at: t.eng.Now(), stall: t.stallCum}); evicted {
+	if ev, evicted := t.list.push(record{bytes: cumBytes, at: t.eng.Now(), stall: t.StallCum}); evicted {
 		// Bounded memory beat drain: the evicted write will never produce a
 		// sample. Advance the byte-weight cursor past it so the next match
 		// is not over-weighted with the evicted bytes, and degrade upcoming
 		// samples like any other input anomaly.
-		if ev.bytes > t.lastBest {
-			t.lastBest = ev.bytes
+		if ev.bytes > t.LastBest {
+			t.LastBest = ev.bytes
 		}
-		t.san.counts.Evictions++
-		t.lastAnomaly = t.polls
-		t.prevAnomTot = t.san.counts.Total()
+		t.san.Counts.Evictions++
+		t.stamp(t.PollCount, t.san)
 	}
 }
 
@@ -169,62 +234,58 @@ func (t *SenderTracker) OnWrite(cumBytes uint64) {
 // record at or below the estimate. Each sample carries a confidence grade
 // and an error bound derived from how degraded the TCP_INFO input looked.
 func (t *SenderTracker) poll() {
-	t.polls++
+	t.PollCount++
 	ti := t.san.GetsockoptTCPInfo()
 	best, fallback := t.san.BEst(ti)
 	overrun := false
-	if fallback && best > t.cumWritten {
+	if fallback && best > t.CumWritten {
 		// The segment-counter estimate drifted past the bytes the app ever
 		// wrote: provably wrong, clamp and flag.
-		best = t.cumWritten
-		t.san.counts.Overruns++
+		best = t.CumWritten
+		t.san.Counts.Overruns++
 		overrun = true
 	}
-	if best < t.bestCache {
+	if best < t.BestCache {
 		// B_est must not regress: a backwards step would un-send bytes the
 		// matcher already accounted for and corrupt Algorithm 3's buffered
 		// estimate.
-		best = t.bestCache
-		t.san.counts.BestRegressions++
+		best = t.BestCache
+		t.san.Counts.BestRegressions++
 	}
-	t.bestCache = best
+	t.BestCache = best
 
 	// Stall detection: no estimator progress while writes wait. Stalled
-	// time accrues into stallCum; each record remembers the total at push,
+	// time accrues into StallCum; each record remembers the total at push,
 	// so a record matched long after a stall — the backlog drains over many
 	// polls as acknowledgements trickle in — still carries the full stalled
 	// time it sat through in its error bound, not just the stall length at
 	// the poll that happened to pop it.
-	if best > t.prevBest {
+	if best > t.PrevBest {
 		if t.interval > 0 {
-			inst := float64(best-t.prevBest) / t.interval.Seconds()
-			if t.rateEst > 0 && inst > 2*t.rateEst {
+			inst := float64(best-t.PrevBest) / t.interval.Seconds()
+			if t.RateEst > 0 && inst > 2*t.RateEst {
 				// Catch-up burst: after a frozen stretch the estimate drains
 				// its backlog at far above the steady rate. Records popped
 				// during the drain are still late by however much backlog
 				// remains ahead of them, so the stall debt keeps accruing
 				// until the estimate is back in step.
-				t.stallCum += t.interval
+				t.StallCum += t.interval
 			}
-			if t.rateEst == 0 {
-				t.rateEst = inst
+			if t.RateEst == 0 {
+				t.RateEst = inst
 			} else {
-				t.rateEst = (7*t.rateEst + inst) / 8
+				t.RateEst = (7*t.RateEst + inst) / 8
 			}
 		}
-		t.stalePolls = 0
+		t.StalePolls = 0
 	} else if !t.list.empty() {
-		t.stalePolls++
-		t.stallCum += t.interval
-		t.san.counts.StalledPolls++
+		t.StalePolls++
+		t.StallCum += t.interval
+		t.san.Counts.StalledPolls++
 		t.san.stallsC.Inc()
 	}
-	t.prevBest = best
-
-	if tot := t.san.counts.Total(); tot != t.prevAnomTot {
-		t.prevAnomTot = tot
-		t.lastAnomaly = t.polls
-	}
+	t.PrevBest = best
+	t.noteAnomalies(t.PollCount, t.san)
 
 	// MSS-spread widening: the true MSS lies within the observed envelope,
 	// so the Unacked·MSS term of B_est is off by at most Unacked·spread
@@ -235,10 +296,10 @@ func (t *SenderTracker) poll() {
 	var mssTerm units.Duration
 	mssLow := false
 	if spread := t.san.sndMSSSpread(); spread > 0 {
-		if fallback || t.rateEst <= 0 {
+		if fallback || t.RateEst <= 0 {
 			mssLow = true
 		} else {
-			mssTerm = units.DurationFromSeconds(2 * float64(ti.Unacked*spread) / t.rateEst)
+			mssTerm = units.DurationFromSeconds(2 * float64(ti.Unacked*spread) / t.RateEst)
 		}
 	}
 
@@ -249,25 +310,15 @@ func (t *SenderTracker) poll() {
 	for n := t.list.searchAbove(best); n > 0; n-- {
 		r := t.list.pop()
 		d := now.Sub(r.at)
-		rstall := t.stallCum - r.stall
+		rstall := t.StallCum - r.stall
 		conf, bound := t.grade(fallback, overrun, mssLow, rstall, mssTerm)
-		// Per-sample jitter slack: the local delay variation bounds the
-		// interpolation error against a continuously-sampled ground truth.
-		slack := units.Duration(0)
-		if t.prevDelaySet {
-			slack = d - t.prevDelay
-			if slack < 0 {
-				slack = -slack
-			}
-		}
-		t.prevDelay, t.prevDelaySet = d, true
 		m := Measurement{
-			At: now, Delay: d, Bytes: int(r.bytes - t.lastBest),
+			At: now, Delay: d, Bytes: int(r.bytes - t.LastBest),
 			Cwnd: int32(ti.SndCwnd), Ssthresh: int32(ti.SndSsthresh), RTT: ti.RTT,
-			Confidence: conf, ErrBound: bound + slack,
+			Confidence: conf, ErrBound: bound + t.jitter(d),
 		}
 		t.est.add(m)
-		t.lastBest = r.bytes
+		t.LastBest = r.bytes
 		if t.telem != nil {
 			t.matchesC.Inc()
 			t.matchH.Observe(d.Seconds())
@@ -297,13 +348,13 @@ func (t *SenderTracker) grade(fallback, overrun, mssLow bool, rstall, mssTerm un
 	if fallback {
 		bound += fallbackBoundPolls * t.interval
 	}
-	recentAnomaly := t.lastAnomaly > 0 && t.polls-t.lastAnomaly <= anomalyHoldoffPolls
+	recentAnomaly := t.recentAnomaly(t.PollCount)
 	switch {
 	case overrun, mssLow,
-		t.stalePolls >= staleLowPolls,
-		recentAnomaly && t.san.counts.Backwards+t.san.counts.BestRegressions+t.san.counts.MSSChanges > 0 && t.polls == t.lastAnomaly:
+		t.StalePolls >= staleLowPolls,
+		recentAnomaly && t.san.Counts.Backwards+t.san.Counts.BestRegressions+t.san.Counts.MSSChanges > 0 && t.PollCount == t.LastAnomaly:
 		return ConfidenceLow, bound
-	case fallback, rstall > 0, mssTerm > 0, t.stalePolls > 0, recentAnomaly:
+	case fallback, rstall > 0, mssTerm > 0, t.StalePolls > 0, recentAnomaly:
 		return ConfidenceMedium, bound
 	}
 	return ConfidenceHigh, bound
@@ -311,7 +362,7 @@ func (t *SenderTracker) grade(fallback, overrun, mssLow bool, rstall, mssTerm un
 
 // EstimatedTCPBytes reports the latest B_est (Algorithm 3 reads it after
 // each send).
-func (t *SenderTracker) EstimatedTCPBytes() uint64 { return t.bestCache }
+func (t *SenderTracker) EstimatedTCPBytes() uint64 { return t.BestCache }
 
 // PollOnce runs a single tracking-thread iteration immediately. It exists
 // for micro-benchmarks and tests that drive the tracker manually.
@@ -321,7 +372,7 @@ func (t *SenderTracker) PollOnce() { t.poll() }
 func (t *SenderTracker) Estimates() *Estimates { return &t.est }
 
 // Polls reports how many TCP_INFO polls have run (overhead accounting).
-func (t *SenderTracker) Polls() int { return t.polls }
+func (t *SenderTracker) Polls() int { return t.PollCount }
 
 // Pending reports the number of unmatched write records.
 func (t *SenderTracker) Pending() int { return t.list.len() }
@@ -345,16 +396,8 @@ func (t *SenderTracker) DegradedMode() bool { return t.san.bytesAckedAbsent() }
 // and the audit trail says the coverage loss happened — degradation is
 // flagged, never silent.
 func (t *SenderTracker) Shed(guard units.Duration) {
-	if guard < 0 {
-		guard = 0
-	}
-	t.stallCum += guard
-	if t.interval > 0 {
-		t.stalePolls += int(guard / t.interval)
-	}
-	t.san.counts.Sheds++
-	t.lastAnomaly = t.polls
-	t.prevAnomTot = t.san.counts.Total()
+	t.san.Counts.Sheds++
+	t.fold(guard)
 }
 
 // FoldOutage folds an unobserved window of length d into the tracker's
@@ -364,15 +407,17 @@ func (t *SenderTracker) Shed(guard units.Duration) {
 // produce samples whose bounds admit it; a long outage flags samples
 // until B_est provably advances again.
 func (t *SenderTracker) FoldOutage(d units.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		t.fold(d)
 	}
-	t.stallCum += d
-	if t.interval > 0 {
-		t.stalePolls += int(d / t.interval)
-	}
-	t.lastAnomaly = t.polls
-	t.prevAnomTot = t.san.counts.Total()
+}
+
+// fold is the shared restore rule (grading.fold) plus the sender's one
+// extra line: the window also counts as stale polls, so a long outage
+// flags samples low-confidence until B_est provably advances again.
+func (t *SenderTracker) fold(d units.Duration) {
+	d = t.grading.fold(d, &t.StallCum, t.PollCount, t.san)
+	t.StalePolls += int(d / t.interval)
 }
 
 // Stop halts the tracking thread.
@@ -381,8 +426,8 @@ func (t *SenderTracker) Stop() {
 	t.ticker.Stop()
 }
 
-// subscribe registers the minimizer's (or a watcher's) measurement
-// callback.
+// subscribe registers the minimizer's (or a custom controller's)
+// measurement callback.
 func (t *SenderTracker) subscribe(fn func(Measurement)) { t.onDelay = fn }
 
 // ReceiverTracker implements Algorithm 2: user-level estimation of the
@@ -394,36 +439,9 @@ type ReceiverTracker struct {
 
 	list    fifo // (estimated received bytes at TCP, time)
 	est     Estimates
-	prev    uint64 // B_prev
 	ticker  sim.Timer
 	stopped bool
-	polls   int
-
-	// Hostile-input bookkeeping.
-	lastGrowth  units.Time // when B_est last advanced (record slack)
-	lastRcvMSS  int
-	mssLowUntil int // poll index until which samples stay low-confidence
-	// segs_in inflation audit: the drain excess (B_est beyond the in-order
-	// bytes delivered) is the ceiling on how much any sample may overstate
-	// waiting, folded into every error bound. excEpoch holds the largest
-	// excess seen this poll epoch and the previous one — the first drain
-	// after a poll is the least stale measurement of the excess, so the
-	// epoch maximum tracks inflation without being dragged down by later
-	// reads in the same epoch. excBound is the sticky value served to
-	// grade between drains. The windowed floor of the excess separates
-	// persistent inflation (duplicate segments) from transient reassembly
-	// backlog for the Resyncs anomaly counter.
-	excEpoch     [2]uint64
-	excBound     uint64
-	stallCum     units.Duration // arrival-stall time accrued while records wait
-	offWinMin    [2]uint64
-	offWinStart  int     // poll index where the current floor bucket opened
-	prevFloor    uint64  // last inflation floor that incremented Resyncs
-	rateEst      float64 // EWMA of B_est growth, bytes/s (excess → time)
-	prevAnomTot  int
-	lastAnomaly  int
-	prevDelay    units.Duration
-	prevDelaySet bool
+	receiverState
 
 	// Telemetry handles (nil when uninstrumented).
 	telem    *telemetry.Scope
@@ -432,6 +450,35 @@ type ReceiverTracker struct {
 	matchesC *telemetry.Counter
 	lowC     *telemetry.Counter
 	delayS   *telemetry.Sampler
+}
+
+// receiverState is everything Algorithm 2 carries from one poll to the
+// next besides its records, declared in the order its checkpoint carries
+// it (see senderState).
+type receiverState struct {
+	Prev        uint64     `json:"prev"` // B_prev
+	PollCount   int        `json:"polls"`
+	LastGrowth  units.Time `json:"last_growth"` // when B_est last advanced (record slack)
+	LastRcvMSS  int        `json:"last_rcv_mss"`
+	MSSLowUntil int        `json:"mss_low_until"` // poll index until which samples stay low-confidence
+	// segs_in inflation audit: the drain excess (B_est beyond the in-order
+	// bytes delivered) is the ceiling on how much any sample may overstate
+	// waiting, folded into every error bound. ExcEpoch holds the largest
+	// excess seen this poll epoch and the previous one — the first drain
+	// after a poll is the least stale measurement of the excess, so the
+	// epoch maximum tracks inflation without being dragged down by later
+	// reads in the same epoch. ExcBound is the sticky value served to
+	// grade between drains. The windowed floor of the excess separates
+	// persistent inflation (duplicate segments) from transient reassembly
+	// backlog for the Resyncs anomaly counter.
+	ExcEpoch    [2]uint64      `json:"exc_epoch"`
+	ExcBound    uint64         `json:"exc_bound"`
+	StallCum    units.Duration `json:"stall_cum"` // arrival-stall time accrued while records wait
+	OffWinMin   [2]uint64      `json:"off_win_min"`
+	OffWinStart int            `json:"off_win_start"` // poll index where the current floor bucket opened
+	PrevFloor   uint64         `json:"prev_floor"`    // last inflation floor that incremented Resyncs
+	RateEst     float64        `json:"rate_est"`      // EWMA of B_est growth, bytes/s (excess → time)
+	grading
 }
 
 // Instrument records the tracker's matched receive-side delays under sc.
@@ -466,8 +513,8 @@ func NewReceiverTrackerOpts(eng *sim.Engine, src InfoSource, opts TrackerOptions
 	opts = opts.normalize()
 	t := &ReceiverTracker{eng: eng, san: newSanitizer(src), interval: opts.Interval}
 	t.list.cap = opts.RecordCap
-	t.lastGrowth = eng.Now()
-	t.offWinMin = [2]uint64{offUnset, offUnset}
+	t.LastGrowth = eng.Now()
+	t.OffWinMin = [2]uint64{offUnset, offUnset}
 	if !opts.Detached {
 		t.schedule()
 	}
@@ -495,56 +542,52 @@ func tickReceiver(arg any) {
 // can lag the true arrival by that much, and the error bounds of the
 // samples it produces say so.
 func (t *ReceiverTracker) poll() {
-	t.polls++
+	t.PollCount++
 	t.pollsC.Inc()
-	if t.polls-t.offWinStart >= offsetWindowPolls {
-		t.offWinMin[1] = t.offWinMin[0]
-		t.offWinMin[0] = offUnset
-		t.offWinStart = t.polls
+	if t.PollCount-t.OffWinStart >= offsetWindowPolls {
+		t.OffWinMin[1] = t.OffWinMin[0]
+		t.OffWinMin[0] = offUnset
+		t.OffWinStart = t.PollCount
 	}
-	t.excEpoch[1] = t.excEpoch[0]
-	t.excEpoch[0] = 0
+	t.ExcEpoch[1] = t.ExcEpoch[0]
+	t.ExcEpoch[0] = 0
 	ti := t.san.GetsockoptTCPInfo()
-	if ti.RcvMSS != t.lastRcvMSS {
-		if t.lastRcvMSS != 0 {
+	if ti.RcvMSS != t.LastRcvMSS {
+		if t.LastRcvMSS != 0 {
 			// segs_in × rcv_mss re-bases the entire cumulative estimate on
 			// an MSS change; distrust samples for a long window.
-			t.mssLowUntil = t.polls + mssLowWindowPolls
+			t.MSSLowUntil = t.PollCount + mssLowWindowPolls
 		}
-		t.lastRcvMSS = ti.RcvMSS
+		t.LastRcvMSS = ti.RcvMSS
 	}
-	if tot := t.san.counts.Total(); tot != t.prevAnomTot {
-		t.prevAnomTot = tot
-		t.lastAnomaly = t.polls
-	}
+	t.noteAnomalies(t.PollCount, t.san)
 	// B_est = tcpi_segs_in * tcpi_rcv_mss.
 	best := uint64(ti.SegsIn) * uint64(ti.RcvMSS)
-	if best > t.prev {
+	if best > t.Prev {
 		now := t.eng.Now()
-		slack := now.Sub(t.lastGrowth) - t.interval
+		slack := now.Sub(t.LastGrowth) - t.interval
 		if slack < 0 {
 			slack = 0
 		}
 		// Arrival-rate EWMA: converts the byte-denominated drain excess into
 		// a time-denominated bound term in grade.
-		if el := now.Sub(t.lastGrowth).Seconds(); el > 0 {
-			inst := float64(best-t.prev) / el
-			if t.rateEst == 0 {
-				t.rateEst = inst
+		if el := now.Sub(t.LastGrowth).Seconds(); el > 0 {
+			inst := float64(best-t.Prev) / el
+			if t.RateEst == 0 {
+				t.RateEst = inst
 			} else {
-				t.rateEst = (7*t.rateEst + inst) / 8
+				t.RateEst = (7*t.RateEst + inst) / 8
 			}
 		}
-		t.prev = best
-		t.lastGrowth = now
-		if _, evicted := t.list.push(record{bytes: best, at: now, slack: slack, stall: t.stallCum}); evicted {
+		t.Prev = best
+		t.LastGrowth = now
+		if _, evicted := t.list.push(record{bytes: best, at: now, slack: slack, stall: t.StallCum}); evicted {
 			// The application stopped reading long enough for the record
 			// list to hit its cap: the evicted arrival's eventual read will
 			// match a younger record (underestimating its wait), so flag
 			// the episode as an anomaly.
-			t.san.counts.Evictions++
-			t.lastAnomaly = t.polls
-			t.prevAnomTot = t.san.counts.Total()
+			t.san.Counts.Evictions++
+			t.stamp(t.PollCount, t.san)
 		}
 	} else if !t.list.empty() {
 		// Arrivals stalled while claimed bytes wait unmatched. If the front
@@ -552,7 +595,7 @@ func (t *ReceiverTracker) poll() {
 		// accrues phantom waiting at wall-clock speed for the whole stall —
 		// a blackout, say — far beyond what the excess-over-rate term can
 		// express. The stall debt the record sat through covers it.
-		t.stallCum += t.interval
+		t.StallCum += t.interval
 	}
 }
 
@@ -572,54 +615,52 @@ func (t *ReceiverTracker) poll() {
 // counter widens bounds instead of silently reshaping the series.
 func (t *ReceiverTracker) OnRead(cumBytes uint64, readBytes int, drained bool) {
 	now := t.eng.Now()
-	if cumBytes > t.prev && t.prev > 0 {
+	if cumBytes > t.Prev && t.Prev > 0 {
 		// The application read bytes B_est claims TCP never received: the
 		// estimator is provably behind (GRO/LRO-style coalescing under-
 		// counting segs_in). Flag rather than silently underestimate.
-		t.san.counts.Lags++
-		t.lastAnomaly = t.polls
-		t.prevAnomTot = t.san.counts.Total()
+		t.san.Counts.Lags++
+		t.stamp(t.PollCount, t.san)
 	}
 	if drained {
 		var exc uint64
-		if t.prev > cumBytes {
-			exc = t.prev - cumBytes
+		if t.Prev > cumBytes {
+			exc = t.Prev - cumBytes
 		}
-		if exc > t.excEpoch[0] {
-			t.excEpoch[0] = exc
+		if exc > t.ExcEpoch[0] {
+			t.ExcEpoch[0] = exc
 		}
 		// Refresh the bound excess BEFORE matching: the first read after a
 		// burst of duplicate arrivals must already carry their inflation in
 		// its bound, not discover it one read too late.
-		b := t.excEpoch[0]
-		if t.excEpoch[1] > b {
-			b = t.excEpoch[1]
+		b := t.ExcEpoch[0]
+		if t.ExcEpoch[1] > b {
+			b = t.ExcEpoch[1]
 		}
-		t.excBound = b
+		t.ExcBound = b
 		// The sliding-window minimum of the drain excess separates persistent
 		// duplicate-segment inflation from transient reassembly backlog:
 		// whenever the reassembly queue empties within the window, the
 		// minimum collapses to pure inflation. It feeds the Resyncs audit
 		// counter, not the matching.
-		if exc < t.offWinMin[0] {
-			t.offWinMin[0] = exc
+		if exc < t.OffWinMin[0] {
+			t.OffWinMin[0] = exc
 		}
-		floor := t.offWinMin[0]
-		if t.offWinMin[1] < floor {
-			floor = t.offWinMin[1]
+		floor := t.OffWinMin[0]
+		if t.OffWinMin[1] < floor {
+			floor = t.OffWinMin[1]
 		}
 		if floor != offUnset {
-			mss := uint64(t.lastRcvMSS)
+			mss := uint64(t.LastRcvMSS)
 			if mss == 0 {
 				mss = 1448
 			}
-			if floor > t.prevFloor && floor-t.prevFloor >= mss {
+			if floor > t.PrevFloor && floor-t.PrevFloor >= mss {
 				// Persistent inflation grew by at least a full segment since
 				// the last audit mark: duplicate arrivals, worth flagging.
-				t.san.counts.Resyncs++
-				t.lastAnomaly = t.polls
-				t.prevAnomTot = t.san.counts.Total()
-				t.prevFloor = floor
+				t.san.Counts.Resyncs++
+				t.stamp(t.PollCount, t.san)
+				t.PrevFloor = floor
 			}
 		}
 	}
@@ -634,19 +675,11 @@ func (t *ReceiverTracker) OnRead(cumBytes uint64, readBytes int, drained bool) {
 		r := t.list.front()
 		ti := t.san.GetsockoptTCPInfo()
 		d := now.Sub(r.at)
-		conf, bound := t.grade(cumBytes, r.slack, t.stallCum-r.stall)
-		slack := units.Duration(0)
-		if t.prevDelaySet {
-			slack = d - t.prevDelay
-			if slack < 0 {
-				slack = -slack
-			}
-		}
-		t.prevDelay, t.prevDelaySet = d, true
+		conf, bound := t.grade(cumBytes, r.slack, t.StallCum-r.stall)
 		m := Measurement{
 			At: now, Delay: d, Bytes: readBytes,
 			Cwnd: int32(ti.SndCwnd), Ssthresh: int32(ti.SndSsthresh), RTT: ti.RTT,
-			Confidence: conf, ErrBound: bound + slack,
+			Confidence: conf, ErrBound: bound + t.jitter(d),
 		}
 		t.est.add(m)
 		if t.telem != nil {
@@ -671,32 +704,32 @@ func (t *ReceiverTracker) OnRead(cumBytes uint64, readBytes int, drained bool) {
 func (t *ReceiverTracker) grade(cumBytes uint64, recSlack, rstall units.Duration) (Confidence, units.Duration) {
 	bound := 3*t.interval + recSlack + rstall
 	inflLow := false
-	if t.excBound > 0 {
-		if t.rateEst > 0 {
+	if t.ExcBound > 0 {
+		if t.RateEst > 0 {
 			// Doubled: the rate EWMA is built from the same degraded counter
 			// and runs hot when duplicate bursts inflate it, which would
 			// shrink the term exactly when it matters. One extra interval on
 			// top: the excess is measured against a B_est snapshot up to a
 			// poll old, so arrivals read in the gap hide that much inflation.
 			bound += t.interval +
-				units.DurationFromSeconds(2*float64(t.excBound)/t.rateEst)
+				units.DurationFromSeconds(2*float64(t.ExcBound)/t.RateEst)
 		} else {
 			// Excess with no rate to convert it: unquantifiable.
 			inflLow = true
 		}
 	}
-	mss := uint64(t.lastRcvMSS)
+	mss := uint64(t.LastRcvMSS)
 	if mss == 0 {
 		mss = 1448
 	}
-	recentAnomaly := t.lastAnomaly > 0 && t.polls-t.lastAnomaly <= anomalyHoldoffPolls
+	recentAnomaly := t.recentAnomaly(t.PollCount)
 	switch {
-	case cumBytes > t.prev && t.prev > 0, // estimator provably behind the app
-		t.polls < t.mssLowUntil,
+	case cumBytes > t.Prev && t.Prev > 0, // estimator provably behind the app
+		t.PollCount < t.MSSLowUntil,
 		inflLow,
 		recSlack >= units.Duration(staleLowPolls)*t.interval:
 		return ConfidenceLow, bound
-	case recentAnomaly, recSlack > 0, rstall > 0, t.excBound >= 4*mss:
+	case recentAnomaly, recSlack > 0, rstall > 0, t.ExcBound >= 4*mss:
 		return ConfidenceMedium, bound
 	}
 	return ConfidenceHigh, bound
@@ -710,7 +743,7 @@ func (t *ReceiverTracker) PollOnce() { t.poll() }
 func (t *ReceiverTracker) Estimates() *Estimates { return &t.est }
 
 // Polls reports how many TCP_INFO polls have run.
-func (t *ReceiverTracker) Polls() int { return t.polls }
+func (t *ReceiverTracker) Polls() int { return t.PollCount }
 
 // Pending reports the number of unmatched receive records.
 func (t *ReceiverTracker) Pending() int { return t.list.len() }
@@ -727,25 +760,23 @@ func (t *ReceiverTracker) Anomalies() AnomalyCounts { return t.san.Anomalies() }
 // samples produced from records that sat through the shed admit the
 // guard window in their bounds.
 func (t *ReceiverTracker) Shed(guard units.Duration) {
-	if guard < 0 {
-		guard = 0
-	}
-	t.stallCum += guard
-	t.san.counts.Sheds++
-	t.lastAnomaly = t.polls
-	t.prevAnomTot = t.san.counts.Total()
+	t.san.Counts.Sheds++
+	t.fold(guard)
 }
 
 // FoldOutage folds an unobserved window of length d into the tracker's
 // error accounting without counting a new anomaly (see
 // SenderTracker.FoldOutage).
 func (t *ReceiverTracker) FoldOutage(d units.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		t.fold(d)
 	}
-	t.stallCum += d
-	t.lastAnomaly = t.polls
-	t.prevAnomTot = t.san.counts.Total()
+}
+
+// fold is the shared restore rule (grading.fold); the receiver adds
+// nothing to it.
+func (t *ReceiverTracker) fold(d units.Duration) {
+	t.grading.fold(d, &t.StallCum, t.PollCount, t.san)
 }
 
 // Stop halts the tracking thread.

@@ -51,11 +51,11 @@ const (
 	DefaultDuration    = 10 * units.Second
 	DefaultRate        = 4 * units.Mbps
 	DefaultRTT         = 40 * units.Millisecond
-
-	// DefaultCheckpointEvery is the periodic JSON checkpoint cadence; it
-	// bounds how much estimator state a crash can lose.
-	DefaultCheckpointEvery = 500 * units.Millisecond
 )
+
+// checkpointEvery is the periodic JSON checkpoint cadence; it bounds how
+// much estimator state a crash can lose.
+const checkpointEvery = 500 * units.Millisecond
 
 // ChurnConfig describes the connection/monitor churn schedule. All draws
 // come from each connection's private seeded RNG stream, so the schedule
@@ -90,9 +90,6 @@ type Config struct {
 	RTT  units.Duration
 	// Interval is the TCP_INFO polling period per monitor (0 = 10 ms).
 	Interval units.Duration
-	// RecordCap bounds each tracker FIFO (0 = core.DefaultRecordCap,
-	// negative = unlimited).
-	RecordCap int
 	// Minimize runs the Algorithm 3 minimizer on every monitor.
 	Minimize bool
 
@@ -102,11 +99,6 @@ type Config struct {
 	// inline single-threaded execution). Results are byte-identical
 	// across shard counts for a fixed seed.
 	Shards int
-
-	// CheckpointEvery is the periodic serialization cadence (0 =
-	// DefaultCheckpointEvery, negative disables checkpoints — restarts
-	// then begin a fresh series).
-	CheckpointEvery units.Duration
 
 	Churn ChurnConfig
 
@@ -200,12 +192,6 @@ func (c Config) normalize() Config {
 	}
 	if c.Interval <= 0 {
 		c.Interval = core.DefaultInterval
-	}
-	switch {
-	case c.CheckpointEvery == 0:
-		c.CheckpointEvery = DefaultCheckpointEvery
-	case c.CheckpointEvery < 0:
-		c.CheckpointEvery = 0
 	}
 	if c.Fanout != nil {
 		fo := *c.Fanout // callers keep their struct; normalize a copy
@@ -414,9 +400,7 @@ func New(cfg Config) *Fleet {
 
 	for _, sh := range f.shards {
 		sh.scheduleWatchdog()
-		if cfg.CheckpointEvery > 0 {
-			sh.scheduleCheckpoints()
-		}
+		sh.scheduleCheckpoints()
 	}
 	return f
 }
@@ -438,7 +422,7 @@ func (sh *shard) scheduleWatchdog() {
 }
 
 func (sh *shard) scheduleCheckpoints() {
-	sh.eng.Schedule(sh.fl.cfg.CheckpointEvery, func() {
+	sh.eng.Schedule(checkpointEvery, func() {
 		if sh.fl.draining {
 			return
 		}

@@ -221,7 +221,7 @@ func (m *Monitor) startTraffic() {
 // restart with no checkpoint to restore).
 func (m *Monitor) startFresh() {
 	cfg := m.fl.cfg
-	opts := core.TrackerOptions{Interval: cfg.Interval, RecordCap: cfg.RecordCap, Detached: true}
+	opts := core.TrackerOptions{Interval: cfg.Interval, Detached: true}
 	m.snd = core.NewSenderTrackerOpts(m.sh.eng, m.sndSrc, opts)
 	m.rcv = core.NewReceiverTrackerOpts(m.sh.eng, m.rcvSrc, opts)
 	if cfg.Minimize {
@@ -243,7 +243,7 @@ func (m *Monitor) restore() {
 		m.startFresh()
 		return
 	}
-	opts := core.TrackerOptions{Interval: cfg.Interval, RecordCap: cfg.RecordCap, Detached: true}
+	opts := core.TrackerOptions{Interval: cfg.Interval, Detached: true}
 	m.snd = core.RestoreSenderTracker(m.sh.eng, m.sndSrc, scp, opts)
 	m.rcv = core.RestoreReceiverTracker(m.sh.eng, m.rcvSrc, rcp, opts)
 	if cfg.Minimize && m.minCP != nil {

@@ -68,9 +68,9 @@ func (p *pipeline) capture(seed int64, flows int) *Snapshot {
 // Snapshot captures the fleet's resumable state from the last persisted
 // per-monitor checkpoints — crash-consistent semantics: state produced
 // since a monitor's last checkpoint is lost, exactly like a process
-// that died before fsync. Monitors that never checkpointed (or with
-// checkpoints disabled) contribute only their tier; resuming them
-// starts a fresh series. Valid during and after Run.
+// that died before fsync. Monitors that never checkpointed contribute
+// only their tier; resuming them starts a fresh series. Valid during and
+// after Run.
 func (f *Fleet) Snapshot() *Snapshot {
 	s := f.pipe.capture(f.cfg.Seed, len(f.monitors))
 	for _, m := range f.monitors {
