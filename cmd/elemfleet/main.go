@@ -1,7 +1,7 @@
 // Command elemfleet runs the supervised monitoring fleet: N concurrent
 // simulated connections, each watched by its own ELEMENT monitor under
 // the fleet supervisor (panic recovery, backoff restarts, watchdog
-// recycling, JSON checkpoints every 500 ms). Connection and monitor churn is
+// recycling, checkpoints every 500 ms). Connection and monitor churn is
 // scheduled deterministically from the seed and composes with the fault
 // profiles.
 //
@@ -67,6 +67,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -93,7 +94,7 @@ func main() {
 		interval = flag.Float64("interval", 10, "TCP_INFO polling interval in ms")
 		minimize = flag.Bool("minimize", false, "run the Algorithm 3 minimizer on every monitor")
 		shards   = flag.Int("shards", 0, "parallel shard count (0 = one per core, 1 = single-threaded); results are identical for any value")
-		scaleN   = flag.Int("scale", 0, "million-monitor mode: run N closed-form flows through per-shard event loops with two-phase escalation (replaces the simulated-stack fleet; honors -seed -dur -interval -shards -escalate -window-ms and the -budget-* flags)")
+		scaleN   = flag.Int("scale", 0, "million-monitor mode: run N closed-form flows through per-shard event loops with two-phase escalation (replaces the simulated-stack fleet; reads only "+scaleFlagList+", and any other flag set alongside it is an error)")
 
 		openWindow = flag.Float64("open-window", 1, "stagger connection opens over this many seconds")
 		closeFrac  = flag.Float64("close-frac", 0.25, "fraction of connections closing early")
@@ -133,6 +134,13 @@ func main() {
 		rtForm   = flag.String("reqtrace-format", "chrome", "span-tree export format: chrome|jsonl")
 	)
 	flag.Parse()
+
+	if *scaleN > 0 {
+		if name := firstUnreadInScale(); name != "" {
+			fmt.Fprintf(os.Stderr, "elemfleet: -%s has no effect with -scale (scale mode reads only %s)\n", name, scaleFlagList)
+			os.Exit(2)
+		}
+	}
 
 	// Fail fast on bad export destinations before simulating anything.
 	if err := cliutil.ValidateOutputPaths(map[string]string{
@@ -356,6 +364,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "elemfleet: %d bounded-or-flagged violations\n", v)
 		os.Exit(1)
 	}
+}
+
+// scaleFlags are the flags -scale mode reads: runScale's parameters.
+var scaleFlags = []string{"scale", "seed", "dur", "interval", "shards", "escalate", "window-ms",
+	"budget-live", "budget-samples", "budget-sketch-bytes", "stream", "metrics", "snapshot", "resume"}
+
+// scaleFlagList is scaleFlags as the usage text names them.
+var scaleFlagList = "-" + strings.Join(scaleFlags, " -")
+
+// firstUnreadInScale names the first explicitly set flag, in flag.Visit's
+// lexical order, that -scale mode does not read; "" when there is none.
+func firstUnreadInScale() string {
+	name := ""
+	flag.Visit(func(f *flag.Flag) {
+		if name == "" && !slices.Contains(scaleFlags, f.Name) {
+			name = f.Name
+		}
+	})
+	return name
 }
 
 // runScale is the -scale entry point: the million-monitor mode. The

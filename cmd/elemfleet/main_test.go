@@ -1,0 +1,63 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets a test run this binary as elemfleet: with
+// ELEMFLEET_RUN_MAIN set, the process is main() on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("ELEMFLEET_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runElemfleet runs main in a child process and returns its exit code
+// and standard error.
+func runElemfleet(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "ELEMFLEET_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
+	}
+	t.Fatalf("running elemfleet %v: %v", args, err)
+	return 0, ""
+}
+
+// TestScaleRejectsUnreadFlags: -scale mode exits 2 on a flag it would
+// silently ignore, naming the first one set in lexical order, before it
+// simulates anything; the flags it reads still run.
+func TestScaleRejectsUnreadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-scale", "50", "-conns", "5"}, "-conns"},
+		{[]string{"-scale", "50", "-budget-live", "4", "-budget-export-bps", "100"}, "-budget-export-bps"},
+		{[]string{"-scale", "50", "-stream", "-stream-format", "jsonl", "-overload"}, "-overload"},
+		{[]string{"-minimize", "-scale", "50", "-faults", "none"}, "-faults"},
+	} {
+		code, stderr := runElemfleet(t, c.args...)
+		if code != 2 || !strings.Contains(stderr, c.flag+" has no effect with -scale") {
+			t.Errorf("elemfleet %v: exit %d, stderr %q; want exit 2 naming %s", c.args, code, stderr, c.flag)
+		}
+	}
+	if code, stderr := runElemfleet(t, "-scale", "50", "-dur", "0.2", "-seed", "2", "-shards", "1", "-budget-live", "4"); code != 0 {
+		t.Errorf("a -scale run with only the flags it reads: exit %d, stderr %q", code, stderr)
+	}
+}

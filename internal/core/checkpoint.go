@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 
 	"element/internal/sim"
 	"element/internal/tcpinfo"
@@ -28,8 +30,11 @@ import (
 // one struct copy plus the records, and a restore is one assignment, and
 // a field cannot be added to one side only. And there is one restore
 // rule: the trackers' fold, which Shed and FoldOutage share.
-// Marshal/Unmarshal use encoding/json so a supervisor can persist
-// checkpoints anywhere bytes go.
+// A checkpoint is a plain value, so a supervisor holds it as is
+// (CheckpointInto refills one in place) and encodes it only where it
+// leaves the process: Marshal/Unmarshal use encoding/json, which has no
+// NaN or ±Inf, so Encodable tells a holder beforehand which checkpoints
+// would not survive that trip.
 
 // RecordCheckpoint is one serialized FIFO record.
 type RecordCheckpoint struct {
@@ -51,20 +56,36 @@ type SenderCheckpoint struct {
 	Sanitizer sanitizerState `json:"sanitizer"`
 }
 
-// Checkpoint serializes the tracker's resumable state at the current
+// Checkpoint returns the tracker's resumable state at the current
 // instant. It does not include the measurement log: the supervisor is
 // expected to have flushed (or to accept losing) already-produced samples;
 // what the checkpoint preserves is the ability to keep producing correct
 // ones.
 func (t *SenderTracker) Checkpoint() SenderCheckpoint {
-	return SenderCheckpoint{
+	var cp SenderCheckpoint
+	t.CheckpointInto(&cp)
+	return cp
+}
+
+// CheckpointInto is Checkpoint refilling cp in place: cp.Records' storage
+// is reused, so a holder that checkpoints periodically allocates only
+// when the ring outgrows every earlier checkpoint.
+func (t *SenderTracker) CheckpointInto(cp *SenderCheckpoint) {
+	*cp = SenderCheckpoint{
 		TakenAt:     t.eng.Now(),
 		Interval:    t.interval,
 		RecordCap:   t.list.cap,
-		Records:     checkpointRecords(&t.list),
+		Records:     appendRecords(cp.Records[:0], &t.list),
 		senderState: t.senderState,
 		Sanitizer:   t.san.sanitizerState,
 	}
+}
+
+// Encodable reports whether the tracker's checkpoint encodes: JSON has no
+// NaN or ±Inf, so Marshal fails exactly when a float in the state is not
+// finite.
+func (t *SenderTracker) Encodable() bool {
+	return finite(t.RateEst) && t.san.encodable()
 }
 
 // Marshal encodes the checkpoint as JSON.
@@ -135,17 +156,31 @@ type ReceiverCheckpoint struct {
 	Sanitizer sanitizerState `json:"sanitizer"`
 }
 
-// Checkpoint serializes the tracker's resumable state at the current
+// Checkpoint returns the tracker's resumable state at the current
 // instant.
 func (t *ReceiverTracker) Checkpoint() ReceiverCheckpoint {
-	return ReceiverCheckpoint{
+	var cp ReceiverCheckpoint
+	t.CheckpointInto(&cp)
+	return cp
+}
+
+// CheckpointInto is Checkpoint refilling cp in place, reusing
+// cp.Records' storage (see SenderTracker.CheckpointInto).
+func (t *ReceiverTracker) CheckpointInto(cp *ReceiverCheckpoint) {
+	*cp = ReceiverCheckpoint{
 		TakenAt:       t.eng.Now(),
 		Interval:      t.interval,
 		RecordCap:     t.list.cap,
-		Records:       checkpointRecords(&t.list),
+		Records:       appendRecords(cp.Records[:0], &t.list),
 		receiverState: t.receiverState,
 		Sanitizer:     t.san.sanitizerState,
 	}
+}
+
+// Encodable reports whether the tracker's checkpoint encodes (see
+// SenderTracker.Encodable).
+func (t *ReceiverTracker) Encodable() bool {
+	return finite(t.RateEst) && t.san.encodable()
 }
 
 // Marshal encodes the checkpoint as JSON.
@@ -219,9 +254,17 @@ type MinimizerCheckpoint struct {
 	minimizerState
 }
 
-// Checkpoint serializes Algorithm 3's resumable state.
+// Checkpoint returns Algorithm 3's resumable state. It holds no slice, so
+// assigning it over an earlier one allocates nothing.
 func (m *Minimizer) Checkpoint() MinimizerCheckpoint {
 	return MinimizerCheckpoint{TakenAt: m.eng.Now(), Config: m.cfg, minimizerState: m.minimizerState}
+}
+
+// Encodable reports whether the minimizer's checkpoint encodes (see
+// SenderTracker.Encodable).
+func (m *Minimizer) Encodable() bool {
+	c := m.cfg
+	return finite(m.Starget) && finite(c.Delta) && finite(c.Beta) && finite(c.Gamma) && finite(c.Lambda)
 }
 
 // Marshal encodes the checkpoint as JSON.
@@ -258,19 +301,23 @@ func RestoreMinimizer(eng *sim.Engine, tracker *SenderTracker, cp MinimizerCheck
 	return m
 }
 
-// checkpointRecords snapshots a fifo's live records oldest-first.
-func checkpointRecords(f *fifo) []RecordCheckpoint {
+// appendRecords appends a fifo's live records to dst oldest-first.
+func appendRecords(dst []RecordCheckpoint, f *fifo) []RecordCheckpoint {
 	n := f.len()
-	if n == 0 {
-		return nil
-	}
-	out := make([]RecordCheckpoint, 0, n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		r := f.at(i)
-		out = append(out, RecordCheckpoint{Bytes: r.bytes, At: r.at, Slack: r.slack, Stall: r.stall})
+		dst = append(dst, RecordCheckpoint{Bytes: r.bytes, At: r.at, Slack: r.slack, Stall: r.stall})
 	}
-	return out
+	return dst
 }
+
+// finite reports whether v has a JSON encoding.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// encodable reports whether the sanitizer's state has a JSON encoding: the
+// last snapshot's pacing rate is its one float.
+func (s *sanitizerState) encodable() bool { return finite(float64(s.Last.PacingRate)) }
 
 // restoreRecords refills a fresh fifo from checkpointed records,
 // re-applying the cap (a restore with a tighter cap evicts the oldest

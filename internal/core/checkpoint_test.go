@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"element/internal/cc"
 	"element/internal/faults"
@@ -551,7 +554,7 @@ func TestZeroOutageContinuation(t *testing.T) {
 		name       string
 		live, back *fifo
 	}{{"sender", &snd.list, &snd2.list}, {"receiver", &rcv.list, &rcv2.list}} {
-		if !reflect.DeepEqual(checkpointRecords(c.back), checkpointRecords(c.live)) || c.back.cap != c.live.cap {
+		if !reflect.DeepEqual(appendRecords(nil, c.back), appendRecords(nil, c.live)) || c.back.cap != c.live.cap {
 			t.Errorf("%s records or cap changed across the restore", c.name)
 		}
 	}
@@ -559,4 +562,86 @@ func TestZeroOutageContinuation(t *testing.T) {
 		t.Errorf("interval changed across the restore")
 	}
 	eng.Shutdown()
+}
+
+// TestEncodableIsMarshal holds Encodable to the encoding it predicts: for
+// each of the three checkpointed objects, every float anywhere in the
+// checkpointed state — found by reflection, so a new float field cannot
+// be missed — makes Encodable false and Marshal fail when it is NaN or
+// ±Inf, and nothing else does. A holder that checks Encodable before
+// refilling its checkpoint therefore skips exactly the checkpoints
+// Marshal would reject.
+func TestEncodableIsMarshal(t *testing.T) {
+	eng := sim.New(1)
+	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1448, RcvMSS: 1448, SndCwnd: 10, SndBuf: 64 << 10, PacingRate: 2e6}}
+	opts := TrackerOptions{Detached: true}
+	snd := NewSenderTrackerOpts(eng, src, opts)
+	rcv := NewReceiverTrackerOpts(eng, src, opts)
+	mz := NewMinimizerDetached(eng, src, snd, MinimizerConfig{})
+	for i := 1; i <= 20; i++ {
+		eng.RunFor(10 * units.Millisecond)
+		snd.OnWrite(uint64(i) * 3000)
+		src.info.BytesAcked = uint64(i) * 2000
+		src.info.SegsIn = 2 * i
+		snd.PollOnce()
+		rcv.PollOnce()
+		mz.CheckOnce()
+	}
+	for _, c := range []struct {
+		name      string
+		state     []any
+		encodable func() bool
+		marshal   func() error
+	}{
+		{"sender", []any{&snd.senderState, &snd.san.sanitizerState}, snd.Encodable,
+			func() error { _, err := snd.Checkpoint().Marshal(); return err }},
+		{"receiver", []any{&rcv.receiverState, &rcv.san.sanitizerState}, rcv.Encodable,
+			func() error { _, err := rcv.Checkpoint().Marshal(); return err }},
+		{"minimizer", []any{&mz.minimizerState, &mz.cfg}, mz.Encodable,
+			func() error { _, err := mz.Checkpoint().Marshal(); return err }},
+	} {
+		if err := c.marshal(); !c.encodable() || err != nil {
+			t.Fatalf("%s: finite state reads Encodable %v, marshal error %v", c.name, c.encodable(), err)
+		}
+		floats := 0
+		for _, st := range c.state {
+			forEachFloat(reflect.ValueOf(st).Elem(), reflect.TypeOf(st).Elem().Name(), func(path string, f reflect.Value) {
+				floats++
+				saved := f.Float()
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					f.SetFloat(bad)
+					if err := c.marshal(); c.encodable() || err == nil {
+						t.Errorf("%s: %s = %v reads Encodable %v, marshal error %v", c.name, path, bad, c.encodable(), err)
+					}
+				}
+				f.SetFloat(saved)
+			})
+		}
+		if floats == 0 {
+			t.Fatalf("%s: no float found in the checkpointed state", c.name)
+		}
+		if err := c.marshal(); !c.encodable() || err != nil {
+			t.Fatalf("%s: restored state reads Encodable %v, marshal error %v", c.name, c.encodable(), err)
+		}
+	}
+	eng.Shutdown()
+}
+
+// forEachFloat calls fn with a settable value for every float inside v, a
+// struct reached by address, at any depth of structs and arrays; the
+// states' fields sit behind unexported embeddings, so each is re-derived
+// from its address.
+func forEachFloat(v reflect.Value, path string, fn func(path string, f reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		fn(path, reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			forEachFloat(v.Field(i), path+"."+v.Type().Field(i).Name, fn)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			forEachFloat(v.Index(i), fmt.Sprintf("%s[%d]", path, i), fn)
+		}
+	}
 }

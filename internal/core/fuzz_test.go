@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"element/internal/sim"
@@ -242,6 +244,94 @@ func FuzzMinimizerCheckpointDecode(f *testing.F) {
 		}
 		m.CheckOnce()
 	})
+}
+
+// FuzzHeldCheckpoint is the differential check behind holding a
+// checkpoint as a value instead of re-parsing its bytes at every restore:
+// any input that decodes as a sender or receiver checkpoint restores
+// identically from the decoded value and from its re-encoding — the same
+// samples, the same state after — and that re-encoding is a fixed point.
+func FuzzHeldCheckpoint(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add(seedSenderCheckpoint(f))
+	f.Add(seedReceiverCheckpoint(f))
+	f.Add([]byte(`{"taken_at":99999999999,"stall_cum":-5,"rate_est":1e300,"records":[{"bytes":9,"at":88888888888,"stall":77777777},{"bytes":3,"at":-4}]}`))
+	f.Add([]byte(`{"taken_at":-1,"rate_est":-0.5,"sanitizer":{"last":{"PacingRate":-1e-300}},"records":[{"bytes":100,"at":123456789,"slack":-9,"stall":-9}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if cp, err := UnmarshalSenderCheckpoint(data); err == nil {
+			back := reencode(t, cp, UnmarshalSenderCheckpoint)
+			if held, dec := runRestoredSender(cp), runRestoredSender(back); held != dec {
+				t.Fatalf("sender restores differ:\n  held    %s\n  decoded %s", held, dec)
+			}
+		}
+		if cp, err := UnmarshalReceiverCheckpoint(data); err == nil {
+			back := reencode(t, cp, UnmarshalReceiverCheckpoint)
+			if held, dec := runRestoredReceiver(cp), runRestoredReceiver(back); held != dec {
+				t.Fatalf("receiver restores differ:\n  held    %s\n  decoded %s", held, dec)
+			}
+		}
+	})
+}
+
+// reencode marshals a decoded checkpoint and decodes it again, failing
+// unless the value encodes and its encoding is a fixed point.
+func reencode[C interface{ Marshal() ([]byte, error) }](t *testing.T, cp C, parse func([]byte) (C, error)) C {
+	t.Helper()
+	b, err := cp.Marshal()
+	if err != nil {
+		t.Fatalf("decoded checkpoint does not encode: %v", err)
+	}
+	back, err := parse(b)
+	if err != nil {
+		t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+	}
+	if b2, err := back.Marshal(); err != nil || !bytes.Equal(b, b2) {
+		t.Fatalf("re-encoding is not a fixed point (%v):\n  %s\n  %s", err, b, b2)
+	}
+	return back
+}
+
+// runRestoredSender restores cp a second after its engine starts, polls
+// it over a connection that acks past every record, and renders what it
+// produced — samples and final state — for comparison.
+func runRestoredSender(cp SenderCheckpoint) string {
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	eng.RunUntil(units.Time(units.Second))
+	src := &fakeSource{}
+	tr := RestoreSenderTracker(eng, src, cp, TrackerOptions{Detached: true})
+	var top uint64
+	if n := tr.list.len(); n > 0 {
+		top = tr.list.at(n - 1).bytes
+	}
+	for i := 0; i < 4; i++ {
+		tr.OnWrite(top + uint64(i+1)*1448)
+		src.info = tcpinfo.TCPInfo{BytesAcked: top + uint64(i)*1448, SndMSS: 1448, RcvMSS: 1448, Unacked: 2}
+		eng.RunFor(10 * units.Millisecond)
+		tr.PollOnce()
+	}
+	return fmt.Sprintf("%+v %+v", tr.Estimates().Log(), tr.Checkpoint())
+}
+
+// runRestoredReceiver is runRestoredSender's receiver twin: segments
+// arrive and reads drain the restored backlog.
+func runRestoredReceiver(cp ReceiverCheckpoint) string {
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	eng.RunUntil(units.Time(units.Second))
+	src := &fakeSource{}
+	tr := RestoreReceiverTracker(eng, src, cp, TrackerOptions{Detached: true})
+	var cum uint64
+	for i := 0; i < tr.list.len() && i < 8; i++ {
+		cum = tr.list.at(i).bytes
+	}
+	for i := 0; i < 4; i++ {
+		src.info = tcpinfo.TCPInfo{SegsIn: 10 * (i + 1), RcvMSS: 1448, SndMSS: 1448}
+		eng.RunFor(10 * units.Millisecond)
+		tr.PollOnce()
+		tr.OnRead(cum+uint64(i*1448), 1448, i%2 == 0)
+	}
+	return fmt.Sprintf("%+v %+v", tr.Estimates().Log(), tr.Checkpoint())
 }
 
 // seedSenderCheckpoint builds a well-formed corpus seed from a live

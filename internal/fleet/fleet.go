@@ -5,8 +5,9 @@
 // supervisor so every poll runs under a panic-recovery wrapper. A crashed
 // monitor is restarted with capped exponential backoff; a
 // wedged monitor (no poll progress within the watchdog deadline) is
-// recycled. Restarts resume from the last persisted JSON checkpoint, so
-// the estimate series continues with bounds widened over the outage
+// recycled. Restarts resume from the last checkpoint, which the monitor
+// holds as the checkpoint values themselves, so the estimate series
+// continues with bounds widened over the outage
 // window instead of starting over — the connection itself keeps carrying
 // traffic throughout; a monitor failure never kills the flow it watches.
 //
@@ -53,8 +54,8 @@ const (
 	DefaultRTT         = 40 * units.Millisecond
 )
 
-// checkpointEvery is the periodic JSON checkpoint cadence; it bounds how
-// much estimator state a crash can lose.
+// checkpointEvery is the periodic checkpoint cadence; it bounds how much
+// estimator state a crash can lose.
 const checkpointEvery = 500 * units.Millisecond
 
 // ChurnConfig describes the connection/monitor churn schedule. All draws
@@ -372,16 +373,15 @@ func New(cfg Config) *Fleet {
 	}
 	if cfg.Resume != nil {
 		// Resume: seed the crash-restore path with the snapshot's rebased
-		// checkpoints, by connection ID; open() then restores instead of
-		// starting fresh, counting the Restores anomaly. Entries outside
-		// this fleet's ID range, or without both trackers, are dropped.
+		// checkpoints, by connection ID and decoded once here; open() then
+		// restores instead of starting fresh, counting the Restores
+		// anomaly. Entries outside this fleet's ID range, or without both
+		// trackers, are dropped.
 		for _, cs := range cfg.Resume.Conns {
 			if cs.ID < 0 || cs.ID >= len(f.monitors) || len(cs.Snd) == 0 || len(cs.Rcv) == 0 {
 				continue
 			}
-			m := f.monitors[cs.ID]
-			m.sndCP, m.rcvCP, m.minCP = cs.Snd, cs.Rcv, cs.Min
-			m.haveCP = true
+			f.monitors[cs.ID].seed(cs)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"element/internal/overload"
 	"element/internal/sim"
 	"element/internal/stack"
+	"element/internal/stats"
 	"element/internal/telemetry/stream"
 	"element/internal/trace"
 	"element/internal/units"
@@ -101,16 +102,23 @@ type Monitor struct {
 	rcv *core.ReceiverTracker
 	min *core.Minimizer
 
-	// Crash-safe state: the last serialized checkpoints. Restores parse
-	// these bytes — state lost since the last checkpoint stays lost,
-	// exactly like a process that died before fsync.
-	sndCP, rcvCP, minCP []byte
-	haveCP              bool
+	// Crash-safe state: the last checkpoint, held as the checkpoint
+	// values themselves and refilled in place every checkpointEvery.
+	// Restores start from these — state lost since the last checkpoint
+	// stays lost, exactly like a process that died before fsync. They are
+	// encoded only when they leave the process (Fleet.Snapshot) and
+	// decoded only when they enter it (Config.Resume, in New).
+	sndCP     core.SenderCheckpoint
+	rcvCP     core.ReceiverCheckpoint
+	minCP     core.MinimizerCheckpoint
+	haveCP    bool // sndCP and rcvCP hold a checkpoint
+	haveMinCP bool // minCP holds one
 
 	// Series stitched across incarnations, flushed after every poll: the
-	// only copy of a measurement the monitor keeps. In stream mode these
-	// stay empty except while the flow is escalated.
-	sndLog, rcvLog []core.Measurement
+	// only copy of a measurement the monitor keeps. They grow in chunks,
+	// so nothing kept is re-copied until drain reads each once. In stream
+	// mode these stay empty except while the flow is escalated.
+	sndLog, rcvLog stats.Log[core.Measurement]
 
 	// Streaming state (nil without Config.Stream): the per-flow
 	// escalation state machine and the waterfall hook gate it drives.
@@ -145,7 +153,7 @@ func (m *Monitor) open() {
 		m.startTraffic()
 	}
 	if m.haveCP {
-		// Resume path: the fleet seeded the crash-restore bytes from a
+		// Resume path: the fleet seeded the held checkpoint from a
 		// prior run's snapshot, so the first incarnation restores —
 		// counting the Restores anomaly, with bounds widened per the
 		// rebase contract — instead of starting a fresh series.
@@ -230,32 +238,40 @@ func (m *Monitor) startFresh() {
 	m.becomeRunning()
 }
 
-// restore brings up an incarnation from the last persisted checkpoint.
+// restore brings up an incarnation from the held checkpoint.
 func (m *Monitor) restore() {
 	cfg := m.fl.cfg
-	scp, err := core.UnmarshalSenderCheckpoint(m.sndCP)
-	if err != nil {
-		m.startFresh()
-		return
-	}
-	rcp, err := core.UnmarshalReceiverCheckpoint(m.rcvCP)
-	if err != nil {
-		m.startFresh()
-		return
-	}
 	opts := core.TrackerOptions{Interval: cfg.Interval, Detached: true}
-	m.snd = core.RestoreSenderTracker(m.sh.eng, m.sndSrc, scp, opts)
-	m.rcv = core.RestoreReceiverTracker(m.sh.eng, m.rcvSrc, rcp, opts)
-	if cfg.Minimize && m.minCP != nil {
-		if mcp, err := core.UnmarshalMinimizerCheckpoint(m.minCP); err == nil {
-			m.min = core.RestoreMinimizer(m.sh.eng, m.snd, mcp, true)
-		} else {
-			m.min = core.NewMinimizerDetached(m.sh.eng, m.sndSrc, m.snd, core.MinimizerConfig{})
-		}
-	} else if cfg.Minimize {
+	m.snd = core.RestoreSenderTracker(m.sh.eng, m.sndSrc, m.sndCP, opts)
+	m.rcv = core.RestoreReceiverTracker(m.sh.eng, m.rcvSrc, m.rcvCP, opts)
+	switch {
+	case cfg.Minimize && m.haveMinCP:
+		m.min = core.RestoreMinimizer(m.sh.eng, m.snd, m.minCP, true)
+	case cfg.Minimize:
 		m.min = core.NewMinimizerDetached(m.sh.eng, m.sndSrc, m.snd, core.MinimizerConfig{})
 	}
 	m.becomeRunning()
+}
+
+// seed holds a snapshot entry's checkpoints, decoded once, as the
+// monitor's own: the first incarnation restores from them. Trackers that
+// do not decode leave the monitor without a checkpoint, so it starts a
+// fresh series; a minimizer that does not decode starts fresh on the
+// restored trackers.
+func (m *Monitor) seed(cs ConnSnapshot) {
+	m.haveCP, m.haveMinCP = false, false
+	scp, err := core.UnmarshalSenderCheckpoint(cs.Snd)
+	if err != nil {
+		return
+	}
+	rcp, err := core.UnmarshalReceiverCheckpoint(cs.Rcv)
+	if err != nil {
+		return
+	}
+	m.sndCP, m.rcvCP, m.haveCP = scp, rcp, true
+	if mcp, err := core.UnmarshalMinimizerCheckpoint(cs.Min); err == nil {
+		m.minCP, m.haveMinCP = mcp, true
+	}
 }
 
 func (m *Monitor) becomeRunning() {
@@ -357,9 +373,9 @@ func (m *Monitor) keep(mm core.Measurement, sender bool) {
 		return
 	}
 	if sender {
-		m.sndLog = append(m.sndLog, mm)
+		m.sndLog.Append(mm)
 	} else {
-		m.rcvLog = append(m.rcvLog, mm)
+		m.rcvLog.Append(mm)
 	}
 }
 
@@ -458,29 +474,24 @@ func (m *Monitor) doRestart() {
 	m.sh.updateGauges()
 }
 
-// checkpoint serializes the live trackers to JSON. The bytes, not the
-// live objects, are what restores parse — proving the round trip every
-// time.
+// checkpoint refills the held checkpoint from the live trackers, in
+// place: a steady-state checkpoint allocates nothing. A state that could
+// not be encoded — a non-finite float — is skipped whole and the previous
+// checkpoint kept, so everything held survives Snapshot's encoding; the
+// restore from held state equals one from its encoding
+// (TestHeldCheckpointRoundTrip).
 func (m *Monitor) checkpoint() {
 	if m.state != stateRunning || m.wedged {
 		return
 	}
-	scp, err := m.snd.Checkpoint().Marshal()
-	if err != nil {
+	if !m.snd.Encodable() || !m.rcv.Encodable() || (m.min != nil && !m.min.Encodable()) {
 		return
 	}
-	rcp, err := m.rcv.Checkpoint().Marshal()
-	if err != nil {
-		return
-	}
+	m.snd.CheckpointInto(&m.sndCP)
+	m.rcv.CheckpointInto(&m.rcvCP)
 	if m.min != nil {
-		mcp, err := m.min.Checkpoint().Marshal()
-		if err != nil {
-			return
-		}
-		m.minCP = mcp
+		m.minCP, m.haveMinCP = m.min.Checkpoint(), true
 	}
-	m.sndCP, m.rcvCP = scp, rcp
 	m.haveCP = true
 	m.sh.checkpoints++
 	if m.sh.ctrCheckpoints != nil {
@@ -516,10 +527,10 @@ func (m *Monitor) drain() *ConnResult {
 	cr.ShedSamples = m.shedSamples
 	m.dropIncarnation()
 	m.state = stateDone
-	cr.SndLog, cr.RcvLog = m.sndLog, m.rcvLog
+	cr.SndLog, cr.RcvLog = m.sndLog.Slice(), m.rcvLog.Slice()
 	if m.gt != nil {
-		cr.Sender = core.CheckSenderBounds(m.sndLog, m.gt.SenderDelay(), m.fl.cfg.Interval)
-		cr.Receiver = core.CheckReceiverBounds(m.rcvLog, m.gt.ReceiverDelay())
+		cr.Sender = core.CheckSenderBounds(cr.SndLog, m.gt.SenderDelay(), m.fl.cfg.Interval)
+		cr.Receiver = core.CheckReceiverBounds(cr.RcvLog, m.gt.ReceiverDelay())
 	}
 	if m.conn != nil {
 		active := m.fl.cfg.Duration - m.plan.openAt

@@ -95,7 +95,7 @@ func (f *Fleet) meterUsage(now units.Time) overload.Usage {
 		f.exportMark, f.lastTickAt = n, now
 	}
 	for _, m := range f.monitors {
-		u.RetainedSamples += len(m.sndLog) + len(m.rcvLog)
+		u.RetainedSamples += m.sndLog.Len() + m.rcvLog.Len()
 		if m.snd != nil {
 			u.RetainedSamples += m.snd.Pending()
 		}

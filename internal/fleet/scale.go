@@ -6,6 +6,7 @@ import (
 	"element/internal/core"
 	"element/internal/overload"
 	"element/internal/sim"
+	"element/internal/stats"
 	"element/internal/telemetry"
 	"element/internal/telemetry/stream"
 	"element/internal/units"
@@ -131,7 +132,7 @@ type scaleFull struct {
 	src        *synthSource
 	tr         *core.SenderTracker
 	esc        *stream.Escalator
-	log        []core.Measurement
+	log        stats.Log[core.Measurement]
 	promotedAt units.Time
 	hotSet     bool
 }
@@ -541,7 +542,7 @@ func (sh *scaleShard) pollFull(slot int32, fu *scaleFull, now units.Time) {
 			observe(sh.seSnd, mm.At, mm.Delay.Seconds(), flg)
 		}
 		fu.esc.Observe(mm.At, mm.Delay.Seconds())
-		fu.log = append(fu.log, mm)
+		fu.log.Append(mm)
 	})
 }
 
@@ -645,7 +646,7 @@ func (f *ScaleFleet) meterUsage(units.Time) overload.Usage {
 		u.LiveFull += len(sh.full)
 		u.SketchBytes += sh.stream.ApproxBytes()
 		for _, fu := range sh.full {
-			u.RetainedSamples += len(fu.log)
+			u.RetainedSamples += fu.log.Len()
 		}
 	}
 	// The promotion gate closes while the escalated census is at or
@@ -700,7 +701,7 @@ func (f *ScaleFleet) drain() *ScaleResult {
 		res.StreamLate += sh.stream.Late()
 		res.Escalated += len(sh.full)
 		for _, fu := range sh.full {
-			res.RetainedSamples += len(fu.log)
+			res.RetainedSamples += fu.log.Len()
 			fu.tr.Stop()
 		}
 	}

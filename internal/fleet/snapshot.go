@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"element/internal/core"
 	"element/internal/overload"
 	"element/internal/units"
 )
@@ -65,23 +64,23 @@ func (p *pipeline) capture(seed int64, flows int) *Snapshot {
 	}
 }
 
-// Snapshot captures the fleet's resumable state from the last persisted
-// per-monitor checkpoints — crash-consistent semantics: state produced
-// since a monitor's last checkpoint is lost, exactly like a process
-// that died before fsync. Monitors that never checkpointed contribute
-// only their tier; resuming them starts a fresh series. Valid during and
-// after Run.
+// Snapshot captures the fleet's resumable state from the monitors' held
+// checkpoints — crash-consistent semantics: state produced since a
+// monitor's last checkpoint is lost, exactly like a process that died
+// before fsync. Monitors that never checkpointed contribute only their
+// tier; resuming them starts a fresh series. This is where held state is
+// encoded: the trackers' checkpoints rebased, the minimizer's as held.
+// Valid during and after Run.
 func (f *Fleet) Snapshot() *Snapshot {
 	s := f.pipe.capture(f.cfg.Seed, len(f.monitors))
 	for _, m := range f.monitors {
 		s.Tiers[m.ID] = m.tier
 		if m.haveCP {
-			s.Conns = append(s.Conns, ConnSnapshot{
-				ID:  m.ID,
-				Snd: rebase(core.UnmarshalSenderCheckpoint, m.sndCP),
-				Rcv: rebase(core.UnmarshalReceiverCheckpoint, m.rcvCP),
-				Min: m.minCP,
-			})
+			cs := ConnSnapshot{ID: m.ID, Snd: encode(m.sndCP.Rebase()), Rcv: encode(m.rcvCP.Rebase())}
+			if m.haveMinCP {
+				cs.Min = encode(m.minCP)
+			}
+			s.Conns = append(s.Conns, cs)
 		}
 	}
 	return s
@@ -97,11 +96,7 @@ func (f *ScaleFleet) Snapshot() *Snapshot {
 			s.Tiers[id] = overload.Tier(sh.tier[slot])
 		}
 		for slot, fu := range sh.full {
-			cs := ConnSnapshot{ID: int(sh.ids[slot])}
-			if b, err := fu.tr.Checkpoint().Rebase().Marshal(); err == nil {
-				cs.Snd = b
-			}
-			s.Conns = append(s.Conns, cs)
+			s.Conns = append(s.Conns, ConnSnapshot{ID: int(sh.ids[slot]), Snd: encode(fu.tr.Checkpoint().Rebase())})
 		}
 	}
 	// Shards and their escalated maps iterate in no fixed order; sorting
@@ -110,21 +105,14 @@ func (f *ScaleFleet) Snapshot() *Snapshot {
 	return s
 }
 
-// rebase re-serializes a checkpoint with its connection-relative state
-// stripped; nil if the bytes don't parse.
-func rebase[C interface {
-	Rebase() C
-	Marshal() ([]byte, error)
-}](parse func([]byte) (C, error), b []byte) json.RawMessage {
-	cp, err := parse(b)
+// encode marshals one checkpoint for a snapshot; nil if it does not
+// encode.
+func encode(cp interface{ Marshal() ([]byte, error) }) json.RawMessage {
+	b, err := cp.Marshal()
 	if err != nil {
 		return nil
 	}
-	out, err := cp.Rebase().Marshal()
-	if err != nil {
-		return nil
-	}
-	return out
+	return b
 }
 
 // Marshal encodes the snapshot as JSON.

@@ -17,13 +17,16 @@ const logChunk = 512
 // Log is an append-only result log that never copies what it already
 // holds. It serves the two ways the simulator's observers use one:
 //
-//   - run, then read (a scenario's ground truth and estimates): the log is
-//     a plain slice while shorter than logChunk, then a list of fixed-size
-//     chunks, so an append costs the same at any length and nothing is
-//     re-copied as the log grows; Slice consolidates once, at read time.
-//   - drain every poll (the fleets' monitors): the log never gets long, so
-//     it stays one slice, and Truncate(0) keeps that slice's capacity
-//     exactly as s = s[:0] does — the steady state allocates nothing.
+//   - run, then read (a scenario's ground truth and estimates, a fleet
+//     monitor's stitched series, an escalated scale flow's log): the log
+//     is a plain slice while shorter than logChunk, then a list of
+//     fixed-size chunks, so an append costs the same at any length and
+//     nothing is re-copied as the log grows; Slice consolidates once, at
+//     read time.
+//   - drain every poll (the trackers the fleets' monitors drive): the log
+//     never gets long, so it stays one slice, and Truncate(0) keeps that
+//     slice's capacity exactly as s = s[:0] does — the steady state
+//     allocates nothing.
 //
 // The zero value is an empty log. A Log belongs to one goroutine: Slice
 // writes on read.
