@@ -354,8 +354,10 @@ func scenarioRow(t *testing.T, cfg exp.ScenarioConfig) row {
 			}
 		}
 		if fr.Sender != nil {
-			hashLog(logs, fr.Sender.Estimates().Log())
-			hashLog(logs, fr.Receiver.Estimates().Log())
+			for _, est := range []*core.Estimates{fr.Sender.Estimates(), fr.Receiver.Estimates()} {
+				l := stats.LogOf(est.Log())
+				hashLog(logs, &l)
+			}
 		}
 		drops.n += len(fr.WF.Drops())
 		for _, d := range fr.WF.Drops() {
@@ -379,10 +381,10 @@ func scenarioRow(t *testing.T, cfg exp.ScenarioConfig) row {
 	return r
 }
 
-func hashLog(d *digest, log []core.Measurement) {
-	d.n += len(log)
-	d.u64(uint64(len(log)))
-	for _, m := range log {
+func hashLog(d *digest, log *stats.Log[core.Measurement]) {
+	d.n += log.Len()
+	d.u64(uint64(log.Len()))
+	for m := range log.All() {
 		d.u64(uint64(m.At), uint64(m.Delay), uint64(m.Cwnd), uint64(m.Ssthresh),
 			uint64(m.RTT), uint64(m.Confidence), uint64(m.ErrBound))
 	}
@@ -444,17 +446,38 @@ func addFleetResult(t *testing.T, r *row, res *fleet.Result, snap *fleet.Snapsho
 	fmt.Fprintf(bounds.h, "%+v %+v", res.Sender, res.Receiver)
 	for _, c := range res.Conns {
 		conns.n++
-		flat := *c
-		flat.SndLog, flat.RcvLog = nil, nil
-		fmt.Fprintf(conns.h, "%+v\n", flat)
-		hashLog(logs, c.SndLog)
-		hashLog(logs, c.RcvLog)
+		fmt.Fprintf(conns.h, "%s\n", connLine(c))
+		hashLog(logs, &c.SndLog)
+		hashLog(logs, &c.RcvLog)
 	}
 	r.add("result counters", counters)
 	r.add("bound checks", bounds)
 	r.add("conn results", conns)
 	r.add("conn logs", logs)
 	addSnapshot(t, r, snap)
+}
+
+// connLine is a connection's counters as the ledger has always printed
+// them: %+v of the ConnResult with its two logs, which hash on their own,
+// shown as the empty slices they were printed as before they became
+// stats.Logs.
+func connLine(c *fleet.ConnResult) string {
+	var b strings.Builder
+	v := reflect.ValueOf(*c)
+	for i := 0; i < v.NumField(); i++ {
+		sep := " "
+		if i == 0 {
+			sep = "{"
+		}
+		switch name := v.Type().Field(i).Name; name {
+		case "SndLog", "RcvLog":
+			fmt.Fprintf(&b, "%s%s:[]", sep, name)
+		default:
+			fmt.Fprintf(&b, "%s%s:%+v", sep, name, v.Field(i))
+		}
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 func addSnapshot(t *testing.T, r *row, snap *fleet.Snapshot) {

@@ -77,17 +77,19 @@ const envBlock = 32
 // Lookback windows vary per sample, so the near end of the window is not
 // monotone across a log and a sliding-window structure does not fit; the
 // table is built once per log, (n/32)·log₂(n/32) entries in one
-// allocation, and dropped with it.
+// allocation, and dropped with it. The series is read where it lies,
+// through Len and At: a chunked log is never consolidated to be graded.
 type envelope struct {
-	truth  stats.Series // sorted by At, as stats.Series.At requires
+	truth  *stats.Log[stats.Sample] // sorted by At, as stats.Series.At requires
+	n      int                      // truth.Len()
 	levels [][]band
 	// Where the previous query's window began and ended.
 	fromHint, toHint int
 }
 
-func newEnvelope(truth stats.Series) envelope {
-	e := envelope{truth: truth}
-	nb := len(truth) / envBlock // whole blocks; a trailing partial one is scanned
+func newEnvelope(truth *stats.Log[stats.Sample]) envelope {
+	e := envelope{truth: truth, n: truth.Len()}
+	nb := e.n / envBlock // whole blocks; a trailing partial one is scanned
 	if nb == 0 {
 		return e
 	}
@@ -99,7 +101,7 @@ func newEnvelope(truth stats.Series) envelope {
 	e.levels = make([][]band, 0, bits.Len(uint(nb)))
 	base := flat[:nb]
 	for b := range base {
-		base[b] = scanBand(truth[b*envBlock : (b+1)*envBlock])
+		base[b] = e.scan(b*envBlock, (b+1)*envBlock)
 	}
 	e.levels = append(e.levels, base)
 	for span, off := 2, nb; span <= nb; span *= 2 {
@@ -113,11 +115,16 @@ func newEnvelope(truth stats.Series) envelope {
 	return e
 }
 
-// scanBand is the envelope of a non-empty run of points.
-func scanBand(pts stats.Series) band {
-	b := band{pts[0].Delay, pts[0].Delay}
-	for _, s := range pts[1:] {
-		b = b.merge(band{s.Delay, s.Delay})
+// at is the time of truth point i.
+func (e *envelope) at(i int) units.Time { return e.truth.At(i).At }
+
+// scan is the envelope of truth points i … j-1, i < j.
+func (e *envelope) scan(i, j int) band {
+	d := e.truth.At(i).Delay
+	b := band{d, d}
+	for k := i + 1; k < j; k++ {
+		d := e.truth.At(k).Delay
+		b = b.merge(band{d, d})
 	}
 	return b
 }
@@ -128,14 +135,14 @@ func scanBand(pts stats.Series) band {
 // the previous one and the search costs the logarithm of that distance,
 // whatever the order of the log.
 func (e *envelope) after(t units.Time, hint int) int {
-	s := e.truth
+	n := e.n
 	// Every point before lo is at or before t, every point from hi on is later.
-	lo, hi := 0, len(s)
-	if hint < len(s) && s[hint].At <= t {
+	lo, hi := 0, n
+	if hint < n && e.at(hint) <= t {
 		lo = hint + 1
-		for step := 1; lo+step-1 < len(s); step *= 2 {
+		for step := 1; lo+step-1 < n; step *= 2 {
 			p := lo + step - 1
-			if s[p].At > t {
+			if e.at(p) > t {
 				hi = p
 				break
 			}
@@ -145,7 +152,7 @@ func (e *envelope) after(t units.Time, hint int) int {
 		hi = hint
 		for step := 1; hi-step >= 0; step *= 2 {
 			p := hi - step
-			if s[p].At <= t {
+			if e.at(p) <= t {
 				lo = p + 1
 				break
 			}
@@ -154,7 +161,7 @@ func (e *envelope) after(t units.Time, hint int) int {
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) / 2)
-		if s[mid].At > t {
+		if e.at(mid) > t {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -163,34 +170,33 @@ func (e *envelope) after(t units.Time, hint int) int {
 	return lo
 }
 
-// valueAt is truth.At(t) — the same arithmetic, so the same bits — given
-// i, the index of the first point not earlier than t.
+// valueAt is stats.Series.At(t) — the same arithmetic, so the same bits —
+// given i, the index of the first point not earlier than t.
 func (e *envelope) valueAt(t units.Time, i int) units.Duration {
-	s := e.truth
 	switch {
 	case i == 0:
-		return s[0].Delay
-	case i == len(s):
-		return s[len(s)-1].Delay
+		return e.truth.At(0).Delay
+	case i == e.n:
+		return e.truth.At(e.n - 1).Delay
 	}
-	a, b := s[i-1], s[i]
+	a, b := e.truth.At(i-1), e.truth.At(i)
 	frac := float64(t-a.At) / float64(b.At-a.At)
 	return a.Delay + units.Duration(frac*float64(b.Delay-a.Delay))
 }
 
-// points is the envelope of truth[i:j], i < j.
+// points is the envelope of truth points i … j-1, i < j.
 func (e *envelope) points(i, j int) band {
 	bi, bj := (i+envBlock-1)/envBlock, j/envBlock // whole blocks bi … bj-1
 	if bi >= bj {
-		return scanBand(e.truth[i:j])
+		return e.scan(i, j)
 	}
 	l := bits.Len(uint(bj-bi)) - 1
 	b := e.levels[l][bi].merge(e.levels[l][bj-1<<l])
-	if head := e.truth[i : bi*envBlock]; len(head) > 0 {
-		b = b.merge(scanBand(head))
+	if head := bi * envBlock; i < head {
+		b = b.merge(e.scan(i, head))
 	}
-	if tail := e.truth[bj*envBlock : j]; len(tail) > 0 {
-		b = b.merge(scanBand(tail))
+	if tail := bj * envBlock; tail < j {
+		b = b.merge(e.scan(tail, j))
 	}
 	return b
 }
@@ -199,7 +205,7 @@ func (e *envelope) points(i, j int) band {
 // including values interpolated at both endpoints. ok is false when there
 // is no ground truth to compare against.
 func (e *envelope) band(from, to units.Time) (lo, hi units.Duration, ok bool) {
-	if len(e.truth) == 0 {
+	if e.n == 0 {
 		return 0, 0, false
 	}
 	// Times are whole nanoseconds: the first point not earlier than t is
@@ -267,6 +273,14 @@ func (c Coverage) Fraction(grade Confidence) float64 {
 // ErrBound (tight samples keep a tight window; only samples that already
 // admit lateness look further back).
 func CheckSenderBounds(log []Measurement, truth stats.Series, interval units.Duration) BoundCheck {
+	l, tr := stats.LogOf(log), stats.LogOf(truth)
+	return CheckSenderLog(&l, &tr, interval)
+}
+
+// CheckSenderLog is CheckSenderBounds over logs read where they lie: a
+// fleet monitor's stitched series against its collector's, neither
+// consolidated.
+func CheckSenderLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample], interval units.Duration) BoundCheck {
 	bc, _ := gradeLog(log, truth, interval, false)
 	return bc
 }
@@ -274,7 +288,8 @@ func CheckSenderBounds(log []Measurement, truth stats.Series, interval units.Dur
 // SenderCoverage tallies per-grade bound coverage of a sender log against
 // ground truth, by the same comparison as CheckSenderBounds.
 func SenderCoverage(log []Measurement, truth stats.Series, interval units.Duration) Coverage {
-	_, cov := gradeLog(log, truth, interval, false)
+	l, tr := stats.LogOf(log), stats.LogOf(truth)
+	_, cov := gradeLog(&l, &tr, interval, false)
 	return cov
 }
 
@@ -285,6 +300,12 @@ func SenderCoverage(log []Measurement, truth stats.Series, interval units.Durati
 // match bytes younger than the oldest waiting range — so they do not
 // count as violations.
 func CheckReceiverBounds(log []Measurement, truth stats.Series) BoundCheck {
+	l, tr := stats.LogOf(log), stats.LogOf(truth)
+	return CheckReceiverLog(&l, &tr)
+}
+
+// CheckReceiverLog is CheckReceiverBounds over logs read where they lie.
+func CheckReceiverLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample]) BoundCheck {
 	bc, _ := gradeLog(log, truth, 0, true)
 	return bc
 }
@@ -292,22 +313,25 @@ func CheckReceiverBounds(log []Measurement, truth stats.Series) BoundCheck {
 // ReceiverCoverage tallies per-grade coverage of a receiver log, by the
 // same one-sided comparison as CheckReceiverBounds.
 func ReceiverCoverage(log []Measurement, truth stats.Series) Coverage {
-	_, cov := gradeLog(log, truth, 0, true)
+	l, tr := stats.LogOf(log), stats.LogOf(truth)
+	_, cov := gradeLog(&l, &tr, 0, true)
 	return cov
 }
 
-// gradeLog is the one grader behind the four entry points above: a single
-// walk of the log against the truth envelope that fills both tallies. A
-// sample's excess is its distance from the envelope beyond its own bound
-// (and boundEps); the receiver looks back max(receiverWindow, ErrBound)
-// and counts only overestimates. Coverage grades every sample with ground
-// truth to compare against; the bound check exempts flagged ones.
-func gradeLog(log []Measurement, truth stats.Series, interval units.Duration, receiver bool) (bc BoundCheck, cov Coverage) {
+// gradeLog is the one grader behind the six entry points above: a single
+// walk of the log against the truth envelope that fills both tallies,
+// reading both logs in place. A sample's excess is its distance from the
+// envelope beyond its own bound (and boundEps); the receiver looks back
+// max(receiverWindow, ErrBound) and counts only overestimates. Coverage
+// grades every sample with ground truth to compare against; the bound
+// check exempts flagged ones.
+func gradeLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample], interval units.Duration, receiver bool) (bc BoundCheck, cov Coverage) {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
 	env := newEnvelope(truth)
-	for _, m := range log {
+	for i, n := 0, log.Len(); i < n; i++ {
+		m := log.At(i)
 		bc.Samples++
 		flagged := m.Confidence == ConfidenceLow
 		if flagged {

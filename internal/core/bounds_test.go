@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -79,13 +80,57 @@ func oracleGrade(log []Measurement, truth stats.Series, interval units.Duration,
 	return bc, cov
 }
 
+// logPrefixes are where chunkedLog consolidates: before anything, after
+// the first point, inside the first envelope block, and either side of
+// the first chunk's end. Past the first chunk every later chunk boundary
+// then falls inside an envelope block.
+var logPrefixes = []int{0, 1, envBlock - 1, 511, 512, 513}
+
+// chunkedLog builds s as a fleet monitor's log can lie: the first prefix
+// elements appended and consolidated by Slice, the rest appended after, so
+// chunks begin at prefix-dependent offsets rather than at multiples of
+// envBlock.
+func chunkedLog[T any](s []T, prefix int) *stats.Log[T] {
+	var l stats.Log[T]
+	prefix = min(prefix, len(s))
+	for _, v := range s[:prefix] {
+		l.Append(v)
+	}
+	l.Slice()
+	for _, v := range s[prefix:] {
+		l.Append(v)
+	}
+	return &l
+}
+
 // checkAgainstOracle grades log against truth both ways, as sender and as
-// receiver, and reports the first disagreement.
-func checkAgainstOracle(t testing.TB, log []Measurement, truth stats.Series, interval units.Duration) bool {
+// receiver, and reports the first disagreement: once through the slice
+// entry points, then in place from both series laid out as chunked logs
+// consolidated at each of logPrefixes and at extra.
+func checkAgainstOracle(t testing.TB, log []Measurement, truth stats.Series, interval units.Duration, extra ...int) bool {
 	t.Helper()
 	sbc, scov := oracleGrade(log, truth, interval, false)
 	rbc, rcov := oracleGrade(log, truth, interval, true)
 	ok := true
+	for _, prefix := range slices.Concat(logPrefixes, extra) {
+		l, tr := chunkedLog(log, prefix), chunkedLog(truth, prefix)
+		if bc, cov := gradeLog(l, tr, interval, false); bc != sbc || cov != scov {
+			t.Errorf("prefix %d: in-place sender grade = %+v %+v, oracle %+v %+v", prefix, bc, cov, sbc, scov)
+			ok = false
+		}
+		if bc, cov := gradeLog(l, tr, interval, true); bc != rbc || cov != rcov {
+			t.Errorf("prefix %d: in-place receiver grade = %+v %+v, oracle %+v %+v", prefix, bc, cov, rbc, rcov)
+			ok = false
+		}
+		if got := CheckSenderLog(l, tr, interval); got != sbc {
+			t.Errorf("prefix %d: CheckSenderLog = %+v, oracle %+v", prefix, got, sbc)
+			ok = false
+		}
+		if got := CheckReceiverLog(l, tr); got != rbc {
+			t.Errorf("prefix %d: CheckReceiverLog = %+v, oracle %+v", prefix, got, rbc)
+			ok = false
+		}
+	}
 	if got := CheckSenderBounds(log, truth, interval); got != sbc {
 		t.Errorf("CheckSenderBounds = %+v, oracle %+v", got, sbc)
 		ok = false
@@ -118,7 +163,7 @@ func randomCase(rng *rand.Rand) (log []Measurement, truth stats.Series, interval
 	case 1:
 		n = rng.Intn(2 * envBlock)
 	default:
-		n = rng.Intn(40 * envBlock)
+		n = rng.Intn(40 * envBlock) // up to 2.5 chunks
 	}
 	at := units.Time(rng.Int63n(int64(units.Second)))
 	for i := 0; i < n; i++ {
@@ -132,7 +177,11 @@ func randomCase(rng *rand.Rand) (log []Measurement, truth stats.Series, interval
 		truth = append(truth, stats.Sample{At: at, Delay: units.Duration(rng.Int63n(int64(units.Second)))})
 	}
 	span := units.Duration(at) + units.Second
-	for i := rng.Intn(40); i > 0; i-- {
+	nlog := rng.Intn(40)
+	if rng.Intn(32) == 0 {
+		nlog = logChunkLen + rng.Intn(envBlock) // a log past its first chunk
+	}
+	for i := nlog; i > 0; i-- {
 		m := Measurement{
 			At:         units.Time(rng.Int63n(int64(span))) - units.Time(500*units.Millisecond),
 			Delay:      units.Duration(rng.Int63n(int64(2 * units.Second))),
@@ -171,12 +220,19 @@ func TestPropertyBoundsMatchOracle(t *testing.T) {
 	}
 }
 
+// logChunkLen is stats.Log's chunk length, which the in-place cases must
+// outgrow.
+const logChunkLen = 512
+
 // TestEnvelopeEveryWindow compares every window between two timestamps of
 // series whose lengths straddle the block and table-level boundaries, so
 // each split between head scan, table lookup and tail scan is taken — with
 // distinct, paired and tripled timestamps (window edges on duplicates), and
 // with delays that put the extremes at random places, in the head scan
-// (alternating sign, shrinking) and in the tail scan (growing).
+// (alternating sign, shrinking) and in the tail scan (growing). Each
+// window is asked of the series as a slice view and as a chunked log
+// consolidated at each of logPrefixes; a series past the first chunk is
+// swept at a stride of windows, since the oracle is linear in it.
 func TestEnvelopeEveryWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	delays := map[string]func(i, n int) int{
@@ -184,41 +240,80 @@ func TestEnvelopeEveryWindow(t *testing.T) {
 		"shrinking": func(i, n int) int { return (n - i) * (1 - 2*(i%2)) },
 		"growing":   func(i, n int) int { return (i + 1) * (1 - 2*(i%2)) },
 	}
-	check := func(t *testing.T, env *envelope, truth stats.Series, from, to units.Time) {
+	check := func(t *testing.T, envs []envelope, truth stats.Series, from, to units.Time) {
 		t.Helper()
-		lo, hi, ok := env.band(from, to)
 		wlo, whi, wok := gtBand(truth, from, to)
-		if lo != wlo || hi != whi || ok != wok {
-			t.Fatalf("window (%v, %v]: band = %v %v %v, oracle %v %v %v", from, to, lo, hi, ok, wlo, whi, wok)
+		for k := range envs {
+			lo, hi, ok := envs[k].band(from, to)
+			if lo != wlo || hi != whi || ok != wok {
+				t.Fatalf("layout %d, window (%v, %v]: band = %v %v %v, oracle %v %v %v", k, from, to, lo, hi, ok, wlo, whi, wok)
+			}
 		}
 	}
-	for _, n := range []int{1, envBlock - 1, envBlock, envBlock + 1, 3*envBlock - 1, 4 * envBlock, 5*envBlock + 7} {
+	ns := []int{1, envBlock - 1, envBlock, envBlock + 1, 3*envBlock - 1, 4 * envBlock, 5*envBlock + 7, logChunkLen + 2*envBlock + 5}
+	for _, n := range ns {
 		for name, delay := range delays {
 			// A nanosecond apart, the search for "not earlier than t" (as
 			// "later than t-1") lands exactly on the neighbouring point.
 			for _, step := range []units.Time{units.Time(units.Millisecond), 1} {
 				for _, perStamp := range []int{1, 2, 3} {
+					stride := 1
+					if n > logChunkLen {
+						if perStamp > 1 {
+							continue
+						}
+						stride = 3
+					}
 					t.Run(fmt.Sprintf("n=%d/%s/step=%d/x%d", n, name, step, perStamp), func(t *testing.T) {
 						truth := make(stats.Series, n)
 						for i := range truth {
 							truth[i] = stats.Sample{At: units.Time(i/perStamp) * step, Delay: units.Duration(delay(i, n))}
 						}
-						env := newEnvelope(truth)
+						view := stats.LogOf(truth)
+						envs := []envelope{newEnvelope(&view)}
+						for _, prefix := range logPrefixes {
+							envs = append(envs, newEnvelope(chunkedLog(truth, prefix)))
+						}
 						last := (n-1)/perStamp + 1
-						for i := -1; i <= last; i++ {
+						for i := -1; i <= last; i += stride {
 							// Far ends ascending, then descending: the
 							// search leaves its hint in both directions.
-							for j := i; j <= last; j++ {
-								check(t, &env, truth, units.Time(i)*step, units.Time(j)*step)
+							for j := i; j <= last; j += stride {
+								check(t, envs, truth, units.Time(i)*step, units.Time(j)*step)
 							}
-							for j := last; j >= i; j-- {
-								check(t, &env, truth, units.Time(i)*step, units.Time(j)*step)
+							for j := last; j >= i; j -= stride {
+								check(t, envs, truth, units.Time(i)*step, units.Time(j)*step)
 							}
 						}
 					})
 				}
 			}
 		}
+	}
+}
+
+// TestInPlaceGradeAllocatesOnlyTheTable pins what grading a fleet's series
+// where they lie costs: the envelope table — its bands and the slice of
+// levels over them — and nothing per sample or per chunk.
+func TestInPlaceGradeAllocatesOnlyTheTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var log []Measurement
+	var truth stats.Series
+	for i := 0; i < 3*logChunkLen; i++ {
+		at := units.Time(i) * units.Time(units.Millisecond)
+		truth = append(truth, stats.Sample{At: at, Delay: units.Duration(rng.Int63n(int64(units.Second)))})
+		if i%2 == 0 {
+			log = append(log, Measurement{At: at, Delay: units.Duration(rng.Int63n(int64(units.Second))),
+				ErrBound: units.Duration(rng.Int63n(int64(100 * units.Millisecond))), Confidence: Confidence(i % NumConfidence)})
+		}
+	}
+	l, tr := chunkedLog(log, 513), chunkedLog(truth, 513)
+	allocs := testing.AllocsPerRun(20, func() {
+		CheckSenderLog(l, tr, 10*units.Millisecond)
+		CheckReceiverLog(l, tr)
+	})
+	if allocs != 2*2 {
+		t.Fatalf("two in-place grades allocate %.1f times, want 2 each (the table's bands and levels)", allocs)
 	}
 }
 
@@ -254,8 +349,10 @@ func decodeBoundsCase(data []byte) (log []Measurement, truth stats.Series, inter
 	return log, truth, interval
 }
 
-// FuzzBoundsMatchOracle: for any sorted truth series and any log, the four
-// graders agree field for field with the one-walk-per-sample oracle.
+// FuzzBoundsMatchOracle: for any sorted truth series and any log, the
+// graders agree field for field with the one-walk-per-sample oracle, from
+// slices and from chunked logs, one of them consolidated at a prefix the
+// fuzzer chooses.
 func FuzzBoundsMatchOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 10, 1, 2, 3, 4, 5, 6, 7, 8}) // a log and no truth
@@ -270,6 +367,6 @@ func FuzzBoundsMatchOracle(f *testing.F) {
 	f.Add(dup)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, truth, interval := decodeBoundsCase(data)
-		checkAgainstOracle(t, log, truth, interval)
+		checkAgainstOracle(t, log, truth, interval, len(data)%(len(truth)+1))
 	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"element/internal/core"
 	"element/internal/fleet"
+	"element/internal/stats"
 	"element/internal/units"
 )
 
@@ -48,7 +49,7 @@ func Fleet(seed int64, duration units.Duration) *Result {
 	base := mk(1, fleet.ChurnConfig{})
 	fl := mk(fleetConns, FleetChurn)
 
-	baseMean, _ := meanDelay(base.Conns[0].SndLog)
+	baseMean, _ := meanDelay(&base.Conns[0].SndLog)
 	res := &Result{
 		ID:    "fleet",
 		Title: "Supervised monitoring fleet vs single-connection ground truth",
@@ -56,7 +57,7 @@ func Fleet(seed int64, duration units.Duration) *Result {
 			"restarts", "crashes", "recycles", "mean delay ms", "|Δ base| ms", "goodput Mbps"},
 	}
 	for _, c := range fl.Conns {
-		mean, worst := meanDelay(c.SndLog)
+		mean, worst := meanDelay(&c.SndLog)
 		diff := mean - baseMean
 		if diff < 0 {
 			diff = -diff
@@ -89,9 +90,9 @@ func Fleet(seed int64, duration units.Duration) *Result {
 
 // meanDelay averages the non-flagged samples of a series and reports the
 // worst error bound seen among them.
-func meanDelay(log []core.Measurement) (mean, worst units.Duration) {
+func meanDelay(log *stats.Log[core.Measurement]) (mean, worst units.Duration) {
 	n := 0
-	for _, m := range log {
+	for m := range log.All() {
 		if m.Confidence == core.ConfidenceLow {
 			continue
 		}

@@ -39,6 +39,7 @@ import (
 	"element/internal/reqtrace"
 	"element/internal/sim"
 	"element/internal/stack"
+	"element/internal/stats"
 	"element/internal/telemetry"
 	"element/internal/telemetry/stream"
 	"element/internal/trace"
@@ -645,9 +646,10 @@ type ConnResult struct {
 	Sheds       int           // governor demotions applied to this flow
 	ShedSamples int           // samples this flow dropped while below the sketch tier
 	// SndLog/RcvLog are the full per-connection estimate series stitched
-	// across monitor incarnations.
-	SndLog []core.Measurement
-	RcvLog []core.Measurement
+	// across monitor incarnations, as the monitor kept them: read them by
+	// Len and At.
+	SndLog stats.Log[core.Measurement]
+	RcvLog stats.Log[core.Measurement]
 }
 
 // Violations is the fleet-wide bounded-or-flagged violation count.

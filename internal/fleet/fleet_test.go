@@ -49,7 +49,7 @@ func TestFleetBoundedOrFlaggedUnderChurn(t *testing.T) {
 		t.Fatalf("no checkpoint restores despite crashes: %v", res)
 	}
 	for _, c := range res.Conns {
-		if len(c.SndLog) == 0 {
+		if c.SndLog.Len() == 0 {
 			t.Errorf("conn %d produced no sender samples", c.ID)
 		}
 	}
@@ -66,9 +66,9 @@ func TestFleetDeterministicForFixedSeed(t *testing.T) {
 	for i := range a.Conns {
 		ca, cb := a.Conns[i], b.Conns[i]
 		if ca.Restarts != cb.Restarts || ca.Crashes != cb.Crashes || ca.Recycles != cb.Recycles ||
-			len(ca.SndLog) != len(cb.SndLog) || len(ca.RcvLog) != len(cb.RcvLog) {
+			ca.SndLog.Len() != cb.SndLog.Len() || ca.RcvLog.Len() != cb.RcvLog.Len() {
 			t.Fatalf("conn %d diverges between same-seed runs:\n  a %+v (%d/%d samples)\n  b %+v (%d/%d samples)",
-				i, ca, len(ca.SndLog), len(ca.RcvLog), cb, len(cb.SndLog), len(cb.RcvLog))
+				i, ca, ca.SndLog.Len(), ca.RcvLog.Len(), cb, cb.SndLog.Len(), cb.RcvLog.Len())
 		}
 	}
 }
@@ -84,7 +84,7 @@ func TestFleetWatchdogRecyclesWedgedMonitors(t *testing.T) {
 	// A recycled monitor must resume its series: samples exist from after
 	// the earliest possible wedge time.
 	for _, c := range res.Conns {
-		last := c.SndLog[len(c.SndLog)-1]
+		last := c.SndLog.At(c.SndLog.Len() - 1)
 		if last.At < units.Time(cfg.Duration/2) {
 			t.Errorf("conn %d series stops at %v — monitor never resumed", c.ID, last.At)
 		}
@@ -278,7 +278,7 @@ func TestExitModeTrackersHoldNoSecondCopy(t *testing.T) {
 			t.Fatalf("%s: checked %d running monitors over %d crashes", tc.name, checked, res.Crashes)
 		}
 		for _, c := range res.Conns {
-			if len(c.SndLog) == 0 {
+			if c.SndLog.Len() == 0 {
 				t.Errorf("%s: conn %d stitched no sender samples", tc.name, c.ID)
 			}
 		}
@@ -326,7 +326,7 @@ func TestFleetSoak(t *testing.T) {
 		t.Fatalf("soak churn did not exercise the supervisor: %v", a)
 	}
 	for _, c := range a.Conns {
-		if len(c.SndLog) == 0 && len(c.RcvLog) == 0 {
+		if c.SndLog.Len() == 0 && c.RcvLog.Len() == 0 {
 			t.Errorf("conn %d produced no samples at all", c.ID)
 		}
 	}
@@ -360,9 +360,9 @@ func TestFleetSoak(t *testing.T) {
 		t.Fatalf("stream soak sink error: %v", c.StreamErr)
 	}
 	for _, conn := range c.Conns {
-		if conn.Escalations == 0 && conn.Demotions == 0 && (len(conn.SndLog) != 0 || len(conn.RcvLog) != 0) {
+		if conn.Escalations == 0 && conn.Demotions == 0 && (conn.SndLog.Len() != 0 || conn.RcvLog.Len() != 0) {
 			t.Fatalf("conn %d never escalated yet retained %d/%d samples",
-				conn.ID, len(conn.SndLog), len(conn.RcvLog))
+				conn.ID, conn.SndLog.Len(), conn.RcvLog.Len())
 		}
 	}
 }

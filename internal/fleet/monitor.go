@@ -116,8 +116,9 @@ type Monitor struct {
 
 	// Series stitched across incarnations, flushed after every poll: the
 	// only copy of a measurement the monitor keeps. They grow in chunks,
-	// so nothing kept is re-copied until drain reads each once. In stream
-	// mode these stay empty except while the flow is escalated.
+	// and drain grades them in place and hands them over, so nothing kept
+	// is ever re-copied. In stream mode these stay empty except while the
+	// flow is escalated.
 	sndLog, rcvLog stats.Log[core.Measurement]
 
 	// Streaming state (nil without Config.Stream): the per-flow
@@ -527,11 +528,16 @@ func (m *Monitor) drain() *ConnResult {
 	cr.ShedSamples = m.shedSamples
 	m.dropIncarnation()
 	m.state = stateDone
-	cr.SndLog, cr.RcvLog = m.sndLog.Slice(), m.rcvLog.Slice()
+	// Grade the series where they lie, then hand them over: nothing is
+	// consolidated, and only the partial last chunk of each is copied, to
+	// let go of its unused tail.
 	if m.gt != nil {
-		cr.Sender = core.CheckSenderBounds(cr.SndLog, m.gt.SenderDelay(), m.fl.cfg.Interval)
-		cr.Receiver = core.CheckReceiverBounds(cr.RcvLog, m.gt.ReceiverDelay())
+		cr.Sender = core.CheckSenderLog(&m.sndLog, m.gt.SenderLog(), m.fl.cfg.Interval)
+		cr.Receiver = core.CheckReceiverLog(&m.rcvLog, m.gt.ReceiverLog())
 	}
+	m.sndLog.Clip()
+	m.rcvLog.Clip()
+	cr.SndLog, cr.RcvLog = m.sndLog, m.rcvLog
 	if m.conn != nil {
 		active := m.fl.cfg.Duration - m.plan.openAt
 		if m.plan.closeAt > 0 {

@@ -6,7 +6,6 @@ import (
 	"element/internal/core"
 	"element/internal/overload"
 	"element/internal/sim"
-	"element/internal/stats"
 	"element/internal/telemetry"
 	"element/internal/telemetry/stream"
 	"element/internal/units"
@@ -22,9 +21,9 @@ import (
 // granularity: every flow starts in the lightweight phase (16 bytes of
 // lite-poll state in struct-of-arrays columns laid out in poll order,
 // windowed sketch aggregation) and only flows whose lite estimates trip
-// the escalation trigger are promoted to a full SenderTracker with a
-// retained measurement series — the two-phase Dapper-style design from
-// the streaming layer, at fleet scale.
+// the escalation trigger are promoted to a full SenderTracker whose
+// samples feed the sketches at full granularity — the two-phase
+// Dapper-style design from the streaming layer, at fleet scale.
 //
 // Workload counters come from the closed-form synthetic flows in
 // synth.go, so every observable is a pure function of (seed, flow id,
@@ -126,13 +125,15 @@ func (c ScaleConfig) slice() units.Duration {
 
 // scaleFull is the promoted state of one escalated flow: the full
 // tracker over the flow's synthetic socket surface, the windowed
-// demotion escalator, and the retained measurement series that
-// escalation buys back.
+// demotion escalator, and the count of full-granularity samples the
+// flow has produced since promotion — what the governor's
+// RetainedSamples budget meters. Each sample goes to the shard sketch
+// and the escalator; none is kept.
 type scaleFull struct {
 	src        *synthSource
 	tr         *core.SenderTracker
 	esc        *stream.Escalator
-	log        stats.Log[core.Measurement]
+	samples    int
 	promotedAt units.Time
 	hotSet     bool
 }
@@ -203,8 +204,9 @@ type ScaleResult struct {
 	Escalations, Demotions, FalseAlarms uint64
 	Escalated                           int
 	Restores                            int
-	// RetainedSamples is the measurement-log total retained by
-	// escalated flows at the end.
+	// RetainedSamples is the number of full-granularity samples the
+	// flows still escalated at the end produced since their promotion
+	// (the governor's RetainedSamples meter); no series is kept.
 	RetainedSamples int
 	// ParkedSkips counts polls suppressed by TierParked.
 	ParkedSkips uint64
@@ -522,14 +524,14 @@ func (sh *scaleShard) pollBatch(now units.Time, lo, hi int32) {
 
 // pollFull drives one escalated flow's send side for one tick:
 // record the write, poll the tracker, and drain any matched estimates
-// into the shard sketch, the flow's demotion escalator, and its
-// retained series. Escalated flows run at tick grain — not the lite
-// interval — because the estimator's resolution is its poll cadence: a
-// record can only match at a poll instant, so interval-grain polling
-// would quantize every matched delay up toward a full interval and a
-// clean (demotable) window could never be observed. The escalated
-// population is budget-bounded, so the per-tick sweep is O(live full),
-// not O(flows).
+// into the shard sketch and the flow's demotion escalator, counting
+// each toward the RetainedSamples meter. Escalated flows run at tick
+// grain — not the lite interval — because the estimator's resolution is
+// its poll cadence: a record can only match at a poll instant, so
+// interval-grain polling would quantize every matched delay up toward a
+// full interval and a clean (demotable) window could never be observed.
+// The escalated population is budget-bounded, so the per-tick sweep is
+// O(live full), not O(flows).
 func (sh *scaleShard) pollFull(slot int32, fu *scaleFull, now units.Time) {
 	fu.src.now = now
 	fu.tr.OnWrite(fu.src.flow.written(now))
@@ -542,7 +544,7 @@ func (sh *scaleShard) pollFull(slot int32, fu *scaleFull, now units.Time) {
 			observe(sh.seSnd, mm.At, mm.Delay.Seconds(), flg)
 		}
 		fu.esc.Observe(mm.At, mm.Delay.Seconds())
-		fu.log.Append(mm)
+		fu.samples++
 	})
 }
 
@@ -646,7 +648,7 @@ func (f *ScaleFleet) meterUsage(units.Time) overload.Usage {
 		u.LiveFull += len(sh.full)
 		u.SketchBytes += sh.stream.ApproxBytes()
 		for _, fu := range sh.full {
-			u.RetainedSamples += fu.log.Len()
+			u.RetainedSamples += fu.samples
 		}
 	}
 	// The promotion gate closes while the escalated census is at or
@@ -701,7 +703,7 @@ func (f *ScaleFleet) drain() *ScaleResult {
 		res.StreamLate += sh.stream.Late()
 		res.Escalated += len(sh.full)
 		for _, fu := range sh.full {
-			res.RetainedSamples += fu.log.Len()
+			res.RetainedSamples += fu.samples
 			fu.tr.Stop()
 		}
 	}

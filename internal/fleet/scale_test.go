@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -266,6 +267,44 @@ func TestScaleZeroAllocSteadyState(t *testing.T) {
 		if allocs := testing.AllocsPerRun(8, step); allocs != 0 {
 			t.Fatalf("%d flows: steady-state barrier step allocates %.1f times", flows, allocs)
 		}
+	}
+}
+
+// scaleHeapPerFlow is TestScaleHeapPerFlow's bound on the heap one
+// monitored flow holds at the end of a run with escalation on.
+const scaleHeapPerFlow = 1000
+
+// TestScaleHeapPerFlow pins what the scale plane costs per flow with
+// escalation on: 100 k flows, the governor bounding the escalated
+// population as in TestScaleMillionMonitors, and the heap in use after
+// the run — fleet and result still referenced — divided by the flows.
+// An escalated flow keeps no measurement series, so the cost is the lite
+// columns, the sketches and the budget-bounded full trackers.
+func TestScaleHeapPerFlow(t *testing.T) {
+	const flows = 100_000
+	cfg := ScaleConfig{
+		Seed:     2024,
+		Flows:    flows,
+		Duration: 2 * units.Second,
+		Interval: 100 * units.Millisecond,
+		Shards:   2,
+		Overload: &overload.Config{Budgets: overload.Budgets{LiveFull: 4096}},
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f := NewScale(cfg)
+	res := f.Run()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(f)
+	if res.Escalations == 0 {
+		t.Fatal("no escalations: the pin needs escalation on")
+	}
+	perFlow := float64(after.HeapInuse-min(before.HeapInuse, after.HeapInuse)) / flows
+	t.Logf("%.0f B/flow in use after the run (%d escalations, %d retained samples)", perFlow, res.Escalations, res.RetainedSamples)
+	if perFlow > scaleHeapPerFlow {
+		t.Fatalf("%.0f B/flow in use after the run, bound %d", perFlow, scaleHeapPerFlow)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"element/internal/core"
 	"element/internal/faults"
+	"element/internal/stats"
 	"element/internal/telemetry"
 	"element/internal/testutil"
 	"element/internal/units"
@@ -45,10 +46,10 @@ func TestFleetShardCountInvariance(t *testing.T) {
 				cg.Anomalies != cw.Anomalies || cg.Closed != cw.Closed || cg.GoodputBps != cw.GoodputBps {
 				t.Fatalf("shards=%d conn %d counters diverge:\n  1: %+v\n  %d: %+v", shards, i, cw, shards, cg)
 			}
-			if err := sameSeries(cw.SndLog, cg.SndLog); err != nil {
+			if err := sameSeries(&cw.SndLog, &cg.SndLog); err != nil {
 				t.Fatalf("shards=%d conn %d sender series: %v", shards, i, err)
 			}
-			if err := sameSeries(cw.RcvLog, cg.RcvLog); err != nil {
+			if err := sameSeries(&cw.RcvLog, &cg.RcvLog); err != nil {
 				t.Fatalf("shards=%d conn %d receiver series: %v", shards, i, err)
 			}
 		}
@@ -56,13 +57,13 @@ func TestFleetShardCountInvariance(t *testing.T) {
 }
 
 // sameSeries compares two measurement series sample-for-sample.
-func sameSeries(a, b []core.Measurement) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("length %d vs %d", len(a), len(b))
+func sameSeries(a, b *stats.Log[core.Measurement]) error {
+	if a.Len() != b.Len() {
+		return fmt.Errorf("length %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("sample %d: %+v vs %+v", i, a[i], b[i])
+	for i := range a.Len() {
+		if *a.At(i) != *b.At(i) {
+			return fmt.Errorf("sample %d: %+v vs %+v", i, *a.At(i), *b.At(i))
 		}
 	}
 	return nil

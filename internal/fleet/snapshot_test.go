@@ -108,7 +108,7 @@ func TestFleetSnapshotResumeRehomesAcrossShards(t *testing.T) {
 		if cr.Anomalies.Restores == 0 {
 			t.Errorf("conn %d resumed without a Restores anomaly", cr.ID)
 		}
-		if len(cr.SndLog) == 0 {
+		if cr.SndLog.Len() == 0 {
 			t.Errorf("conn %d produced no samples after resume", cr.ID)
 		}
 	}
@@ -120,10 +120,10 @@ func TestFleetSnapshotResumeRehomesAcrossShards(t *testing.T) {
 		}
 		for i := range want.Conns {
 			cw, cg := want.Conns[i], got.Conns[i]
-			if cg.Anomalies != cw.Anomalies || len(cg.SndLog) != len(cw.SndLog) || len(cg.RcvLog) != len(cw.RcvLog) {
+			if cg.Anomalies != cw.Anomalies || cg.SndLog.Len() != cw.SndLog.Len() || cg.RcvLog.Len() != cw.RcvLog.Len() {
 				t.Fatalf("shards=%d conn %d resume state diverges: anom %+v vs %+v, logs %d/%d vs %d/%d",
 					shards, i, cw.Anomalies, cg.Anomalies,
-					len(cw.SndLog), len(cw.RcvLog), len(cg.SndLog), len(cg.RcvLog))
+					cw.SndLog.Len(), cw.RcvLog.Len(), cg.SndLog.Len(), cg.RcvLog.Len())
 			}
 		}
 	}
@@ -175,7 +175,7 @@ func TestFleetResumeMidOverloadLandsInValidTier(t *testing.T) {
 		t.Fatalf("bound violations after mid-overload resume: %d", v)
 	}
 	for _, cr := range res.Conns {
-		if len(cr.SndLog) == 0 {
+		if cr.SndLog.Len() == 0 {
 			t.Errorf("conn %d produced no samples after reclaim", cr.ID)
 		}
 	}

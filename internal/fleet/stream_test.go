@@ -104,11 +104,11 @@ func TestFleetStreamEscalatesOnBloatNotClean(t *testing.T) {
 	// it only for them.
 	sawSeries := false
 	for _, c := range bloat.Conns {
-		if c.Escalations > 0 && len(c.SndLog) > 0 {
+		if c.Escalations > 0 && c.SndLog.Len() > 0 {
 			sawSeries = true
 		}
-		if c.Escalations == 0 && c.Demotions == 0 && len(c.SndLog) != 0 {
-			t.Fatalf("conn %d never escalated but retained %d samples", c.ID, len(c.SndLog))
+		if c.Escalations == 0 && c.Demotions == 0 && c.SndLog.Len() != 0 {
+			t.Fatalf("conn %d never escalated but retained %d samples", c.ID, c.SndLog.Len())
 		}
 	}
 	if !sawSeries {
@@ -123,9 +123,9 @@ func TestFleetStreamEscalatesOnBloatNotClean(t *testing.T) {
 		t.Fatalf("clean run recorded %d byte ranges with every hook gate closed", agg.Ranges)
 	}
 	for _, c := range clean.Conns {
-		if len(c.SndLog) != 0 || len(c.RcvLog) != 0 {
+		if c.SndLog.Len() != 0 || c.RcvLog.Len() != 0 {
 			t.Fatalf("clean-run conn %d retained %d/%d samples in stream mode",
-				c.ID, len(c.SndLog), len(c.RcvLog))
+				c.ID, c.SndLog.Len(), c.RcvLog.Len())
 		}
 	}
 }
@@ -158,7 +158,7 @@ func TestFleetStreamMemoryBounded(t *testing.T) {
 		t.Fatal("no samples reached the stream")
 	}
 	for _, c := range res.Conns {
-		if len(c.SndLog) != 0 || len(c.RcvLog) != 0 {
+		if c.SndLog.Len() != 0 || c.RcvLog.Len() != 0 {
 			t.Fatalf("conn %d retained a series in stream mode", c.ID)
 		}
 	}

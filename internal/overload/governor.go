@@ -63,7 +63,9 @@ type Budgets struct {
 	// LiveFull caps the number of flows at TierFull.
 	LiveFull int
 	// RetainedSamples caps fleet-wide retained measurement-log entries
-	// plus unmatched FIFO records.
+	// plus unmatched FIFO records. The scale fleet keeps no series: there
+	// it caps the full-granularity samples its escalated flows have
+	// produced since their promotion.
 	RetainedSamples int
 	// SketchBytes caps the streaming layer's window+sketch footprint.
 	SketchBytes int

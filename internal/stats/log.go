@@ -18,11 +18,12 @@ const logChunk = 512
 // holds. It serves the two ways the simulator's observers use one:
 //
 //   - run, then read (a scenario's ground truth and estimates, a fleet
-//     monitor's stitched series, an escalated scale flow's log): the log
-//     is a plain slice while shorter than logChunk, then a list of
-//     fixed-size chunks, so an append costs the same at any length and
-//     nothing is re-copied as the log grows; Slice consolidates once, at
-//     read time.
+//     monitor's stitched series): the log is a plain slice while shorter
+//     than logChunk, then a list of fixed-size chunks, so an append costs
+//     the same at any length and nothing is re-copied as the log grows.
+//     A reader that walks it by Len and At reads it where it lies — the
+//     fleet grades and hands over its series that way, after Clip — and
+//     only a caller that needs one slice pays for Slice's consolidation.
 //   - drain every poll (the trackers the fleets' monitors drive): the log
 //     never gets long, so it stays one slice, and Truncate(0) keeps that
 //     slice's capacity exactly as s = s[:0] does — the steady state
@@ -139,6 +140,24 @@ func (l *Log[T]) Truncate(n int) {
 	clear(l.chunks[k:])
 	l.chunks = l.chunks[:k]
 	l.chunks[k-1] = l.chunks[k-1][:n-(k-1)*logChunk]
+}
+
+// Clip releases the unused tail of a chunked log's last chunk by copying
+// that one partial chunk to an exact fit; nothing else moves. A log that
+// is still one slice is left as it is, as Slice leaves it. Clip is for a
+// log that is done growing: a later append regrows that chunk.
+func (l *Log[T]) Clip() {
+	if k := len(l.chunks); k > 0 {
+		if last := &l.chunks[k-1]; len(*last) < cap(*last) {
+			*last = append(make([]T, 0, len(*last)), *last...)
+		}
+	}
+}
+
+// LogOf is a read view of s as a Log, sharing its elements: nothing is
+// copied, and an append to the view never writes into s.
+func LogOf[T any](s []T) Log[T] {
+	return Log[T]{flat: s[:len(s):len(s)]}
 }
 
 // Grow reserves room for n further elements in the first slice, so a

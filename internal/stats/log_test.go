@@ -111,6 +111,59 @@ func TestLogTruncateEveryLength(t *testing.T) {
 	}
 }
 
+// TestLogClip holds Clip to its one job at every length: the contents are
+// untouched, a chunked log's last chunk is left with no spare capacity, a
+// log that is one slice keeps that slice, and appends after a Clip still
+// read back right.
+func TestLogClip(t *testing.T) {
+	for n := 0; n <= 3*logChunk+7; n += 37 {
+		var l Log[int]
+		var ref []int
+		for i := 0; i < n; i++ {
+			l.Append(i)
+			ref = append(ref, i)
+		}
+		flat := l.flat
+		l.Clip()
+		checkLog(t, &l, ref)
+		if k := len(l.chunks); k > 0 {
+			if last := l.chunks[k-1]; cap(last) != len(last) {
+				t.Fatalf("n=%d: last chunk keeps %d spare slots after Clip", n, cap(last)-len(last))
+			}
+		} else if cap(l.flat) != cap(flat) {
+			t.Fatalf("n=%d: Clip moved an unchunked log", n)
+		}
+		for i := 0; i < logChunk+3; i++ {
+			l.Append(-i)
+			ref = append(ref, -i)
+		}
+		checkLog(t, &l, ref)
+	}
+}
+
+// TestLogOfIsAView: a LogOf view reads its slice's elements in place,
+// writes through At reach the slice, and an append to the view never
+// writes into the slice's spare capacity.
+func TestLogOfIsAView(t *testing.T) {
+	backing := make([]int, 5, 10)
+	for i := range backing {
+		backing[i] = i
+	}
+	v := LogOf(backing)
+	checkLog(t, &v, backing)
+	*v.At(2) = 42
+	if backing[2] != 42 {
+		t.Fatal("a write through the view's At did not reach the slice")
+	}
+	v.Append(7)
+	if spare := backing[:6]; spare[5] != 0 {
+		t.Fatalf("an append to the view wrote %d into the slice's spare capacity", spare[5])
+	}
+	if v.Len() != 6 || *v.At(5) != 7 {
+		t.Fatalf("view after append: Len %d, last %d", v.Len(), *v.At(v.Len() - 1))
+	}
+}
+
 // TestLogDrainEveryPollZeroAlloc pins shape (b): a log drained after every
 // short batch keeps its one backing slice, as s = s[:0] did, and the
 // steady state allocates nothing — including after a long run was drained.

@@ -37,7 +37,8 @@ type Collector struct {
 	// Sender side: cumulative write records and transmission stamps.
 	writes    []rangeStamp // app writes, contiguous, FIFO
 	writeHead int
-	transmits []rangeStamp // first transmissions, by start seq (sorted)
+	transmits []rangeStamp // first transmissions, by start seq; live from txHead
+	txHead    int
 
 	// Receiver side: receive stamps awaiting app reads.
 	receives []rangeStamp // sorted by start, disjoint; live from recvHead
@@ -45,7 +46,7 @@ type Collector struct {
 	readCum  uint64
 
 	// The three result series: append-only, read after (or between)
-	// runs through the consolidating accessors below.
+	// runs through the consolidating accessors below, or in place.
 	senderDelay   stats.Log[Sample]
 	networkDelay  stats.Log[Sample]
 	receiverDelay stats.Log[Sample]
@@ -115,9 +116,17 @@ func compact(s []rangeStamp, head int) ([]rangeStamp, int) {
 // so for a segment lost and retransmitted (after an RTO, say) the recovery
 // wait counts as network delay rather than disappearing from the
 // decomposition; the waterfall attribution splits the same interval into
-// its retx and queue/wire stages.
+// its retx and queue/wire stages. A stamp is kept only while an arrival
+// can still need it: new bytes arrive at or above rcv_nxt, which is never
+// below what the app has read, so a range that ends at or below the read
+// horizon — a spurious retransmission of read data — is not stamped, and
+// trimTransmits forgets the stamps the reads overtake.
 func (c *Collector) recordTransmit(r rangeStamp) {
-	i := sort.Search(len(c.transmits), func(i int) bool { return c.transmits[i].start >= r.start })
+	if r.end <= c.readCum {
+		return
+	}
+	live := c.transmits[c.txHead:]
+	i := c.txHead + sort.Search(len(live), func(i int) bool { return live[i].start >= r.start })
 	if i < len(c.transmits) && c.transmits[i].start == r.start {
 		return // retransmission: the first transmission's stamp stands
 	}
@@ -132,15 +141,13 @@ func (c *Collector) onTCPReceive(seq uint64, n int) {
 	now := c.eng.Now()
 	end := seq + uint64(n)
 	// Find the covering transmission: greatest start <= seq.
-	i := sort.Search(len(c.transmits), func(i int) bool { return c.transmits[i].start > seq })
-	if i > 0 {
-		tx := c.transmits[i-1]
+	live := c.transmits[c.txHead:]
+	if i := sort.Search(len(live), func(i int) bool { return live[i].start > seq }); i > 0 {
+		tx := live[i-1]
 		c.networkDelay.Append(Sample{At: now, Delay: now.Sub(tx.at), Bytes: n})
 	}
 	// Stash for the receiver-delay match at app-read time.
 	c.insertReceive(rangeStamp{start: seq, end: end, at: now})
-	// Trim transmission records below the fully received prefix lazily.
-	c.trimTransmits()
 }
 
 // insertReceive keeps receives sorted by start without re-sorting: a stamp
@@ -178,15 +185,17 @@ func (c *Collector) insertReceive(r rangeStamp) {
 	c.receives[i] = r
 }
 
+// trimTransmits forgets the transmit stamps the read horizon has
+// overtaken: those ending at or below readCum, from the head on. Every
+// byte that can still arrive as new lies at or above rcv_nxt ≥ readCum,
+// so no later arrival can need them — unlike the first unread receive,
+// which may be out-of-order data above a hole whose first-transmission
+// stamp the retransmission filling it still needs.
 func (c *Collector) trimTransmits() {
-	if c.recvHead == len(c.receives) || len(c.transmits) < 4096 {
-		return
+	for c.txHead < len(c.transmits) && c.transmits[c.txHead].end <= c.readCum {
+		c.txHead++
 	}
-	low := c.receives[c.recvHead].start
-	i := sort.Search(len(c.transmits), func(i int) bool { return c.transmits[i].end > low })
-	if i > 0 {
-		c.transmits = append(c.transmits[:0], c.transmits[i:]...)
-	}
+	c.transmits, c.txHead = compact(c.transmits, c.txHead)
 }
 
 // onAppRead matches consumed bytes against receive stamps.
@@ -210,6 +219,7 @@ func (c *Collector) onAppRead(endSeq uint64, n int) {
 		break
 	}
 	c.receives, c.recvHead = compact(c.receives, c.recvHead)
+	c.trimTransmits()
 }
 
 // SenderDelay reports the ground-truth sender-side (socket buffer) delays.
@@ -217,6 +227,14 @@ func (c *Collector) onAppRead(endSeq uint64, n int) {
 // The three accessors consolidate their series on read (see
 // stats.Log.Slice), so they belong to the goroutine that runs the engine.
 func (c *Collector) SenderDelay() Series { return c.senderDelay.Slice() }
+
+// SenderLog and ReceiverLog are the sender- and receiver-side series
+// where they lie, for a reader that walks them by Len and At
+// (core.CheckSenderLog) instead of consolidating them.
+func (c *Collector) SenderLog() *stats.Log[Sample] { return &c.senderDelay }
+
+// ReceiverLog: see SenderLog.
+func (c *Collector) ReceiverLog() *stats.Log[Sample] { return &c.receiverDelay }
 
 // NetworkDelay reports the ground-truth one-way network delays.
 func (c *Collector) NetworkDelay() Series { return c.networkDelay.Slice() }
