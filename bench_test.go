@@ -297,8 +297,8 @@ func BenchmarkTrackerOverhead(b *testing.B) {
 			BytesAcked: 1 << 20, Unacked: 10, SndMSS: 1460, SndCwnd: 100,
 			RTT: 50 * units.Millisecond,
 		}}
-		tr := core.NewSenderTracker(eng, src, units.Second) // self-ticks disabled in practice
-		tr.Instrument(telem.Scope("core"))                  // nil telem → no-op scope
+		tr := core.NewSenderTrackerOpts(eng, src, core.TrackerOptions{Interval: units.Second}) // self-ticks disabled in practice
+		tr.Instrument(telem.Scope("core"))                                                     // nil telem → no-op scope
 		cum := uint64(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -396,7 +396,7 @@ func senderAccuracyWithInterval(seed int64, interval units.Duration) float64 {
 	conn := stack.Dial(net, stack.ConnConfig{
 		CC: cc.KindCubic, SenderHooks: col.SenderHooks(), ReceiverHooks: col.ReceiverHooks(),
 	})
-	tr := core.NewSenderTracker(eng, conn.Sender, interval)
+	tr := core.NewSenderTrackerOpts(eng, conn.Sender, core.TrackerOptions{Interval: interval})
 	eng.Spawn("w", func(p *sim.Proc) {
 		for conn.Sender.Write(p, 16<<10) > 0 {
 			tr.OnWrite(conn.Sender.WrittenCum())

@@ -25,8 +25,8 @@ import (
 	"syscall"
 	"time"
 
+	"element/internal/cliutil"
 	"element/internal/exp"
-	"element/internal/faults"
 	// Registers the "conformance" experiment (hypothesis harness +
 	// bound calibration) into the experiment registry.
 	_ "element/internal/hypotheses"
@@ -44,18 +44,15 @@ func main() {
 		markdown = flag.Bool("md", false, "emit GitHub-flavoured markdown (for EXPERIMENTS.md)")
 		metrics  = flag.Bool("metrics-summary", false, "print a telemetry metrics snapshot after each experiment")
 		waterfal = flag.Bool("waterfall", false, "print the per-stage delay waterfall attribution after each experiment")
-		faultsPr = flag.String("faults", "", "run every scenario under a fault profile: "+strings.Join(faults.Names(), "|"))
+		faultsFl = cliutil.FaultsFlag("run every scenario under a fault profile: ")
 	)
 	flag.Parse()
 
-	if *faultsPr != "" {
-		p, err := faults.ByName(*faultsPr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		exp.DefaultFaults = &p
+	if err := cliutil.Validate(faultsFl); err != nil {
+		fmt.Fprintln(os.Stderr, "elembench:", err)
+		os.Exit(2)
 	}
+	exp.DefaultFaults = faultsFl.Profile
 
 	if *list {
 		for _, e := range exp.Registry {

@@ -64,7 +64,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"slices"
@@ -74,7 +73,6 @@ import (
 	"element/internal/apps"
 	"element/internal/cc"
 	"element/internal/cliutil"
-	"element/internal/faults"
 	"element/internal/fleet"
 	"element/internal/overload"
 	"element/internal/reqtrace"
@@ -101,7 +99,7 @@ func main() {
 		crashFrac  = flag.Float64("crash-frac", 0.4, "fraction of monitors crashing mid-run")
 		stallFrac  = flag.Float64("stall-frac", 0.3, "fraction of monitors wedging (watchdog recycles them)")
 
-		faultsPr = flag.String("faults", "", "fault profile: "+strings.Join(faults.Names(), "|"))
+		faultsFl = cliutil.FaultsFlag("fault profile: ")
 		metrics  = flag.Bool("metrics", false, "print a telemetry export after the run")
 		waterfal = flag.Bool("waterfall", false, "print per-stage delay attribution after the run")
 		perConn  = flag.Bool("per-conn", true, "print the per-connection table")
@@ -130,8 +128,8 @@ func main() {
 		rps      = flag.Float64("rps", 0, "fan-out per-group arrival rate, requests/s (0 = default)")
 		reqBytes = flag.Int("req-bytes", 0, "fan-out mean per-leg response size in bytes (0 = default)")
 		ccAlg    = flag.String("cc", "", "congestion control for every connection: reno|cubic|vegas|bbr (empty = cubic)")
-		rtOut    = flag.String("reqtrace", "", "export the slowest requests' span trees to this file, \"-\" = stdout (fanout mode)")
-		rtForm   = flag.String("reqtrace-format", "chrome", "span-tree export format: chrome|jsonl")
+		rtOut    = cliutil.ExportFlag("reqtrace", "export the slowest requests' span trees to this file, \"-\" = stdout (fanout mode)",
+			"reqtrace-format", "chrome", "span-tree export format: chrome|jsonl", reqtrace.ParseFormat)
 	)
 	flag.Parse()
 
@@ -142,15 +140,16 @@ func main() {
 		}
 	}
 
-	// Fail fast on bad export destinations before simulating anything.
-	if err := cliutil.ValidateOutputPaths(map[string]string{
-		"snapshot": *snapOut,
-		"reqtrace": *rtOut,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "elemfleet:", err)
-		os.Exit(2)
+	// Fail fast on bad paths, formats and profiles before simulating
+	// anything.
+	err := cliutil.Validate(rtOut, faultsFl)
+	if err == nil {
+		err = cliutil.ValidateOutputPath("snapshot", *snapOut)
 	}
-	if err := cliutil.ValidateInputPath("resume", *snapIn); err != nil {
+	if err == nil {
+		err = cliutil.ValidateInputPath("resume", *snapIn)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "elemfleet:", err)
 		os.Exit(2)
 	}
@@ -197,18 +196,11 @@ func main() {
 	}
 	cfg.CC = cc.Kind(*ccAlg)
 	var rt *reqtrace.Tracer
-	var rtFormat reqtrace.Format
 	if *fanout > 0 {
 		kind, err := apps.ParseArrivals(*arrivals)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "elemfleet:", err)
 			os.Exit(1)
-		}
-		if *rtOut != "" {
-			if rtFormat, err = reqtrace.ParseFormat(*rtForm); err != nil {
-				fmt.Fprintln(os.Stderr, "elemfleet:", err)
-				os.Exit(1)
-			}
 		}
 		rt = reqtrace.New()
 		cfg.Fanout = &fleet.FanoutConfig{
@@ -219,14 +211,7 @@ func main() {
 			Tracer:       rt,
 		}
 	}
-	if *faultsPr != "" {
-		p, err := faults.ByName(*faultsPr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elemfleet:", err)
-			os.Exit(1)
-		}
-		cfg.Faults = &p
-	}
+	cfg.Faults = faultsFl.Profile
 	var telem *telemetry.Telemetry
 	if *metrics {
 		telem = telemetry.New()
@@ -336,12 +321,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "elemfleet: quantile cross-check:", err)
 			os.Exit(1)
 		}
-		if *rtOut != "" {
-			if err := cliutil.WriteExport(*rtOut, func(w io.Writer) error { return rt.Export(w, rtFormat) }); err != nil {
+		if rtOut.Path != "" {
+			if err := rtOut.Write(rt.Export); err != nil {
 				fmt.Fprintln(os.Stderr, "elemfleet: reqtrace export:", err)
 				os.Exit(1)
 			}
-			fmt.Printf("reqtrace: %d slowest span trees -> %s (%s)\n", len(rt.Slowest()), *rtOut, rtFormat)
+			fmt.Printf("reqtrace: %d slowest span trees -> %s (%s)\n", len(rt.Slowest()), rtOut.Path, rtOut.Format)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,20 +24,50 @@ func TestMain(m *testing.M) {
 // and standard error.
 func runElemfleet(t *testing.T, args ...string) (int, string) {
 	t.Helper()
+	code, _, stderr := runElemfleetOut(t, args...)
+	return code, stderr
+}
+
+// runElemfleetOut is runElemfleet that also returns standard output.
+func runElemfleetOut(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "ELEMFLEET_RUN_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var out, errOut bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errOut
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stderr.String()
+		return 0, out.String(), errOut.String()
 	case errors.As(err, &exit):
-		return exit.ExitCode(), stderr.String()
+		return exit.ExitCode(), out.String(), errOut.String()
 	}
 	t.Fatalf("running elemfleet %v: %v", args, err)
-	return 0, ""
+	return 0, "", ""
+}
+
+// TestBadFlagFailsBeforeWork: a bad export format, export path or fault
+// profile exits 2 naming its flag, and prints nothing on stdout — the
+// fleet never ran.
+func TestBadFlagFailsBeforeWork(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing", "spans.json")
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-fanout", "2", "-reqtrace", "-", "-reqtrace-format", "yaml"}, "-reqtrace-format"},
+		{[]string{"-fanout", "2", "-reqtrace", missing}, "-reqtrace"},
+		{[]string{"-faults", "bogus"}, "-faults"},
+	} {
+		args := append([]string{"-conns", "2", "-dur", "0.2"}, c.args...)
+		code, stdout, stderr := runElemfleetOut(t, args...)
+		if code != 2 || !strings.Contains(stderr, "elemfleet: "+c.flag+": ") || stdout != "" {
+			t.Errorf("elemfleet %v: exit %d, stdout %q, stderr %q; want exit 2 naming %s and no output",
+				args, code, stdout, stderr, c.flag)
+		}
+	}
 }
 
 // TestScaleRejectsUnreadFlags: -scale mode exits 2 on a flag it would

@@ -21,10 +21,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -33,7 +31,6 @@ import (
 	"element/internal/cc"
 	"element/internal/cliutil"
 	"element/internal/exp"
-	"element/internal/faults"
 	"element/internal/netem"
 	"element/internal/reqtrace"
 	"element/internal/telemetry"
@@ -58,72 +55,47 @@ func main() {
 		wireless = flag.Bool("wireless", false, "tell the minimizer the sender is on LTE/WiFi")
 		dur      = flag.Float64("dur", 30, "simulated duration (seconds)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		faultsPr = flag.String("faults", "", "inject a fault profile: "+strings.Join(faults.Names(), "|"))
-		telPath  = flag.String("telemetry", "", "write a telemetry export to this file, \"-\" = stdout (implies -element)")
-		telFmt   = flag.String("trace-format", "chrome", "telemetry export format: chrome|jsonl|text")
-		wfPath   = flag.String("waterfall", "", "write the per-byte-range delay waterfall to this file (\"-\" = stdout)")
-		wfFmt    = flag.String("waterfall-format", "chrome", "waterfall export format: chrome|jsonl|ascii")
+		faultsFl = cliutil.FaultsFlag("inject a fault profile: ")
+		telOut   = cliutil.ExportFlag("telemetry", "write a telemetry export to this file, \"-\" = stdout (implies -element)",
+			"trace-format", "chrome", "telemetry export format: chrome|jsonl|text", telemetry.ParseFormat)
+		wfOut = cliutil.ExportFlag("waterfall", "write the per-byte-range delay waterfall to this file (\"-\" = stdout)",
+			"waterfall-format", "chrome", "waterfall export format: chrome|jsonl|ascii", waterfall.ParseFormat)
 		fanout   = flag.Int("fanout", 0, "replace bulk flows with one fan-out group of this degree (0 = bulk)")
 		arrivals = flag.String("arrivals", "poisson", "fan-out arrival process: poisson|bursty|closed")
 		rps      = flag.Float64("rps", 200, "fan-out arrival rate (requests/s)")
 		reqBytes = flag.Int("req-bytes", 1024, "fan-out mean per-leg response size (bytes)")
-		rtPath   = flag.String("reqtrace", "", "write the slowest request span trees to this file, \"-\" = stdout (requires -fanout)")
-		rtFmt    = flag.String("reqtrace-format", "chrome", "span-tree export format: chrome|jsonl")
-		drainT   = flag.Float64("drain-timeout", 0, "wall-clock budget in seconds for end-of-run file exports (0 = no limit); on expiry partial exports are marked truncated and the run exits non-zero")
+		rtOut    = cliutil.ExportFlag("reqtrace", "write the slowest request span trees to this file, \"-\" = stdout (requires -fanout)",
+			"reqtrace-format", "chrome", "span-tree export format: chrome|jsonl", reqtrace.ParseFormat)
+		drainT = flag.Float64("drain-timeout", 0, "wall-clock budget in seconds for end-of-run file exports (0 = no limit); on expiry partial exports are marked truncated and the run exits non-zero")
 	)
 	flag.Parse()
 
-	// Fail fast on bad export destinations before simulating anything.
-	if err := cliutil.ValidateOutputPaths(map[string]string{
-		"telemetry": *telPath,
-		"waterfall": *wfPath,
-		"reqtrace":  *rtPath,
-	}); err != nil {
+	// Fail fast on bad exports and profiles before simulating anything.
+	if err := cliutil.Validate(telOut, wfOut, rtOut, faultsFl); err != nil {
 		fmt.Fprintln(os.Stderr, "elemsim:", err)
 		os.Exit(2)
 	}
 
-	var (
-		telem  *telemetry.Telemetry
-		format telemetry.Format
-	)
-	if *telPath != "" {
-		var err error
-		if format, err = telemetry.ParseFormat(*telFmt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	var telem *telemetry.Telemetry
+	if telOut.Path != "" {
 		telem = telemetry.New()
 		// Attach the trackers so the export carries core-component events;
 		// attaching is passive and does not change flow behaviour.
 		*element = true
 	}
 
-	var (
-		wf     *waterfall.Waterfall
-		wfForm waterfall.Format
-	)
-	if *wfPath != "" {
-		var err error
-		if wfForm, err = waterfall.ParseFormat(*wfFmt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	var wf *waterfall.Waterfall
+	if wfOut.Path != "" {
 		wf = waterfall.New()
 	}
 
 	var (
 		arrKind apps.ArrivalKind
-		rtForm  reqtrace.Format
 		rt      *reqtrace.Tracer
 	)
 	if *fanout > 0 {
 		var err error
 		if arrKind, err = apps.ParseArrivals(*arrivals); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if rtForm, err = reqtrace.ParseFormat(*rtFmt); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -133,7 +105,7 @@ func main() {
 		if wf == nil {
 			wf = waterfall.New()
 		}
-	} else if *rtPath != "" {
+	} else if rtOut.Path != "" {
 		fmt.Fprintln(os.Stderr, "elemsim: -reqtrace requires -fanout")
 		os.Exit(1)
 	}
@@ -149,6 +121,7 @@ func main() {
 		Duration:     units.DurationFromSeconds(*dur),
 		Telemetry:    telem,
 		Waterfall:    wf,
+		Faults:       faultsFl.Profile,
 	}
 	if *profile != "" {
 		p, err := netem.ProfileByName(*profile)
@@ -160,14 +133,6 @@ func main() {
 		if *dir == "upload" {
 			cfg.Direction = netem.Upload
 		}
-	}
-	if *faultsPr != "" {
-		p, err := faults.ByName(*faultsPr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cfg.Faults = &p
 	}
 	if *fanout > 0 {
 		// One idle backend connection per leg; apps.RunFanout drives them.
@@ -224,7 +189,7 @@ func main() {
 			f.GoodputBps/1e6)
 	}
 	if s.Inj != nil {
-		fmt.Printf("\nfaults (%s): %d injected events\n", *faultsPr, s.Inj.Counts().Total())
+		fmt.Printf("\nfaults (%s): %d injected events\n", faultsFl.Name, s.Inj.Counts().Total())
 	}
 	if f := s.Flows[0]; f.Sender != nil {
 		est := f.Sender.Estimates().Series()
@@ -242,21 +207,16 @@ func main() {
 	}
 	guard := newDrainGuard(*drainT)
 	if telem != nil {
-		if guard.run("telemetry", func() error {
-			return cliutil.WriteExport(*telPath, func(w io.Writer) error { return telem.Export(w, format) })
-		}) {
+		if guard.run("telemetry", func() error { return telOut.Write(telem.Export) }) {
 			fmt.Printf("\ntelemetry: %d events (%d evicted) written to %s (%s)\n",
-				telem.Tracer().Len(), telem.Tracer().Evicted(), *telPath, format)
+				telem.Tracer().Len(), telem.Tracer().Evicted(), telOut.Path, telOut.Format)
 		}
 	}
-	if *wfPath != "" {
-		ok := guard.run("waterfall", func() error {
-			return cliutil.WriteExport(*wfPath, func(w io.Writer) error { return wf.Export(w, wfForm) })
-		})
-		if ok {
+	if wfOut.Path != "" {
+		if guard.run("waterfall", func() error { return wfOut.Write(wf.Export) }) {
 			agg := wf.Aggregate()
 			fmt.Printf("\nwaterfall: %d byte ranges over %d flows written to %s (%s); stage-sum residual %.4f%%\n",
-				agg.Ranges, len(wf.Flows()), *wfPath, wfForm, agg.Residual*100)
+				agg.Ranges, len(wf.Flows()), wfOut.Path, wfOut.Format, agg.Residual*100)
 		}
 	}
 	if rt != nil {
@@ -268,13 +228,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "reqtrace cross-check: %v\n", err)
 			os.Exit(1)
 		}
-		if *rtPath != "" {
-			ok := guard.run("reqtrace", func() error {
-				return cliutil.WriteExport(*rtPath, func(w io.Writer) error { return rt.Export(w, rtForm) })
-			})
-			if ok {
+		if rtOut.Path != "" {
+			if guard.run("reqtrace", func() error { return rtOut.Write(rt.Export) }) {
 				fmt.Printf("reqtrace: %d slowest span trees -> %s (%s)\n",
-					len(rt.Slowest()), *rtPath, rtForm)
+					len(rt.Slowest()), rtOut.Path, rtOut.Format)
 			}
 		}
 	}

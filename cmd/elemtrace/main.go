@@ -15,17 +15,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"element/internal/aqm"
 	"element/internal/cc"
 	"element/internal/cliutil"
 	"element/internal/exp"
-	"element/internal/faults"
 	"element/internal/telemetry"
 	"element/internal/units"
 	"element/internal/waterfall"
@@ -39,46 +36,26 @@ func main() {
 		algo     = flag.String("cc", "cubic", "congestion control")
 		dur      = flag.Float64("dur", 40, "simulated duration (seconds)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		faultsPr = flag.String("faults", "", "inject a fault profile: "+strings.Join(faults.Names(), "|"))
-		telPath  = flag.String("telemetry", "", "also write a telemetry export to this file (\"-\" = stdout)")
-		telFmt   = flag.String("trace-format", "chrome", "telemetry export format: chrome|jsonl|text")
-		wfPath   = flag.String("waterfall", "", "write the per-byte-range delay waterfall to this file (\"-\" = stdout)")
-		wfFmt    = flag.String("waterfall-format", "chrome", "waterfall export format: chrome|jsonl|ascii")
+		faultsFl = cliutil.FaultsFlag("inject a fault profile: ")
+		telOut   = cliutil.ExportFlag("telemetry", "also write a telemetry export to this file (\"-\" = stdout)",
+			"trace-format", "chrome", "telemetry export format: chrome|jsonl|text", telemetry.ParseFormat)
+		wfOut = cliutil.ExportFlag("waterfall", "write the per-byte-range delay waterfall to this file (\"-\" = stdout)",
+			"waterfall-format", "chrome", "waterfall export format: chrome|jsonl|ascii", waterfall.ParseFormat)
 	)
 	flag.Parse()
 
-	// Fail fast on bad export destinations before simulating anything
-	// ("-" means stdout and is skipped by the validator).
-	if err := cliutil.ValidateOutputPaths(map[string]string{
-		"telemetry": *telPath,
-		"waterfall": *wfPath,
-	}); err != nil {
+	// Fail fast on bad exports and profiles before simulating anything.
+	if err := cliutil.Validate(telOut, wfOut, faultsFl); err != nil {
 		fmt.Fprintln(os.Stderr, "elemtrace:", err)
 		os.Exit(2)
 	}
 
-	var (
-		telem  *telemetry.Telemetry
-		format telemetry.Format
-	)
-	if *telPath != "" {
-		var err error
-		if format, err = telemetry.ParseFormat(*telFmt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	var telem *telemetry.Telemetry
+	if telOut.Path != "" {
 		telem = telemetry.New()
 	}
-	var (
-		wf     *waterfall.Waterfall
-		wfForm waterfall.Format
-	)
-	if *wfPath != "" {
-		var err error
-		if wfForm, err = waterfall.ParseFormat(*wfFmt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	var wf *waterfall.Waterfall
+	if wfOut.Path != "" {
 		wf = waterfall.New()
 	}
 
@@ -91,14 +68,7 @@ func main() {
 		Flows:     []exp.FlowSpec{{CC: cc.Kind(*algo), Element: true}},
 		Telemetry: telem,
 		Waterfall: wf,
-	}
-	if *faultsPr != "" {
-		p, err := faults.ByName(*faultsPr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cfg.Faults = &p
+		Faults:    faultsFl.Profile,
 	}
 	// Ctrl-C stops the virtual clock at the next slice boundary; the
 	// partial trace and any telemetry/waterfall exports are still written.
@@ -112,13 +82,13 @@ func main() {
 	f := s.Flows[0]
 
 	if telem != nil {
-		if err := cliutil.WriteExport(*telPath, func(w io.Writer) error { return telem.Export(w, format) }); err != nil {
+		if err := telOut.Write(telem.Export); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 	if wf != nil {
-		if err := cliutil.WriteExport(*wfPath, func(w io.Writer) error { return wf.Export(w, wfForm) }); err != nil {
+		if err := wfOut.Write(wf.Export); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

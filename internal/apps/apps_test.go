@@ -33,22 +33,6 @@ func TestBulkSenderAndSink(t *testing.T) {
 	}
 }
 
-func TestFixedTransfer(t *testing.T) {
-	eng, net := vrNet(2)
-	c := stack.Dial(net, stack.ConnConfig{CC: cc.KindCubic})
-	doneAt := units.Time(0)
-	StartFixedTransfer(eng, c.Sender, 1<<20, 0, func() { doneAt = eng.Now() })
-	StartSink(eng, c.Receiver)
-	eng.RunUntil(units.Time(30 * units.Second))
-	eng.Shutdown()
-	if doneAt == 0 {
-		t.Fatal("transfer never completed")
-	}
-	if got := c.Sender.WrittenCum(); got != 1<<20 {
-		t.Fatalf("wrote %d bytes, want %d", got, 1<<20)
-	}
-}
-
 func runVR(t *testing.T, useElement bool) *VRStats {
 	t.Helper()
 	eng, net := vrNet(3)

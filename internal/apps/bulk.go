@@ -37,28 +37,3 @@ func StartSink(eng *sim.Engine, r core.StreamReader) {
 		}
 	})
 }
-
-// StartFixedTransfer writes exactly total bytes then stops; used for
-// request/response style workloads.
-func StartFixedTransfer(eng *sim.Engine, w core.StreamWriter, total, chunk int, done func()) {
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	eng.Spawn("fixed-sender", func(p *sim.Proc) {
-		left := total
-		for left > 0 {
-			n := chunk
-			if n > left {
-				n = left
-			}
-			got := w.Write(p, n)
-			if got == 0 {
-				return
-			}
-			left -= got
-		}
-		if done != nil {
-			done()
-		}
-	})
-}

@@ -166,7 +166,7 @@ func RunFanout(eng *sim.Engine, cfg FanoutConfig) *FanoutStats {
 	nextSeq := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		i := i
-		conds[i] = sim.NewCond(eng)
+		conds[i] = sim.NewCond()
 		conn := cfg.Conns[i]
 		eng.Spawn("fanout-writer", func(p *sim.Proc) {
 			for {
@@ -199,7 +199,7 @@ func RunFanout(eng *sim.Engine, cfg FanoutConfig) *FanoutStats {
 
 	end := units.Time(cfg.Duration)
 	inflight := 0
-	doneCond := sim.NewCond(eng)
+	doneCond := sim.NewCond()
 	onDone := func() {
 		inflight--
 		doneCond.Signal()

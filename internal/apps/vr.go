@@ -15,6 +15,9 @@ const (
 	// VRDeadline is the playback deadline: base latency plus the 100 ms
 	// VR-sickness threshold the paper cites ≈ 200 ms end to end.
 	VRDeadline = 200 * units.Millisecond
+	// vrMovePeriod is the mean interval between head movements on the
+	// control channel.
+	vrMovePeriod = 2 * units.Second
 )
 
 // VRResolutions are the selectable encodings, as bytes per frame. At 30
@@ -84,11 +87,9 @@ type VRConfig struct {
 	// Control, when set, is a reverse-direction connection (see
 	// stack.DialReverse) carrying the headset's viewpoint updates back to
 	// the server, as in the paper's Figure 17. The headset moves its head
-	// at MovePeriod intervals; each movement makes the server encode a
+	// vrMovePeriod intervals; each movement makes the server encode a
 	// full panoramic refresh (a larger frame) for the new viewpoint.
 	Control *stack.Conn
-	// MovePeriod is the mean interval between head movements (default 2s).
-	MovePeriod units.Duration
 	// Duration of the streaming session.
 	Duration units.Duration
 }
@@ -123,16 +124,13 @@ func RunVR(eng *sim.Engine, cfg VRConfig) *VRStats {
 		trackedFrames  = map[int]motion{}
 	)
 	if cfg.Control != nil {
-		if cfg.MovePeriod == 0 {
-			cfg.MovePeriod = 2 * units.Second
-		}
 		// Headset: move the head at random-ish intervals and send a small
 		// viewpoint message (x, y coordinates + angular speed).
 		eng.Spawn("vr-head-tracker", func(p *sim.Proc) {
 			rng := eng.Rand()
 			for p.Now() < units.Time(cfg.Duration) {
-				jitter := units.Duration(rng.Int63n(int64(cfg.MovePeriod)))
-				p.Sleep(cfg.MovePeriod/2 + jitter)
+				jitter := units.Duration(rng.Int63n(int64(vrMovePeriod)))
+				p.Sleep(vrMovePeriod/2 + jitter)
 				m := motion{sentAt: p.Now()}
 				pendingMotions = append(pendingMotions, m)
 				st.Movements++

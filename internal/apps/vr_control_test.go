@@ -21,7 +21,7 @@ func runVRWithControl(t *testing.T, useElement bool) *VRStats {
 	}
 	st := RunVR(eng, VRConfig{
 		UseElement: useElement, Element: snd, Conn: c, Control: ctrl,
-		MovePeriod: units.Second, Duration: 30 * units.Second,
+		Duration: 30 * units.Second,
 	})
 	eng.Spawn("ctrl-drain", func(p *sim.Proc) { // not strictly needed; sink is inside RunVR
 		p.Sleep(units.Millisecond)

@@ -18,10 +18,8 @@ const (
 
 // codelState is the control-law state shared by CoDel and each FQ-CoDel
 // sub-queue.
+// The zero value is ready to use.
 type codelState struct {
-	target   units.Duration
-	interval units.Duration
-
 	firstAboveTime units.Time // when sojourn first went above target; 0 = below
 	dropNext       units.Time // next drop time while dropping
 	count          int        // drops since entering drop state
@@ -29,30 +27,20 @@ type codelState struct {
 	dropping       bool
 }
 
-func newCodelState(target, interval units.Duration) codelState {
-	if target == 0 {
-		target = CoDelTarget
-	}
-	if interval == 0 {
-		interval = CoDelInterval
-	}
-	return codelState{target: target, interval: interval}
-}
-
 // controlLaw spaces successive drops by interval/sqrt(count).
 func (c *codelState) controlLaw(t units.Time) units.Time {
-	return t.Add(units.Duration(float64(c.interval) / math.Sqrt(float64(c.count))))
+	return t.Add(units.Duration(float64(CoDelInterval) / math.Sqrt(float64(c.count))))
 }
 
 // shouldDrop runs the RFC 8289 dequeue-side law for a packet with the given
 // sojourn time and reports whether the packet should be dropped (or marked).
 func (c *codelState) shouldDrop(sojourn units.Duration, now units.Time, qBytes int, mtu int) bool {
 	okToDrop := false
-	if sojourn < c.target || qBytes <= mtu {
+	if sojourn < CoDelTarget || qBytes <= mtu {
 		c.firstAboveTime = 0
 	} else {
 		if c.firstAboveTime == 0 {
-			c.firstAboveTime = now.Add(c.interval)
+			c.firstAboveTime = now.Add(CoDelInterval)
 		} else if now >= c.firstAboveTime {
 			okToDrop = true
 		}
@@ -76,7 +64,7 @@ func (c *codelState) shouldDrop(sojourn units.Duration, now units.Time, qBytes i
 		// (within one interval), per the RFC.
 		delta := c.count - c.lastCount
 		c.count = 1
-		if delta > 1 && now.Sub(c.dropNext) < 16*c.interval {
+		if delta > 1 && now.Sub(c.dropNext) < 16*CoDelInterval {
 			c.count = delta
 		}
 		c.lastCount = c.count
@@ -95,29 +83,12 @@ type CoDel struct {
 	mtu   int
 }
 
-// CoDelOption tweaks a CoDel instance.
-type CoDelOption func(*CoDel)
-
-// WithCoDelTarget overrides the target delay.
-func WithCoDelTarget(d units.Duration) CoDelOption {
-	return func(c *CoDel) { c.st.target = d }
-}
-
-// WithCoDelInterval overrides the interval.
-func WithCoDelInterval(d units.Duration) CoDelOption {
-	return func(c *CoDel) { c.st.interval = d }
-}
-
 // NewCoDel returns a CoDel queue with RFC-default parameters.
-func NewCoDel(cfg Config, opts ...CoDelOption) *CoDel {
+func NewCoDel(cfg Config) *CoDel {
 	if cfg.LimitPackets == 0 {
 		cfg.LimitPackets = DefaultFIFOLimit
 	}
-	c := &CoDel{cfg: cfg, st: newCodelState(0, 0), mtu: 1514}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+	return &CoDel{cfg: cfg, mtu: 1514}
 }
 
 // Enqueue implements Discipline.

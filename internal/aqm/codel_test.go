@@ -6,19 +6,6 @@ import (
 	"element/internal/units"
 )
 
-func TestCoDelOptions(t *testing.T) {
-	c := NewCoDel(Config{},
-		WithCoDelTarget(10*units.Millisecond),
-		WithCoDelInterval(200*units.Millisecond),
-	)
-	if c.st.target != 10*units.Millisecond {
-		t.Fatalf("target = %v", c.st.target)
-	}
-	if c.st.interval != 200*units.Millisecond {
-		t.Fatalf("interval = %v", c.st.interval)
-	}
-}
-
 func TestCoDelNoDropBelowTarget(t *testing.T) {
 	c := NewCoDel(Config{})
 	now := units.Time(0)

@@ -55,9 +55,6 @@ func NewFQCoDel(cfg Config) *FQCoDel {
 	}
 	f := &FQCoDel{cfg: cfg, quantum: FQCoDelQuantum}
 	f.flows = make([]fqFlow, FQCoDelFlows)
-	for i := range f.flows {
-		f.flows[i].st = newCodelState(0, 0)
-	}
 	return f
 }
 

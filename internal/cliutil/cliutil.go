@@ -1,17 +1,106 @@
 // Package cliutil holds small helpers shared by the command-line front
-// ends. Its main job is up-front validation of output-path flags: a run
-// that simulates for minutes and then dies on os.Create because the
-// target directory never existed is the failure mode this prevents —
-// every command validates its export destinations before any work starts.
+// ends. Its main job is up-front validation of flags: a run that
+// simulates for minutes and then dies on os.Create because the target
+// directory never existed, or on an export format nobody spelled right,
+// is the failure mode this prevents — every command validates its export
+// pairs and its fault profile before any work starts.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
+
+	"element/internal/faults"
 )
+
+// validator is a flag group Validate checks once flags are parsed.
+type validator interface{ validate() error }
+
+// Validate checks each flag group in order and returns the first error,
+// which names its flag. Commands call it right after flag.Parse, so a bad
+// path, format or profile ends the run before anything is simulated.
+func Validate(groups ...validator) error {
+	for _, g := range groups {
+		if err := g.validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Export is one export flag pair: a path flag selects the destination
+// ("-" = standard output, "" = no export) and a format flag its
+// encoding. Path and Format are valid after Validate.
+type Export[F ~string] struct {
+	Path   string
+	Format F
+
+	name, formatName, formatArg string
+	parse                       func(string) (F, error)
+}
+
+// ExportFlag registers an export pair on the command line: the path flag
+// name with usage, and the format flag formatName with its default and
+// usage, parsed by parse.
+func ExportFlag[F ~string](name, usage, formatName, formatDefault, formatUsage string, parse func(string) (F, error)) *Export[F] {
+	return exportFlag(flag.CommandLine, name, usage, formatName, formatDefault, formatUsage, parse)
+}
+
+func exportFlag[F ~string](fs *flag.FlagSet, name, usage, formatName, formatDefault, formatUsage string, parse func(string) (F, error)) *Export[F] {
+	e := &Export[F]{name: name, formatName: formatName, parse: parse}
+	fs.StringVar(&e.Path, name, "", usage)
+	fs.StringVar(&e.formatArg, formatName, formatDefault, formatUsage)
+	return e
+}
+
+func (e *Export[F]) validate() error {
+	f, err := e.parse(e.formatArg)
+	if err != nil {
+		return fmt.Errorf("-%s: %w", e.formatName, err)
+	}
+	e.Format = f
+	return ValidateOutputPath(e.name, e.Path)
+}
+
+// Write runs write against the export's destination in its format (see
+// WriteExport).
+func (e *Export[F]) Write(write func(io.Writer, F) error) error {
+	return WriteExport(e.Path, func(w io.Writer) error { return write(w, e.Format) })
+}
+
+// Faults is the -faults flag: a fault-profile name, resolved by Validate.
+type Faults struct {
+	// Profile is the named profile, nil when the flag is unset.
+	Profile *faults.Profile
+	// Name is the flag's value.
+	Name string
+}
+
+// FaultsFlag registers -faults; its usage is usage followed by the
+// profile names.
+func FaultsFlag(usage string) *Faults { return faultsFlag(flag.CommandLine, usage) }
+
+func faultsFlag(fs *flag.FlagSet, usage string) *Faults {
+	f := &Faults{}
+	fs.StringVar(&f.Name, "faults", "", usage+strings.Join(faults.Names(), "|"))
+	return f
+}
+
+func (f *Faults) validate() error {
+	if f.Name == "" {
+		return nil
+	}
+	p, err := faults.ByName(f.Name)
+	if err != nil {
+		return fmt.Errorf("-faults: %w", err)
+	}
+	f.Profile = &p
+	return nil
+}
 
 // ValidateOutputPath checks that the file named by an output flag can
 // plausibly be created at the end of the run: the parent directory must
@@ -54,25 +143,6 @@ func ValidateInputPath(flagName, path string) error {
 	}
 	if fi.IsDir() {
 		return fmt.Errorf("-%s: %q is a directory, want a file", flagName, path)
-	}
-	return nil
-}
-
-// ValidateOutputPaths validates several (flag, path) pairs and returns the
-// first failure.
-func ValidateOutputPaths(pairs map[string]string) error {
-	// Deterministic order is not needed for correctness, but stable error
-	// selection makes scripting against the messages less surprising:
-	// validate in sorted flag order.
-	flags := make([]string, 0, len(pairs))
-	for f := range pairs {
-		flags = append(flags, f)
-	}
-	sort.Strings(flags)
-	for _, f := range flags {
-		if err := ValidateOutputPath(f, pairs[f]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -2,11 +2,15 @@ package cliutil
 
 import (
 	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"element/internal/faults"
 )
 
 func TestValidateOutputPath(t *testing.T) {
@@ -59,18 +63,120 @@ func TestValidateInputPath(t *testing.T) {
 	}
 }
 
-func TestValidateOutputPathsNamesFirstSortedFailure(t *testing.T) {
-	dir := t.TempDir()
-	err := ValidateOutputPaths(map[string]string{
-		"waterfall": filepath.Join(dir, "missing", "w"),
-		"telemetry": filepath.Join(dir, "missing", "t"),
-		"ok":        filepath.Join(dir, "fine.json"),
-	})
-	if err == nil {
-		t.Fatal("want failure")
+// testFormat stands in for a package's export format type.
+type testFormat string
+
+func parseTestFormat(s string) (testFormat, error) {
+	if s != "chrome" && s != "jsonl" {
+		return "", fmt.Errorf("test: unknown format %q (have chrome, jsonl)", s)
 	}
-	if !strings.Contains(err.Error(), "-telemetry") {
-		t.Fatalf("want sorted-first flag (-telemetry) in error, got: %v", err)
+	return testFormat(s), nil
+}
+
+// parseFlags registers one export pair and -faults on a fresh flag set
+// and parses args, as a command's main does.
+func parseFlags(t *testing.T, args ...string) (*Export[testFormat], *Faults) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	out := exportFlag(fs, "reqtrace", "span trees", "reqtrace-format", "chrome", "chrome|jsonl", parseTestFormat)
+	flt := faultsFlag(fs, "fault profile: ")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return out, flt
+}
+
+func TestExportBadFormatNamesItsFlag(t *testing.T) {
+	out, flt := parseFlags(t, "-reqtrace", filepath.Join(t.TempDir(), "x.json"), "-reqtrace-format", "yaml")
+	err := Validate(out, flt)
+	if err == nil || !strings.HasPrefix(err.Error(), "-reqtrace-format: ") || !strings.Contains(err.Error(), `"yaml"`) {
+		t.Fatalf("bad format: %v, want an error naming -reqtrace-format and the value", err)
+	}
+	// The format is checked even without a path: a typo never waits for
+	// the run that would have used it.
+	out, flt = parseFlags(t, "-reqtrace-format", "yaml")
+	if err := Validate(out, flt); err == nil {
+		t.Fatal("bad format without a path accepted")
+	}
+}
+
+func TestExportDashIsStdout(t *testing.T) {
+	out, flt := parseFlags(t, "-reqtrace", "-", "-reqtrace-format", "jsonl")
+	if err := Validate(out, flt); err != nil {
+		t.Fatalf("stdout export rejected: %v", err)
+	}
+	if out.Path != "-" || out.Format != "jsonl" {
+		t.Fatalf("parsed %q/%q, want -/jsonl", out.Path, out.Format)
+	}
+	dir := t.TempDir()
+	capture, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = capture
+	err = out.Write(func(w io.Writer, f testFormat) error { _, err := io.WriteString(w, string(f)); return err })
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture.Close()
+	if got, _ := os.ReadFile(capture.Name()); string(got) != "jsonl" {
+		t.Fatalf("standard output got %q, want the export in its parsed format", got)
+	}
+	if _, err := os.Stat("-"); err == nil {
+		os.Remove("-")
+		t.Fatal(`Export.Write created a file named "-"`)
+	}
+}
+
+// A bad destination fails in Validate, which commands call before any
+// work: nothing has been written, and the error names the path flag.
+func TestValidateBadPathFailsBeforeWork(t *testing.T) {
+	dir := t.TempDir()
+	out, flt := parseFlags(t, "-reqtrace", filepath.Join(dir, "missing", "x.json"), "-faults", "stale-info")
+	err := Validate(out, flt)
+	if err == nil || !strings.Contains(err.Error(), "-reqtrace:") || !strings.Contains(err.Error(), "does not exist") {
+		t.Fatalf("missing directory: %v, want an error naming -reqtrace", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
+		t.Fatalf("validation created the missing directory: %v", err)
+	}
+}
+
+// Validate checks its groups in order, and the first failure is the one
+// reported.
+func TestValidateNamesFirstFailure(t *testing.T) {
+	out, bad := parseFlags(t, "-reqtrace", filepath.Join(t.TempDir(), "missing", "x.json"), "-faults", "bogus")
+	if err := Validate(out, bad); err == nil || !strings.HasPrefix(err.Error(), "-reqtrace: ") {
+		t.Fatalf("Validate(export, faults) = %v, want the -reqtrace failure", err)
+	}
+	if err := Validate(bad, out); err == nil || !strings.HasPrefix(err.Error(), "-faults: ") {
+		t.Fatalf("Validate(faults, export) = %v, want the -faults failure", err)
+	}
+}
+
+func TestFaultsUnknownProfileListsNames(t *testing.T) {
+	out, flt := parseFlags(t, "-faults", "bogus")
+	err := Validate(out, flt)
+	if err == nil || !strings.HasPrefix(err.Error(), "-faults: ") {
+		t.Fatalf("unknown profile: %v, want an error naming -faults", err)
+	}
+	for _, name := range faults.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not list the valid profile %q", err, name)
+		}
+	}
+	if flt.Profile != nil {
+		t.Fatal("unknown profile resolved to a profile")
+	}
+	out, flt = parseFlags(t, "-faults", "stale-info")
+	if err := Validate(out, flt); err != nil || flt.Profile == nil || flt.Profile.Name != "stale-info" {
+		t.Fatalf("known profile: %v, %+v", err, flt.Profile)
+	}
+	out, flt = parseFlags(t)
+	if err := Validate(out, flt); err != nil || flt.Profile != nil {
+		t.Fatalf("unset -faults: %v, %+v; want no profile", err, flt.Profile)
 	}
 }
 

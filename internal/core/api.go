@@ -31,16 +31,6 @@ type RetInfo struct {
 	ErrBound float64
 }
 
-// Controller is a pluggable latency-control strategy. Algorithm 3 is the
-// default, but §4.4 explicitly allows applications to "override it with
-// their own algorithm": OnDelay receives every Algorithm 1 buffer-delay
-// sample, and AfterSend runs on the writing process after each send (where
-// a controller may sleep to pace the application).
-type Controller interface {
-	OnDelay(d units.Duration)
-	AfterSend(p *sim.Proc, cumWritten uint64)
-}
-
 // Options configures an ELEMENT attachment (the init_em arguments). The
 // trackers poll at DefaultInterval with DefaultRecordCap records; a caller
 // that needs either changed builds them with NewSenderTrackerOpts.
@@ -53,9 +43,6 @@ type Options struct {
 	Wireless bool
 	// Minimizer overrides individual Algorithm 3 parameters.
 	Minimizer MinimizerConfig
-	// Controller replaces Algorithm 3 with a custom strategy. Mutually
-	// exclusive with Minimize.
-	Controller Controller
 	// Telem records tracker and minimizer activity under the "core"
 	// component, scoped to the socket's flow. Nil disables instrumentation.
 	Telem *telemetry.Telemetry
@@ -72,7 +59,6 @@ type Sender struct {
 	sock    *stack.Socket
 	Tracker *SenderTracker
 	Min     *Minimizer // nil unless Options.Minimize
-	ctrl    Controller // nil unless Options.Controller
 
 	lastAcked  uint64
 	lastAt     units.Time
@@ -81,9 +67,6 @@ type Sender struct {
 
 // AttachSender wires ELEMENT onto a sending socket.
 func AttachSender(eng *sim.Engine, sock *stack.Socket, opts Options) *Sender {
-	if opts.Minimize && opts.Controller != nil {
-		panic("core: Options.Minimize and Options.Controller are mutually exclusive")
-	}
 	src := InfoSource(sock)
 	if opts.Info != nil {
 		src = opts.Info
@@ -92,15 +75,11 @@ func AttachSender(eng *sim.Engine, sock *stack.Socket, opts Options) *Sender {
 	s.Tracker = NewSenderTrackerOpts(eng, src, TrackerOptions{})
 	sc := opts.Telem.Scope("core").WithFlow(sock.FlowID())
 	s.Tracker.Instrument(sc)
-	switch {
-	case opts.Minimize:
+	if opts.Minimize {
 		cfg := opts.Minimizer
 		cfg.Wireless = cfg.Wireless || opts.Wireless
 		s.Min = NewMinimizer(eng, src, s.Tracker, cfg)
 		s.Min.Instrument(sc)
-	case opts.Controller != nil:
-		s.ctrl = opts.Controller
-		s.Tracker.subscribe(func(m Measurement) { s.ctrl.OnDelay(m.Delay) })
 	}
 	return s
 }
@@ -115,8 +94,6 @@ func (s *Sender) Send(p *sim.Proc, n int) RetInfo {
 		s.Tracker.OnWrite(cum)
 		if s.Min != nil {
 			s.Min.AfterSend(p, cum)
-		} else if s.ctrl != nil {
-			s.ctrl.AfterSend(p, cum)
 		}
 	}
 	return s.retinfo(got)

@@ -20,7 +20,7 @@ import (
 func TestSenderCheckpointJSONRoundTrip(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000, RcvMSS: 1000, BytesAcked: 1}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	eng.Schedule(0, func() { tr.OnWrite(5000) })
 	eng.Schedule(15*units.Millisecond, func() { tr.OnWrite(9000) })
 	eng.RunUntil(units.Time(50 * units.Millisecond))
@@ -44,7 +44,7 @@ func TestSenderCheckpointJSONRoundTrip(t *testing.T) {
 func TestReceiverCheckpointJSONRoundTrip(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{RcvMSS: 1000}}
-	tr := NewReceiverTracker(eng, src, 10*units.Millisecond)
+	tr := NewReceiverTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	eng.Schedule(5*units.Millisecond, func() { src.info.SegsIn = 3 })
 	eng.Schedule(25*units.Millisecond, func() { src.info.SegsIn = 7 })
 	eng.RunUntil(units.Time(50 * units.Millisecond))
@@ -71,7 +71,7 @@ func TestReceiverCheckpointJSONRoundTrip(t *testing.T) {
 func TestMinimizerCheckpointJSONRoundTrip(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000, RcvMSS: 1000, SndCwnd: 10, SndBuf: 64 << 10, RTT: 20 * units.Millisecond}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	m := NewMinimizer(eng, src, tr, MinimizerConfig{})
 	eng.Schedule(0, func() { tr.OnWrite(4000) })
 	eng.Schedule(5*units.Millisecond, func() { src.info.BytesAcked = 4000 })
@@ -104,7 +104,7 @@ func TestMinimizerCheckpointJSONRoundTrip(t *testing.T) {
 func TestSenderRestoreWidensBoundsOverOutage(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000, RcvMSS: 1000, BytesAcked: 1}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	eng.Schedule(0, func() { tr.OnWrite(5000) })
 	eng.RunUntil(units.Time(40 * units.Millisecond))
 	// Monitor dies at t=40ms with the write still unmatched.
@@ -146,7 +146,7 @@ func TestSenderRestoreWidensBoundsOverOutage(t *testing.T) {
 func TestReceiverRestoreWidensBoundsOverOutage(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{RcvMSS: 1000}}
-	tr := NewReceiverTracker(eng, src, 10*units.Millisecond)
+	tr := NewReceiverTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	eng.Schedule(5*units.Millisecond, func() { src.info.SegsIn = 3 })
 	eng.RunUntil(units.Time(30 * units.Millisecond))
 	tr.Stop()
@@ -222,8 +222,8 @@ func runWithOutage(t *testing.T, seed int64, dur, interruptAt, restoreGap units.
 	}
 
 	rr := &restoreRun{eng: eng, col: col}
-	snd := NewSenderTracker(eng, sndSrc, 0)
-	rcv := NewReceiverTracker(eng, rcvSrc, 0)
+	snd := NewSenderTrackerOpts(eng, sndSrc, TrackerOptions{})
+	rcv := NewReceiverTrackerOpts(eng, rcvSrc, TrackerOptions{})
 	alive := true
 
 	eng.Spawn("writer", func(p *sim.Proc) {

@@ -25,9 +25,6 @@
 package core
 
 import (
-	"fmt"
-	"io"
-
 	"element/internal/stats"
 	"element/internal/tcpinfo"
 	"element/internal/units"
@@ -148,25 +145,4 @@ func (e *Estimates) Latest() Measurement {
 		return Measurement{}
 	}
 	return *e.log.At(n - 1)
-}
-
-// WriteTo dumps the measurement log in the columns the paper's trackers
-// print — elapsed time, delay, cwnd, ssthresh, rtt — one line per sample
-// ("recorded into output files", §3.2). It implements io.WriterTo.
-func (e *Estimates) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	n, err := fmt.Fprintln(w, "# t_seconds\tdelay_seconds\tcwnd_segs\tssthresh_segs\trtt_seconds")
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	for m := range e.log.All() {
-		n, err := fmt.Fprintf(w, "%.6f\t%.6f\t%d\t%d\t%.6f\n",
-			m.At.Seconds(), m.Delay.Seconds(), m.Cwnd, m.Ssthresh, m.RTT.Seconds())
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -26,7 +26,7 @@ func (f *fakeSource) SetSndBuf(b int)                    { f.sndBuf = append(f.s
 func TestSenderTrackerMatchesWritesAgainstBest(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000, RcvMSS: 1000}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 
 	// App writes 5000 bytes at t=0.
 	eng.Schedule(0, func() { tr.OnWrite(5000) })
@@ -55,7 +55,7 @@ func TestSenderTrackerMatchesWritesAgainstBest(t *testing.T) {
 func TestSenderTrackerDoesNotMatchEarly(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	eng.Schedule(0, func() { tr.OnWrite(5000) })
 	// B_est stays at 4999 < 5000: no sample may be emitted.
 	src.info.BytesAcked = 4999
@@ -73,7 +73,7 @@ func TestSenderTrackerDoesNotMatchEarly(t *testing.T) {
 func TestReceiverTrackerRecordsGrowthAndMatchesReads(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{RcvMSS: 1000}}
-	tr := NewReceiverTracker(eng, src, 10*units.Millisecond)
+	tr := NewReceiverTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	// 3 segments arrive at TCP by t=5ms: B_est = 3000, recorded at 10ms.
 	eng.Schedule(5*units.Millisecond, func() { src.info.SegsIn = 3 })
 	// The app reads 2500 bytes at t=50ms: the covering record is the
@@ -94,7 +94,7 @@ func TestReceiverTrackerRecordsGrowthAndMatchesReads(t *testing.T) {
 func TestReceiverTrackerDiscardsCoveredRecords(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{RcvMSS: 1000}}
-	tr := NewReceiverTracker(eng, src, 10*units.Millisecond)
+	tr := NewReceiverTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	eng.Schedule(5*units.Millisecond, func() { src.info.SegsIn = 1 })  // 1000 @10ms
 	eng.Schedule(15*units.Millisecond, func() { src.info.SegsIn = 2 }) // 2000 @20ms
 	eng.Schedule(25*units.Millisecond, func() { src.info.SegsIn = 3 }) // 3000 @30ms
@@ -288,7 +288,7 @@ func TestMinimizerWirelessSetsBuffer(t *testing.T) {
 	src := &fakeSource{info: tcpinfo.TCPInfo{
 		SndMSS: 1460, SndCwnd: 20, RTT: 50 * units.Millisecond, SndBuf: 1 << 20,
 	}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	m := NewMinimizer(eng, src, tr, MinimizerConfig{Wireless: true})
 	// Feed delay measurements via the tracker: one write matched per poll.
 	cum := uint64(0)
@@ -322,7 +322,7 @@ func TestMinimizerTargetLaw(t *testing.T) {
 	src := &fakeSource{info: tcpinfo.TCPInfo{
 		SndMSS: 1000, SndCwnd: 100, RTT: 10 * units.Millisecond, SndBuf: 500000,
 	}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	m := NewMinimizer(eng, src, tr, MinimizerConfig{})
 	m.Davg = 200 * units.Millisecond // 8× D_thr
 	m.Starget = 400000
@@ -404,7 +404,7 @@ func TestTrackerPollIntervalAffectsResolution(t *testing.T) {
 	run := func(interval units.Duration) int {
 		eng := sim.New(5)
 		src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000}}
-		tr := NewSenderTracker(eng, src, interval)
+		tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: interval})
 		eng.RunUntil(units.Time(units.Second))
 		n := tr.Polls()
 		tr.Stop()

@@ -14,7 +14,7 @@ import (
 func TestSenderTrackerSurvivesBackwardsCounters(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000, RcvMSS: 1000}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 
 	eng.Schedule(0, func() { tr.OnWrite(5000) })
 	eng.Schedule(15*units.Millisecond, func() {
@@ -49,7 +49,7 @@ func TestThroughputEstimateSurvivesBackwardsCounters(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000, BytesAcked: 100000}}
 	s := &Sender{eng: eng, sock: nil}
-	s.Tracker = NewSenderTracker(eng, src, 10*units.Millisecond)
+	s.Tracker = NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 
 	eng.Schedule(10*units.Millisecond, func() {
 		if tp := s.ThroughputEstimate(); tp <= 0 {
@@ -136,7 +136,7 @@ func TestSanitizerKeepsPrimaryWhenBytesAckedPresent(t *testing.T) {
 func TestSenderTrackerFallbackSamplesAreWidened(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 
 	eng.Schedule(0, func() { tr.OnWrite(4500) })
 	eng.Schedule(5*units.Millisecond, func() {
@@ -181,7 +181,7 @@ func TestSenderTrackerFallbackSamplesAreWidened(t *testing.T) {
 func TestSenderTrackerStallWidensBounds(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 
 	eng.Schedule(0, func() { tr.OnWrite(1000) })
 	// Snapshot frozen for 60 ms, then jumps.
@@ -209,7 +209,7 @@ func TestSenderTrackerStallWidensBounds(t *testing.T) {
 func TestMinimizerSafeModeOnLowConfidence(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000, SndCwnd: 10, SndBuf: 64000, RTT: 20 * units.Millisecond}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 	min := NewMinimizer(eng, src, tr, MinimizerConfig{})
 
 	// Feed the minimizer low-confidence measurements directly.
@@ -255,7 +255,7 @@ func TestMinimizerSafeModeOnLowConfidence(t *testing.T) {
 func TestReceiverTrackerDetectsLag(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{RcvMSS: 1000}}
-	tr := NewReceiverTracker(eng, src, 10*units.Millisecond)
+	tr := NewReceiverTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 
 	eng.Schedule(5*units.Millisecond, func() { src.info.SegsIn = 2 }) // B_est = 2000
 	// App reads 5000 > B_est: provable lag.
@@ -274,7 +274,7 @@ func TestReceiverTrackerDetectsLag(t *testing.T) {
 func TestCleanRunStaysHighConfidence(t *testing.T) {
 	eng := sim.New(1)
 	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1000, RcvMSS: 1000}}
-	tr := NewSenderTracker(eng, src, 10*units.Millisecond)
+	tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: 10 * units.Millisecond})
 
 	eng.Schedule(0, func() { tr.OnWrite(1000) })
 	eng.Schedule(5*units.Millisecond, func() { src.info.BytesAcked = 1000 })

@@ -174,13 +174,8 @@ func (o TrackerOptions) normalize() TrackerOptions {
 	return o
 }
 
-// NewSenderTracker starts Algorithm 1's tcp_info tracking thread on eng.
-// interval = 0 uses the paper's 10 ms default.
-func NewSenderTracker(eng *sim.Engine, src InfoSource, interval units.Duration) *SenderTracker {
-	return NewSenderTrackerOpts(eng, src, TrackerOptions{Interval: interval})
-}
-
-// NewSenderTrackerOpts is NewSenderTracker with full construction options.
+// NewSenderTrackerOpts starts Algorithm 1's tcp_info tracking thread on
+// eng.
 func NewSenderTrackerOpts(eng *sim.Engine, src InfoSource, opts TrackerOptions) *SenderTracker {
 	opts = opts.normalize()
 	t := &SenderTracker{eng: eng, san: newSanitizer(src), interval: opts.Interval}
@@ -426,8 +421,7 @@ func (t *SenderTracker) Stop() {
 	t.ticker.Stop()
 }
 
-// subscribe registers the minimizer's (or a custom controller's)
-// measurement callback.
+// subscribe registers the minimizer's measurement callback.
 func (t *SenderTracker) subscribe(fn func(Measurement)) { t.onDelay = fn }
 
 // ReceiverTracker implements Algorithm 2: user-level estimation of the
@@ -503,12 +497,8 @@ const offsetWindowPolls = 100
 // offUnset marks an offset-window bucket that saw no drains yet.
 const offUnset = ^uint64(0)
 
-func NewReceiverTracker(eng *sim.Engine, src InfoSource, interval units.Duration) *ReceiverTracker {
-	return NewReceiverTrackerOpts(eng, src, TrackerOptions{Interval: interval})
-}
-
-// NewReceiverTrackerOpts is NewReceiverTracker with full construction
-// options.
+// NewReceiverTrackerOpts starts Algorithm 2's tcp_info tracking thread on
+// eng.
 func NewReceiverTrackerOpts(eng *sim.Engine, src InfoSource, opts TrackerOptions) *ReceiverTracker {
 	opts = opts.normalize()
 	t := &ReceiverTracker{eng: eng, san: newSanitizer(src), interval: opts.Interval}

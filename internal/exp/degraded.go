@@ -13,30 +13,15 @@ import (
 // within its self-reported error bound of trace ground truth or is
 // explicitly marked low-confidence — degraded input must never produce a
 // silently-wrong estimate.
-//
-// The checkers themselves live in internal/core (core/bounds.go) so the
-// fleet supervisor and the soak harness can reconcile per-connection
-// results without importing this package; the exp names are kept as
-// aliases.
-
-// BoundCheck tallies the bounded-or-flagged evaluation of one estimator
-// log against ground truth (alias of core.BoundCheck).
-type BoundCheck = core.BoundCheck
-
-// CheckSenderBounds and CheckReceiverBounds evaluate estimator logs
-// against trace ground truth; see core/bounds.go.
-var (
-	CheckSenderBounds   = core.CheckSenderBounds
-	CheckReceiverBounds = core.CheckReceiverBounds
-)
+// The checkers live in internal/core (core/bounds.go).
 
 // DegradedRun is the outcome of one fault profile's scenario.
 type DegradedRun struct {
 	Profile    faults.Profile
 	Scenario   *Scenario
 	Flow       *FlowResult
-	Sender     BoundCheck
-	Receiver   BoundCheck
+	Sender     core.BoundCheck
+	Receiver   core.BoundCheck
 	Anomalies  core.AnomalyCounts // sender + receiver trackers combined
 	FaultCount faults.Counts
 }
@@ -66,8 +51,8 @@ func RunDegraded(profile string, seed int64, duration units.Duration) (*Degraded
 		Profile:    prof,
 		Scenario:   s,
 		Flow:       fr,
-		Sender:     CheckSenderBounds(fr.Sender.Estimates().Log(), fr.GT.SenderDelay(), 0),
-		Receiver:   CheckReceiverBounds(fr.Receiver.Estimates().Log(), fr.GT.ReceiverDelay()),
+		Sender:     core.CheckSenderBounds(fr.Sender.Estimates().Log(), fr.GT.SenderDelay(), 0),
+		Receiver:   core.CheckReceiverBounds(fr.Receiver.Estimates().Log(), fr.GT.ReceiverDelay()),
 		FaultCount: s.Inj.Counts(),
 	}
 	run.Anomalies = fr.Sender.Tracker.Anomalies()

@@ -44,7 +44,7 @@ var Registry = []Experiment{
 	{"fig15", "Cubic/Vegas/BBR ± ELEMENT",
 		"delay minimization interacting with loss-, delay-, and model-based congestion control", Fig15},
 	{"fig16", "Sprout/Verus/ELEMENT delay & fairness",
-		"self-inflicted delay and Jain fairness vs specialized low-latency protocols", Fig16},
+		"self-inflicted delay and per-flow throughput share vs specialized low-latency protocols", Fig16},
 	{"fig18", "VR streaming ± ELEMENT, ± CoDel",
 		"motion-to-photon latency of a VR stream with a reverse viewpoint channel", Fig18},
 	{"tab_cpu", "ELEMENT overhead",

@@ -33,6 +33,43 @@ func testConfig(seed int64, conns int) Config {
 	}
 }
 
+// TestFleetShortHorizonRestarts is the restart matrix at the horizons
+// the long soaks skip: elemfleet's churn defaults over 4 connections, at
+// 0.5, 1 and 2 s, with and without fan-out, seeds 1–5. A monitor that
+// crashes or is recycled before its first periodic checkpoint must still
+// restart through a restore (from its birth checkpoint), so the run
+// stays bounded-or-flagged and every restart counts its restores.
+func TestFleetShortHorizonRestarts(t *testing.T) {
+	testutil.NoLeaks(t)
+	for _, dur := range []units.Duration{500 * units.Millisecond, units.Second, 2 * units.Second} {
+		for _, fanout := range []bool{false, true} {
+			for seed := int64(1); seed <= 5; seed++ {
+				cfg := Config{
+					Seed:        seed,
+					Connections: 4,
+					Duration:    dur,
+					Churn: ChurnConfig{
+						OpenWindow: units.Second,
+						CloseFrac:  0.25,
+						CrashFrac:  0.4,
+						StallFrac:  0.3,
+					},
+				}
+				if fanout {
+					cfg.Fanout = &FanoutConfig{Degree: 2}
+				}
+				res := New(cfg).Run()
+				if v := res.Violations(); v != 0 {
+					t.Errorf("dur=%v fanout=%v seed=%d: %d bound violations (%v)", dur, fanout, seed, v, res)
+				}
+				if res.Restarts > 0 && res.Restores == 0 {
+					t.Errorf("dur=%v fanout=%v seed=%d: %d restarts but no restores", dur, fanout, seed, res.Restarts)
+				}
+			}
+		}
+	}
+}
+
 func TestFleetBoundedOrFlaggedUnderChurn(t *testing.T) {
 	testutil.NoLeaks(t)
 	res := New(testConfig(3, 12)).Run()

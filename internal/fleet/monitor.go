@@ -160,7 +160,12 @@ func (m *Monitor) open() {
 		// rebase contract — instead of starting a fresh series.
 		m.restore()
 	} else {
+		// The birth checkpoint: a monitor that dies before its first
+		// periodic checkpoint restores from its fresh trackers, rebased
+		// on the counters that moved while it was down, instead of
+		// starting empty trackers over non-zero counters.
 		m.startFresh()
+		m.hold()
 	}
 	if at := m.plan.crashAt; at > 0 {
 		sh.eng.At(units.Time(at), func() { m.crashNext = true })
@@ -226,8 +231,8 @@ func (m *Monitor) startTraffic() {
 	})
 }
 
-// startFresh brings up a brand-new monitor incarnation (first start, or a
-// restart with no checkpoint to restore).
+// startFresh brings up the first monitor incarnation when there is no
+// checkpoint to restore.
 func (m *Monitor) startFresh() {
 	cfg := m.fl.cfg
 	opts := core.TrackerOptions{Interval: cfg.Interval, Detached: true}
@@ -467,11 +472,7 @@ func (m *Monitor) doRestart() {
 	if m.sh.ctrRestarts != nil {
 		m.sh.ctrRestarts.Inc()
 	}
-	if m.haveCP {
-		m.restore()
-	} else {
-		m.startFresh()
-	}
+	m.restore()
 	m.sh.updateGauges()
 }
 
@@ -488,16 +489,21 @@ func (m *Monitor) checkpoint() {
 	if !m.snd.Encodable() || !m.rcv.Encodable() || (m.min != nil && !m.min.Encodable()) {
 		return
 	}
+	m.hold()
+	m.sh.checkpoints++
+	if m.sh.ctrCheckpoints != nil {
+		m.sh.ctrCheckpoints.Inc()
+	}
+}
+
+// hold refills the held checkpoint from the live trackers.
+func (m *Monitor) hold() {
 	m.snd.CheckpointInto(&m.sndCP)
 	m.rcv.CheckpointInto(&m.rcvCP)
 	if m.min != nil {
 		m.minCP, m.haveMinCP = m.min.Checkpoint(), true
 	}
 	m.haveCP = true
-	m.sh.checkpoints++
-	if m.sh.ctrCheckpoints != nil {
-		m.sh.ctrCheckpoints.Inc()
-	}
 }
 
 // drain finishes the monitor: one last supervised poll so in-flight

@@ -26,7 +26,6 @@ func TestFleetOverloadShedsUnderBudgetPressure(t *testing.T) {
 	cfg.Overload = &overload.Config{
 		Budgets:   overload.Budgets{RetainedSamples: 2000},
 		HoldTicks: 2,
-		StepFlows: 2,
 	}
 	res := New(cfg).Run()
 
@@ -78,16 +77,10 @@ func overloadStack(seed int64, conns int, sinkProfile string, buf *bytes.Buffer)
 		Window: 100 * units.Millisecond,
 		Sink:   stream.NewTextExporter(buf),
 	}
-	cfg.ExportQueue = &overload.QueueConfig{
-		Capacity:       8,
-		Deadline:       60 * units.Second, // never deadline: account every window
-		RetryBase:      20 * units.Millisecond,
-		BreakerCooloff: 200 * units.Millisecond,
-	}
+	cfg.ExportQueue = &overload.QueueConfig{Capacity: 8}
 	cfg.Overload = &overload.Config{
 		HighWater: 0.5, // demote at half a queue; only QueueFrac meters
 		HoldTicks: 2,
-		StepFlows: 4,
 	}
 	return cfg
 }

@@ -49,11 +49,10 @@ type ScaleConfig struct {
 
 	// EscalateAbove is the lite delay threshold that arms the
 	// escalation streak (default 35 ms: above the synthetic workload's
-	// normal wobble, below every burst). Negative disables escalation.
+	// normal wobble, below every burst). It is also the windowed
+	// demotion policy's P99Above for escalated flows. Negative disables
+	// escalation.
 	EscalateAbove units.Duration
-	// Rules is the windowed demotion policy for escalated flows (zero →
-	// P99Above = EscalateAbove).
-	Rules stream.Rules
 
 	// Window is the stream window width (default 500 ms).
 	Window units.Duration
@@ -89,9 +88,6 @@ func (c ScaleConfig) normalize() ScaleConfig {
 	}
 	if c.Window <= 0 {
 		c.Window = 500 * units.Millisecond
-	}
-	if c.Rules == (stream.Rules{}) {
-		c.Rules = stream.Rules{P99Above: c.EscalateAbove}
 	}
 	return c
 }
@@ -565,7 +561,7 @@ func observe(se *stream.Series, at units.Time, v float64, flagged bool) {
 func (sh *scaleShard) escalate(slot int32, now units.Time, cp *core.SenderCheckpoint) *scaleFull {
 	cfg := &sh.fl.cfg
 	src := &synthSource{flow: sh.flows[slot], now: now}
-	fu := &scaleFull{src: src, esc: stream.NewEscalator(cfg.Rules, cfg.Window), promotedAt: now}
+	fu := &scaleFull{src: src, esc: stream.NewEscalator(stream.Rules{P99Above: cfg.EscalateAbove}, cfg.Window), promotedAt: now}
 	opts := core.TrackerOptions{Interval: cfg.Interval, Detached: true}
 	if cp != nil {
 		fu.tr = core.RestoreSenderTracker(sh.eng, src, *cp, opts)

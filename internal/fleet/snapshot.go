@@ -67,8 +67,9 @@ func (p *pipeline) capture(seed int64, flows int) *Snapshot {
 // Snapshot captures the fleet's resumable state from the monitors' held
 // checkpoints — crash-consistent semantics: state produced since a
 // monitor's last checkpoint is lost, exactly like a process that died
-// before fsync. Monitors that never checkpointed contribute only their
-// tier; resuming them starts a fresh series. This is where held state is
+// before fsync. Every open monitor holds at least its birth checkpoint;
+// monitors not yet open contribute only their tier, and resuming them
+// starts a fresh series. This is where held state is
 // encoded: the trackers' checkpoints rebased, the minimizer's as held.
 // Valid during and after Run.
 func (f *Fleet) Snapshot() *Snapshot {

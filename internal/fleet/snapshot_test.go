@@ -152,7 +152,6 @@ func TestFleetResumeMidOverloadLandsInValidTier(t *testing.T) {
 		// mark, so the governor's only job is reclaiming the resumed
 		// degraded tiers.
 		HoldTicks: 2,
-		StepFlows: 2,
 	}
 	res := New(cfg).Run()
 

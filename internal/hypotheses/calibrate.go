@@ -149,8 +149,8 @@ type Calibration struct {
 // and applies the per-profile coverage targets. Every profile must meet
 // the high and medium targets on both trackers and report zero bound
 // violations; the composed Shed must have registered on every run.
-func judgeCalibration(profiles []string, seeds []int64, cells []CalibCell, targets CalibTargets) *Calibration {
-	cal := &Calibration{Targets: targets, Seeds: append([]int64(nil), seeds...)}
+func judgeCalibration(profiles []string, seeds []int64, cells []CalibCell) *Calibration {
+	cal := &Calibration{Targets: DefaultTargets, Seeds: append([]int64(nil), seeds...)}
 	byProfile := map[string][]CalibCell{}
 	for _, c := range cells {
 		byProfile[c.Profile] = append(byProfile[c.Profile], c)
@@ -177,10 +177,10 @@ func judgeCalibration(profiles []string, seeds []int64, cells []CalibCell, targe
 				pc.Failures = append(pc.Failures, fmt.Sprintf("%s coverage %.3f < target %.2f", what, got, want))
 			}
 		}
-		check("sender high", pc.SenderHigh, targets.High)
-		check("sender medium", pc.SenderMedium, targets.Medium)
-		check("receiver high", pc.ReceiverHigh, targets.High)
-		check("receiver medium", pc.ReceiverMedium, targets.Medium)
+		check("sender high", pc.SenderHigh, DefaultTargets.High)
+		check("sender medium", pc.SenderMedium, DefaultTargets.Medium)
+		check("receiver high", pc.ReceiverHigh, DefaultTargets.High)
+		check("receiver medium", pc.ReceiverMedium, DefaultTargets.Medium)
 		if pc.SenderViolations+pc.ReceiverViolations > 0 {
 			pc.Failures = append(pc.Failures, fmt.Sprintf("%d bound violations (bounded-or-flagged broken)",
 				pc.SenderViolations+pc.ReceiverViolations))

@@ -109,16 +109,6 @@ type Level struct {
 // Corroborated reports whether the finding passed every check.
 func (f *Finding) Corroborated() bool { return f.Status == "Corroborated" }
 
-// Evaluate runs h's sweep across seeds, applies the Perturb hook, fits the
-// observations, and judges them against h.Checks.
-func Evaluate(h Hypothesis, seeds []int64, short bool) *Finding {
-	var obs []Obs
-	for _, seed := range seeds {
-		obs = append(obs, collect(h, seed, short)...)
-	}
-	return judge(h, seeds, obs)
-}
-
 // collect runs one seed's sweep and applies the perturbation hook.
 func collect(h Hypothesis, seed int64, short bool) []Obs {
 	cell := h.Collect(seed, short)
@@ -130,8 +120,9 @@ func collect(h Hypothesis, seed int64, short bool) []Obs {
 	return cell
 }
 
-// judge fits obs and renders the verdict; split from Evaluate so the
-// sharded runner can collect cells concurrently and judge sequentially.
+// judge fits obs against h.Checks and renders the verdict; split from
+// collect so the sharded runner can collect cells concurrently and judge
+// sequentially.
 func judge(h Hypothesis, seeds []int64, obs []Obs) *Finding {
 	f := &Finding{
 		Name: h.Name, Stage: h.Stage, Title: h.Title, Law: h.Law,

@@ -13,6 +13,17 @@ import (
 // multi-seed path.
 var testSeeds = []int64{1, 2}
 
+// evaluate runs one hypothesis through the conformance runner at
+// testSeeds in short mode and returns its finding.
+func evaluate(t *testing.T, h Hypothesis) *Finding {
+	t.Helper()
+	rep, err := Run(Config{Seeds: testSeeds, Short: true, Hypotheses: []string{h.Name}, SkipCalibration: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Findings[0]
+}
+
 // TestPerturbedPhysicsFailsGate is the gate's reason to exist: doubling
 // one stage's delay through the test hook must flip that hypothesis to
 // Refuted while an untouched stage stays Corroborated.
@@ -28,7 +39,7 @@ func TestPerturbedPhysicsFailsGate(t *testing.T) {
 	}
 	defer func() { Perturb = nil }()
 
-	f := Evaluate(hWireAffine, testSeeds, true)
+	f := evaluate(t, hWireAffine)
 	if f.Corroborated() {
 		t.Fatalf("doubled wire delay still corroborated: %+v", f)
 	}
@@ -46,7 +57,7 @@ func TestPerturbedPhysicsFailsGate(t *testing.T) {
 	}
 
 	// The same perturbed run must not refute a stage the hook left alone.
-	if g := Evaluate(hRcvbufPaced, testSeeds, true); !g.Corroborated() {
+	if g := evaluate(t, hRcvbufPaced); !g.Corroborated() {
 		t.Fatalf("untouched rcvbuf stage refuted under wire perturbation: %v", g.Failures)
 	}
 }
@@ -54,7 +65,7 @@ func TestPerturbedPhysicsFailsGate(t *testing.T) {
 // TestWireHypothesisCorroborated pins one cheap hypothesis end to end in
 // the tier-1 suite: unperturbed physics must corroborate.
 func TestWireHypothesisCorroborated(t *testing.T) {
-	f := Evaluate(hWireAffine, testSeeds, true)
+	f := evaluate(t, hWireAffine)
 	if !f.Corroborated() {
 		t.Fatalf("wire hypothesis refuted: %v", f.Failures)
 	}

@@ -28,8 +28,6 @@ type Config struct {
 	// estimator-relevant ones). SkipCalibration drops the harness entirely.
 	Profiles        []string
 	SkipCalibration bool
-	// Targets defaults to DefaultTargets when zero.
-	Targets CalibTargets
 }
 
 // DefaultSeeds are the gate's seed set.
@@ -67,10 +65,6 @@ func Run(cfg Config) (*Report, error) {
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
-	}
-	targets := cfg.Targets
-	if targets == (CalibTargets{}) {
-		targets = DefaultTargets
 	}
 	hyps, err := selectHypotheses(cfg.Hypotheses)
 	if err != nil {
@@ -147,7 +141,7 @@ func Run(cfg Config) (*Report, error) {
 				pos++
 			}
 		}
-		rep.Calibration = judgeCalibration(profiles, seeds, cells, targets)
+		rep.Calibration = judgeCalibration(profiles, seeds, cells)
 		rep.Failures = append(rep.Failures, rep.Calibration.Failures...)
 	}
 	rep.Pass = len(rep.Failures) == 0

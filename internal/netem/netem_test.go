@@ -147,10 +147,6 @@ func TestPathDuplex(t *testing.T) {
 	if got := p.RTT(); got != 50*units.Millisecond {
 		t.Fatalf("RTT = %v", got)
 	}
-	// BDP: 10 Mbps * 50 ms = 62500 bytes.
-	if got := p.BDPBytes(); got != 62500 {
-		t.Fatalf("BDP = %d", got)
-	}
 }
 
 func TestProfileLookup(t *testing.T) {

@@ -86,8 +86,3 @@ func (p *Path) SendBtoA(q *pkt.Packet) { p.Reverse.Send(q) }
 
 // RTT reports the base (unloaded) round-trip propagation time.
 func (p *Path) RTT() units.Duration { return p.Forward.Delay() + p.Reverse.Delay() }
-
-// BDPBytes reports the forward bandwidth-delay product in bytes.
-func (p *Path) BDPBytes() int {
-	return int(p.Forward.Rate().BytesPerSecond() * p.RTT().Seconds())
-}

@@ -114,15 +114,12 @@ type Config struct {
 	// HoldTicks + seed-derived[0, HoldTicks) so a cohort demoted together
 	// does not promote together (default 8).
 	HoldTicks int
-	// StepFlows caps transitions per tick (default max(1, flows/16)):
-	// pressure relief is gradual, never a cliff.
-	StepFlows int
 	// Seed derives the per-flow jitter. Decisions are a pure function of
 	// (Seed, flow ids, pressure trajectory).
 	Seed int64
 }
 
-func (c Config) normalize(flows int) Config {
+func (c Config) normalize() Config {
 	if c.HighWater <= 0 {
 		c.HighWater = 1.0
 	}
@@ -131,12 +128,6 @@ func (c Config) normalize(flows int) Config {
 	}
 	if c.HoldTicks <= 0 {
 		c.HoldTicks = 8
-	}
-	if c.StepFlows <= 0 {
-		c.StepFlows = flows / 16
-		if c.StepFlows < 1 {
-			c.StepFlows = 1
-		}
 	}
 	return c
 }
@@ -159,6 +150,9 @@ type Governor struct {
 	hot   []bool   // escalated flows: shed last, restored first
 	jit   []uint32 // per-flow seed-derived jitter (ordering + hold)
 	hold  []int    // tick index before which the flow may not transition
+	// perTick caps transitions per tick at max(1, flows/16): pressure
+	// relief is gradual, never a cliff.
+	perTick int
 
 	tick         int
 	counts       [NumTiers]int
@@ -184,13 +178,14 @@ func New(cfg Config, flows int) *Governor {
 func NewWithTiers(cfg Config, tiers []Tier) *Governor {
 	n := len(tiers)
 	g := &Governor{
-		cfg:   cfg.normalize(n),
-		tiers: make([]Tier, n),
-		hot:   make([]bool, n),
-		jit:   make([]uint32, n),
-		hold:  make([]int, n),
-		cand:  make([]int, 0, n),
-		trans: make([]Transition, 0, n),
+		cfg:     cfg.normalize(),
+		perTick: max(1, n/16),
+		tiers:   make([]Tier, n),
+		hot:     make([]bool, n),
+		jit:     make([]uint32, n),
+		hold:    make([]int, n),
+		cand:    make([]int, 0, n),
+		trans:   make([]Transition, 0, n),
 	}
 	for i, t := range tiers {
 		if t >= NumTiers {
@@ -248,7 +243,7 @@ func (g *Governor) Pressure(u Usage) float64 {
 // Tick runs one governor round against a usage snapshot and returns the
 // transitions to apply (valid until the next Tick; the slice is reused).
 // Above HighWater flows demote one rung; below LowWater they promote one
-// rung; inside the deadband nothing moves. At most StepFlows flows
+// rung; inside the deadband nothing moves. At most max(1, flows/16) flows
 // transition per tick, each then held for its jittered hold window —
 // together with the deadband this is the flap-free guarantee the
 // property tests pin.
@@ -266,7 +261,7 @@ func (g *Governor) Tick(u Usage) []Transition {
 	return g.trans
 }
 
-// step selects and applies up to StepFlows one-rung transitions in the
+// step selects and applies up to perTick one-rung transitions in the
 // given direction. Demotion sheds the cheapest coverage loss first:
 // non-escalated flows before escalated ("the PR 6 escalators in
 // reverse" — a flow the escalator flagged as interesting is the last to
@@ -294,7 +289,7 @@ func (g *Governor) step(demote bool) {
 	g.sorter.idx = g.cand
 	g.sorter.demote = demote
 	sort.Sort(&g.sorter)
-	n := g.cfg.StepFlows
+	n := g.perTick
 	if n > len(g.cand) {
 		n = len(g.cand)
 	}

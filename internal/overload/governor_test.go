@@ -10,23 +10,25 @@ var (
 	low  = Usage{RetainedSamples: 10}  // pressure 0.1
 )
 
-func testConfig(step int) Config {
+// testConfig is the governor shape these tests share. A governor over
+// n flows moves at most max(1, n/16) of them per tick, so the tests pick
+// the fleet size that gives the step they check.
+func testConfig() Config {
 	return Config{
 		Budgets:   Budgets{RetainedSamples: 100},
 		HoldTicks: 4,
-		StepFlows: step,
 		Seed:      42,
 	}
 }
 
 func TestGovernorDemotesUnderPressureAndRecovers(t *testing.T) {
-	g := New(testConfig(2), 8)
-	if got := g.TierCounts()[TierFull]; got != 8 {
-		t.Fatalf("initial full count = %d, want 8", got)
+	g := New(testConfig(), 32)
+	if got := g.TierCounts()[TierFull]; got != 32 {
+		t.Fatalf("initial full count = %d, want 32", got)
 	}
 	tr := g.Tick(high)
 	if len(tr) != 2 {
-		t.Fatalf("transitions = %d, want StepFlows = 2", len(tr))
+		t.Fatalf("transitions = %d, want 32/16 = 2", len(tr))
 	}
 	for _, x := range tr {
 		if x.From != TierFull || x.To != TierSketch {
@@ -49,8 +51,8 @@ func TestGovernorDemotesUnderPressureAndRecovers(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		g.Tick(low)
 	}
-	if got := g.TierCounts()[TierFull]; got != 8 {
-		t.Fatalf("full count after recovery = %d, want 8 (counts %v)", got, g.TierCounts())
+	if got := g.TierCounts()[TierFull]; got != 32 {
+		t.Fatalf("full count after recovery = %d, want 32 (counts %v)", got, g.TierCounts())
 	}
 	if g.Reclaims() != 2 {
 		t.Fatalf("Reclaims = %d, want 2", g.Reclaims())
@@ -58,41 +60,55 @@ func TestGovernorDemotesUnderPressureAndRecovers(t *testing.T) {
 }
 
 func TestGovernorHoldPreventsImmediateReversal(t *testing.T) {
-	g := New(testConfig(8), 8)
+	g := New(testConfig(), 128)
 	demoted := map[int]int{} // flow → tick of demotion
 	tr := g.Tick(high)
 	if len(tr) != 8 {
-		t.Fatalf("demotions = %d, want all 8", len(tr))
+		t.Fatalf("demotions = %d, want 128/16 = 8", len(tr))
 	}
 	for _, x := range tr {
 		demoted[x.Flow] = g.Ticks()
 	}
 	// Pressure collapses immediately; no flow may promote before its
 	// hold (HoldTicks + jitter ∈ [4, 8) ticks) expires.
+	promoted := 0
 	for i := 0; i < 20; i++ {
 		for _, x := range g.Tick(low) {
+			promoted++
 			if held := g.Ticks() - demoted[x.Flow]; held < 4 {
 				t.Fatalf("flow %d reversed after %d ticks, hold is ≥ 4", x.Flow, held)
 			}
 		}
 	}
+	if promoted != len(demoted) {
+		t.Fatalf("%d of %d demoted flows promoted back in 20 ticks", promoted, len(demoted))
+	}
 }
 
 func TestGovernorHotFlowsShedLastRestoreFirst(t *testing.T) {
-	g := New(testConfig(6), 8)
+	g := New(testConfig(), 96)
 	g.SetHot(3, true)
 	g.SetHot(5, true)
 	tr := g.Tick(high)
 	if len(tr) != 6 {
-		t.Fatalf("demotions = %d, want 6", len(tr))
+		t.Fatalf("demotions = %d, want 96/16 = 6", len(tr))
 	}
-	for _, x := range tr {
-		if x.Flow == 3 || x.Flow == 5 {
-			t.Fatalf("hot flow %d demoted while cold flows remain", x.Flow)
+	// Shed until no cold flow is left at full coverage: the two hot
+	// flows must be the last ones still full.
+	for i := 0; g.TierCounts()[TierFull] > 2 && i < 100; i++ {
+		for _, x := range tr {
+			if isHot(x.Flow) {
+				t.Fatalf("hot flow %d demoted while cold flows remain full", x.Flow)
+			}
 		}
+		tr = g.Tick(high)
+	}
+	if g.Tier(3) != TierFull || g.Tier(5) != TierFull || g.TierCounts()[TierFull] != 2 {
+		t.Fatalf("after shedding every cold flow: tiers of 3, 5 = %v, %v; counts %v, want only 3 and 5 full",
+			g.Tier(3), g.Tier(5), g.TierCounts())
 	}
 	// Park everything, then recover: the hot flows must come back first.
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 400; i++ {
 		g.Tick(high)
 	}
 	var first []int
@@ -109,7 +125,7 @@ func TestGovernorHotFlowsShedLastRestoreFirst(t *testing.T) {
 func isHot(f int) bool { return f == 3 || f == 5 }
 
 func TestGovernorNeverLeavesLadder(t *testing.T) {
-	g := New(testConfig(8), 4)
+	g := New(testConfig(), 4)
 	for i := 0; i < 200; i++ {
 		g.Tick(high)
 	}
@@ -134,7 +150,7 @@ func TestGovernorNeverLeavesLadder(t *testing.T) {
 
 func TestGovernorDeterministicAcrossRuns(t *testing.T) {
 	run := func() []Transition {
-		g := New(testConfig(3), 16)
+		g := New(testConfig(), 48)
 		g.SetHot(7, true)
 		var all []Transition
 		for i := 0; i < 120; i++ {
@@ -167,7 +183,7 @@ func TestGovernorDeterministicAcrossRuns(t *testing.T) {
 
 func TestGovernorResumeWithTiers(t *testing.T) {
 	start := []Tier{TierFull, TierSketch, TierParked, TierCounters, 200}
-	g := NewWithTiers(testConfig(1), start)
+	g := NewWithTiers(testConfig(), start)
 	want := [NumTiers]int{1, 1, 1, 2} // the out-of-range tier clamps to parked
 	if got := g.TierCounts(); got != want {
 		t.Fatalf("resumed counts = %v, want %v", got, want)
@@ -183,7 +199,7 @@ func TestGovernorResumeWithTiers(t *testing.T) {
 }
 
 func TestGovernorLiveFullBudget(t *testing.T) {
-	cfg := Config{Budgets: Budgets{LiveFull: 4}, HoldTicks: 2, StepFlows: 1, Seed: 7}
+	cfg := Config{Budgets: Budgets{LiveFull: 4}, HoldTicks: 2, Seed: 7}
 	g := New(cfg, 8)
 	// 8 live full monitors against a budget of 4: pressure 2.0 from the
 	// governor's own tier census, no external usage needed.

@@ -23,24 +23,24 @@ func (r *propRng) intn(n int) int { return int(r.next() % uint64(n)) }
 // randomized pressure trajectories and asserts the ladder's structural
 // guarantees at every tick: transitions happen only outside the
 // hysteresis deadband and only in the pressure's direction, never more
-// than StepFlows per tick, always exactly one rung, and no flow ever
+// than max(1, flows/16) per tick, always exactly one rung, and no flow ever
 // reverses inside its hold window — the flap-free property. Afterwards a
 // sustained clean stretch must restore every flow to full coverage.
 func TestPropLadderFlapFree(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := &propRng{s: uint64(trial)*0x517cc1b7 + 1}
-		flows := 2 + rng.intn(31)
+		// Up to 32 flows per step: the fleet size sets the step.
+		flows := 2 + rng.intn(16*32)
 		cfg := Config{
 			Budgets:   Budgets{RetainedSamples: 100},
 			HoldTicks: 1 + rng.intn(12),
-			StepFlows: 1 + rng.intn(flows),
 			Seed:      int64(rng.next()),
 		}
 		g := New(cfg, flows)
 		for f := 0; f < flows; f += 1 + rng.intn(4) {
 			g.SetHot(f, true)
 		}
-		norm := cfg.normalize(flows)
+		norm := cfg.normalize()
 
 		tiers := make([]Tier, flows)
 		lastTrans := make([]int, flows)
@@ -69,8 +69,8 @@ func TestPropLadderFlapFree(t *testing.T) {
 			trans := g.Tick(u)
 			p := g.LastPressure()
 
-			if len(trans) > norm.StepFlows {
-				t.Fatalf("trial %d tick %d: %d transitions > StepFlows %d", trial, tick, len(trans), norm.StepFlows)
+			if len(trans) > g.perTick {
+				t.Fatalf("trial %d tick %d: %d transitions > step %d", trial, tick, len(trans), g.perTick)
 			}
 			if len(trans) > 0 && p <= norm.HighWater && p >= norm.LowWater {
 				t.Fatalf("trial %d tick %d: transitions inside deadband (p=%v)", trial, tick, p)
@@ -116,7 +116,7 @@ func TestPropLadderFlapFree(t *testing.T) {
 
 		// Recovery guarantee: enough clean ticks restore full coverage.
 		clean := Usage{QueueFrac: 0}
-		need := flows*(2*norm.HoldTicks+1)*int(NumTiers)/norm.StepFlows + 10*norm.HoldTicks + 100
+		need := flows*(2*norm.HoldTicks+1)*int(NumTiers)/g.perTick + 10*norm.HoldTicks + 100
 		for i := 0; i < need; i++ {
 			g.Tick(clean)
 		}

@@ -51,50 +51,31 @@ type entry struct {
 	at    units.Time // enqueue time, for the deadline
 }
 
-// QueueConfig parameterizes the export queue. Zero values select the
-// defaults noted per field.
+// The export queue's failure-handling constants.
+const (
+	// queueDeadline drops entries that have waited longer: a window stuck
+	// behind a dead sink eventually stops being worth delivering, but its
+	// loss is always counted.
+	queueDeadline = 5 * units.Second
+	// retryBase is the first retry delay after a failure.
+	retryBase = 50 * units.Millisecond
+	// retryMax caps the exponential backoff.
+	retryMax = 2 * units.Second
+	// breakerFailures is the consecutive-failure run that trips the
+	// circuit breaker.
+	breakerFailures = 5
+	// breakerCooloff is how long a tripped breaker blocks attempts before
+	// the half-open probe.
+	breakerCooloff = 1 * units.Second
+)
+
+// QueueConfig parameterizes the export queue.
 type QueueConfig struct {
 	// Capacity bounds the queue depth; on overflow the oldest window is
-	// dropped and counted (default 64).
+	// dropped and counted (0 = 64).
 	Capacity int
-	// Deadline drops entries that have waited longer (default 5 s):
-	// a window stuck behind a dead sink eventually stops being worth
-	// delivering, but its loss is always counted.
-	Deadline units.Duration
-	// RetryBase is the first retry delay after a failure (default 50 ms).
-	RetryBase units.Duration
-	// RetryMax caps the exponential backoff (default 2 s).
-	RetryMax units.Duration
-	// BreakerFailures is the consecutive-failure run that trips the
-	// circuit breaker (default 5).
-	BreakerFailures int
-	// BreakerCooloff is how long a tripped breaker blocks attempts
-	// before the half-open probe (default 1 s).
-	BreakerCooloff units.Duration
 	// Seed derives the retry jitter.
 	Seed int64
-}
-
-func (c QueueConfig) normalize() QueueConfig {
-	if c.Capacity <= 0 {
-		c.Capacity = 64
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 5 * units.Second
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * units.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 2 * units.Second
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 5
-	}
-	if c.BreakerCooloff <= 0 {
-		c.BreakerCooloff = 1 * units.Second
-	}
-	return c
 }
 
 // QueueStats is the queue's audit trail. Every window that entered is
@@ -122,7 +103,9 @@ type QueueStats struct {
 // path is allocation-free once each slot's sketch slice has grown to the
 // series count.
 func NewQueue(cfg QueueConfig, sink stream.Sink) *Queue {
-	cfg = cfg.normalize()
+	if cfg.Capacity <= 0 {
+		cfg.Capacity = 64
+	}
 	return &Queue{cfg: cfg, sink: sink, ring: make([]entry, cfg.Capacity)}
 }
 
@@ -161,7 +144,7 @@ func (q *Queue) ExportWindow(names []string, w *stream.Window) error {
 // half-open probe (success closes the breaker, failure re-trips it).
 func (q *Queue) Advance(now units.Time) {
 	q.now = now
-	for q.depth > 0 && now.Sub(q.ring[q.head].at) > q.cfg.Deadline {
+	for q.depth > 0 && now.Sub(q.ring[q.head].at) > queueDeadline {
 		q.pop()
 		q.stats.Deadlined++
 	}
@@ -193,17 +176,17 @@ func (q *Queue) fail(now units.Time) {
 	q.stats.Retries++
 	q.consecFails++
 	if q.backoff == 0 {
-		q.backoff = q.cfg.RetryBase
+		q.backoff = retryBase
 	} else {
 		q.backoff *= 2
-		if q.backoff > q.cfg.RetryMax {
-			q.backoff = q.cfg.RetryMax
+		if q.backoff > retryMax {
+			q.backoff = retryMax
 		}
 	}
 	q.nextAttempt = now.Add(q.jittered(q.backoff))
-	if q.consecFails >= q.cfg.BreakerFailures {
+	if q.consecFails >= breakerFailures {
 		q.open = true
-		q.reopenAt = now.Add(q.cfg.BreakerCooloff)
+		q.reopenAt = now.Add(breakerCooloff)
 		q.stats.BreakerTrips++
 		q.consecFails = 0
 	}

@@ -116,28 +116,25 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 
 func TestQueueRetryBackoffBreakerAndRecovery(t *testing.T) {
 	sink := &scriptSink{fail: true}
-	cfg := QueueConfig{
-		Capacity: 16, Deadline: 60 * units.Minute,
-		RetryBase: 10 * units.Millisecond, RetryMax: 80 * units.Millisecond,
-		BreakerFailures: 3, BreakerCooloff: units.Second, Seed: 9,
-	}
-	q := NewQueue(cfg, sink)
+	q := NewQueue(QueueConfig{Capacity: 16, Seed: 9}, sink)
 	for i := int64(0); i < 6; i++ {
 		q.ExportWindow(nil, win(i))
 	}
 	// Walk time forward in 1 ms steps: the failing sink should be probed
-	// on a backoff schedule, not hammered every step.
+	// on a backoff schedule, not hammered every step. Backoffs of 50, 100,
+	// 200 and 400 ms (±20 %) put the fifth failure, which trips the
+	// breaker, before 1 s.
 	now := units.Time(0)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 1000; i++ {
 		now = now.Add(units.Millisecond)
 		q.Advance(now)
 	}
 	st := q.Stats()
-	if st.BreakerTrips == 0 {
-		t.Fatalf("breaker never tripped: %+v", st)
+	if st.BreakerTrips != 1 || !q.BreakerOpen() {
+		t.Fatalf("breaker did not trip once: %+v", st)
 	}
-	if sink.attempts >= 50 {
-		t.Fatalf("sink hammered %d times in 100 ms despite backoff+breaker", sink.attempts)
+	if sink.attempts != breakerFailures {
+		t.Fatalf("sink attempted %d times in 1 s, want the %d backoff probes", sink.attempts, breakerFailures)
 	}
 	if st.Delivered != 0 || q.Depth() != 6 {
 		t.Fatalf("windows leaked through a dead sink: %+v depth %d", st, q.Depth())
@@ -148,7 +145,8 @@ func TestQueueRetryBackoffBreakerAndRecovery(t *testing.T) {
 	invariant(t, q)
 
 	// Sink recovers. After the cooloff the half-open probe succeeds and
-	// the whole backlog drains — no window lost to the outage.
+	// the whole backlog drains, well inside the deadline — no window lost
+	// to the outage.
 	sink.fail = false
 	for i := 0; i < 1200; i++ {
 		now = now.Add(units.Millisecond)
@@ -166,12 +164,12 @@ func TestQueueRetryBackoffBreakerAndRecovery(t *testing.T) {
 
 func TestQueueDeadlineDropsStale(t *testing.T) {
 	sink := &scriptSink{fail: true}
-	q := NewQueue(QueueConfig{Capacity: 8, Deadline: 100 * units.Millisecond}, sink)
+	q := NewQueue(QueueConfig{Capacity: 8}, sink)
 	q.Advance(0)
 	q.ExportWindow(nil, win(1))
-	q.Advance(units.Time(50 * units.Millisecond))
+	q.Advance(units.Time(2500 * units.Millisecond))
 	q.ExportWindow(nil, win(2))
-	q.Advance(units.Time(120 * units.Millisecond))
+	q.Advance(units.Time(queueDeadline + 200*units.Millisecond))
 	st := q.Stats()
 	if st.Deadlined != 1 {
 		t.Fatalf("Deadlined = %d, want 1 (only the first window expired)", st.Deadlined)
@@ -204,14 +202,11 @@ func TestQueueFlushReportsTruncation(t *testing.T) {
 func TestQueueDeterministicBackoffSchedule(t *testing.T) {
 	run := func() (attempts []int) {
 		sink := &scriptSink{fail: true}
-		q := NewQueue(QueueConfig{
-			Capacity: 4, RetryBase: 5 * units.Millisecond, RetryMax: 40 * units.Millisecond,
-			BreakerFailures: 4, BreakerCooloff: 100 * units.Millisecond, Seed: 77,
-		}, sink)
+		q := NewQueue(QueueConfig{Capacity: 4, Seed: 77}, sink)
 		q.ExportWindow(nil, win(0))
 		now := units.Time(0)
 		prev := 0
-		for i := 0; i < 500; i++ {
+		for i := 0; i < 4000; i++ {
 			now = now.Add(units.Millisecond)
 			q.Advance(now)
 			if sink.attempts != prev {

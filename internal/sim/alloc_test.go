@@ -105,7 +105,7 @@ func TestCondZeroAllocAndNoLeak(t *testing.T) {
 		{"Signal", func(c *Cond) { c.Signal(); c.Signal(); c.Signal() }},
 	} {
 		e := New(1)
-		c := NewCond(e)
+		c := NewCond()
 		for i := 0; i < 3; i++ {
 			e.Spawn("waiter", func(p *Proc) {
 				for {

@@ -23,8 +23,8 @@ type procKilled struct{}
 
 // Proc is a simulated process: a coroutine that runs in virtual time.
 // Exactly one of {the event loop, one process} executes at a time; a
-// process runs until it parks (Sleep, Cond.Wait, WaitTimeout) and the event
-// loop resumes it when its wakeup event fires. This gives application code
+// process runs until it parks (Sleep, Cond.Wait) and the event loop
+// resumes it when its wakeup event fires. This gives application code
 // ordinary blocking semantics with fully deterministic scheduling. The
 // coroutine is an iter.Pull over the process body, so a hand-off is one
 // direct switch each way and never goes through the Go scheduler.
@@ -80,8 +80,8 @@ func (p *Proc) park() {
 
 // run switches to p until it parks again or finishes, and does nothing
 // unless p is parked (not started yet, already woken, or finished). Every
-// resumption — wake-up events, the WaitTimeout timer, Shutdown — is this
-// call, from event-loop context.
+// resumption — wake-up events, Shutdown — is this call, from event-loop
+// context.
 func (p *Proc) run() {
 	if p.state == procParked {
 		p.next()
@@ -119,41 +119,17 @@ func (p *Proc) Sleep(d units.Duration) {
 // re-check their predicate in a loop. The waiter list keeps its backing
 // array across wakeups (vacated slots are nil-ed so they pin no Proc).
 type Cond struct {
-	eng     *Engine
 	waiters []*Proc
 }
 
-// NewCond returns a condition variable bound to e.
-func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
+// NewCond returns a condition variable. It needs no engine: a waiter is
+// woken on its own.
+func NewCond() *Cond { return &Cond{} }
 
 // Wait parks p until the condition is signaled.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
 	p.park()
-}
-
-// WaitTimeout parks p until the condition is signaled or d elapses. It
-// reports false on timeout. A signaled waiter is removed from the wait list
-// by Signal/Broadcast; a timed-out waiter removes itself.
-func (c *Cond) WaitTimeout(p *Proc, d units.Duration) bool {
-	timedOut := false
-	timer := c.eng.Schedule(d, func() {
-		// p is off the wait list if a Signal got there first, at this same
-		// instant: its wake-up is queued, and resuming p here as well would
-		// leave that wake-up to fire into whatever p parks on next.
-		for i, w := range c.waiters {
-			if w == p {
-				c.removeWaiter(i)
-				timedOut = true
-				p.run()
-				return
-			}
-		}
-	})
-	c.waiters = append(c.waiters, p)
-	p.park()
-	timer.Stop()
-	return !timedOut
 }
 
 // Signal wakes one waiter, if any.

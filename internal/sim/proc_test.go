@@ -63,7 +63,7 @@ func TestProcInterleaving(t *testing.T) {
 
 func TestCondSignal(t *testing.T) {
 	e := New(1)
-	c := NewCond(e)
+	c := NewCond()
 	var got []string
 	e.Spawn("waiter", func(p *Proc) {
 		c.Wait(p)
@@ -81,7 +81,7 @@ func TestCondSignal(t *testing.T) {
 
 func TestCondBroadcast(t *testing.T) {
 	e := New(1)
-	c := NewCond(e)
+	c := NewCond()
 	woken := 0
 	for i := 0; i < 5; i++ {
 		e.Spawn("w", func(p *Proc) {
@@ -101,58 +101,9 @@ func TestCondBroadcast(t *testing.T) {
 	}
 }
 
-func TestCondWaitTimeout(t *testing.T) {
-	e := New(1)
-	c := NewCond(e)
-	var signaled, timedOut bool
-	e.Spawn("timeout", func(p *Proc) {
-		ok := c.WaitTimeout(p, 10*units.Millisecond)
-		timedOut = !ok
-		if p.Now() != units.Time(10*units.Millisecond) {
-			t.Errorf("timeout at %v, want 10ms", p.Now())
-		}
-	})
-	e.Spawn("signaled", func(p *Proc) {
-		p.Sleep(units.Millisecond) // let the first waiter enqueue first
-		ok := c.WaitTimeout(p, units.Minute)
-		signaled = ok
-	})
-	// After the first waiter times out, only the second remains.
-	e.Schedule(20*units.Millisecond, func() { c.Signal() })
-	e.Run()
-	if !timedOut {
-		t.Fatal("first waiter should have timed out")
-	}
-	if !signaled {
-		t.Fatal("second waiter should have been signaled")
-	}
-	e.Shutdown()
-}
-
-// A waiter that is signaled and then sleeps must not be woken by its stale
-// timeout timer.
-func TestCondTimeoutNoStaleWake(t *testing.T) {
-	e := New(1)
-	c := NewCond(e)
-	var wake units.Time
-	e.Spawn("w", func(p *Proc) {
-		if !c.WaitTimeout(p, 100*units.Millisecond) {
-			t.Error("unexpected timeout")
-		}
-		p.Sleep(units.Second)
-		wake = p.Now()
-	})
-	e.Schedule(units.Millisecond, func() { c.Signal() })
-	e.Run()
-	want := units.Time(units.Millisecond + units.Second)
-	if wake != want {
-		t.Fatalf("woke at %v, want %v", wake, want)
-	}
-}
-
 func TestShutdownKillsParked(t *testing.T) {
 	e := New(1)
-	c := NewCond(e)
+	c := NewCond()
 	reached := false
 	e.Spawn("stuck", func(p *Proc) {
 		c.Wait(p) // never signaled
@@ -192,7 +143,7 @@ func TestProcSignalWhileRunnable(t *testing.T) {
 	// Signal scheduling a wake for a process that re-waits quickly must not
 	// double-wake it.
 	e := New(1)
-	c := NewCond(e)
+	c := NewCond()
 	count := 0
 	e.Spawn("w", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -231,12 +182,12 @@ func TestProcPanicSurfacesFromStep(t *testing.T) {
 
 // Shutdown unwinds every kind of parked process through its deferred calls,
 // innermost first, and leaves no goroutine behind: one parked three calls
-// deep, one in WaitTimeout with its timer still pending, and one that was
+// deep, one in Sleep with its timer still pending, and one that was
 // spawned but never started.
 func TestShutdownUnwindsDefers(t *testing.T) {
 	testutil.NoLeaks(t)
 	e := New(1)
-	c := NewCond(e)
+	c := NewCond()
 	var unwound []string
 	level3 := func(p *Proc) {
 		defer func() { unwound = append(unwound, "level3") }()
@@ -251,69 +202,26 @@ func TestShutdownUnwindsDefers(t *testing.T) {
 		defer func() { unwound = append(unwound, "level1") }()
 		level2(p)
 	})
-	timedWaitUnwound := false
-	e.Spawn("timed", func(p *Proc) {
-		defer func() { timedWaitUnwound = true }()
-		NewCond(e).WaitTimeout(p, units.Minute)
-		t.Error("killed process continued past WaitTimeout")
+	sleepUnwound := false
+	e.Spawn("sleeper", func(p *Proc) {
+		defer func() { sleepUnwound = true }()
+		p.Sleep(units.Minute)
+		t.Error("killed process continued past Sleep")
 	})
 	e.RunFor(units.Second)
 	e.Spawn("unstarted", func(p *Proc) { t.Error("a process started by nobody ran") })
-	if e.Pending() != 2 { // the WaitTimeout timer and the start event
+	if e.Pending() != 2 { // the Sleep timer and the start event
 		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
 	e.Shutdown()
 	if want := []string{"level3", "level2", "level1"}; !slices.Equal(unwound, want) {
 		t.Fatalf("defers ran as %v, want %v", unwound, want)
 	}
-	if !timedWaitUnwound {
-		t.Fatal("process parked in WaitTimeout was not unwound")
+	if !sleepUnwound {
+		t.Fatal("process parked in Sleep was not unwound")
 	}
 	if len(e.procs) != 0 {
 		t.Fatalf("procs remaining: %d", len(e.procs))
-	}
-}
-
-// Signal and the timeout landing on the same virtual instant wake the
-// waiter exactly once, whichever event is queued first: a second wake-up
-// would fire into the Sleep that follows and cut it short.
-func TestCondSignalAndTimeoutSameInstant(t *testing.T) {
-	const at = 10 * units.Millisecond
-	for _, tc := range []struct {
-		name     string
-		signaled bool // WaitTimeout's verdict: the earlier event wins
-		arrange  func(e *Engine, c *Cond)
-	}{
-		// Queued before the process starts, so ahead of its timeout timer.
-		{"signal first", true, func(e *Engine, c *Cond) { e.Schedule(at, c.Signal) }},
-		// Queued at 1 ms, after the timer (armed at 0), for the same instant.
-		{"timeout first", false, func(e *Engine, c *Cond) {
-			e.Schedule(units.Millisecond, func() { e.Schedule(at-units.Millisecond, c.Signal) })
-		}},
-	} {
-		e := New(1)
-		c := NewCond(e)
-		tc.arrange(e, c)
-		wakes := 0
-		var got bool
-		var woke, slept units.Time
-		e.Spawn("w", func(p *Proc) {
-			got = c.WaitTimeout(p, at)
-			wakes++
-			woke = p.Now()
-			p.Sleep(units.Second)
-			slept = p.Now()
-		})
-		e.Run()
-		if wakes != 1 || got != tc.signaled || woke != units.Time(at) {
-			t.Errorf("%s: %d wakes, signaled=%v at %v; want 1, %v at %v", tc.name, wakes, got, woke, tc.signaled, at)
-		}
-		if want := units.Time(at + units.Second); slept != want {
-			t.Errorf("%s: the following Sleep ended at %v, want %v", tc.name, slept, want)
-		}
-		if c.NumWaiters() != 0 {
-			t.Errorf("%s: %d waiters left", tc.name, c.NumWaiters())
-		}
 	}
 }
 
@@ -323,7 +231,7 @@ func TestCondSignalAndTimeoutSameInstant(t *testing.T) {
 func TestEngineDrivenFromChangingGoroutines(t *testing.T) {
 	testutil.NoLeaks(t)
 	e := New(1)
-	c := NewCond(e)
+	c := NewCond()
 	ticks, woken := 0, 0
 	e.Spawn("ticker", func(p *Proc) {
 		for {

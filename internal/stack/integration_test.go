@@ -121,7 +121,7 @@ func TestZeroWindowStallsAndRecovers(t *testing.T) {
 	bulkSender(eng, c, 64<<10)
 
 	// No reader for the first 5 seconds.
-	readCh := sim.NewCond(eng)
+	readCh := sim.NewCond()
 	eng.Spawn("lazy-reader", func(p *sim.Proc) {
 		readCh.Wait(p)
 		for c.Receiver.Read(p, 1<<20) > 0 {

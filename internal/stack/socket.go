@@ -182,8 +182,8 @@ func dial(n *Net, cfg ConnConfig, reverse bool) *Conn {
 		tcpSc = cfg.Telem.Scope("tcp").WithFlow(id)
 	}
 
-	sndSock.writable = sim.NewCond(eng)
-	rcvSock.readable = sim.NewCond(eng)
+	sndSock.writable = sim.NewCond()
+	rcvSock.readable = sim.NewCond()
 
 	// Data direction: sender at A unless reversed.
 	sendData, sendAck := n.path.SendAtoB, n.path.SendBtoA

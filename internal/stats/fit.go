@@ -195,13 +195,3 @@ func binByX(xs, ys []float64) (bx, by []float64) {
 	}
 	return bx, by
 }
-
-// MeanCI reports the mean of xs and the z-score half-width of its
-// confidence interval (z = 1.96 for ~95%).
-func MeanCI(xs []float64, z float64) (mean, half float64) {
-	mean, stdev := MeanStdev(xs)
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	return mean, z * stdev / math.Sqrt(float64(len(xs)))
-}

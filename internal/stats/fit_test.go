@@ -78,16 +78,3 @@ func TestSpearman(t *testing.T) {
 		t.Fatalf("reversed Spearman = %v, want -1", got)
 	}
 }
-
-func TestMeanCI(t *testing.T) {
-	mean, half := MeanCI([]float64{1, 2, 3, 4, 5}, 1.96)
-	if mean != 3 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if half <= 0 {
-		t.Fatalf("half-width = %v, want > 0", half)
-	}
-	if _, h := MeanCI([]float64{1}, 1.96); h != 0 {
-		t.Fatalf("single-sample half-width = %v, want 0", h)
-	}
-}

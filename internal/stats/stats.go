@@ -165,19 +165,3 @@ func MeanStdev(xs []float64) (mean, stdev float64) {
 	}
 	return mean, math.Sqrt(acc / float64(len(xs)))
 }
-
-// JainFairness computes Jain's fairness index over per-flow throughputs.
-func JainFairness(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sq)
-}

@@ -84,18 +84,6 @@ func TestMeanStdev(t *testing.T) {
 	}
 }
 
-func TestJainFairness(t *testing.T) {
-	if got := JainFairness([]float64{1, 1, 1}); got != 1 {
-		t.Fatalf("equal shares = %v", got)
-	}
-	if got := JainFairness([]float64{1, 0, 0}); got < 0.33 || got > 0.34 {
-		t.Fatalf("single hog = %v", got)
-	}
-	if JainFairness(nil) != 0 || JainFairness([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate inputs")
-	}
-}
-
 // Property: CDF percentiles are monotone and FractionBelow is a
 // nondecreasing step function consistent with N.
 func TestPropertyCDFMonotone(t *testing.T) {

@@ -5,29 +5,21 @@ import "element/internal/units"
 // Rules is the sketch-driven escalation policy (Dapper-style two-phase
 // monitoring): a flow whose per-window p99 sender delay trips the rule
 // escalates from lightweight sketch-only observation to full tracker +
-// waterfall granularity, and demotes after CleanWindows consecutive
+// waterfall granularity, and demotes after cleanWindows consecutive
 // clean windows.
 type Rules struct {
 	// P99Above escalates when a window's p99 sender delay exceeds it
 	// (0 = no escalation).
 	P99Above units.Duration
-	// MinSamples guards the rule: windows with fewer samples never trip
-	// (default 4).
-	MinSamples uint64
-	// CleanWindows is how many consecutive clean windows demote an
-	// escalated flow back to lightweight mode (default 3).
-	CleanWindows int
 }
 
-func (r Rules) normalize() Rules {
-	if r.MinSamples == 0 {
-		r.MinSamples = 4
-	}
-	if r.CleanWindows <= 0 {
-		r.CleanWindows = 3
-	}
-	return r
-}
+const (
+	// minSamples guards the rule: windows with fewer samples never trip.
+	minSamples = 4
+	// cleanWindows is how many consecutive clean windows demote an
+	// escalated flow back to lightweight mode.
+	cleanWindows = 3
+)
 
 // Enabled reports whether the rule has a live threshold.
 func (r Rules) Enabled() bool { return r.P99Above > 0 }
@@ -58,7 +50,7 @@ func NewEscalator(rules Rules, width units.Duration) *Escalator {
 	if width <= 0 {
 		width = DefaultWidth
 	}
-	return &Escalator{rules: rules.normalize(), width: width}
+	return &Escalator{rules: rules, width: width}
 }
 
 // Escalated reports whether the flow is currently escalated.
@@ -153,7 +145,7 @@ func (e *Escalator) advance(at units.Time) (changed bool) {
 // window state. One transition at most per window.
 func (e *Escalator) roll() (changed bool) {
 	n := e.sketch.Count()
-	trip := n >= e.rules.MinSamples && e.rules.P99Above > 0 &&
+	trip := n >= minSamples && e.rules.P99Above > 0 &&
 		e.sketch.Quantile(0.99) > e.rules.P99Above.Seconds()
 	switch {
 	case trip && !e.escalated:
@@ -168,7 +160,7 @@ func (e *Escalator) roll() (changed bool) {
 		// demotion only when the flow actually produced evidence.
 		if n > 0 {
 			e.clean++
-			if e.clean >= e.rules.CleanWindows {
+			if e.clean >= cleanWindows {
 				e.escalated = false
 				e.demotions++
 				e.clean = 0

@@ -22,7 +22,7 @@ func feedWindow(e *Escalator, idx int64, n int, delay float64) (changed, escalat
 }
 
 func TestEscalatorP99Rule(t *testing.T) {
-	e := NewEscalator(Rules{P99Above: 500 * units.Millisecond, CleanWindows: 2}, escWidth)
+	e := NewEscalator(Rules{P99Above: 500 * units.Millisecond}, escWidth)
 	if _, esc := feedWindow(e, 0, 20, 0.1); esc {
 		t.Fatal("escalated on a clean window")
 	}
@@ -33,14 +33,16 @@ func TestEscalatorP99Rule(t *testing.T) {
 	if e.Escalations() != 1 {
 		t.Fatalf("escalations = %d", e.Escalations())
 	}
-	// One clean window is not enough to demote...
-	if _, esc := feedWindow(e, 2, 20, 0.1); !esc {
-		t.Fatal("demoted after a single clean window")
+	// One or two clean windows are not enough to demote...
+	for idx := int64(2); idx < 4; idx++ {
+		if _, esc := feedWindow(e, idx, 20, 0.1); !esc {
+			t.Fatalf("demoted after %d clean windows", idx-1)
+		}
 	}
-	// ...two are.
-	changed, esc = feedWindow(e, 3, 20, 0.1)
+	// ...three are.
+	changed, esc = feedWindow(e, 4, 20, 0.1)
 	if !changed || esc {
-		t.Fatalf("did not demote after CleanWindows: changed=%v esc=%v", changed, esc)
+		t.Fatalf("did not demote after cleanWindows: changed=%v esc=%v", changed, esc)
 	}
 	if e.Demotions() != 1 {
 		t.Fatalf("demotions = %d", e.Demotions())
@@ -48,17 +50,17 @@ func TestEscalatorP99Rule(t *testing.T) {
 }
 
 func TestEscalatorMinSamplesGuard(t *testing.T) {
-	e := NewEscalator(Rules{P99Above: 500 * units.Millisecond, MinSamples: 10}, escWidth)
-	if _, esc := feedWindow(e, 0, 5, 2.0); esc {
-		t.Fatal("escalated below MinSamples")
+	e := NewEscalator(Rules{P99Above: 500 * units.Millisecond}, escWidth)
+	if _, esc := feedWindow(e, 0, minSamples-1, 2.0); esc {
+		t.Fatal("escalated below minSamples")
 	}
-	if _, esc := feedWindow(e, 1, 10, 2.0); !esc {
-		t.Fatal("did not escalate at MinSamples")
+	if _, esc := feedWindow(e, 1, minSamples, 2.0); !esc {
+		t.Fatal("did not escalate at minSamples")
 	}
 }
 
 func TestEscalatorIdleWindowsDoNotDemote(t *testing.T) {
-	e := NewEscalator(Rules{P99Above: 100 * units.Millisecond, CleanWindows: 2}, escWidth)
+	e := NewEscalator(Rules{P99Above: 100 * units.Millisecond}, escWidth)
 	feedWindow(e, 0, 20, 1.0)
 	if !e.Escalated() {
 		t.Fatal("setup: not escalated")
@@ -99,18 +101,16 @@ func TestRulesEnabled(t *testing.T) {
 }
 
 // TestEscalatorDemotesExactlyAtNthCleanBoundary pins the demotion edge:
-// with CleanWindows=3, an escalated flow demotes on the roll of the third
+// with three clean windows, an escalated flow demotes on the roll of the third
 // consecutive clean window — at exactly the boundary time 4·Width, not
 // one tick before, and not a window later.
 func TestEscalatorDemotesExactlyAtNthCleanBoundary(t *testing.T) {
-	e := NewEscalator(Rules{
-		P99Above:     10 * units.Millisecond,
-		MinSamples:   1,
-		CleanWindows: 3,
-	}, units.Second)
+	e := NewEscalator(Rules{P99Above: 10 * units.Millisecond}, units.Second)
 
 	// Window 0 trips; the transition lands when window 0 rolls.
-	e.Observe(units.Time(500*units.Millisecond), 0.5)
+	for i := 0; i < minSamples; i++ {
+		e.Observe(units.Time(units.Duration(500+100*i)*units.Millisecond), 0.5)
+	}
 	changed, esc := e.Observe(units.Time(1500*units.Millisecond), 0.001)
 	if !changed || !esc {
 		t.Fatalf("window-0 roll: changed=%v escalated=%v, want true/true", changed, esc)

@@ -177,10 +177,9 @@ func (s *Scope) Histogram(name string) *Histogram {
 	return s.t.reg.histogram(s.component, name)
 }
 
-// Event records a point event (an instant in Chrome traces) if the tracer
-// admits the scope's component at sev.
+// Event records a point event (an instant in Chrome traces).
 func (s *Scope) Event(sev Severity, name string, fields ...Field) {
-	if s == nil || !s.t.tracer.admits(s.component, sev) {
+	if s == nil {
 		return
 	}
 	s.t.tracer.emit(s.t.now(), s.component, s.flow, name, sev, false, fields)
@@ -189,7 +188,7 @@ func (s *Scope) Event(sev Severity, name string, fields ...Field) {
 // Sample records a sampled time-series point (a counter track in Chrome
 // traces); each field is one series. Samples are emitted at SevInfo.
 func (s *Scope) Sample(name string, fields ...Field) {
-	if s == nil || !s.t.tracer.admits(s.component, SevInfo) {
+	if s == nil {
 		return
 	}
 	s.t.tracer.emit(s.t.now(), s.component, s.flow, name, SevInfo, true, fields)
@@ -276,9 +275,6 @@ func (sp *Sampler) SampleAt(now units.Time, fields ...Field) {
 	}
 	sp.armed = true
 	sp.last = now
-	if !sp.sc.t.tracer.admits(sp.sc.component, SevInfo) {
-		return
-	}
 	sp.sc.t.tracer.emitInterned(now, sp.compID, sp.sc.flow, sp.nameID, SevInfo, true, fields)
 }
 
@@ -303,8 +299,5 @@ func (sp *Sampler) SampleValsAt(now units.Time, vals ...float64) {
 	}
 	sp.armed = true
 	sp.last = now
-	if !sp.sc.t.tracer.admits(sp.sc.component, SevInfo) {
-		return
-	}
 	sp.sc.t.tracer.emitVals(now, sp.compID, sp.sc.flow, sp.nameID, sp.keyIDs, vals)
 }

@@ -144,24 +144,6 @@ func TestTracerRingEviction(t *testing.T) {
 	}
 }
 
-func TestTracerSeverityAndComponentMask(t *testing.T) {
-	tel := New()
-	tel.Tracer().SetMinSeverity(SevInfo)
-	tel.Tracer().EnableOnly("tcp")
-	tel.Scope("tcp").Event(SevDebug, "dropped-by-severity")
-	tel.Scope("aqm").Event(SevWarn, "dropped-by-mask")
-	tel.Scope("tcp").Event(SevWarn, "kept")
-	evs := tel.Tracer().Events()
-	if len(evs) != 1 || evs[0].Name != "kept" {
-		t.Fatalf("mask/severity filtering wrong: %+v", evs)
-	}
-	tel.Tracer().EnableOnly() // reset to all
-	tel.Scope("aqm").Event(SevInfo, "kept2")
-	if n := tel.Tracer().Len(); n != 2 {
-		t.Fatalf("after mask reset len = %d, want 2", n)
-	}
-}
-
 func TestChromeTraceExport(t *testing.T) {
 	testutil.NoLeaks(t)
 	tel := New()

@@ -48,8 +48,7 @@ const ringChunk = 4096
 
 // Tracer is a bounded ring of events. When full it evicts the oldest
 // record, so a long run keeps the most recent window — the part that
-// matters when diagnosing how a run ended. Per-component enable masks and
-// a minimum severity filter what gets recorded at all.
+// matters when diagnosing how a run ended.
 //
 // The ring grows lazily toward its capacity in fixed-size blocks (a short
 // run only allocates what it fills, and blocks are never copied or
@@ -67,9 +66,6 @@ type Tracer struct {
 	strs     []string          // intern table, id -> string
 	strIDs   map[string]uint16 // string -> id
 	overflow uint16            // id returned once the intern table is full
-
-	minSev Severity
-	mask   map[string]bool // nil = every component enabled
 }
 
 // NewTracer returns a tracer holding up to cap events (cap < 1 gets
@@ -106,37 +102,6 @@ func (t *Tracer) intern(s string) uint16 {
 	t.strs = append(t.strs, s)
 	t.strIDs[s] = id
 	return id
-}
-
-// SetMinSeverity drops future events below sev (nil-safe).
-func (t *Tracer) SetMinSeverity(sev Severity) {
-	if t != nil {
-		t.minSev = sev
-	}
-}
-
-// EnableOnly restricts future recording to the named components; with no
-// arguments it re-enables all components (nil-safe).
-func (t *Tracer) EnableOnly(components ...string) {
-	if t == nil {
-		return
-	}
-	if len(components) == 0 {
-		t.mask = nil
-		return
-	}
-	t.mask = make(map[string]bool, len(components))
-	for _, c := range components {
-		t.mask[c] = true
-	}
-}
-
-// admits reports whether an event for component at sev would be recorded.
-func (t *Tracer) admits(component string, sev Severity) bool {
-	if t == nil || sev < t.minSev {
-		return false
-	}
-	return t.mask == nil || t.mask[component]
 }
 
 // emit appends an event, evicting the oldest when the ring is full.

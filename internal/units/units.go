@@ -86,14 +86,6 @@ func (r Rate) TransmissionTime(n int) Duration {
 // BytesPerSecond reports the rate in bytes per second.
 func (r Rate) BytesPerSecond() float64 { return float64(r) / 8 }
 
-// BytesOver reports how many whole bytes can be transmitted at rate r during d.
-func (r Rate) BytesOver(d Duration) int {
-	if d <= 0 || r <= 0 {
-		return 0
-	}
-	return int(float64(r) / 8 * d.Seconds())
-}
-
 // String formats the rate in the most natural unit.
 func (r Rate) String() string {
 	switch {
@@ -107,10 +99,3 @@ func (r Rate) String() string {
 		return fmt.Sprintf("%.0fbps", float64(r))
 	}
 }
-
-// Byte sizes.
-const (
-	Byte = 1
-	KB   = 1 << 10
-	MB   = 1 << 20
-)

@@ -57,12 +57,6 @@ func TestRateBytes(t *testing.T) {
 	if got := (8 * Mbps).BytesPerSecond(); got != 1e6 {
 		t.Fatalf("BytesPerSecond = %v", got)
 	}
-	if got := (8 * Mbps).BytesOver(500 * Millisecond); got != 500000 {
-		t.Fatalf("BytesOver = %v", got)
-	}
-	if got := (8 * Mbps).BytesOver(-Second); got != 0 {
-		t.Fatalf("negative duration BytesOver = %v", got)
-	}
 }
 
 func TestRateString(t *testing.T) {
