@@ -140,9 +140,10 @@ func main() {
 		}
 	}
 
-	// Fail fast on bad paths, formats and profiles before simulating
-	// anything.
-	err := cliutil.Validate(rtOut, faultsFl)
+	// Fail fast on bad values, paths, formats and profiles before
+	// simulating anything.
+	_, ccErr := cc.New(cc.Kind(*ccAlg), 0, nil)
+	err := cliutil.Validate(cliutil.Check("cc", ccErr), rtOut, faultsFl)
 	if err == nil {
 		err = cliutil.ValidateOutputPath("snapshot", *snapOut)
 	}

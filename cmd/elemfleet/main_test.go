@@ -48,8 +48,8 @@ func runElemfleetOut(t *testing.T, args ...string) (code int, stdout, stderr str
 	return 0, "", ""
 }
 
-// TestBadFlagFailsBeforeWork: a bad export format, export path or fault
-// profile exits 2 naming its flag, and prints nothing on stdout — the
+// TestBadFlagFailsBeforeWork: a bad export format, export path, fault
+// profile or congestion control exits 2 naming its flag, and prints nothing on stdout — the
 // fleet never ran.
 func TestBadFlagFailsBeforeWork(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing", "spans.json")
@@ -60,6 +60,7 @@ func TestBadFlagFailsBeforeWork(t *testing.T) {
 		{[]string{"-fanout", "2", "-reqtrace", "-", "-reqtrace-format", "yaml"}, "-reqtrace-format"},
 		{[]string{"-fanout", "2", "-reqtrace", missing}, "-reqtrace"},
 		{[]string{"-faults", "bogus"}, "-faults"},
+		{[]string{"-cc", "cubik"}, "-cc"},
 	} {
 		args := append([]string{"-conns", "2", "-dur", "0.2"}, c.args...)
 		code, stdout, stderr := runElemfleetOut(t, args...)

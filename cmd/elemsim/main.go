@@ -44,7 +44,7 @@ func main() {
 		rtt      = flag.Float64("rtt", 50, "base RTT (ms), ignored with -profile")
 		profile  = flag.String("profile", "", "production profile: lan|cable|wifi|lte|wired-low-bw|wired-high-bw")
 		dir      = flag.String("dir", "download", "data direction with -profile: download|upload")
-		qdisc    = flag.String("qdisc", "pfifo_fast", "bottleneck qdisc: pfifo_fast|codel|fq_codel|pie")
+		qdisc    = flag.String("qdisc", "pfifo_fast", "bottleneck qdisc: pfifo_fast|codel|fq_codel|pie|sfq")
 		qlen     = flag.Int("qlen", 0, "bottleneck queue limit in packets (0 = default)")
 		ecn      = flag.Bool("ecn", false, "enable ECN")
 		loss     = flag.Float64("loss", 0, "random loss rate (0..1)")
@@ -70,8 +70,22 @@ func main() {
 	)
 	flag.Parse()
 
-	// Fail fast on bad exports and profiles before simulating anything.
-	if err := cliutil.Validate(telOut, wfOut, rtOut, faultsFl); err != nil {
+	// Fail fast on bad values, exports and profiles before simulating
+	// anything.
+	_, qdiscErr := aqm.New(aqm.Kind(*qdisc), aqm.Config{}, nil)
+	_, ccErr := cc.New(cc.Kind(*algo), 0, nil)
+	var prof *netem.Profile
+	var profErr, dirErr error
+	if *profile != "" {
+		p, err := netem.ProfileByName(*profile)
+		prof, profErr = &p, err
+	}
+	if *dir != "download" && *dir != "upload" {
+		dirErr = fmt.Errorf("unknown direction %q (have: download, upload)", *dir)
+	}
+	if err := cliutil.Validate(cliutil.Check("qdisc", qdiscErr), cliutil.Check("cc", ccErr),
+		cliutil.Check("profile", profErr), cliutil.Check("dir", dirErr),
+		telOut, wfOut, rtOut, faultsFl); err != nil {
 		fmt.Fprintln(os.Stderr, "elemsim:", err)
 		os.Exit(2)
 	}
@@ -122,17 +136,10 @@ func main() {
 		Telemetry:    telem,
 		Waterfall:    wf,
 		Faults:       faultsFl.Profile,
+		Profile:      prof,
 	}
-	if *profile != "" {
-		p, err := netem.ProfileByName(*profile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cfg.Profile = &p
-		if *dir == "upload" {
-			cfg.Direction = netem.Upload
-		}
+	if *dir == "upload" {
+		cfg.Direction = netem.Upload
 	}
 	if *fanout > 0 {
 		// One idle backend connection per leg; apps.RunFanout drives them.

@@ -32,8 +32,8 @@ func main() {
 	var (
 		bw       = flag.Float64("bw", 10, "bottleneck bandwidth (Mbps)")
 		rtt      = flag.Float64("rtt", 50, "base RTT (ms)")
-		qdisc    = flag.String("qdisc", "pfifo_fast", "bottleneck qdisc")
-		algo     = flag.String("cc", "cubic", "congestion control")
+		qdisc    = flag.String("qdisc", "pfifo_fast", "bottleneck qdisc: pfifo_fast|codel|fq_codel|pie|sfq")
+		algo     = flag.String("cc", "cubic", "congestion control: reno|cubic|vegas|bbr")
 		dur      = flag.Float64("dur", 40, "simulated duration (seconds)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		faultsFl = cliutil.FaultsFlag("inject a fault profile: ")
@@ -44,8 +44,12 @@ func main() {
 	)
 	flag.Parse()
 
-	// Fail fast on bad exports and profiles before simulating anything.
-	if err := cliutil.Validate(telOut, wfOut, faultsFl); err != nil {
+	// Fail fast on bad values, exports and profiles before simulating
+	// anything.
+	_, qdiscErr := aqm.New(aqm.Kind(*qdisc), aqm.Config{}, nil)
+	_, ccErr := cc.New(cc.Kind(*algo), 0, nil)
+	if err := cliutil.Validate(cliutil.Check("qdisc", qdiscErr), cliutil.Check("cc", ccErr),
+		telOut, wfOut, faultsFl); err != nil {
 		fmt.Fprintln(os.Stderr, "elemtrace:", err)
 		os.Exit(2)
 	}

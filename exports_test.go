@@ -66,26 +66,9 @@ func TestEveryExportHasACaller(t *testing.T) {
 	var decls []decl
 	uses := map[string]int{} // identifier -> occurrences in non-test files
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
+	walkGoFiles(t, func(path string, src []byte) error {
 		countIdents(fset, path, src, uses)
-		if !strings.HasPrefix(path, "internal"+string(filepath.Separator)) ||
-			strings.HasPrefix(path, filepath.Join("internal", "testutil")) {
+		if !strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "internal/testutil/") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
@@ -97,9 +80,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	declared := map[string]int{}
 	for _, d := range decls {
 		declared[d.name]++
@@ -122,6 +102,78 @@ func TestEveryExportHasACaller(t *testing.T) {
 		if declared[name] == 0 || uses[name] > declared[name] {
 			t.Errorf("allowlisted %s is no longer declared or now has a caller; drop it from the list", name)
 		}
+	}
+}
+
+// traceImporters names the non-test files that may still import
+// internal/trace, each with the ROADMAP item that moves it off the
+// package; the package goes once the list is empty.
+var traceImporters = map[string]string{
+	"internal/exp/scenario.go":  "item 7: FlowResult.GT becomes the waterfall projection",
+	"internal/fleet/fleet.go":   "item 1: the fleet grades against the waterfall",
+	"internal/fleet/monitor.go": "item 1: the fleet grades against the waterfall",
+	"benchmark/layers.go":       "item 3: the benchmark-only change",
+}
+
+// TestTraceImporters fails when a non-test file outside internal/trace
+// imports it and is not listed in traceImporters, or when a listed file
+// no longer imports it: the list only shrinks.
+func TestTraceImporters(t *testing.T) {
+	fset := token.NewFileSet()
+	imports := map[string]bool{}
+	walkGoFiles(t, func(path string, src []byte) error {
+		if strings.HasPrefix(path, "internal/trace/") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, src, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"element/internal/trace"` {
+				imports[path] = true
+			}
+		}
+		return nil
+	})
+	for path := range imports {
+		if _, ok := traceImporters[path]; !ok {
+			t.Errorf("%s imports internal/trace; build on the waterfall instead (ROADMAP item 7)", path)
+		}
+	}
+	for path := range traceImporters {
+		if !imports[path] {
+			t.Errorf("%s no longer imports internal/trace; drop it from traceImporters", path)
+		}
+	}
+}
+
+// walkGoFiles calls fn with the slash-separated path and source of every
+// non-test Go file in the module, skipping hidden and testdata
+// directories.
+func walkGoFiles(t *testing.T, fn func(path string, src []byte) error) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return fn(filepath.ToSlash(path), src)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"element/internal/cc"
 	"element/internal/core"
+	"element/internal/faults"
 	"element/internal/netem"
 	"element/internal/sim"
 	"element/internal/stack"
@@ -20,16 +21,61 @@ func vrNet(seed int64) (*sim.Engine, *stack.Net) {
 	return eng, stack.NewNet(eng, path)
 }
 
+// TestBulkSenderAndSink drives the bulk writer/reader pair over a
+// 50 Mbps link: with no stop in the run it saturates the link, a stop
+// ends the writes (the reader still drains the stream), and an
+// injector's partial writes, short reads and stalls reach the app.
 func TestBulkSenderAndSink(t *testing.T) {
-	eng, net := vrNet(1)
-	c := stack.Dial(net, stack.ConnConfig{CC: cc.KindCubic})
-	StartBulkSender(eng, c.Sender, 0)
-	StartSink(eng, c.Receiver)
-	eng.RunUntil(units.Time(10 * units.Second))
-	eng.Shutdown()
-	got := float64(c.Receiver.ReadCum()) * 8 / 10
-	if got < 40e6 {
-		t.Fatalf("bulk goodput %.1f Mbps on a 50 Mbps link", got/1e6)
+	const run = 10 * units.Second
+	for _, c := range []struct {
+		name    string
+		stop    units.Time
+		profile string // fault profile; "" runs without an injector
+	}{
+		{name: "no stop", stop: units.Time(2 * run)},
+		{name: "stop at 2s", stop: units.Time(2 * units.Second)},
+		{name: "app-stress", stop: units.Time(2 * run), profile: "app-stress"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, net := vrNet(1)
+			conn := stack.Dial(net, stack.ConnConfig{CC: cc.KindCubic})
+			var inj *faults.Injector
+			if c.profile != "" {
+				inj = faults.New(eng, faults.Profiles[c.profile], 1)
+			}
+			StartBulk(eng, conn.Sender, conn.Receiver, DefaultChunk, c.stop, inj)
+			var atStop uint64
+			if c.stop < units.Time(run) {
+				eng.RunUntil(c.stop)
+				atStop = conn.Sender.WrittenCum()
+			}
+			eng.RunUntil(units.Time(run))
+			eng.Shutdown()
+			written, read := conn.Sender.WrittenCum(), conn.Receiver.ReadCum()
+			switch {
+			case c.stop < units.Time(run):
+				// The write in progress at the stop may finish after it;
+				// no later one starts.
+				if atStop == 0 || written > atStop+DefaultChunk {
+					t.Fatalf("wrote %d bytes by the stop and %d by the end, want at most one %d-byte chunk more",
+						atStop, written, DefaultChunk)
+				}
+				if read != written {
+					t.Fatalf("reader drained %d of %d bytes written", read, written)
+				}
+			case inj != nil:
+				if n := inj.Counts(); n.PartialWrites == 0 || n.ShortReads == 0 || n.WriterStalls == 0 {
+					t.Fatalf("injector counts %+v, want partial writes, short reads and stalls", n)
+				}
+				if read == 0 {
+					t.Fatal("no bytes read under app-stress")
+				}
+			default:
+				if got := float64(read) * 8 / run.Seconds(); got < 40e6 {
+					t.Fatalf("bulk goodput %.1f Mbps on a 50 Mbps link", got/1e6)
+				}
+			}
+		})
 	}
 }
 

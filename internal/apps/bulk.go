@@ -5,7 +5,9 @@ package apps
 
 import (
 	"element/internal/core"
+	"element/internal/faults"
 	"element/internal/sim"
+	"element/internal/units"
 )
 
 // DefaultChunk is the write size the bulk generator uses per socket call,
@@ -15,25 +17,26 @@ import (
 // achievable latency at low rates.
 const DefaultChunk = 8 << 10
 
-// StartBulkSender spawns a process that writes continuously until the
-// stream closes — iperf's behaviour. The writer only sees the
-// core.StreamWriter interface, so handing it an ELEMENT-interposed socket
+// StartBulk spawns iperf's two ends: a writer that writes chunk-byte
+// blocks until stop (or the stream closes) and a reader that reads as fast
+// as data arrives. The app only sees the core.StreamWriter and
+// StreamReader interfaces, so handing it an ELEMENT-interposed socket
 // instead of a raw one is invisible to it (the LD_PRELOAD deployment).
-func StartBulkSender(eng *sim.Engine, w core.StreamWriter, chunk int) {
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	eng.Spawn("bulk-sender", func(p *sim.Proc) {
-		for w.Write(p, chunk) > 0 {
+// inj perturbs the app's calls — writer stalls, partial writes, short
+// reads — and nil runs it unperturbed.
+func StartBulk(eng *sim.Engine, w core.StreamWriter, r core.StreamReader, chunk int, stop units.Time, inj *faults.Injector) {
+	eng.Spawn("writer", func(p *sim.Proc) {
+		for p.Now() < stop {
+			if d := inj.WriteStall(); d > 0 {
+				p.Sleep(d)
+			}
+			if w.Write(p, inj.WriteSize(chunk)) == 0 {
+				return
+			}
 		}
 	})
-}
-
-// StartSink spawns a process that reads as fast as data arrives, like
-// iperf's server side.
-func StartSink(eng *sim.Engine, r core.StreamReader) {
-	eng.Spawn("bulk-sink", func(p *sim.Proc) {
-		for r.Read(p, 1<<20) > 0 {
+	eng.Spawn("reader", func(p *sim.Proc) {
+		for r.Read(p, inj.ReadSize(1<<20)) > 0 {
 		}
 	})
 }

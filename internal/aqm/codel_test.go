@@ -55,7 +55,7 @@ func TestCoDelDropSpacingFollowsControlLaw(t *testing.T) {
 }
 
 func TestSFQDropFromLongest(t *testing.T) {
-	f := NewSFQ(Config{LimitPackets: 10})
+	f := newSFQ(Config{LimitPackets: 10})
 	now := units.Time(0)
 	// Flow 1 hogs the queue; flow 2 sends one packet.
 	for i := 0; i < 9; i++ {

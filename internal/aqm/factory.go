@@ -14,6 +14,9 @@ const (
 	KindCoDel   Kind = "codel"
 	KindFQCoDel Kind = "fq_codel"
 	KindPIE     Kind = "pie"
+	// KindSFQ is plain stochastic fair queueing (Figure 16's per-flow
+	// buffers); Figure 3 does not report it.
+	KindSFQ Kind = "sfq"
 )
 
 // AllKinds lists the disciplines in the order the paper's Figure 3 reports
@@ -32,8 +35,11 @@ func New(kind Kind, cfg Config, rng *rand.Rand) (Discipline, error) {
 		return NewFQCoDel(cfg), nil
 	case KindPIE:
 		return NewPIE(cfg, rng), nil
+	case KindSFQ:
+		return newSFQ(cfg), nil
 	default:
-		return nil, fmt.Errorf("aqm: unknown discipline %q", kind)
+		return nil, fmt.Errorf("aqm: unknown discipline %q (have: %s, %s, %s, %s, %s)",
+			kind, KindFIFO, KindCoDel, KindFQCoDel, KindPIE, KindSFQ)
 	}
 }
 

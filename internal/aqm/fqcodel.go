@@ -38,11 +38,11 @@ type FQCoDel struct {
 	noCodel  bool // SFQ mode: fair queueing without the AQM law
 }
 
-// NewSFQ returns a plain stochastic-fair-queueing scheduler: FQ-CoDel's
+// newSFQ returns a plain stochastic-fair-queueing scheduler: FQ-CoDel's
 // flow isolation and DRR without the CoDel drop law. It models per-flow
 // buffers (as in cellular basestations) where each flow's queueing delay is
 // its own doing — the setting the paper's Sprout/Verus comparison assumes.
-func NewSFQ(cfg Config) *FQCoDel {
+func newSFQ(cfg Config) *FQCoDel {
 	f := NewFQCoDel(cfg)
 	f.noCodel = true
 	return f

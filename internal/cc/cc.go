@@ -62,7 +62,8 @@ func New(kind Kind, mss int, rng *rand.Rand) (Algorithm, error) {
 	case KindBBR:
 		return NewBBR(mss), nil
 	default:
-		return nil, fmt.Errorf("cc: unknown algorithm %q", kind)
+		return nil, fmt.Errorf("cc: unknown algorithm %q (have: %s, %s, %s, %s)",
+			kind, KindReno, KindCubic, KindVegas, KindBBR)
 	}
 }
 

@@ -72,6 +72,24 @@ func (e *Export[F]) Write(write func(io.Writer, F) error) error {
 	return WriteExport(e.Path, func(w io.Writer) error { return write(w, e.Format) })
 }
 
+// Check returns a Validate group that reports err — the outcome of
+// checking flag name's value — under the flag's name. An enumerated flag
+// (-qdisc, -cc, -profile) is checked by the constructor its value feeds,
+// whose error lists the accepted values.
+func Check(name string, err error) validator { return checked{name, err} }
+
+type checked struct {
+	name string
+	err  error
+}
+
+func (c checked) validate() error {
+	if c.err != nil {
+		return fmt.Errorf("-%s: %w", c.name, c.err)
+	}
+	return nil
+}
+
 // Faults is the -faults flag: a fault-profile name, resolved by Validate.
 type Faults struct {
 	// Profile is the named profile, nil when the flag is unset.

@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"element/internal/aqm"
+	"element/internal/cc"
 	"element/internal/faults"
+	"element/internal/netem"
 )
 
 func TestValidateOutputPath(t *testing.T) {
@@ -177,6 +180,45 @@ func TestFaultsUnknownProfileListsNames(t *testing.T) {
 	out, flt = parseFlags(t)
 	if err := Validate(out, flt); err != nil || flt.Profile != nil {
 		t.Fatalf("unset -faults: %v, %+v; want no profile", err, flt.Profile)
+	}
+}
+
+// An enumerated flag's value is checked by the constructor it feeds: a
+// bad value fails under the flag's name and lists the accepted values,
+// and the groups report in order like any other.
+func TestCheckEnumeratedFlags(t *testing.T) {
+	_, qdiscErr := aqm.New("fifoo", aqm.Config{}, nil)
+	_, ccErr := cc.New("cubik", 0, nil)
+	_, profErr := netem.ProfileByName("lten")
+	for _, c := range []struct {
+		flag string
+		err  error
+		want []string
+	}{
+		{"qdisc", qdiscErr, []string{"pfifo_fast", "codel", "fq_codel", "pie", "sfq"}},
+		{"cc", ccErr, []string{"reno", "cubic", "vegas", "bbr"}},
+		{"profile", profErr, []string{"wired-low-bw", "wired-high-bw", "lan", "cable", "wifi", "lte"}},
+	} {
+		err := Validate(Check(c.flag, c.err))
+		if err == nil || !strings.HasPrefix(err.Error(), "-"+c.flag+": ") {
+			t.Fatalf("-%s: %v, want an error naming the flag", c.flag, err)
+		}
+		for _, v := range c.want {
+			if !strings.Contains(err.Error(), v) {
+				t.Errorf("-%s: error %q does not list %q", c.flag, err, v)
+			}
+		}
+	}
+	for _, kind := range []aqm.Kind{aqm.KindFIFO, aqm.KindCoDel, aqm.KindFQCoDel, aqm.KindPIE, aqm.KindSFQ} {
+		_, err := aqm.New(kind, aqm.Config{}, nil)
+		if err := Validate(Check("qdisc", err)); err != nil {
+			t.Errorf("-qdisc %s rejected: %v", kind, err)
+		}
+	}
+	_, defaultCC := cc.New("", 0, nil)
+	out, flt := parseFlags(t, "-faults", "bogus")
+	if err := Validate(Check("cc", defaultCC), Check("qdisc", qdiscErr), out, flt); err == nil || !strings.HasPrefix(err.Error(), "-qdisc: ") {
+		t.Fatalf("Validate(cc, qdisc, export, faults) = %v, want the -qdisc failure", err)
 	}
 }
 

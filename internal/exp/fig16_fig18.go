@@ -11,7 +11,6 @@ import (
 	"element/internal/sim"
 	"element/internal/stack"
 	"element/internal/stats"
-	"element/internal/trace"
 	"element/internal/udplow"
 	"element/internal/units"
 )
@@ -37,42 +36,24 @@ func Fig16(seed int64, duration units.Duration) *Result {
 		},
 	}
 
-	type bg struct {
-		col  *trace.Collector
-		conn *stack.Conn
-	}
-	build := func(s int64) (*sim.Engine, *stack.Net, []bg) {
-		eng := sim.New(s)
-		path := netem.NewPath(eng, netem.PathConfig{
-			Forward: netem.LinkConfig{
-				Rate: 12 * units.Mbps, Delay: 25 * units.Millisecond,
-				// Bounded per-flow buffering (drop-from-longest), like the
-				// per-UE queues of the cellular testbeds Sprout/Verus target.
-				Discipline: aqm.NewSFQ(aqm.Config{LimitPackets: 300}),
-			},
-			Reverse: netem.LinkConfig{Rate: 12 * units.Mbps, Delay: 25 * units.Millisecond},
+	// Two Cubic background flows, plus the ELEMENT run's own flow; the
+	// UDP flows are made on the scenario's network after Build.
+	build := func(low ...FlowSpec) *Scenario {
+		return Build(ScenarioConfig{
+			Seed: seed, Rate: 12 * units.Mbps, RTT: 50 * units.Millisecond,
+			// Bounded per-flow buffering (drop-from-longest), like the
+			// per-UE queues of the cellular testbeds Sprout/Verus target.
+			Disc: aqm.KindSFQ, QueuePackets: 300,
+			DynamicBW: &DynamicBW{Low: 8 * units.Mbps, High: 16 * units.Mbps, Period: 15 * units.Second},
+			Duration:  duration,
+			Flows:     append([]FlowSpec{{}, {}}, low...),
 		})
-		netem.StartDynamicBandwidth(eng, path.Forward, 8*units.Mbps, 16*units.Mbps, 15*units.Second)
-		net := stack.NewNet(eng, path)
-		var bgs []bg
-		for i := 0; i < 2; i++ {
-			col := trace.New(eng)
-			conn := stack.Dial(net, stack.ConnConfig{
-				SenderHooks: col.SenderHooks(), ReceiverHooks: col.ReceiverHooks(),
-			})
-			apps.StartBulkSender(eng, conn.Sender, 0)
-			apps.StartSink(eng, conn.Receiver)
-			bgs = append(bgs, bg{col: col, conn: conn})
-		}
-		return eng, net, bgs
 	}
-	emit := func(alg string, lowDelay, lowTput float64, bgs []bg) {
+	emit := func(alg string, lowDelay, lowTput float64, sc *Scenario) {
 		res.Rows = append(res.Rows, []string{alg, "low-latency", fmtSec(lowDelay), fmtMbps(lowTput)})
-		for i, b := range bgs {
+		for i, b := range sc.Flows[:2] {
 			res.Rows = append(res.Rows, []string{
-				alg, fmt.Sprintf("background-%d", i+1),
-				fmtSec(b.col.SenderDelay().Mean().Seconds() + b.col.NetworkDelay().Mean().Seconds() + b.col.ReceiverDelay().Mean().Seconds()),
-				fmtMbps(float64(b.conn.Receiver.ReadCum()) * 8 / duration.Seconds()),
+				alg, fmt.Sprintf("background-%d", i+1), fmtSec(b.TotalDelay().Seconds()), fmtMbps(b.GoodputBps),
 			})
 		}
 	}
@@ -85,31 +66,19 @@ func Fig16(seed int64, duration units.Duration) *Result {
 		{"sprout", udplow.NewSprout},
 		{"verus", udplow.NewVerus},
 	} {
-		eng, net, bgs := build(seed)
-		f := mk.make(net)
-		eng.RunUntil(units.Time(duration))
+		sc := build()
+		f := mk.make(sc.Net)
+		sc.RunContext(defaultContext())
 		f.Stop()
-		eng.Shutdown()
 		emit(mk.name, f.Delays().Mean().Seconds(),
-			float64(f.ReceivedBytes())*8/duration.Seconds(), bgs)
+			float64(f.ReceivedBytes())*8/duration.Seconds(), sc)
 	}
 
 	// Cubic + ELEMENT.
-	{
-		eng, net, bgs := build(seed)
-		col := trace.New(eng)
-		conn := stack.Dial(net, stack.ConnConfig{
-			CC: cc.KindCubic, SenderHooks: col.SenderHooks(), ReceiverHooks: col.ReceiverHooks(),
-		})
-		snd := core.AttachSender(eng, conn.Sender, core.Options{Minimize: true})
-		apps.StartBulkSender(eng, core.Interposed{S: snd}, 0)
-		apps.StartSink(eng, conn.Receiver)
-		eng.RunUntil(units.Time(duration))
-		eng.Shutdown()
-		total := col.SenderDelay().Mean() + col.NetworkDelay().Mean() + col.ReceiverDelay().Mean()
-		emit("ELEMENT", total.Seconds(),
-			float64(conn.Receiver.ReadCum())*8/duration.Seconds(), bgs)
-	}
+	sc := build(FlowSpec{CC: cc.KindCubic, Minimize: true})
+	sc.RunContext(defaultContext())
+	low := sc.Flows[2]
+	emit("ELEMENT", low.TotalDelay().Seconds(), low.GoodputBps, sc)
 	return res
 }
 

@@ -7,6 +7,7 @@ package exp
 import (
 	"context"
 
+	"element/internal/apps"
 	"element/internal/aqm"
 	"element/internal/cc"
 	"element/internal/core"
@@ -246,44 +247,16 @@ func Build(cfg ScenarioConfig) *Scenario {
 		if spec.Idle {
 			continue
 		}
-		startWriter := func() {
-			eng.Spawn("writer", func(p *sim.Proc) {
-				const chunk = 8 << 10 // iperf2's default TCP block size
-				for p.Now() < units.Time(cfg.Duration) {
-					if d := s.Inj.WriteStall(); d > 0 {
-						p.Sleep(d)
-					}
-					var n int
-					size := s.Inj.WriteSize(chunk)
-					if fr.Sender != nil {
-						n = fr.Sender.Send(p, size).Size
-					} else {
-						n = conn.Sender.Write(p, size)
-					}
-					if n == 0 {
-						return
-					}
-				}
-			})
-			eng.Spawn("reader", func(p *sim.Proc) {
-				for {
-					var n int
-					max := s.Inj.ReadSize(1 << 20)
-					if fr.Receiver != nil {
-						n = fr.Receiver.Read(p, max).Size
-					} else {
-						n = conn.Receiver.Read(p, max)
-					}
-					if n == 0 {
-						return
-					}
-				}
-			})
+		var w core.StreamWriter = conn.Sender
+		var r core.StreamReader = conn.Receiver
+		if fr.Sender != nil {
+			w, r = core.Interposed{S: fr.Sender}, core.InterposedReader{R: fr.Receiver}
 		}
+		startApp := func() { apps.StartBulk(eng, w, r, apps.DefaultChunk, units.Time(cfg.Duration), s.Inj) }
 		if spec.StartAt > 0 {
-			eng.Schedule(spec.StartAt, startWriter)
+			eng.Schedule(spec.StartAt, startApp)
 		} else {
-			startWriter()
+			startApp()
 		}
 	}
 	return s
@@ -337,12 +310,14 @@ func (s *Scenario) finish() {
 var DefaultContext context.Context
 
 // RunScenario builds and runs cfg in one call, honoring DefaultContext.
-func RunScenario(cfg ScenarioConfig) *Scenario {
-	ctx := DefaultContext
-	if ctx == nil {
-		ctx = context.Background()
+func RunScenario(cfg ScenarioConfig) *Scenario { return RunScenarioContext(defaultContext(), cfg) }
+
+// defaultContext is DefaultContext, or Background when it is unset.
+func defaultContext() context.Context {
+	if DefaultContext != nil {
+		return DefaultContext
 	}
-	return RunScenarioContext(ctx, cfg)
+	return context.Background()
 }
 
 // RunScenarioContext is RunScenario with cooperative cancellation.

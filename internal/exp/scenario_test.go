@@ -1,12 +1,15 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"element/internal/aqm"
 	"element/internal/cc"
+	"element/internal/faults"
 	"element/internal/netem"
 	"element/internal/units"
+	"element/internal/waterfall"
 )
 
 func TestScenarioBasics(t *testing.T) {
@@ -119,4 +122,31 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestDefaultsReachTable1AndFig16: the package defaults cmd/elembench
+// sets around each experiment reach tab1 and fig16 — both build their
+// testbeds through Build — so -waterfall attaches recorders to their flows
+// and -faults moves their tables.
+func TestDefaultsReachTable1AndFig16(t *testing.T) {
+	t.Cleanup(func() { DefaultWaterfall, DefaultFaults = nil, nil })
+	run := map[string]func() *Result{
+		"tab1":  func() *Result { return Table1(1, 1, units.Second) },
+		"fig16": func() *Result { return Fig16(1, units.Second) },
+	}
+	for _, id := range []string{"tab1", "fig16"} {
+		DefaultWaterfall, DefaultFaults = waterfall.New(), nil
+		polite := run[id]()
+		if n := len(DefaultWaterfall.Flows()); n == 0 {
+			t.Errorf("%s: DefaultWaterfall attached no recorders", id)
+		}
+		prof, err := faults.ByName("flaky-path")
+		if err != nil {
+			t.Fatal(err)
+		}
+		DefaultWaterfall, DefaultFaults = nil, &prof
+		if faulted := run[id](); reflect.DeepEqual(faulted.Rows, polite.Rows) {
+			t.Errorf("%s: rows under DefaultFaults %q equal the unfaulted rows", id, prof.Name)
+		}
+	}
 }

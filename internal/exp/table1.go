@@ -3,15 +3,11 @@ package exp
 import (
 	"fmt"
 
-	"element/internal/aqm"
+	"element/internal/apps"
 	"element/internal/cc"
 	"element/internal/core"
-	"element/internal/netem"
 	"element/internal/probes"
-	"element/internal/sim"
-	"element/internal/stack"
 	"element/internal/stats"
-	"element/internal/trace"
 	"element/internal/units"
 )
 
@@ -38,46 +34,29 @@ func Table1(seed int64, runs int, duration units.Duration) *Result {
 	var echoTimes []float64
 
 	for r := 0; r < runs; r++ {
-		eng := sim.New(seed + int64(r))
-		disc := aqm.MustNew(aqm.KindFIFO, aqm.Config{LimitPackets: 100}, eng.Rand())
-		path := netem.NewPath(eng, netem.PathConfig{
-			Forward: netem.LinkConfig{Rate: 10 * units.Mbps, Delay: 25 * units.Millisecond, Discipline: disc},
-			Reverse: netem.LinkConfig{Rate: 10 * units.Mbps, Delay: 25 * units.Millisecond},
+		sc := Build(ScenarioConfig{
+			Seed: seed + int64(r), Rate: 10 * units.Mbps, RTT: 50 * units.Millisecond,
+			QueuePackets: wanQueuePackets, Duration: duration,
+			Flows: []FlowSpec{{CC: cc.KindCubic, Element: true, Idle: true}},
 		})
-		net := stack.NewNet(eng, path)
+		f := sc.Flows[0]
+		apps.StartBulk(sc.Eng, core.Interposed{S: f.Sender}, core.InterposedReader{R: f.Receiver},
+			16<<10, units.Time(duration), sc.Inj)
 
-		col := trace.New(eng)
-		conn := stack.Dial(net, stack.ConnConfig{
-			CC:            cc.KindCubic,
-			SenderHooks:   col.SenderHooks(),
-			ReceiverHooks: col.ReceiverHooks(),
-		})
-		snd := core.AttachSender(eng, conn.Sender, core.Options{})
-		rcv := core.AttachReceiver(eng, conn.Receiver, core.Options{})
-		eng.Spawn("writer", func(p *sim.Proc) {
-			for snd.Send(p, 16<<10).Size > 0 {
-			}
-		})
-		eng.Spawn("reader", func(p *sim.Proc) {
-			for rcv.Read(p, 1<<20).Size > 0 {
-			}
-		})
+		tping := probes.NewTCPPing(sc.Net)
+		paping := probes.NewPaping(sc.Net)
+		hping := probes.NewHping3(sc.Net)
+		echo := probes.NewEchoPing(sc.Net, 256<<10, 0)
 
-		tping := probes.NewTCPPing(net)
-		paping := probes.NewPaping(net)
-		hping := probes.NewHping3(net)
-		echo := probes.NewEchoPing(net, 256<<10, 0)
+		sc.RunContext(defaultContext())
 
-		eng.RunUntil(units.Time(duration))
-		eng.Shutdown()
+		gt.snd = append(gt.snd, f.GT.SenderDelay().Mean().Seconds())
+		gt.net = append(gt.net, f.GT.NetworkDelay().Mean().Seconds())
+		gt.rcv = append(gt.rcv, f.GT.ReceiverDelay().Mean().Seconds())
 
-		gt.snd = append(gt.snd, col.SenderDelay().Mean().Seconds())
-		gt.net = append(gt.net, col.NetworkDelay().Mean().Seconds())
-		gt.rcv = append(gt.rcv, col.ReceiverDelay().Mean().Seconds())
-
-		el.snd = append(el.snd, snd.Estimates().Series().Mean().Seconds())
-		el.net = append(el.net, conn.Sender.SRTT().Seconds())
-		el.rcv = append(el.rcv, receiverMeanOrZero(rcv))
+		el.snd = append(el.snd, f.Sender.Estimates().Series().Mean().Seconds())
+		el.net = append(el.net, f.Conn.Sender.SRTT().Seconds())
+		el.rcv = append(el.rcv, receiverMeanOrZero(f.Receiver))
 
 		toolRTTs["tcpping"] = append(toolRTTs["tcpping"], tping.RTTs().Mean().Seconds())
 		toolRTTs["paping"] = append(toolRTTs["paping"], paping.RTTs().Mean().Seconds())

@@ -3,6 +3,7 @@ package fleet
 import (
 	"math/rand"
 
+	"element/internal/apps"
 	"element/internal/core"
 	"element/internal/faults"
 	"element/internal/overload"
@@ -151,7 +152,8 @@ func (m *Monitor) open() {
 	if m.fl.cfg.Fanout == nil {
 		// Fanout mode replaces the bulk writer/reader with the group
 		// workload, started once the whole group is open.
-		m.startTraffic()
+		apps.StartBulk(sh.eng, monitorWriter{m}, monitorReader{m}, apps.DefaultChunk,
+			units.Time(m.fl.cfg.Duration), m.inj)
 	}
 	if m.haveCP {
 		// Resume path: the fleet seeded the held checkpoint from a
@@ -185,50 +187,34 @@ func (m *Monitor) open() {
 	sh.updateGauges()
 }
 
-// startTraffic spawns the writer/reader pair. The app feeds the trackers
-// only while the monitor is alive — a crashed monitor misses writes and
-// reads, and the restored one picks the cumulative counters back up.
-func (m *Monitor) startTraffic() {
-	conn := m.conn
-	stop := units.Time(m.fl.cfg.Duration)
-	m.sh.eng.Spawn("fleet-writer", func(p *sim.Proc) {
-		const chunk = 8 << 10
-		for p.Now() < stop {
-			size := chunk
-			if m.inj != nil {
-				if d := m.inj.WriteStall(); d > 0 {
-					p.Sleep(d)
-				}
-				size = m.inj.WriteSize(chunk)
-			}
-			n := conn.Sender.Write(p, size)
-			if n == 0 {
-				return
-			}
-			if m.alive {
-				cum := conn.Sender.WrittenCum()
-				m.snd.OnWrite(cum)
-				if m.min != nil {
-					m.min.AfterSend(p, cum)
-				}
-			}
+// monitorWriter and monitorReader are the bulk app's socket ends. The
+// app feeds the trackers only while the monitor is alive — a crashed
+// monitor misses writes and reads, and the restored one picks the
+// cumulative counters back up.
+type monitorWriter struct{ m *Monitor }
+
+func (w monitorWriter) Write(p *sim.Proc, n int) int {
+	m := w.m
+	got := m.conn.Sender.Write(p, n)
+	if got > 0 && m.alive {
+		cum := m.conn.Sender.WrittenCum()
+		m.snd.OnWrite(cum)
+		if m.min != nil {
+			m.min.AfterSend(p, cum)
 		}
-	})
-	m.sh.eng.Spawn("fleet-reader", func(p *sim.Proc) {
-		for {
-			max := 1 << 20
-			if m.inj != nil {
-				max = m.inj.ReadSize(max)
-			}
-			n := conn.Receiver.Read(p, max)
-			if n == 0 {
-				return
-			}
-			if m.alive {
-				m.rcv.OnRead(conn.Receiver.ReadCum(), n, n < max)
-			}
-		}
-	})
+	}
+	return got
+}
+
+type monitorReader struct{ m *Monitor }
+
+func (r monitorReader) Read(p *sim.Proc, max int) int {
+	m := r.m
+	got := m.conn.Receiver.Read(p, max)
+	if got > 0 && m.alive {
+		m.rcv.OnRead(m.conn.Receiver.ReadCum(), got, got < max)
+	}
+	return got
 }
 
 // startFresh brings up the first monitor incarnation when there is no

@@ -3,6 +3,7 @@ package netem
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"element/internal/aqm"
 	"element/internal/sim"
@@ -125,12 +126,17 @@ var (
 
 // ProfileByName looks up a production profile.
 func ProfileByName(name string) (Profile, error) {
-	for _, p := range []Profile{WiredLowBW, WiredHighBW, LAN, Cable, WiFi, LTE} {
+	profiles := []Profile{WiredLowBW, WiredHighBW, LAN, Cable, WiFi, LTE}
+	for _, p := range profiles {
 		if p.Name == name {
 			return p, nil
 		}
 	}
-	return Profile{}, fmt.Errorf("netem: unknown profile %q", name)
+	names := make([]string, len(profiles))
+	for i, p := range profiles {
+		names[i] = p.Name
+	}
+	return Profile{}, fmt.Errorf("netem: unknown profile %q (have: %s)", name, strings.Join(names, ", "))
 }
 
 // BuildOptions tune profile construction.

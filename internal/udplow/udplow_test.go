@@ -18,7 +18,7 @@ func sfqNet(seed int64) (*sim.Engine, *stack.Net) {
 		Forward: netem.LinkConfig{
 			Rate:       12 * units.Mbps,
 			Delay:      25 * units.Millisecond,
-			Discipline: aqm.NewSFQ(aqm.Config{}),
+			Discipline: aqm.MustNew(aqm.KindSFQ, aqm.Config{}, nil),
 		},
 		Reverse: netem.LinkConfig{Rate: 12 * units.Mbps, Delay: 25 * units.Millisecond},
 	})
