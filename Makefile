@@ -71,9 +71,10 @@ test:
 ## scoreboard against the full-window scans, the waterfall recorder's
 ## packet stamps and arrival queue against the keyed link table and
 ## sorted slice they replaced, the sketch's bit-read bucket index
-## against its math.Frexp definition, and a decoded checkpoint restored as
+## against its math.Frexp definition, a decoded checkpoint restored as
 ## held against its own re-encoding (the fleet restores held checkpoints
-## without re-parsing them). Corpus replays already run in `make test`;
+## without re-parsing them), and the chunked result log against a plain
+## slice. Corpus replays already run in `make test`;
 ## this looks for new inputs.
 ## One target per go test run (go fuzz rejects several), two workers so a
 ## 2-core CI box is not oversubscribed.
@@ -83,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecorder$$' -fuzztime 20s -parallel 2 ./internal/waterfall
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchIndex$$' -fuzztime 20s -parallel 2 ./internal/telemetry/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzHeldCheckpoint$$' -fuzztime 20s -parallel 2 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLog$$' -fuzztime 20s -parallel 2 ./internal/stats
 
 ## conformance: the full analytical-twin conformance run — every
 ## hypothesis fit across seeds 1..5 at full sweep resolution plus the

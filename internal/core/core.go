@@ -103,19 +103,19 @@ func (e *Estimates) add(m Measurement) { e.log.Append(m) }
 // append amortization off the poll hot path and run allocation-free.
 func (e *Estimates) Grow(n int) { e.log.Grow(n) }
 
-// Reset drops every sample while keeping the backing capacity. For
+// Reset drops every sample while keeping the log's largest chunk. For
 // callers that have fully consumed the series (benchmark harnesses
 // recycling one tracker); the series restarts empty, not a window.
 func (e *Estimates) Reset() { e.log.Truncate(0) }
 
 // DrainLog hands every retained measurement to fn in production order,
-// then empties the series keeping the backing capacity — the fleets'
+// then empties the series keeping its largest chunk — the fleets'
 // primitive: a monitor that drains after every poll holds O(poll batch)
 // samples in its trackers instead of O(run).
 func (e *Estimates) DrainLog(fn func(Measurement)) {
-	// A log drained every poll is never chunked, so Slice is the first
-	// slice itself; a long one is folded once and its slice kept.
-	for _, m := range e.log.Slice() {
+	// Read where it lies, not consolidated: Reset keeps the log's largest
+	// chunk, which a batch of up to 512 fills from the next poll on.
+	for m := range e.log.All() {
 		fn(m)
 	}
 	e.Reset()

@@ -22,7 +22,7 @@ func horizonErr(c *Collector) error {
 		return fmt.Errorf("live head stamp [%d, %d) is at or below the read horizon %d",
 			c.transmits[c.txHead].start, c.transmits[c.txHead].end, c.readCum)
 	}
-	if c.txHead > 256 && c.txHead*2 >= len(c.transmits) {
+	if c.txHead > 0 && c.txHead*2 >= len(c.transmits) {
 		return fmt.Errorf("dead prefix %d of %d stamps missed its compaction", c.txHead, len(c.transmits))
 	}
 	return nil
@@ -146,5 +146,31 @@ func TestOneNetworkSamplePerArrival(t *testing.T) {
 		if n := len(col.NetworkDelay()); n != arrivals[i] || n == 0 {
 			t.Errorf("flow %d (%v): %d new-byte arrivals, %d network samples", i, kinds[i], arrivals[i], n)
 		}
+	}
+}
+
+// TestInflightQueuesTrackWindow: the collector's three queues are sized
+// by what is in flight, not by a fixed slack. 20 000 in-order segments
+// pass with the reader holding 8 received and unread, and no queue's
+// capacity ever exceeds 32 — compaction drops a consumed prefix as soon
+// as it is half the queue, however short.
+func TestInflightQueuesTrackWindow(t *testing.T) {
+	const seg, segs, inflight, maxCap = 100, 20000, 8, 32
+	c := New(sim.New(1))
+	for i := uint64(0); i < segs; i++ {
+		c.onAppWrite((i+1)*seg, seg)
+		c.onTCPTransmit(i*seg, seg, false)
+		c.onTCPReceive(i*seg, seg)
+		if i >= inflight {
+			c.onAppRead((i-inflight+1)*seg, seg)
+		}
+		for name, n := range map[string]int{"writes": cap(c.writes), "transmits": cap(c.transmits), "receives": cap(c.receives)} {
+			if n > maxCap {
+				t.Fatalf("segment %d: %s has capacity %d with %d segments in flight, want at most %d", i, name, n, inflight, maxCap)
+			}
+		}
+	}
+	if got := c.ReceiverLog().Len(); got != segs-inflight {
+		t.Fatalf("%d receiver samples, want %d", got, segs-inflight)
 	}
 }

@@ -102,10 +102,13 @@ func (c *Collector) onTCPTransmit(seq uint64, n int, retx bool) {
 	c.writes, c.writeHead = compact(c.writes, c.writeHead)
 }
 
-// compact drops the consumed prefix s[:head] once it is at least half of s,
-// keeping the backing array.
+// compact drops the consumed prefix s[:head] once it is at least half of
+// s, keeping the backing array: the rule waterfall.Recorder's queues
+// follow too. Each live stamp is copied at most once per stamp consumed
+// before it, and s stays within about twice its live stamps, so its
+// capacity follows the window.
 func compact(s []rangeStamp, head int) ([]rangeStamp, int) {
-	if head > 256 && head*2 >= len(s) {
+	if head > 0 && head*2 >= len(s) {
 		return s[:copy(s, s[head:])], 0
 	}
 	return s, head

@@ -153,3 +153,39 @@ func TestStaleCopiesLeaveNoState(t *testing.T) {
 		t.Fatalf("%d drop markers for in-queue drops the tap cannot see", len(stale.r.Drops()))
 	}
 }
+
+// TestInflightQueuesTrackWindow: the recorder's three head-indexed queues
+// are sized by what is in flight, not by a fixed slack. 20 000 in-order
+// segments pass with the reader holding 8 received and unread, and no
+// queue's capacity ever exceeds 32 — compaction drops a consumed prefix
+// as soon as it is half the queue, however short.
+func TestInflightQueuesTrackWindow(t *testing.T) {
+	const segs, inflight, maxCap = 20000, 8, 32
+	var now units.Time
+	wf := New()
+	wf.SetClock(func() units.Time { return now })
+	r := wf.NewFlow()
+	var p pkt.Packet
+	for i := uint64(0); i < segs; i++ {
+		now = now.Add(100 * units.Microsecond)
+		r.onAppWrite((i+1)*cycleSeg, cycleSeg)
+		r.onTransmit(i*cycleSeg, cycleSeg, false)
+		p = pkt.Packet{Seq: i * cycleSeg, PayloadLen: cycleSeg, EnqueuedAt: now}
+		r.onLinkEnqueue(&p, now, true)
+		r.onLinkDequeue(&p, now)
+		r.onPacketRecv(&p)
+		r.onTCPReceive(i*cycleSeg, cycleSeg)
+		r.onInOrder((i + 1) * cycleSeg)
+		if i >= inflight {
+			r.onAppRead((i-inflight+1)*cycleSeg, cycleSeg)
+		}
+		for name, n := range map[string]int{"writes": cap(r.writes), "segs": cap(r.segs), "arrivals": cap(r.arrivals)} {
+			if n > maxCap {
+				t.Fatalf("segment %d: %s has capacity %d with %d segments in flight, want at most %d", i, name, n, inflight, maxCap)
+			}
+		}
+	}
+	if got := r.agg.ranges; got != segs-inflight {
+		t.Fatalf("%d ranges finalized, want %d", got, segs-inflight)
+	}
+}

@@ -90,7 +90,7 @@ func (w *Waterfall) WriteChromeTrace(out io.Writer) error {
 				return err
 			}
 		}
-		for _, d := range r.drops {
+		for d := range r.drops.All() {
 			tid := int(StageQueue) + 1
 			if d.Kind == DropWire {
 				tid = int(StageWire) + 1
@@ -105,7 +105,7 @@ func (w *Waterfall) WriteChromeTrace(out io.Writer) error {
 				return err
 			}
 		}
-		for _, rz := range r.resizes {
+		for rz := range r.resizes.All() {
 			ev := telemetry.ChromeEvent{
 				Name: "sndbuf_resize", Cat: "waterfall",
 				Ph: "i", Scope: "t",
@@ -173,7 +173,7 @@ func (w *Waterfall) WriteJSONL(out io.Writer) error {
 				return err
 			}
 		}
-		for _, d := range r.drops {
+		for d := range r.drops.All() {
 			js := jsonlSpan{
 				Type: "drop", Flow: r.flowID, Kind: d.Kind.String(),
 				Seq: d.Seq, Gen: d.Gen, AtS: d.At.Seconds(),
@@ -182,7 +182,7 @@ func (w *Waterfall) WriteJSONL(out io.Writer) error {
 				return err
 			}
 		}
-		for _, rz := range r.resizes {
+		for rz := range r.resizes.All() {
 			js := jsonlSpan{
 				Type: "resize", Flow: r.flowID,
 				AtS: rz.At.Seconds(), From: rz.From, To: rz.To,

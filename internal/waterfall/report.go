@@ -61,14 +61,14 @@ func (r *Recorder) fold(b *Breakdown) {
 	if r.agg.maxE2E > b.MaxE2E {
 		b.MaxE2E = r.agg.maxE2E
 	}
-	for _, d := range r.drops {
+	for d := range r.drops.All() {
 		if d.Kind == DropQueue {
 			b.QueueDrops++
 		} else {
 			b.WireDrops++
 		}
 	}
-	b.Resizes += len(r.resizes)
+	b.Resizes += r.resizes.Len()
 	b.LostMarkers += r.lostDrops + r.lostResizes
 }
 

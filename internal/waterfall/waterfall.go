@@ -395,15 +395,15 @@ type Recorder struct {
 	flowID int
 
 	// Sender side.
-	writes    []writeStamp
+	writes    []writeStamp // live from writeHead
 	writeHead int
-	segs      []segRec // sorted by seq
+	segs      []segRec // sorted by seq; live from segHead
 	segHead   int
 
 	// Receiver side. The live arrivals are arrivals[arrHead:], sorted by
 	// start and disjoint; the consumed prefix before arrHead is slack that
-	// a hole-fill near the head may shift into, and is compacted away once
-	// it is half the slice.
+	// a hole-fill near the head may shift into, and is compacted away as
+	// the sender side's are (compact).
 	arrivals []arrival
 	arrHead  int
 	inHead   int // the first inHead live arrivals have in-order stamps
@@ -420,9 +420,9 @@ type Recorder struct {
 	stride      int
 	strideSkip  int
 	agg         aggregate
-	drops       []Drop
+	drops       stats.Log[Drop]
 	lostDrops   int // drops not retained once maxMarks hit
-	resizes     []Resize
+	resizes     stats.Log[Resize]
 	lostResizes int
 
 	// onFinal, when set, observes every finalized byte range with its
@@ -476,11 +476,11 @@ func (r *Recorder) onAppWrite(endSeq uint64, n int) {
 }
 
 func (r *Recorder) onSndbufResize(from, to int) {
-	if len(r.resizes) >= maxMarks {
+	if r.resizes.Len() >= maxMarks {
 		r.lostResizes++
 		return
 	}
-	r.resizes = append(r.resizes, Resize{At: r.wf.now(), From: from, To: to})
+	r.resizes.Append(Resize{At: r.wf.now(), From: from, To: to})
 }
 
 // onTransmit matches trace.Collector's convention: a first transmission
@@ -506,11 +506,7 @@ func (r *Recorder) onTransmit(seq uint64, n int, retx bool) {
 		}
 		r.writeHead++
 	}
-	if r.writeHead > 256 && r.writeHead*2 >= len(r.writes) {
-		m := copy(r.writes, r.writes[r.writeHead:])
-		r.writes = r.writes[:m]
-		r.writeHead = 0
-	}
+	r.writes, r.writeHead = compact(r.writes, r.writeHead)
 	// New data is transmitted in sequence order, so appending keeps segs
 	// sorted.
 	r.segs = append(r.segs, segRec{seq: seq, end: end, writeAt: writeAt, firstTx: now, lastTx: now})
@@ -579,11 +575,11 @@ func (r *Recorder) onLinkLost(p *pkt.Packet) {
 }
 
 func (r *Recorder) recordDrop(d Drop) {
-	if len(r.drops) >= maxMarks {
+	if r.drops.Len() >= maxMarks {
 		r.lostDrops++
 		return
 	}
-	r.drops = append(r.drops, d)
+	r.drops.Append(d)
 }
 
 // --- Receiver side --------------------------------------------------------
@@ -705,24 +701,25 @@ func (r *Recorder) onAppRead(endSeq uint64, n int) {
 		r.arrivals[r.arrHead].start = endSeq
 		break
 	}
-	// Compact once the consumed prefix is half the slice — or all of it,
-	// which costs no copy and is what keeps a flow whose reader keeps up
-	// at a few arrivals of capacity.
-	if r.arrHead == len(r.arrivals) || (r.arrHead > 256 && r.arrHead*2 >= len(r.arrivals)) {
-		m := copy(r.arrivals, r.arrivals[r.arrHead:])
-		r.arrivals = r.arrivals[:m]
-		r.arrHead = 0
-	}
+	r.arrivals, r.arrHead = compact(r.arrivals, r.arrHead)
 	// Drop sender segment records fully below the read horizon; their
 	// boundaries have been snapshotted into arrivals already.
 	for r.segHead < len(r.segs) && r.segs[r.segHead].end <= endSeq {
 		r.segHead++
 	}
-	if r.segHead > 256 && r.segHead*2 >= len(r.segs) {
-		m := copy(r.segs, r.segs[r.segHead:])
-		r.segs = r.segs[:m]
-		r.segHead = 0
+	r.segs, r.segHead = compact(r.segs, r.segHead)
+}
+
+// compact drops the consumed prefix q[:head] of a head-indexed queue once
+// it is at least half of q, keeping the backing array. Each live entry is
+// copied at most once per entry consumed before it, and the queue stays
+// within about twice its live entries, so its capacity follows the flow's
+// window — a reader that keeps up holds a few entries.
+func compact[T any](q []T, head int) ([]T, int) {
+	if head > 0 && head*2 >= len(q) {
+		return q[:copy(q, q[head:])], 0
 	}
+	return q, head
 }
 
 // finalize turns one consumed byte range into a rangeRec: boundaries are
@@ -811,18 +808,20 @@ func (r *Recorder) Spans() []Span {
 	return spans
 }
 
-// Drops returns the recorded packet-drop markers.
+// Drops returns the recorded packet-drop markers. It consolidates them
+// (see stats.Log.Slice): the engine's goroutine only.
 func (r *Recorder) Drops() []Drop {
 	if r == nil {
 		return nil
 	}
-	return r.drops
+	return r.drops.Slice()
 }
 
-// Resizes returns the recorded send-buffer capacity changes.
+// Resizes returns the recorded send-buffer capacity changes. It
+// consolidates them, as Drops does.
 func (r *Recorder) Resizes() []Resize {
 	if r == nil {
 		return nil
 	}
-	return r.resizes
+	return r.resizes.Slice()
 }
