@@ -73,8 +73,9 @@ test:
 ## sorted slice they replaced, the sketch's bit-read bucket index
 ## against its math.Frexp definition, a decoded checkpoint restored as
 ## held against its own re-encoding (the fleet restores held checkpoints
-## without re-parsing them), and the chunked result log against a plain
-## slice. Corpus replays already run in `make test`;
+## without re-parsing them), the chunked result log against a plain
+## slice, and the waterfall's delta-encoded retained ranges against a
+## plain slice of them. Corpus replays already run in `make test`;
 ## this looks for new inputs.
 ## One target per go test run (go fuzz rejects several), two workers so a
 ## 2-core CI box is not oversubscribed.
@@ -85,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchIndex$$' -fuzztime 20s -parallel 2 ./internal/telemetry/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzHeldCheckpoint$$' -fuzztime 20s -parallel 2 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLog$$' -fuzztime 20s -parallel 2 ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzRangeLog$$' -fuzztime 20s -parallel 2 ./internal/waterfall
 
 ## conformance: the full analytical-twin conformance run — every
 ## hypothesis fit across seeds 1..5 at full sweep resolution plus the

@@ -32,6 +32,7 @@ var exportAllowlist = map[string]string{
 	"SetDelay":        "tests change a link's delay mid-run",
 	"SndBufCap":       "tests read the send buffer's capacity",
 	"SndNxt":          "tests read the sender's sequence state",
+	"Spans":           "tests and DIGESTS.json read a recorder's spans as one slice; the exporters stream them",
 	"State":           "tests read BBR's state machine",
 	"Ticks":           "tests read the governor's tick count",
 	"Updates":         "tests count the minimizer's target updates",

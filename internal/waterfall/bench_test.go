@@ -2,6 +2,7 @@ package waterfall
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"element/internal/pkt"
@@ -72,10 +73,11 @@ func (c *packetCycle) step() {
 }
 
 // BenchmarkRecorderPacket is the recorder's cost per data packet (ns/op)
-// against the in-flight window, which it must not depend on. One step in
-// 512 takes the retained-range log's next chunk; newPacketCycle's warm-up
-// stops mid-chunk at all three windows, so the single step the gate times
-// at -benchtime 1x reads 0 allocs/op.
+// against the in-flight window, which it must not depend on. A retained
+// range encodes to 18 B here, so one step in about 900 takes the
+// retained-range log's next 16 KiB chunk; newPacketCycle's warm-up stops
+// mid-chunk at all three windows, so the single step the gate times at
+// -benchtime 1x reads 0 allocs/op.
 func BenchmarkRecorderPacket(b *testing.B) {
 	for _, window := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
@@ -94,13 +96,14 @@ func BenchmarkRecorderPacket(b *testing.B) {
 // were replaced (5bea3a9) allocated 23 or 24 times under this same driver
 // — the arrival queue re-grown each time arrivals[1:] had given its
 // capacity away, and the retained-range slice growing. Now the
-// retained-range log alone allocates, one chunk per 512 ranges: 16
-// exactly, so none comes from the arrival queue, whose capacity is also
-// checked directly. AllocsPerRun truncates its average, so over four runs
-// a stray runtime allocation (one in eight -race runs at PR 22) is not
-// counted as a 17th.
+// retained-range log alone allocates: a 16 KiB chunk per about 900
+// ranges, plus the chunks the one decimation the runs cross encodes the
+// kept half into — 14 per run on average, so none comes from the arrival
+// queue, whose capacity is also checked directly. AllocsPerRun truncates
+// its average, so over four runs a stray runtime allocation is not
+// counted as another.
 func TestPacketCycleAllocs(t *testing.T) {
-	const packets, rangesPerChunk = 8192, 512
+	const packets, maxAllocs = 8192, 16
 	c := newPacketCycle(512)
 	arrCap := cap(c.r.arrivals)
 	total := testing.AllocsPerRun(4, func() {
@@ -108,12 +111,39 @@ func TestPacketCycleAllocs(t *testing.T) {
 			c.step()
 		}
 	})
-	if total > packets/rangesPerChunk {
-		t.Fatalf("%d packets allocated %.0f times, want at most %d (one chunk per %d retained ranges)",
-			packets, total, packets/rangesPerChunk, rangesPerChunk)
+	if total > maxAllocs {
+		t.Fatalf("%d packets allocated %.0f times, want at most %d (the retained-range log's chunks)",
+			packets, total, maxAllocs)
 	}
 	if cap(c.r.arrivals) != arrCap {
 		t.Fatalf("steady state moved: arrival queue capacity %d -> %d", arrCap, cap(c.r.arrivals))
+	}
+}
+
+// TestRetainedRangeBytes pins what a retained range costs in bytes: over
+// 8192 packets of a warmed cycle, each retaining one range, the recorder
+// allocates at most 32 B per range, chunk headers included. A range here
+// encodes to 18 B; held as an 80 B rangeRec it would not fit.
+func TestRetainedRangeBytes(t *testing.T) {
+	const packets, perRange = 8192, 32
+	allocated := ^uint64(0)
+	for try := 0; try < 3; try++ { // the least of three, should anything else allocate meanwhile
+		c := newPacketCycle(512)
+		retained := c.r.ranges.Len()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < packets; i++ {
+			c.step()
+		}
+		runtime.ReadMemStats(&after)
+		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+		if got := c.r.ranges.Len() - retained; got != packets {
+			t.Fatalf("%d packets retained %d ranges, want one each", packets, got)
+		}
+	}
+	if allocated > packets*perRange {
+		t.Fatalf("%d retained ranges allocated %d B, %.1f B each, want at most %d",
+			packets, allocated, float64(allocated)/packets, perRange)
 	}
 }
 

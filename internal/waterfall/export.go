@@ -72,7 +72,7 @@ func (w *Waterfall) WriteChromeTrace(out io.Writer) error {
 				return err
 			}
 		}
-		for _, sp := range r.Spans() {
+		for sp := range r.spans() {
 			ev := telemetry.ChromeEvent{
 				Name:  fmt.Sprintf("[%d,%d)", sp.Start, sp.End),
 				Cat:   "waterfall",
@@ -163,7 +163,7 @@ func (w *Waterfall) WriteJSONL(out io.Writer) error {
 	enc := json.NewEncoder(bw)
 	enc.SetEscapeHTML(false)
 	for _, r := range w.recs {
-		for _, sp := range r.Spans() {
+		for sp := range r.spans() {
 			js := jsonlSpan{
 				Type: "span", Flow: r.flowID, Stage: sp.Stage.String(),
 				Start: sp.Start, End: sp.End, Gen: sp.Gen,

@@ -1,6 +1,7 @@
 package waterfall
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -350,17 +351,14 @@ func (p *recorderPair) check(op string) {
 // schedule rather than after every op, since it walks all of them.
 func (p *recorderPair) checkRetained() {
 	p.t.Helper()
-	i := 0
-	for rr := range p.got.ranges.All() {
-		if rr != p.retained.ranges[i] {
-			p.t.Fatalf("retained range %d is %+v, reference %+v", i, rr, p.retained.ranges[i])
-		}
-		i++
-	}
+	checkRetainedMatches(p.t, p.got, p.retained.ranges)
 }
 
 // TestRetainDecimationMatchesSlice pushes enough ranges through retain to
-// decimate twice and holds the chunked log to the plain-slice rule.
+// decimate twice and holds the delta-encoded log to the plain-slice rule.
+// Every fencepost steps by its own amount, now and then by more than 2^32
+// ns, so each stage difference is encoded, and encoded again at both
+// decimations.
 func TestRetainDecimationMatchesSlice(t *testing.T) {
 	wf := New()
 	r := wf.NewFlow()
@@ -368,6 +366,13 @@ func TestRetainDecimationMatchesSlice(t *testing.T) {
 	for i := 0; i < 2*maxRanges+maxRanges/2+17; i++ {
 		rr := rangeRec{start: uint64(i), end: uint64(i + 1), gen: i % 3}
 		rr.b[0] = units.Time(i)
+		for k := 1; k < numBounds; k++ {
+			d := units.Time(i*(2*k+1)%100003) * units.Time(k)
+			if i%997 == k {
+				d += 1 << 33
+			}
+			rr.b[k] = rr.b[k-1] + d
+		}
 		r.retain(rr)
 		ref.retain(rr)
 		if r.ranges.Len() != len(ref.ranges) || r.stride != ref.stride || r.strideSkip != ref.strideSkip {
@@ -378,11 +383,116 @@ func TestRetainDecimationMatchesSlice(t *testing.T) {
 	if r.stride != 4 {
 		t.Fatalf("stride %d after %d ranges, want 4: the test does not cover decimation", r.stride, 2*maxRanges+maxRanges/2+17)
 	}
+	checkRetainedMatches(t, r, ref.ranges)
+}
+
+// checkRetainedMatches compares every range r retains with want.
+func checkRetainedMatches(t testing.TB, r *Recorder, want []rangeRec) {
+	t.Helper()
 	i := 0
 	for rr := range r.ranges.All() {
-		if rr != ref.ranges[i] {
-			t.Fatalf("retained range %d is %+v, reference %+v", i, rr, ref.ranges[i])
+		if i >= len(want) || rr != want[i] {
+			t.Fatalf("retained range %d is %+v, reference %+v", i, rr, want[min(i, len(want)-1)])
 		}
 		i++
 	}
+	if i != len(want) {
+		t.Fatalf("%d ranges decoded, reference %d", i, len(want))
+	}
+}
+
+// fieldSource draws rangeRec fields from fuzz bytes. A tag byte picks how
+// a field relates to the value it is encoded against: a signed step of
+// up to ±127 shifted left by as much as 63 bits (gaps, backward starts,
+// stage differences that step back or pass 2^32), an extreme, eight raw
+// bytes, or no change.
+type fieldSource struct{ data []byte }
+
+var fieldExtremes = [...]uint64{
+	0, 1, 1 << 32, math.MaxInt64, 1 << 63 /* MinInt64 */, math.MaxUint64, math.MaxInt64 + 2,
+}
+
+func (f *fieldSource) take() byte {
+	if len(f.data) == 0 {
+		return 0
+	}
+	b := f.data[0]
+	f.data = f.data[1:]
+	return b
+}
+
+func (f *fieldSource) next(base uint64) uint64 {
+	switch tag := f.take(); tag % 4 {
+	case 0:
+		return base + uint64(int64(int8(f.take()))<<(tag>>2))
+	case 1:
+		return fieldExtremes[int(tag>>2)%len(fieldExtremes)]
+	case 2:
+		var v uint64
+		for k := 0; k < 8; k++ {
+			v |= uint64(f.take()) << (8 * k)
+		}
+		return v
+	}
+	return base
+}
+
+// record draws one range: each field against the value its encoding is
+// a difference from.
+func (f *fieldSource) record(prev rangeRec) rangeRec {
+	var rr rangeRec
+	rr.start = f.next(prev.end)
+	rr.end = f.next(rr.start)
+	rr.gen = int(f.next(uint64(prev.gen)))
+	rr.b[0] = units.Time(f.next(uint64(prev.b[0])))
+	for k := 1; k < numBounds; k++ {
+		rr.b[k] = units.Time(f.next(uint64(rr.b[k-1])))
+	}
+	return rr
+}
+
+// FuzzRangeLog holds the delta-encoded retained-range log to refRetain,
+// the retention rule over a plain slice of rangeRecs. The bytes decode to
+// a list of ranges with arbitrary fields, retained in order reps+1 times
+// over (up to 3·maxRanges ranges, so one or two decimations re-encode
+// it); after every range the count, stride and skip must match, and at
+// the end every decoded range.
+func FuzzRangeLog(f *testing.F) {
+	f.Add(uint16(0), []byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	// Extremes: MaxInt64 and MinInt64 fenceposts, an end before its start.
+	f.Add(uint16(3), []byte{13, 17, 1, 21, 5, 21, 9, 25, 9, 1, 2, 0, 0, 0, 0, 0, 0, 0, 128, 0, 200})
+	// A live flow's shape — contiguous ranges, stages of µs to ms with one
+	// step back — decimated once, then twice.
+	live := []byte{3, 0, 88, 3, 0, 100, 3, 0, 120, 3, 0, 40, 3, 0, 200, 0, 255, 3, 0, 50, 3}
+	f.Add(uint16(40000), live)
+	f.Add(uint16(35000), append(append([]byte{}, live...), 0, 1, 81, 96, 3, 3, 0, 127, 3, 3, 3, 3, 3, 3))
+	// Generation 300, two varint bytes, through a decimation.
+	f.Add(uint16(40000), []byte{3, 0, 88, 2, 44, 1, 0, 0, 0, 0, 0, 0, 0, 100, 3, 0, 120, 3, 0, 40, 3, 0, 200})
+	f.Fuzz(func(t *testing.T, reps uint16, data []byte) {
+		if len(data) > 4096 {
+			t.Skip()
+		}
+		src := &fieldSource{data: data}
+		var recs []rangeRec
+		var prev rangeRec
+		for len(src.data) > 0 {
+			prev = src.record(prev)
+			recs = append(recs, prev)
+		}
+		if len(recs) == 0 {
+			return
+		}
+		r := New().NewFlow()
+		ref := refRetain{stride: 1}
+		for i := range min(len(recs)*(int(reps)+1), 3*maxRanges) {
+			rr := recs[i%len(recs)]
+			r.retain(rr)
+			ref.retain(rr)
+			if r.ranges.Len() != len(ref.ranges) || r.stride != ref.stride || r.strideSkip != ref.strideSkip {
+				t.Fatalf("range %d: retained %d stride %d skip %d, reference %d/%d/%d",
+					i, r.ranges.Len(), r.stride, r.strideSkip, len(ref.ranges), ref.stride, ref.strideSkip)
+			}
+		}
+		checkRetainedMatches(t, r, ref.ranges)
+	})
 }

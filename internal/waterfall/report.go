@@ -234,8 +234,12 @@ func (r *Recorder) writeASCII(bw *bufio.Writer) {
 		step = 1
 	}
 	var rows []rangeRec
-	for i := 0; i < retained; i += step {
-		rows = append(rows, *r.ranges.At(i))
+	i := 0
+	for rr := range r.ranges.All() {
+		if i%step == 0 {
+			rows = append(rows, rr)
+		}
+		i++
 	}
 	var maxE2E units.Duration
 	for _, rr := range rows {

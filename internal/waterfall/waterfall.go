@@ -22,6 +22,8 @@
 package waterfall
 
 import (
+	"iter"
+	"slices"
 	"sort"
 
 	"element/internal/aqm"
@@ -323,7 +325,9 @@ func (w *Waterfall) dataRecorder(p *pkt.Packet) *Recorder {
 // maxRanges bounds per-flow span retention for exports: when full, the
 // retained set is decimated (every other range dropped, stride doubled), so
 // memory stays bounded and exports stay loadable while the *aggregate*
-// breakdown remains exact over all ranges.
+// breakdown remains exact over all ranges. In bytes the bound is maxRanges
+// × maxRangeBytes, 3.3 MB; at the ~20 B a live flow's range encodes to, a
+// full log holds about 650 KB.
 const maxRanges = 1 << 15
 
 // maxMarks bounds the drop/resize marker lists.
@@ -415,8 +419,9 @@ type Recorder struct {
 	}
 	readCum uint64
 
-	// Finalized ranges, decimated for bounded retention.
-	ranges      stats.Log[rangeRec]
+	// Finalized ranges, decimated for bounded retention, each kept as
+	// delta varints (rangeLog).
+	ranges      rangeLog
 	stride      int
 	strideSkip  int
 	agg         aggregate
@@ -769,17 +774,12 @@ func (r *Recorder) retain(rr rangeRec) {
 		r.strideSkip--
 		return
 	}
-	if n := r.ranges.Len(); n >= maxRanges {
-		k := 0
-		for i := 0; i < n; i += 2 {
-			*r.ranges.At(k) = *r.ranges.At(i)
-			k++
-		}
-		r.ranges.Truncate(k)
+	if r.ranges.Len() >= maxRanges {
+		r.ranges.halve()
 		r.stride *= 2
 	}
 	r.strideSkip = r.stride - 1
-	r.ranges.Append(rr)
+	r.ranges.Append(&rr)
 }
 
 // Spans materializes the retained ranges as stage spans (zero-duration
@@ -789,23 +789,32 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	spans := make([]Span, 0, r.ranges.Len()*NumStages)
-	for rr := range r.ranges.All() {
-		for s := 0; s < NumStages; s++ {
-			if rr.b[s+1] <= rr.b[s] {
-				continue
+	return slices.AppendSeq(make([]Span, 0, r.ranges.Len()*NumStages), r.spans())
+}
+
+// spans iterates the retained ranges' stage spans in the order Spans
+// lists them, decoding as it goes: the exporters walk them once.
+func (r *Recorder) spans() iter.Seq[Span] {
+	return func(yield func(Span) bool) {
+		for rr := range r.ranges.All() {
+			for s := 0; s < NumStages; s++ {
+				if rr.b[s+1] <= rr.b[s] {
+					continue
+				}
+				sp := Span{
+					Stage: Stage(s),
+					Start: rr.start,
+					End:   rr.end,
+					From:  rr.b[s],
+					To:    rr.b[s+1],
+					Gen:   rr.gen,
+				}
+				if !yield(sp) {
+					return
+				}
 			}
-			spans = append(spans, Span{
-				Stage: Stage(s),
-				Start: rr.start,
-				End:   rr.end,
-				From:  rr.b[s],
-				To:    rr.b[s+1],
-				Gen:   rr.gen,
-			})
 		}
 	}
-	return spans
 }
 
 // Drops returns the recorded packet-drop markers. It consolidates them
