@@ -355,7 +355,10 @@ func scenarioRow(t *testing.T, cfg exp.ScenarioConfig) row {
 		}
 		if fr.Sender != nil {
 			for _, est := range []*core.Estimates{fr.Sender.Estimates(), fr.Receiver.Estimates()} {
-				l := stats.LogOf(est.Log())
+				var l stats.Log[core.Measurement]
+				for _, m := range est.Log() {
+					l.Append(m)
+				}
 				hashLog(logs, &l)
 			}
 		}

@@ -65,94 +65,165 @@ func (b band) merge(o band) band { return band{min(b.lo, o.lo), max(b.hi, o.hi)}
 
 // envBlock is the number of consecutive truth points one envelope block
 // summarizes: a query scans at most two partial blocks of it, and the
-// table over whole blocks is 1/envBlock the length of the series.
-const envBlock = 32
+// table over whole blocks is 1/envBlock the length of the series. It is
+// a stats.Log's block, so a packed series decodes block by block.
+const envBlock = stats.LogBlock
+
+// blockReader is a series as the graders read it, envBlock entries at a
+// time: a *stats.Log decodes block b into dst, and a slice (sliceBlocks)
+// hands out a sub-slice of itself, so a slice is read where it lies and
+// never encoded. BlockTime is the time of entry b·envBlock, read without
+// decoding.
+type blockReader[T any] interface {
+	Len() int
+	BlockTime(b int) units.Time
+	AppendBlock(dst []T, b int) []T
+}
+
+// sliceBlocks reads a slice as a blockReader.
+type sliceBlocks[T stats.Entry[T]] []T
+
+func (s sliceBlocks[T]) Len() int                   { return len(s) }
+func (s sliceBlocks[T]) BlockTime(b int) units.Time { return s[b*envBlock].Time() }
+func (s sliceBlocks[T]) AppendBlock(_ []T, b int) []T {
+	return s[b*envBlock : min(len(s), (b+1)*envBlock)]
+}
+
+// cacheSlots is how many decoded truth blocks an envelope keeps: a query
+// reads at most two at each end of its window.
+const cacheSlots = 4
+
+// gradeScratch is where a grade decodes: the envelope's cached truth
+// blocks and one block of the graded log, in one allocation.
+type gradeScratch struct {
+	truth [cacheSlots * envBlock]stats.Sample
+	log   [envBlock]Measurement
+}
 
 // envelope answers "what range did ground truth span over (from, to]" for
 // one truth series, at a cost per query that depends neither on the length
 // of the series nor on how many points the window holds: the window's two
-// ends located by a search that starts where the previous query's ended, at
-// most 2·(envBlock-1) points scanned, and two lookups in a sparse min/max
-// table over whole blocks (level l, entry b covers blocks b … b+2^l-1).
-// Lookback windows vary per sample, so the near end of the window is not
-// monotone across a log and a sliding-window structure does not fit; the
-// table is built once per log, (n/32)·log₂(n/32) entries in one
-// allocation, and dropped with it. The series is read where it lies,
-// through Len and At: a chunked log is never consolidated to be graded.
-type envelope struct {
-	truth  *stats.Log[stats.Sample] // sorted by At, as stats.Series.At requires
-	n      int                      // truth.Len()
-	levels [][]band
+// ends located by a search over the block times that starts where the
+// previous query's ended and decodes only the block it lands in, at most
+// 2·(envBlock-1) points scanned, and two lookups in a sparse min/max table
+// over whole blocks (level l, entry b covers blocks b … b+2^l-1). Lookback
+// windows vary per sample, so the near end of the window is not monotone
+// across a log and a sliding-window structure does not fit; the table is
+// built once per log, (n/32)·log₂(n/32) entries in one allocation, and
+// dropped with it. Decoded blocks are kept in a few slots, least recently
+// used out first, so the blocks at a window's ends are decoded once while
+// the windows move through them.
+type envelope[R blockReader[stats.Sample]] struct {
+	truth R // sorted by At, as stats.Series.At requires
+	n     int
+	nb    int    // whole blocks; a trailing partial one is scanned
+	table []band // level l starts at levelAt(l)
 	// Where the previous query's window began and ended.
 	fromHint, toHint int
+	// The cached blocks: slot s holds block blockID[s]-1 (0: empty),
+	// decoded into buf's s-th run of envBlock.
+	buf     []stats.Sample
+	blockID [cacheSlots]int
+	used    [cacheSlots]uint64
+	data    [cacheSlots][]stats.Sample
+	clock   uint64
 }
 
-func newEnvelope(truth *stats.Log[stats.Sample]) envelope {
-	e := envelope{truth: truth, n: truth.Len()}
-	nb := e.n / envBlock // whole blocks; a trailing partial one is scanned
-	if nb == 0 {
+func newEnvelope[R blockReader[stats.Sample]](truth R, buf []stats.Sample) envelope[R] {
+	e := envelope[R]{truth: truth, n: truth.Len(), buf: buf}
+	e.nb = e.n / envBlock
+	if e.nb == 0 {
 		return e
 	}
-	total := 0
-	for span := 1; span <= nb; span *= 2 {
-		total += nb - span + 1
+	levels := bits.Len(uint(e.nb))
+	e.table = make([]band, e.levelAt(levels))
+	for b := range e.nb {
+		e.table[b] = e.scan(b*envBlock, (b+1)*envBlock)
 	}
-	flat := make([]band, total)
-	e.levels = make([][]band, 0, bits.Len(uint(nb)))
-	base := flat[:nb]
-	for b := range base {
-		base[b] = e.scan(b*envBlock, (b+1)*envBlock)
-	}
-	e.levels = append(e.levels, base)
-	for span, off := 2, nb; span <= nb; span *= 2 {
-		prev, cur := e.levels[len(e.levels)-1], flat[off:off+nb-span+1]
-		for b := range cur {
-			cur[b] = prev[b].merge(prev[b+span/2])
+	for l := 1; l < levels; l++ {
+		prev, cur, half := e.levelAt(l-1), e.levelAt(l), 1<<(l-1)
+		for b := range e.nb - 1<<l + 1 {
+			e.table[cur+b] = e.table[prev+b].merge(e.table[prev+b+half])
 		}
-		e.levels = append(e.levels, cur)
-		off += len(cur)
 	}
 	return e
 }
 
-// at is the time of truth point i.
-func (e *envelope) at(i int) units.Time { return e.truth.At(i).At }
+// levelAt is where table level l begins: level k holds nb-2^k+1 entries.
+func (e *envelope[R]) levelAt(l int) int { return l*(e.nb+1) - 1<<l + 1 }
 
-// scan is the envelope of truth points i … j-1, i < j.
-func (e *envelope) scan(i, j int) band {
-	d := e.truth.At(i).Delay
+// block returns truth block b, decoding it unless a slot holds it.
+func (e *envelope[R]) block(b int) []stats.Sample {
+	e.clock++
+	victim := 0
+	for s, id := range e.blockID {
+		if id == b+1 {
+			e.used[s] = e.clock
+			return e.data[s]
+		}
+		if e.used[s] < e.used[victim] {
+			victim = s
+		}
+	}
+	dst := e.buf[victim*envBlock : victim*envBlock : (victim+1)*envBlock]
+	e.blockID[victim], e.used[victim] = b+1, e.clock
+	e.data[victim] = e.truth.AppendBlock(dst, b)
+	return e.data[victim]
+}
+
+// point is truth point i.
+func (e *envelope[R]) point(i int) stats.Sample { return e.block(i / envBlock)[i%envBlock] }
+
+// scan is the envelope of truth points i … j-1, i < j, block by block.
+func (e *envelope[R]) scan(i, j int) band {
+	d := e.point(i).Delay
 	b := band{d, d}
-	for k := i + 1; k < j; k++ {
-		d := e.truth.At(k).Delay
-		b = b.merge(band{d, d})
+	for i < j {
+		head := i / envBlock * envBlock
+		blk := e.block(i / envBlock)
+		end := min(j-head, len(blk))
+		for _, s := range blk[i-head : end] {
+			b = b.merge(band{s.Delay, s.Delay})
+		}
+		i = head + end
 	}
 	return b
 }
 
-// after returns the index of the first truth point later than t, searching
-// outward from hint in doubling steps: consecutive samples of a log ask
-// about neighbouring instants, so the answer is usually a few points from
-// the previous one and the search costs the logarithm of that distance,
-// whatever the order of the log.
-func (e *envelope) after(t units.Time, hint int) int {
-	n := e.n
-	// Every point before lo is at or before t, every point from hi on is later.
-	lo, hi := 0, n
-	if hint < n && e.at(hint) <= t {
-		lo = hint + 1
-		for step := 1; lo+step-1 < n; step *= 2 {
+// after returns the index of the first truth point later than t.
+// Consecutive samples of a log ask about neighbouring instants, so the
+// answer is usually in the block of hint, the previous answer, which is
+// then searched where it is cached. Otherwise the block is found from the
+// block times alone, searching outward from hint's block in doubling
+// steps, which costs the logarithm of the distance whatever the order of
+// the log, and only the block before the first one later than t is
+// decoded and searched.
+func (e *envelope[R]) after(t units.Time, hint int) int {
+	if e.n == 0 {
+		return 0
+	}
+	blocks := (e.n + envBlock - 1) / envBlock
+	h := min(hint/envBlock, blocks-1)
+	if blk := e.block(h); blk[0].At <= t && t < blk[len(blk)-1].At {
+		return h*envBlock + firstAfter(blk, t)
+	}
+	// Every block before lo starts at or before t, every block from hi on later.
+	lo, hi := 0, blocks
+	if e.truth.BlockTime(h) <= t {
+		lo = h + 1
+		for step := 1; lo+step-1 < blocks; step *= 2 {
 			p := lo + step - 1
-			if e.at(p) > t {
+			if e.truth.BlockTime(p) > t {
 				hi = p
 				break
 			}
 			lo = p + 1
 		}
 	} else {
-		hi = hint
+		hi = h
 		for step := 1; hi-step >= 0; step *= 2 {
 			p := hi - step
-			if e.at(p) <= t {
+			if e.truth.BlockTime(p) <= t {
 				lo = p + 1
 				break
 			}
@@ -161,37 +232,57 @@ func (e *envelope) after(t units.Time, hint int) int {
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) / 2)
-		if e.at(mid) > t {
+		if e.truth.BlockTime(mid) > t {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return lo
+	if lo == 0 {
+		return 0
+	}
+	// Block lo-1 starts at or before t; the answer is past its first point.
+	return (lo-1)*envBlock + firstAfter(e.block(lo-1), t)
+}
+
+// firstAfter is the index in blk of its first point later than t, given
+// that blk[0] is not; len(blk) if none is.
+func firstAfter(blk []stats.Sample, t units.Time) int {
+	i, j := 1, len(blk)
+	for i < j {
+		mid := int(uint(i+j) / 2)
+		if blk[mid].At > t {
+			j = mid
+		} else {
+			i = mid + 1
+		}
+	}
+	return i
 }
 
 // valueAt is stats.Series.At(t) — the same arithmetic, so the same bits —
 // given i, the index of the first point not earlier than t.
-func (e *envelope) valueAt(t units.Time, i int) units.Duration {
+func (e *envelope[R]) valueAt(t units.Time, i int) units.Duration {
 	switch {
 	case i == 0:
-		return e.truth.At(0).Delay
+		return e.point(0).Delay
 	case i == e.n:
-		return e.truth.At(e.n - 1).Delay
+		return e.point(e.n - 1).Delay
 	}
-	a, b := e.truth.At(i-1), e.truth.At(i)
+	a, b := e.point(i-1), e.point(i)
 	frac := float64(t-a.At) / float64(b.At-a.At)
 	return a.Delay + units.Duration(frac*float64(b.Delay-a.Delay))
 }
 
 // points is the envelope of truth points i … j-1, i < j.
-func (e *envelope) points(i, j int) band {
+func (e *envelope[R]) points(i, j int) band {
 	bi, bj := (i+envBlock-1)/envBlock, j/envBlock // whole blocks bi … bj-1
 	if bi >= bj {
 		return e.scan(i, j)
 	}
 	l := bits.Len(uint(bj-bi)) - 1
-	b := e.levels[l][bi].merge(e.levels[l][bj-1<<l])
+	at := e.levelAt(l)
+	b := e.table[at+bi].merge(e.table[at+bj-1<<l])
 	if head := bi * envBlock; i < head {
 		b = b.merge(e.scan(i, head))
 	}
@@ -204,7 +295,7 @@ func (e *envelope) points(i, j int) band {
 // band computes the [min, max] envelope of truth over (from, to],
 // including values interpolated at both endpoints. ok is false when there
 // is no ground truth to compare against.
-func (e *envelope) band(from, to units.Time) (lo, hi units.Duration, ok bool) {
+func (e *envelope[R]) band(from, to units.Time) (lo, hi units.Duration, ok bool) {
 	if e.n == 0 {
 		return 0, 0, false
 	}
@@ -273,23 +364,21 @@ func (c Coverage) Fraction(grade Confidence) float64 {
 // ErrBound (tight samples keep a tight window; only samples that already
 // admit lateness look further back).
 func CheckSenderBounds(log []Measurement, truth stats.Series, interval units.Duration) BoundCheck {
-	l, tr := stats.LogOf(log), stats.LogOf(truth)
-	return CheckSenderLog(&l, &tr, interval)
+	bc, _ := gradeLog(sliceBlocks[Measurement](log), sliceBlocks[stats.Sample](truth), interval, false)
+	return bc
 }
 
-// CheckSenderLog is CheckSenderBounds over logs read where they lie: a
-// fleet monitor's stitched series against its collector's, neither
-// consolidated.
-func CheckSenderLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample], interval units.Duration) BoundCheck {
-	bc, _ := gradeLog(log, truth, interval, false)
-	return bc
+// CheckSenderLog is CheckSenderBounds and SenderCoverage in one walk of
+// packed logs: a fleet monitor's stitched series against its collector's,
+// each decoded a block at a time.
+func CheckSenderLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample], interval units.Duration) (BoundCheck, Coverage) {
+	return gradeLog(log, truth, interval, false)
 }
 
 // SenderCoverage tallies per-grade bound coverage of a sender log against
 // ground truth, by the same comparison as CheckSenderBounds.
 func SenderCoverage(log []Measurement, truth stats.Series, interval units.Duration) Coverage {
-	l, tr := stats.LogOf(log), stats.LogOf(truth)
-	_, cov := gradeLog(&l, &tr, interval, false)
+	_, cov := gradeLog(sliceBlocks[Measurement](log), sliceBlocks[stats.Sample](truth), interval, false)
 	return cov
 }
 
@@ -300,66 +389,67 @@ func SenderCoverage(log []Measurement, truth stats.Series, interval units.Durati
 // match bytes younger than the oldest waiting range — so they do not
 // count as violations.
 func CheckReceiverBounds(log []Measurement, truth stats.Series) BoundCheck {
-	l, tr := stats.LogOf(log), stats.LogOf(truth)
-	return CheckReceiverLog(&l, &tr)
+	bc, _ := gradeLog(sliceBlocks[Measurement](log), sliceBlocks[stats.Sample](truth), 0, true)
+	return bc
 }
 
-// CheckReceiverLog is CheckReceiverBounds over logs read where they lie.
-func CheckReceiverLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample]) BoundCheck {
-	bc, _ := gradeLog(log, truth, 0, true)
-	return bc
+// CheckReceiverLog is CheckReceiverBounds and ReceiverCoverage over packed
+// logs.
+func CheckReceiverLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample]) (BoundCheck, Coverage) {
+	return gradeLog(log, truth, 0, true)
 }
 
 // ReceiverCoverage tallies per-grade coverage of a receiver log, by the
 // same one-sided comparison as CheckReceiverBounds.
 func ReceiverCoverage(log []Measurement, truth stats.Series) Coverage {
-	l, tr := stats.LogOf(log), stats.LogOf(truth)
-	_, cov := gradeLog(&l, &tr, 0, true)
+	_, cov := gradeLog(sliceBlocks[Measurement](log), sliceBlocks[stats.Sample](truth), 0, true)
 	return cov
 }
 
 // gradeLog is the one grader behind the six entry points above: a single
-// walk of the log against the truth envelope that fills both tallies,
-// reading both logs in place. A sample's excess is its distance from the
-// envelope beyond its own bound (and boundEps); the receiver looks back
+// walk of the log, a block at a time, against the truth envelope that
+// fills both tallies. A sample's excess is its distance from the envelope
+// beyond its own bound (and boundEps); the receiver looks back
 // max(receiverWindow, ErrBound) and counts only overestimates. Coverage
 // grades every sample with ground truth to compare against; the bound
 // check exempts flagged ones.
-func gradeLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample], interval units.Duration, receiver bool) (bc BoundCheck, cov Coverage) {
+func gradeLog[L blockReader[Measurement], R blockReader[stats.Sample]](log L, truth R, interval units.Duration, receiver bool) (bc BoundCheck, cov Coverage) {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	env := newEnvelope(truth)
-	for i, n := 0, log.Len(); i < n; i++ {
-		m := log.At(i)
-		bc.Samples++
-		flagged := m.Confidence == ConfidenceLow
-		if flagged {
-			bc.Flagged++
-		}
-		lookback := 2*interval + m.ErrBound
-		if receiver {
-			lookback = max(receiverWindow, m.ErrBound)
-		}
-		lo, hi, ok := env.band(m.At.Add(-lookback), m.At)
-		if !ok {
-			continue
-		}
-		var dist units.Duration
-		if m.Delay > hi {
-			dist = m.Delay - hi
-		} else if m.Delay < lo && !receiver {
-			dist = lo - m.Delay
-		}
-		excess := dist - m.ErrBound - boundEps
-		cov.Add(m.Confidence, excess <= 0)
-		if flagged {
-			continue
-		}
-		bc.Checked++
-		if excess > 0 {
-			bc.Violations++
-			bc.WorstExcess = max(bc.WorstExcess, excess)
+	scratch := new(gradeScratch)
+	env := newEnvelope(truth, scratch.truth[:])
+	for b := 0; b*envBlock < log.Len(); b++ {
+		for _, m := range log.AppendBlock(scratch.log[:0], b) {
+			bc.Samples++
+			flagged := m.Confidence == ConfidenceLow
+			if flagged {
+				bc.Flagged++
+			}
+			lookback := 2*interval + m.ErrBound
+			if receiver {
+				lookback = max(receiverWindow, m.ErrBound)
+			}
+			lo, hi, ok := env.band(m.At.Add(-lookback), m.At)
+			if !ok {
+				continue
+			}
+			var dist units.Duration
+			if m.Delay > hi {
+				dist = m.Delay - hi
+			} else if m.Delay < lo && !receiver {
+				dist = lo - m.Delay
+			}
+			excess := dist - m.ErrBound - boundEps
+			cov.Add(m.Confidence, excess <= 0)
+			if flagged {
+				continue
+			}
+			bc.Checked++
+			if excess > 0 {
+				bc.Violations++
+				bc.WorstExcess = max(bc.WorstExcess, excess)
+			}
 		}
 	}
 	return bc, cov

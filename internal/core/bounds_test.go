@@ -80,23 +80,21 @@ func oracleGrade(log []Measurement, truth stats.Series, interval units.Duration,
 	return bc, cov
 }
 
-// logPrefixes are where chunkedLog consolidates: before anything, after
-// the first point, inside the first envelope block, and either side of
-// the first chunk's end. Past the first chunk every later chunk boundary
-// then falls inside an envelope block.
-var logPrefixes = []int{0, 1, envBlock - 1, 511, 512, 513}
+// logPrefixes are where packedLog cuts a log before appending the rest
+// again: before anything, after the first point, inside and at the end of
+// the first block, and around the longest case's middle.
+var logPrefixes = []int{0, 1, envBlock - 1, envBlock, 511, 512, 513}
 
-// chunkedLog builds s as a fleet monitor's log can lie: the first prefix
-// elements appended and consolidated by Slice, the rest appended after, so
-// chunks begin at prefix-dependent offsets rather than at multiples of
-// envBlock.
-func chunkedLog[T any](s []T, prefix int) *stats.Log[T] {
+// packedLog builds s as a stats.Log after a cut: all of s appended, the
+// log truncated to its first prefix elements, and the rest appended again,
+// so a grade also reads what Truncate left behind.
+func packedLog[T stats.Entry[T]](s []T, prefix int) *stats.Log[T] {
 	var l stats.Log[T]
-	prefix = min(prefix, len(s))
-	for _, v := range s[:prefix] {
+	for _, v := range s {
 		l.Append(v)
 	}
-	l.Slice()
+	prefix = min(prefix, len(s))
+	l.Truncate(prefix)
 	for _, v := range s[prefix:] {
 		l.Append(v)
 	}
@@ -105,29 +103,21 @@ func chunkedLog[T any](s []T, prefix int) *stats.Log[T] {
 
 // checkAgainstOracle grades log against truth both ways, as sender and as
 // receiver, and reports the first disagreement: once through the slice
-// entry points, then in place from both series laid out as chunked logs
-// consolidated at each of logPrefixes and at extra.
+// entry points, then from both series packed, cut and refilled at each of
+// logPrefixes and at extra.
 func checkAgainstOracle(t testing.TB, log []Measurement, truth stats.Series, interval units.Duration, extra ...int) bool {
 	t.Helper()
 	sbc, scov := oracleGrade(log, truth, interval, false)
 	rbc, rcov := oracleGrade(log, truth, interval, true)
 	ok := true
 	for _, prefix := range slices.Concat(logPrefixes, extra) {
-		l, tr := chunkedLog(log, prefix), chunkedLog(truth, prefix)
-		if bc, cov := gradeLog(l, tr, interval, false); bc != sbc || cov != scov {
-			t.Errorf("prefix %d: in-place sender grade = %+v %+v, oracle %+v %+v", prefix, bc, cov, sbc, scov)
+		l, tr := packedLog(log, prefix), packedLog(truth, prefix)
+		if bc, cov := CheckSenderLog(l, tr, interval); bc != sbc || cov != scov {
+			t.Errorf("prefix %d: CheckSenderLog = %+v %+v, oracle %+v %+v", prefix, bc, cov, sbc, scov)
 			ok = false
 		}
-		if bc, cov := gradeLog(l, tr, interval, true); bc != rbc || cov != rcov {
-			t.Errorf("prefix %d: in-place receiver grade = %+v %+v, oracle %+v %+v", prefix, bc, cov, rbc, rcov)
-			ok = false
-		}
-		if got := CheckSenderLog(l, tr, interval); got != sbc {
-			t.Errorf("prefix %d: CheckSenderLog = %+v, oracle %+v", prefix, got, sbc)
-			ok = false
-		}
-		if got := CheckReceiverLog(l, tr); got != rbc {
-			t.Errorf("prefix %d: CheckReceiverLog = %+v, oracle %+v", prefix, got, rbc)
+		if bc, cov := CheckReceiverLog(l, tr); bc != rbc || cov != rcov {
+			t.Errorf("prefix %d: CheckReceiverLog = %+v %+v, oracle %+v %+v", prefix, bc, cov, rbc, rcov)
 			ok = false
 		}
 	}
@@ -163,7 +153,7 @@ func randomCase(rng *rand.Rand) (log []Measurement, truth stats.Series, interval
 	case 1:
 		n = rng.Intn(2 * envBlock)
 	default:
-		n = rng.Intn(40 * envBlock) // up to 2.5 chunks
+		n = rng.Intn(40 * envBlock) // up to 40 blocks
 	}
 	at := units.Time(rng.Int63n(int64(units.Second)))
 	for i := 0; i < n; i++ {
@@ -179,7 +169,7 @@ func randomCase(rng *rand.Rand) (log []Measurement, truth stats.Series, interval
 	span := units.Duration(at) + units.Second
 	nlog := rng.Intn(40)
 	if rng.Intn(32) == 0 {
-		nlog = logChunkLen + rng.Intn(envBlock) // a log past its first chunk
+		nlog = longLog + rng.Intn(envBlock) // a log of many blocks and chunks
 	}
 	for i := nlog; i > 0; i-- {
 		m := Measurement{
@@ -220,19 +210,20 @@ func TestPropertyBoundsMatchOracle(t *testing.T) {
 	}
 }
 
-// logChunkLen is stats.Log's chunk length, which the in-place cases must
-// outgrow.
-const logChunkLen = 512
+// longLog is a length at which a packed log spans several chunks, and
+// the cases that reach it are swept more sparsely.
+const longLog = 512
 
 // TestEnvelopeEveryWindow compares every window between two timestamps of
 // series whose lengths straddle the block and table-level boundaries, so
 // each split between head scan, table lookup and tail scan is taken — with
-// distinct, paired and tripled timestamps (window edges on duplicates), and
-// with delays that put the extremes at random places, in the head scan
-// (alternating sign, shrinking) and in the tail scan (growing). Each
-// window is asked of the series as a slice view and as a chunked log
-// consolidated at each of logPrefixes; a series past the first chunk is
-// swept at a stride of windows, since the oracle is linear in it.
+// distinct, paired and tripled timestamps (window edges on duplicates,
+// and on every block's first point), and with delays that put the
+// extremes at random places, in the head scan (alternating sign,
+// shrinking) and in the tail scan (growing). Each window is asked of the
+// series as a slice and packed, cut and refilled at each of logPrefixes;
+// a series past longLog is swept at a stride of windows, since the oracle
+// is linear in it.
 func TestEnvelopeEveryWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	delays := map[string]func(i, n int) int{
@@ -240,17 +231,18 @@ func TestEnvelopeEveryWindow(t *testing.T) {
 		"shrinking": func(i, n int) int { return (n - i) * (1 - 2*(i%2)) },
 		"growing":   func(i, n int) int { return (i + 1) * (1 - 2*(i%2)) },
 	}
-	check := func(t *testing.T, envs []envelope, truth stats.Series, from, to units.Time) {
+	type bandFunc func(from, to units.Time) (lo, hi units.Duration, ok bool)
+	check := func(t *testing.T, envs []bandFunc, truth stats.Series, from, to units.Time) {
 		t.Helper()
 		wlo, whi, wok := gtBand(truth, from, to)
-		for k := range envs {
-			lo, hi, ok := envs[k].band(from, to)
+		for k, band := range envs {
+			lo, hi, ok := band(from, to)
 			if lo != wlo || hi != whi || ok != wok {
 				t.Fatalf("layout %d, window (%v, %v]: band = %v %v %v, oracle %v %v %v", k, from, to, lo, hi, ok, wlo, whi, wok)
 			}
 		}
 	}
-	ns := []int{1, envBlock - 1, envBlock, envBlock + 1, 3*envBlock - 1, 4 * envBlock, 5*envBlock + 7, logChunkLen + 2*envBlock + 5}
+	ns := []int{1, envBlock - 1, envBlock, envBlock + 1, 3*envBlock - 1, 4 * envBlock, 5*envBlock + 7, longLog + 2*envBlock + 5}
 	for _, n := range ns {
 		for name, delay := range delays {
 			// A nanosecond apart, the search for "not earlier than t" (as
@@ -258,7 +250,7 @@ func TestEnvelopeEveryWindow(t *testing.T) {
 			for _, step := range []units.Time{units.Time(units.Millisecond), 1} {
 				for _, perStamp := range []int{1, 2, 3} {
 					stride := 1
-					if n > logChunkLen {
+					if n > longLog {
 						if perStamp > 1 {
 							continue
 						}
@@ -269,10 +261,11 @@ func TestEnvelopeEveryWindow(t *testing.T) {
 						for i := range truth {
 							truth[i] = stats.Sample{At: units.Time(i/perStamp) * step, Delay: units.Duration(delay(i, n))}
 						}
-						view := stats.LogOf(truth)
-						envs := []envelope{newEnvelope(&view)}
+						view := newEnvelope(sliceBlocks[stats.Sample](truth), make([]stats.Sample, cacheSlots*envBlock))
+						envs := []bandFunc{view.band}
 						for _, prefix := range logPrefixes {
-							envs = append(envs, newEnvelope(chunkedLog(truth, prefix)))
+							packed := newEnvelope(packedLog(truth, prefix), make([]stats.Sample, cacheSlots*envBlock))
+							envs = append(envs, packed.band)
 						}
 						last := (n-1)/perStamp + 1
 						for i := -1; i <= last; i += stride {
@@ -292,14 +285,14 @@ func TestEnvelopeEveryWindow(t *testing.T) {
 	}
 }
 
-// TestInPlaceGradeAllocatesOnlyTheTable pins what grading a fleet's series
-// where they lie costs: the envelope table — its bands and the slice of
-// levels over them — and nothing per sample or per chunk.
+// TestInPlaceGradeAllocatesOnlyTheTable pins what grading a fleet's packed
+// series costs: the envelope table and one scratch for decoded blocks,
+// and nothing per sample, per block or per chunk.
 func TestInPlaceGradeAllocatesOnlyTheTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var log []Measurement
 	var truth stats.Series
-	for i := 0; i < 3*logChunkLen; i++ {
+	for i := 0; i < 3*longLog; i++ {
 		at := units.Time(i) * units.Time(units.Millisecond)
 		truth = append(truth, stats.Sample{At: at, Delay: units.Duration(rng.Int63n(int64(units.Second)))})
 		if i%2 == 0 {
@@ -307,13 +300,13 @@ func TestInPlaceGradeAllocatesOnlyTheTable(t *testing.T) {
 				ErrBound: units.Duration(rng.Int63n(int64(100 * units.Millisecond))), Confidence: Confidence(i % NumConfidence)})
 		}
 	}
-	l, tr := chunkedLog(log, 513), chunkedLog(truth, 513)
+	l, tr := packedLog(log, 513), packedLog(truth, 513)
 	allocs := testing.AllocsPerRun(20, func() {
 		CheckSenderLog(l, tr, 10*units.Millisecond)
 		CheckReceiverLog(l, tr)
 	})
 	if allocs != 2*2 {
-		t.Fatalf("two in-place grades allocate %.1f times, want 2 each (the table's bands and levels)", allocs)
+		t.Fatalf("two packed grades allocate %.1f times, want 2 each (the table and the block scratch)", allocs)
 	}
 }
 
@@ -351,8 +344,8 @@ func decodeBoundsCase(data []byte) (log []Measurement, truth stats.Series, inter
 
 // FuzzBoundsMatchOracle: for any sorted truth series and any log, the
 // graders agree field for field with the one-walk-per-sample oracle, from
-// slices and from chunked logs, one of them consolidated at a prefix the
-// fuzzer chooses.
+// slices and from packed logs, one of them cut and refilled at a prefix
+// the fuzzer chooses.
 func FuzzBoundsMatchOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 10, 1, 2, 3, 4, 5, 6, 7, 8}) // a log and no truth

@@ -88,33 +88,69 @@ type Measurement struct {
 	ErrBound   units.Duration
 }
 
+// Time, AppendDeltas and Next are Measurement's stats.Log codec: eight varints,
+// the differences of its fields in declaration order.
+func (m Measurement) Time() units.Time { return m.At }
+
+// AppendDeltas appends next's differences, each from the one before,
+// starting from m.
+func (m Measurement) AppendDeltas(dst []byte, next []Measurement) []byte {
+	for _, v := range next {
+		dst = stats.AppendVarint(dst, int64(v.At-m.At))
+		dst = stats.AppendVarint(dst, int64(v.Delay-m.Delay))
+		dst = stats.AppendVarint(dst, int64(v.Bytes-m.Bytes))
+		dst = stats.AppendVarint(dst, int64(v.Cwnd-m.Cwnd))
+		dst = stats.AppendVarint(dst, int64(v.Ssthresh-m.Ssthresh))
+		dst = stats.AppendVarint(dst, int64(v.RTT-m.RTT))
+		dst = stats.AppendVarint(dst, int64(int8(v.Confidence-m.Confidence)))
+		dst = stats.AppendVarint(dst, int64(v.ErrBound-m.ErrBound))
+		m = v
+	}
+	return dst
+}
+
+// Next decodes the measurement after m from src.
+func (m Measurement) Next(src []byte) (Measurement, int) {
+	dAt, i := stats.Varint(src, 0)
+	dDelay, i := stats.Varint(src, i)
+	dBytes, i := stats.Varint(src, i)
+	dCwnd, i := stats.Varint(src, i)
+	dSsthresh, i := stats.Varint(src, i)
+	dRTT, i := stats.Varint(src, i)
+	dConfidence, i := stats.Varint(src, i)
+	dErrBound, i := stats.Varint(src, i)
+	return Measurement{
+		At:         m.At + units.Time(dAt),
+		Delay:      m.Delay + units.Duration(dDelay),
+		Bytes:      m.Bytes + int(dBytes),
+		Cwnd:       m.Cwnd + int32(dCwnd),
+		Ssthresh:   m.Ssthresh + int32(dSsthresh),
+		RTT:        m.RTT + units.Duration(dRTT),
+		Confidence: m.Confidence + Confidence(dConfidence),
+		ErrBound:   m.ErrBound + units.Duration(dErrBound),
+	}, i
+}
+
 // Estimates holds a tracker's output: one stats.Log of measurements, so an
-// append costs the same however long the run. The accessors that hand out
-// a whole slice (Series, Log) consolidate on read — so, like the tracker
-// that fills it, an Estimates belongs to one goroutine.
+// append costs the same however long the run. Like the tracker that fills
+// it, an Estimates belongs to one goroutine.
 type Estimates struct {
 	log stats.Log[Measurement]
 }
 
 func (e *Estimates) add(m Measurement) { e.log.Append(m) }
 
-// Grow pre-reserves capacity for n further samples, so a caller that
-// knows its horizon (a benchmark, a fixed-duration monitor) can take the
-// append amortization off the poll hot path and run allocation-free.
-func (e *Estimates) Grow(n int) { e.log.Grow(n) }
-
-// Reset drops every sample while keeping the log's largest chunk. For
+// Reset drops every sample while keeping the log's storage. For
 // callers that have fully consumed the series (benchmark harnesses
 // recycling one tracker); the series restarts empty, not a window.
 func (e *Estimates) Reset() { e.log.Truncate(0) }
 
 // DrainLog hands every retained measurement to fn in production order,
-// then empties the series keeping its largest chunk — the fleets'
+// then empties the series keeping its storage — the fleets'
 // primitive: a monitor that drains after every poll holds O(poll batch)
-// samples in its trackers instead of O(run).
+// samples in its trackers instead of O(run), and allocates nothing once
+// one batch has fit.
 func (e *Estimates) DrainLog(fn func(Measurement)) {
-	// Read where it lies, not consolidated: Reset keeps the log's largest
-	// chunk, which a batch of up to 512 fills from the next poll on.
 	for m := range e.log.All() {
 		fn(m)
 	}
@@ -122,21 +158,19 @@ func (e *Estimates) DrainLog(fn func(Measurement)) {
 }
 
 // Series returns the delay estimates as a stats series: a fresh
-// {At, Delay, Bytes} projection of the log, made at read time. It
-// consolidates the log (see stats.Log.Slice): owner goroutine only.
+// {At, Delay, Bytes} projection of the log, decoded at read time.
 func (e *Estimates) Series() stats.Series {
-	log := e.log.Slice()
-	s := make(stats.Series, len(log))
-	for i, m := range log {
-		s[i] = stats.Sample{At: m.At, Delay: m.Delay, Bytes: m.Bytes}
+	s := make(stats.Series, 0, e.log.Len())
+	for m := range e.log.All() {
+		s = append(s, stats.Sample{At: m.At, Delay: m.Delay, Bytes: m.Bytes})
 	}
 	return s
 }
 
-// Log returns the full measurement log. It consolidates the log (see
-// stats.Log.Slice): owner goroutine only. A consumer that reads the log
-// while it grows drains it instead (DrainLog).
-func (e *Estimates) Log() []Measurement { return e.log.Slice() }
+// Log returns the full measurement log, decoded into a fresh slice. A
+// consumer that reads the log while it grows drains it instead
+// (DrainLog).
+func (e *Estimates) Log() []Measurement { return e.log.Collect() }
 
 // Latest returns the most recent measurement (zero value if none).
 func (e *Estimates) Latest() Measurement {
@@ -144,5 +178,5 @@ func (e *Estimates) Latest() Measurement {
 	if n == 0 {
 		return Measurement{}
 	}
-	return *e.log.At(n - 1)
+	return e.log.At(n - 1)
 }

@@ -646,8 +646,8 @@ type ConnResult struct {
 	Sheds       int           // governor demotions applied to this flow
 	ShedSamples int           // samples this flow dropped while below the sketch tier
 	// SndLog/RcvLog are the full per-connection estimate series stitched
-	// across monitor incarnations, as the monitor kept them: read them by
-	// Len and At.
+	// across monitor incarnations, packed as the monitor kept them: read
+	// them by All, or Collect them.
 	SndLog stats.Log[core.Measurement]
 	RcvLog stats.Log[core.Measurement]
 }

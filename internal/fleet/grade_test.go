@@ -1,0 +1,79 @@
+package fleet
+
+import (
+	"testing"
+
+	"element/internal/aqm"
+	"element/internal/core"
+	"element/internal/reqtrace"
+	"element/internal/stats"
+	"element/internal/units"
+	"element/internal/waterfall"
+)
+
+// TestPackedGradeMatchesSlices: what a monitor's drain grades — its packed
+// stitched series against its collector's packed truth
+// (core.CheckSenderLog, core.CheckReceiverLog) — is what the slice graders
+// say of the same series decoded, BoundCheck and Coverage alike, on the
+// fanout_rpc shape at seeds 1–3. Each sender series also gets samples
+// whose windows begin and end exactly on the truth's block edges.
+func TestPackedGradeMatchesSlices(t *testing.T) {
+	const degree, rps, legBytes = 8, 500, 256
+	for seed := int64(1); seed <= 3; seed++ {
+		f := New(Config{
+			Seed: seed, Connections: 8 * degree, Duration: 2 * units.Second,
+			Rate: units.Rate(float64(rps*legBytes*8) / 0.75), RTT: 20 * units.Millisecond,
+			Disc: aqm.KindCoDel, Waterfall: waterfall.New(),
+			Fanout: &FanoutConfig{Degree: degree, RPS: rps, RequestBytes: legBytes, Tracer: reqtrace.New()},
+		})
+		res := f.Run()
+		var sum core.BoundCheck
+		for _, m := range f.monitors {
+			snd := withBlockEdges(&m.sndLog, m.gt.SenderLog(), f.cfg.Interval)
+			checkPackedGrade(t, snd, &m.rcvLog, m.gt.SenderLog(), m.gt.ReceiverLog(), f.cfg.Interval)
+			bc, _ := core.CheckSenderLog(&m.sndLog, m.gt.SenderLog(), f.cfg.Interval)
+			sum.Merge(bc)
+		}
+		if sum != res.Sender || sum.Checked == 0 {
+			t.Fatalf("seed %d: the monitors' packed grades sum to %+v, the fleet reported %+v", seed, sum, res.Sender)
+		}
+	}
+}
+
+// withBlockEdges is log followed by one sample per pair of adjacent truth
+// blocks, stamped at the later block's first time and bounded so that its
+// sender window begins at the earlier one's.
+func withBlockEdges(log *stats.Log[core.Measurement], truth *stats.Log[stats.Sample], interval units.Duration) *stats.Log[core.Measurement] {
+	var out stats.Log[core.Measurement]
+	for m := range log.All() {
+		out.Append(m)
+	}
+	for b := 1; b*stats.LogBlock < truth.Len(); b++ {
+		at := truth.BlockTime(b)
+		out.Append(core.Measurement{
+			At: at, Delay: units.Duration(b%7) * units.Millisecond, Confidence: core.ConfidenceHigh,
+			ErrBound: max(at.Sub(truth.BlockTime(b-1))-2*interval, 0),
+		})
+	}
+	return &out
+}
+
+// checkPackedGrade grades the packed series, and the same series decoded
+// through the slice entry points, and fails on any difference.
+func checkPackedGrade(t *testing.T, snd, rcv *stats.Log[core.Measurement], sndTruth, rcvTruth *stats.Log[stats.Sample], interval units.Duration) {
+	t.Helper()
+	bc, cov := core.CheckSenderLog(snd, sndTruth, interval)
+	if want := core.CheckSenderBounds(snd.Collect(), sndTruth.Collect(), interval); bc != want {
+		t.Fatalf("sender: packed grade %+v, slices %+v", bc, want)
+	}
+	if want := core.SenderCoverage(snd.Collect(), sndTruth.Collect(), interval); cov != want {
+		t.Fatalf("sender: packed coverage %+v, slices %+v", cov, want)
+	}
+	bc, cov = core.CheckReceiverLog(rcv, rcvTruth)
+	if want := core.CheckReceiverBounds(rcv.Collect(), rcvTruth.Collect()); bc != want {
+		t.Fatalf("receiver: packed grade %+v, slices %+v", bc, want)
+	}
+	if want := core.ReceiverCoverage(rcv.Collect(), rcvTruth.Collect()); cov != want {
+		t.Fatalf("receiver: packed coverage %+v, slices %+v", cov, want)
+	}
+}

@@ -116,10 +116,10 @@ type Monitor struct {
 	haveMinCP bool // minCP holds one
 
 	// Series stitched across incarnations, flushed after every poll: the
-	// only copy of a measurement the monitor keeps. They grow in chunks,
-	// and drain grades them in place and hands them over, so nothing kept
-	// is ever re-copied. In stream mode these stay empty except while the
-	// flow is escalated.
+	// only copy of a measurement the monitor keeps, packed as delta
+	// varints that are never re-copied; drain grades them packed and hands
+	// them over. In stream mode these stay empty except while the flow is
+	// escalated.
 	sndLog, rcvLog stats.Log[core.Measurement]
 
 	// Streaming state (nil without Config.Stream): the per-flow
@@ -520,15 +520,11 @@ func (m *Monitor) drain() *ConnResult {
 	cr.ShedSamples = m.shedSamples
 	m.dropIncarnation()
 	m.state = stateDone
-	// Grade the series where they lie, then hand them over: nothing is
-	// consolidated, and only the partial last chunk of each is copied, to
-	// let go of its unused tail.
+	// Grade the packed series, then hand them over as they are.
 	if m.gt != nil {
-		cr.Sender = core.CheckSenderLog(&m.sndLog, m.gt.SenderLog(), m.fl.cfg.Interval)
-		cr.Receiver = core.CheckReceiverLog(&m.rcvLog, m.gt.ReceiverLog())
+		cr.Sender, _ = core.CheckSenderLog(&m.sndLog, m.gt.SenderLog(), m.fl.cfg.Interval)
+		cr.Receiver, _ = core.CheckReceiverLog(&m.rcvLog, m.gt.ReceiverLog())
 	}
-	m.sndLog.Clip()
-	m.rcvLog.Clip()
 	cr.SndLog, cr.RcvLog = m.sndLog, m.rcvLog
 	if m.conn != nil {
 		active := m.fl.cfg.Duration - m.plan.openAt

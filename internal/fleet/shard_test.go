@@ -58,12 +58,13 @@ func TestFleetShardCountInvariance(t *testing.T) {
 
 // sameSeries compares two measurement series sample-for-sample.
 func sameSeries(a, b *stats.Log[core.Measurement]) error {
-	if a.Len() != b.Len() {
-		return fmt.Errorf("length %d vs %d", a.Len(), b.Len())
+	as, bs := a.Collect(), b.Collect()
+	if len(as) != len(bs) {
+		return fmt.Errorf("length %d vs %d", len(as), len(bs))
 	}
-	for i := range a.Len() {
-		if *a.At(i) != *b.At(i) {
-			return fmt.Errorf("sample %d: %+v vs %+v", i, *a.At(i), *b.At(i))
+	for i := range as {
+		if as[i] != bs[i] {
+			return fmt.Errorf("sample %d: %+v vs %+v", i, as[i], bs[i])
 		}
 	}
 	return nil

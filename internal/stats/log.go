@@ -1,262 +1,348 @@
 package stats
 
 import (
+	"encoding/binary"
 	"iter"
-	"math/bits"
+
+	"element/internal/units"
 )
 
-// firstChunk is the capacity of a fresh log's first chunk. Each later
-// chunk doubles the one before it, up to logChunk, so a log built by n
-// appends holds fewer than n+firstChunk spare slots, however short.
-const firstChunk = 16
+// LogBlock is the number of entries in one block of a Log. A block's
+// first entry is encoded against the zero value, so a block decodes on
+// its own, and the log's index keeps its position and time: reading
+// entry i costs at most one partial block's decode.
+const LogBlock = 32
 
-// logChunk caps a chunk's length. The unused tail of the last chunk —
-// half a chunk on average once a log reaches the cap — is what a long
-// log holds beyond its data, and a fleet keeps thousands of logs a few
-// chunks long: at 512 that tail is what a ×1.25-grown slice of 2 000
-// elements leaves idle, at 1024 the churn fleet retained 6 % more than
-// with plain slices. Shorter chunks only add allocations (one per chunk)
-// where logs are long.
-const logChunk = 512
+// A Log's first chunk holds firstLogChunk bytes, and each later one
+// twice the one before it, up to maxLogChunk.
+const (
+	firstLogChunk = 256
+	maxLogChunk   = 16 << 10
+)
 
-// Log is an append-only result log that never copies what it holds. An
-// append fills the last chunk; a full one is followed by a new chunk
-// twice its size (firstChunk, 32, … logChunk, then logChunk each), so an
-// element never moves once written, an append costs the same at any
-// length, and a short log is sized by what it holds. It serves the two
-// ways the simulator's observers use one:
+// headBytes is what one block's index entry takes at the back of its
+// chunk: its first time (eight bytes) and its offset in the chunk (two).
+const headBytes = 10
+
+// Entry is an element type a Log can hold, with its codec. AppendDeltas,
+// called on the entry before next[0] (the zero value for a block's
+// first), appends to dst each entry of next as its field-by-field
+// difference from the one before, each difference taken with wrapping
+// arithmetic and written as a zigzag varint (AppendVarint). Next, called
+// on an entry, reads the one after it back (Varint), exactly, whatever
+// its fields hold. Time is the entry's time stamp; the log's index keeps
+// each block's first.
+type Entry[T any] interface {
+	Time() units.Time
+	AppendDeltas(dst []byte, next []T) []byte
+	Next(src []byte) (T, int)
+}
+
+// AppendVarint appends x as a zigzag varint, as binary.AppendVarint does,
+// with a fast path for a difference that fits one byte, as most do.
+func AppendVarint(dst []byte, x int64) []byte {
+	if u := uint64(x<<1) ^ uint64(x>>63); u < 0x80 {
+		return append(dst, byte(u))
+	}
+	return binary.AppendVarint(dst, x)
+}
+
+// Varint reads the zigzag varint at src[i:], as AppendVarint wrote it,
+// and returns it and the index past it.
+func Varint(src []byte, i int) (int64, int) {
+	if b := src[i]; b < 0x80 { // most differences fit one byte
+		return int64(b>>1) ^ -int64(b&1), i + 1
+	}
+	var u uint64
+	for s := 0; ; s += 7 {
+		b := src[i]
+		i++
+		u |= uint64(b&0x7f) << s
+		if b < 0x80 {
+			return int64(u>>1) ^ -int64(u&1), i
+		}
+	}
+}
+
+// Log is an append-only result log kept as delta varints: each entry is
+// its codec's difference from the one before, in blocks of LogBlock
+// entries. A block is encoded when the next one begins; until then the
+// last block's entries are held as they are (tail), so a log drained
+// after every poll of fewer than LogBlock entries never encodes at all.
+// The bytes lie in chunks that are never moved or grown (a block never
+// straddles two). Each chunk also holds, packed from its back, the index
+// of the blocks that begin in it — a block's first time and where its
+// bytes start — so the index costs no allocation of its own and no spare
+// capacity: a search by time decodes nothing (BlockTime), and a read
+// decodes one block at most. It serves the two ways the simulator's
+// observers use one:
 //
 //   - run, then read (a scenario's ground truth and estimates, a fleet
-//     monitor's stitched series): a reader that walks the log by Len and
-//     At reads it where it lies — the fleet grades and hands over its
-//     series that way, after Clip — and only a caller that needs one
-//     slice pays for Slice's consolidation.
+//     monitor's stitched series): All walks the log decoding as it goes,
+//     the graders read it by block (core.CheckSenderLog), and Collect
+//     decodes it into a fresh slice for a caller that needs one.
 //   - drain every poll (the trackers the fleets' monitors drive):
-//     Truncate(0) keeps the largest chunk, emptied, as the first, so a
-//     batch of up to logChunk elements fits it from the second poll on —
-//     the steady state allocates nothing.
+//     Truncate(0) keeps the tail's array and the largest chunk, so the
+//     steady state allocates nothing.
 //
-// The zero value is an empty log. A Log belongs to one goroutine: Slice
-// writes on read.
-type Log[T any] struct {
-	// flat holds the log's first elements when it is a LogOf view or was
-	// folded into one slice by Slice or Clip. No append writes into it.
-	flat []T
-	// chunks follow flat in order. cap(chunks[0]) is a power of two from
-	// firstChunk to logChunk, chunk k's capacity is min(cap(chunks[0])<<k,
-	// logChunk) (a last chunk cut down by Clip excepted), and all but the
-	// last are full. Slots past len(chunks) hold the empty chunks Grow
-	// reserved, if any.
-	chunks [][]T
+// The zero value is an empty log. Nothing reads a Log while it is
+// written: it belongs to one goroutine.
+type Log[T Entry[T]] struct {
+	chunks []chunk
+	// tail is the last block, not yet encoded: 1 … LogBlock entries once
+	// the log has any (an empty tail after a cut to a block's edge
+	// excepted), in an array of LogBlock.
+	tail []T
+	// scratch is where seal encodes a block before placing it.
+	scratch []byte
+	n       int
 }
+
+// chunk is one run of a log's bytes: entries from the front, and from the
+// back of its capacity the index entries of blocks first … first+heads-1,
+// the blocks that begin in it.
+type chunk struct {
+	b            []byte
+	first, heads int
+}
+
+// room is how many bytes the chunk can still take.
+func (c *chunk) room() int { return cap(c.b) - len(c.b) - headBytes*c.heads }
+
+// head returns block first+h's index entry.
+func (c *chunk) head(h int) (at units.Time, off int) {
+	e := c.b[cap(c.b)-headBytes*(h+1) : cap(c.b)-headBytes*h]
+	return units.Time(binary.LittleEndian.Uint64(e)), int(binary.LittleEndian.Uint16(e[8:]))
+}
+
+// Len reports the number of entries held.
+func (l *Log[T]) Len() int { return l.n }
+
+// sealed is the number of entries encoded: whole blocks.
+func (l *Log[T]) sealed() int { return l.n - len(l.tail) }
 
 // Append adds v at the end.
 func (l *Log[T]) Append(v T) {
-	// The last chunk with room to spare — every append but one per chunk —
-	// stays small enough to inline.
+	switch len(l.tail) {
+	case 0:
+		if l.tail == nil {
+			l.tail = make([]T, 0, LogBlock)
+		}
+	case LogBlock:
+		l.seal()
+	}
+	l.tail = append(l.tail, v)
+	l.n++
+}
+
+// seal encodes the tail, a whole block, after the blocks before it, and
+// empties it: into scratch first, then into the last chunk if the block
+// fits there, else into a new one. A block never straddles two chunks.
+func (l *Log[T]) seal() {
+	if l.scratch == nil {
+		l.scratch = make([]byte, 0, firstLogChunk)
+	}
+	var zero T
+	l.scratch = zero.AppendDeltas(l.scratch[:0], l.tail)
+	need := len(l.scratch) + headBytes
+	k := len(l.chunks) - 1
+	if k < 0 || l.chunks[k].room() < need {
+		l.addChunk(l.sealed()/LogBlock, need)
+		k++
+	}
+	c := &l.chunks[k]
+	at := len(c.b)
+	c.b = append(c.b, l.scratch...)
+	c.heads++
+	e := c.b[cap(c.b)-headBytes*c.heads : cap(c.b)]
+	binary.LittleEndian.PutUint64(e, uint64(l.tail[0].Time()))
+	binary.LittleEndian.PutUint16(e[8:], uint16(at))
+	l.tail = l.tail[:0]
+}
+
+// addChunk starts the next chunk, twice the last one up to maxLogChunk,
+// and doubled again while it is shorter than need (a power of two, which
+// the allocator rounds nothing onto); its first block will be block first.
+func (l *Log[T]) addChunk(first, need int) {
+	c := firstLogChunk
 	if k := len(l.chunks); k > 0 {
-		if c := &l.chunks[k-1]; len(*c) < cap(*c) {
-			n := len(*c)
-			*c = (*c)[:n+1]
-			(*c)[n] = v
-			return
-		}
+		c = min(2*cap(l.chunks[k-1].b), maxLogChunk)
 	}
-	l.appendSlow(v)
-}
-
-// appendSlow starts the next chunk. Not inlined, or Append itself would
-// exceed the inlining budget.
-//
-//go:noinline
-func (l *Log[T]) appendSlow(v T) {
-	k := len(l.chunks)
-	if k > 0 {
-		// A last chunk Clip cut down grows back to its full size first:
-		// the one copy an append makes, and only on a log Clip declared
-		// done.
-		if last, want := &l.chunks[k-1], l.chunkCap(k-1); cap(*last) < want {
-			*last = append(append(make([]T, 0, want), *last...), v)
-			return
-		}
-	}
-	var c []T
-	if k < cap(l.chunks) {
-		c = l.chunks[:k+1][k] // reserved by Grow, or nil
-	}
-	if c == nil {
-		c = make([]T, 0, l.chunkCap(k))
-	}
-	l.chunks = append(l.chunks, append(c, v))
-}
-
-// chunkCap is the capacity chunk k is made with: chunk 0's (used or
-// reserved), or firstChunk for a log without one, doubled per chunk up to
-// logChunk.
-func (l *Log[T]) chunkCap(k int) int {
-	c := firstChunk
-	if cap(l.chunks) > 0 && l.chunks[:1][0] != nil {
-		c = cap(l.chunks[:1][0])
-	}
-	for ; k > 0 && c < logChunk; k-- {
+	for c < need {
 		c *= 2
 	}
-	return c
+	l.chunks = append(l.chunks, chunk{b: make([]byte, 0, c), first: first})
 }
 
-// start is where chunk k begins, counted from the end of flat: with b
-// chunk 0's capacity, chunk k of the doubling run starts at b·(2^k−1),
-// and the run ends at logChunk−b, where every chunk is logChunk long.
-func (l *Log[T]) start(k int) int {
-	b := cap(l.chunks[0])
-	if full := bits.Len(uint(logChunk/b)) - 1; k > full {
-		return logChunk - b + (k-full)*logChunk
+// chunkOf returns the chunk block b begins in; b is sealed.
+func (l *Log[T]) chunkOf(b int) int {
+	lo, hi := 0, len(l.chunks)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) / 2)
+		if c := &l.chunks[mid]; c.first+c.heads > b {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	return b<<k - b
+	return lo
 }
 
-// locate returns the chunk and offset of element j counted from the end
-// of flat: start inverted in closed form.
-func (l *Log[T]) locate(j int) (k, off int) {
-	b := cap(l.chunks[0])
-	if j += b; j < logChunk {
-		k = bits.Len(uint(j)) - bits.Len(uint(b))
-		return k, j - b<<k
+// cursor decodes a log's sealed entries in order from a block's first.
+type cursor[T Entry[T]] struct {
+	chunks []chunk
+	k, off int
+	v      T
+}
+
+// cursor is positioned before sealed block b's first entry.
+func (l *Log[T]) cursor(b int) cursor[T] {
+	k := l.chunkOf(b)
+	c := &l.chunks[k]
+	_, off := c.head(b - c.first)
+	return cursor[T]{chunks: l.chunks, k: k, off: off}
+}
+
+// next decodes the entry after c.v. A block's first is decoded from the
+// zero value: the caller resets c.v there.
+func (c *cursor[T]) next() T {
+	if c.off == len(c.chunks[c.k].b) {
+		c.k, c.off = c.k+1, 0
 	}
-	j -= logChunk
-	return bits.Len(uint(logChunk/b)) - 1 + j/logChunk, j % logChunk
+	v, m := c.v.Next(c.chunks[c.k].b[c.off:])
+	c.off += m
+	c.v = v
+	return v
 }
 
-// Len reports the number of elements held.
-func (l *Log[T]) Len() int {
-	n := len(l.flat)
-	if k := len(l.chunks); k > 0 {
-		n += l.start(k-1) + len(l.chunks[k-1])
+// At returns entry i: from the tail as it is, or decoded from its block
+// up to it.
+func (l *Log[T]) At(i int) T {
+	if uint(i) >= uint(l.n) {
+		panic("stats: Log index out of range")
 	}
-	return n
-}
-
-// At returns a pointer to element i. Appends never move an element, so
-// the pointer stays valid until the next Slice, Truncate or Clip. At does
-// not consolidate.
-func (l *Log[T]) At(i int) *T {
-	if i < len(l.flat) {
-		return &l.flat[i]
+	if s := l.sealed(); i >= s {
+		return l.tail[i-s]
 	}
-	k, off := l.locate(i - len(l.flat))
-	return &l.chunks[k][off]
+	c := l.cursor(i / LogBlock)
+	for j := i % LogBlock; j > 0; j-- {
+		c.next()
+	}
+	return c.next()
 }
 
-// All iterates the elements in order without consolidating.
+// All iterates the entries in order, decoding the sealed ones as it goes.
 func (l *Log[T]) All() iter.Seq[T] {
 	return func(yield func(T) bool) {
-		for _, v := range l.flat {
-			if !yield(v) {
-				return
-			}
-		}
-		for _, c := range l.chunks {
-			for _, v := range c {
-				if !yield(v) {
+		if s := l.sealed(); s > 0 {
+			var zero T
+			c := l.cursor(0)
+			for i := 0; i < s; i++ {
+				if i%LogBlock == 0 {
+					c.v = zero
+				}
+				if !yield(c.next()) {
 					return
 				}
 			}
 		}
+		for _, v := range l.tail {
+			if !yield(v) {
+				return
+			}
+		}
 	}
 }
 
-// Slice returns the whole log as one slice. A log that is one slice or
-// one chunk returns it as it lies; any other is first folded into one
-// slice of exactly Len() elements, so Slice writes on read: the log's
-// single owner goroutine may call it, nobody else. Appends never modify
-// what the result holds — until the next Truncate, which may hand its
-// storage back to later appends. Repeated calls with nothing appended in
-// between cost nothing.
-func (l *Log[T]) Slice() []T {
-	switch {
-	case len(l.chunks) == 0:
-		return l.flat
-	case len(l.flat) == 0 && len(l.chunks) == 1:
-		return l.chunks[0]
+// Collect decodes the whole log into a fresh slice of exactly Len()
+// entries (nil when empty); later appends never touch it.
+func (l *Log[T]) Collect() []T {
+	if l.n == 0 {
+		return nil
 	}
-	l.fold()
-	return l.flat
+	s := make([]T, 0, l.n)
+	for v := range l.All() {
+		s = append(s, v)
+	}
+	return s
 }
 
-// fold copies the log into a flat slice of exactly Len() elements.
-func (l *Log[T]) fold() {
-	flat := append(make([]T, 0, l.Len()), l.flat...)
-	for _, c := range l.chunks {
-		flat = append(flat, c...)
+// BlockTime is the time of block b's first entry, entry b·LogBlock: read
+// from the index or the tail, nothing decoded.
+func (l *Log[T]) BlockTime(b int) units.Time {
+	if b*LogBlock >= l.sealed() {
+		return l.tail[0].Time()
 	}
-	l.flat, l.chunks = flat, nil
+	c := &l.chunks[l.chunkOf(b)]
+	at, _ := c.head(b - c.first)
+	return at
 }
 
-// Truncate drops every element from index n on; chunks past n are
-// released. A cut within flat keeps the largest chunk, emptied, as the
-// next first chunk (Truncate(0) is the drain loops' s = s[:0]).
+// AppendBlock appends block b's entries — b·LogBlock up to the next block
+// or the end — to dst, decoding them unless b is the tail.
+func (l *Log[T]) AppendBlock(dst []T, b int) []T {
+	if b*LogBlock >= l.sealed() {
+		return append(dst, l.tail...)
+	}
+	c := l.cursor(b)
+	for range LogBlock {
+		dst = append(dst, c.next())
+	}
+	return dst
+}
+
+// Truncate drops every entry from index n on. Truncate(0) keeps the
+// tail's array and the largest chunk, emptied, so a log drained after
+// every batch allocates nothing once one batch has fit. A cut inside the
+// sealed blocks decodes the block it falls in back into the tail and cuts
+// the bytes where that block began.
 func (l *Log[T]) Truncate(n int) {
-	if n > len(l.flat) {
-		k, off := l.locate(n - len(l.flat) - 1)
-		clear(l.chunks[k+1 : cap(l.chunks)])
-		l.chunks = l.chunks[:k+1]
-		l.chunks[k] = l.chunks[k][:off+1]
+	s := l.sealed()
+	switch {
+	case n >= l.n:
 		return
-	}
-	l.flat = l.flat[:n:n]
-	if k := len(l.chunks); k > 0 {
-		keep := l.chunks[k-1]
-		if cap(keep) < l.chunkCap(k-1) {
-			keep = l.chunks[k-2] // the last was cut down by Clip; chunk 0 never is
-		}
-		clear(l.chunks[1:cap(l.chunks)])
-		l.chunks = append(l.chunks[:0], keep[:0])
-	}
-}
-
-// Clip releases the unused tail of the last chunk by copying that one
-// partial chunk to an exact fit; nothing else moves. A log of one chunk
-// becomes one exact slice instead, since chunk 0's capacity sets every
-// later chunk's, and a log that is one slice is left as it is. Clip is
-// for a log that is done growing: a later append regrows that chunk.
-func (l *Log[T]) Clip() {
-	k := len(l.chunks)
-	if k == 0 {
-		return
-	}
-	clear(l.chunks[k:cap(l.chunks)])
-	switch last := l.chunks[k-1]; {
-	case len(last) == cap(last):
-	case k == 1:
-		l.fold()
+	case n >= s:
+		l.tail = l.tail[:n-s]
+	case n == 0:
+		l.tail = l.tail[:0]
+		k := len(l.chunks) - 1
+		l.chunks[0].b = l.chunks[k].b[:0]
+		clear(l.chunks[1:])
+		l.chunks = l.chunks[:1]
+		l.chunks[0].first, l.chunks[0].heads = 0, 0
 	default:
-		l.chunks[k-1] = append(make([]T, 0, len(last)), last...)
+		b := n / LogBlock
+		l.tail = l.AppendBlock(l.tail[:0], b)[:n%LogBlock]
+		k := l.chunkOf(b)
+		c := &l.chunks[k]
+		_, off := c.head(b - c.first)
+		c.b, c.heads = c.b[:off], b-c.first
+		clear(l.chunks[k+1:])
+		l.chunks = l.chunks[:k+1]
 	}
+	l.n = n
 }
 
-// LogOf is a read view of s as a Log, sharing its elements: nothing is
-// copied, and an append to the view never writes into s.
-func LogOf[T any](s []T) Log[T] {
-	return Log[T]{flat: s[:len(s):len(s)]}
+// Time, AppendDeltas and Next are Sample's Log codec: three varints, the
+// differences of At, Delay and Bytes.
+func (s Sample) Time() units.Time { return s.At }
+
+// AppendDeltas appends next's differences, each from the one before,
+// starting from s.
+func (s Sample) AppendDeltas(dst []byte, next []Sample) []byte {
+	for _, v := range next {
+		dst = AppendVarint(dst, int64(v.At-s.At))
+		dst = AppendVarint(dst, int64(v.Delay-s.Delay))
+		dst = AppendVarint(dst, int64(v.Bytes-s.Bytes))
+		s = v
+	}
+	return dst
 }
 
-// Grow reserves chunks for n further elements, so a caller that knows its
-// horizon appends without allocating. Slice, Truncate and Clip may release
-// the reservation.
-func (l *Log[T]) Grow(n int) {
-	k := len(l.chunks)
-	if k > 0 {
-		last := l.chunks[k-1]
-		n -= cap(last) - len(last)
-	}
-	for j := k; n > 0; j++ {
-		if j == cap(l.chunks) {
-			l.chunks = append(l.chunks[:j], nil)[:k]
-		}
-		c := &l.chunks[:j+1][j]
-		if *c == nil {
-			*c = make([]T, 0, l.chunkCap(j))
-		}
-		n -= cap(*c)
-	}
+// Next decodes the sample after s from src.
+func (s Sample) Next(src []byte) (Sample, int) {
+	dAt, i := Varint(src, 0)
+	dDelay, i := Varint(src, i)
+	dBytes, i := Varint(src, i)
+	return Sample{At: s.At + units.Time(dAt), Delay: s.Delay + units.Duration(dDelay), Bytes: s.Bytes + int(dBytes)}, i
 }

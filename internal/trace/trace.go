@@ -45,8 +45,8 @@ type Collector struct {
 	recvHead int
 	readCum  uint64
 
-	// The three result series: append-only, read after (or between)
-	// runs through the consolidating accessors below, or in place.
+	// The three result series: append-only delta varints, read after (or
+	// between) runs through the decoding accessors below, or packed.
 	senderDelay   stats.Log[Sample]
 	networkDelay  stats.Log[Sample]
 	receiverDelay stats.Log[Sample]
@@ -227,20 +227,20 @@ func (c *Collector) onAppRead(endSeq uint64, n int) {
 
 // SenderDelay reports the ground-truth sender-side (socket buffer) delays.
 //
-// The three accessors consolidate their series on read (see
-// stats.Log.Slice), so they belong to the goroutine that runs the engine.
-func (c *Collector) SenderDelay() Series { return c.senderDelay.Slice() }
+// The three accessors decode their series into a fresh slice on every
+// call.
+func (c *Collector) SenderDelay() Series { return c.senderDelay.Collect() }
 
-// SenderLog and ReceiverLog are the sender- and receiver-side series
-// where they lie, for a reader that walks them by Len and At
-// (core.CheckSenderLog) instead of consolidating them.
+// SenderLog and ReceiverLog are the sender- and receiver-side series as
+// they are packed, for a reader that decodes them a block at a time
+// (core.CheckSenderLog) instead of whole.
 func (c *Collector) SenderLog() *stats.Log[Sample] { return &c.senderDelay }
 
 // ReceiverLog: see SenderLog.
 func (c *Collector) ReceiverLog() *stats.Log[Sample] { return &c.receiverDelay }
 
 // NetworkDelay reports the ground-truth one-way network delays.
-func (c *Collector) NetworkDelay() Series { return c.networkDelay.Slice() }
+func (c *Collector) NetworkDelay() Series { return c.networkDelay.Collect() }
 
 // ReceiverDelay reports the ground-truth receiver-side delays.
-func (c *Collector) ReceiverDelay() Series { return c.receiverDelay.Slice() }
+func (c *Collector) ReceiverDelay() Series { return c.receiverDelay.Collect() }

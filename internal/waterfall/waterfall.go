@@ -148,6 +148,56 @@ type Resize struct {
 	From, To int
 }
 
+// Time, AppendDeltas and Next are Drop's stats.Log codec: the differences of
+// its four fields.
+func (d Drop) Time() units.Time { return d.At }
+
+// AppendDeltas appends next's differences, each from the one before,
+// starting from d.
+func (d Drop) AppendDeltas(dst []byte, next []Drop) []byte {
+	for _, v := range next {
+		dst = stats.AppendVarint(dst, int64(v.Seq-d.Seq))
+		dst = stats.AppendVarint(dst, int64(v.Gen-d.Gen))
+		dst = stats.AppendVarint(dst, int64(v.At-d.At))
+		dst = stats.AppendVarint(dst, int64(int8(v.Kind-d.Kind)))
+		d = v
+	}
+	return dst
+}
+
+// Next decodes the drop after d from src.
+func (d Drop) Next(src []byte) (Drop, int) {
+	dSeq, i := stats.Varint(src, 0)
+	dGen, i := stats.Varint(src, i)
+	dAt, i := stats.Varint(src, i)
+	dKind, i := stats.Varint(src, i)
+	return Drop{Seq: d.Seq + uint64(dSeq), Gen: d.Gen + int(dGen), At: d.At + units.Time(dAt), Kind: d.Kind + DropKind(dKind)}, i
+}
+
+// Time, AppendDeltas and Next are Resize's stats.Log codec: the differences of
+// its three fields.
+func (r Resize) Time() units.Time { return r.At }
+
+// AppendDeltas appends next's differences, each from the one before,
+// starting from r.
+func (r Resize) AppendDeltas(dst []byte, next []Resize) []byte {
+	for _, v := range next {
+		dst = stats.AppendVarint(dst, int64(v.At-r.At))
+		dst = stats.AppendVarint(dst, int64(v.From-r.From))
+		dst = stats.AppendVarint(dst, int64(v.To-r.To))
+		r = v
+	}
+	return dst
+}
+
+// Next decodes the resize after r from src.
+func (r Resize) Next(src []byte) (Resize, int) {
+	dAt, i := stats.Varint(src, 0)
+	dFrom, i := stats.Varint(src, i)
+	dTo, i := stats.Varint(src, i)
+	return Resize{At: r.At + units.Time(dAt), From: r.From + int(dFrom), To: r.To + int(dTo)}, i
+}
+
 // Note is a scenario-level annotation — an injected fault, a phase
 // change — rendered alongside the spans by every exporter so delay
 // excursions can be matched to their cause.
@@ -817,20 +867,20 @@ func (r *Recorder) spans() iter.Seq[Span] {
 	}
 }
 
-// Drops returns the recorded packet-drop markers. It consolidates them
-// (see stats.Log.Slice): the engine's goroutine only.
+// Drops returns the recorded packet-drop markers, decoded into a fresh
+// slice.
 func (r *Recorder) Drops() []Drop {
 	if r == nil {
 		return nil
 	}
-	return r.drops.Slice()
+	return r.drops.Collect()
 }
 
-// Resizes returns the recorded send-buffer capacity changes. It
-// consolidates them, as Drops does.
+// Resizes returns the recorded send-buffer capacity changes, decoded into
+// a fresh slice.
 func (r *Recorder) Resizes() []Resize {
 	if r == nil {
 		return nil
 	}
-	return r.resizes.Slice()
+	return r.resizes.Collect()
 }
