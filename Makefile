@@ -74,8 +74,9 @@ test:
 ## against its math.Frexp definition, a decoded checkpoint restored as
 ## held against its own re-encoding (the fleet restores held checkpoints
 ## without re-parsing them), the chunked result log against a plain
-## slice, and the waterfall's delta-encoded retained ranges against a
-## plain slice of them. Corpus replays already run in `make test`;
+## slice, and the waterfall's range codec and decimation (Log.Halve,
+## through the retention rule) against a plain slice of ranges. Corpus
+## replays already run in `make test`;
 ## this looks for new inputs.
 ## One target per go test run (go fuzz rejects several), two workers so a
 ## 2-core CI box is not oversubscribed.

@@ -80,22 +80,22 @@ func oracleGrade(log []Measurement, truth stats.Series, interval units.Duration,
 	return bc, cov
 }
 
-// logPrefixes are where packedLog cuts a log before appending the rest
-// again: before anything, after the first point, inside and at the end of
-// the first block, and around the longest case's middle.
-var logPrefixes = []int{0, 1, envBlock - 1, envBlock, 511, 512, 513}
+// logPrefixes are how much packedLog appends before it resets a log and
+// appends all of it: nothing, one block, and a log several chunks long.
+// A reset keeps the largest chunk, so each builds another chunk layout;
+// a prefix between block edges seals what the edge before it does.
+var logPrefixes = []int{0, envBlock, 512}
 
-// packedLog builds s as a stats.Log after a cut: all of s appended, the
-// log truncated to its first prefix elements, and the rest appended again,
-// so a grade also reads what Truncate left behind.
+// packedLog builds s as a stats.Log that was used before: s[:prefix]
+// appended, the log reset, and all of s appended, so a grade also reads
+// the chunk Reset kept.
 func packedLog[T stats.Entry[T]](s []T, prefix int) *stats.Log[T] {
 	var l stats.Log[T]
-	for _, v := range s {
+	for _, v := range s[:min(prefix, len(s))] {
 		l.Append(v)
 	}
-	prefix = min(prefix, len(s))
-	l.Truncate(prefix)
-	for _, v := range s[prefix:] {
+	l.Reset()
+	for _, v := range s {
 		l.Append(v)
 	}
 	return &l
@@ -103,7 +103,7 @@ func packedLog[T stats.Entry[T]](s []T, prefix int) *stats.Log[T] {
 
 // checkAgainstOracle grades log against truth both ways, as sender and as
 // receiver, and reports the first disagreement: once through the slice
-// entry points, then from both series packed, cut and refilled at each of
+// entry points, then from both series packed after a reset at each of
 // logPrefixes and at extra.
 func checkAgainstOracle(t testing.TB, log []Measurement, truth stats.Series, interval units.Duration, extra ...int) bool {
 	t.Helper()
@@ -221,7 +221,7 @@ const longLog = 512
 // and on every block's first point), and with delays that put the
 // extremes at random places, in the head scan (alternating sign,
 // shrinking) and in the tail scan (growing). Each window is asked of the
-// series as a slice and packed, cut and refilled at each of logPrefixes;
+// series as a slice and packed after a reset at each of logPrefixes;
 // a series past longLog is swept at a stride of windows, since the oracle
 // is linear in it.
 func TestEnvelopeEveryWindow(t *testing.T) {
@@ -344,8 +344,8 @@ func decodeBoundsCase(data []byte) (log []Measurement, truth stats.Series, inter
 
 // FuzzBoundsMatchOracle: for any sorted truth series and any log, the
 // graders agree field for field with the one-walk-per-sample oracle, from
-// slices and from packed logs, one of them cut and refilled at a prefix
-// the fuzzer chooses.
+// slices and from packed logs, one of them reset after a prefix the
+// fuzzer chooses.
 func FuzzBoundsMatchOracle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 10, 1, 2, 3, 4, 5, 6, 7, 8}) // a log and no truth

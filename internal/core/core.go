@@ -143,7 +143,7 @@ func (e *Estimates) add(m Measurement) { e.log.Append(m) }
 // Reset drops every sample while keeping the log's storage. For
 // callers that have fully consumed the series (benchmark harnesses
 // recycling one tracker); the series restarts empty, not a window.
-func (e *Estimates) Reset() { e.log.Truncate(0) }
+func (e *Estimates) Reset() { e.log.Reset() }
 
 // DrainLog hands every retained measurement to fn in production order,
 // then empties the series keeping its storage — the fleets'

@@ -362,7 +362,7 @@ func New(cfg Config) *Fleet {
 				// Fanout mode never gates: the span tracer joins on every
 				// finalized range, so recorders stay attached for the
 				// whole run regardless of escalation state.
-				m.gate = &hookGate{}
+				m.gated = true
 			}
 		}
 		m.plan = drawPlan(cfg, m.rng)
@@ -486,14 +486,13 @@ func (sh *shard) buildConn(m *Monitor) {
 	}
 	if sh.wf != nil {
 		rec := sh.wf.NewFlow()
-		recSnd, recRcv := rec.SenderHooks(), rec.ReceiverHooks()
-		if m.gate != nil {
+		if m.gated {
 			// Escalation mode: the recorder's hooks are installed but
 			// gated off until the flow escalates.
-			recSnd, recRcv = m.gate.wrap(recSnd), m.gate.wrap(recRcv)
+			rec.Gate(false, 0)
 		}
-		sndHooks = stack.MergeTraceHooks(sndHooks, recSnd)
-		rcvHooks = stack.MergeTraceHooks(rcvHooks, recRcv)
+		sndHooks = stack.MergeTraceHooks(sndHooks, rec.SenderHooks())
+		rcvHooks = stack.MergeTraceHooks(rcvHooks, rec.ReceiverHooks())
 		m.wf = rec
 	}
 	m.conn = stack.Dial(net, stack.ConnConfig{
@@ -507,7 +506,7 @@ func (sh *shard) buildConn(m *Monitor) {
 		ReceiverHooks: rcvHooks,
 		Telem:         sh.telem,
 	})
-	if m.wf != nil && m.gate == nil {
+	if m.wf != nil && !m.gated {
 		sh.wf.Bind(m.conn.FlowID, m.wf)
 	}
 	m.sndSrc = core.InfoSource(m.conn.Sender)

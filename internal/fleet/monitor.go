@@ -123,9 +123,10 @@ type Monitor struct {
 	sndLog, rcvLog stats.Log[core.Measurement]
 
 	// Streaming state (nil without Config.Stream): the per-flow
-	// escalation state machine and the waterfall hook gate it drives.
-	esc  *stream.Escalator
-	gate *hookGate
+	// escalation state machine, and whether it gates the flow's
+	// waterfall recorder (Recorder.Gate).
+	esc   *stream.Escalator
+	gated bool
 
 	// Overload state (zero without Config.Overload): the flow's current
 	// ladder tier, when it was parked (for the unpark outage fold), and

@@ -3,8 +3,6 @@ package fleet
 import (
 	"element/internal/core"
 	"element/internal/overload"
-	"element/internal/pkt"
-	"element/internal/stack"
 	"element/internal/telemetry/stream"
 	"element/internal/units"
 )
@@ -101,13 +99,12 @@ func (m *Monitor) setEscalated(on bool) {
 		if sh.ctrEscalations != nil {
 			sh.ctrEscalations.Inc()
 		}
-		if m.gate != nil && m.connOpen {
+		if m.gated && m.connOpen {
 			// Attaching mid-flow: ranges below the current write horizon
 			// have already lost their sndbuf-entry stamps, so the gate
-			// only admits ranges written from here on — every forwarded
+			// only admits ranges written from here on — every recorded
 			// range has complete boundaries.
-			m.gate.floor = m.conn.Sender.WrittenCum()
-			m.gate.on = true
+			m.wf.Gate(true, m.conn.Sender.WrittenCum())
 			sh.wf.Bind(m.conn.FlowID, m.wf)
 		}
 	} else {
@@ -115,77 +112,11 @@ func (m *Monitor) setEscalated(on bool) {
 		if sh.ctrDemotions != nil {
 			sh.ctrDemotions.Inc()
 		}
-		if m.gate != nil {
-			m.gate.on = false
+		if m.gated {
+			m.wf.Gate(false, 0)
 			if m.conn != nil {
 				sh.wf.Unbind(m.conn.FlowID)
 			}
 		}
 	}
-}
-
-// hookGate wraps a recorder's trace hooks so waterfall granularity can
-// be switched on per flow at escalation time and off again at demotion.
-// While on, only byte ranges at or above the escalation floor pass — a
-// range that began life before the recorder attached would otherwise
-// surface with zero boundary stamps and a bogus multi-second residency.
-type hookGate struct {
-	on    bool
-	floor uint64
-}
-
-// wrap gates h. Hook fields h does not set stay nil, preserving the
-// hooks' cost-nothing-when-absent contract.
-func (g *hookGate) wrap(h stack.TraceHooks) stack.TraceHooks {
-	var out stack.TraceHooks
-	if fn := h.AppWrite; fn != nil {
-		out.AppWrite = func(endSeq uint64, n int) {
-			if g.on && endSeq-uint64(n) >= g.floor {
-				fn(endSeq, n)
-			}
-		}
-	}
-	if fn := h.TCPTransmit; fn != nil {
-		out.TCPTransmit = func(seq uint64, n int, retx bool) {
-			if g.on && seq >= g.floor {
-				fn(seq, n, retx)
-			}
-		}
-	}
-	if fn := h.TCPReceive; fn != nil {
-		out.TCPReceive = func(seq uint64, n int) {
-			if g.on && seq >= g.floor {
-				fn(seq, n)
-			}
-		}
-	}
-	if fn := h.TCPInOrder; fn != nil {
-		out.TCPInOrder = func(cum uint64) {
-			if g.on && cum > g.floor {
-				fn(cum)
-			}
-		}
-	}
-	if fn := h.AppRead; fn != nil {
-		out.AppRead = func(endSeq uint64, n int) {
-			if g.on && endSeq > g.floor {
-				fn(endSeq, n)
-			}
-		}
-	}
-	if fn := h.PacketRecv; fn != nil {
-		out.PacketRecv = func(p *pkt.Packet) {
-			if g.on && p.Seq >= g.floor {
-				fn(p)
-			}
-		}
-	}
-	if fn := h.SndbufResize; fn != nil {
-		out.SndbufResize = func(from, to int) {
-			if g.on {
-				fn(from, to)
-			}
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/binary"
 	"iter"
+	"sync"
 
 	"element/internal/units"
 )
@@ -81,22 +82,34 @@ func Varint(src []byte, i int) (int64, int) {
 //     monitor's stitched series): All walks the log decoding as it goes,
 //     the graders read it by block (core.CheckSenderLog), and Collect
 //     decodes it into a fresh slice for a caller that needs one.
-//   - drain every poll (the trackers the fleets' monitors drive):
-//     Truncate(0) keeps the tail's array and the largest chunk, so the
-//     steady state allocates nothing.
+//   - drain every poll (the trackers the fleets' monitors drive): Reset
+//     keeps the tail's array and the largest chunk, so the steady state
+//     allocates nothing.
 //
-// The zero value is an empty log. Nothing reads a Log while it is
-// written: it belongs to one goroutine.
+// Halve decimates a log in place (the waterfall's retained ranges). The
+// zero value is an empty log. Nothing reads a Log while it is written: it
+// belongs to one goroutine.
 type Log[T Entry[T]] struct {
 	chunks []chunk
-	// tail is the last block, not yet encoded: 1 … LogBlock entries once
-	// the log has any (an empty tail after a cut to a block's edge
-	// excepted), in an array of LogBlock.
+	// tail is the last block, not yet encoded, in an array of LogBlock:
+	// it holds 1 … LogBlock entries whenever Len() > 0.
 	tail []T
-	// scratch is where seal encodes a block before placing it.
-	scratch []byte
-	n       int
+	n    int
 }
+
+// sealBufs are the buffers seal encodes a block into before placing it,
+// shared by every Log, so no log keeps one of its own. It is a free list
+// rather than a sync.Pool, which the race detector's build makes drop a
+// quarter of what is put back: a drained log allocates nothing there
+// either. It holds at most one buffer per goroutine that sealed at once.
+var sealBufs struct {
+	sync.Mutex
+	free [][]byte
+}
+
+// sealBufBytes is a seal buffer's first size: more than a block of any
+// codec takes in a live run (a block of ranges, the longest, about 650 B).
+const sealBufBytes = 4 << 10
 
 // chunk is one run of a log's bytes: entries from the front, and from the
 // back of its capacity the index entries of blocks first … first+heads-1,
@@ -129,22 +142,31 @@ func (l *Log[T]) Append(v T) {
 			l.tail = make([]T, 0, LogBlock)
 		}
 	case LogBlock:
-		l.seal()
+		l.seal(l.tail)
+		l.tail = l.tail[:0]
 	}
 	l.tail = append(l.tail, v)
 	l.n++
 }
 
-// seal encodes the tail, a whole block, after the blocks before it, and
-// empties it: into scratch first, then into the last chunk if the block
-// fits there, else into a new one. A block never straddles two chunks.
-func (l *Log[T]) seal() {
-	if l.scratch == nil {
-		l.scratch = make([]byte, 0, firstLogChunk)
+// seal encodes block, a whole one, after the sealed blocks: into a shared
+// buffer first, then into the last chunk if it fits there, else into a
+// new one. A block never straddles two chunks. sealed() counts the blocks
+// before it: Append counts the block both in Len and in the tail.
+func (l *Log[T]) seal(block []T) {
+	var buf []byte
+	sealBufs.Lock()
+	if k := len(sealBufs.free) - 1; k >= 0 {
+		buf = sealBufs.free[k]
+		sealBufs.free = sealBufs.free[:k]
+	}
+	sealBufs.Unlock()
+	if buf == nil {
+		buf = make([]byte, 0, sealBufBytes)
 	}
 	var zero T
-	l.scratch = zero.AppendDeltas(l.scratch[:0], l.tail)
-	need := len(l.scratch) + headBytes
+	buf = zero.AppendDeltas(buf, block)
+	need := len(buf) + headBytes
 	k := len(l.chunks) - 1
 	if k < 0 || l.chunks[k].room() < need {
 		l.addChunk(l.sealed()/LogBlock, need)
@@ -152,12 +174,14 @@ func (l *Log[T]) seal() {
 	}
 	c := &l.chunks[k]
 	at := len(c.b)
-	c.b = append(c.b, l.scratch...)
+	c.b = append(c.b, buf...)
 	c.heads++
 	e := c.b[cap(c.b)-headBytes*c.heads : cap(c.b)]
-	binary.LittleEndian.PutUint64(e, uint64(l.tail[0].Time()))
+	binary.LittleEndian.PutUint64(e, uint64(block[0].Time()))
 	binary.LittleEndian.PutUint16(e[8:], uint16(at))
-	l.tail = l.tail[:0]
+	sealBufs.Lock()
+	sealBufs.free = append(sealBufs.free, buf[:0])
+	sealBufs.Unlock()
 }
 
 // addChunk starts the next chunk, twice the last one up to maxLogChunk,
@@ -209,10 +233,10 @@ func (c *cursor[T]) next() T {
 	if c.off == len(c.chunks[c.k].b) {
 		c.k, c.off = c.k+1, 0
 	}
-	v, m := c.v.Next(c.chunks[c.k].b[c.off:])
+	var m int
+	c.v, m = c.v.Next(c.chunks[c.k].b[c.off:])
 	c.off += m
-	c.v = v
-	return v
+	return c.v
 }
 
 // At returns entry i: from the tail as it is, or decoded from its block
@@ -291,36 +315,50 @@ func (l *Log[T]) AppendBlock(dst []T, b int) []T {
 	return dst
 }
 
-// Truncate drops every entry from index n on. Truncate(0) keeps the
-// tail's array and the largest chunk, emptied, so a log drained after
-// every batch allocates nothing once one batch has fit. A cut inside the
-// sealed blocks decodes the block it falls in back into the tail and cuts
-// the bytes where that block began.
-func (l *Log[T]) Truncate(n int) {
-	s := l.sealed()
-	switch {
-	case n >= l.n:
-		return
-	case n >= s:
-		l.tail = l.tail[:n-s]
-	case n == 0:
-		l.tail = l.tail[:0]
-		k := len(l.chunks) - 1
-		l.chunks[0].b = l.chunks[k].b[:0]
+// Reset empties the log. It keeps the tail's array and the largest
+// chunk, emptied, so a log drained after every batch allocates nothing
+// once one batch has fit.
+func (l *Log[T]) Reset() {
+	l.tail = l.tail[:0]
+	if k := len(l.chunks) - 1; k >= 0 {
+		l.chunks[0] = chunk{b: l.chunks[k].b[:0]}
 		clear(l.chunks[1:])
 		l.chunks = l.chunks[:1]
-		l.chunks[0].first, l.chunks[0].heads = 0, 0
-	default:
-		b := n / LogBlock
-		l.tail = l.AppendBlock(l.tail[:0], b)[:n%LogBlock]
-		k := l.chunkOf(b)
-		c := &l.chunks[k]
-		_, off := c.head(b - c.first)
-		c.b, c.heads = c.b[:off], b-c.first
-		clear(l.chunks[k+1:])
-		l.chunks = l.chunks[:k+1]
 	}
-	l.n = n
+	l.n = 0
+}
+
+// Halve keeps every other entry, the first included. Each kept block is
+// decoded from two, and the kept blocks are encoded into chunks of
+// maxLogChunk from the first: the log halved is one that grew long.
+func (l *Log[T]) Halve() {
+	if l.n == 0 {
+		return
+	}
+	var kept Log[T]
+	blocks := l.sealed()/LogBlock + 1 // the tail is the last
+	buf := make([]T, 0, 2*LogBlock)
+	for b := 0; b < blocks; b += 2 {
+		buf = l.AppendBlock(buf[:0], b)
+		if b+1 < blocks {
+			buf = l.AppendBlock(buf, b+1)
+		}
+		k := 0
+		for i := 0; i < len(buf); i += 2 {
+			buf[k] = buf[i]
+			k++
+		}
+		if b+2 >= blocks {
+			kept.tail = append(l.tail[:0], buf[:k]...)
+		} else {
+			if kept.chunks == nil {
+				kept.addChunk(0, maxLogChunk)
+			}
+			kept.seal(buf[:k])
+		}
+		kept.n += k
+	}
+	*l = kept
 }
 
 // Time, AppendDeltas and Next are Sample's Log codec: three varints, the

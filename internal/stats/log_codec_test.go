@@ -44,10 +44,10 @@ var codecs = []func(t *testing.T, data []byte){
 // The operations FuzzLog draws, each an opcode byte and an argument byte,
 // some followed by per-field bytes.
 const (
-	opRun      = iota // 4·arg+1 entries, each field stepping by int8 << shift (two bytes per field)
-	opRaw             // one entry, each field eight little-endian bytes
-	opTruncate        // to arg/256 of the length, rounded down
-	opDrain           // Truncate(0)
+	opRun   = iota // 4·arg+1 entries, each field stepping by int8 << shift (two bytes per field)
+	opRaw          // one entry, each field eight little-endian bytes
+	opHalve        // Halve: every other entry kept, the first included
+	opDrain        // Reset
 	numOps
 )
 
@@ -58,9 +58,9 @@ const maxFuzzLen = 64 * stats.LogBlock
 // FuzzLog is a differential fuzzer: a Log of one of the four codecs (the
 // first byte picks it) and the plain slice it stands in for, driven through
 // runs of appends whose fields step by any amount — forwards, backwards,
-// not at all, wrapping — single entries with any field values, cuts and
-// drains, with Len, At, All, Collect and every block compared after each
-// operation.
+// not at all, wrapping — single entries with any field values,
+// decimations and drains, with Len, At, All, Collect and every block
+// compared after each operation.
 func FuzzLog(f *testing.F) {
 	nfields := []int{3, 8, 4, 3} // per codec, in the order of codecs
 	raw := func(codec int, x uint64) []byte {
@@ -87,9 +87,15 @@ func FuzzLog(f *testing.F) {
 	}
 	seed(0, run(0, 100, -3, 20), run(0, 9, 127, 40))                  // time going backwards, then far forwards
 	seed(1, run(1, 120, 0, 0))                                        // equal consecutive entries, many blocks long
-	seed(2, run(2, 200, 5, 30), []byte{opDrain, 0}, run(2, 70, 1, 3), // Truncate(0) and reuse, a cut, again
-		[]byte{opTruncate, 100}, run(2, 3, 1, 0), []byte{opDrain, 0}, run(2, 2, 7, 1))
-	seed(3, run(3, 255, 127, 56), []byte{opTruncate, 255, opTruncate, 128}, run(3, 1, 1, 1)) // long varints across chunk ends, cuts
+	seed(2, run(2, 200, 5, 30), []byte{opDrain, 0}, run(2, 70, 1, 3), // Reset and reuse, a halve, again
+		[]byte{opHalve, 100}, run(2, 3, 1, 0), []byte{opDrain, 0}, run(2, 2, 7, 1))
+	seed(3, run(3, 255, 127, 56), []byte{opHalve, 255, opHalve, 128}, run(3, 1, 1, 1)) // long varints across chunk ends, halved twice
+	// Halves of a log shorter than one block, of one with a partial tail
+	// and of one many blocks long, each followed by appends.
+	for c := range codecs {
+		seed(c, run(c, 3, 1, 2), []byte{opHalve, 0}, run(c, 20, -2, 9), []byte{opHalve, 0},
+			run(c, 50, 5, 17), []byte{opHalve, 0}, run(c, 1, 1, 1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1024 {
 			t.Skip() // each operation's check decodes the whole log once per index
@@ -137,12 +143,15 @@ func fuzzCodec[T interface {
 				l.Append(entry(fields))
 				ref = append(ref, entry(fields))
 			}
-		case opTruncate:
-			n := arg * len(ref) / 256
-			l.Truncate(n)
-			ref = ref[:n]
+		case opHalve:
+			l.Halve()
+			var kept []T
+			for i := 0; i < len(ref); i += 2 {
+				kept = append(kept, ref[i])
+			}
+			ref = kept
 		case opDrain:
-			l.Truncate(0)
+			l.Reset()
 			ref = ref[:0]
 		}
 		stats.CheckLog(t, &l, ref)

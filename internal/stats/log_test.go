@@ -59,7 +59,7 @@ func sample(rng *rand.Rand, prev Sample) Sample {
 
 // TestLogMatchesSlice drives a Log and a plain slice through the two
 // shapes the observers use, interleaved at random: long runs of appends
-// read once (a) and drain-every-poll (b) — plus cuts at random lengths.
+// read once (a) and drain-every-poll (b) — plus decimations (Halve).
 func TestLogMatchesSlice(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -87,12 +87,11 @@ func TestLogMatchesSlice(t *testing.T) {
 				if !slices.Equal(got, snapshot) {
 					t.Fatalf("seed %d step %d: an append modified the slice Collect returned", seed, step)
 				}
-			case op < 9: // a cut anywhere
-				n := rng.Intn(len(ref) + 1)
-				l.Truncate(n)
-				ref = ref[:n]
+			case op < 9: // decimation
+				l.Halve()
+				ref = everyOther(ref)
 			default: // (b) drain
-				l.Truncate(0)
+				l.Reset()
 				ref = ref[:0]
 			}
 			checkLog(t, &l, ref)
@@ -100,10 +99,19 @@ func TestLogMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestLogTruncateEveryLength cuts a log many blocks and chunks long at
-// lengths on both sides of every block edge and checks what is left, then
-// that appending resumes correctly from there.
-func TestLogTruncateEveryLength(t *testing.T) {
+// everyOther is what Halve keeps of s: s[0], s[2], … (s[::2]).
+func everyOther[T any](s []T) []T {
+	var kept []T
+	for i := 0; i < len(s); i += 2 {
+		kept = append(kept, s[i])
+	}
+	return kept
+}
+
+// TestLogHalveEveryLength halves logs of lengths on both sides of every
+// block edge, up to many blocks and chunks long, and checks what is kept,
+// then that appending resumes correctly from there.
+func TestLogHalveEveryLength(t *testing.T) {
 	const n = 40*LogBlock + 7
 	rng := rand.New(rand.NewSource(1))
 	var all []Sample
@@ -112,17 +120,17 @@ func TestLogTruncateEveryLength(t *testing.T) {
 		last = sample(rng, last)
 		all = append(all, last)
 	}
-	for cut := 0; cut <= n; cut++ {
-		if d := cut % LogBlock; d > 1 && d < LogBlock-1 && cut%7 != 0 {
+	for m := 0; m <= n; m++ {
+		if d := m % LogBlock; d > 1 && d < LogBlock-1 && m%7 != 0 {
 			continue
 		}
 		var l Log[Sample]
-		for _, s := range all[:n] {
+		for _, s := range all[:m] {
 			l.Append(s)
 		}
-		l.Truncate(cut)
-		checkLog(t, &l, all[:cut])
-		ref := slices.Clone(all[:cut])
+		l.Halve()
+		ref := everyOther(all[:m])
+		checkLog(t, &l, ref)
 		for _, s := range all[n:] {
 			l.Append(s)
 			ref = append(ref, s)
@@ -136,7 +144,7 @@ func TestLogTruncateEveryLength(t *testing.T) {
 // s = s[:0] kept its slice, and the steady state
 // allocates nothing — from a fresh log, and after a long run was drained.
 // The drain is the one the fleets run, Estimates.DrainLog's All then
-// Truncate(0).
+// Reset.
 func TestLogDrainEveryPollZeroAlloc(t *testing.T) {
 	for _, batch := range []int{1, 8, 17, 100, 512} {
 		for _, long := range []bool{false, true} {
@@ -145,7 +153,7 @@ func TestLogDrainEveryPollZeroAlloc(t *testing.T) {
 				for i := 0; i < 100*LogBlock; i++ {
 					l.Append(Sample{At: units.Time(i), Bytes: i})
 				}
-				l.Truncate(0)
+				l.Reset()
 			}
 			sum, at := 0, units.Time(0)
 			poll := func() {
@@ -156,7 +164,7 @@ func TestLogDrainEveryPollZeroAlloc(t *testing.T) {
 				for s := range l.All() {
 					sum += s.Bytes
 				}
-				l.Truncate(0)
+				l.Reset()
 			}
 			poll() // AllocsPerRun's own warm-up poll is the second
 			if avg := testing.AllocsPerRun(200, poll); avg != 0 {
@@ -168,10 +176,11 @@ func TestLogDrainEveryPollZeroAlloc(t *testing.T) {
 
 // TestLogAllocatesWhatItHolds pins what n appends to a fresh log cost in
 // bytes: the tail's one array of LogBlock entries, the chunks, each
-// allocated once and holding the index too, and the encoding scratch and
-// the chunk list, which grow by doubling (every array each had, together,
-// is under twice its last). It also holds "never moves": no chunk's bytes
-// are ever reallocated once the chunk exists.
+// allocated once and holding the index too, and the chunk list, which
+// grows by doubling (every array it had, together, is under twice its
+// last). The buffer a block is encoded in is shared, not the log's. It
+// also holds "never moves": no chunk's bytes are ever reallocated once
+// the chunk exists.
 func TestLogAllocatesWhatItHolds(t *testing.T) {
 	for _, n := range []int{1, 31, 32, 33, 300, 1000, 5000, 40000} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -198,9 +207,9 @@ func TestLogAllocatesWhatItHolds(t *testing.T) {
 			chunks += cap(c.b)
 		}
 		tail := LogBlock * int(unsafe.Sizeof(Sample{}))
-		list := 2 * (cap(l.scratch) + cap(l.chunks)*int(unsafe.Sizeof(chunk{})))
+		list := 2 * cap(l.chunks) * int(unsafe.Sizeof(chunk{}))
 		if want := tail + chunks + list; allocated > uint64(want) {
-			t.Errorf("n=%d: %d appends allocated %d B, want at most %d (%d B of tail, %d B of chunks, %d B of scratch and chunk list)",
+			t.Errorf("n=%d: %d appends allocated %d B, want at most %d (%d B of tail, %d B of chunks, %d B of chunk list)",
 				n, n, allocated, want, tail, chunks, list)
 		}
 
@@ -222,8 +231,9 @@ func TestLogAllocatesWhatItHolds(t *testing.T) {
 }
 
 // TestLogNeverRecopies bounds what a long log costs to build in
-// allocations: the tail's array, the encoding scratch and its one
-// doubling, one per chunk, and the chunk list's doublings.
+// allocations: the tail's array, one per chunk, the chunk list's
+// doublings, and two to spare (one is the shared seal buffer, in a
+// process that has none free yet).
 func TestLogNeverRecopies(t *testing.T) {
 	const n = 200 * 512
 	rng := rand.New(rand.NewSource(1))
@@ -241,7 +251,7 @@ func TestLogNeverRecopies(t *testing.T) {
 		}
 	})
 	if max := float64(3 + len(l.chunks) + bits.Len(uint(len(l.chunks))) + 1); perRun > max {
-		t.Fatalf("%d appends made %.0f allocations, want at most %.0f (the tail, the scratch, %d chunks, and the chunk list's doublings)", n, perRun, max, len(l.chunks))
+		t.Fatalf("%d appends made %.0f allocations, want at most %.0f (the tail, %d chunks, the chunk list's doublings and two spare)", n, perRun, max, len(l.chunks))
 	}
 }
 
@@ -293,7 +303,7 @@ func BenchmarkLogAppend(b *testing.B) {
 			for v := range l.All() {
 				sinkBytes += v.Bytes
 			}
-			l.Truncate(0)
+			l.Reset()
 		}
 		poll(0) // the chunk and index the drains keep
 		b.ReportAllocs()

@@ -96,9 +96,9 @@ func BenchmarkRecorderPacket(b *testing.B) {
 // were replaced (5bea3a9) allocated 23 or 24 times under this same driver
 // — the arrival queue re-grown each time arrivals[1:] had given its
 // capacity away, and the retained-range slice growing. Now the
-// retained-range log alone allocates: a 16 KiB chunk per about 900
+// retained-range log alone allocates: a 16 KiB chunk per about 800
 // ranges, plus the chunks the one decimation the runs cross encodes the
-// kept half into — 14 per run on average, so none comes from the arrival
+// kept half into — 15 per run on average, so none comes from the arrival
 // queue, whose capacity is also checked directly. AllocsPerRun truncates
 // its average, so over four runs a stray runtime allocation is not
 // counted as another.
@@ -122,8 +122,10 @@ func TestPacketCycleAllocs(t *testing.T) {
 
 // TestRetainedRangeBytes pins what a retained range costs in bytes: over
 // 8192 packets of a warmed cycle, each retaining one range, the recorder
-// allocates at most 32 B per range, chunk headers included. A range here
-// encodes to 18 B; held as an 80 B rangeRec it would not fit.
+// allocates at most 32 B per range, block index included. A range here
+// costs about 20 B (a block's first range is encoded against zero, and
+// each block of 32 has a 10 B index entry); held as an 80 B rangeRec it
+// would not fit.
 func TestRetainedRangeBytes(t *testing.T) {
 	const packets, perRange = 8192, 32
 	allocated := ^uint64(0)

@@ -451,12 +451,13 @@ func (f *fieldSource) record(prev rangeRec) rangeRec {
 	return rr
 }
 
-// FuzzRangeLog holds the delta-encoded retained-range log to refRetain,
-// the retention rule over a plain slice of rangeRecs. The bytes decode to
-// a list of ranges with arbitrary fields, retained in order reps+1 times
-// over (up to 3·maxRanges ranges, so one or two decimations re-encode
-// it); after every range the count, stride and skip must match, and at
-// the end every decoded range.
+// FuzzRangeLog holds rangeRec's stats.Log codec and the log's Halve, as
+// retain drives them, to refRetain, the retention rule over a plain slice
+// of rangeRecs. The bytes decode to a list of ranges with arbitrary
+// fields, retained in order reps+1 times over (up to 3·maxRanges ranges,
+// so one or two decimations decode and encode the log again); after every
+// range the count, stride and skip must match, and at the end every
+// decoded range.
 func FuzzRangeLog(f *testing.F) {
 	f.Add(uint16(0), []byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
 	// Extremes: MaxInt64 and MinInt64 fenceposts, an end before its start.

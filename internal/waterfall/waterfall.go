@@ -375,9 +375,8 @@ func (w *Waterfall) dataRecorder(p *pkt.Packet) *Recorder {
 // maxRanges bounds per-flow span retention for exports: when full, the
 // retained set is decimated (every other range dropped, stride doubled), so
 // memory stays bounded and exports stay loadable while the *aggregate*
-// breakdown remains exact over all ranges. In bytes the bound is maxRanges
-// × maxRangeBytes, 3.3 MB; at the ~20 B a live flow's range encodes to, a
-// full log holds about 650 KB.
+// breakdown remains exact over all ranges. At the ~20 B a live flow's range
+// encodes to, a full log holds about 650 KB.
 const maxRanges = 1 << 15
 
 // maxMarks bounds the drop/resize marker lists.
@@ -429,6 +428,48 @@ type rangeRec struct {
 	b          [numBounds]units.Time
 }
 
+// Time, AppendDeltas and Next are rangeRec's stats.Log codec: ten
+// varints, start − the previous range's end, end − start, gen, b[0] − the
+// previous range's b[0], then b[i] − b[i−1] for each later fencepost.
+// Ranges abut and their fenceposts are monotone, so a live flow's range
+// takes about 20 B. Its time is the read, the order ranges retire in.
+func (rr rangeRec) Time() units.Time { return rr.b[numBounds-1] }
+
+// AppendDeltas appends next's differences, each from the one before,
+// starting from rr.
+func (rr rangeRec) AppendDeltas(dst []byte, next []rangeRec) []byte {
+	end, write := rr.end, rr.b[0]
+	for i := range next {
+		v := &next[i]
+		dst = stats.AppendVarint(dst, int64(v.start-end))
+		dst = stats.AppendVarint(dst, int64(v.end-v.start))
+		dst = stats.AppendVarint(dst, int64(v.gen))
+		dst = stats.AppendVarint(dst, int64(v.b[0]-write))
+		for k := 1; k < numBounds; k++ {
+			dst = stats.AppendVarint(dst, int64(v.b[k]-v.b[k-1]))
+		}
+		end, write = v.end, v.b[0]
+	}
+	return dst
+}
+
+// Next decodes the range after rr from src.
+func (rr rangeRec) Next(src []byte) (rangeRec, int) {
+	gap, i := stats.Varint(src, 0)
+	n, i := stats.Varint(src, i)
+	gen, i := stats.Varint(src, i)
+	dw, i := stats.Varint(src, i)
+	v := rangeRec{start: rr.end + uint64(gap), gen: int(gen)}
+	v.end = v.start + uint64(n)
+	v.b[0] = rr.b[0] + units.Time(dw)
+	for k := 1; k < numBounds; k++ {
+		var d int64
+		d, i = stats.Varint(src, i)
+		v.b[k] = v.b[k-1] + units.Time(d)
+	}
+	return v, i
+}
+
 // aggregate is the exact (non-decimated) per-flow attribution state.
 type aggregate struct {
 	ranges       int
@@ -469,9 +510,8 @@ type Recorder struct {
 	}
 	readCum uint64
 
-	// Finalized ranges, decimated for bounded retention, each kept as
-	// delta varints (rangeLog).
-	ranges      rangeLog
+	// Finalized ranges, decimated for bounded retention.
+	ranges      stats.Log[rangeRec]
 	stride      int
 	strideSkip  int
 	agg         aggregate
@@ -483,7 +523,28 @@ type Recorder struct {
 	// onFinal, when set, observes every finalized byte range with its
 	// clamped boundaries — no decimation, in read order.
 	onFinal func(start, end uint64, gen int, b Bounds)
+
+	// The gate (Gate): while gated, a trace hook call passes only when
+	// open and at or above floor.
+	gated, open bool
+	floor       uint64
 }
+
+// Gate puts the recorder's trace hooks behind a gate, so waterfall
+// granularity can be switched on for a flow and off again: from here on
+// a hook call passes only while on is true and its bytes lie at or above
+// floor. A range that began before the floor would otherwise surface with
+// zero boundary stamps and a bogus multi-second residency; so, attaching
+// mid-flow, pass the write horizon. Nil-safe.
+func (r *Recorder) Gate(on bool, floor uint64) {
+	if r != nil {
+		r.gated, r.open, r.floor = true, on, floor
+	}
+}
+
+// shut reports whether the gate stops a hook call; above is whether the
+// call lies above the floor by that hook's comparison.
+func (r *Recorder) shut(above bool) bool { return r.gated && !(r.open && above) }
 
 // OnFinalize registers fn to observe every finalized byte range of this
 // flow: the consumed [start,end) range, its retransmit generation, and
@@ -527,10 +588,16 @@ func (r *Recorder) ReceiverHooks() stack.TraceHooks {
 // --- Sender side ----------------------------------------------------------
 
 func (r *Recorder) onAppWrite(endSeq uint64, n int) {
+	if r.shut(endSeq-uint64(n) >= r.floor) {
+		return
+	}
 	r.writes = append(r.writes, writeStamp{end: endSeq, at: r.wf.now()})
 }
 
 func (r *Recorder) onSndbufResize(from, to int) {
+	if r.shut(true) {
+		return
+	}
 	if r.resizes.Len() >= maxMarks {
 		r.lostResizes++
 		return
@@ -542,6 +609,9 @@ func (r *Recorder) onSndbufResize(from, to int) {
 // closes the sndbuf stage against the covering app write; retransmissions
 // bump the segment's generation.
 func (r *Recorder) onTransmit(seq uint64, n int, retx bool) {
+	if r.shut(seq >= r.floor) {
+		return
+	}
 	now := r.wf.now()
 	end := seq + uint64(n)
 	if retx {
@@ -643,6 +713,9 @@ func (r *Recorder) recordDrop(d Drop) {
 // packet; the TCPReceive calls that follow (same virtual instant) attach
 // them to the new byte ranges the packet contributed.
 func (r *Recorder) onPacketRecv(p *pkt.Packet) {
+	if r.shut(p.Seq >= r.floor) {
+		return
+	}
 	r.pending.valid = true
 	r.pending.seq, r.pending.end, r.pending.gen = p.Seq, p.End(), p.Gen
 	var b [numBounds]units.Time
@@ -667,6 +740,9 @@ func (r *Recorder) onPacketRecv(p *pkt.Packet) {
 }
 
 func (r *Recorder) onTCPReceive(seq uint64, n int) {
+	if r.shut(seq >= r.floor) {
+		return
+	}
 	now := r.wf.now()
 	end := seq + uint64(n)
 	a := arrival{start: seq, end: end}
@@ -716,6 +792,9 @@ func (r *Recorder) insertArrival(a arrival) {
 // onInOrder stamps the reassembly-exit boundary on every arrival released
 // by a rcv_nxt advance.
 func (r *Recorder) onInOrder(cum uint64) {
+	if r.shut(cum > r.floor) {
+		return
+	}
 	now := r.wf.now()
 	i := r.arrHead + r.inHead
 	for i < len(r.arrivals) && r.arrivals[i].end <= cum {
@@ -739,6 +818,9 @@ func (r *Recorder) onInOrder(cum uint64) {
 
 // onAppRead finalizes every arrival the read consumed.
 func (r *Recorder) onAppRead(endSeq uint64, n int) {
+	if r.shut(endSeq > r.floor) {
+		return
+	}
 	now := r.wf.now()
 	r.readCum = endSeq
 	for r.arrHead < len(r.arrivals) && r.arrivals[r.arrHead].start < endSeq {
@@ -825,11 +907,11 @@ func (r *Recorder) retain(rr rangeRec) {
 		return
 	}
 	if r.ranges.Len() >= maxRanges {
-		r.ranges.halve()
+		r.ranges.Halve()
 		r.stride *= 2
 	}
 	r.strideSkip = r.stride - 1
-	r.ranges.Append(&rr)
+	r.ranges.Append(rr)
 }
 
 // Spans materializes the retained ranges as stage spans (zero-duration
