@@ -3,6 +3,7 @@ package core
 import (
 	"element/internal/sim"
 	"element/internal/stack"
+	"element/internal/tcpinfo"
 	"element/internal/telemetry"
 	"element/internal/units"
 )
@@ -59,10 +60,7 @@ type Sender struct {
 	sock    *stack.Socket
 	Tracker *SenderTracker
 	Min     *Minimizer // nil unless Options.Minimize
-
-	lastAcked  uint64
-	lastAt     units.Time
-	throughput float64 // EWMA bits/s
+	tput    rateEWMA   // of the acked bytes
 }
 
 // AttachSender wires ELEMENT onto a sending socket.
@@ -118,8 +116,13 @@ func (s *Sender) SendFull(p *sim.Proc, n int) RetInfo {
 // tracker's sanitizer so RetInfo sees the same defended view.
 func (s *Sender) retinfo(size int) RetInfo {
 	ti := s.Tracker.san.GetsockoptTCPInfo()
-	tput := s.ThroughputEstimate()
-	latest := s.Tracker.Estimates().Latest()
+	return s.Tracker.retInfo(size, ti, s.ThroughputEstimate())
+}
+
+// retInfo is the RetInfo of a wrapper call that moved size bytes, from
+// the snapshot ti, the throughput EWMA tput and the latest sample.
+func (t *tracker) retInfo(size int, ti tcpinfo.TCPInfo, tput float64) RetInfo {
+	latest := t.est.Latest()
 	return RetInfo{
 		Size:       size,
 		BufDelay:   latest.Delay.Seconds(),
@@ -129,6 +132,31 @@ func (s *Sender) retinfo(size int) RetInfo {
 		Confidence: latest.Confidence,
 		ErrBound:   latest.ErrBound.Seconds(),
 	}
+}
+
+// rateEWMA is a throughput EWMA in bits/s over a cumulative byte counter.
+type rateEWMA struct {
+	last uint64
+	at   units.Time
+	bps  float64
+}
+
+// update folds the counter's value cum at now into the EWMA and returns
+// it. A counter that went backwards (the capability probe flipping
+// estimators) re-bases the delta instead of poisoning the EWMA.
+func (r *rateEWMA) update(now units.Time, cum uint64) float64 {
+	if now > r.at {
+		if cum >= r.last {
+			inst := float64(cum-r.last) * 8 / now.Sub(r.at).Seconds()
+			if r.bps == 0 {
+				r.bps = inst
+			} else {
+				r.bps = 0.875*r.bps + 0.125*inst
+			}
+		}
+		r.last, r.at = cum, now
+	}
+	return r.bps
 }
 
 // Estimates exposes the sender-side delay estimates.
@@ -149,22 +177,7 @@ func (s *Sender) ThroughputEstimate() float64 {
 		}
 		acked = uint64(segs) * uint64(ti.SndMSS)
 	}
-	now := s.eng.Now()
-	if now > s.lastAt {
-		if acked >= s.lastAcked {
-			inst := float64(acked-s.lastAcked) * 8 / now.Sub(s.lastAt).Seconds()
-			if s.throughput == 0 {
-				s.throughput = inst
-			} else {
-				s.throughput = 0.875*s.throughput + 0.125*inst
-			}
-		}
-		// A regression (capability probe flipping estimators) just
-		// re-bases the delta instead of poisoning the EWMA.
-		s.lastAcked = acked
-		s.lastAt = now
-	}
-	return s.throughput
+	return s.tput.update(s.eng.Now(), acked)
 }
 
 // BufferedEstimate reports the bytes ELEMENT estimates to be waiting in
@@ -192,10 +205,7 @@ type Receiver struct {
 	eng     *sim.Engine
 	sock    *stack.Socket
 	Tracker *ReceiverTracker
-
-	lastRead   uint64
-	lastAt     units.Time
-	throughput float64
+	tput    rateEWMA // of the bytes read
 }
 
 // AttachReceiver wires ELEMENT onto a receiving socket.
@@ -222,28 +232,7 @@ func (r *Receiver) Read(p *sim.Proc, max int) RetInfo {
 		r.Tracker.OnRead(r.sock.ReadCum(), got, got < max)
 	}
 	ti := r.Tracker.san.GetsockoptTCPInfo()
-	now := r.eng.Now()
-	if now > r.lastAt {
-		cum := r.sock.ReadCum()
-		inst := float64(cum-r.lastRead) * 8 / now.Sub(r.lastAt).Seconds()
-		if r.throughput == 0 {
-			r.throughput = inst
-		} else {
-			r.throughput = 0.875*r.throughput + 0.125*inst
-		}
-		r.lastRead = cum
-		r.lastAt = now
-	}
-	latest := r.Tracker.Estimates().Latest()
-	return RetInfo{
-		Size:       got,
-		BufDelay:   latest.Delay.Seconds(),
-		Throughput: r.throughput,
-		RTT:        ti.RTT.Seconds(),
-		Cwnd:       ti.SndCwnd,
-		Confidence: latest.Confidence,
-		ErrBound:   latest.ErrBound.Seconds(),
-	}
+	return r.Tracker.retInfo(got, ti, r.tput.update(r.eng.Now(), r.sock.ReadCum()))
 }
 
 // Estimates exposes the receiver-side delay estimates.

@@ -368,18 +368,12 @@ func CheckSenderBounds(log []Measurement, truth stats.Series, interval units.Dur
 	return bc
 }
 
-// CheckSenderLog is CheckSenderBounds and SenderCoverage in one walk of
-// packed logs: a fleet monitor's stitched series against its collector's,
-// each decoded a block at a time.
+// CheckSenderLog is CheckSenderBounds over packed logs, each decoded a
+// block at a time, with the per-grade Coverage of the same walk: a fleet
+// monitor's stitched series or a tracker's own log (Estimates.Packed)
+// against its collector's.
 func CheckSenderLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample], interval units.Duration) (BoundCheck, Coverage) {
 	return gradeLog(log, truth, interval, false)
-}
-
-// SenderCoverage tallies per-grade bound coverage of a sender log against
-// ground truth, by the same comparison as CheckSenderBounds.
-func SenderCoverage(log []Measurement, truth stats.Series, interval units.Duration) Coverage {
-	_, cov := gradeLog(sliceBlocks[Measurement](log), sliceBlocks[stats.Sample](truth), interval, false)
-	return cov
 }
 
 // CheckReceiverBounds evaluates the receiver log. The contract is
@@ -393,20 +387,13 @@ func CheckReceiverBounds(log []Measurement, truth stats.Series) BoundCheck {
 	return bc
 }
 
-// CheckReceiverLog is CheckReceiverBounds and ReceiverCoverage over packed
-// logs.
+// CheckReceiverLog is CheckReceiverBounds over packed logs, with the
+// per-grade Coverage of the same walk.
 func CheckReceiverLog(log *stats.Log[Measurement], truth *stats.Log[stats.Sample]) (BoundCheck, Coverage) {
 	return gradeLog(log, truth, 0, true)
 }
 
-// ReceiverCoverage tallies per-grade coverage of a receiver log, by the
-// same one-sided comparison as CheckReceiverBounds.
-func ReceiverCoverage(log []Measurement, truth stats.Series) Coverage {
-	_, cov := gradeLog(sliceBlocks[Measurement](log), sliceBlocks[stats.Sample](truth), 0, true)
-	return cov
-}
-
-// gradeLog is the one grader behind the six entry points above: a single
+// gradeLog is the one grader behind the four entry points above: a single
 // walk of the log, a block at a time, against the truth envelope that
 // fills both tallies. A sample's excess is its distance from the envelope
 // beyond its own bound (and boundEps); the receiver looks back

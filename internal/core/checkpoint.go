@@ -26,10 +26,11 @@ import (
 // Two invariants hold it together. A checkpoint is its object's state:
 // each of the four objects (both trackers, the minimizer, the sanitizer)
 // declares its resumable fields once, in a state struct that the live
-// type and its checkpoint both embed, in wire order — so Checkpoint is
-// one struct copy plus the records, and a restore is one assignment, and
-// a field cannot be added to one side only. And there is one restore
-// rule: the trackers' fold, which Shed and FoldOutage share.
+// type and its checkpoint both embed, in wire order — so a tracker's
+// Checkpoint is the shell's header (options and records) plus one struct
+// copy, a restore is one assignment plus the shell's restore, and a field
+// cannot be added to one side only. And there is one restore rule: the
+// trackers' fold, which Shed and FoldOutage share.
 // A checkpoint is a plain value, so a supervisor holds it as is
 // (CheckpointInto refills one in place) and encodes it only where it
 // leaves the process: Marshal/Unmarshal use encoding/json, which has no
@@ -44,14 +45,70 @@ type RecordCheckpoint struct {
 	Stall units.Duration `json:"stall,omitempty"`
 }
 
-// SenderCheckpoint is the serializable state of Algorithm 1's tracker: the
-// construction options, the outstanding records, the tracker's state and
-// its sanitizer's, in that order on the wire.
-type SenderCheckpoint struct {
+// checkpointHeader opens both tracker checkpoints: when it was taken, the
+// construction options and the outstanding records, oldest first. An
+// uncapped tracker's RecordCap is 0.
+type checkpointHeader struct {
 	TakenAt   units.Time         `json:"taken_at"`
 	Interval  units.Duration     `json:"interval"`
 	RecordCap int                `json:"record_cap,omitempty"`
 	Records   []RecordCheckpoint `json:"records,omitempty"`
+}
+
+// header returns the tracker's checkpoint header, appending the records
+// to recs' storage.
+func (t *tracker) header(recs []RecordCheckpoint) checkpointHeader {
+	return checkpointHeader{
+		TakenAt:   t.eng.Now(),
+		Interval:  t.interval,
+		RecordCap: t.list.cap,
+		Records:   appendRecords(recs[:0], &t.list),
+	}
+}
+
+// options fills the options a restore leaves zero from the header's own:
+// a checkpointed cap of 0 restores uncapped.
+func (h *checkpointHeader) options(opts TrackerOptions) TrackerOptions {
+	if opts.Interval <= 0 {
+		opts.Interval = h.Interval
+	}
+	if opts.RecordCap == 0 {
+		opts.RecordCap = h.RecordCap
+		if opts.RecordCap == 0 {
+			opts.RecordCap = -1
+		}
+	}
+	return opts
+}
+
+// restore finishes a restore once the side has assigned its state (whose
+// stall total is stallCum): the sanitizer's state and the records come
+// back, and the outage since h was taken counts a Restores anomaly and
+// goes through the side's restore rule.
+func (t *tracker) restore(h *checkpointHeader, san sanitizerState, stallCum *units.Duration) {
+	t.san.sanitizerState = san
+	*stallCum = max(*stallCum, 0) // negative debt would narrow bounds
+	restoreRecords(&t.list, h.Records, t.eng.Now(), *stallCum)
+	t.san.Counts.Restores++
+	t.owner.(side).fold(t.eng.Now().Sub(h.TakenAt))
+}
+
+// unmarshal decodes a checkpoint produced by Marshal; what names it in
+// the error.
+func unmarshal[C any](b []byte, what string) (C, error) {
+	var cp C
+	if err := json.Unmarshal(b, &cp); err != nil {
+		var zero C
+		return zero, fmt.Errorf("core: decoding %s checkpoint: %w", what, err)
+	}
+	return cp, nil
+}
+
+// SenderCheckpoint is the serializable state of Algorithm 1's tracker: the
+// header, the tracker's state and its sanitizer's, in that order on the
+// wire.
+type SenderCheckpoint struct {
+	checkpointHeader
 	senderState
 	Sanitizer sanitizerState `json:"sanitizer"`
 }
@@ -72,12 +129,9 @@ func (t *SenderTracker) Checkpoint() SenderCheckpoint {
 // when the ring outgrows every earlier checkpoint.
 func (t *SenderTracker) CheckpointInto(cp *SenderCheckpoint) {
 	*cp = SenderCheckpoint{
-		TakenAt:     t.eng.Now(),
-		Interval:    t.interval,
-		RecordCap:   t.list.cap,
-		Records:     appendRecords(cp.Records[:0], &t.list),
-		senderState: t.senderState,
-		Sanitizer:   t.san.sanitizerState,
+		checkpointHeader: t.header(cp.Records),
+		senderState:      t.senderState,
+		Sanitizer:        t.san.sanitizerState,
 	}
 }
 
@@ -93,11 +147,7 @@ func (cp SenderCheckpoint) Marshal() ([]byte, error) { return json.Marshal(cp) }
 
 // UnmarshalSenderCheckpoint decodes a checkpoint produced by Marshal.
 func UnmarshalSenderCheckpoint(b []byte) (SenderCheckpoint, error) {
-	var cp SenderCheckpoint
-	if err := json.Unmarshal(b, &cp); err != nil {
-		return SenderCheckpoint{}, fmt.Errorf("core: decoding sender checkpoint: %w", err)
-	}
-	return cp, nil
+	return unmarshal[SenderCheckpoint](b, "sender")
 }
 
 // RestoreSenderTracker resumes Algorithm 1 from a checkpoint: the state is
@@ -111,13 +161,9 @@ func UnmarshalSenderCheckpoint(b []byte) (SenderCheckpoint, error) {
 // progress. opts.Interval and opts.RecordCap default to the checkpoint's
 // values when zero; opts.Detached works as in NewSenderTrackerOpts.
 func RestoreSenderTracker(eng *sim.Engine, src InfoSource, cp SenderCheckpoint, opts TrackerOptions) *SenderTracker {
-	t := NewSenderTrackerOpts(eng, src, restoreOptions(opts, cp.Interval, cp.RecordCap))
+	t := NewSenderTrackerOpts(eng, src, cp.options(opts))
 	t.senderState = cp.senderState
-	t.san.sanitizerState = cp.Sanitizer
-	t.StallCum = max(t.StallCum, 0) // negative debt would narrow bounds
-	restoreRecords(&t.list, cp.Records, eng.Now(), t.StallCum)
-	t.san.Counts.Restores++
-	t.fold(eng.Now().Sub(cp.TakenAt))
+	t.restore(&cp.checkpointHeader, cp.Sanitizer, &t.StallCum)
 	return t
 }
 
@@ -148,10 +194,7 @@ func (cp SenderCheckpoint) Rebase() SenderCheckpoint {
 // ReceiverCheckpoint is the serializable state of Algorithm 2's tracker,
 // laid out like SenderCheckpoint.
 type ReceiverCheckpoint struct {
-	TakenAt   units.Time         `json:"taken_at"`
-	Interval  units.Duration     `json:"interval"`
-	RecordCap int                `json:"record_cap,omitempty"`
-	Records   []RecordCheckpoint `json:"records,omitempty"`
+	checkpointHeader
 	receiverState
 	Sanitizer sanitizerState `json:"sanitizer"`
 }
@@ -168,12 +211,9 @@ func (t *ReceiverTracker) Checkpoint() ReceiverCheckpoint {
 // cp.Records' storage (see SenderTracker.CheckpointInto).
 func (t *ReceiverTracker) CheckpointInto(cp *ReceiverCheckpoint) {
 	*cp = ReceiverCheckpoint{
-		TakenAt:       t.eng.Now(),
-		Interval:      t.interval,
-		RecordCap:     t.list.cap,
-		Records:       appendRecords(cp.Records[:0], &t.list),
-		receiverState: t.receiverState,
-		Sanitizer:     t.san.sanitizerState,
+		checkpointHeader: t.header(cp.Records),
+		receiverState:    t.receiverState,
+		Sanitizer:        t.san.sanitizerState,
 	}
 }
 
@@ -188,11 +228,7 @@ func (cp ReceiverCheckpoint) Marshal() ([]byte, error) { return json.Marshal(cp)
 
 // UnmarshalReceiverCheckpoint decodes a checkpoint produced by Marshal.
 func UnmarshalReceiverCheckpoint(b []byte) (ReceiverCheckpoint, error) {
-	var cp ReceiverCheckpoint
-	if err := json.Unmarshal(b, &cp); err != nil {
-		return ReceiverCheckpoint{}, fmt.Errorf("core: decoding receiver checkpoint: %w", err)
-	}
-	return cp, nil
+	return unmarshal[ReceiverCheckpoint](b, "receiver")
 }
 
 // RestoreReceiverTracker resumes Algorithm 2 from a checkpoint under the
@@ -203,26 +239,10 @@ func UnmarshalReceiverCheckpoint(b []byte) (ReceiverCheckpoint, error) {
 // inherits the outage as sampling slack — arrivals during the outage were
 // observed up to that late.
 func RestoreReceiverTracker(eng *sim.Engine, src InfoSource, cp ReceiverCheckpoint, opts TrackerOptions) *ReceiverTracker {
-	t := NewReceiverTrackerOpts(eng, src, restoreOptions(opts, cp.Interval, cp.RecordCap))
+	t := NewReceiverTrackerOpts(eng, src, cp.options(opts))
 	t.receiverState = cp.receiverState
-	t.san.sanitizerState = cp.Sanitizer
-	t.StallCum = max(t.StallCum, 0) // negative debt would narrow bounds
-	restoreRecords(&t.list, cp.Records, eng.Now(), t.StallCum)
-	t.san.Counts.Restores++
-	t.fold(eng.Now().Sub(cp.TakenAt))
+	t.restore(&cp.checkpointHeader, cp.Sanitizer, &t.StallCum)
 	return t
-}
-
-// restoreOptions fills the options a restore leaves zero from the
-// checkpoint's own.
-func restoreOptions(opts TrackerOptions, interval units.Duration, recordCap int) TrackerOptions {
-	if opts.Interval <= 0 {
-		opts.Interval = interval
-	}
-	if opts.RecordCap == 0 {
-		opts.RecordCap = recordCap
-	}
-	return opts
 }
 
 // Rebase strips a receiver checkpoint's connection-relative state for
@@ -272,20 +292,16 @@ func (cp MinimizerCheckpoint) Marshal() ([]byte, error) { return json.Marshal(cp
 
 // UnmarshalMinimizerCheckpoint decodes a checkpoint produced by Marshal.
 func UnmarshalMinimizerCheckpoint(b []byte) (MinimizerCheckpoint, error) {
-	var cp MinimizerCheckpoint
-	if err := json.Unmarshal(b, &cp); err != nil {
-		return MinimizerCheckpoint{}, fmt.Errorf("core: decoding minimizer checkpoint: %w", err)
-	}
-	return cp, nil
+	return unmarshal[MinimizerCheckpoint](b, "minimizer")
 }
 
 // RestoreMinimizer resumes Algorithm 3 on a (restored) tracker. D_avg and
 // S_target carry over — the connection's equilibrium does not reset just
 // because the monitor did — but the per-SRTT update clock restarts at the
 // current instant, so the first rescale happens a full SRTT after restore
-// rather than immediately on stale state. detached works as in
-// NewMinimizerDetached.
-func RestoreMinimizer(eng *sim.Engine, tracker *SenderTracker, cp MinimizerCheckpoint, detached bool) *Minimizer {
+// rather than immediately on stale state. The restored minimizer is
+// detached, as from NewMinimizerDetached.
+func RestoreMinimizer(eng *sim.Engine, tracker *SenderTracker, cp MinimizerCheckpoint) *Minimizer {
 	m := NewMinimizerDetached(eng, tracker.san, tracker, cp.Config)
 	m.minimizerState = cp.minimizerState
 	// A corrupted checkpoint must not index outside the confidence window:
@@ -295,9 +311,6 @@ func RestoreMinimizer(eng *sim.Engine, tracker *SenderTracker, cp MinimizerCheck
 		m.ConfIdx = 0
 	}
 	m.tlast = eng.Now()
-	if !detached {
-		m.schedule()
-	}
 	return m
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -416,64 +418,114 @@ func TestTrackerRecordCapEvicts(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestRestoreKeepsRecordCap sends each tracker's checkpoint through
+// Marshal and back and restores it with the cap left to the checkpoint:
+// the restored ring has the cap the tracker was built with — an uncapped
+// tracker (whose checkpoint carries no record_cap) restores uncapped, not
+// at DefaultRecordCap.
+func TestRestoreKeepsRecordCap(t *testing.T) {
+	eng := sim.New(1)
+	src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1448, RcvMSS: 1448}}
+	for _, recordCap := range []int{-1, 0, 7} {
+		opts := TrackerOptions{RecordCap: recordCap, Detached: true}
+		snd := NewSenderTrackerOpts(eng, src, opts)
+		b, err := snd.Checkpoint().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scp, err := UnmarshalSenderCheckpoint(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RestoreSenderTracker(eng, src, scp, TrackerOptions{Detached: true}).list.cap; got != snd.list.cap {
+			t.Errorf("sender built with RecordCap %d: restored cap %d, want %d", recordCap, got, snd.list.cap)
+		}
+		rcv := NewReceiverTrackerOpts(eng, src, opts)
+		if b, err = rcv.Checkpoint().Marshal(); err != nil {
+			t.Fatal(err)
+		}
+		rcp, err := UnmarshalReceiverCheckpoint(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RestoreReceiverTracker(eng, src, rcp, TrackerOptions{Detached: true}).list.cap; got != rcv.list.cap {
+			t.Errorf("receiver built with RecordCap %d: restored cap %d, want %d", recordCap, got, rcv.list.cap)
+		}
+	}
+	eng.Shutdown()
+}
+
 // TestStateIsComplete holds the rule that a checkpoint is its object's
 // state: every field of the four resumable objects is either inside the
 // embedded state struct (which the checkpoint embeds too, so it is saved
 // and restored without further code) or on this allowlist of what a
-// checkpoint deliberately leaves out. Telemetry handles are recognised
-// by package. A new field has to go into the state or onto the list.
+// checkpoint deliberately leaves out. The shells an object embeds (the
+// tracker shell, the polling loop) are descended into, so their fields
+// are held to the list one by one. Telemetry handles are recognised by
+// package. A new field has to go into the state or onto the list, and
+// every name on the list must still be a field.
 func TestStateIsComplete(t *testing.T) {
 	const telemetryPkg = "element/internal/telemetry"
+	shells := []reflect.Type{reflect.TypeOf(tracker{}), reflect.TypeOf(loop{})}
+	loopFields := map[string]string{
+		"eng":      "engine",
+		"interval": "option; the checkpoint carries it beside the state",
+		"owner":    "the loop's owner, the object itself",
+		"ticker":   "timer",
+		"stopped":  "stop flag",
+	}
+	trackerFields := map[string]string{
+		"san":  "source; its own state is the checkpoint's Sanitizer",
+		"list": "ring; the checkpoint carries it as Records",
+		"est":  "estimates; the supervisor drains them",
+	}
 	for _, c := range []struct {
 		live, state, checkpoint reflect.Type
-		allow                   map[string]string
+		allow                   []map[string]string
 	}{
-		{reflect.TypeOf(SenderTracker{}), reflect.TypeOf(senderState{}), reflect.TypeOf(SenderCheckpoint{}), map[string]string{
-			"eng":      "engine",
-			"san":      "source; its own state is the checkpoint's Sanitizer",
-			"interval": "option; the checkpoint carries it beside the state",
-			"list":     "ring; the checkpoint carries it as Records",
-			"est":      "estimates; the supervisor drains them",
-			"ticker":   "timer",
-			"stopped":  "stop flag",
-			"onDelay":  "subscriber; the minimizer re-subscribes on restore",
+		{reflect.TypeOf(SenderTracker{}), reflect.TypeOf(senderState{}), reflect.TypeOf(SenderCheckpoint{}), []map[string]string{
+			loopFields, trackerFields, {"onDelay": "subscriber; the minimizer re-subscribes on restore"},
 		}},
-		{reflect.TypeOf(ReceiverTracker{}), reflect.TypeOf(receiverState{}), reflect.TypeOf(ReceiverCheckpoint{}), map[string]string{
-			"eng":      "engine",
-			"san":      "source; its own state is the checkpoint's Sanitizer",
-			"interval": "option; the checkpoint carries it beside the state",
-			"list":     "ring; the checkpoint carries it as Records",
-			"est":      "estimates; the supervisor drains them",
-			"ticker":   "timer",
-			"stopped":  "stop flag",
+		{reflect.TypeOf(ReceiverTracker{}), reflect.TypeOf(receiverState{}), reflect.TypeOf(ReceiverCheckpoint{}), []map[string]string{
+			loopFields, trackerFields,
 		}},
-		{reflect.TypeOf(Minimizer{}), reflect.TypeOf(minimizerState{}), reflect.TypeOf(MinimizerCheckpoint{}), map[string]string{
-			"eng":     "engine",
-			"src":     "source",
+		{reflect.TypeOf(Minimizer{}), reflect.TypeOf(minimizerState{}), reflect.TypeOf(MinimizerCheckpoint{}), []map[string]string{loopFields, {
 			"tracker": "source; the tracker restores on its own",
 			"cfg":     "option; the checkpoint carries it as Config",
 			"tlast":   "per-SRTT update clock; a restore restarts it",
-			"ticker":  "timer",
-			"stopped": "stop flag",
-		}},
-		{reflect.TypeOf(sanitizer{}), reflect.TypeOf(sanitizerState{}), reflect.TypeOf(SenderCheckpoint{}.Sanitizer), map[string]string{
+		}}},
+		{reflect.TypeOf(sanitizer{}), reflect.TypeOf(sanitizerState{}), reflect.TypeOf(SenderCheckpoint{}.Sanitizer), []map[string]string{{
 			"src": "source",
-		}},
+		}}},
 	} {
+		allow := map[string]string{}
+		for _, m := range c.allow {
+			maps.Copy(allow, m)
+		}
 		embedded := false
-		for i := 0; i < c.live.NumField(); i++ {
-			f := c.live.Field(i)
-			switch {
-			case f.Anonymous && f.Type == c.state:
-				embedded = true
-			case f.Type.Kind() == reflect.Pointer && f.Type.Elem().PkgPath() == telemetryPkg:
-			case c.allow[f.Name] != "":
-			default:
-				t.Errorf("%v.%s is neither in %v nor on the allowlist", c.live, f.Name, c.state)
+		var walk func(typ reflect.Type)
+		walk = func(typ reflect.Type) {
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				switch {
+				case f.Anonymous && f.Type == c.state:
+					embedded = true
+				case f.Anonymous && slices.Contains(shells, f.Type):
+					walk(f.Type)
+				case f.Type.Kind() == reflect.Pointer && f.Type.Elem().PkgPath() == telemetryPkg:
+				case allow[f.Name] != "":
+					delete(allow, f.Name)
+				default:
+					t.Errorf("%v.%s (in %v) is neither in %v nor on the allowlist", c.live, f.Name, typ, c.state)
+				}
 			}
 		}
+		walk(c.live)
 		if !embedded {
 			t.Errorf("%v does not embed %v", c.live, c.state)
+		}
+		for name := range allow {
+			t.Errorf("%v has no field %s, yet it is on the allowlist", c.live, name)
 		}
 		if c.checkpoint != c.state {
 			if f, ok := c.checkpoint.FieldByName(c.state.Name()); !ok || !f.Anonymous {
@@ -523,7 +575,7 @@ func TestZeroOutageContinuation(t *testing.T) {
 
 	snd2 := RestoreSenderTracker(eng, ssrc, snd.Checkpoint(), TrackerOptions{Detached: true})
 	rcv2 := RestoreReceiverTracker(eng, rsrc, rcv.Checkpoint(), TrackerOptions{Detached: true})
-	min2 := RestoreMinimizer(eng, snd2, mz.Checkpoint(), true)
+	min2 := RestoreMinimizer(eng, snd2, mz.Checkpoint())
 
 	wantSan := snd.san.sanitizerState
 	wantSan.Counts.Restores++

@@ -172,6 +172,10 @@ func (e *Estimates) Series() stats.Series {
 // (DrainLog).
 func (e *Estimates) Log() []Measurement { return e.log.Collect() }
 
+// Packed returns the measurement log itself, packed, for the graders
+// that read it a block at a time (CheckSenderLog, CheckReceiverLog).
+func (e *Estimates) Packed() *stats.Log[Measurement] { return &e.log }
+
 // Latest returns the most recent measurement (zero value if none).
 func (e *Estimates) Latest() Measurement {
 	n := e.log.Len()

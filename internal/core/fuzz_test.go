@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"element/internal/sim"
@@ -238,7 +239,7 @@ func FuzzMinimizerCheckpointDecode(f *testing.F) {
 		eng := sim.New(1)
 		src := &fakeSource{info: tcpinfo.TCPInfo{SndMSS: 1448, RcvMSS: 1448, SndBuf: 1 << 16}}
 		tr := NewSenderTrackerOpts(eng, src, TrackerOptions{Detached: true})
-		m := RestoreMinimizer(eng, tr, cp, true)
+		m := RestoreMinimizer(eng, tr, cp)
 		for i := 0; i < 2*len(cp.ConfWin); i++ {
 			m.onMeasurement(Measurement{Confidence: Confidence(i % 3)})
 		}
@@ -248,15 +249,17 @@ func FuzzMinimizerCheckpointDecode(f *testing.F) {
 
 // FuzzHeldCheckpoint is the differential check behind holding a
 // checkpoint as a value instead of re-parsing its bytes at every restore:
-// any input that decodes as a sender or receiver checkpoint restores
-// identically from the decoded value and from its re-encoding — the same
-// samples, the same state after — and that re-encoding is a fixed point.
+// any input that decodes as a sender, receiver or minimizer checkpoint
+// restores identically from the decoded value and from its re-encoding —
+// the same samples or passes, the same state after — and that
+// re-encoding is a fixed point.
 func FuzzHeldCheckpoint(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add(seedSenderCheckpoint(f))
 	f.Add(seedReceiverCheckpoint(f))
 	f.Add([]byte(`{"taken_at":99999999999,"stall_cum":-5,"rate_est":1e300,"records":[{"bytes":9,"at":88888888888,"stall":77777777},{"bytes":3,"at":-4}]}`))
 	f.Add([]byte(`{"taken_at":-1,"rate_est":-0.5,"sanitizer":{"last":{"PacingRate":-1e-300}},"records":[{"bytes":100,"at":123456789,"slack":-9,"stall":-9}]}`))
+	f.Add([]byte(`{"config":{"Dthr":5000000,"Delta":0.5,"Wireless":true},"davg":40000000,"starget":30000,"conf_win":[0,0,0,2],"conf_n":4,"conf_idx":99}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if cp, err := UnmarshalSenderCheckpoint(data); err == nil {
 			back := reencode(t, cp, UnmarshalSenderCheckpoint)
@@ -268,6 +271,12 @@ func FuzzHeldCheckpoint(f *testing.F) {
 			back := reencode(t, cp, UnmarshalReceiverCheckpoint)
 			if held, dec := runRestoredReceiver(cp), runRestoredReceiver(back); held != dec {
 				t.Fatalf("receiver restores differ:\n  held    %s\n  decoded %s", held, dec)
+			}
+		}
+		if cp, err := UnmarshalMinimizerCheckpoint(data); err == nil {
+			back := reencode(t, cp, UnmarshalMinimizerCheckpoint)
+			if held, dec := runRestoredMinimizer(cp), runRestoredMinimizer(back); held != dec {
+				t.Fatalf("minimizer restores differ:\n  held    %s\n  decoded %s", held, dec)
 			}
 		}
 	})
@@ -332,6 +341,32 @@ func runRestoredReceiver(cp ReceiverCheckpoint) string {
 		tr.OnRead(cum+uint64(i*1448), 1448, i%2 == 0)
 	}
 	return fmt.Sprintf("%+v %+v", tr.Estimates().Log(), tr.Checkpoint())
+}
+
+// runRestoredMinimizer restores cp onto a tracker restored a second after
+// its engine starts, runs tracker polls and checking passes over a
+// connection whose acks trail the writes, and renders every pass's
+// minimizer state and the final checkpoint for comparison.
+func runRestoredMinimizer(cp MinimizerCheckpoint) string {
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	eng.RunUntil(units.Time(units.Second))
+	src := &fakeSource{}
+	tr := RestoreSenderTracker(eng, src, SenderCheckpoint{}, TrackerOptions{Detached: true})
+	m := RestoreMinimizer(eng, tr, cp)
+	var out strings.Builder
+	for i := 0; i < 8; i++ {
+		tr.OnWrite(uint64(i+1) * 4 * 1448)
+		src.info = tcpinfo.TCPInfo{
+			BytesAcked: uint64(i) * 2 * 1448, Unacked: 2, SndMSS: 1448, SndCwnd: 10,
+			SndBuf: 1 << 16, RTT: 15 * units.Millisecond,
+		}
+		eng.RunFor(10 * units.Millisecond)
+		tr.PollOnce()
+		m.CheckOnce()
+		fmt.Fprintf(&out, "%+v %v %v\n", m.minimizerState, m.tlast, src.sndBuf)
+	}
+	return fmt.Sprintf("%s%+v", out.String(), m.Checkpoint())
 }
 
 // seedSenderCheckpoint builds a well-formed corpus seed from a live

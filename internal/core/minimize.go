@@ -70,14 +70,11 @@ func (c MinimizerConfig) withDefaults() MinimizerConfig {
 // As the paper notes, this is an application-layer analogue of FAST TCP's
 // equilibrium law: S_target = min(β·cwnd·mss, (D_thr/D_avg)^Δ·S_target).
 type Minimizer struct {
-	eng     *sim.Engine
-	src     InfoSource
+	loop    // the checking thread, at the tracker's cadence
 	tracker *SenderTracker
 	cfg     MinimizerConfig
 
-	tlast   units.Time // last per-SRTT update; a restore restarts this clock
-	ticker  sim.Timer
-	stopped bool
+	tlast units.Time // last per-SRTT update; a restore restarts this clock
 	minimizerState
 
 	// Telemetry handles (nil when uninstrumented).
@@ -130,10 +127,10 @@ const safeWindow = 16
 // NewMinimizer attaches Algorithm 3 to a sender tracker. It subscribes to
 // the tracker's delay samples (D_measure) and starts the checking thread.
 // All TCP_INFO reads go through the tracker's sanitizer so the pacer sees
-// the same defended view as Algorithm 1.
+// the same defended view as Algorithm 1; src is not read.
 func NewMinimizer(eng *sim.Engine, src InfoSource, tracker *SenderTracker, cfg MinimizerConfig) *Minimizer {
 	m := NewMinimizerDetached(eng, src, tracker, cfg)
-	m.schedule()
+	m.start()
 	return m
 }
 
@@ -141,14 +138,15 @@ func NewMinimizer(eng *sim.Engine, src InfoSource, tracker *SenderTracker, cfg M
 // thread; the caller drives every pass through CheckOnce. The fleet
 // supervisor uses this so each pass runs under its panic-recovery wrapper.
 func NewMinimizerDetached(eng *sim.Engine, src InfoSource, tracker *SenderTracker, cfg MinimizerConfig) *Minimizer {
-	m := &Minimizer{eng: eng, src: tracker.san, tracker: tracker, cfg: cfg.withDefaults()}
+	m := &Minimizer{loop: loop{eng: eng, interval: tracker.interval}, tracker: tracker, cfg: cfg.withDefaults()}
+	m.owner = m
 	tracker.subscribe(m.onMeasurement)
 	return m
 }
 
 // CheckOnce runs a single checking-thread pass immediately (the per-SRTT
 // guard still applies). Detached minimizers are driven entirely through it.
-func (m *Minimizer) CheckOnce() { m.check() }
+func (m *Minimizer) CheckOnce() { m.poll() }
 
 // onMeasurement folds a new buffer-delay measurement into D_avg
 // (D_avg ← 7/8·D_avg + 1/8·D_measure) and updates the safe-mode vote.
@@ -186,28 +184,13 @@ func (m *Minimizer) onMeasurement(ms Measurement) {
 	m.Davg = m.Davg*7/8 + ms.Delay/8
 }
 
-// schedule runs the checking thread at the tracker's cadence; each tick
-// applies the per-SRTT target update when due.
-func (m *Minimizer) schedule() {
-	m.ticker = m.eng.ScheduleCall(m.tracker.interval, tickMinimizer, m)
-}
-
-// tickMinimizer is the checking thread's shared handler (see tickSender).
-func tickMinimizer(arg any) {
-	m := arg.(*Minimizer)
-	if m.stopped {
-		return
-	}
-	m.check()
-	m.schedule()
-}
-
-// check is one pass of Algorithm 3's checking thread.
-func (m *Minimizer) check() {
-	ti := m.src.GetsockoptTCPInfo()
+// poll is one pass of Algorithm 3's checking thread: the per-SRTT target
+// update, when due.
+func (m *Minimizer) poll() {
+	ti := m.tracker.san.GetsockoptTCPInfo()
 	srtt := ti.RTT
 	if srtt <= 0 {
-		srtt = m.tracker.interval
+		srtt = m.interval
 	}
 	if m.eng.Now().Sub(m.tlast) <= srtt {
 		return
@@ -252,7 +235,7 @@ func (m *Minimizer) check() {
 			telemetry.F("ratio", ratio))
 	}
 	if m.cfg.Wireless {
-		m.src.SetSndBuf(int(m.Starget * m.cfg.Gamma))
+		m.tracker.san.SetSndBuf(int(m.Starget * m.cfg.Gamma))
 	}
 }
 
@@ -277,7 +260,7 @@ func (m *Minimizer) AfterSend(p *sim.Proc, cumWritten uint64) {
 	}
 	cnt := 0
 	for {
-		ti := m.src.GetsockoptTCPInfo()
+		ti := m.tracker.san.GetsockoptTCPInfo()
 		best, _ := m.tracker.san.BEst(ti)
 		if best > cumWritten {
 			best = cumWritten // fallback estimator drift
@@ -327,9 +310,3 @@ func (m *Minimizer) SafeMode() bool { return m.Safe }
 // SafeModeEntries reports how many times the pacer tripped into safe
 // mode.
 func (m *Minimizer) SafeModeEntries() int { return m.SafeEntries }
-
-// Stop halts the checking thread.
-func (m *Minimizer) Stop() {
-	m.stopped = true
-	m.ticker.Stop()
-}

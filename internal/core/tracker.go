@@ -30,25 +30,10 @@ const (
 // between the application's socket write and the TCP layer's transmission,
 // using only TCP_INFO statistics.
 type SenderTracker struct {
-	eng      *sim.Engine
-	san      *sanitizer
-	interval units.Duration
-
-	list    fifo // (cumulative written bytes, write time), the paper's linked list
-	est     Estimates
-	ticker  sim.Timer
-	stopped bool
+	tracker                     // records are (cumulative written bytes, write time)
 	onDelay func(m Measurement) // minimizer subscription
 	senderState
-
-	// Telemetry handles (nil when uninstrumented).
-	telem    *telemetry.Scope
-	matchH   *telemetry.Histogram
-	pollsC   *telemetry.Counter
-	matchesC *telemetry.Counter
-	lowC     *telemetry.Counter
-	delayS   *telemetry.Sampler
-	fifoS    *telemetry.Sampler
+	fifoS *telemetry.Sampler
 }
 
 // senderState is everything Algorithm 1 carries from one poll to the
@@ -135,70 +120,16 @@ func (g *grading) fold(d units.Duration, stallCum *units.Duration, polls int, sa
 // output), FIFO-depth samples per poll, and the anomaly counters of the
 // TCP_INFO sanitizer.
 func (t *SenderTracker) Instrument(sc *telemetry.Scope) {
-	t.telem = sc
-	t.matchH = sc.Histogram("snd_match_delay_seconds")
-	t.pollsC = sc.Counter("snd_polls")
-	t.matchesC = sc.Counter("snd_matches")
-	t.lowC = sc.Counter("snd_low_confidence_samples")
-	t.delayS = sc.Sampler("snd_buffer_delay", telemetry.DefaultSampleGap, "seconds")
+	t.instrument(sc, "snd")
 	t.fifoS = sc.Sampler("snd_fifo", telemetry.DefaultSampleGap, "depth")
-	t.san.instrument(sc)
-}
-
-// TrackerOptions configures tracker construction beyond the polling
-// interval.
-type TrackerOptions struct {
-	// Interval is the TCP_INFO polling period (0 = 10 ms).
-	Interval units.Duration
-	// RecordCap bounds the write/receive record FIFO: 0 selects
-	// DefaultRecordCap, negative disables the cap entirely. Evictions past
-	// the cap are counted in AnomalyCounts.Evictions and degrade the
-	// confidence of subsequent samples.
-	RecordCap int
-	// Detached suppresses the tracker's self-scheduled polling timer; the
-	// caller drives every poll through PollOnce. The fleet supervisor uses
-	// this so each poll runs under its panic-recovery wrapper.
-	Detached bool
-}
-
-func (o TrackerOptions) normalize() TrackerOptions {
-	if o.Interval <= 0 {
-		o.Interval = DefaultInterval
-	}
-	switch {
-	case o.RecordCap == 0:
-		o.RecordCap = DefaultRecordCap
-	case o.RecordCap < 0:
-		o.RecordCap = 0
-	}
-	return o
 }
 
 // NewSenderTrackerOpts starts Algorithm 1's tcp_info tracking thread on
 // eng.
 func NewSenderTrackerOpts(eng *sim.Engine, src InfoSource, opts TrackerOptions) *SenderTracker {
-	opts = opts.normalize()
-	t := &SenderTracker{eng: eng, san: newSanitizer(src), interval: opts.Interval}
-	t.list.cap = opts.RecordCap
-	if !opts.Detached {
-		t.schedule()
-	}
+	t := &SenderTracker{}
+	t.init(eng, src, opts, t)
 	return t
-}
-
-func (t *SenderTracker) schedule() {
-	t.ticker = t.eng.ScheduleCall(t.interval, tickSender, t)
-}
-
-// tickSender is the sender ticker's handler: shared by every tracker, with
-// the tracker as the event argument, so a tick allocates nothing.
-func tickSender(arg any) {
-	t := arg.(*SenderTracker)
-	if t.stopped {
-		return
-	}
-	t.poll()
-	t.schedule()
 }
 
 // OnWrite is the data-sending-thread half of Algorithm 1: the application
@@ -230,6 +161,7 @@ func (t *SenderTracker) OnWrite(cumBytes uint64) {
 // and an error bound derived from how degraded the TCP_INFO input looked.
 func (t *SenderTracker) poll() {
 	t.PollCount++
+	t.pollsC.Inc()
 	ti := t.san.GetsockoptTCPInfo()
 	best, fallback := t.san.BEst(ti)
 	overrun := false
@@ -312,22 +244,13 @@ func (t *SenderTracker) poll() {
 			Cwnd: int32(ti.SndCwnd), Ssthresh: int32(ti.SndSsthresh), RTT: ti.RTT,
 			Confidence: conf, ErrBound: bound + t.jitter(d),
 		}
-		t.est.add(m)
+		t.emit(m)
 		t.LastBest = r.bytes
-		if t.telem != nil {
-			t.matchesC.Inc()
-			t.matchH.Observe(d.Seconds())
-			t.delayS.SampleValsAt(now, d.Seconds())
-			if conf == ConfidenceLow {
-				t.lowC.Inc()
-			}
-		}
 		if t.onDelay != nil {
 			t.onDelay(m)
 		}
 	}
-	if t.telem != nil {
-		t.pollsC.Inc()
+	if t.fifoS != nil {
 		t.fifoS.SampleValsAt(now, float64(t.list.len()))
 	}
 }
@@ -359,53 +282,12 @@ func (t *SenderTracker) grade(fallback, overrun, mssLow bool, rstall, mssTerm un
 // each send).
 func (t *SenderTracker) EstimatedTCPBytes() uint64 { return t.BestCache }
 
-// PollOnce runs a single tracking-thread iteration immediately. It exists
-// for micro-benchmarks and tests that drive the tracker manually.
-func (t *SenderTracker) PollOnce() { t.poll() }
-
-// Estimates exposes the tracker's delay series.
-func (t *SenderTracker) Estimates() *Estimates { return &t.est }
-
 // Polls reports how many TCP_INFO polls have run (overhead accounting).
 func (t *SenderTracker) Polls() int { return t.PollCount }
-
-// Pending reports the number of unmatched write records.
-func (t *SenderTracker) Pending() int { return t.list.len() }
-
-// Interval reports the tracker's polling period.
-func (t *SenderTracker) Interval() units.Duration { return t.interval }
-
-// Anomalies reports the tracker's hostile-input audit trail.
-func (t *SenderTracker) Anomalies() AnomalyCounts { return t.san.Anomalies() }
 
 // DegradedMode reports whether the tracker is running on the fallback
 // (segment-counter) estimator because tcpi_bytes_acked is unavailable.
 func (t *SenderTracker) DegradedMode() bool { return t.san.bytesAckedAbsent() }
-
-// Shed folds a supervisor-imposed coverage gap of length guard into the
-// tracker's error accounting and counts a Sheds anomaly. The overload
-// governor calls it when it demotes this flow down the degradation
-// ladder: records outstanding across the demotion produce samples whose
-// bounds admit the guard window (stall debt, exactly like a restore
-// outage), upcoming samples are downgraded while the estimator re-bases,
-// and the audit trail says the coverage loss happened — degradation is
-// flagged, never silent.
-func (t *SenderTracker) Shed(guard units.Duration) {
-	t.san.Counts.Sheds++
-	t.fold(guard)
-}
-
-// FoldOutage folds an unobserved window of length d into the tracker's
-// error accounting without counting a new anomaly — the companion to
-// Shed for the promotion half of a park/unpark cycle, whose single Shed
-// was already counted at demotion. Records that sat through the window
-// produce samples whose bounds admit it; a long outage flags samples
-// until B_est provably advances again.
-func (t *SenderTracker) FoldOutage(d units.Duration) {
-	if d > 0 {
-		t.fold(d)
-	}
-}
 
 // fold is the shared restore rule (grading.fold) plus the sender's one
 // extra line: the window also counts as stale polls, so a long outage
@@ -415,35 +297,14 @@ func (t *SenderTracker) fold(d units.Duration) {
 	t.StalePolls += int(d / t.interval)
 }
 
-// Stop halts the tracking thread.
-func (t *SenderTracker) Stop() {
-	t.stopped = true
-	t.ticker.Stop()
-}
-
 // subscribe registers the minimizer's measurement callback.
 func (t *SenderTracker) subscribe(fn func(Measurement)) { t.onDelay = fn }
 
 // ReceiverTracker implements Algorithm 2: user-level estimation of the
 // delay between TCP receiving data and the application reading it.
 type ReceiverTracker struct {
-	eng      *sim.Engine
-	san      *sanitizer
-	interval units.Duration
-
-	list    fifo // (estimated received bytes at TCP, time)
-	est     Estimates
-	ticker  sim.Timer
-	stopped bool
+	tracker // records are (estimated received bytes at TCP, time)
 	receiverState
-
-	// Telemetry handles (nil when uninstrumented).
-	telem    *telemetry.Scope
-	matchH   *telemetry.Histogram
-	pollsC   *telemetry.Counter
-	matchesC *telemetry.Counter
-	lowC     *telemetry.Counter
-	delayS   *telemetry.Sampler
 }
 
 // receiverState is everything Algorithm 2 carries from one poll to the
@@ -476,15 +337,7 @@ type receiverState struct {
 }
 
 // Instrument records the tracker's matched receive-side delays under sc.
-func (t *ReceiverTracker) Instrument(sc *telemetry.Scope) {
-	t.telem = sc
-	t.matchH = sc.Histogram("rcv_match_delay_seconds")
-	t.pollsC = sc.Counter("rcv_polls")
-	t.matchesC = sc.Counter("rcv_matches")
-	t.lowC = sc.Counter("rcv_low_confidence_samples")
-	t.delayS = sc.Sampler("rcv_buffer_delay", telemetry.DefaultSampleGap, "seconds")
-	t.san.instrument(sc)
-}
+func (t *ReceiverTracker) Instrument(sc *telemetry.Scope) { t.instrument(sc, "rcv") }
 
 // NewReceiverTracker starts Algorithm 2's tcp_info tracking thread.
 // offsetWindowPolls is the sliding window (in polls) over which the
@@ -500,29 +353,11 @@ const offUnset = ^uint64(0)
 // NewReceiverTrackerOpts starts Algorithm 2's tcp_info tracking thread on
 // eng.
 func NewReceiverTrackerOpts(eng *sim.Engine, src InfoSource, opts TrackerOptions) *ReceiverTracker {
-	opts = opts.normalize()
-	t := &ReceiverTracker{eng: eng, san: newSanitizer(src), interval: opts.Interval}
-	t.list.cap = opts.RecordCap
+	t := &ReceiverTracker{}
 	t.LastGrowth = eng.Now()
 	t.OffWinMin = [2]uint64{offUnset, offUnset}
-	if !opts.Detached {
-		t.schedule()
-	}
+	t.init(eng, src, opts, t)
 	return t
-}
-
-func (t *ReceiverTracker) schedule() {
-	t.ticker = t.eng.ScheduleCall(t.interval, tickReceiver, t)
-}
-
-// tickReceiver is the receiver ticker's shared handler (see tickSender).
-func tickReceiver(arg any) {
-	t := arg.(*ReceiverTracker)
-	if t.stopped {
-		return
-	}
-	t.poll()
-	t.schedule()
 }
 
 // poll is one iteration of the tcp_info tracking thread: record the
@@ -671,15 +506,7 @@ func (t *ReceiverTracker) OnRead(cumBytes uint64, readBytes int, drained bool) {
 			Cwnd: int32(ti.SndCwnd), Ssthresh: int32(ti.SndSsthresh), RTT: ti.RTT,
 			Confidence: conf, ErrBound: bound + t.jitter(d),
 		}
-		t.est.add(m)
-		if t.telem != nil {
-			t.matchesC.Inc()
-			t.matchH.Observe(d.Seconds())
-			t.delayS.SampleValsAt(now, d.Seconds())
-			if conf == ConfidenceLow {
-				t.lowC.Inc()
-			}
-		}
+		t.emit(m)
 	}
 }
 
@@ -725,52 +552,11 @@ func (t *ReceiverTracker) grade(cumBytes uint64, recSlack, rstall units.Duration
 	return ConfidenceHigh, bound
 }
 
-// PollOnce runs a single tracking-thread iteration immediately. Detached
-// trackers (fleet supervision, tests) are driven entirely through it.
-func (t *ReceiverTracker) PollOnce() { t.poll() }
-
-// Estimates exposes the tracker's delay series.
-func (t *ReceiverTracker) Estimates() *Estimates { return &t.est }
-
 // Polls reports how many TCP_INFO polls have run.
 func (t *ReceiverTracker) Polls() int { return t.PollCount }
-
-// Pending reports the number of unmatched receive records.
-func (t *ReceiverTracker) Pending() int { return t.list.len() }
-
-// Interval reports the tracker's polling period.
-func (t *ReceiverTracker) Interval() units.Duration { return t.interval }
-
-// Anomalies reports the tracker's hostile-input audit trail.
-func (t *ReceiverTracker) Anomalies() AnomalyCounts { return t.san.Anomalies() }
-
-// Shed folds a supervisor-imposed coverage gap of length guard into the
-// tracker's error accounting and counts a Sheds anomaly (see
-// SenderTracker.Shed). Receiver records carry stall debt the same way, so
-// samples produced from records that sat through the shed admit the
-// guard window in their bounds.
-func (t *ReceiverTracker) Shed(guard units.Duration) {
-	t.san.Counts.Sheds++
-	t.fold(guard)
-}
-
-// FoldOutage folds an unobserved window of length d into the tracker's
-// error accounting without counting a new anomaly (see
-// SenderTracker.FoldOutage).
-func (t *ReceiverTracker) FoldOutage(d units.Duration) {
-	if d > 0 {
-		t.fold(d)
-	}
-}
 
 // fold is the shared restore rule (grading.fold); the receiver adds
 // nothing to it.
 func (t *ReceiverTracker) fold(d units.Duration) {
 	t.grading.fold(d, &t.StallCum, t.PollCount, t.san)
-}
-
-// Stop halts the tracking thread.
-func (t *ReceiverTracker) Stop() {
-	t.stopped = true
-	t.ticker.Stop()
 }

@@ -47,14 +47,9 @@ func RunDegraded(profile string, seed int64, duration units.Duration) (*Degraded
 		Faults:       &prof,
 	})
 	fr := s.Flows[0]
-	run := &DegradedRun{
-		Profile:    prof,
-		Scenario:   s,
-		Flow:       fr,
-		Sender:     core.CheckSenderBounds(fr.Sender.Estimates().Log(), fr.GT.SenderDelay(), 0),
-		Receiver:   core.CheckReceiverBounds(fr.Receiver.Estimates().Log(), fr.GT.ReceiverDelay()),
-		FaultCount: s.Inj.Counts(),
-	}
+	run := &DegradedRun{Profile: prof, Scenario: s, Flow: fr, FaultCount: s.Inj.Counts()}
+	run.Sender, _ = core.CheckSenderLog(fr.Sender.Estimates().Packed(), fr.GT.SenderLog(), 0)
+	run.Receiver, _ = core.CheckReceiverLog(fr.Receiver.Estimates().Packed(), fr.GT.ReceiverLog())
 	run.Anomalies = fr.Sender.Tracker.Anomalies()
 	run.Anomalies.Add(fr.Receiver.Tracker.Anomalies())
 	return run, nil

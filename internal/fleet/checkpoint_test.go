@@ -39,7 +39,7 @@ func restoredRun(scp core.SenderCheckpoint, rcp core.ReceiverCheckpoint, mcp *co
 	rt := core.RestoreReceiverTracker(eng, rsrc, rcp, opts)
 	var mz *core.Minimizer
 	if mcp != nil {
-		mz = core.RestoreMinimizer(eng, st, *mcp, true)
+		mz = core.RestoreMinimizer(eng, st, *mcp)
 	}
 	read := uint64(0)
 	if len(rcp.Records) > 0 {

@@ -239,7 +239,7 @@ func (m *Monitor) restore() {
 	m.rcv = core.RestoreReceiverTracker(m.sh.eng, m.rcvSrc, m.rcvCP, opts)
 	switch {
 	case cfg.Minimize && m.haveMinCP:
-		m.min = core.RestoreMinimizer(m.sh.eng, m.snd, m.minCP, true)
+		m.min = core.RestoreMinimizer(m.sh.eng, m.snd, m.minCP)
 	case cfg.Minimize:
 		m.min = core.NewMinimizerDetached(m.sh.eng, m.sndSrc, m.snd, core.MinimizerConfig{})
 	}

@@ -95,15 +95,15 @@ func calibrateCell(profile string, seed int64, short bool) (CalibCell, error) {
 	})
 	s.Run()
 
-	slog := fr.Sender.Estimates().Log()
-	rlog := fr.Receiver.Estimates().Log()
+	sbc, scov := core.CheckSenderLog(fr.Sender.Estimates().Packed(), fr.GT.SenderLog(), 0)
+	rbc, rcov := core.CheckReceiverLog(fr.Receiver.Estimates().Packed(), fr.GT.ReceiverLog())
 	cell := CalibCell{
 		Profile:            profile,
 		Seed:               seed,
-		Sender:             core.SenderCoverage(slog, fr.GT.SenderDelay(), 0),
-		Receiver:           core.ReceiverCoverage(rlog, fr.GT.ReceiverDelay()),
-		SenderViolations:   core.CheckSenderBounds(slog, fr.GT.SenderDelay(), 0).Violations,
-		ReceiverViolations: core.CheckReceiverBounds(rlog, fr.GT.ReceiverDelay()).Violations,
+		Sender:             scov,
+		Receiver:           rcov,
+		SenderViolations:   sbc.Violations,
+		ReceiverViolations: rbc.Violations,
 	}
 	anoms := fr.Sender.Tracker.Anomalies()
 	anoms.Add(fr.Receiver.Tracker.Anomalies())
