@@ -74,8 +74,10 @@ test:
 ## against its math.Frexp definition, a decoded checkpoint restored as
 ## held against its own re-encoding (the fleet restores held checkpoints
 ## without re-parsing them), the chunked result log against a plain
-## slice, and the waterfall's range codec and decimation (Log.Halve,
-## through the retention rule) against a plain slice of ranges. Corpus
+## slice, the waterfall's range codec and decimation (Log.Halve,
+## through the retention rule) against a plain slice of ranges, and the
+## request tracer's record codec and decimation against a plain slice of
+## records. Corpus
 ## replays already run in `make test`;
 ## this looks for new inputs.
 ## One target per go test run (go fuzz rejects several), two workers so a
@@ -88,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeldCheckpoint$$' -fuzztime 20s -parallel 2 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLog$$' -fuzztime 20s -parallel 2 ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeLog$$' -fuzztime 20s -parallel 2 ./internal/waterfall
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 20s -parallel 2 ./internal/reqtrace
 
 ## conformance: the full analytical-twin conformance run — every
 ## hypothesis fit across seeds 1..5 at full sweep resolution plus the

@@ -115,9 +115,10 @@ func main() {
 		}
 		rt = reqtrace.New()
 		// Request tracing joins waterfall-finalized byte ranges, so the
-		// fan-out group needs recorders even without a -waterfall export.
+		// fan-out group needs recorders even without a -waterfall export;
+		// then they retain nothing.
 		if wf == nil {
-			wf = waterfall.New()
+			wf = waterfall.NewJoinOnly()
 		}
 	} else if rtOut.Path != "" {
 		fmt.Fprintln(os.Stderr, "elemsim: -reqtrace requires -fanout")

@@ -2,12 +2,17 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"element/internal/apps"
+	"element/internal/aqm"
+	"element/internal/core"
 	"element/internal/reqtrace"
+	"element/internal/stats"
 	"element/internal/testutil"
 	"element/internal/units"
+	"element/internal/waterfall"
 )
 
 func fanoutConfig(seed int64, groups, deg int) Config {
@@ -161,5 +166,83 @@ func TestFleetFanoutStreamSeries(t *testing.T) {
 	names2 := run(2)
 	if len(names) != len(names2) {
 		t.Fatalf("series names diverge across shard counts: %v vs %v", names, names2)
+	}
+}
+
+// TestJoinOnlyWaterfallChangesNothing runs the fanout_rpc shape (8 groups
+// of 8 backends over CoDel, two shards) with and without a caller's
+// waterfall. Without one, the shards' waterfalls are join-only: the tail
+// report, the span trees and every connection's result must be
+// byte-identical, every recorder must aggregate what the kept
+// waterfall's does, and none may hold a span, drop or resize marker.
+// The kept waterfall holds spans and resizes; this shape drops nothing,
+// so waterfall's TestJoinOnlyRetainsNothing holds the drop markers.
+func TestJoinOnlyWaterfallChangesNothing(t *testing.T) {
+	testutil.NoLeaks(t)
+	const degree, rps, legBytes = 8, 500, 256
+	run := func(wf *waterfall.Waterfall) (*Fleet, *Result, string) {
+		tr := reqtrace.New()
+		f := New(Config{
+			Seed: 1, Connections: 8 * degree, Duration: 2 * units.Second,
+			Rate: units.Rate(float64(rps*legBytes*8) / 0.75), RTT: 20 * units.Millisecond,
+			Disc: aqm.KindCoDel, Shards: 2, Waterfall: wf,
+			Fanout: &FanoutConfig{Degree: degree, RPS: rps, RequestBytes: legBytes, Tracer: tr},
+		})
+		res := f.Run()
+		var out bytes.Buffer
+		tr.Report().WriteTable(&out)
+		if err := tr.WriteJSONL(&out); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range res.Conns {
+			line := *c
+			line.SndLog, line.RcvLog = stats.Log[core.Measurement]{}, stats.Log[core.Measurement]{}
+			fmt.Fprintf(&out, "%+v\n", line)
+		}
+		return f, res, out.String()
+	}
+	kept := waterfall.New()
+	_, wantRes, want := run(kept)
+	f, gotRes, got := run(nil)
+	if got != want {
+		t.Fatalf("report, span trees or conn results differ without a waterfall:\n--- with\n%s--- without\n%s", want, got)
+	}
+	for i := range wantRes.Conns {
+		if err := sameSeries(&wantRes.Conns[i].SndLog, &gotRes.Conns[i].SndLog); err != nil {
+			t.Fatalf("conn %d sender series: %v", i, err)
+		}
+		if err := sameSeries(&wantRes.Conns[i].RcvLog, &gotRes.Conns[i].RcvLog); err != nil {
+			t.Fatalf("conn %d receiver series: %v", i, err)
+		}
+	}
+
+	var joined []*waterfall.Recorder
+	for _, sh := range f.shards {
+		joined = append(joined, sh.wf.Flows()...)
+		if n := len(sh.wf.Notes()); n != 0 {
+			t.Errorf("a join-only waterfall holds %d notes", n)
+		}
+	}
+	if len(joined) != len(kept.Flows()) {
+		t.Fatalf("%d join-only recorders, %d kept", len(joined), len(kept.Flows()))
+	}
+	var keptSpans, keptResizes int
+	for i, r := range joined {
+		k := kept.Flows()[i]
+		keptSpans += len(k.Spans())
+		keptResizes += len(k.Resizes())
+		// The kept recorder's aggregate, less what it counts of what it
+		// retains.
+		w := k.Breakdown()
+		w.Retained, w.QueueDrops, w.WireDrops, w.Resizes, w.LostMarkers = 0, 0, 0, 0, 0
+		if g := r.Breakdown(); g != w {
+			t.Errorf("recorder %d aggregates\n%+v\nthe kept one, less its retention\n%+v", i, g, w)
+		}
+		if s, d, z := len(r.Spans()), len(r.Drops()), len(r.Resizes()); s+d+z != 0 {
+			t.Errorf("join-only recorder %d holds %d spans, %d drops, %d resizes", i, s, d, z)
+		}
+	}
+	if keptSpans == 0 || keptResizes == 0 {
+		t.Fatalf("the kept waterfall holds %d spans, %d resizes: the run shows nothing", keptSpans, keptResizes)
 	}
 }

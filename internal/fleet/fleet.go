@@ -316,11 +316,16 @@ func New(cfg Config) *Fleet {
 			sh.gBackingOff = sc.Gauge("monitors_backing_off")
 			sh.gOpen = sc.Gauge("connections_open")
 		}
-		if cfg.Waterfall != nil || cfg.Fanout != nil {
-			// Fanout mode needs the recorders even when the caller keeps
-			// no waterfall: the span tracer joins on their finalized
-			// ranges.
+		switch {
+		case cfg.Waterfall != nil:
 			sh.wf = waterfall.New()
+		case cfg.Fanout != nil:
+			// The span tracer joins on the recorders' finalized ranges;
+			// with no waterfall to absorb them into, nothing reads what
+			// they would retain.
+			sh.wf = waterfall.NewJoinOnly()
+		}
+		if sh.wf != nil {
 			sh.wf.SetClock(sh.eng.Now)
 			sh.wf.Instrument(sh.telem.Scope("waterfall"))
 		}

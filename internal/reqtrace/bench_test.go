@@ -1,6 +1,7 @@
 package reqtrace_test
 
 import (
+	"runtime"
 	"testing"
 
 	"element/internal/reqtrace"
@@ -74,4 +75,56 @@ func BenchmarkReqtraceSpan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.cycle()
 	}
+}
+
+// TestRequestRecordBytes pins what a retained request costs in bytes on a
+// fan-out run as a fleet drives it: 32 768 requests of 8 legs each on a
+// shard tracer, absorbed into the caller's, then read back by Records.
+// Everything the tracer allocates counts — its slow span trees, sketches,
+// leg FIFOs — and it must come to at most 160 B a request. A request is
+// kept packed (about 31 B) and decoded once into an 88 B Record; kept as
+// Records, append-grown and copied again at the merge, it took about
+// 500 B.
+func TestRequestRecordBytes(t *testing.T) {
+	const requests, legs, perRequest = 32768, 8, 160
+	allocated := ^uint64(0)
+	for try := 0; try < 3; try++ { // the least of three, should anything else allocate meanwhile
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		now := units.Time(0)
+		sh := reqtrace.New()
+		sh.SetClock(func() units.Time { return now })
+		flows := make([]*reqtrace.Flow, legs)
+		for i := range flows {
+			flows[i] = sh.Flow(i, nil)
+		}
+		for i := uint64(0); i < requests; i++ {
+			now = now.Add(units.Millisecond)
+			r := sh.Begin(i%8<<32|i, legs, nil)
+			for _, f := range flows {
+				f.Send(r, i*256, (i+1)*256)
+			}
+			for l, f := range flows {
+				var b waterfall.Bounds
+				h := i*2654435761 + uint64(l)*40503
+				for k := range b {
+					b[k] = now.Add(units.Duration(uint64(k+1) * (1000 + h%(50_000*uint64(k+1)))))
+				}
+				f.RecordRange(i*256, (i+1)*256, 0, b)
+			}
+		}
+		root := reqtrace.New()
+		root.Absorb(sh)
+		recs := root.Records()
+		runtime.ReadMemStats(&after)
+		if len(recs) != requests {
+			t.Fatalf("%d requests retained %d records, want all", requests, len(recs))
+		}
+		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	if allocated > requests*perRequest {
+		t.Fatalf("%d retained requests allocated %d B, %.1f B each, want at most %d",
+			requests, allocated, float64(allocated)/requests, perRequest)
+	}
+	t.Logf("%.1f B per retained request", float64(allocated)/requests)
 }

@@ -23,14 +23,18 @@
 // The span-record path (Flow.RecordRange, driven by the waterfall's
 // OnFinalize callback) is allocation-free in steady state: requests are
 // freelist-recycled fixed-size structs, per-flow leg FIFOs compact in
-// place, and retention appends amortize. Per-stage sketches mirror the
+// place, and a retained request is one entry of a packed stats.Log
+// (about 31 B) whose chunks never move. Per-stage sketches mirror the
 // exact records so tail reports can cross-check approximate against
 // exact quantiles, and Absorb merges tracers shard-invariantly.
 package reqtrace
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
+	"element/internal/stats"
 	"element/internal/telemetry/stream"
 	"element/internal/units"
 	"element/internal/waterfall"
@@ -173,7 +177,8 @@ type Tracer struct {
 	completed uint64
 	stray     uint64 // bytes finalized under no declared leg
 
-	records    []Record
+	records    stats.Log[entry]
+	absorbed   []stats.Log[entry] // shard tracers' records, as Absorb took them
 	stride     int
 	strideSkip int
 
@@ -365,18 +370,16 @@ func (t *Tracer) legDone(r *Request, idx int32, gen int, b waterfall.Bounds) {
 // complete builds the request's record, observes sketches and stream
 // series, retains, fires the done callback, and recycles the request.
 func (t *Tracer) complete(r *Request) {
-	n := int64(r.fanout)
-	rec := Record{
-		ID:       r.id,
-		Issue:    r.issue,
-		Done:     r.maxDone,
-		Fanout:   r.fanout,
-		Critical: r.critical,
+	e := entry{
+		id:       r.id,
+		issue:    r.issue,
+		done:     r.maxDone,
+		fanout:   r.fanout,
+		critical: r.critical,
+		sum:      r.sumStage,
+		wait:     int64(r.maxDone)*int64(r.fanout) - r.sumDone,
 	}
-	for s := 0; s < waterfall.NumStages; s++ {
-		rec.Stage[s] = units.Duration(r.sumStage[s]).Seconds() / float64(n)
-	}
-	rec.Stage[StageSibwait] = units.Duration(int64(r.maxDone)*n-r.sumDone).Seconds() / float64(n)
+	rec := e.record()
 
 	e2e := rec.E2E().Seconds()
 	t.sk[0].Observe(e2e)
@@ -390,7 +393,7 @@ func (t *Tracer) complete(r *Request) {
 		}
 	}
 
-	t.retain(rec)
+	t.retain(e)
 	t.retainSlow(r, &rec)
 	t.completed++
 	done := r.done
@@ -406,24 +409,84 @@ func (t *Tracer) release(r *Request) {
 	t.free = append(t.free, r)
 }
 
-// retain keeps the record, decimating deterministically once the cap is
+// entry is a retained request as the tracer keeps it: the integer state
+// its Record is derived from (record).
+type entry struct {
+	id               uint64
+	issue, done      units.Time
+	fanout, critical int32
+	sum              [waterfall.NumStages]int64 // Σ over legs of each stage, ns
+	wait             int64                      // maxDone·fanout − Σ leg done, ns
+}
+
+// record derives the request's Record: each stage is its sum over the
+// legs divided by the fanout, in float64 from integer nanoseconds.
+func (e entry) record() Record {
+	n := float64(e.fanout)
+	rec := Record{ID: e.id, Issue: e.issue, Done: e.done, Fanout: e.fanout, Critical: e.critical}
+	for s := 0; s < waterfall.NumStages; s++ {
+		rec.Stage[s] = units.Duration(e.sum[s]).Seconds() / n
+	}
+	rec.Stage[StageSibwait] = units.Duration(e.wait).Seconds() / n
+	return rec
+}
+
+// Time, AppendDeltas and Next are entry's stats.Log codec: twelve
+// varints, each field's difference from the entry before, taken with
+// wrapping arithmetic. Its time is done, the order requests complete in.
+func (e entry) Time() units.Time { return e.done }
+
+// AppendDeltas appends next's differences, each from the one before,
+// starting from e.
+func (e entry) AppendDeltas(dst []byte, next []entry) []byte {
+	for i := range next {
+		v := &next[i]
+		dst = stats.AppendVarint(dst, int64(v.id-e.id))
+		dst = stats.AppendVarint(dst, int64(v.issue-e.issue))
+		dst = stats.AppendVarint(dst, int64(v.done-e.done))
+		dst = stats.AppendVarint(dst, int64(v.fanout-e.fanout))
+		dst = stats.AppendVarint(dst, int64(v.critical-e.critical))
+		for s := range v.sum {
+			dst = stats.AppendVarint(dst, v.sum[s]-e.sum[s])
+		}
+		dst = stats.AppendVarint(dst, v.wait-e.wait)
+		e = *v
+	}
+	return dst
+}
+
+// Next decodes the entry after e from src.
+func (e entry) Next(src []byte) (entry, int) {
+	var d [5 + waterfall.NumStages + 1]int64
+	i := 0
+	for k := range d {
+		d[k], i = stats.Varint(src, i)
+	}
+	e.id += uint64(d[0])
+	e.issue += units.Time(d[1])
+	e.done += units.Time(d[2])
+	e.fanout += int32(d[3])
+	e.critical += int32(d[4])
+	for s := range e.sum {
+		e.sum[s] += d[5+s]
+	}
+	e.wait += d[len(d)-1]
+	return e, i
+}
+
+// retain keeps the request, decimating deterministically once the cap is
 // reached (same discipline as the waterfall's range retention).
-func (t *Tracer) retain(rec Record) {
+func (t *Tracer) retain(e entry) {
 	if t.strideSkip > 0 {
 		t.strideSkip--
 		return
 	}
-	if len(t.records) >= t.maxRecords() {
-		k := 0
-		for i := 0; i < len(t.records); i += 2 {
-			t.records[k] = t.records[i]
-			k++
-		}
-		t.records = t.records[:k]
+	if t.records.Len() >= t.maxRecords() {
+		t.records.Halve()
 		t.stride *= 2
 	}
 	t.strideSkip = t.stride - 1
-	t.records = append(t.records, rec)
+	t.records.Append(e)
 }
 
 // slower is the strict retention order for span trees: by e2e, ties by
@@ -520,12 +583,25 @@ func (t *Tracer) Outstanding() uint64 { return t.begun - t.completed }
 // StrayBytes reports finalized bytes that matched no declared leg.
 func (t *Tracer) StrayBytes() uint64 { return t.stray }
 
-// Records returns the retained completed-request records sorted by ID
-// (deterministic for any completion interleaving). The slice aliases
-// the tracer's retention; do not mutate.
+// Records decodes the retained completed-request records into a fresh
+// slice sorted by ID (deterministic for any completion interleaving).
 func (t *Tracer) Records() []Record {
-	sort.Slice(t.records, func(i, j int) bool { return t.records[i].ID < t.records[j].ID })
-	return t.records
+	n := t.records.Len()
+	for i := range t.absorbed {
+		n += t.absorbed[i].Len()
+	}
+	out := make([]Record, 0, n)
+	decode := func(l *stats.Log[entry]) {
+		for e := range l.All() {
+			out = append(out, e.record())
+		}
+	}
+	decode(&t.records)
+	for i := range t.absorbed {
+		decode(&t.absorbed[i])
+	}
+	slices.SortStableFunc(out, func(a, b Record) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // Decimated reports whether record retention has dropped any records
@@ -549,10 +625,12 @@ func (t *Tracer) Sketch(s int) *stream.Sketch {
 	return &t.sk[1+s]
 }
 
-// Absorb merges src into t: records concatenate (Records re-sorts by
-// ID), sketches merge exactly (associative, order-invariant), the slow
-// set re-admits under the total (e2e, ID) order, and counters add. Call
-// at a barrier — src must be quiescent — and do not reuse src after.
+// Absorb merges src into t: src's record logs are carried over as they
+// are, not copied (Records decodes them with t's own and sorts by ID;
+// t's cap does not decimate them), sketches merge exactly (associative,
+// order-invariant), the slow set re-admits under the total (e2e, ID)
+// order, and counters add. Call at a barrier — src must be quiescent —
+// and do not reuse src after.
 // Because per-request accumulation is confined to one shard and the
 // merge is order-invariant, a fleet's absorbed tracer is byte-identical
 // for any shard count at the same seed.
@@ -566,7 +644,10 @@ func (t *Tracer) Absorb(src *Tracer) {
 	for i := range t.sk {
 		t.sk[i].Merge(&src.sk[i])
 	}
-	t.records = append(t.records, src.records...)
+	if src.records.Len() > 0 {
+		t.absorbed = append(t.absorbed, src.records)
+	}
+	t.absorbed = append(t.absorbed, src.absorbed...)
 	if src.stride > t.stride {
 		t.stride = src.stride
 	}

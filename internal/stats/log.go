@@ -86,9 +86,9 @@ func Varint(src []byte, i int) (int64, int) {
 //     keeps the tail's array and the largest chunk, so the steady state
 //     allocates nothing.
 //
-// Halve decimates a log in place (the waterfall's retained ranges). The
-// zero value is an empty log. Nothing reads a Log while it is written: it
-// belongs to one goroutine.
+// Halve decimates a log in place (the waterfall's retained ranges, the
+// request tracer's records). The zero value is an empty log. Nothing
+// reads a Log while it is written: it belongs to one goroutine.
 type Log[T Entry[T]] struct {
 	chunks []chunk
 	// tail is the last block, not yet encoded, in an array of LogBlock:

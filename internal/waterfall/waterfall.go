@@ -218,6 +218,10 @@ type Waterfall struct {
 	notes     []Note
 	lostNotes int
 
+	// joinOnly: the recorders retain no ranges, drop or resize markers
+	// and the waterfall no notes (NewJoinOnly).
+	joinOnly bool
+
 	// Telemetry handles (nil when uninstrumented).
 	stageH [NumStages]*telemetry.Histogram
 	e2eH   *telemetry.Histogram
@@ -230,6 +234,17 @@ type Waterfall struct {
 
 // New returns an empty waterfall.
 func New() *Waterfall { return &Waterfall{byID: map[int]*Recorder{}} }
+
+// NewJoinOnly returns an empty waterfall kept only for what joins on its
+// recorders' OnFinalize (internal/reqtrace). Its recorders finalize,
+// aggregate, call OnFinalize and observe telemetry and stream series as
+// New's do, but retain no ranges, drop or resize markers, and it keeps no
+// notes: Spans, Drops, Resizes and Notes read empty.
+func NewJoinOnly() *Waterfall {
+	w := New()
+	w.joinOnly = true
+	return w
+}
 
 // SetClock binds the virtual clock (typically sim.Engine.Now).
 func (w *Waterfall) SetClock(fn func() units.Time) {
@@ -308,7 +323,7 @@ func (w *Waterfall) Bind(flowID int, r *Recorder) {
 // Note records a scenario-level annotation at the current virtual time.
 // Nil-safe; retention is bounded like the drop/resize markers.
 func (w *Waterfall) Note(name, detail string) {
-	if w == nil {
+	if w == nil || w.joinOnly {
 		return
 	}
 	if len(w.notes) >= maxMarks {
@@ -595,7 +610,7 @@ func (r *Recorder) onAppWrite(endSeq uint64, n int) {
 }
 
 func (r *Recorder) onSndbufResize(from, to int) {
-	if r.shut(true) {
+	if r.shut(true) || r.wf.joinOnly {
 		return
 	}
 	if r.resizes.Len() >= maxMarks {
@@ -700,6 +715,9 @@ func (r *Recorder) onLinkLost(p *pkt.Packet) {
 }
 
 func (r *Recorder) recordDrop(d Drop) {
+	if r.wf.joinOnly {
+		return
+	}
 	if r.drops.Len() >= maxMarks {
 		r.lostDrops++
 		return
@@ -900,8 +918,11 @@ func (r *Recorder) finalize(a arrival, start, end uint64, readAt units.Time) {
 }
 
 // retain keeps the range for exports, decimating deterministically once
-// the retention cap is reached.
+// the retention cap is reached; a join-only waterfall keeps none.
 func (r *Recorder) retain(rr rangeRec) {
+	if r.wf.joinOnly {
+		return
+	}
 	if r.strideSkip > 0 {
 		r.strideSkip--
 		return
