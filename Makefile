@@ -70,7 +70,8 @@ test:
 ## (with the heap/slab/lane invariants checked after every op), the SACK
 ## scoreboard against the full-window scans, the waterfall recorder's
 ## packet stamps and arrival queue against the keyed link table and
-## sorted slice they replaced, the sketch's bit-read bucket index
+## sorted slice they replaced (and a join-only twin against the
+## recorder's breakdown), the sketch's bit-read bucket index
 ## against its math.Frexp definition, a decoded checkpoint restored as
 ## held against its own re-encoding (the fleet restores held checkpoints
 ## without re-parsing them), the chunked result log against a plain

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -91,5 +92,25 @@ func TestScaleRejectsUnreadFlags(t *testing.T) {
 	}
 	if code, stderr := runElemfleet(t, "-scale", "50", "-dur", "0.2", "-seed", "2", "-shards", "1", "-budget-live", "4"); code != 0 {
 		t.Errorf("a -scale run with only the flags it reads: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestWaterfallPrintsMarkers: the fleet's recorders keep no markers, but
+// -waterfall still prints the marker counts they saw. An 8-connection
+// one-second fleet resizes its send buffers a few hundred times (416 at
+// seed 1) and drops nothing.
+func TestWaterfallPrintsMarkers(t *testing.T) {
+	code, stdout, stderr := runElemfleetOut(t, "-conns", "8", "-dur", "1", "-waterfall")
+	if code != 0 {
+		t.Fatalf("elemfleet -waterfall: exit %d, stderr %q", code, stderr)
+	}
+	i := strings.Index(stdout, "  markers: ")
+	if i < 0 {
+		t.Fatalf("no markers line in\n%s", stdout)
+	}
+	var queue, wire, resizes int
+	if _, err := fmt.Sscanf(stdout[i:], "  markers: %d queue drops, %d wire drops, %d sndbuf resizes",
+		&queue, &wire, &resizes); err != nil || resizes == 0 {
+		t.Fatalf("markers line %q: %d resizes, err %v", strings.SplitN(stdout[i:], "\n", 2)[0], resizes, err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -407,26 +408,29 @@ func addWaterfallExports(t *testing.T, r *row, wf *waterfall.Waterfall) {
 }
 
 // addFleetWaterfall hashes the waterfall a fleet absorbed from its shards.
-// Flow IDs are allotted per engine and recorders arrive in shard order, so
-// the exports are not shard-invariant; what each recorder holds is. Every
-// recorder's spans, drops and resizes hash on their own and the recorder
-// hashes fold in sorted order.
+// Recorders arrive in shard order, and a fleet's recorders keep no ranges
+// or markers, so what each one holds is its Breakdown: ranges, bytes,
+// every byte·second integral, the worst end-to-end delay and the marker
+// counts. Each recorder hashes on its own and the hashes fold in sorted
+// order.
 func addFleetWaterfall(r *row, wf *waterfall.Waterfall) {
 	d := newDigest()
 	var recs []uint64
 	for _, rec := range wf.Flows() {
 		one := newDigest()
-		spans := rec.Spans()
-		d.n += len(spans)
-		for _, sp := range spans {
-			one.u64(uint64(sp.Stage), sp.Start, sp.End, uint64(sp.From), uint64(sp.To), uint64(sp.Gen))
+		b := rec.Breakdown()
+		one.u64(uint64(b.Ranges), b.Bytes)
+		for _, st := range b.Stage {
+			one.u64(math.Float64bits(st.ByteSeconds))
 		}
-		fmt.Fprintf(one.h, "%+v %+v", rec.Drops(), rec.Resizes())
+		one.u64(math.Float64bits(b.E2EByteSeconds), uint64(b.MaxE2E),
+			uint64(b.QueueDrops), uint64(b.WireDrops), uint64(b.Resizes), uint64(b.LostMarkers))
 		recs = append(recs, one.h.Sum64())
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i] < recs[j] })
+	d.n = len(recs)
 	d.u64(recs...)
-	r.add("waterfall spans", d)
+	r.add("waterfall recorders", d)
 }
 
 // addFleetResult hashes what a Fleet run reduces to: the fleet-wide

@@ -171,24 +171,21 @@ func TestFleetFanoutStreamSeries(t *testing.T) {
 
 // TestJoinOnlyWaterfallChangesNothing runs the fanout_rpc shape (8 groups
 // of 8 backends over CoDel, two shards) with and without a caller's
-// waterfall. Without one, the shards' waterfalls are join-only: the tail
-// report, the span trees and every connection's result must be
-// byte-identical, every recorder must aggregate what the kept
-// waterfall's does, and none may hold a span, drop or resize marker.
-// The kept waterfall holds spans and resizes; this shape drops nothing,
-// so waterfall's TestJoinOnlyRetainsNothing holds the drop markers.
+// waterfall. Either way the shards' recorders are join-only, so the tail
+// report, the span trees, every connection's result and its logs must be
+// byte-identical. The recorders the caller's waterfall absorbs hold no
+// span or marker, yet count the send-buffer resizes they saw.
 func TestJoinOnlyWaterfallChangesNothing(t *testing.T) {
 	testutil.NoLeaks(t)
 	const degree, rps, legBytes = 8, 500, 256
-	run := func(wf *waterfall.Waterfall) (*Fleet, *Result, string) {
+	run := func(wf *waterfall.Waterfall) (*Result, string) {
 		tr := reqtrace.New()
-		f := New(Config{
+		res := New(Config{
 			Seed: 1, Connections: 8 * degree, Duration: 2 * units.Second,
 			Rate: units.Rate(float64(rps*legBytes*8) / 0.75), RTT: 20 * units.Millisecond,
 			Disc: aqm.KindCoDel, Shards: 2, Waterfall: wf,
 			Fanout: &FanoutConfig{Degree: degree, RPS: rps, RequestBytes: legBytes, Tracer: tr},
-		})
-		res := f.Run()
+		}).Run()
 		var out bytes.Buffer
 		tr.Report().WriteTable(&out)
 		if err := tr.WriteJSONL(&out); err != nil {
@@ -199,11 +196,11 @@ func TestJoinOnlyWaterfallChangesNothing(t *testing.T) {
 			line.SndLog, line.RcvLog = stats.Log[core.Measurement]{}, stats.Log[core.Measurement]{}
 			fmt.Fprintf(&out, "%+v\n", line)
 		}
-		return f, res, out.String()
+		return res, out.String()
 	}
-	kept := waterfall.New()
-	_, wantRes, want := run(kept)
-	f, gotRes, got := run(nil)
+	wf := waterfall.New()
+	wantRes, want := run(wf)
+	gotRes, got := run(nil)
 	if got != want {
 		t.Fatalf("report, span trees or conn results differ without a waterfall:\n--- with\n%s--- without\n%s", want, got)
 	}
@@ -216,33 +213,16 @@ func TestJoinOnlyWaterfallChangesNothing(t *testing.T) {
 		}
 	}
 
-	var joined []*waterfall.Recorder
-	for _, sh := range f.shards {
-		joined = append(joined, sh.wf.Flows()...)
-		if n := len(sh.wf.Notes()); n != 0 {
-			t.Errorf("a join-only waterfall holds %d notes", n)
-		}
+	if n := len(wf.Flows()); n != 8*degree {
+		t.Fatalf("the caller's waterfall absorbed %d recorders, want %d", n, 8*degree)
 	}
-	if len(joined) != len(kept.Flows()) {
-		t.Fatalf("%d join-only recorders, %d kept", len(joined), len(kept.Flows()))
-	}
-	var keptSpans, keptResizes int
-	for i, r := range joined {
-		k := kept.Flows()[i]
-		keptSpans += len(k.Spans())
-		keptResizes += len(k.Resizes())
-		// The kept recorder's aggregate, less what it counts of what it
-		// retains.
-		w := k.Breakdown()
-		w.Retained, w.QueueDrops, w.WireDrops, w.Resizes, w.LostMarkers = 0, 0, 0, 0, 0
-		if g := r.Breakdown(); g != w {
-			t.Errorf("recorder %d aggregates\n%+v\nthe kept one, less its retention\n%+v", i, g, w)
-		}
+	for i, r := range wf.Flows() {
 		if s, d, z := len(r.Spans()), len(r.Drops()), len(r.Resizes()); s+d+z != 0 {
-			t.Errorf("join-only recorder %d holds %d spans, %d drops, %d resizes", i, s, d, z)
+			t.Errorf("absorbed recorder %d holds %d spans, %d drops, %d resizes", i, s, d, z)
 		}
 	}
-	if keptSpans == 0 || keptResizes == 0 {
-		t.Fatalf("the kept waterfall holds %d spans, %d resizes: the run shows nothing", keptSpans, keptResizes)
+	if agg := wf.Aggregate(); agg.Ranges == 0 || agg.Resizes == 0 || agg.Retained != 0 {
+		t.Fatalf("absorbed recorders aggregate %d ranges, %d resizes, %d retained: want ranges and resizes counted, none retained",
+			agg.Ranges, agg.Resizes, agg.Retained)
 	}
 }

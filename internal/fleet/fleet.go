@@ -115,8 +115,11 @@ type Config struct {
 	Telem *telemetry.Telemetry
 	// Waterfall attaches per-byte-range delay attribution to every
 	// connection (nil disables). Per-shard waterfalls are absorbed into
-	// this instance at drain time. With Stream escalation rules enabled,
-	// recorders exist but stay detached until a flow escalates.
+	// this instance at drain time. Their recorders are join-only
+	// (waterfall.NewJoinOnly): each Breakdown, and so Aggregate, is
+	// exact, marker counts included, but no recorder keeps a range or a
+	// marker. With Stream escalation rules enabled, recorders exist but
+	// stay detached until a flow escalates.
 	Waterfall *waterfall.Waterfall
 
 	// Stream enables the bounded-memory streaming telemetry pipeline
@@ -316,16 +319,11 @@ func New(cfg Config) *Fleet {
 			sh.gBackingOff = sc.Gauge("monitors_backing_off")
 			sh.gOpen = sc.Gauge("connections_open")
 		}
-		switch {
-		case cfg.Waterfall != nil:
-			sh.wf = waterfall.New()
-		case cfg.Fanout != nil:
-			// The span tracer joins on the recorders' finalized ranges;
-			// with no waterfall to absorb them into, nothing reads what
-			// they would retain.
+		if cfg.Waterfall != nil || cfg.Fanout != nil {
+			// The caller's waterfall is read for its aggregate and the span
+			// tracer joins on finalized ranges: nothing reads the ranges
+			// or markers a recorder would retain.
 			sh.wf = waterfall.NewJoinOnly()
-		}
-		if sh.wf != nil {
 			sh.wf.SetClock(sh.eng.Now)
 			sh.wf.Instrument(sh.telem.Scope("waterfall"))
 		}
@@ -537,10 +535,11 @@ func (f *Fleet) RunContext(ctx context.Context) *Result {
 
 // drain is the graceful shutdown: every live monitor takes a final poll
 // (so in-flight records get their last chance to match), flushes its
-// series, and stops; per-shard telemetry and waterfalls merge into the
-// caller's instances; parked processes are terminated so no goroutine
-// outlives the run. Drain runs entirely on the calling goroutine, after
-// the last barrier.
+// series, stops and lets go of its connection; each shard's parked
+// processes are terminated, so no goroutine outlives the run and nothing
+// records again, before its telemetry, waterfall and tracer merge into
+// the caller's instances; then the shard lets go of its engine. Drain
+// runs entirely on the calling goroutine, after the last barrier.
 func (f *Fleet) drain(interrupted bool) *Result {
 	f.draining = true
 	res := &Result{Config: f.cfg, Interrupted: interrupted}
@@ -572,6 +571,9 @@ func (f *Fleet) drain(interrupted bool) *Result {
 		res.ShedSamples += cr.ShedSamples
 	}
 	for _, sh := range f.shards {
+		// Everything below takes state that records no more: Absorb's
+		// precondition.
+		sh.eng.Shutdown()
 		sh.updateGauges()
 		res.Restarts += sh.restarts
 		res.Crashes += sh.crashes
@@ -586,7 +588,10 @@ func (f *Fleet) drain(interrupted bool) *Result {
 			res.RequestsAbandoned += sh.rt.Outstanding()
 			f.cfg.Fanout.Tracer.Absorb(sh.rt)
 		}
-		sh.eng.Shutdown()
+		// Nothing runs on the shard again. Its engine's queue and its
+		// pool hold the last packets of every connection, and its
+		// telemetry, waterfall and tracer are bound to the engine's clock.
+		sh.eng, sh.pkts, sh.telem, sh.wf, sh.rt = nil, nil, nil, nil, nil
 	}
 	return res
 }

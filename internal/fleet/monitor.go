@@ -536,5 +536,8 @@ func (m *Monitor) drain() *ConnResult {
 			cr.GoodputBps = float64(m.conn.Receiver.ReadCum()) * 8 / active.Seconds()
 		}
 	}
+	// Nothing reads the connection again: drop its simulated stack and
+	// what fed the monitor from it.
+	m.conn, m.rng, m.inj, m.sndSrc, m.rcvSrc = nil, nil, nil, nil, nil
 	return cr
 }

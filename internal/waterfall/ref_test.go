@@ -222,12 +222,13 @@ type finalRec struct {
 	b          Bounds
 }
 
-// recorderPair feeds one schedule to a Recorder and to the reference and
-// compares them after every op.
+// recorderPair feeds one schedule to a Recorder, to the reference and to
+// a join-only twin of the Recorder, and compares them after every op.
 type recorderPair struct {
 	t        testing.TB
 	got      *Recorder
 	ref      *refRecorder
+	join     *Recorder
 	gotFinal []finalRec
 	refFinal []finalRec
 	checked  int // finals compared so far
@@ -238,11 +239,13 @@ type recorderPair struct {
 func newRecorderPair(t testing.TB, now *units.Time) *recorderPair {
 	p := &recorderPair{t: t, retained: refRetain{stride: 1}}
 	clock := func() units.Time { return *now }
-	wa, wb := New(), New()
+	wa, wb, wj := New(), New(), NewJoinOnly()
 	wa.SetClock(clock)
 	wb.SetClock(clock)
+	wj.SetClock(clock)
 	p.got = wa.NewFlow()
 	p.ref = &refRecorder{Recorder: wb.NewFlow()}
+	p.join = wj.NewFlow()
 	p.got.OnFinalize(func(start, end uint64, gen int, b Bounds) {
 		p.gotFinal = append(p.gotFinal, finalRec{start, end, gen, b})
 	})
@@ -256,34 +259,43 @@ func newRecorderPair(t testing.TB, now *units.Time) *recorderPair {
 func (p *recorderPair) onAppWrite(endSeq uint64, n int) {
 	p.got.onAppWrite(endSeq, n)
 	p.ref.onAppWrite(endSeq, n)
+	p.join.onAppWrite(endSeq, n)
 	p.check("AppWrite")
 }
 
 func (p *recorderPair) onTransmit(seq uint64, n int, retx bool) {
 	p.got.onTransmit(seq, n, retx)
 	p.ref.onTransmit(seq, n, retx)
+	p.join.onTransmit(seq, n, retx)
 	p.check("TCPTransmit")
 }
 
 func (p *recorderPair) onLinkEnqueue(pk *pkt.Packet, now units.Time, accepted bool) {
 	p.got.onLinkEnqueue(pk, now, accepted)
 	p.ref.onLinkEnqueue(pk, now, accepted)
+	p.join.onLinkEnqueue(pk, now, accepted)
 	p.check("LinkEnqueue")
 }
 
 func (p *recorderPair) onLinkDequeue(pk *pkt.Packet, now units.Time) {
 	p.got.onLinkDequeue(pk, now)
 	p.ref.onLinkDequeue(pk, now)
+	p.join.onLinkDequeue(pk, now)
 	p.check("LinkDequeue")
 }
 
 func (p *recorderPair) onLinkLost(pk *pkt.Packet) {
 	p.got.onLinkLost(pk)
 	p.ref.onLinkLost(pk)
+	p.join.onLinkLost(pk)
 	p.check("LinkLost")
 }
 
 func (p *recorderPair) onPacketRecv(pk *pkt.Packet) {
+	// The twin reads the copy's stamps first; the receive clears Tapped.
+	tapped := pk.Tapped
+	p.join.onPacketRecv(pk)
+	pk.Tapped = tapped
 	p.got.onPacketRecv(pk)
 	p.ref.onPacketRecv(pk)
 	p.check("PacketRecv")
@@ -292,18 +304,21 @@ func (p *recorderPair) onPacketRecv(pk *pkt.Packet) {
 func (p *recorderPair) onTCPReceive(seq uint64, n int) {
 	p.got.onTCPReceive(seq, n)
 	p.ref.onTCPReceive(seq, n)
+	p.join.onTCPReceive(seq, n)
 	p.check("TCPReceive")
 }
 
 func (p *recorderPair) onInOrder(cum uint64) {
 	p.got.onInOrder(cum)
 	p.ref.onInOrder(cum)
+	p.join.onInOrder(cum)
 	p.check("TCPInOrder")
 }
 
 func (p *recorderPair) onAppRead(endSeq uint64, n int) {
 	p.got.onAppRead(endSeq, n)
 	p.ref.onAppRead(endSeq, n)
+	p.join.onAppRead(endSeq, n)
 	p.check("AppRead")
 }
 
@@ -311,6 +326,8 @@ func (p *recorderPair) onAppRead(endSeq uint64, n int) {
 // OnFinalize record so far, the drop markers, the breakdown, the count of
 // retained ranges, the arrival queue and the packet snapshot. The link
 // table has no counterpart to compare: what it held is on the packets.
+// The join-only twin must break down as the recorder does, less the
+// ranges it retains, and keep no range or marker.
 func (p *recorderPair) check(op string) {
 	t := p.t
 	t.Helper()
@@ -332,6 +349,15 @@ func (p *recorderPair) check(op string) {
 	}
 	if g, r := p.got.Breakdown(), p.ref.Breakdown(); g != r {
 		fail("breakdown\n%+v\nreference\n%+v", g, r)
+	}
+	want := p.got.Breakdown()
+	want.Retained = 0
+	if g := p.join.Breakdown(); g != want {
+		fail("join-only breakdown\n%+v\nthe recorder's, less its retained ranges\n%+v", g, want)
+	}
+	if p.join.ranges.Len()+p.join.drops.Len()+p.join.resizes.Len() != 0 {
+		fail("the join-only twin keeps %d ranges, %d drops, %d resizes",
+			p.join.ranges.Len(), p.join.drops.Len(), p.join.resizes.Len())
 	}
 	if p.got.ranges.Len() != len(p.retained.ranges) {
 		fail("%d ranges retained, reference %d", p.got.ranges.Len(), len(p.retained.ranges))

@@ -61,14 +61,9 @@ func (r *Recorder) fold(b *Breakdown) {
 	if r.agg.maxE2E > b.MaxE2E {
 		b.MaxE2E = r.agg.maxE2E
 	}
-	for d := range r.drops.All() {
-		if d.Kind == DropQueue {
-			b.QueueDrops++
-		} else {
-			b.WireDrops++
-		}
-	}
-	b.Resizes += r.resizes.Len()
+	b.QueueDrops += r.queueDrops
+	b.WireDrops += r.wireDrops
+	b.Resizes += r.nResizes
 	b.LostMarkers += r.lostDrops + r.lostResizes
 }
 

@@ -235,11 +235,13 @@ type Waterfall struct {
 // New returns an empty waterfall.
 func New() *Waterfall { return &Waterfall{byID: map[int]*Recorder{}} }
 
-// NewJoinOnly returns an empty waterfall kept only for what joins on its
-// recorders' OnFinalize (internal/reqtrace). Its recorders finalize,
-// aggregate, call OnFinalize and observe telemetry and stream series as
-// New's do, but retain no ranges, drop or resize markers, and it keeps no
-// notes: Spans, Drops, Resizes and Notes read empty.
+// NewJoinOnly returns an empty waterfall kept for its recorders'
+// aggregates and for what joins on their OnFinalize (internal/reqtrace).
+// Its recorders finalize, aggregate, call OnFinalize and observe
+// telemetry and stream series as New's do, and count drop and resize
+// markers under the same cap, so a Breakdown differs from a kept
+// recorder's only in Retained; but they retain no ranges or markers, and
+// it keeps no notes: Spans, Drops, Resizes and Notes read empty.
 func NewJoinOnly() *Waterfall {
 	w := New()
 	w.joinOnly = true
@@ -526,14 +528,20 @@ type Recorder struct {
 	readCum uint64
 
 	// Finalized ranges, decimated for bounded retention.
-	ranges      stats.Log[rangeRec]
-	stride      int
-	strideSkip  int
-	agg         aggregate
-	drops       stats.Log[Drop]
-	lostDrops   int // drops not retained once maxMarks hit
-	resizes     stats.Log[Resize]
-	lostResizes int
+	ranges     stats.Log[rangeRec]
+	stride     int
+	strideSkip int
+	agg        aggregate
+
+	// Drop and resize markers, at most maxMarks of each. The counts cover
+	// every marker within the cap, kept or not: a join-only recorder keeps
+	// none, yet its Breakdown counts them as a kept one's does.
+	drops                 stats.Log[Drop]
+	queueDrops, wireDrops int
+	lostDrops             int // drops beyond maxMarks
+	resizes               stats.Log[Resize]
+	nResizes              int
+	lostResizes           int
 
 	// onFinal, when set, observes every finalized byte range with its
 	// clamped boundaries — no decimation, in read order.
@@ -610,14 +618,17 @@ func (r *Recorder) onAppWrite(endSeq uint64, n int) {
 }
 
 func (r *Recorder) onSndbufResize(from, to int) {
-	if r.shut(true) || r.wf.joinOnly {
+	if r.shut(true) {
 		return
 	}
-	if r.resizes.Len() >= maxMarks {
+	if r.nResizes >= maxMarks {
 		r.lostResizes++
 		return
 	}
-	r.resizes.Append(Resize{At: r.wf.now(), From: from, To: to})
+	r.nResizes++
+	if !r.wf.joinOnly {
+		r.resizes.Append(Resize{At: r.wf.now(), From: from, To: to})
+	}
 }
 
 // onTransmit matches trace.Collector's convention: a first transmission
@@ -715,14 +726,18 @@ func (r *Recorder) onLinkLost(p *pkt.Packet) {
 }
 
 func (r *Recorder) recordDrop(d Drop) {
-	if r.wf.joinOnly {
-		return
-	}
-	if r.drops.Len() >= maxMarks {
+	if r.queueDrops+r.wireDrops >= maxMarks {
 		r.lostDrops++
 		return
 	}
-	r.drops.Append(d)
+	if d.Kind == DropQueue {
+		r.queueDrops++
+	} else {
+		r.wireDrops++
+	}
+	if !r.wf.joinOnly {
+		r.drops.Append(d)
+	}
 }
 
 // --- Receiver side --------------------------------------------------------

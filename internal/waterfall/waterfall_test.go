@@ -281,3 +281,39 @@ func TestZeroCostWhenDetached(t *testing.T) {
 		t.Fatal("nil waterfall aggregate non-empty")
 	}
 }
+
+// TestJoinOnlyCountsMarkers runs one lossy shape — a 150-packet FIFO that
+// tail-drops, random loss on the wire, and a send buffer that auto-tunes
+// past the marker cap — under a kept waterfall and a join-only one. The
+// join-only recorders keep no marker, yet each Breakdown must equal the
+// kept one's, less the ranges that one retains: drops counted by kind,
+// resizes counted up to the cap and the rest lost, as the kept recorder
+// counts what it keeps.
+func TestJoinOnlyCountsMarkers(t *testing.T) {
+	run := func(wf *waterfall.Waterfall) []*waterfall.Recorder {
+		exp.RunScenario(exp.ScenarioConfig{
+			Seed: 3, Rate: 20 * units.Mbps, RTT: 40 * units.Millisecond,
+			Disc: aqm.KindFIFO, QueuePackets: 150, LossRate: 0.00005,
+			Duration: 12 * units.Second, Flows: []exp.FlowSpec{{}},
+			Waterfall: wf,
+		})
+		return wf.Flows()
+	}
+	kept, join := run(waterfall.New()), run(waterfall.NewJoinOnly())
+	if len(kept) != 1 || len(join) != 1 {
+		t.Fatalf("%d kept recorders, %d join-only, want 1 each", len(kept), len(join))
+	}
+	want := kept[0].Breakdown()
+	if want.QueueDrops == 0 || want.WireDrops == 0 || len(kept[0].Resizes()) != want.Resizes ||
+		want.Resizes < 4096 || want.LostMarkers == 0 {
+		t.Fatalf("the kept recorder counts %d queue drops, %d wire drops, %d resizes, %d lost markers: the shape shows nothing",
+			want.QueueDrops, want.WireDrops, want.Resizes, want.LostMarkers)
+	}
+	want.Retained = 0
+	if got := join[0].Breakdown(); got != want {
+		t.Fatalf("join-only breakdown\n%+v\nkept, less its retained ranges\n%+v", got, want)
+	}
+	if d, z := len(join[0].Drops()), len(join[0].Resizes()); d+z != 0 {
+		t.Fatalf("the join-only recorder holds %d drops, %d resizes", d, z)
+	}
+}
