@@ -39,7 +39,7 @@ var exportAllowlist = map[string]string{
 	"FlagFIN":         "completes the TCP flag set that pkt tests round-trip",
 	// Names an open ROADMAP item will call.
 	"Reconcile": "ROADMAP item 6 reconciles the waterfall against drops",
-	"Drops":     "ROADMAP item 10 reads the recorder's drop count",
+	"Drops":     "ROADMAP items 6 and 11(d) read the recorder's drop count",
 	// The closed-form models FINDINGS.md cites.
 	"AutotuneOccupancy": "hypotheses/*/FINDINGS.md cites the twin model",
 	"ReassemblyDelay":   "hypotheses/*/FINDINGS.md cites the twin model",

@@ -224,10 +224,10 @@ func cloneReceiver(cp core.ReceiverCheckpoint) core.ReceiverCheckpoint {
 func TestMonitorCheckpointZeroAlloc(t *testing.T) {
 	for _, minimize := range []bool{false, true} {
 		f := &Fleet{cfg: Config{Minimize: minimize}.normalize()}
-		sh := &shard{fl: f, eng: sim.New(1)}
+		sh := &shard{fl: f, shardRun: shardRun{eng: sim.New(1)}}
 		ssrc := &scriptSource{info: tcpinfo.TCPInfo{SndMSS: 1448, RcvMSS: 1448, SndCwnd: 10, SndBuf: 64 << 10, RTT: 20 * units.Millisecond}}
 		rsrc := &scriptSource{info: tcpinfo.TCPInfo{SndMSS: 1448, RcvMSS: 1448}}
-		m := &Monitor{fl: f, sh: sh, sndSrc: ssrc, rcvSrc: rsrc}
+		m := &Monitor{fl: f, sh: sh, monitorRun: monitorRun{sndSrc: ssrc, rcvSrc: rsrc}}
 		m.startFresh()
 		for i := 1; i <= 40; i++ {
 			sh.eng.RunFor(f.cfg.Interval)

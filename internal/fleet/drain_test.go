@@ -1,11 +1,15 @@
 package fleet
 
 import (
+	"context"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"element/internal/aqm"
 	"element/internal/overload"
+	"element/internal/reqtrace"
 	"element/internal/telemetry/stream"
 	"element/internal/testutil"
 	"element/internal/units"
@@ -55,18 +59,39 @@ func TestNoRecorderHookAfterAbsorb(t *testing.T) {
 	}
 }
 
-// drainedBytesPerConn bounds what a drained fleet_churn-shaped fleet
-// holds per connection: its result logs, held checkpoints, tiers,
-// escalators and recorder aggregates, not the connections' simulated
-// stacks or retained waterfall ranges. At 64 connections, 2 s and seed 1
-// it holds 24.6 KB a connection; when drained fleets kept their engines,
-// packet pools and every recorder's ranges and markers, 64.5 KB.
-const drainedBytesPerConn = 36 << 10
+// fanoutRPCConfig is the fanout_rpc shape at a test's size: 64
+// connections in 8 groups of 8 legs over CoDel at 75 % mean utilisation,
+// every request traced into the caller's tracer.
+func fanoutRPCConfig(seed int64) Config {
+	const degree, rps, legBytes = 8, 500, 256
+	return Config{
+		Seed: seed, Connections: 8 * degree, Duration: 2 * units.Second,
+		Rate: units.Rate(float64(rps*legBytes*8) / 0.75), RTT: 20 * units.Millisecond,
+		Disc:   aqm.KindCoDel,
+		Fanout: &FanoutConfig{Degree: degree, RPS: rps, RequestBytes: legBytes, Tracer: reqtrace.New()},
+	}
+}
+
+// What a drained fleet holds per connection at 64 connections, 2 s and
+// seed 1: its result logs, held checkpoints, tiers and recorder
+// aggregates, not the connections' simulated stacks, collectors,
+// escalators or trackers. drainedBytesPerConn bounds the fleet_churn
+// shape, which holds 7.7 KB a connection (24.6 KB while a drained
+// monitor kept its collector and recorder, and with them the engine;
+// 64.5 KB when drained fleets kept their engines, packet pools and
+// every recorder's ranges and markers). drainedFanoutBytesPerConn
+// bounds the fanout_rpc shape, whose connections keep graded result logs
+// and the tracer's requests: it holds 59.9 KB a connection, and 136.6 KB
+// while a drained monitor kept its collector and recorder.
+const (
+	drainedBytesPerConn       = 12 << 10
+	drainedFanoutBytesPerConn = 80 << 10
+)
 
 // TestDrainedFleetRetains measures the heap a drained fleet holds per
 // connection — HeapAlloc with the fleet, its result and the caller's
-// waterfall referenced, less HeapAlloc once they are dropped — and holds
-// it under drainedBytesPerConn.
+// waterfall and tracer referenced, less HeapAlloc once they are dropped
+// — and holds it under each shape's bound.
 func TestDrainedFleetRetains(t *testing.T) {
 	testutil.NoLeaks(t)
 	const conns = 64
@@ -76,20 +101,151 @@ func TestDrainedFleetRetains(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	wf := waterfall.New()
-	f := New(drainedChurnConfig(1, conns, wf))
-	res := f.Run()
-	if res.Escalations == 0 || res.Restarts == 0 || wf.Aggregate().Ranges == 0 {
-		t.Fatalf("escalations %d, restarts %d, ranges %d: the run shows nothing",
-			res.Escalations, res.Restarts, wf.Aggregate().Ranges)
+	for _, tc := range []struct {
+		name  string
+		cfg   func() Config
+		bound int64
+	}{
+		{"churn", func() Config { return drainedChurnConfig(1, conns, waterfall.New()) }, drainedBytesPerConn},
+		{"fanout", func() Config { return fanoutRPCConfig(1) }, drainedFanoutBytesPerConn},
+	} {
+		cfg := tc.cfg()
+		wf, tr := cfg.Waterfall, (*reqtrace.Tracer)(nil)
+		if cfg.Fanout != nil {
+			tr = cfg.Fanout.Tracer
+		}
+		f := New(cfg)
+		res := f.Run()
+		if cfg.Fanout == nil && (res.Escalations == 0 || res.Restarts == 0 || wf.Aggregate().Ranges == 0) ||
+			cfg.Fanout != nil && (res.Requests == 0 || res.Sender.Checked == 0) {
+			t.Fatalf("%s: %v, %d escalations, %d requests, %d checked: the run shows nothing",
+				tc.name, res, res.Escalations, res.Requests, res.Sender.Checked)
+		}
+		held := heap()
+		runtime.KeepAlive(f)
+		runtime.KeepAlive(res)
+		runtime.KeepAlive(wf)
+		runtime.KeepAlive(tr)
+		perConn := (int64(held) - int64(heap())) / conns
+		t.Logf("%s: a drained fleet holds %d B a connection", tc.name, perConn)
+		if perConn > tc.bound {
+			t.Fatalf("%s: a drained fleet holds %d B a connection, bound %d", tc.name, perConn, tc.bound)
+		}
 	}
-	held := heap()
-	runtime.KeepAlive(f)
-	runtime.KeepAlive(res)
-	runtime.KeepAlive(wf)
-	perConn := (int64(held) - int64(heap())) / conns
-	t.Logf("a drained fleet holds %d B a connection", perConn)
-	if perConn > drainedBytesPerConn {
-		t.Fatalf("a drained fleet holds %d B a connection, bound %d", perConn, drainedBytesPerConn)
+}
+
+// TestDrainZeroesRunState: after Run — to the end, or canceled at a
+// barrier — every monitor's monitorRun and every shard's shardRun is
+// zero, the held checkpoints keep no in-flight records and the fleet no
+// export chain, on the fan-out and churn shapes. Every other field of
+// Monitor and shard that can reach the heap is on an allowlist of what a
+// drained fleet's readers read: a new one has to go into the run struct
+// or onto the list, and every name on the list must still be a field.
+func TestDrainZeroesRunState(t *testing.T) {
+	testutil.NoLeaks(t)
+	for _, c := range []struct {
+		typ, run reflect.Type
+		allow    map[string]string
+	}{
+		{reflect.TypeOf(Monitor{}), reflect.TypeOf(monitorRun{}), map[string]string{
+			"fl":     "the monitor's fleet",
+			"sh":     "the monitor's shard",
+			"sndCP":  "held checkpoint; Snapshot encodes it after Run",
+			"rcvCP":  "held checkpoint; Snapshot encodes it after Run",
+			"minCP":  "held checkpoint; Snapshot encodes it after Run",
+			"sndLog": "stitched series; ConnResult.SndLog shares its chunks",
+			"rcvLog": "stitched series; ConnResult.RcvLog shares its chunks",
+		}},
+		{reflect.TypeOf(shard{}), reflect.TypeOf(shardRun{}), map[string]string{
+			"fl":       "the shard's fleet",
+			"monitors": "the shard's monitors, also Fleet.monitors",
+		}},
+	} {
+		embedded := false
+		for i := 0; i < c.typ.NumField(); i++ {
+			f := c.typ.Field(i)
+			switch {
+			case f.Anonymous && f.Type == c.run:
+				embedded = true
+			case c.allow[f.Name] != "":
+				delete(c.allow, f.Name)
+			case reaches(f.Type):
+				t.Errorf("%v.%s reaches the heap and is neither in %v nor on the allowlist", c.typ, f.Name, c.run)
+			}
+		}
+		if !embedded {
+			t.Errorf("%v does not embed %v", c.typ, c.run)
+		}
+		for name := range c.allow {
+			t.Errorf("allowlisted %v.%s is not a field", c.typ, name)
+		}
 	}
+
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		cancel bool
+	}{
+		{"fanout", fanoutRPCConfig(1), false},
+		{"churn", drainedChurnConfig(1, 16, waterfall.New()), false},
+		{"canceled", drainedChurnConfig(2, 16, waterfall.New()), true},
+	} {
+		f := New(tc.cfg)
+		for _, m := range f.monitors {
+			if reflect.ValueOf(m.monitorRun).IsZero() {
+				t.Fatalf("%s: conn %d has no run state before Run: the test shows nothing", tc.name, m.ID)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		if tc.cancel {
+			inner := f.pipe.barrier
+			f.pipe.barrier = func(now units.Time) {
+				inner(now)
+				if now >= units.Time(300*units.Millisecond) {
+					cancel()
+				}
+			}
+		}
+		res := f.RunContext(ctx)
+		cancel()
+		if res.Interrupted != tc.cancel {
+			t.Fatalf("%s: interrupted %v", tc.name, res.Interrupted)
+		}
+		for _, m := range f.monitors {
+			if !reflect.ValueOf(m.monitorRun).IsZero() {
+				t.Errorf("%s: conn %d keeps run state after Run: %+v", tc.name, m.ID, m.monitorRun)
+			}
+			if m.sndCP.Records != nil || m.rcvCP.Records != nil {
+				t.Errorf("%s: conn %d's held checkpoint keeps %d+%d in-flight records",
+					tc.name, m.ID, len(m.sndCP.Records), len(m.rcvCP.Records))
+			}
+		}
+		for i, sh := range f.shards {
+			if !reflect.ValueOf(sh.shardRun).IsZero() {
+				t.Errorf("%s: shard %d keeps run state after Run", tc.name, i)
+			}
+		}
+		if f.queue != nil || f.pipe.sink != nil || f.pipe.streams != nil {
+			t.Errorf("%s: the fleet keeps its export chain after Run", tc.name)
+		}
+	}
+}
+
+// reaches reports whether a value of typ can hold a reference to the
+// heap.
+func reaches(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.UnsafePointer, reflect.String:
+		return true
+	case reflect.Array:
+		return reaches(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if reaches(typ.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -226,17 +226,13 @@ func connSeed(seed int64, id int) int64 {
 // shard is one worker: a private engine plus the monitors pinned to it.
 // Everything a shard touches while the clock advances — engine, sockets,
 // telemetry, waterfall, supervisor timers — is shard-local, so shards
-// never synchronize between barriers.
+// never synchronize between barriers. All of it is the shard's shardRun,
+// which drain zeroes once it has merged it into the Result and the
+// caller's instances.
 type shard struct {
 	fl       *Fleet
-	eng      *sim.Engine
-	pkts     *pkt.Pool // one free list for every connection's Net on eng
 	monitors []*Monitor
-
-	// Per-shard observability buffers (nil when the fleet's are nil),
-	// merged into Config.Telem / Config.Waterfall at drain.
-	telem *telemetry.Telemetry
-	wf    *waterfall.Waterfall
+	shardRun
 
 	// Shard-local health accounting (summed into the Result at drain;
 	// also mirrored into the shard telemetry).
@@ -244,6 +240,17 @@ type shard struct {
 	crashes     int
 	recycles    int
 	checkpoints int
+}
+
+// shardRun is what only a running shard reads.
+type shardRun struct {
+	eng  *sim.Engine
+	pkts *pkt.Pool // one free list for every connection's Net on eng
+
+	// Per-shard observability buffers (nil when the fleet's are nil),
+	// merged into Config.Telem / Config.Waterfall at drain.
+	telem *telemetry.Telemetry
+	wf    *waterfall.Waterfall
 
 	ctrRestarts    *telemetry.Counter
 	ctrCrashes     *telemetry.Counter
@@ -259,11 +266,9 @@ type shard struct {
 
 	// Streaming pipeline (nil when Config.Stream is nil): the shard's
 	// windowed sketches plus the tracker delay series handles, and the
-	// Evictions-style escalation transition accounting.
+	// escalation transition counters.
 	stream         *stream.Stream
 	seSnd, seRcv   *stream.Series
-	escalations    int
-	demotions      int
 	ctrEscalations *telemetry.Counter
 	ctrDemotions   *telemetry.Counter
 }
@@ -306,7 +311,7 @@ func New(cfg Config) *Fleet {
 	f.buildPipeline(nshards)
 
 	for s := 0; s < nshards; s++ {
-		sh := &shard{fl: f, eng: sim.New(connSeed(cfg.Seed, -1-s)), pkts: pkt.NewPool()}
+		sh := &shard{fl: f, shardRun: shardRun{eng: sim.New(connSeed(cfg.Seed, -1-s)), pkts: pkt.NewPool()}}
 		if cfg.Telem != nil {
 			sh.telem = telemetry.New()
 			sh.telem.SetClock(sh.eng.Now)
@@ -353,7 +358,7 @@ func New(cfg Config) *Fleet {
 			ID:         i,
 			fl:         f,
 			sh:         sh,
-			rng:        rand.New(rand.NewSource(connSeed(cfg.Seed, i))),
+			monitorRun: monitorRun{rng: rand.New(rand.NewSource(connSeed(cfg.Seed, i)))},
 			backoffCur: backoffInitial,
 		}
 		if injectFaults {
@@ -535,11 +540,13 @@ func (f *Fleet) RunContext(ctx context.Context) *Result {
 
 // drain is the graceful shutdown: every live monitor takes a final poll
 // (so in-flight records get their last chance to match), flushes its
-// series, stops and lets go of its connection; each shard's parked
+// series, is graded and lets go of its run state; each shard's parked
 // processes are terminated, so no goroutine outlives the run and nothing
 // records again, before its telemetry, waterfall and tracer merge into
-// the caller's instances; then the shard lets go of its engine. Drain
-// runs entirely on the calling goroutine, after the last barrier.
+// the caller's instances; then the shard lets go of its run state, and
+// the fleet of its export chain. What is left is what Result and
+// Snapshot read. Drain runs entirely on the calling goroutine, after the
+// last barrier.
 func (f *Fleet) drain(interrupted bool) *Result {
 	f.draining = true
 	res := &Result{Config: f.cfg, Interrupted: interrupted}
@@ -591,8 +598,10 @@ func (f *Fleet) drain(interrupted bool) *Result {
 		// Nothing runs on the shard again. Its engine's queue and its
 		// pool hold the last packets of every connection, and its
 		// telemetry, waterfall and tracer are bound to the engine's clock.
-		sh.eng, sh.pkts, sh.telem, sh.wf, sh.rt = nil, nil, nil, nil, nil
+		sh.shardRun = shardRun{}
 	}
+	// Nothing exports again; Result.Queue copied the queue's accounting.
+	f.queue, f.pipe.sink, f.pipe.streams = nil, nil, nil
 	return res
 }
 

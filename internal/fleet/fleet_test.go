@@ -257,7 +257,7 @@ func TestFleetInterruptDrainsGracefully(t *testing.T) {
 // that and no more — it skips the poll and re-arms.
 func TestMonitorRearmZeroAlloc(t *testing.T) {
 	f := &Fleet{cfg: Config{}.normalize()}
-	sh := &shard{fl: f, eng: sim.New(1)}
+	sh := &shard{fl: f, shardRun: shardRun{eng: sim.New(1)}}
 	m := &Monitor{fl: f, sh: sh, state: stateRunning, tier: overload.TierParked}
 	m.scheduleTick()
 	const runs = 1000

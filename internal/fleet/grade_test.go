@@ -3,10 +3,9 @@ package fleet
 import (
 	"testing"
 
-	"element/internal/aqm"
 	"element/internal/core"
-	"element/internal/reqtrace"
 	"element/internal/stats"
+	"element/internal/trace"
 	"element/internal/units"
 	"element/internal/waterfall"
 )
@@ -18,20 +17,23 @@ import (
 // fanout_rpc shape at seeds 1–3. Each sender series also gets samples
 // whose windows begin and end exactly on the truth's block edges.
 func TestPackedGradeMatchesSlices(t *testing.T) {
-	const degree, rps, legBytes = 8, 500, 256
 	for seed := int64(1); seed <= 3; seed++ {
-		f := New(Config{
-			Seed: seed, Connections: 8 * degree, Duration: 2 * units.Second,
-			Rate: units.Rate(float64(rps*legBytes*8) / 0.75), RTT: 20 * units.Millisecond,
-			Disc: aqm.KindCoDel, Waterfall: waterfall.New(),
-			Fanout: &FanoutConfig{Degree: degree, RPS: rps, RequestBytes: legBytes, Tracer: reqtrace.New()},
-		})
+		cfg := fanoutRPCConfig(seed)
+		cfg.Waterfall = waterfall.New()
+		f := New(cfg)
+		// Drain lets go of every collector; fan-out opens every
+		// connection at t = 0, so each exists once New returns.
+		gts := make([]*trace.Collector, len(f.monitors))
+		for i, m := range f.monitors {
+			gts[i] = m.gt
+		}
 		res := f.Run()
 		var sum core.BoundCheck
-		for _, m := range f.monitors {
-			snd := withBlockEdges(&m.sndLog, m.gt.SenderLog(), f.cfg.Interval)
-			checkPackedGrade(t, snd, &m.rcvLog, m.gt.SenderLog(), m.gt.ReceiverLog(), f.cfg.Interval)
-			bc, _ := core.CheckSenderLog(&m.sndLog, m.gt.SenderLog(), f.cfg.Interval)
+		for i, m := range f.monitors {
+			gt := gts[i]
+			snd := withBlockEdges(&m.sndLog, gt.SenderLog(), f.cfg.Interval)
+			checkPackedGrade(t, snd, &m.rcvLog, gt.SenderLog(), gt.ReceiverLog(), f.cfg.Interval)
+			bc, _ := core.CheckSenderLog(&m.sndLog, gt.SenderLog(), f.cfg.Interval)
 			sum.Merge(bc)
 		}
 		if sum != res.Sender || sum.Checked == 0 {

@@ -69,24 +69,18 @@ func drawPlan(cfg Config, rng *rand.Rand) churnPlan {
 // lives entirely on one shard; its RNG stream and fault injector are
 // derived from the connection ID so its behaviour never depends on which
 // shard runs it.
+//
+// What only a running monitor reads is its monitorRun; drain grades,
+// fills the ConnResult and zeroes it, so a drained monitor keeps its
+// stitched series, its held checkpoint (less the in-flight records) and
+// its counters, and no connection, collector or tracker.
 type Monitor struct {
 	ID   int
 	fl   *Fleet
 	sh   *shard
 	plan churnPlan
-	// rng is the connection's private stream: the churn plan (at build
-	// time) and the bottleneck discipline draw here, never from a shared
-	// engine RNG. Restarts draw nothing: backoff has no jitter.
-	rng *rand.Rand
-	// inj is the connection's private fault injector (nil when the fleet
-	// has no fault profile).
-	inj *faults.Injector
+	monitorRun
 
-	conn     *stack.Conn
-	gt       *trace.Collector
-	wf       *waterfall.Recorder
-	sndSrc   core.InfoSource
-	rcvSrc   core.InfoSource
 	connOpen bool
 	closed   bool
 
@@ -98,10 +92,6 @@ type Monitor struct {
 	// silently and only the watchdog can notice.
 	wedged    bool
 	crashNext bool
-
-	snd *core.SenderTracker
-	rcv *core.ReceiverTracker
-	min *core.Minimizer
 
 	// Crash-safe state: the last checkpoint, held as the checkpoint
 	// values themselves and refilled in place every checkpointEvery.
@@ -122,10 +112,8 @@ type Monitor struct {
 	// escalated.
 	sndLog, rcvLog stats.Log[core.Measurement]
 
-	// Streaming state (nil without Config.Stream): the per-flow
-	// escalation state machine, and whether it gates the flow's
-	// waterfall recorder (Recorder.Gate).
-	esc   *stream.Escalator
+	// gated: escalation gates the flow's waterfall recorder
+	// (Recorder.Gate).
 	gated bool
 
 	// Overload state (zero without Config.Overload): the flow's current
@@ -143,6 +131,31 @@ type Monitor struct {
 	restarts   int
 	crashes    int
 	recycles   int
+}
+
+// monitorRun is what only a running monitor reads: the connection and
+// everything observing or feeding off it. Monitor.drain zeroes it.
+type monitorRun struct {
+	conn *stack.Conn
+	gt   *trace.Collector
+	wf   *waterfall.Recorder
+	// esc is the per-flow escalation state machine (nil without
+	// Config.Stream rules).
+	esc *stream.Escalator
+
+	// rng is the connection's private stream: the churn plan (at build
+	// time) and the bottleneck discipline draw here, never from a shared
+	// engine RNG. Restarts draw nothing: backoff has no jitter.
+	rng *rand.Rand
+	// inj is the connection's private fault injector (nil when the fleet
+	// has no fault profile).
+	inj    *faults.Injector
+	sndSrc core.InfoSource
+	rcvSrc core.InfoSource
+
+	snd *core.SenderTracker
+	rcv *core.ReceiverTracker
+	min *core.Minimizer
 }
 
 // open builds the connection, starts traffic, and starts the monitor.
@@ -494,8 +507,11 @@ func (m *Monitor) hold() {
 }
 
 // drain finishes the monitor: one last supervised poll so in-flight
-// records get a final chance to match, then flush and reconcile against
-// this connection's own ground truth.
+// records get a final chance to match, then flush, reconcile against this
+// connection's own ground truth and fill the ConnResult. Nothing runs or
+// restores again, so drain then lets go of the run: the connection, its
+// collector, recorder, escalator and trackers, and the held checkpoint's
+// in-flight records (Snapshot encodes only Rebase, which drops them).
 func (m *Monitor) drain() *ConnResult {
 	cr := &ConnResult{ID: m.ID, Restarts: m.restarts, Crashes: m.crashes, Recycles: m.recycles, Closed: m.closed}
 	if m.state == stateRunning && !m.wedged && m.tier != overload.TierParked {
@@ -536,8 +552,7 @@ func (m *Monitor) drain() *ConnResult {
 			cr.GoodputBps = float64(m.conn.Receiver.ReadCum()) * 8 / active.Seconds()
 		}
 	}
-	// Nothing reads the connection again: drop its simulated stack and
-	// what fed the monitor from it.
-	m.conn, m.rng, m.inj, m.sndSrc, m.rcvSrc = nil, nil, nil, nil, nil
+	m.monitorRun = monitorRun{}
+	m.sndCP.Records, m.rcvCP.Records = nil, nil
 	return cr
 }

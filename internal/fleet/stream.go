@@ -95,7 +95,6 @@ func (m *Monitor) observeStream(mm core.Measurement, sender bool) (retain bool) 
 func (m *Monitor) setEscalated(on bool) {
 	sh := m.sh
 	if on {
-		sh.escalations++
 		if sh.ctrEscalations != nil {
 			sh.ctrEscalations.Inc()
 		}
@@ -108,7 +107,6 @@ func (m *Monitor) setEscalated(on bool) {
 			sh.wf.Bind(m.conn.FlowID, m.wf)
 		}
 	} else {
-		sh.demotions++
 		if sh.ctrDemotions != nil {
 			sh.ctrDemotions.Inc()
 		}
