@@ -76,9 +76,9 @@ test:
 ## held against its own re-encoding (the fleet restores held checkpoints
 ## without re-parsing them), the chunked result log against a plain
 ## slice, the waterfall's range codec and decimation (Log.Halve,
-## through the retention rule) against a plain slice of ranges, and the
+## through the retention rule) against a plain slice of ranges, the
 ## request tracer's record codec and decimation against a plain slice of
-## records. Corpus
+## records, and the grader's truth envelope against its linear walk. Corpus
 ## replays already run in `make test`;
 ## this looks for new inputs.
 ## One target per go test run (go fuzz rejects several), two workers so a
@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLog$$' -fuzztime 20s -parallel 2 ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeLog$$' -fuzztime 20s -parallel 2 ./internal/waterfall
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 20s -parallel 2 ./internal/reqtrace
+	$(GO) test -run '^$$' -fuzz '^FuzzBoundsMatchOracle$$' -fuzztime 20s -parallel 2 ./internal/core
 
 ## conformance: the full analytical-twin conformance run — every
 ## hypothesis fit across seeds 1..5 at full sweep resolution plus the

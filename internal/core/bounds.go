@@ -102,9 +102,10 @@ type gradeScratch struct {
 
 // envelope answers "what range did ground truth span over (from, to]" for
 // one truth series, at a cost per query that depends neither on the length
-// of the series nor on how many points the window holds: the window's two
-// ends located by a search over the block times that starts where the
-// previous query's ended and decodes only the block it lands in, at most
+// of the series nor on how many points the window holds: each of the
+// window's two ends located by one search over the block times that starts
+// where the previous query's ended and decodes only the block it lands in
+// (past then steps over the points stamped exactly at the end), at most
 // 2·(envBlock-1) points scanned, and two lookups in a sparse min/max table
 // over whole blocks (level l, entry b covers blocks b … b+2^l-1). Lookback
 // windows vary per sample, so the near end of the window is not monotone
@@ -245,6 +246,23 @@ func (e *envelope[R]) after(t units.Time, hint int) int {
 	return (lo-1)*envBlock + firstAfter(e.block(lo-1), t)
 }
 
+// past is after(t, i) given i, the first truth point not earlier than
+// t: it steps over the points stamped exactly t in i's block, and
+// searches only when they run to the block's end.
+func (e *envelope[R]) past(t units.Time, i int) int {
+	if i == e.n {
+		return i
+	}
+	head := i / envBlock * envBlock
+	blk := e.block(i / envBlock)
+	for k := i - head; k < len(blk); k++ {
+		if blk[k].At != t {
+			return head + k
+		}
+	}
+	return e.after(t, i)
+}
+
 // firstAfter is the index in blk of its first point later than t, given
 // that blk[0] is not; len(blk) if none is.
 func firstAfter(blk []stats.Sample, t units.Time) int {
@@ -305,7 +323,7 @@ func (e *envelope[R]) band(from, to units.Time) (lo, hi units.Duration, ok bool)
 	e.fromHint, e.toHint = fi, ti
 	a, z := e.valueAt(from, fi), e.valueAt(to, ti)
 	b := band{a, a}.merge(band{z, z})
-	if i, j := e.after(from, fi), e.after(to, ti); i < j {
+	if i, j := e.past(from, fi), e.past(to, ti); i < j {
 		b = b.merge(e.points(i, j))
 	}
 	return b.lo, b.hi, true

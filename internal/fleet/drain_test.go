@@ -137,10 +137,11 @@ func TestDrainedFleetRetains(t *testing.T) {
 // TestDrainZeroesRunState: after Run — to the end, or canceled at a
 // barrier — every monitor's monitorRun and every shard's shardRun is
 // zero, the held checkpoints keep no in-flight records and the fleet no
-// export chain, on the fan-out and churn shapes. Every other field of
-// Monitor and shard that can reach the heap is on an allowlist of what a
-// drained fleet's readers read: a new one has to go into the run struct
-// or onto the list, and every name on the list must still be a field.
+// export chain, on the fan-out and churn shapes, at one shard and more.
+// Every other field of Monitor and shard that can reach the heap is on
+// an allowlist of what a drained fleet's readers read: a new one has to
+// go into the run struct or onto the list, and every name on the list
+// must still be a field.
 func TestDrainZeroesRunState(t *testing.T) {
 	testutil.NoLeaks(t)
 	for _, c := range []struct {
@@ -189,6 +190,11 @@ func TestDrainZeroesRunState(t *testing.T) {
 		{"fanout", fanoutRPCConfig(1), false},
 		{"churn", drainedChurnConfig(1, 16, waterfall.New()), false},
 		{"canceled", drainedChurnConfig(2, 16, waterfall.New()), true},
+		{"inline", func() Config {
+			c := drainedChurnConfig(3, 16, waterfall.New())
+			c.Shards = 1 // one shard drains on the calling goroutine
+			return c
+		}(), false},
 	} {
 		f := New(tc.cfg)
 		for _, m := range f.monitors {

@@ -86,7 +86,7 @@ func TestFleetFanoutTraceComplete(t *testing.T) {
 // TestFleetFanoutShardInvariance is the fan-out determinism gate: the
 // absorbed tracer's tail report must be byte-identical whether the
 // groups run on one shard or several — same records, same sketches,
-// same slow set.
+// same slow set — and the fleet's grades equal.
 func TestFleetFanoutShardInvariance(t *testing.T) {
 	testutil.NoLeaks(t)
 	run := func(shards int) (string, *Result) {
@@ -100,6 +100,9 @@ func TestFleetFanoutShardInvariance(t *testing.T) {
 		return buf.String(), res
 	}
 	want, wres := run(1)
+	if wres.Sender.Checked == 0 || wres.Receiver.Checked == 0 {
+		t.Fatalf("1 shard grades %+v %+v: the run shows nothing", wres.Sender, wres.Receiver)
+	}
 	for _, shards := range []int{2, 4} {
 		got, gres := run(shards)
 		if got != want {
@@ -108,6 +111,10 @@ func TestFleetFanoutShardInvariance(t *testing.T) {
 		if gres.Requests != wres.Requests || gres.RequestsAbandoned != wres.RequestsAbandoned {
 			t.Fatalf("request counts diverge at %d shards: %d/%d vs %d/%d",
 				shards, gres.Requests, gres.RequestsAbandoned, wres.Requests, wres.RequestsAbandoned)
+		}
+		if gres.Sender != wres.Sender || gres.Receiver != wres.Receiver {
+			t.Fatalf("grades diverge at %d shards: %+v %+v vs %+v %+v",
+				shards, gres.Sender, gres.Receiver, wres.Sender, wres.Receiver)
 		}
 	}
 }

@@ -97,9 +97,10 @@ type Config struct {
 
 	// Shards is the number of worker shards the connections are split
 	// across, each advancing its own engine on its own goroutine between
-	// barrier points (0 = GOMAXPROCS, capped at Connections; 1 = fully
-	// inline single-threaded execution). Results are byte-identical
-	// across shard counts for a fixed seed.
+	// barrier points, and draining its own monitors on it at the end
+	// (0 = GOMAXPROCS, capped at Connections; 1 = fully inline
+	// single-threaded execution). Results are byte-identical across
+	// shard counts for a fixed seed.
 	Shards int
 
 	Churn ChurnConfig
@@ -545,14 +546,19 @@ func (f *Fleet) RunContext(ctx context.Context) *Result {
 // records again, before its telemetry, waterfall and tracer merge into
 // the caller's instances; then the shard lets go of its run state, and
 // the fleet of its export chain. What is left is what Result and
-// Snapshot read. Drain runs entirely on the calling goroutine, after the
-// last barrier.
+// Snapshot read. A monitor's drain touches only its own shard's state, so
+// each shard drains its monitors, in connection-ID order, the way it
+// advances: on its own worker. The coordinator then folds the results in
+// ID order and does the rest on the calling goroutine.
 func (f *Fleet) drain(interrupted bool) *Result {
 	f.draining = true
-	res := &Result{Config: f.cfg, Interrupted: interrupted}
-	for _, m := range f.monitors {
-		cr := m.drain()
-		res.Conns = append(res.Conns, cr)
+	res := &Result{Config: f.cfg, Interrupted: interrupted, Conns: make([]*ConnResult, len(f.monitors))}
+	f.pipe.eachShard(func(i int, _ units.Time) {
+		for _, m := range f.shards[i].monitors {
+			res.Conns[m.ID] = m.drain()
+		}
+	}, f.pipe.now)
+	for _, cr := range res.Conns {
 		res.Sender.Merge(cr.Sender)
 		res.Receiver.Merge(cr.Receiver)
 		res.Evictions += cr.Anomalies.Evictions
@@ -562,6 +568,7 @@ func (f *Fleet) drain(interrupted bool) *Result {
 		}
 		res.Escalations += cr.Escalations
 		res.Demotions += cr.Demotions
+		res.ShedSamples += cr.ShedSamples
 	}
 	f.pipe.finish()
 	f.drainExports(res)
@@ -574,9 +581,6 @@ func (f *Fleet) drain(interrupted bool) *Result {
 		res.Parked = res.TierCounts[overload.TierParked]
 	}
 	res.SinkFaults = f.sinkInj.Failures()
-	for _, cr := range res.Conns {
-		res.ShedSamples += cr.ShedSamples
-	}
 	for _, sh := range f.shards {
 		// Everything below takes state that records no more: Absorb's
 		// precondition.

@@ -126,23 +126,29 @@ func (p *pipeline) run(ctx context.Context) {
 	}
 }
 
-// step is one barrier: advance every shard to next — inline for a single
-// shard, otherwise in parallel, joining before anything else runs — then
-// the coordinator phases.
-func (p *pipeline) step(next units.Time) {
+// eachShard calls fn(i, to) for every shard i — inline for a single
+// shard, otherwise one goroutine a shard — and returns once every call
+// has. fn touches only shard i's state, so the calls run concurrently.
+func (p *pipeline) eachShard(fn func(shard int, to units.Time), to units.Time) {
 	if p.nshards == 1 {
-		p.advance(0, next)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < p.nshards; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				p.advance(i, next)
-			}()
-		}
-		wg.Wait()
+		fn(0, to)
+		return
 	}
+	var wg sync.WaitGroup
+	for i := 0; i < p.nshards; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, to)
+		}()
+	}
+	wg.Wait()
+}
+
+// step is one barrier: advance every shard to next, joining before
+// anything else runs, then the coordinator phases.
+func (p *pipeline) step(next units.Time) {
+	p.eachShard(p.advance, next)
 	p.now = next
 	for _, s := range p.streams {
 		s.AdvanceTo(next)

@@ -14,11 +14,12 @@ import (
 
 // TestFleetShardCountInvariance is the golden determinism check for the
 // sharded executor: the same seed must produce identical per-connection
-// sample series, anomaly counters, and fleet-wide supervisor counters
-// whether the fleet runs on one shard or many. This is what licenses
-// every source of randomness to live in per-connection streams — any
-// accidental draw from a shared RNG, or any cross-connection coupling,
-// shows up here as a shard-count-dependent divergence.
+// sample series, anomaly counters and grades, and fleet-wide supervisor
+// counters and grades, whether the fleet runs — and drains — on one
+// shard or many. This is what licenses every source of randomness to
+// live in per-connection streams — any accidental draw from a shared
+// RNG, or any cross-connection coupling, shows up here as a
+// shard-count-dependent divergence.
 func TestFleetShardCountInvariance(t *testing.T) {
 	testutil.NoLeaks(t)
 	prof, err := faults.ByName("stale-info")
@@ -33,6 +34,9 @@ func TestFleetShardCountInvariance(t *testing.T) {
 		return New(cfg).Run()
 	}
 	want := run(1)
+	if want.Sender.Checked == 0 {
+		t.Fatalf("shards=1 grades %+v: the run shows nothing", want.Sender)
+	}
 	for _, shards := range []int{2, 4, 7} {
 		got := run(shards)
 		if got.Restarts != want.Restarts || got.Crashes != want.Crashes ||
@@ -40,11 +44,16 @@ func TestFleetShardCountInvariance(t *testing.T) {
 			got.Evictions != want.Evictions || got.Restores != want.Restores {
 			t.Fatalf("shards=%d diverges from shards=1:\n  1: %v\n  %d: %v", shards, want, shards, got)
 		}
+		if got.Sender != want.Sender || got.Receiver != want.Receiver {
+			t.Fatalf("shards=%d grades diverge:\n  1: %+v %+v\n  %d: %+v %+v",
+				shards, want.Sender, want.Receiver, shards, got.Sender, got.Receiver)
+		}
 		for i := range want.Conns {
 			cw, cg := want.Conns[i], got.Conns[i]
 			if cg.Restarts != cw.Restarts || cg.Crashes != cw.Crashes || cg.Recycles != cw.Recycles ||
-				cg.Anomalies != cw.Anomalies || cg.Closed != cw.Closed || cg.GoodputBps != cw.GoodputBps {
-				t.Fatalf("shards=%d conn %d counters diverge:\n  1: %+v\n  %d: %+v", shards, i, cw, shards, cg)
+				cg.Anomalies != cw.Anomalies || cg.Closed != cw.Closed || cg.GoodputBps != cw.GoodputBps ||
+				cg.Sender != cw.Sender || cg.Receiver != cw.Receiver {
+				t.Fatalf("shards=%d conn %d counters or grades diverge:\n  1: %+v\n  %d: %+v", shards, i, cw, shards, cg)
 			}
 			if err := sameSeries(&cw.SndLog, &cg.SndLog); err != nil {
 				t.Fatalf("shards=%d conn %d sender series: %v", shards, i, err)
