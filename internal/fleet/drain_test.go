@@ -135,10 +135,11 @@ func TestDrainedFleetRetains(t *testing.T) {
 }
 
 // TestDrainZeroesRunState: after Run — to the end, or canceled at a
-// barrier — every monitor's monitorRun and every shard's shardRun is
-// zero, the held checkpoints keep no in-flight records and the fleet no
-// export chain, on the fan-out and churn shapes, at one shard and more.
-// Every other field of Monitor and shard that can reach the heap is on
+// barrier — every monitor's monitorRun, every shard's shardRun and every
+// scale shard's scaleRun is zero, the held checkpoints keep no in-flight
+// records and neither fleet its streams or export chain, on the
+// fan-out, churn and scale shapes, at one shard and more. Every other
+// field of Monitor, shard and scaleShard that can reach the heap is on
 // an allowlist of what a drained fleet's readers read: a new one has to
 // go into the run struct or onto the list, and every name on the list
 // must still be a field.
@@ -160,6 +161,12 @@ func TestDrainZeroesRunState(t *testing.T) {
 		{reflect.TypeOf(shard{}), reflect.TypeOf(shardRun{}), map[string]string{
 			"fl":       "the shard's fleet",
 			"monitors": "the shard's monitors, also Fleet.monitors",
+		}},
+		{reflect.TypeOf(scaleShard{}), reflect.TypeOf(scaleRun{}), map[string]string{
+			"fl":   "the shard's fleet",
+			"ids":  "slot → flow id; ScaleFleet.Snapshot keys tiers and trackers by it",
+			"tier": "slot → tier; ScaleFleet.Snapshot writes it",
+			"full": "escalated trackers; ScaleFleet.Snapshot encodes their checkpoints",
 		}},
 	} {
 		embedded := false
@@ -231,8 +238,56 @@ func TestDrainZeroesRunState(t *testing.T) {
 				t.Errorf("%s: shard %d keeps run state after Run", tc.name, i)
 			}
 		}
-		if f.queue != nil || f.pipe.sink != nil || f.pipe.streams != nil {
-			t.Errorf("%s: the fleet keeps its export chain after Run", tc.name)
+		if f.queue != nil || f.pipe.sink != nil || f.pipe.streams != nil || f.pipe.gov != nil {
+			t.Errorf("%s: the fleet keeps its export chain or governor after Run", tc.name)
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		shards int
+		cancel bool
+	}{{"scale", 3, false}, {"scale-canceled", 3, true}, {"scale-inline", 1, false}} {
+		cfg := scaleTestConfig(61, 120)
+		cfg.Shards = tc.shards
+		cfg.Sink = stream.NewBatchExporter(io.Discard, 0)
+		cfg.Overload = &overload.Config{Budgets: overload.Budgets{LiveFull: 8}}
+		f := NewScale(cfg)
+		for i, sh := range f.shards {
+			if reflect.ValueOf(sh.scaleRun).IsZero() {
+				t.Fatalf("%s: scale shard %d has no run state before Run: the test shows nothing", tc.name, i)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		if tc.cancel {
+			inner := f.pipe.barrier
+			f.pipe.barrier = func(now units.Time) {
+				inner(now)
+				if now >= units.Time(2*units.Second) {
+					cancel()
+				}
+			}
+		}
+		res := f.RunContext(ctx)
+		cancel()
+		if res.Interrupted != tc.cancel || res.Escalated == 0 {
+			t.Fatalf("%s: interrupted %v, %d escalated at the end: the run shows nothing", tc.name, res.Interrupted, res.Escalated)
+		}
+		for i, sh := range f.shards {
+			if !reflect.ValueOf(sh.scaleRun).IsZero() {
+				t.Errorf("%s: scale shard %d keeps run state after Run", tc.name, i)
+			}
+			for slot, fu := range sh.full {
+				if fu.esc != nil {
+					t.Errorf("%s: escalated flow %d keeps its escalator after Run", tc.name, sh.ids[slot])
+				}
+			}
+		}
+		if f.pipe.sink != nil || f.pipe.streams != nil || f.pipe.gov != nil {
+			t.Errorf("%s: the scale fleet keeps its streams, sink or governor after Run", tc.name)
+		}
+		if snap := f.Snapshot(); len(snap.Conns) != res.Escalated {
+			t.Errorf("%s: the drained fleet snapshots %d escalated flows, the result counts %d", tc.name, len(snap.Conns), res.Escalated)
 		}
 	}
 }

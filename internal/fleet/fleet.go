@@ -605,7 +605,8 @@ func (f *Fleet) drain(interrupted bool) *Result {
 		sh.shardRun = shardRun{}
 	}
 	// Nothing exports again; Result.Queue copied the queue's accounting.
-	f.queue, f.pipe.sink, f.pipe.streams = nil, nil, nil
+	f.queue = nil
+	f.pipe.release()
 	return res
 }
 

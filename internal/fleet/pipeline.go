@@ -195,3 +195,11 @@ func (p *pipeline) finish() {
 	}
 	p.exportSealed()
 }
+
+// release drops what only a running pipeline reads, once its fleet has
+// drained: the shards' streams, the sink, the merge scratch and the
+// governor. The clock, the series names and the export counters stay.
+func (p *pipeline) release() {
+	p.streams, p.sink, p.total, p.gov = nil, nil, nil, nil
+	p.merged = stream.Window{}
+}

@@ -136,7 +136,9 @@ type scaleFull struct {
 
 // scaleShard is one worker: a bare engine used only as the clock for
 // escalated trackers, the static poll schedule, and the lite flow state
-// in packed parallel columns indexed by slot.
+// in packed parallel columns indexed by slot. All of that is the shard's
+// scaleRun, which drain zeroes once it has folded the counters; what a
+// drained shard keeps is what Snapshot and ScaleResult read.
 //
 // The schedule is computed, not queued. Every poll is followed by the
 // next exactly one Interval later — parked flows included — and nothing
@@ -151,7 +153,21 @@ type scaleFull struct {
 // a queue fires in arm order, and their one deadline was armed at
 // construction, before the on-time flows re-armed at their first poll.
 type scaleShard struct {
-	fl  *ScaleFleet
+	fl *ScaleFleet
+	scaleRun
+
+	ids  []int32              // slot → global flow id
+	tier []uint8              // slot → governor tier
+	full map[int32]*scaleFull // slot → escalated state
+
+	// Counters folded into the fleet at drain (shards run in parallel
+	// between barriers, so nothing here touches shared state).
+	polls, flagged, trackerPolls uint64
+	parkedSkips, escalations     uint64
+}
+
+// scaleRun is what only a running scale shard reads.
+type scaleRun struct {
 	eng *sim.Engine
 	now units.Time
 
@@ -159,30 +175,21 @@ type scaleShard struct {
 	// them are skipped while tick ≤ period.
 	lo, late []int32
 
-	ids    []int32 // slot → global flow id
 	slotOf []int32 // flow id / shard count → slot: the inverse of ids
 	flows  []synthFlow
 
 	// Lite poll state, struct-of-arrays: previous drained counter and
 	// smoothed drain rate per side, escalation streak, last poll
-	// instant, governor tier.
+	// instant.
 	sndPrev   []uint64
 	sndRate   []float64
 	rcvPrev   []uint64
 	rcvRate   []float64
 	sndStreak []uint8
-	tier      []uint8
 	lastPoll  []int64
-
-	full map[int32]*scaleFull // slot → escalated state
 
 	stream       *stream.Stream
 	seSnd, seRcv *stream.Series
-
-	// Counters folded into the fleet at drain (shards run in parallel
-	// between barriers, so nothing here touches shared state).
-	polls, flagged, trackerPolls uint64
-	parkedSkips, escalations     uint64
 }
 
 // ScaleResult is a scale run's summary.
@@ -221,7 +228,10 @@ type ScaleResult struct {
 }
 
 // ScaleFleet runs a scale-mode fleet. Build with NewScale, run once
-// with Run.
+// with Run. A drained fleet keeps only what Snapshot and the result
+// read: every flow's id and tier, the trackers of the flows still
+// escalated, the config and the pipeline clock. The schedule, the lite
+// columns, the streams, the escalators and the governor go at drain.
 type ScaleFleet struct {
 	cfg    ScaleConfig
 	shards []*scaleShard
@@ -277,20 +287,22 @@ func NewScale(cfg ScaleConfig) *ScaleFleet {
 			n++
 		}
 		sh := &scaleShard{
-			fl:        f,
-			eng:       sim.New(connSeed(cfg.Seed, -1-s)),
-			ids:       make([]int32, n),
-			slotOf:    make([]int32, n),
-			flows:     make([]synthFlow, n),
-			sndPrev:   make([]uint64, n),
-			sndRate:   make([]float64, n),
-			rcvPrev:   make([]uint64, n),
-			rcvRate:   make([]float64, n),
-			sndStreak: make([]uint8, n),
-			tier:      make([]uint8, n),
-			lastPoll:  make([]int64, n),
-			full:      map[int32]*scaleFull{},
-			stream:    stream.New(scfg),
+			fl: f,
+			scaleRun: scaleRun{
+				eng:       sim.New(connSeed(cfg.Seed, -1-s)),
+				slotOf:    make([]int32, n),
+				flows:     make([]synthFlow, n),
+				sndPrev:   make([]uint64, n),
+				sndRate:   make([]float64, n),
+				rcvPrev:   make([]uint64, n),
+				rcvRate:   make([]float64, n),
+				sndStreak: make([]uint8, n),
+				lastPoll:  make([]int64, n),
+				stream:    stream.New(scfg),
+			},
+			ids:  make([]int32, n),
+			tier: make([]uint8, n),
+			full: map[int32]*scaleFull{},
 		}
 		sh.schedule(s, params[:n], keys[:n])
 		sh.seSnd = sh.stream.Series("snd_delay")
@@ -679,8 +691,11 @@ func (f *ScaleFleet) applyTier(tr overload.Transition, now units.Time) {
 	}
 }
 
-// drain finishes the run: seal through the final window, settle
-// escalators, fold counters, and compute the run-wide quantiles.
+// drain finishes the run: seal through the final window, stop the
+// escalated trackers, fold counters, and compute the run-wide
+// quantiles. Then it drops what only a running fleet reads: every
+// shard's scaleRun, the escalators, the run-wide window and the
+// pipeline's streams, sink and governor.
 func (f *ScaleFleet) drain() *ScaleResult {
 	f.pipe.finish()
 
@@ -700,7 +715,10 @@ func (f *ScaleFleet) drain() *ScaleResult {
 		res.Escalated += len(sh.full)
 		for _, fu := range sh.full {
 			res.RetainedSamples += fu.samples
+			// Snapshot encodes the tracker; nothing reads the
+			// escalator again.
 			fu.tr.Stop()
+			fu.esc = nil
 		}
 	}
 	res.StreamWindows = f.pipe.windows
@@ -716,6 +734,11 @@ func (f *ScaleFleet) drain() *ScaleResult {
 		res.RcvP99 = f.total.Sketches[1].Quantile(0.99)
 	}
 	f.foldTelemetry(res)
+	for _, sh := range f.shards {
+		sh.scaleRun = scaleRun{}
+	}
+	f.total = stream.Window{}
+	f.pipe.release()
 	return res
 }
 

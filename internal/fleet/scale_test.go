@@ -271,15 +271,17 @@ func TestScaleZeroAllocSteadyState(t *testing.T) {
 }
 
 // scaleHeapPerFlow is TestScaleHeapPerFlow's bound on the heap one
-// monitored flow holds at the end of a run with escalation on.
-const scaleHeapPerFlow = 1000
+// monitored flow holds at the end of a run with escalation on. A
+// drained fleet holds about 480 B a flow (887 B while it kept the lite
+// columns, the governor and the escalators).
+const scaleHeapPerFlow = 600
 
-// TestScaleHeapPerFlow pins what the scale plane costs per flow with
-// escalation on: 100 k flows, the governor bounding the escalated
+// TestScaleHeapPerFlow pins what a drained scale fleet costs per flow
+// with escalation on: 100 k flows, the governor bounding the escalated
 // population as in TestScaleMillionMonitors, and the heap in use after
 // the run — fleet and result still referenced — divided by the flows.
-// An escalated flow keeps no measurement series, so the cost is the lite
-// columns, the sketches and the budget-bounded full trackers.
+// What stays is what Snapshot reads: each flow's id and tier, and the
+// full trackers of the flows still escalated, about 5 000 here.
 func TestScaleHeapPerFlow(t *testing.T) {
 	const flows = 100_000
 	cfg := ScaleConfig{
@@ -476,15 +478,16 @@ func TestScaleTelemetryPollCounters(t *testing.T) {
 // TestFleetScaleSoak is the wired-into-make-soak scale soak: 100k
 // monitors (10k under -short) through the full two-phase pipeline
 // under the race detector, asserting zero goroutine leaks and the
-// shard-count invariance of the result. The scale worker goroutines
-// live only between barriers, so any leak here is a real regression.
+// shard-count invariance of the result and of the snapshot the drained
+// fleet takes after Run. The scale worker goroutines live only between
+// barriers, so any leak here is a real regression.
 func TestFleetScaleSoak(t *testing.T) {
 	testutil.NoLeaks(t)
 	flows := 100_000
 	if testing.Short() {
 		flows = 10_000
 	}
-	run := func(shards int) *ScaleResult {
+	run := func(shards int) (*ScaleResult, *Snapshot) {
 		cfg := ScaleConfig{
 			Seed:     97,
 			Flows:    flows,
@@ -493,22 +496,35 @@ func TestFleetScaleSoak(t *testing.T) {
 			Shards:   shards,
 			Overload: &overload.Config{Budgets: overload.Budgets{LiveFull: 256}},
 		}
-		return NewScale(cfg).Run()
+		f := NewScale(cfg)
+		res := f.Run()
+		return res, f.Snapshot()
 	}
-	want := run(4)
+	want, wantSnap := run(4)
 	if want.Escalations == 0 {
 		t.Fatal("soak escalated no flows")
 	}
 	if want.StreamErr != nil {
 		t.Fatal(want.StreamErr)
 	}
+	if len(wantSnap.Conns) != want.Escalated || len(wantSnap.Tiers) != flows {
+		t.Fatalf("snapshot after Run holds %d tiers and %d trackers; %d flows, %d escalated",
+			len(wantSnap.Tiers), len(wantSnap.Conns), flows, want.Escalated)
+	}
 	nominal := 2 * uint64(flows) * 40 // flows × (4 s / 100 ms) polls × 2 sides
 	if want.Polls+want.TrackerPolls < nominal*9/10 {
 		t.Fatalf("soak polls %d (+%d tracker) below 90%% of nominal %d", want.Polls, want.TrackerPolls, nominal)
 	}
-	got := run(7)
+	got, gotSnap := run(7)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("soak result diverges across shard counts:\n  4: %+v\n  7: %+v", want, got)
+	}
+	// Shards names the layout, and differs by design.
+	if !slices.Equal(wantSnap.Tiers, gotSnap.Tiers) {
+		t.Fatal("snapshot tiers after Run differ across shard counts")
+	}
+	if !reflect.DeepEqual(wantSnap.Conns, gotSnap.Conns) {
+		t.Fatalf("snapshot trackers after Run differ across shard counts: %d vs %d entries", len(wantSnap.Conns), len(gotSnap.Conns))
 	}
 }
 

@@ -89,7 +89,8 @@ func (f *Fleet) Snapshot() *Snapshot {
 
 // Snapshot captures the scale fleet's resumable state: every flow's
 // tier and the escalated flows' rebased tracker checkpoints. Valid
-// during and after Run (between barriers).
+// between barriers during Run, and after it: drain keeps each shard's
+// ids, tiers and escalated trackers, which is all this reads.
 func (f *ScaleFleet) Snapshot() *Snapshot {
 	s := f.pipe.capture(f.cfg.Seed, f.cfg.Flows)
 	for _, sh := range f.shards {

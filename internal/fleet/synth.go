@@ -85,18 +85,15 @@ func (f synthFlow) epochKind(k int64) (kind int, amp int64) {
 	}
 }
 
-// delayAt is the flow's modelled buffer delay d(t) in ns: the base delay
-// plus the epoch's amplitude shaped by a triangle (0 at epoch edges,
-// peak mid-epoch). The triangle's slope is bounded by 2·amp/E ≤ 0.48,
-// which keeps acked(t) = bytes(t − d(t)) strictly monotone — the
-// counters a poll reads can never run backwards.
-func (f synthFlow) delayAt(t units.Time) int64 {
+// delayAt is the flow's modelled buffer delay d(t) in ns, given the
+// burst amplitude of t's epoch: the base delay plus the amplitude shaped
+// by a triangle (0 at epoch edges, peak mid-epoch). A stall epoch's
+// amplitude is 0, so its delay is the base. The triangle's slope is
+// bounded by 2·amp/E ≤ 0.48, which keeps acked(t) = bytes(t − d(t))
+// strictly monotone — the counters a poll reads can never run
+// backwards.
+func (f synthFlow) delayAt(t units.Time, amp int64) int64 {
 	const ep = int64(synthEpoch)
-	k := int64(t) / ep
-	kind, amp := f.epochKind(k)
-	if kind == synthStall {
-		return f.base
-	}
 	x := int64(t) % ep
 	var tri int64
 	if x < ep/2 {
@@ -128,17 +125,19 @@ func (f synthFlow) written(t units.Time) uint64 {
 // acked is the cumulative bytes acknowledged by t: the writer's curve
 // shifted by the modelled delay, frozen for the duration of a stall
 // epoch. Monotone in t (triangle slope bound within epochs; freezes
-// only ever resume at or above the frozen value).
+// only ever resume at or above the frozen value). It draws the epoch
+// once.
 func (f synthFlow) acked(t units.Time) uint64 {
 	const ep = int64(synthEpoch)
 	k := int64(t) / ep
-	if kind, _ := f.epochKind(k); kind == synthStall {
+	kind, amp := f.epochKind(k)
+	if kind == synthStall {
 		// Frozen at the epoch-entry value. d(kE) = base exactly (the
 		// triangle is zero at epoch edges), so the freeze point is on
 		// the curve and the exit at (k+1)E resumes at or above it.
 		return bytesAt(f.rate, k*ep-f.base)
 	}
-	return bytesAt(f.rate, int64(t)-f.delayAt(t))
+	return bytesAt(f.rate, int64(t)-f.delayAt(t, amp))
 }
 
 // read is the cumulative bytes the receiving application has consumed
