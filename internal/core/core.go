@@ -25,6 +25,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"element/internal/stats"
 	"element/internal/tcpinfo"
 	"element/internal/units"
@@ -88,47 +90,87 @@ type Measurement struct {
 	ErrBound   units.Duration
 }
 
-// Time, AppendDeltas and Next are Measurement's stats.Log codec: eight varints,
-// the differences of its fields in declaration order.
+// Time, AppendDeltas and AppendDecoded are Measurement's stats.Log codec.
+// Each entry is a mask byte, bit k set when the k-th of its eight
+// differences (At, Delay, Bytes, Cwnd, Ssthresh, RTT, Confidence, then
+// ErrBound's) is not zero, followed by a varint for each bit set: most
+// entries change only a few fields. Each difference is taken from the
+// entry before with wrapping arithmetic, except ErrBound's, which
+// predicts the jitter term: both trackers report ErrBound as a base bound
+// plus |Delay − the previous Delay| (grading.jitter), so the codec writes
+// the difference of ErrBound − |ΔDelay| from the same quantity of the
+// entry before, zero while the base bound holds. The predictor mirrors
+// the trackers' rule and costs bytes, never exactness, if it drifts from
+// it (exp.TestResultLogBytes pins the bytes).
 func (m Measurement) Time() units.Time { return m.At }
 
-// AppendDeltas appends next's differences, each from the one before,
-// starting from m.
+// measurementFields is the number of fields a Measurement's mask byte
+// covers, one bit each.
+const measurementFields = 8
+
+// codecJitter is the jitter term the trackers add to ErrBound, for a
+// measurement whose Delay differs from the one before by dDelay:
+// |dDelay|, where |MinInt64| wraps to itself, alike in both directions.
+func codecJitter(dDelay units.Duration) units.Duration {
+	if dDelay < 0 {
+		return -dDelay
+	}
+	return dDelay
+}
+
+// AppendDeltas appends next's masks and differences, each from the one
+// before, starting from m; the entry before m is taken to have m's Delay.
 func (m Measurement) AppendDeltas(dst []byte, next []Measurement) []byte {
-	for _, v := range next {
-		dst = stats.AppendVarint(dst, int64(v.At-m.At))
-		dst = stats.AppendVarint(dst, int64(v.Delay-m.Delay))
-		dst = stats.AppendVarint(dst, int64(v.Bytes-m.Bytes))
-		dst = stats.AppendVarint(dst, int64(v.Cwnd-m.Cwnd))
-		dst = stats.AppendVarint(dst, int64(v.Ssthresh-m.Ssthresh))
-		dst = stats.AppendVarint(dst, int64(v.RTT-m.RTT))
-		dst = stats.AppendVarint(dst, int64(int8(v.Confidence-m.Confidence)))
-		dst = stats.AppendVarint(dst, int64(v.ErrBound-m.ErrBound))
-		m = v
+	base := m.ErrBound
+	for i := range next {
+		v := &next[i]
+		dDelay := v.Delay - m.Delay
+		b := v.ErrBound - codecJitter(dDelay)
+		d := [measurementFields]int64{
+			int64(v.At - m.At), int64(dDelay), int64(v.Bytes - m.Bytes),
+			int64(v.Cwnd - m.Cwnd), int64(v.Ssthresh - m.Ssthresh), int64(v.RTT - m.RTT),
+			int64(int8(v.Confidence - m.Confidence)), int64(b - base),
+		}
+		at := len(dst)
+		dst = append(dst, 0)
+		var mask byte
+		for k, x := range d {
+			if x != 0 {
+				mask |= 1 << k
+				dst = stats.AppendVarint(dst, x)
+			}
+		}
+		dst[at] = mask
+		m, base = *v, b
 	}
 	return dst
 }
 
-// Next decodes the measurement after m from src.
-func (m Measurement) Next(src []byte) (Measurement, int) {
-	dAt, i := stats.Varint(src, 0)
-	dDelay, i := stats.Varint(src, i)
-	dBytes, i := stats.Varint(src, i)
-	dCwnd, i := stats.Varint(src, i)
-	dSsthresh, i := stats.Varint(src, i)
-	dRTT, i := stats.Varint(src, i)
-	dConfidence, i := stats.Varint(src, i)
-	dErrBound, i := stats.Varint(src, i)
-	return Measurement{
-		At:         m.At + units.Time(dAt),
-		Delay:      m.Delay + units.Duration(dDelay),
-		Bytes:      m.Bytes + int(dBytes),
-		Cwnd:       m.Cwnd + int32(dCwnd),
-		Ssthresh:   m.Ssthresh + int32(dSsthresh),
-		RTT:        m.RTT + units.Duration(dRTT),
-		Confidence: m.Confidence + Confidence(dConfidence),
-		ErrBound:   m.ErrBound + units.Duration(dErrBound),
-	}, i
+// AppendDecoded appends the n measurements after m that src begins with.
+func (m Measurement) AppendDecoded(dst []Measurement, src []byte, n int) ([]Measurement, int) {
+	base, i := m.ErrBound, 0
+	for range n {
+		var d [measurementFields]int64
+		mask := src[i]
+		i++
+		for ; mask != 0; mask &= mask - 1 {
+			d[bits.TrailingZeros8(mask)], i = stats.Varint(src, i)
+		}
+		dDelay := units.Duration(d[1])
+		base += units.Duration(d[7])
+		m = Measurement{
+			At:         m.At + units.Time(d[0]),
+			Delay:      m.Delay + dDelay,
+			Bytes:      m.Bytes + int(d[2]),
+			Cwnd:       m.Cwnd + int32(d[3]),
+			Ssthresh:   m.Ssthresh + int32(d[4]),
+			RTT:        m.RTT + units.Duration(d[5]),
+			Confidence: m.Confidence + Confidence(d[6]),
+			ErrBound:   base + codecJitter(dDelay),
+		}
+		dst = append(dst, m)
+	}
+	return dst, i
 }
 
 // Estimates holds a tracker's output: one stats.Log of measurements, so an

@@ -86,7 +86,8 @@ func (g *grading) recentAnomaly(polls int) bool {
 
 // jitter is the per-sample slack: how far delay d moved from the previous
 // sample's. The local delay variation bounds the interpolation error
-// against a continuously-sampled ground truth.
+// against a continuously-sampled ground truth. Measurement's log codec
+// predicts this term of ErrBound (codecJitter).
 func (g *grading) jitter(d units.Duration) units.Duration {
 	slack := units.Duration(0)
 	if g.PrevDelaySet {

@@ -76,16 +76,18 @@ func fanoutRPCConfig(seed int64) Config {
 // seed 1: its result logs, held checkpoints, tiers and recorder
 // aggregates, not the connections' simulated stacks, collectors,
 // escalators or trackers. drainedBytesPerConn bounds the fleet_churn
-// shape, which holds 7.7 KB a connection (24.6 KB while a drained
+// shape, which holds 4.4 KB a connection (6.9 KB before the result logs
+// were trimmed and their measurements masked, 24.6 KB while a drained
 // monitor kept its collector and recorder, and with them the engine;
 // 64.5 KB when drained fleets kept their engines, packet pools and
 // every recorder's ranges and markers). drainedFanoutBytesPerConn
 // bounds the fanout_rpc shape, whose connections keep graded result logs
-// and the tracer's requests: it holds 59.9 KB a connection, and 136.6 KB
-// while a drained monitor kept its collector and recorder.
+// and the tracer's requests: it holds 31.0 KB a connection, 59.9 KB
+// before the logs were trimmed and masked, and 136.6 KB while a drained
+// monitor kept its collector and recorder.
 const (
-	drainedBytesPerConn       = 12 << 10
-	drainedFanoutBytesPerConn = 80 << 10
+	drainedBytesPerConn       = 6 << 10
+	drainedFanoutBytesPerConn = 40 << 10
 )
 
 // TestDrainedFleetRetains measures the heap a drained fleet holds per

@@ -537,11 +537,14 @@ func (m *Monitor) drain() *ConnResult {
 	cr.ShedSamples = m.shedSamples
 	m.dropIncarnation()
 	m.state = stateDone
-	// Grade the packed series, then hand them over as they are.
+	// Grade the packed series, then hand them over as they are, trimmed:
+	// neither grows again.
 	if m.gt != nil {
 		cr.Sender, _ = core.CheckSenderLog(&m.sndLog, m.gt.SenderLog(), m.fl.cfg.Interval)
 		cr.Receiver, _ = core.CheckReceiverLog(&m.rcvLog, m.gt.ReceiverLog())
 	}
+	m.sndLog.Trim()
+	m.rcvLog.Trim()
 	cr.SndLog, cr.RcvLog = m.sndLog, m.rcvLog
 	if m.conn != nil {
 		active := m.fl.cfg.Duration - m.plan.openAt

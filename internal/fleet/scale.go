@@ -715,9 +715,10 @@ func (f *ScaleFleet) drain() *ScaleResult {
 		res.Escalated += len(sh.full)
 		for _, fu := range sh.full {
 			res.RetainedSamples += fu.samples
-			// Snapshot encodes the tracker; nothing reads the
-			// escalator again.
+			// Snapshot encodes the tracker's checkpoint; nothing
+			// reads the escalator or the drained estimate log again.
 			fu.tr.Stop()
+			fu.tr.Estimates().Packed().Trim()
 			fu.esc = nil
 		}
 	}

@@ -272,9 +272,10 @@ func TestScaleZeroAllocSteadyState(t *testing.T) {
 
 // scaleHeapPerFlow is TestScaleHeapPerFlow's bound on the heap one
 // monitored flow holds at the end of a run with escalation on. A
-// drained fleet holds about 480 B a flow (887 B while it kept the lite
-// columns, the governor and the escalators).
-const scaleHeapPerFlow = 600
+// drained fleet holds about 214 B a flow (480 B while the escalated
+// trackers kept their drained estimate logs, 887 B while it kept the
+// lite columns, the governor and the escalators).
+const scaleHeapPerFlow = 300
 
 // TestScaleHeapPerFlow pins what a drained scale fleet costs per flow
 // with escalation on: 100 k flows, the governor bounding the escalated

@@ -431,7 +431,7 @@ func (e entry) record() Record {
 	return rec
 }
 
-// Time, AppendDeltas and Next are entry's stats.Log codec: twelve
+// Time, AppendDeltas and AppendDecoded are entry's stats.Log codec: twelve
 // varints, each field's difference from the entry before, taken with
 // wrapping arithmetic. Its time is done, the order requests complete in.
 func (e entry) Time() units.Time { return e.done }
@@ -455,23 +455,26 @@ func (e entry) AppendDeltas(dst []byte, next []entry) []byte {
 	return dst
 }
 
-// Next decodes the entry after e from src.
-func (e entry) Next(src []byte) (entry, int) {
-	var d [5 + waterfall.NumStages + 1]int64
+// AppendDecoded appends the n entries after e that src begins with.
+func (e entry) AppendDecoded(dst []entry, src []byte, n int) ([]entry, int) {
 	i := 0
-	for k := range d {
-		d[k], i = stats.Varint(src, i)
+	for range n {
+		var d [5 + waterfall.NumStages + 1]int64
+		for k := range d {
+			d[k], i = stats.Varint(src, i)
+		}
+		e.id += uint64(d[0])
+		e.issue += units.Time(d[1])
+		e.done += units.Time(d[2])
+		e.fanout += int32(d[3])
+		e.critical += int32(d[4])
+		for s := range e.sum {
+			e.sum[s] += d[5+s]
+		}
+		e.wait += d[len(d)-1]
+		dst = append(dst, e)
 	}
-	e.id += uint64(d[0])
-	e.issue += units.Time(d[1])
-	e.done += units.Time(d[2])
-	e.fanout += int32(d[3])
-	e.critical += int32(d[4])
-	for s := range e.sum {
-		e.sum[s] += d[5+s]
-	}
-	e.wait += d[len(d)-1]
-	return e, i
+	return dst, i
 }
 
 // retain keeps the request, decimating deterministically once the cap is

@@ -29,14 +29,16 @@ const headBytes = 10
 // called on the entry before next[0] (the zero value for a block's
 // first), appends to dst each entry of next as its field-by-field
 // difference from the one before, each difference taken with wrapping
-// arithmetic and written as a zigzag varint (AppendVarint). Next, called
-// on an entry, reads the one after it back (Varint), exactly, whatever
-// its fields hold. Time is the entry's time stamp; the log's index keeps
-// each block's first.
+// arithmetic and written as a zigzag varint (AppendVarint).
+// AppendDecoded, called on the same entry, reads n entries back from the
+// start of src (Varint), exactly, whatever their fields hold, appends
+// them to dst and returns it and the bytes read: a log decodes a block in
+// one call, so a codec's decode loop runs as its own code. Time is the
+// entry's time stamp; the log's index keeps each block's first.
 type Entry[T any] interface {
 	Time() units.Time
 	AppendDeltas(dst []byte, next []T) []byte
-	Next(src []byte) (T, int)
+	AppendDecoded(dst []T, src []byte, n int) ([]T, int)
 }
 
 // AppendVarint appends x as a zigzag varint, as binary.AppendVarint does,
@@ -70,7 +72,7 @@ func Varint(src []byte, i int) (int64, int) {
 // entries. A block is encoded when the next one begins; until then the
 // last block's entries are held as they are (tail), so a log drained
 // after every poll of fewer than LogBlock entries never encodes at all.
-// The bytes lie in chunks that are never moved or grown (a block never
+// The bytes lie in chunks that appends never move or grow (a block never
 // straddles two). Each chunk also holds, packed from its back, the index
 // of the blocks that begin in it — a block's first time and where its
 // bytes start — so the index costs no allocation of its own and no spare
@@ -79,11 +81,12 @@ func Varint(src []byte, i int) (int64, int) {
 // observers use one:
 //
 //   - run, then read (a scenario's ground truth and estimates, a fleet
-//     monitor's stitched series): All walks the log decoding as it goes,
-//     the graders read it by block (core.CheckSenderLog), and Collect
-//     decodes it into a fresh slice for a caller that needs one.
+//     monitor's stitched series): All walks the log decoding a block at
+//     a time, the graders read it by block (core.CheckSenderLog), and
+//     Collect decodes it into a fresh slice for a caller that needs one.
+//     Trim gives back a finished log's spare room.
 //   - drain every poll (the trackers the fleets' monitors drive): Reset
-//     keeps the tail's array and the largest chunk, so the steady state
+//     keeps the tail's array and the last chunk, so the steady state
 //     allocates nothing.
 //
 // Halve decimates a log in place (the waterfall's retained ranges, the
@@ -91,8 +94,9 @@ func Varint(src []byte, i int) (int64, int) {
 // reads a Log while it is written: it belongs to one goroutine.
 type Log[T Entry[T]] struct {
 	chunks []chunk
-	// tail is the last block, not yet encoded, in an array of LogBlock:
-	// it holds 1 … LogBlock entries whenever Len() > 0.
+	// tail is the last block, not yet encoded, in an array of LogBlock
+	// (of its own length once trimmed): it holds 1 … LogBlock entries
+	// whenever Len() > 0.
 	tail []T
 	n    int
 }
@@ -212,31 +216,41 @@ func (l *Log[T]) chunkOf(b int) int {
 	return lo
 }
 
-// cursor decodes a log's sealed entries in order from a block's first.
-type cursor[T Entry[T]] struct {
-	chunks []chunk
-	k, off int
-	v      T
-}
-
-// cursor is positioned before sealed block b's first entry.
-func (l *Log[T]) cursor(b int) cursor[T] {
-	k := l.chunkOf(b)
-	c := &l.chunks[k]
+// block returns sealed block b's bytes, through the end of its chunk.
+func (l *Log[T]) block(b int) []byte {
+	c := &l.chunks[l.chunkOf(b)]
 	_, off := c.head(b - c.first)
-	return cursor[T]{chunks: l.chunks, k: k, off: off}
+	return c.b[off:]
 }
 
-// next decodes the entry after c.v. A block's first is decoded from the
-// zero value: the caller resets c.v there.
-func (c *cursor[T]) next() T {
-	if c.off == len(c.chunks[c.k].b) {
-		c.k, c.off = c.k+1, 0
+// blockBufs are the arrays All and At decode a block into, shared by
+// every Log as sealBufs are: a free list of *[LogBlock]T for every T read,
+// so a log drained after every batch decodes without allocating.
+var blockBufs struct {
+	sync.Mutex
+	free []any
+}
+
+// getBlockBuf takes a free block array of T from blockBufs, or makes one.
+func getBlockBuf[T any]() *[LogBlock]T {
+	blockBufs.Lock()
+	defer blockBufs.Unlock()
+	for k := len(blockBufs.free) - 1; k >= 0; k-- {
+		if p, ok := blockBufs.free[k].(*[LogBlock]T); ok {
+			last := len(blockBufs.free) - 1
+			blockBufs.free[k], blockBufs.free[last] = blockBufs.free[last], nil
+			blockBufs.free = blockBufs.free[:last]
+			return p
+		}
 	}
-	var m int
-	c.v, m = c.v.Next(c.chunks[c.k].b[c.off:])
-	c.off += m
-	return c.v
+	return new([LogBlock]T)
+}
+
+// putBlockBuf gives p back to blockBufs.
+func putBlockBuf[T any](p *[LogBlock]T) {
+	blockBufs.Lock()
+	blockBufs.free = append(blockBufs.free, p)
+	blockBufs.Unlock()
 }
 
 // At returns entry i: from the tail as it is, or decoded from its block
@@ -248,25 +262,25 @@ func (l *Log[T]) At(i int) T {
 	if s := l.sealed(); i >= s {
 		return l.tail[i-s]
 	}
-	c := l.cursor(i / LogBlock)
-	for j := i % LogBlock; j > 0; j-- {
-		c.next()
-	}
-	return c.next()
+	var zero T
+	buf := getBlockBuf[T]()
+	defer putBlockBuf(buf)
+	blk, _ := zero.AppendDecoded(buf[:0], l.block(i/LogBlock), i%LogBlock+1)
+	return blk[len(blk)-1]
 }
 
-// All iterates the entries in order, decoding the sealed ones as it goes.
+// All iterates the entries in order, decoding the sealed ones a block at
+// a time as it goes.
 func (l *Log[T]) All() iter.Seq[T] {
 	return func(yield func(T) bool) {
 		if s := l.sealed(); s > 0 {
-			var zero T
-			c := l.cursor(0)
-			for i := 0; i < s; i++ {
-				if i%LogBlock == 0 {
-					c.v = zero
-				}
-				if !yield(c.next()) {
-					return
+			buf := getBlockBuf[T]()
+			defer putBlockBuf(buf)
+			for b := 0; b*LogBlock < s; b++ {
+				for _, v := range l.AppendBlock(buf[:0], b) {
+					if !yield(v) {
+						return
+					}
 				}
 			}
 		}
@@ -285,8 +299,8 @@ func (l *Log[T]) Collect() []T {
 		return nil
 	}
 	s := make([]T, 0, l.n)
-	for v := range l.All() {
-		s = append(s, v)
+	for b := 0; b*LogBlock < l.n; b++ {
+		s = l.AppendBlock(s, b)
 	}
 	return s
 }
@@ -303,21 +317,19 @@ func (l *Log[T]) BlockTime(b int) units.Time {
 }
 
 // AppendBlock appends block b's entries — b·LogBlock up to the next block
-// or the end — to dst, decoding them unless b is the tail.
+// or the end — to dst, decoding them into it unless b is the tail.
 func (l *Log[T]) AppendBlock(dst []T, b int) []T {
 	if b*LogBlock >= l.sealed() {
 		return append(dst, l.tail...)
 	}
-	c := l.cursor(b)
-	for range LogBlock {
-		dst = append(dst, c.next())
-	}
+	var zero T
+	dst, _ = zero.AppendDecoded(dst, l.block(b), LogBlock)
 	return dst
 }
 
-// Reset empties the log. It keeps the tail's array and the largest
-// chunk, emptied, so a log drained after every batch allocates nothing
-// once one batch has fit.
+// Reset empties the log. It keeps the tail's array and the last chunk,
+// emptied, so a log drained after every batch allocates nothing once one
+// batch has fit.
 func (l *Log[T]) Reset() {
 	l.tail = l.tail[:0]
 	if k := len(l.chunks) - 1; k >= 0 {
@@ -326,6 +338,32 @@ func (l *Log[T]) Reset() {
 		l.chunks = l.chunks[:1]
 	}
 	l.n = 0
+}
+
+// Trim gives back the room a log that will not grow again holds unused:
+// the last chunk's, its bytes copied to the front and its index to the
+// back of a chunk of exactly their size, and the tail array's, copied to
+// one of its length. An empty log keeps nothing. A log may still be
+// appended to after Trim; it then allocates afresh what it needs.
+func (l *Log[T]) Trim() {
+	if l.n == 0 {
+		*l = Log[T]{}
+		return
+	}
+	if k := len(l.chunks) - 1; k >= 0 {
+		c := &l.chunks[k]
+		if c.heads == 0 { // the chunk Reset kept, the only one: nothing sealed since
+			l.chunks = nil
+		} else if index := headBytes * c.heads; len(c.b)+index < cap(c.b) {
+			b := make([]byte, len(c.b)+index)
+			copy(b, c.b)
+			copy(b[len(c.b):], c.b[cap(c.b)-index:cap(c.b)])
+			c.b = b[:len(c.b)]
+		}
+	}
+	if len(l.tail) < cap(l.tail) {
+		l.tail = append(make([]T, 0, len(l.tail)), l.tail...)
+	}
 }
 
 // Halve keeps every other entry, the first included. Each kept block is
@@ -361,8 +399,8 @@ func (l *Log[T]) Halve() {
 	*l = kept
 }
 
-// Time, AppendDeltas and Next are Sample's Log codec: three varints, the
-// differences of At, Delay and Bytes.
+// Time, AppendDeltas and AppendDecoded are Sample's Log codec: three
+// varints, the differences of At, Delay and Bytes.
 func (s Sample) Time() units.Time { return s.At }
 
 // AppendDeltas appends next's differences, each from the one before,
@@ -377,10 +415,16 @@ func (s Sample) AppendDeltas(dst []byte, next []Sample) []byte {
 	return dst
 }
 
-// Next decodes the sample after s from src.
-func (s Sample) Next(src []byte) (Sample, int) {
-	dAt, i := Varint(src, 0)
-	dDelay, i := Varint(src, i)
-	dBytes, i := Varint(src, i)
-	return Sample{At: s.At + units.Time(dAt), Delay: s.Delay + units.Duration(dDelay), Bytes: s.Bytes + int(dBytes)}, i
+// AppendDecoded appends the n samples after s that src begins with.
+func (s Sample) AppendDecoded(dst []Sample, src []byte, n int) ([]Sample, int) {
+	i := 0
+	for range n {
+		var dAt, dDelay, dBytes int64
+		dAt, i = Varint(src, i)
+		dDelay, i = Varint(src, i)
+		dBytes, i = Varint(src, i)
+		s = Sample{At: s.At + units.Time(dAt), Delay: s.Delay + units.Duration(dDelay), Bytes: s.Bytes + int(dBytes)}
+		dst = append(dst, s)
+	}
+	return dst, i
 }

@@ -230,6 +230,43 @@ func TestLogAllocatesWhatItHolds(t *testing.T) {
 	}
 }
 
+// TestLogTrimHoldsWhatItKeeps: a trimmed log's last chunk holds exactly
+// its bytes and index and its tail exactly its entries, at lengths on
+// both sides of block and chunk edges, and a trimmed empty log, fresh or
+// reset, holds nothing.
+func TestLogTrimHoldsWhatItKeeps(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 31, 32, 33, 64, 300, 5000} {
+		in := make([]Sample, n)
+		var last Sample
+		for i := range in {
+			last = sample(rng, last)
+			in[i] = last
+		}
+		for _, reset := range []bool{false, true} {
+			var l Log[Sample]
+			for _, s := range in {
+				l.Append(s)
+			}
+			want := in
+			if reset {
+				l.Reset()
+				want = nil
+			}
+			l.Trim()
+			if k := len(l.chunks) - 1; k >= 0 {
+				if c := l.chunks[k]; cap(c.b) != len(c.b)+headBytes*c.heads {
+					t.Errorf("n=%d reset=%v: the last chunk holds %d B for %d B of entries and index", n, reset, cap(c.b), len(c.b)+headBytes*c.heads)
+				}
+			}
+			if cap(l.tail) != len(l.tail) || len(want) == 0 && (l.chunks != nil || l.tail != nil) {
+				t.Errorf("n=%d reset=%v: %d chunks and a tail of %d in %d kept for %d entries", n, reset, len(l.chunks), len(l.tail), cap(l.tail), len(want))
+			}
+			checkLog(t, &l, want)
+		}
+	}
+}
+
 // TestLogNeverRecopies bounds what a long log costs to build in
 // allocations: the tail's array, one per chunk, the chunk list's
 // doublings, and two to spare (one is the shared seal buffer, in a

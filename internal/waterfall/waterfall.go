@@ -148,7 +148,7 @@ type Resize struct {
 	From, To int
 }
 
-// Time, AppendDeltas and Next are Drop's stats.Log codec: the differences of
+// Time, AppendDeltas and AppendDecoded are Drop's stats.Log codec: the differences of
 // its four fields.
 func (d Drop) Time() units.Time { return d.At }
 
@@ -165,16 +165,22 @@ func (d Drop) AppendDeltas(dst []byte, next []Drop) []byte {
 	return dst
 }
 
-// Next decodes the drop after d from src.
-func (d Drop) Next(src []byte) (Drop, int) {
-	dSeq, i := stats.Varint(src, 0)
-	dGen, i := stats.Varint(src, i)
-	dAt, i := stats.Varint(src, i)
-	dKind, i := stats.Varint(src, i)
-	return Drop{Seq: d.Seq + uint64(dSeq), Gen: d.Gen + int(dGen), At: d.At + units.Time(dAt), Kind: d.Kind + DropKind(dKind)}, i
+// AppendDecoded appends the n drops after d that src begins with.
+func (d Drop) AppendDecoded(dst []Drop, src []byte, n int) ([]Drop, int) {
+	i := 0
+	for range n {
+		var dSeq, dGen, dAt, dKind int64
+		dSeq, i = stats.Varint(src, i)
+		dGen, i = stats.Varint(src, i)
+		dAt, i = stats.Varint(src, i)
+		dKind, i = stats.Varint(src, i)
+		d = Drop{Seq: d.Seq + uint64(dSeq), Gen: d.Gen + int(dGen), At: d.At + units.Time(dAt), Kind: d.Kind + DropKind(dKind)}
+		dst = append(dst, d)
+	}
+	return dst, i
 }
 
-// Time, AppendDeltas and Next are Resize's stats.Log codec: the differences of
+// Time, AppendDeltas and AppendDecoded are Resize's stats.Log codec: the differences of
 // its three fields.
 func (r Resize) Time() units.Time { return r.At }
 
@@ -190,12 +196,18 @@ func (r Resize) AppendDeltas(dst []byte, next []Resize) []byte {
 	return dst
 }
 
-// Next decodes the resize after r from src.
-func (r Resize) Next(src []byte) (Resize, int) {
-	dAt, i := stats.Varint(src, 0)
-	dFrom, i := stats.Varint(src, i)
-	dTo, i := stats.Varint(src, i)
-	return Resize{At: r.At + units.Time(dAt), From: r.From + int(dFrom), To: r.To + int(dTo)}, i
+// AppendDecoded appends the n resizes after r that src begins with.
+func (r Resize) AppendDecoded(dst []Resize, src []byte, n int) ([]Resize, int) {
+	i := 0
+	for range n {
+		var dAt, dFrom, dTo int64
+		dAt, i = stats.Varint(src, i)
+		dFrom, i = stats.Varint(src, i)
+		dTo, i = stats.Varint(src, i)
+		r = Resize{At: r.At + units.Time(dAt), From: r.From + int(dFrom), To: r.To + int(dTo)}
+		dst = append(dst, r)
+	}
+	return dst, i
 }
 
 // Note is a scenario-level annotation — an injected fault, a phase
@@ -445,7 +457,7 @@ type rangeRec struct {
 	b          [numBounds]units.Time
 }
 
-// Time, AppendDeltas and Next are rangeRec's stats.Log codec: ten
+// Time, AppendDeltas and AppendDecoded are rangeRec's stats.Log codec: ten
 // varints, start − the previous range's end, end − start, gen, b[0] − the
 // previous range's b[0], then b[i] − b[i−1] for each later fencepost.
 // Ranges abut and their fenceposts are monotone, so a live flow's range
@@ -470,21 +482,27 @@ func (rr rangeRec) AppendDeltas(dst []byte, next []rangeRec) []byte {
 	return dst
 }
 
-// Next decodes the range after rr from src.
-func (rr rangeRec) Next(src []byte) (rangeRec, int) {
-	gap, i := stats.Varint(src, 0)
-	n, i := stats.Varint(src, i)
-	gen, i := stats.Varint(src, i)
-	dw, i := stats.Varint(src, i)
-	v := rangeRec{start: rr.end + uint64(gap), gen: int(gen)}
-	v.end = v.start + uint64(n)
-	v.b[0] = rr.b[0] + units.Time(dw)
-	for k := 1; k < numBounds; k++ {
-		var d int64
-		d, i = stats.Varint(src, i)
-		v.b[k] = v.b[k-1] + units.Time(d)
+// AppendDecoded appends the n ranges after rr that src begins with.
+func (rr rangeRec) AppendDecoded(dst []rangeRec, src []byte, n int) ([]rangeRec, int) {
+	i := 0
+	for range n {
+		var gap, size, gen, dw int64
+		gap, i = stats.Varint(src, i)
+		size, i = stats.Varint(src, i)
+		gen, i = stats.Varint(src, i)
+		dw, i = stats.Varint(src, i)
+		v := rangeRec{start: rr.end + uint64(gap), gen: int(gen)}
+		v.end = v.start + uint64(size)
+		v.b[0] = rr.b[0] + units.Time(dw)
+		for k := 1; k < numBounds; k++ {
+			var d int64
+			d, i = stats.Varint(src, i)
+			v.b[k] = v.b[k-1] + units.Time(d)
+		}
+		rr = v
+		dst = append(dst, v)
 	}
-	return v, i
+	return dst, i
 }
 
 // aggregate is the exact (non-decimated) per-flow attribution state.
