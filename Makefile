@@ -78,7 +78,9 @@ test:
 ## slice, the waterfall's range codec and decimation (Log.Halve,
 ## through the retention rule) against a plain slice of ranges, the
 ## request tracer's record codec and decimation against a plain slice of
-## records, and the grader's truth envelope against its linear walk. Corpus
+## records, the grader's truth envelope against its linear walk, and the
+## ground truth the waterfall recorder derives against the collector it
+## replaced (ten in all). Corpus
 ## replays already run in `make test`;
 ## this looks for new inputs.
 ## One target per go test run (go fuzz rejects several), two workers so a
@@ -93,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeLog$$' -fuzztime 20s -parallel 2 ./internal/waterfall
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 20s -parallel 2 ./internal/reqtrace
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundsMatchOracle$$' -fuzztime 20s -parallel 2 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzTruthMatchesCollector$$' -fuzztime 20s -parallel 2 ./internal/trace
 
 ## conformance: the full analytical-twin conformance run — every
 ## hypothesis fit across seeds 1..5 at full sweep resolution plus the

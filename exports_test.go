@@ -110,10 +110,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 // internal/trace, each with the ROADMAP item that moves it off the
 // package; the package goes once the list is empty.
 var traceImporters = map[string]string{
-	"internal/exp/scenario.go":  "item 7: FlowResult.GT becomes the waterfall projection",
-	"internal/fleet/fleet.go":   "item 1: the fleet grades against the waterfall",
-	"internal/fleet/monitor.go": "item 1: the fleet grades against the waterfall",
-	"benchmark/layers.go":       "item 3: the benchmark-only change",
+	"internal/exp/scenario.go": "item 7: FlowResult.GT's type changes once benchmark/ stops reading it",
+	"benchmark/layers.go":      "item 1: the benchmark-only change",
 }
 
 // TestTraceImporters fails when a non-test file outside internal/trace

@@ -218,18 +218,25 @@ func Build(cfg ScenarioConfig) *Scenario {
 
 	for _, spec := range cfg.Flows {
 		spec := spec
-		col := trace.New(eng)
+		// One stamp machine per connection: the flow's waterfall recorder
+		// when attribution is on, else a private one for ground truth.
 		rec := wf.NewFlow()
+		var gt *trace.Collector
+		if rec != nil {
+			gt = trace.Of(rec)
+		} else {
+			gt = trace.New(eng)
+		}
 		conn := stack.Dial(net, stack.ConnConfig{
 			CC:            spec.CC,
 			SndBuf:        spec.SndBuf,
 			ECN:           cfg.ECN,
-			SenderHooks:   stack.MergeTraceHooks(col.SenderHooks(), rec.SenderHooks()),
-			ReceiverHooks: stack.MergeTraceHooks(col.ReceiverHooks(), rec.ReceiverHooks()),
+			SenderHooks:   gt.SenderHooks(),
+			ReceiverHooks: gt.ReceiverHooks(),
 			Telem:         telem,
 		})
 		wf.Bind(conn.FlowID, rec)
-		fr := &FlowResult{Spec: spec, Conn: conn, GT: col, WF: rec}
+		fr := &FlowResult{Spec: spec, Conn: conn, GT: gt, WF: rec}
 		if spec.Element || spec.Minimize {
 			fr.Sender = core.AttachSender(eng, conn.Sender, core.Options{
 				Minimize: spec.Minimize,

@@ -42,7 +42,6 @@ import (
 	"element/internal/stats"
 	"element/internal/telemetry"
 	"element/internal/telemetry/stream"
-	"element/internal/trace"
 	"element/internal/units"
 	"element/internal/waterfall"
 )
@@ -485,24 +484,25 @@ func (sh *shard) buildConn(m *Monitor) {
 	sh.wf.TapLink(path.Forward)
 	sh.wf.TapLink(path.Reverse)
 	net := stack.NewNetPool(eng, path, sh.pkts)
-	var sndHooks, rcvHooks stack.TraceHooks
+	// One stamp machine per connection: the shard waterfall's recorder,
+	// or, for ground truth alone, a private one.
+	m.wf = sh.wf.NewFlow()
+	if m.gated {
+		// Escalation mode: the recorder's hooks are installed but gated
+		// off until the flow escalates.
+		m.wf.Gate(false, 0)
+	}
+	sndHooks, rcvHooks := m.wf.SenderHooks(), m.wf.ReceiverHooks()
 	if cfg.Stream == nil {
 		// Ground truth costs O(samples) per connection; stream mode's
-		// whole point is memory independent of sample count, so the
-		// collector only exists in the exit-export mode.
-		m.gt = trace.New(eng)
-		sndHooks, rcvHooks = m.gt.SenderHooks(), m.gt.ReceiverHooks()
-	}
-	if sh.wf != nil {
-		rec := sh.wf.NewFlow()
-		if m.gated {
-			// Escalation mode: the recorder's hooks are installed but
-			// gated off until the flow escalates.
-			rec.Gate(false, 0)
+		// whole point is memory independent of sample count, so it only
+		// exists in the exit-export mode, which never gates a recorder.
+		m.gt = new(waterfall.Truth)
+		if m.wf != nil {
+			m.wf.RecordTruth(m.gt)
+		} else {
+			sndHooks, rcvHooks = waterfall.NewTruth(eng.Now, m.gt)
 		}
-		sndHooks = stack.MergeTraceHooks(sndHooks, rec.SenderHooks())
-		rcvHooks = stack.MergeTraceHooks(rcvHooks, rec.ReceiverHooks())
-		m.wf = rec
 	}
 	m.conn = stack.Dial(net, stack.ConnConfig{
 		// Every connection runs its own private Net, whose flow counter

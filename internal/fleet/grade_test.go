@@ -5,13 +5,12 @@ import (
 
 	"element/internal/core"
 	"element/internal/stats"
-	"element/internal/trace"
 	"element/internal/units"
 	"element/internal/waterfall"
 )
 
 // TestPackedGradeMatchesSlices: what a monitor's drain grades — its packed
-// stitched series against its collector's packed truth
+// stitched series against its recorder's packed truth
 // (core.CheckSenderLog, core.CheckReceiverLog) — is what the slice graders
 // say of the same series decoded, BoundCheck and Coverage alike, on the
 // fanout_rpc shape at seeds 1–3. Each sender series also gets samples
@@ -21,9 +20,9 @@ func TestPackedGradeMatchesSlices(t *testing.T) {
 		cfg := fanoutRPCConfig(seed)
 		cfg.Waterfall = waterfall.New()
 		f := New(cfg)
-		// Drain lets go of every collector; fan-out opens every
+		// Drain lets go of every truth sink; fan-out opens every
 		// connection at t = 0, so each exists once New returns.
-		gts := make([]*trace.Collector, len(f.monitors))
+		gts := make([]*waterfall.Truth, len(f.monitors))
 		for i, m := range f.monitors {
 			gts[i] = m.gt
 		}
@@ -31,9 +30,9 @@ func TestPackedGradeMatchesSlices(t *testing.T) {
 		var sum core.BoundCheck
 		for i, m := range f.monitors {
 			gt := gts[i]
-			snd := withBlockEdges(&m.sndLog, gt.SenderLog(), f.cfg.Interval)
-			checkPackedGrade(t, snd, &m.rcvLog, gt.SenderLog(), gt.ReceiverLog(), f.cfg.Interval)
-			bc, _ := core.CheckSenderLog(&m.sndLog, gt.SenderLog(), f.cfg.Interval)
+			snd := withBlockEdges(&m.sndLog, &gt.Sender, f.cfg.Interval)
+			checkPackedGrade(t, snd, &m.rcvLog, &gt.Sender, &gt.Receiver, f.cfg.Interval)
+			bc, _ := core.CheckSenderLog(&m.sndLog, &gt.Sender, f.cfg.Interval)
 			sum.Merge(bc)
 		}
 		if sum != res.Sender || sum.Checked == 0 {

@@ -11,7 +11,6 @@ import (
 	"element/internal/stack"
 	"element/internal/stats"
 	"element/internal/telemetry/stream"
-	"element/internal/trace"
 	"element/internal/units"
 	"element/internal/waterfall"
 )
@@ -137,7 +136,7 @@ type Monitor struct {
 // everything observing or feeding off it. Monitor.drain zeroes it.
 type monitorRun struct {
 	conn *stack.Conn
-	gt   *trace.Collector
+	gt   *waterfall.Truth // ground truth (exit-export mode only)
 	wf   *waterfall.Recorder
 	// esc is the per-flow escalation state machine (nil without
 	// Config.Stream rules).
@@ -540,8 +539,8 @@ func (m *Monitor) drain() *ConnResult {
 	// Grade the packed series, then hand them over as they are, trimmed:
 	// neither grows again.
 	if m.gt != nil {
-		cr.Sender, _ = core.CheckSenderLog(&m.sndLog, m.gt.SenderLog(), m.fl.cfg.Interval)
-		cr.Receiver, _ = core.CheckReceiverLog(&m.rcvLog, m.gt.ReceiverLog())
+		cr.Sender, _ = core.CheckSenderLog(&m.sndLog, &m.gt.Sender, m.fl.cfg.Interval)
+		cr.Receiver, _ = core.CheckReceiverLog(&m.rcvLog, &m.gt.Receiver)
 	}
 	m.sndLog.Trim()
 	m.rcvLog.Trim()

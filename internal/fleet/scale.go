@@ -305,6 +305,14 @@ func NewScale(cfg ScaleConfig) *ScaleFleet {
 			full: map[int32]*scaleFull{},
 		}
 		sh.schedule(s, params[:n], keys[:n])
+		if gov := f.pipe.gov; gov != nil {
+			// Tiers come from the governor alone, as Fleet.New seeds
+			// Monitor.tier: without one nothing would reclaim a flow a
+			// snapshot parked.
+			for slot, id := range sh.ids {
+				sh.tier[slot] = uint8(gov.Tier(int(id)))
+			}
+		}
 		sh.seSnd = sh.stream.Series("snd_delay")
 		sh.seRcv = sh.stream.Series("rcv_delay")
 		f.pipe.addStream(sh.stream)
@@ -357,27 +365,15 @@ func (sh *scaleShard) schedule(s int, params []synthFlow, keys []uint8) {
 	}
 }
 
-// applyResume re-homes a snapshot into the freshly built fleet: tiers
-// land by flow id, and every snapshotted escalated flow is re-promoted
-// on its new shard — restoring the rebased tracker checkpoint when it
-// parses (counted in Restores), or starting a fresh escalated tracker
-// when it doesn't. Out-of-range and duplicate ids are dropped.
+// applyResume re-homes a snapshot's escalated flows into the freshly
+// built fleet (its tiers landed through the governor): each is
+// re-promoted on its new shard — restoring the rebased tracker checkpoint
+// when it parses (counted in Restores), or starting a fresh escalated
+// tracker when it doesn't. Out-of-range and duplicate ids are dropped.
 func (f *ScaleFleet) applyResume() {
 	snap := f.cfg.Resume
 	if snap == nil {
 		return
-	}
-	for id, tier := range snap.Tiers {
-		if id >= f.cfg.Flows {
-			break
-		}
-		if tier >= overload.NumTiers {
-			// Out-of-range tier in a hand-edited or corrupted snapshot:
-			// park it, matching overload.NewWithTiers's clamp.
-			tier = overload.TierParked
-		}
-		sh, slot := f.shardSlot(id)
-		sh.tier[slot] = uint8(tier)
 	}
 	for _, cs := range snap.Conns {
 		id := cs.ID

@@ -168,18 +168,20 @@ func TestScaleGovernorBoundsEscalated(t *testing.T) {
 	}
 }
 
-// TestScaleParkedFlowsSkipPolls resumes a snapshot that parks every
-// flow: the run must execute zero lite polls, count every suppressed
-// poll, and still seal its (empty) stream windows on schedule.
+// TestScaleParkedFlowsSkipPolls parks every flow of a fleet that has no
+// governor to reclaim them: the run must execute zero lite polls, count
+// every suppressed poll, and still seal its (empty) stream windows on
+// schedule. A snapshot cannot set this up: its tiers land only through a
+// governor (TestParkedResumeWithoutGovernorPollsEveryFlow).
 func TestScaleParkedFlowsSkipPolls(t *testing.T) {
 	testutil.NoLeaks(t)
-	cfg := scaleTestConfig(5, 50)
-	snap := &Snapshot{Seed: 5, Flows: 50, Tiers: make([]overload.Tier, 50)}
-	for i := range snap.Tiers {
-		snap.Tiers[i] = overload.TierParked
+	f := NewScale(scaleTestConfig(5, 50))
+	for _, sh := range f.shards {
+		for slot := range sh.tier {
+			sh.tier[slot] = uint8(overload.TierParked)
+		}
 	}
-	cfg.Resume = snap
-	res := NewScale(cfg).Run()
+	res := f.Run()
 	if res.Polls != 0 {
 		t.Fatalf("parked fleet executed %d lite polls", res.Polls)
 	}

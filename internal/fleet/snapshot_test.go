@@ -179,3 +179,43 @@ func TestFleetResumeMidOverloadLandsInValidTier(t *testing.T) {
 		}
 	}
 }
+
+// TestParkedResumeWithoutGovernorPollsEveryFlow: tiers land only through
+// the governor, so a snapshot with every flow parked, resumed with no
+// Overload config, resumes every flow at full coverage in both fleets —
+// nothing would ever reclaim a parked flow.
+func TestParkedResumeWithoutGovernorPollsEveryFlow(t *testing.T) {
+	testutil.NoLeaks(t)
+	parked := func(flows int) *Snapshot {
+		s := &Snapshot{Version: SnapshotVersion, Seed: 5, Flows: flows, Tiers: make([]overload.Tier, flows)}
+		for i := range s.Tiers {
+			s.Tiers[i] = overload.TierParked
+		}
+		return s
+	}
+
+	scfg := scaleTestConfig(5, 64)
+	scfg.Duration = 2 * units.Second
+	scfg.Shards = 2
+	scfg.Resume = parked(scfg.Flows)
+	sf := NewScale(scfg)
+	for _, sh := range sf.shards {
+		for slot, tier := range sh.tier {
+			if tier != uint8(overload.TierFull) {
+				t.Fatalf("scale flow %d resumed in tier %d without a governor", sh.ids[slot], tier)
+			}
+		}
+	}
+	if res := sf.Run(); res.ParkedSkips != 0 || res.Polls < uint64(scfg.Flows) {
+		t.Fatalf("scale fleet: %d polls, %d parked skips", res.Polls, res.ParkedSkips)
+	}
+
+	cfg := Config{Seed: 5, Connections: 4, Duration: 2 * units.Second, Shards: 2}
+	cfg.Resume = parked(cfg.Connections)
+	res := New(cfg).Run()
+	for _, cr := range res.Conns {
+		if cr.Tier != overload.TierFull || cr.SndLog.Len() == 0 {
+			t.Fatalf("conn %d: tier %d, %d sender measurements", cr.ID, cr.Tier, cr.SndLog.Len())
+		}
+	}
+}

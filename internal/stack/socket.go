@@ -31,73 +31,6 @@ type TraceHooks struct {
 	_            struct{}                           // force keyed literals
 }
 
-// MergeTraceHooks composes two hook sets so several observers (the
-// ground-truth collector and a waterfall recorder, say) can watch the same
-// connection. For each observation point, a fires before b.
-func MergeTraceHooks(a, b TraceHooks) TraceHooks {
-	m := TraceHooks{}
-	m.AppWrite = merge2(a.AppWrite, b.AppWrite)
-	m.TCPTransmit = mergeTx(a.TCPTransmit, b.TCPTransmit)
-	m.TCPReceive = merge2(a.TCPReceive, b.TCPReceive)
-	m.TCPInOrder = merge1(a.TCPInOrder, b.TCPInOrder)
-	m.AppRead = merge2(a.AppRead, b.AppRead)
-	m.PacketSent = mergePkt(a.PacketSent, b.PacketSent)
-	m.AckSent = mergePkt(a.AckSent, b.AckSent)
-	m.PacketRecv = mergePkt(a.PacketRecv, b.PacketRecv)
-	m.SndbufResize = mergeInt2(a.SndbufResize, b.SndbufResize)
-	return m
-}
-
-func merge1(a, b func(uint64)) func(uint64) {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return func(x uint64) { a(x); b(x) }
-}
-
-func mergeTx(a, b func(uint64, int, bool)) func(uint64, int, bool) {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return func(seq uint64, n int, retx bool) { a(seq, n, retx); b(seq, n, retx) }
-}
-
-func merge2(a, b func(uint64, int)) func(uint64, int) {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return func(x uint64, n int) { a(x, n); b(x, n) }
-}
-
-func mergeInt2(a, b func(int, int)) func(int, int) {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return func(x, y int) { a(x, y); b(x, y) }
-}
-
-func mergePkt(a, b func(*pkt.Packet)) func(*pkt.Packet) {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return func(p *pkt.Packet) { a(p); b(p) }
-}
-
 // ConnConfig configures one simulated TCP connection.
 type ConnConfig struct {
 	// FlowID pins the connection's flow identifier (0 = allocate from the

@@ -8,8 +8,8 @@ import (
 )
 
 // holeFillLoop is BenchmarkCollectorHoleFill's op: what one late segment
-// costs the collector when ooo stamps wait out of order behind where it
-// lands — at the front, as a retransmission does. One op: a new stamp
+// costs the collector's recorder when ooo stamps wait out of order behind
+// where it lands — at the front, as a retransmission does. One op: a new stamp
 // arrives at the tail, the oldest waiting segment arrives (the first time
 // into a hole, from then on as a second copy right behind the first), and
 // the app reads it; so the queue stays ooo long and every late arrival is
@@ -17,15 +17,15 @@ import (
 // read releases exactly the head segment.
 func holeFillLoop(ooo int) func() {
 	const seg, pitch = 100, 200
-	c := New(sim.New(1))
+	rh := New(sim.New(1)).ReceiverHooks()
 	next := uint64(0) // the oldest missing segment
 	for k := 1; k <= ooo; k++ {
-		c.onTCPReceive(uint64(k)*pitch, seg)
+		rh.TCPReceive(uint64(k)*pitch, seg)
 	}
 	step := func() {
-		c.onTCPReceive((next+uint64(ooo)+1)*pitch, seg)
-		c.onTCPReceive(next*pitch, seg)
-		c.onAppRead(next*pitch+seg, seg)
+		rh.TCPReceive((next+uint64(ooo)+1)*pitch, seg)
+		rh.TCPReceive(next*pitch, seg)
+		rh.AppRead(next*pitch+seg, seg)
 		next++
 	}
 	// A step logs two receiver delays and the series takes a chunk

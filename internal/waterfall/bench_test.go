@@ -190,34 +190,50 @@ func TestStaleCopiesLeaveNoState(t *testing.T) {
 // are sized by what is in flight, not by a fixed slack. 20 000 in-order
 // segments pass with the reader holding 8 received and unread, and no
 // queue's capacity ever exceeds 32 — compaction drops a consumed prefix
-// as soon as it is half the queue, however short.
+// as soon as it is half the queue, however short. A tapped recorder sees
+// every hook; a ground-truth recorder (NewTruth) only its four.
 func TestInflightQueuesTrackWindow(t *testing.T) {
 	const segs, inflight, maxCap = 20000, 8, 32
-	var now units.Time
-	wf := New()
-	wf.SetClock(func() units.Time { return now })
-	r := wf.NewFlow()
-	var p pkt.Packet
-	for i := uint64(0); i < segs; i++ {
-		now = now.Add(100 * units.Microsecond)
-		r.onAppWrite((i+1)*cycleSeg, cycleSeg)
-		r.onTransmit(i*cycleSeg, cycleSeg, false)
-		p = pkt.Packet{Seq: i * cycleSeg, PayloadLen: cycleSeg, EnqueuedAt: now}
-		r.onLinkEnqueue(&p, now, true)
-		r.onLinkDequeue(&p, now)
-		r.onPacketRecv(&p)
-		r.onTCPReceive(i*cycleSeg, cycleSeg)
-		r.onInOrder((i + 1) * cycleSeg)
-		if i >= inflight {
-			r.onAppRead((i-inflight+1)*cycleSeg, cycleSeg)
+	for _, truth := range []bool{false, true} {
+		var now units.Time
+		clock := func() units.Time { return now }
+		var tr Truth
+		r := newTruthRecorder(clock, &tr)
+		if !truth {
+			wf := New()
+			wf.SetClock(clock)
+			r = wf.NewFlow()
 		}
-		for name, n := range map[string]int{"writes": cap(r.writes), "segs": cap(r.segs), "arrivals": cap(r.arrivals)} {
-			if n > maxCap {
-				t.Fatalf("segment %d: %s has capacity %d with %d segments in flight, want at most %d", i, name, n, inflight, maxCap)
+		var p pkt.Packet
+		for i := uint64(0); i < segs; i++ {
+			now = now.Add(100 * units.Microsecond)
+			r.onAppWrite((i+1)*cycleSeg, cycleSeg)
+			r.onTransmit(i*cycleSeg, cycleSeg, false)
+			if !truth {
+				p = pkt.Packet{Seq: i * cycleSeg, PayloadLen: cycleSeg, EnqueuedAt: now}
+				r.onLinkEnqueue(&p, now, true)
+				r.onLinkDequeue(&p, now)
+				r.onPacketRecv(&p)
+			}
+			r.onTCPReceive(i*cycleSeg, cycleSeg)
+			if !truth {
+				r.onInOrder((i + 1) * cycleSeg)
+			}
+			if i >= inflight {
+				r.onAppRead((i-inflight+1)*cycleSeg, cycleSeg)
+			}
+			for name, n := range map[string]int{"writes": cap(r.writes), "segs": cap(r.segs), "arrivals": cap(r.arrivals)} {
+				if n > maxCap {
+					t.Fatalf("truth %v, segment %d: %s has capacity %d with %d segments in flight, want at most %d", truth, i, name, n, inflight, maxCap)
+				}
 			}
 		}
-	}
-	if got := r.agg.ranges; got != segs-inflight {
-		t.Fatalf("%d ranges finalized, want %d", got, segs-inflight)
+		if got := r.agg.ranges; got != segs-inflight {
+			t.Fatalf("truth %v: %d ranges finalized, want %d", truth, got, segs-inflight)
+		}
+		if truth && (tr.Sender.Len() != segs || tr.Network.Len() != segs || tr.Receiver.Len() != segs-inflight) {
+			t.Fatalf("truth samples %d/%d/%d, want %d/%d/%d",
+				tr.Sender.Len(), tr.Network.Len(), tr.Receiver.Len(), segs, segs, segs-inflight)
+		}
 	}
 }

@@ -106,7 +106,7 @@ func (r *refRecorder) onLinkLost(p *pkt.Packet) {
 func (r *refRecorder) onPacketRecv(p *pkt.Packet) {
 	r.pending.valid = true
 	r.pending.seq, r.pending.end, r.pending.gen = p.Seq, p.End(), p.Gen
-	var b [numBounds]units.Time
+	var b [NumStages]units.Time
 	if seg, ok := r.coveringSeg(p.Seq); ok {
 		b[StageSndbuf] = seg.writeAt
 		b[StageRetx] = seg.firstTx
@@ -180,7 +180,7 @@ func (r *refRecorder) onAppRead(endSeq uint64, n int) {
 		r.arrivals[0].start = endSeq
 		break
 	}
-	for r.segHead < len(r.segs) && r.segs[r.segHead].end <= endSeq {
+	for r.segHead < len(r.segs) && r.segs[r.segHead].end() <= endSeq {
 		r.segHead++
 	}
 	if r.segHead > 256 && r.segHead*2 >= len(r.segs) {
@@ -324,7 +324,8 @@ func (p *recorderPair) onAppRead(endSeq uint64, n int) {
 
 // check holds the recorder to the reference after one op: every
 // OnFinalize record so far, the drop markers, the breakdown, the count of
-// retained ranges, the arrival queue and the packet snapshot. The link
+// retained ranges, the arrival queue and the packet snapshot; and its
+// segment records to their order. The link
 // table has no counterpart to compare: what it held is on the packets.
 // The join-only twin must break down as the recorder does, less the
 // ranges it retains, and keep no range or marker.
@@ -370,6 +371,12 @@ func (p *recorderPair) check(op string) {
 	}
 	if p.got.readCum != p.ref.readCum || p.got.pending != p.ref.pending {
 		fail("read horizon or packet snapshot diverged")
+	}
+	// Segment records only ever append, so checking the newest pair after
+	// every op holds them sorted and distinct: a retransmission must not
+	// add one.
+	if s := p.got.segs[p.got.segHead:]; len(s) >= 2 && s[len(s)-1].seq <= s[len(s)-2].seq {
+		fail("segment record at %d after one at %d", s[len(s)-1].seq, s[len(s)-2].seq)
 	}
 }
 

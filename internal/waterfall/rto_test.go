@@ -7,7 +7,6 @@ import (
 	"element/internal/pkt"
 	"element/internal/sim"
 	"element/internal/sockbuf"
-	"element/internal/stack"
 	"element/internal/tcp"
 	"element/internal/trace"
 	"element/internal/units"
@@ -28,9 +27,8 @@ func TestRTORetransmitAttribution(t *testing.T) {
 	wf.SetClock(eng.Now)
 	rec := wf.NewFlow()
 	wf.Bind(1, rec)
-	col := trace.New(eng)
-	sh := stack.MergeTraceHooks(col.SenderHooks(), rec.SenderHooks())
-	rh := stack.MergeTraceHooks(col.ReceiverHooks(), rec.ReceiverHooks())
+	col := trace.Of(rec)
+	sh, rh := col.SenderHooks(), col.ReceiverHooks()
 
 	const (
 		mss   = tcp.DefaultMSS

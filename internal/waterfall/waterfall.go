@@ -1,8 +1,7 @@
 // Package waterfall answers the paper's title question — *where does slow
-// data go to wait?* — at per-queue granularity. Where internal/trace
-// decomposes end-to-end delay into the paper's three components (sender
-// host / network / receiver host), this package follows each byte range
-// through every stage it can wait in:
+// data go to wait?* — at per-queue granularity. A Recorder is a
+// connection's one stamp machine: it follows each byte range through
+// every stage it can wait in,
 //
 //	app write → sndbuf residency → TCP send/retransmit wait → link+AQM
 //	queue → wire (serialization+propagation) → reassembly (out-of-order
@@ -11,6 +10,9 @@
 // and produces, per flow, a set of spans (stage, byte range, enter/exit
 // virtual time, retransmit generation) plus a per-stage residency breakdown
 // whose stages sum — within a reported residual — to the end-to-end delay.
+// From the same stamps it derives, when a Truth sink is attached, the
+// paper's three ground-truth series (sender host / network / receiver
+// host, §4.3) that internal/trace presents and ELEMENT is graded against.
 //
 // Instrumentation follows the telemetry discipline: recorders attach
 // through optional hooks (stack.TraceHooks, aqm.TapHooks, netem link taps)
@@ -18,7 +20,7 @@
 // each stage's exit is the next stage's entry — so the per-stage sums
 // reconcile exactly against the write→read delay, and the three-component
 // grouping (sndbuf | retx+queue+wire | reassembly+rcvbuf) reconciles
-// against internal/trace ground truth and ELEMENT's estimates.
+// against the ground truth and ELEMENT's estimates.
 package waterfall
 
 import (
@@ -312,9 +314,8 @@ func (w *Waterfall) Unbind(flowID int) {
 }
 
 // NewFlow creates a recorder for one connection. Pass its SenderHooks and
-// ReceiverHooks into the connection's ConnConfig (merge with other
-// observers via stack.MergeTraceHooks), then Bind it to the flow ID the
-// Dial returned.
+// ReceiverHooks into the connection's ConnConfig, then Bind it to the
+// flow ID the Dial returned.
 func (w *Waterfall) NewFlow() *Recorder {
 	if w == nil {
 		return nil
@@ -411,8 +412,8 @@ const maxRanges = 1 << 15
 // maxMarks bounds the drop/resize marker lists.
 const maxMarks = 4096
 
-// writeStamp matches trace.Collector's write bookkeeping: the stream
-// extended to end at time at.
+// writeStamp records an app write: the stream extended to end at time
+// at.
 type writeStamp struct {
 	end uint64
 	at  units.Time
@@ -420,12 +421,14 @@ type writeStamp struct {
 
 // segRec tracks one transmitted segment's sender-side boundary times.
 type segRec struct {
-	seq, end uint64
-	writeAt  units.Time // covering app write
-	firstTx  units.Time
-	lastTx   units.Time // latest (re)transmission
-	gen      int        // current retransmission generation
+	seq     uint64
+	n       uint32     // length: a segment is at most one MSS
+	writeAt units.Time // covering app write
+	firstTx units.Time
+	lastTx  units.Time // latest (re)transmission
 }
+
+func (s *segRec) end() uint64 { return s.seq + uint64(s.n) }
 
 // numBounds is the number of boundary timestamps per range: NumStages
 // stages have NumStages+1 fenceposts (write, firstTx, tx, deq, rcv,
@@ -445,8 +448,8 @@ type arrival struct {
 	start, end uint64
 	gen        int
 	// b[0..4] = writeAt, firstTx, txAt, deqAt, rcvAt; b[5] (inAt) is
-	// stamped by onInOrder; b[6] (readAt) at finalization.
-	b [numBounds]units.Time
+	// stamped by onInOrder. The read fencepost is finalize's argument.
+	b [NumStages]units.Time
 }
 
 // rangeRec is a finalized byte range: all boundaries known, clamped
@@ -541,9 +544,12 @@ type Recorder struct {
 		valid    bool
 		seq, end uint64
 		gen      int
-		b        [numBounds]units.Time // boundaries 0..4 filled
+		b        [NumStages]units.Time // boundaries 0..4 filled
 	}
 	readCum uint64
+
+	// truth, when set (RecordTruth), receives the ground-truth samples.
+	truth *Truth
 
 	// Finalized ranges, decimated for bounded retention.
 	ranges     stats.Log[rangeRec]
@@ -598,6 +604,44 @@ func (r *Recorder) OnFinalize(fn func(start, end uint64, gen int, b Bounds)) {
 	}
 }
 
+// Truth is one connection's ground truth, the paper's decomposition of
+// its delay at the four kernel stamps (§4.3): app write,
+// tcp_transmit_skb, tcp_v4_do_rcv, app read. A Recorder attached to it
+// (RecordTruth) appends
+//
+//   - Sender at each first transmission: now − the covering write's time;
+//   - Network at each TCPReceive: now − the first transmission of the
+//     live segment with the greatest start ≤ the bytes' start;
+//   - Receiver at each finalized piece: its read − its TCPReceive, for
+//     the piece's bytes.
+type Truth struct {
+	Sender, Network, Receiver stats.Log[stats.Sample]
+}
+
+// RecordTruth makes the recorder derive t from its stamps. Attach it
+// before the connection carries data, to a recorder that is never gated,
+// since a gated hook stamps nothing. Without a sink the recorder's cost
+// is one nil check per hook call.
+func (r *Recorder) RecordTruth(t *Truth) { r.truth = t }
+
+// NewTruth returns the hooks of a private recorder that derives t: a
+// join-only recorder, bound to no flow and tapped to no link, that
+// installs only the four stamps ground truth reads — AppWrite and
+// TCPTransmit on the sender, TCPReceive and AppRead on the receiver.
+func NewTruth(clock func() units.Time, t *Truth) (snd, rcv stack.TraceHooks) {
+	r := newTruthRecorder(clock, t)
+	return stack.TraceHooks{AppWrite: r.onAppWrite, TCPTransmit: r.onTransmit},
+		stack.TraceHooks{TCPReceive: r.onTCPReceive, AppRead: r.onAppRead}
+}
+
+func newTruthRecorder(clock func() units.Time, t *Truth) *Recorder {
+	w := NewJoinOnly()
+	w.SetClock(clock)
+	r := w.NewFlow()
+	r.RecordTruth(t)
+	return r
+}
+
 // FlowID reports the bound flow ID (0 before Bind).
 func (r *Recorder) FlowID() int { return r.flowID }
 
@@ -649,36 +693,38 @@ func (r *Recorder) onSndbufResize(from, to int) {
 	}
 }
 
-// onTransmit matches trace.Collector's convention: a first transmission
-// closes the sndbuf stage against the covering app write; retransmissions
-// bump the segment's generation.
+// onTransmit: a first transmission closes the sndbuf stage against the
+// covering app write — the bytes left the socket buffer then, as
+// tcp_transmit_skb tracing sees it — and is the segment's sender-delay
+// sample; a retransmission moves the segment's latest transmit time.
 func (r *Recorder) onTransmit(seq uint64, n int, retx bool) {
 	if r.shut(seq >= r.floor) {
 		return
 	}
 	now := r.wf.now()
-	end := seq + uint64(n)
 	if retx {
 		if i, ok := r.findSeg(seq); ok {
 			r.segs[i].lastTx = now
-			r.segs[i].gen++
 		}
 		return
 	}
-	// Covering write: smallest write record with end >= segment end.
+	// Covering write: smallest write record with end >= segment end (the
+	// paper matches the closest record not exceeding the TCP-layer byte
+	// count; at ground-truth precision the covering write is exact).
 	var writeAt units.Time
-	for r.writeHead < len(r.writes) {
-		w := r.writes[r.writeHead]
-		if w.end >= end {
+	for end := seq + uint64(n); r.writeHead < len(r.writes); r.writeHead++ {
+		if w := r.writes[r.writeHead]; w.end >= end {
 			writeAt = w.at
+			if r.truth != nil {
+				r.truth.Sender.Append(stats.Sample{At: now, Delay: now.Sub(w.at), Bytes: n})
+			}
 			break
 		}
-		r.writeHead++
 	}
 	r.writes, r.writeHead = compact(r.writes, r.writeHead)
 	// New data is transmitted in sequence order, so appending keeps segs
 	// sorted.
-	r.segs = append(r.segs, segRec{seq: seq, end: end, writeAt: writeAt, firstTx: now, lastTx: now})
+	r.segs = append(r.segs, segRec{seq: seq, n: uint32(n), writeAt: writeAt, firstTx: now, lastTx: now})
 }
 
 // findSeg locates the live segment record starting at seq.
@@ -698,8 +744,8 @@ func (r *Recorder) findSeg(seq uint64) (int, bool) {
 	return 0, false
 }
 
-// coveringSeg locates the segment containing seq (greatest start <= seq).
-func (r *Recorder) coveringSeg(seq uint64) (segRec, bool) {
+// lastSegAt locates the live segment with the greatest start <= seq.
+func (r *Recorder) lastSegAt(seq uint64) (segRec, bool) {
 	lo, hi := r.segHead, len(r.segs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -710,12 +756,15 @@ func (r *Recorder) coveringSeg(seq uint64) (segRec, bool) {
 		}
 	}
 	if lo > r.segHead {
-		s := r.segs[lo-1]
-		if seq < s.end {
-			return s, true
-		}
+		return r.segs[lo-1], true
 	}
 	return segRec{}, false
+}
+
+// coveringSeg locates the live segment containing seq.
+func (r *Recorder) coveringSeg(seq uint64) (segRec, bool) {
+	s, ok := r.lastSegAt(seq)
+	return s, ok && seq < s.end()
 }
 
 // --- Link tap -------------------------------------------------------------
@@ -769,7 +818,7 @@ func (r *Recorder) onPacketRecv(p *pkt.Packet) {
 	}
 	r.pending.valid = true
 	r.pending.seq, r.pending.end, r.pending.gen = p.Seq, p.End(), p.Gen
-	var b [numBounds]units.Time
+	var b [NumStages]units.Time
 	if seg, ok := r.coveringSeg(p.Seq); ok {
 		b[StageSndbuf] = seg.writeAt
 		b[StageRetx] = seg.firstTx
@@ -797,10 +846,22 @@ func (r *Recorder) onTCPReceive(seq uint64, n int) {
 	now := r.wf.now()
 	end := seq + uint64(n)
 	a := arrival{start: seq, end: end}
-	if r.pending.valid && seq >= r.pending.seq && end <= r.pending.end {
+	snap := r.pending.valid && seq >= r.pending.seq && end <= r.pending.end
+	var seg segRec
+	found := false
+	if r.truth != nil || !snap {
+		seg, found = r.lastSegAt(seq)
+	}
+	if found && r.truth != nil {
+		// Network delay runs from the first transmission of the segment
+		// the bytes start in, so a lost segment's recovery wait counts as
+		// network delay, as the paper measures it.
+		r.truth.Network.Append(stats.Sample{At: now, Delay: now.Sub(seg.firstTx), Bytes: n})
+	}
+	if snap {
 		a.gen = r.pending.gen
 		a.b = r.pending.b
-	} else if seg, ok := r.coveringSeg(seq); ok {
+	} else if found && seq < seg.end() {
 		// No packet-level snapshot (untapped link or hooks installed by a
 		// bare harness): fall back to sender-side times; the queue and wire
 		// stages then share the tx→rcv interval.
@@ -892,7 +953,7 @@ func (r *Recorder) onAppRead(endSeq uint64, n int) {
 	r.arrivals, r.arrHead = compact(r.arrivals, r.arrHead)
 	// Drop sender segment records fully below the read horizon; their
 	// boundaries have been snapshotted into arrivals already.
-	for r.segHead < len(r.segs) && r.segs[r.segHead].end <= endSeq {
+	for r.segHead < len(r.segs) && r.segs[r.segHead].end() <= endSeq {
 		r.segHead++
 	}
 	r.segs, r.segHead = compact(r.segs, r.segHead)
@@ -914,7 +975,11 @@ func compact[T any](q []T, head int) ([]T, int) {
 // clamped monotone (so stage durations are non-negative and telescope
 // exactly to write→read) and folded into the aggregate.
 func (r *Recorder) finalize(a arrival, start, end uint64, readAt units.Time) {
-	b := a.b
+	if r.truth != nil {
+		r.truth.Receiver.Append(stats.Sample{At: readAt, Delay: readAt.Sub(a.b[StageReassembly]), Bytes: int(end - start)})
+	}
+	var b Bounds
+	copy(b[:], a.b[:])
 	b[numBounds-1] = readAt
 	if b[StageRcvbuf] == 0 {
 		b[StageRcvbuf] = b[StageReassembly] // in-order never stamped: arrived in order
