@@ -79,8 +79,8 @@ test:
 ## through the retention rule) against a plain slice of ranges, the
 ## request tracer's record codec and decimation against a plain slice of
 ## records, the grader's truth envelope against its linear walk, and the
-## ground truth the waterfall recorder derives against the collector it
-## replaced (ten in all). Corpus
+## ground truth the waterfall recorder derives, truth-only and with every
+## stage installed, against the collector it replaced (ten in all). Corpus
 ## replays already run in `make test`;
 ## this looks for new inputs.
 ## One target per go test run (go fuzz rejects several), two workers so a

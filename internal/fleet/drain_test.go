@@ -39,10 +39,10 @@ func drainedChurnConfig(seed int64, conns int, wf *waterfall.Waterfall) Config {
 
 // TestNoRecorderHookAfterAbsorb: the drain shuts each shard's engine
 // down before the caller's waterfall absorbs the shard's recorders, so
-// no recorder hook runs on an absorbed recorder. Absorb re-parents every
-// recorder to the caller's waterfall, and every hook that records reads
-// its waterfall's clock: the caller's clock here counts its reads, and
-// must read none. Every recorder is attached for the whole run.
+// no recorder hook runs on an absorbed recorder. Absorb re-points every
+// recorder to the caller's waterfall and its clock, and every hook that
+// records reads its recorder's clock: the caller's clock here counts its
+// reads, and must read none. Every recorder is attached for the whole run.
 func TestNoRecorderHookAfterAbsorb(t *testing.T) {
 	testutil.NoLeaks(t)
 	reads := 0
@@ -84,9 +84,13 @@ func fanoutRPCConfig(seed int64) Config {
 // bounds the fanout_rpc shape, whose connections keep graded result logs
 // and the tracer's requests: it holds 31.0 KB a connection, 59.9 KB
 // before the logs were trimmed and masked, and 136.6 KB while a drained
-// monitor kept its collector and recorder.
+// monitor kept its collector and recorder. drainedExitBytesPerConn
+// bounds the churn shape in exit mode without a waterfall, where each
+// connection's stamps are a truth-only recorder's: it holds 5.8 KB a
+// connection, about two thirds of it the graded result logs.
 const (
 	drainedBytesPerConn       = 6 << 10
+	drainedExitBytesPerConn   = 8 << 10
 	drainedFanoutBytesPerConn = 40 << 10
 )
 
@@ -109,6 +113,11 @@ func TestDrainedFleetRetains(t *testing.T) {
 		bound int64
 	}{
 		{"churn", func() Config { return drainedChurnConfig(1, conns, waterfall.New()) }, drainedBytesPerConn},
+		{"exit", func() Config {
+			cfg := drainedChurnConfig(1, conns, nil)
+			cfg.Stream, cfg.Overload, cfg.ExportQueue = nil, nil, nil
+			return cfg
+		}, drainedExitBytesPerConn},
 		{"fanout", func() Config { return fanoutRPCConfig(1) }, drainedFanoutBytesPerConn},
 	} {
 		cfg := tc.cfg()
@@ -118,8 +127,16 @@ func TestDrainedFleetRetains(t *testing.T) {
 		}
 		f := New(cfg)
 		res := f.Run()
-		if cfg.Fanout == nil && (res.Escalations == 0 || res.Restarts == 0 || wf.Aggregate().Ranges == 0) ||
-			cfg.Fanout != nil && (res.Requests == 0 || res.Sender.Checked == 0) {
+		var nothing bool
+		switch {
+		case cfg.Fanout != nil:
+			nothing = res.Requests == 0 || res.Sender.Checked == 0
+		case wf != nil:
+			nothing = res.Escalations == 0 || res.Restarts == 0 || wf.Aggregate().Ranges == 0
+		default:
+			nothing = res.Restarts == 0 || res.Sender.Checked == 0
+		}
+		if nothing {
 			t.Fatalf("%s: %v, %d escalations, %d requests, %d checked: the run shows nothing",
 				tc.name, res, res.Escalations, res.Requests, res.Sender.Checked)
 		}

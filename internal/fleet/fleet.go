@@ -118,8 +118,8 @@ type Config struct {
 	// this instance at drain time. Their recorders are join-only
 	// (waterfall.NewJoinOnly): each Breakdown, and so Aggregate, is
 	// exact, marker counts included, but no recorder keeps a range or a
-	// marker. With Stream escalation rules enabled, recorders exist but
-	// stay detached until a flow escalates.
+	// marker. With Stream escalation rules enabled, recorders are bound
+	// but gated shut until a flow escalates.
 	Waterfall *waterfall.Waterfall
 
 	// Stream enables the bounded-memory streaming telemetry pipeline
@@ -485,24 +485,22 @@ func (sh *shard) buildConn(m *Monitor) {
 	sh.wf.TapLink(path.Reverse)
 	net := stack.NewNetPool(eng, path, sh.pkts)
 	// One stamp machine per connection: the shard waterfall's recorder,
-	// or, for ground truth alone, a private one.
+	// or, for ground truth alone, a truth-only one.
 	m.wf = sh.wf.NewFlow()
 	if m.gated {
-		// Escalation mode: the recorder's hooks are installed but gated
+		// Escalation mode: the recorder is installed and bound but gated
 		// off until the flow escalates.
 		m.wf.Gate(false, 0)
 	}
-	sndHooks, rcvHooks := m.wf.SenderHooks(), m.wf.ReceiverHooks()
 	if cfg.Stream == nil {
 		// Ground truth costs O(samples) per connection; stream mode's
 		// whole point is memory independent of sample count, so it only
 		// exists in the exit-export mode, which never gates a recorder.
 		m.gt = new(waterfall.Truth)
-		if m.wf != nil {
-			m.wf.RecordTruth(m.gt)
-		} else {
-			sndHooks, rcvHooks = waterfall.NewTruth(eng.Now, m.gt)
+		if m.wf == nil {
+			m.wf = waterfall.NewTruth(eng.Now)
 		}
+		m.wf.RecordTruth(m.gt)
 	}
 	m.conn = stack.Dial(net, stack.ConnConfig{
 		// Every connection runs its own private Net, whose flow counter
@@ -511,13 +509,11 @@ func (sh *shard) buildConn(m *Monitor) {
 		// dispatch never aliases two connections.
 		FlowID:        m.ID + 1,
 		CC:            cfg.CC,
-		SenderHooks:   sndHooks,
-		ReceiverHooks: rcvHooks,
+		SenderHooks:   m.wf.SenderHooks(),
+		ReceiverHooks: m.wf.ReceiverHooks(),
 		Telem:         sh.telem,
 	})
-	if m.wf != nil && !m.gated {
-		sh.wf.Bind(m.conn.FlowID, m.wf)
-	}
+	sh.wf.Bind(m.conn.FlowID, m.wf)
 	m.sndSrc = core.InfoSource(m.conn.Sender)
 	m.rcvSrc = core.InfoSource(m.conn.Receiver)
 	if m.inj != nil {

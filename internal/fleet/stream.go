@@ -90,8 +90,8 @@ func (m *Monitor) observeStream(mm core.Measurement, sender bool) (retain bool) 
 }
 
 // setEscalated applies a state transition decided by the escalator:
-// counters, and — when the fleet has a waterfall — attaching/detaching
-// full per-byte-range tracing for this flow.
+// counters, and — when the fleet has a waterfall — opening or shutting
+// the gate of this flow's recorder.
 func (m *Monitor) setEscalated(on bool) {
 	sh := m.sh
 	if on {
@@ -104,7 +104,6 @@ func (m *Monitor) setEscalated(on bool) {
 			// only admits ranges written from here on — every recorded
 			// range has complete boundaries.
 			m.wf.Gate(true, m.conn.Sender.WrittenCum())
-			sh.wf.Bind(m.conn.FlowID, m.wf)
 		}
 	} else {
 		if sh.ctrDemotions != nil {
@@ -112,9 +111,6 @@ func (m *Monitor) setEscalated(on bool) {
 		}
 		if m.gated {
 			m.wf.Gate(false, 0)
-			if m.conn != nil {
-				sh.wf.Unbind(m.conn.FlowID)
-			}
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestHoleFillSampleFromFirstTransmission(t *testing.T) {
 	const seg, segs, hole = 100, 5000, 10
 	eng := sim.New(1)
 	c, ref := New(eng), newRef(eng)
-	sh, rh := withRef(c, ref)
+	sh, rh := withRef(ref, c)
 	var firstTx, fillAt units.Time
 	receives := 0
 	receive := func(k int) {
@@ -68,7 +68,7 @@ func TestHoleFillSampleFromFirstTransmission(t *testing.T) {
 		t.Fatalf("hole-fill sample %+v, want at %v a delay of %v (fill minus first transmission)",
 			last, fillAt, fillAt.Sub(firstTx))
 	}
-	matchRef(t, c, ref)
+	matchRef(t, "collector", c, ref)
 }
 
 // TestOneNetworkSamplePerArrival runs the lossy_mixed shape — Cubic,
@@ -92,7 +92,7 @@ func TestOneNetworkSamplePerArrival(t *testing.T) {
 	arrivals := make([]int, len(kinds))
 	for i, kind := range kinds {
 		cols[i], refs[i] = New(eng), newRef(eng)
-		snd, rcv := withRef(cols[i], refs[i])
+		snd, rcv := withRef(refs[i], cols[i])
 		onReceive := rcv.TCPReceive
 		rcv.TCPReceive = func(seq uint64, n int) {
 			arrivals[i]++
@@ -114,7 +114,7 @@ func TestOneNetworkSamplePerArrival(t *testing.T) {
 		if n := len(col.NetworkDelay()); n != arrivals[i] || n == 0 {
 			t.Errorf("flow %d (%v): %d new-byte arrivals, %d network samples", i, kinds[i], arrivals[i], n)
 		}
-		matchRef(t, col, refs[i])
+		matchRef(t, "collector", col, refs[i])
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"element/internal/sim"
 	"element/internal/stack"
 	"element/internal/units"
+	"element/internal/waterfall"
 )
 
 // rangeStamp is a byte range with the time it passed an observation point.
@@ -194,27 +195,34 @@ func (c *refCollector) onAppRead(endSeq uint64, n int) {
 	c.trimTransmits()
 }
 
-// withRef returns hooks that drive both c's four stamps and ref's, the
-// collector first.
-func withRef(c *Collector, ref *refCollector) (snd, rcv stack.TraceHooks) {
-	cs, cr := c.SenderHooks(), c.ReceiverHooks()
+// withRef returns hooks that drive the four stamps of each of cs and of
+// ref, the collectors first.
+func withRef(ref *refCollector, cs ...*Collector) (snd, rcv stack.TraceHooks) {
 	snd = stack.TraceHooks{
 		AppWrite: func(end uint64, n int) {
-			cs.AppWrite(end, n)
+			for _, c := range cs {
+				c.snd.AppWrite(end, n)
+			}
 			ref.onAppWrite(end, n)
 		},
 		TCPTransmit: func(seq uint64, n int, retx bool) {
-			cs.TCPTransmit(seq, n, retx)
+			for _, c := range cs {
+				c.snd.TCPTransmit(seq, n, retx)
+			}
 			ref.onTCPTransmit(seq, n, retx)
 		},
 	}
 	rcv = stack.TraceHooks{
 		TCPReceive: func(seq uint64, n int) {
-			cr.TCPReceive(seq, n)
+			for _, c := range cs {
+				c.rcv.TCPReceive(seq, n)
+			}
 			ref.onTCPReceive(seq, n)
 		},
 		AppRead: func(end uint64, n int) {
-			cr.AppRead(end, n)
+			for _, c := range cs {
+				c.rcv.AppRead(end, n)
+			}
 			ref.onAppRead(end, n)
 		},
 	}
@@ -222,8 +230,8 @@ func withRef(c *Collector, ref *refCollector) (snd, rcv stack.TraceHooks) {
 }
 
 // matchRef fails unless c's three series are the reference's, sample for
-// sample.
-func matchRef(t testing.TB, c *Collector, ref *refCollector) {
+// sample; name labels c in the failure.
+func matchRef(t testing.TB, name string, c *Collector, ref *refCollector) {
 	t.Helper()
 	for _, s := range []struct {
 		name      string
@@ -234,11 +242,11 @@ func matchRef(t testing.TB, c *Collector, ref *refCollector) {
 		{"receiver", c.ReceiverDelay(), ref.receiverDelay},
 	} {
 		if len(s.got) != len(s.want) {
-			t.Fatalf("%s: %d samples, reference %d", s.name, len(s.got), len(s.want))
+			t.Fatalf("%s %s: %d samples, reference %d", name, s.name, len(s.got), len(s.want))
 		}
 		for i := range s.got {
 			if s.got[i] != s.want[i] {
-				t.Fatalf("%s[%d] = %+v, reference %+v", s.name, i, s.got[i], s.want[i])
+				t.Fatalf("%s %s[%d] = %+v, reference %+v", name, s.name, i, s.got[i], s.want[i])
 			}
 		}
 	}
@@ -351,9 +359,27 @@ func truthSchedule(src *byteChooser, eng *sim.Engine, snd, rcv stack.TraceHooks)
 	}
 }
 
+// matchStageSets feeds the schedule data draws to a truth-only collector
+// (New), to one over a full waterfall's recorder (Of) and to the
+// reference, and fails unless all three series of both collectors are
+// the reference's. It returns the truth-only collector.
+func matchStageSets(t testing.TB, data []byte) *Collector {
+	t.Helper()
+	eng := sim.New(1)
+	wf := waterfall.New()
+	wf.SetClock(eng.Now)
+	c, full, ref := New(eng), Of(wf.NewFlow()), newRef(eng)
+	snd, rcv := withRef(ref, c, full)
+	truthSchedule(&byteChooser{data: data}, eng, snd, rcv)
+	matchRef(t, "truth-only", c, ref)
+	matchRef(t, "full", full, ref)
+	return c
+}
+
 // FuzzTruthMatchesCollector holds Collector — the waterfall recorder's
-// stamps — to the reference collector, sample for sample in all three
-// series, under truthSchedule's hook sequences.
+// stamps, truth-only and with every stage installed — to the reference
+// collector, sample for sample in all three series, under
+// truthSchedule's hook sequences.
 func FuzzTruthMatchesCollector(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		data := make([]byte, 1200)
@@ -364,11 +390,7 @@ func FuzzTruthMatchesCollector(f *testing.F) {
 		if len(data) > 8192 {
 			t.Skip()
 		}
-		eng := sim.New(1)
-		c, ref := New(eng), newRef(eng)
-		snd, rcv := withRef(c, ref)
-		truthSchedule(&byteChooser{data: data}, eng, snd, rcv)
-		matchRef(t, c, ref)
+		matchStageSets(t, data)
 	})
 }
 
@@ -379,11 +401,7 @@ func TestTruthMatchesCollector(t *testing.T) {
 	for seed := int64(1); seed <= 64; seed++ {
 		data := make([]byte, 4000)
 		rand.New(rand.NewSource(seed)).Read(data)
-		eng := sim.New(1)
-		c, ref := New(eng), newRef(eng)
-		snd, rcv := withRef(c, ref)
-		truthSchedule(&byteChooser{data: data}, eng, snd, rcv)
-		matchRef(t, c, ref)
+		c := matchStageSets(t, data)
 		if c.SenderLog().Len() == 0 || c.ReceiverLog().Len() == 0 {
 			t.Fatalf("seed %d: %d sender and %d receiver samples", seed, c.SenderLog().Len(), c.ReceiverLog().Len())
 		}

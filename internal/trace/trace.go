@@ -7,7 +7,7 @@
 //
 // The stamps are a waterfall.Recorder's, the one stamp machine a
 // connection has: a Collector is a view of the waterfall.Truth a recorder
-// derives, either the connection's own recorder (Of) or a private one
+// derives, either the connection's own recorder (Of) or a truth-only one
 // that installs only the four stamps (New).
 package trace
 
@@ -33,17 +33,13 @@ type Collector struct {
 	snd, rcv stack.TraceHooks
 }
 
-// New returns a collector bound to eng whose stamps are a private
-// recorder's, tapped to no link.
-func New(eng *sim.Engine) *Collector {
-	c := &Collector{}
-	c.snd, c.rcv = waterfall.NewTruth(eng.Now, &c.truth)
-	return c
-}
+// New returns a collector bound to eng whose stamps are a truth-only
+// recorder's (waterfall.NewTruth).
+func New(eng *sim.Engine) *Collector { return Of(waterfall.NewTruth(eng.Now)) }
 
 // Of returns the collector of rec's ground truth; its hooks are rec's
-// whole hook set. Call it before the connection carries data, on a
-// recorder that is never gated.
+// hook set. Call it before the connection carries data, on a recorder
+// that is never gated.
 func Of(rec *waterfall.Recorder) *Collector {
 	c := &Collector{snd: rec.SenderHooks(), rcv: rec.ReceiverHooks()}
 	rec.RecordTruth(&c.truth)

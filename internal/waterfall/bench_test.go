@@ -191,14 +191,16 @@ func TestStaleCopiesLeaveNoState(t *testing.T) {
 // segments pass with the reader holding 8 received and unread, and no
 // queue's capacity ever exceeds 32 — compaction drops a consumed prefix
 // as soon as it is half the queue, however short. A tapped recorder sees
-// every hook; a ground-truth recorder (NewTruth) only its four.
+// every hook and attributes every range; a truth-only recorder (NewTruth)
+// sees only its four, takes every truth sample and attributes nothing.
 func TestInflightQueuesTrackWindow(t *testing.T) {
 	const segs, inflight, maxCap = 20000, 8, 32
 	for _, truth := range []bool{false, true} {
 		var now units.Time
 		clock := func() units.Time { return now }
 		var tr Truth
-		r := newTruthRecorder(clock, &tr)
+		r := NewTruth(clock)
+		r.RecordTruth(&tr)
 		if !truth {
 			wf := New()
 			wf.SetClock(clock)
@@ -228,10 +230,16 @@ func TestInflightQueuesTrackWindow(t *testing.T) {
 				}
 			}
 		}
-		if got := r.agg.ranges; got != segs-inflight {
-			t.Fatalf("truth %v: %d ranges finalized, want %d", truth, got, segs-inflight)
+		if !truth {
+			if got := r.agg.ranges; got != segs-inflight {
+				t.Fatalf("%d ranges finalized, want %d", got, segs-inflight)
+			}
+			continue
 		}
-		if truth && (tr.Sender.Len() != segs || tr.Network.Len() != segs || tr.Receiver.Len() != segs-inflight) {
+		if b := r.Breakdown(); b != (Breakdown{}) {
+			t.Fatalf("a truth-only recorder attributed %+v, want nothing", b)
+		}
+		if tr.Sender.Len() != segs || tr.Network.Len() != segs || tr.Receiver.Len() != segs-inflight {
 			t.Fatalf("truth samples %d/%d/%d, want %d/%d/%d",
 				tr.Sender.Len(), tr.Network.Len(), tr.Receiver.Len(), segs, segs, segs-inflight)
 		}

@@ -3,9 +3,9 @@ package waterfall
 import "sort"
 
 // Absorb folds a quiescent per-shard waterfall into w: src's recorders
-// are appended (re-parented so later aggregate reads resolve against w,
-// their in-flight queues and truth sinks released, since nothing arrives
-// to finalize them) and its notes merge time-ordered under the usual retention cap. The
+// are appended (re-parented to w and its clock, so none pins src's
+// engine; their in-flight queues and truth sinks released, since nothing
+// arrives to finalize them) and its notes merge time-ordered under the usual retention cap. The
 // flow-ID index is deliberately not merged — IDs are allocated per
 // engine, so recorders from different shards can share an ID; packet
 // dispatch is over by the time shards are absorbed, and per-flow results
@@ -20,7 +20,7 @@ func (w *Waterfall) Absorb(src *Waterfall) {
 		return
 	}
 	for _, r := range src.recs {
-		r.wf = w
+		r.wf, r.clock = w, w.clock
 		r.writes, r.writeHead = nil, 0
 		r.segs, r.segHead = nil, 0
 		r.arrivals, r.arrHead, r.inHead = nil, 0, 0

@@ -97,7 +97,7 @@ func (r *refRecorder) onLinkDequeue(p *pkt.Packet, now units.Time) {
 }
 
 func (r *refRecorder) onLinkLost(p *pkt.Packet) {
-	r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: r.wf.now(), Kind: DropWire})
+	r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: readClock(r.wf.clock), Kind: DropWire})
 	if i, ok := r.findLink(p.Seq, p.Gen); ok {
 		r.links = append(r.links[:i], r.links[i+1:]...)
 	}
@@ -126,7 +126,7 @@ func (r *refRecorder) onPacketRecv(p *pkt.Packet) {
 }
 
 func (r *refRecorder) onTCPReceive(seq uint64, n int) {
-	now := r.wf.now()
+	now := readClock(r.wf.clock)
 	end := seq + uint64(n)
 	a := arrival{start: seq, end: end}
 	if r.pending.valid && seq >= r.pending.seq && end <= r.pending.end {
@@ -145,7 +145,7 @@ func (r *refRecorder) onTCPReceive(seq uint64, n int) {
 }
 
 func (r *refRecorder) onInOrder(cum uint64) {
-	now := r.wf.now()
+	now := readClock(r.wf.clock)
 	for r.inHead < len(r.arrivals) && r.arrivals[r.inHead].end <= cum {
 		r.arrivals[r.inHead].b[StageRcvbuf] = now
 		r.inHead++
@@ -164,7 +164,7 @@ func (r *refRecorder) onInOrder(cum uint64) {
 }
 
 func (r *refRecorder) onAppRead(endSeq uint64, n int) {
-	now := r.wf.now()
+	now := readClock(r.wf.clock)
 	r.readCum = endSeq
 	for len(r.arrivals) > 0 && r.arrivals[0].start < endSeq {
 		a := r.arrivals[0]

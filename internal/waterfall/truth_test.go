@@ -38,7 +38,8 @@ func TestSegsTrackReadHorizon(t *testing.T) {
 	const seg, segs, hole = 100, 5000, 10
 	var now units.Time
 	var tr Truth
-	r := newTruthRecorder(func() units.Time { return now }, &tr)
+	r := NewTruth(func() units.Time { return now })
+	r.RecordTruth(&tr)
 	check := func() {
 		t.Helper()
 		if err := segsHorizonErr(r); err != nil {
@@ -94,11 +95,12 @@ func TestSegsTrackReadHorizonOnLossyPath(t *testing.T) {
 	net := stack.NewNet(eng, path)
 	var horizon error
 	for i, kind := range []cc.Kind{cc.KindCubic, cc.KindCubic, cc.KindBBR, cc.KindReno} {
-		r := newTruthRecorder(eng.Now, new(Truth))
+		r := NewTruth(eng.Now)
+		r.RecordTruth(new(Truth))
 		conn := stack.Dial(net, stack.ConnConfig{
 			CC:            kind,
-			SenderHooks:   stack.TraceHooks{AppWrite: r.onAppWrite, TCPTransmit: r.onTransmit},
-			ReceiverHooks: stack.TraceHooks{TCPReceive: r.onTCPReceive, AppRead: r.onAppRead},
+			SenderHooks:   r.SenderHooks(),
+			ReceiverHooks: r.ReceiverHooks(),
 		})
 		eng.Spawn("writer", func(p *sim.Proc) {
 			for conn.Sender.Write(p, 8<<10) > 0 {

@@ -15,8 +15,9 @@
 // host, §4.3) that internal/trace presents and ELEMENT is graded against.
 //
 // Instrumentation follows the telemetry discipline: recorders attach
-// through optional hooks (stack.TraceHooks, aqm.TapHooks, netem link taps)
-// and cost nothing when no waterfall is attached. Timestamps telescope —
+// through optional hooks (stack.TraceHooks, aqm.TapHooks, netem link taps).
+// A recorder without a waterfall (NewTruth) installs only the four stamps
+// ground truth reads and attributes nothing. Timestamps telescope —
 // each stage's exit is the next stage's entry — so the per-stage sums
 // reconcile exactly against the write→read delay, and the three-component
 // grouping (sndbuf | retx+queue+wire | reassembly+rcvbuf) reconciles
@@ -262,18 +263,23 @@ func NewJoinOnly() *Waterfall {
 	return w
 }
 
-// SetClock binds the virtual clock (typically sim.Engine.Now).
+// SetClock binds w's and its recorders' clock (typically sim.Engine.Now).
 func (w *Waterfall) SetClock(fn func() units.Time) {
-	if w != nil {
-		w.clock = fn
+	if w == nil {
+		return
+	}
+	w.clock = fn
+	for _, r := range w.recs {
+		r.clock = fn
 	}
 }
 
-func (w *Waterfall) now() units.Time {
-	if w == nil || w.clock == nil {
+// readClock reads clock, or 0 when none is bound.
+func readClock(clock func() units.Time) units.Time {
+	if clock == nil {
 		return 0
 	}
-	return w.clock()
+	return clock()
 }
 
 // Instrument registers per-stage residency histograms (<stage>_seconds and
@@ -303,16 +309,6 @@ func (w *Waterfall) StreamTo(st *stream.Stream) {
 	w.e2eS = st.Series("e2e_delay")
 }
 
-// Unbind detaches the flow's recorder from link-tap dispatch (the
-// inverse of Bind) — packets of unbound flows are ignored, so a fleet
-// can attach waterfall granularity to a flow only while it is escalated.
-func (w *Waterfall) Unbind(flowID int) {
-	if w == nil {
-		return
-	}
-	delete(w.byID, flowID)
-}
-
 // NewFlow creates a recorder for one connection. Pass its SenderHooks and
 // ReceiverHooks into the connection's ConnConfig, then Bind it to the
 // flow ID the Dial returned.
@@ -320,13 +316,13 @@ func (w *Waterfall) NewFlow() *Recorder {
 	if w == nil {
 		return nil
 	}
-	r := &Recorder{wf: w, stride: 1}
+	r := &Recorder{wf: w, clock: w.clock, stride: 1}
 	w.recs = append(w.recs, r)
 	return r
 }
 
 // Bind associates a recorder with its flow ID so link taps can dispatch
-// packets to it. Call right after Dial, before traffic starts.
+// packets to it while its Gate is open. Call after Dial, before traffic.
 func (w *Waterfall) Bind(flowID int, r *Recorder) {
 	if w == nil || r == nil {
 		return
@@ -345,7 +341,7 @@ func (w *Waterfall) Note(name, detail string) {
 		w.lostNotes++
 		return
 	}
-	w.notes = append(w.notes, Note{At: w.now(), Name: name, Detail: detail})
+	w.notes = append(w.notes, Note{At: readClock(w.clock), Name: name, Detail: detail})
 }
 
 // Notes returns the recorded annotations in time order.
@@ -392,12 +388,16 @@ func (w *Waterfall) TapLink(l *netem.Link) {
 	})
 }
 
-// dataRecorder resolves the recorder for a data packet (ACKs are ignored).
+// dataRecorder resolves the recorder for a data packet (ACKs are ignored),
+// nil while its gate is shut: the floor applies to trace hooks only.
 func (w *Waterfall) dataRecorder(p *pkt.Packet) *Recorder {
 	if p.PayloadLen == 0 {
 		return nil
 	}
-	return w.byID[p.FlowID]
+	if r := w.byID[p.FlowID]; r != nil && !r.shut(true) {
+		return r
+	}
+	return nil
 }
 
 // --- Recorder -------------------------------------------------------------
@@ -524,7 +524,8 @@ type aggregate struct {
 // DequeuedAt) from the tapped link to the receiver, so a copy dropped
 // inside the queue leaves no state behind.
 type Recorder struct {
-	wf     *Waterfall
+	wf     *Waterfall // nil for a truth-only recorder (NewTruth)
+	clock  func() units.Time
 	flowID int
 
 	// Sender side.
@@ -572,17 +573,17 @@ type Recorder struct {
 	onFinal func(start, end uint64, gen int, b Bounds)
 
 	// The gate (Gate): while gated, a trace hook call passes only when
-	// open and at or above floor.
+	// open and at or above floor, and a link tap only when open.
 	gated, open bool
 	floor       uint64
 }
 
-// Gate puts the recorder's trace hooks behind a gate, so waterfall
-// granularity can be switched on for a flow and off again: from here on
-// a hook call passes only while on is true and its bytes lie at or above
-// floor. A range that began before the floor would otherwise surface with
-// zero boundary stamps and a bogus multi-second residency; so, attaching
-// mid-flow, pass the write horizon. Nil-safe.
+// Gate puts the recorder behind a gate, so waterfall granularity can be
+// switched on for a flow and off again: from here on link taps reach it
+// only while on is true, and a hook call only then and if its bytes lie
+// at or above floor. A range that began before the floor would otherwise
+// surface with zero boundary stamps and a bogus multi-second residency;
+// so, attaching mid-flow, pass the write horizon. Nil-safe.
 func (r *Recorder) Gate(on bool, floor uint64) {
 	if r != nil {
 		r.gated, r.open, r.floor = true, on, floor
@@ -624,23 +625,12 @@ type Truth struct {
 // is one nil check per hook call.
 func (r *Recorder) RecordTruth(t *Truth) { r.truth = t }
 
-// NewTruth returns the hooks of a private recorder that derives t: a
-// join-only recorder, bound to no flow and tapped to no link, that
-// installs only the four stamps ground truth reads — AppWrite and
-// TCPTransmit on the sender, TCPReceive and AppRead on the receiver.
-func NewTruth(clock func() units.Time, t *Truth) (snd, rcv stack.TraceHooks) {
-	r := newTruthRecorder(clock, t)
-	return stack.TraceHooks{AppWrite: r.onAppWrite, TCPTransmit: r.onTransmit},
-		stack.TraceHooks{TCPReceive: r.onTCPReceive, AppRead: r.onAppRead}
-}
-
-func newTruthRecorder(clock func() units.Time, t *Truth) *Recorder {
-	w := NewJoinOnly()
-	w.SetClock(clock)
-	r := w.NewFlow()
-	r.RecordTruth(t)
-	return r
-}
+// NewTruth returns a recorder with no waterfall, reading clock: its hooks
+// are only the four stamps ground truth reads — AppWrite and TCPTransmit
+// on the sender, TCPReceive and AppRead on the receiver — and it
+// attributes nothing, so its Breakdown is zero. Attach a sink with
+// RecordTruth.
+func NewTruth(clock func() units.Time) *Recorder { return &Recorder{clock: clock} }
 
 // FlowID reports the bound flow ID (0 before Bind).
 func (r *Recorder) FlowID() int { return r.flowID }
@@ -649,6 +639,9 @@ func (r *Recorder) FlowID() int { return r.flowID }
 func (r *Recorder) SenderHooks() stack.TraceHooks {
 	if r == nil {
 		return stack.TraceHooks{}
+	}
+	if r.wf == nil {
+		return stack.TraceHooks{AppWrite: r.onAppWrite, TCPTransmit: r.onTransmit}
 	}
 	return stack.TraceHooks{
 		AppWrite:     r.onAppWrite,
@@ -661,6 +654,9 @@ func (r *Recorder) SenderHooks() stack.TraceHooks {
 func (r *Recorder) ReceiverHooks() stack.TraceHooks {
 	if r == nil {
 		return stack.TraceHooks{}
+	}
+	if r.wf == nil {
+		return stack.TraceHooks{TCPReceive: r.onTCPReceive, AppRead: r.onAppRead}
 	}
 	return stack.TraceHooks{
 		TCPReceive: r.onTCPReceive,
@@ -676,7 +672,7 @@ func (r *Recorder) onAppWrite(endSeq uint64, n int) {
 	if r.shut(endSeq-uint64(n) >= r.floor) {
 		return
 	}
-	r.writes = append(r.writes, writeStamp{end: endSeq, at: r.wf.now()})
+	r.writes = append(r.writes, writeStamp{end: endSeq, at: readClock(r.clock)})
 }
 
 func (r *Recorder) onSndbufResize(from, to int) {
@@ -689,7 +685,7 @@ func (r *Recorder) onSndbufResize(from, to int) {
 	}
 	r.nResizes++
 	if !r.wf.joinOnly {
-		r.resizes.Append(Resize{At: r.wf.now(), From: from, To: to})
+		r.resizes.Append(Resize{At: readClock(r.clock), From: from, To: to})
 	}
 }
 
@@ -701,7 +697,7 @@ func (r *Recorder) onTransmit(seq uint64, n int, retx bool) {
 	if r.shut(seq >= r.floor) {
 		return
 	}
-	now := r.wf.now()
+	now := readClock(r.clock)
 	if retx {
 		if i, ok := r.findSeg(seq); ok {
 			r.segs[i].lastTx = now
@@ -789,7 +785,7 @@ func (r *Recorder) onLinkDequeue(p *pkt.Packet, now units.Time) {
 }
 
 func (r *Recorder) onLinkLost(p *pkt.Packet) {
-	r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: r.wf.now(), Kind: DropWire})
+	r.recordDrop(Drop{Seq: p.Seq, Gen: p.Gen, At: readClock(r.clock), Kind: DropWire})
 }
 
 func (r *Recorder) recordDrop(d Drop) {
@@ -843,7 +839,7 @@ func (r *Recorder) onTCPReceive(seq uint64, n int) {
 	if r.shut(seq >= r.floor) {
 		return
 	}
-	now := r.wf.now()
+	now := readClock(r.clock)
 	end := seq + uint64(n)
 	a := arrival{start: seq, end: end}
 	snap := r.pending.valid && seq >= r.pending.seq && end <= r.pending.end
@@ -907,7 +903,7 @@ func (r *Recorder) onInOrder(cum uint64) {
 	if r.shut(cum > r.floor) {
 		return
 	}
-	now := r.wf.now()
+	now := readClock(r.clock)
 	i := r.arrHead + r.inHead
 	for i < len(r.arrivals) && r.arrivals[i].end <= cum {
 		r.arrivals[i].b[StageRcvbuf] = now
@@ -933,7 +929,7 @@ func (r *Recorder) onAppRead(endSeq uint64, n int) {
 	if r.shut(endSeq > r.floor) {
 		return
 	}
-	now := r.wf.now()
+	now := readClock(r.clock)
 	r.readCum = endSeq
 	for r.arrHead < len(r.arrivals) && r.arrivals[r.arrHead].start < endSeq {
 		a := r.arrivals[r.arrHead]
@@ -971,12 +967,15 @@ func compact[T any](q []T, head int) ([]T, int) {
 	return q, head
 }
 
-// finalize turns one consumed byte range into a rangeRec: boundaries are
-// clamped monotone (so stage durations are non-negative and telescope
-// exactly to write→read) and folded into the aggregate.
+// finalize takes one consumed byte range's receiver truth sample and, on
+// a waterfall's recorder, clamps its boundaries monotone (so stages
+// telescope exactly to write→read) and folds it into the aggregate.
 func (r *Recorder) finalize(a arrival, start, end uint64, readAt units.Time) {
 	if r.truth != nil {
 		r.truth.Receiver.Append(stats.Sample{At: readAt, Delay: readAt.Sub(a.b[StageReassembly]), Bytes: int(end - start)})
+	}
+	if r.wf == nil {
+		return
 	}
 	var b Bounds
 	copy(b[:], a.b[:])
