@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test-poison experiments-current test digests fuzz-smoke bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
+.PHONY: check fmt vet staticcheck build loc test-poison experiments-current test digests fuzz-smoke bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
 
 ## check: the full local gate — format, vet, staticcheck, build, the
 ## packet-lifetime (poison) tests, EXPERIMENTS.md against a fresh run, the
@@ -30,6 +30,13 @@ staticcheck:
 
 build:
 	$(GO) build ./...
+
+## loc: the non-test Go lines (wc -l of every .go file but *_test.go)
+## of each internal/ package, one line a package, and their total.
+loc:
+	@find internal -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 ## test-poison: the internal packages' tests with every released packet
 ## poisoned (build tag pktpoison: pkt.Release scribbles sentinels and never

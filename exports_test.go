@@ -30,6 +30,7 @@ var exportAllowlist = map[string]string{
 	"SafeModeEntries": "tests count the minimizer's safe-mode entries",
 	"SealedWindows":   "tests count the stream's sealed windows",
 	"SetDelay":        "tests change a link's delay mid-run",
+	"Skip":            "tests hold a decimated log's skip count to the plain-slice rule",
 	"SndBufCap":       "tests read the send buffer's capacity",
 	"SndNxt":          "tests read the sender's sequence state",
 	"Spans":           "tests and DIGESTS.json read a recorder's spans as one slice; the exporters stream them",

@@ -98,9 +98,6 @@ func TestHeldCheckpointRoundTrip(t *testing.T) {
 			taken, compared := 0, 0
 			var probe func()
 			probe = func() {
-				if f.draining {
-					return
-				}
 				for _, m := range sh.monitors {
 					if m.state != stateRunning || m.wedged {
 						continue

@@ -91,12 +91,12 @@ func (f *Fleet) startFanout() {
 			// exist for — the fan-out writer/reader feed replaces the
 			// bulk loop's OnWrite/OnRead calls.
 			OnWrite: func(leg int, cum uint64) {
-				if m := mons[leg]; m.alive {
+				if m := mons[leg]; m.state == stateRunning {
 					m.snd.OnWrite(cum)
 				}
 			},
 			OnRead: func(leg int, cum uint64, n int, partial bool) {
-				if m := mons[leg]; m.alive {
+				if m := mons[leg]; m.state == stateRunning {
 					m.rcv.OnRead(cum, n, partial)
 				}
 			},

@@ -109,9 +109,10 @@ type Config struct {
 	// the profile's chaos, each connection drawing from its own derived
 	// fault stream.
 	Faults *faults.Profile
-	// Telem publishes fleet health gauges and restart/eviction/checkpoint
-	// counters under the "fleet" component (nil disables). Shards record
-	// into private buffers that merge into this instance at drain time.
+	// Telem publishes fleet health gauges and restart/crash/recycle/
+	// checkpoint counters under the "fleet" component, folded from the
+	// Result at drain (nil disables). Shards record their connections'
+	// telemetry into private buffers that merge into this instance then.
 	Telem *telemetry.Telemetry
 	// Waterfall attaches per-byte-range delay attribution to every
 	// connection (nil disables). Per-shard waterfalls are absorbed into
@@ -234,11 +235,8 @@ type shard struct {
 	monitors []*Monitor
 	shardRun
 
-	// Shard-local health accounting (summed into the Result at drain;
-	// also mirrored into the shard telemetry).
-	restarts    int
-	crashes     int
-	recycles    int
+	// Periodic checkpoints, summed into the Result at drain: unlike
+	// restarts, they have no per-connection home.
 	checkpoints int
 }
 
@@ -252,25 +250,14 @@ type shardRun struct {
 	telem *telemetry.Telemetry
 	wf    *waterfall.Waterfall
 
-	ctrRestarts    *telemetry.Counter
-	ctrCrashes     *telemetry.Counter
-	ctrRecycles    *telemetry.Counter
-	ctrCheckpoints *telemetry.Counter
-	gRunning       *telemetry.Gauge
-	gBackingOff    *telemetry.Gauge
-	gOpen          *telemetry.Gauge
-
 	// rt is the shard's request-span tracer (nil without Config.Fanout);
 	// absorbed into the caller's tracer at drain.
 	rt *reqtrace.Tracer
 
 	// Streaming pipeline (nil when Config.Stream is nil): the shard's
-	// windowed sketches plus the tracker delay series handles, and the
-	// escalation transition counters.
-	stream         *stream.Stream
-	seSnd, seRcv   *stream.Series
-	ctrEscalations *telemetry.Counter
-	ctrDemotions   *telemetry.Counter
+	// windowed sketches plus the tracker delay series handles.
+	stream       *stream.Stream
+	seSnd, seRcv *stream.Series
 }
 
 // Fleet is a built supervision run ready to execute.
@@ -294,8 +281,6 @@ type Fleet struct {
 	// governor tick.
 	exportMark int
 	lastTickAt units.Time
-
-	draining bool
 }
 
 // New builds the fleet: shard engines, per-connection paths and sockets,
@@ -315,14 +300,6 @@ func New(cfg Config) *Fleet {
 		if cfg.Telem != nil {
 			sh.telem = telemetry.New()
 			sh.telem.SetClock(sh.eng.Now)
-			sc := sh.telem.Scope("fleet")
-			sh.ctrRestarts = sc.Counter("restarts")
-			sh.ctrCrashes = sc.Counter("crashes")
-			sh.ctrRecycles = sc.Counter("watchdog_recycles")
-			sh.ctrCheckpoints = sc.Counter("checkpoints")
-			sh.gRunning = sc.Gauge("monitors_running")
-			sh.gBackingOff = sc.Gauge("monitors_backing_off")
-			sh.gOpen = sc.Gauge("connections_open")
 		}
 		if cfg.Waterfall != nil || cfg.Fanout != nil {
 			// The caller's waterfall is read for its aggregate and the span
@@ -419,48 +396,20 @@ func New(cfg Config) *Fleet {
 func (sh *shard) scheduleWatchdog() {
 	deadline := max(10*sh.fl.cfg.Interval, 100*units.Millisecond)
 	sh.eng.Schedule(deadline, func() {
-		if sh.fl.draining {
-			return
-		}
 		for _, m := range sh.monitors {
 			m.watchdogCheck()
 		}
-		sh.updateGauges()
 		sh.scheduleWatchdog()
 	})
 }
 
 func (sh *shard) scheduleCheckpoints() {
 	sh.eng.Schedule(checkpointEvery, func() {
-		if sh.fl.draining {
-			return
-		}
 		for _, m := range sh.monitors {
 			m.checkpoint()
 		}
 		sh.scheduleCheckpoints()
 	})
-}
-
-func (sh *shard) updateGauges() {
-	if sh.gRunning == nil {
-		return
-	}
-	running, backing, open := 0, 0, 0
-	for _, m := range sh.monitors {
-		switch m.state {
-		case stateRunning:
-			running++
-		case stateBackoff:
-			backing++
-		}
-		if m.connOpen {
-			open++
-		}
-	}
-	sh.gRunning.Set(float64(running))
-	sh.gBackingOff.Set(float64(backing))
-	sh.gOpen.Set(float64(open))
 }
 
 // buildConn constructs one connection's private path, net, ground-truth
@@ -542,13 +491,16 @@ func (f *Fleet) RunContext(ctx context.Context) *Result {
 // records again, before its telemetry, waterfall and tracer merge into
 // the caller's instances; then the shard lets go of its run state, and
 // the fleet of its export chain. What is left is what Result and
-// Snapshot read. A monitor's drain touches only its own shard's state, so
+// Snapshot read. Drain advances no engine, so no supervisor event fires
+// once it begins. A monitor's drain touches only its own shard's state, so
 // each shard drains its monitors, in connection-ID order, the way it
 // advances: on its own worker. The coordinator then folds the results in
 // ID order and does the rest on the calling goroutine.
 func (f *Fleet) drain(interrupted bool) *Result {
-	f.draining = true
 	res := &Result{Config: f.cfg, Interrupted: interrupted, Conns: make([]*ConnResult, len(f.monitors))}
+	// The health gauges read the monitors as the last barrier left them:
+	// drain marks every one done.
+	h := f.health()
 	f.pipe.eachShard(func(i int, _ units.Time) {
 		for _, m := range f.shards[i].monitors {
 			res.Conns[m.ID] = m.drain()
@@ -559,6 +511,9 @@ func (f *Fleet) drain(interrupted bool) *Result {
 		res.Receiver.Merge(cr.Receiver)
 		res.Evictions += cr.Anomalies.Evictions
 		res.Restores += cr.Anomalies.Restores
+		res.Restarts += cr.Restarts
+		res.Crashes += cr.Crashes
+		res.Recycles += cr.Recycles
 		if cr.Escalated {
 			res.Escalated++
 		}
@@ -581,10 +536,6 @@ func (f *Fleet) drain(interrupted bool) *Result {
 		// Everything below takes state that records no more: Absorb's
 		// precondition.
 		sh.eng.Shutdown()
-		sh.updateGauges()
-		res.Restarts += sh.restarts
-		res.Crashes += sh.crashes
-		res.Recycles += sh.recycles
 		res.Checkpoints += sh.checkpoints
 		res.StreamLate += sh.stream.Late()
 		res.StreamDropped += sh.stream.DroppedWindows()
@@ -600,10 +551,54 @@ func (f *Fleet) drain(interrupted bool) *Result {
 		// telemetry, waterfall and tracer are bound to the engine's clock.
 		sh.shardRun = shardRun{}
 	}
+	f.foldTelemetry(res, h)
 	// Nothing exports again; Result.Queue copied the queue's accounting.
 	f.queue = nil
 	f.pipe.release()
 	return res
+}
+
+// health is the fleet's supervision state at one instant: what its
+// health gauges publish.
+type health struct{ running, backingOff, open int }
+
+func (f *Fleet) health() (h health) {
+	for _, m := range f.monitors {
+		switch m.state {
+		case stateRunning:
+			h.running++
+		case stateBackoff:
+			h.backingOff++
+		}
+		if m.connOpen() {
+			h.open++
+		}
+	}
+	return h
+}
+
+// foldTelemetry publishes the run's supervision counters, from the
+// Result, and the health gauges h into the caller's telemetry. It fills
+// a private instance and merges it, so fleets sharing one telemetry add
+// up, gauges included.
+func (f *Fleet) foldTelemetry(res *Result, h health) {
+	if f.cfg.Telem == nil {
+		return
+	}
+	t := telemetry.New()
+	sc := t.Scope("fleet")
+	sc.Counter("restarts").Add(float64(res.Restarts))
+	sc.Counter("crashes").Add(float64(res.Crashes))
+	sc.Counter("watchdog_recycles").Add(float64(res.Recycles))
+	sc.Counter("checkpoints").Add(float64(res.Checkpoints))
+	if f.cfg.Stream != nil {
+		sc.Counter("escalations").Add(float64(res.Escalations))
+		sc.Counter("demotions").Add(float64(res.Demotions))
+	}
+	sc.Gauge("monitors_running").Set(float64(h.running))
+	sc.Gauge("monitors_backing_off").Set(float64(h.backingOff))
+	sc.Gauge("connections_open").Set(float64(h.open))
+	f.cfg.Telem.Merge(t)
 }
 
 // Result is the reconciled outcome of a fleet run.

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"io"
+	"maps"
 	"os"
 	"strconv"
 	"testing"
@@ -179,36 +181,95 @@ func TestFleetComposesWithFaultProfiles(t *testing.T) {
 	}
 }
 
+// TestFleetTelemetryCountersMatchResult holds a one-shard fleet's
+// telemetry to its Result; TestFleetShardTelemetryMerges (shard_test.go)
+// holds a three-shard one to the same checks.
 func TestFleetTelemetryCountersMatchResult(t *testing.T) {
 	testutil.NoLeaks(t)
-	telem := telemetry.New()
-	cfg := testConfig(13, 8)
-	cfg.Telem = telem
-	res := New(cfg).Run()
-	reg := telem.Registry()
-	want := map[string]float64{
-		"fleet/restarts":          float64(res.Restarts),
-		"fleet/crashes":           float64(res.Crashes),
-		"fleet/watchdog_recycles": float64(res.Recycles),
-		"fleet/checkpoints":       float64(res.Checkpoints),
-	}
-	got := map[string]float64{}
-	for _, c := range reg.Counters() {
-		got[c.Component+"/"+c.Name] = c.Value()
-	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("%s = %v, want %v", k, got[k], w)
-		}
-	}
-	sawGauge := false
-	for _, g := range reg.Gauges() {
-		if g.Component == "fleet" {
-			sawGauge = true
-		}
-	}
-	if !sawGauge {
-		t.Errorf("no fleet health gauges registered")
+	checkFleetTelemetry(t, 1)
+}
+
+// checkFleetTelemetry holds the fleet's telemetry, folded at drain, to
+// the Result it is folded from, in exit mode and with the stream,
+// escalation rules, overload governor and export queue, on the given
+// number of shards: every supervision counter equals its Result total
+// (escalations and demotions only in stream mode), every opened monitor
+// is running or backing off as the last barrier left it, the open
+// connections are those opened less those closed, and the shards'
+// trace events merge.
+func checkFleetTelemetry(t *testing.T, shards int) {
+	t.Helper()
+	for _, mode := range []string{"exit", "stream"} {
+		t.Run(mode, func(t *testing.T) {
+			telem := telemetry.New()
+			cfg := testConfig(31, 9)
+			cfg.Shards, cfg.Telem = shards, telem
+			if mode == "stream" {
+				cfg.Stream = &StreamConfig{
+					Window: 500 * units.Millisecond,
+					Rules:  streamRules,
+					Sink:   stream.NewTextExporter(io.Discard),
+				}
+				cfg.ExportQueue = &overload.QueueConfig{Capacity: 8}
+				cfg.Overload = &overload.Config{
+					Budgets:   overload.Budgets{RetainedSamples: 2000},
+					HoldTicks: 2,
+				}
+			}
+			res := New(cfg).Run()
+			if res.Restarts == 0 || res.Checkpoints == 0 {
+				t.Fatalf("run exercised no supervision: %v", res)
+			}
+			reg := telem.Registry()
+			counters := map[string]float64{}
+			for _, c := range reg.Counters() {
+				if c.Component == "fleet" {
+					counters[c.Name] = c.Value()
+				}
+			}
+			want := map[string]float64{
+				"restarts":          float64(res.Restarts),
+				"crashes":           float64(res.Crashes),
+				"watchdog_recycles": float64(res.Recycles),
+				"checkpoints":       float64(res.Checkpoints),
+			}
+			if mode == "stream" {
+				if res.Escalations == 0 || res.Demotions == 0 {
+					t.Fatalf("run did not escalate and demote: %d escalations, %d demotions", res.Escalations, res.Demotions)
+				}
+				want["escalations"] = float64(res.Escalations)
+				want["demotions"] = float64(res.Demotions)
+			}
+			if !maps.Equal(counters, want) {
+				t.Errorf("fleet counters %v, want %v", counters, want)
+			}
+			gauges := map[string]float64{}
+			for _, g := range reg.Gauges() {
+				if v, ok := g.Value(); ok && g.Component == "fleet" {
+					gauges[g.Name] = v
+				}
+			}
+			// Every connection opens inside the run: OpenWindow < Duration.
+			opened, closed := cfg.Connections, 0
+			for _, cr := range res.Conns {
+				if cr.Closed {
+					closed++
+				}
+			}
+			if closed == 0 {
+				t.Fatal("no connection closed early")
+			}
+			if got := gauges["monitors_running"] + gauges["monitors_backing_off"]; got != float64(opened) {
+				t.Errorf("monitors running %v + backing off %v = %v, want the %d opened",
+					gauges["monitors_running"], gauges["monitors_backing_off"], got, opened)
+			}
+			if got := gauges["connections_open"]; got != float64(opened-closed) {
+				t.Errorf("connections_open = %v, want %d opened less %d closed", got, opened, closed)
+			}
+			if telem.Tracer().Len() == 0 {
+				t.Error("no trace events merged from shards")
+			}
+		})
 	}
 }
 

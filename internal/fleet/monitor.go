@@ -80,13 +80,12 @@ type Monitor struct {
 	plan churnPlan
 	monitorRun
 
-	connOpen bool
-	closed   bool
+	closed bool // closed early by churn
 
+	// state gates the app-side feed (OnWrite/OnRead): only a running
+	// monitor observes; a dead monitor's connection keeps moving bytes,
+	// it just goes unobserved.
 	state monitorState
-	// alive gates the app-side feed (OnWrite/OnRead): a dead monitor's
-	// connection keeps moving bytes, it just goes unobserved.
-	alive bool
 	// wedged simulates a stuck monitor thread: the poll loop stops
 	// silently and only the watchdog can notice.
 	wedged    bool
@@ -161,7 +160,6 @@ type monitorRun struct {
 func (m *Monitor) open() {
 	sh := m.sh
 	sh.buildConn(m)
-	m.connOpen = true
 	if m.fl.cfg.Fanout == nil {
 		// Fanout mode replaces the bulk writer/reader with the group
 		// workload, started once the whole group is open.
@@ -190,15 +188,14 @@ func (m *Monitor) open() {
 	}
 	if at := m.plan.closeAt; at > 0 {
 		sh.eng.At(units.Time(at), func() {
-			if m.connOpen {
-				m.closed = true
-				m.connOpen = false
-				m.conn.Close()
-			}
+			m.closed = true
+			m.conn.Close()
 		})
 	}
-	sh.updateGauges()
 }
+
+// connOpen reports whether the connection was opened and not closed.
+func (m *Monitor) connOpen() bool { return m.state != stateIdle && !m.closed }
 
 // monitorWriter and monitorReader are the bulk app's socket ends. The
 // app feeds the trackers only while the monitor is alive — a crashed
@@ -209,7 +206,7 @@ type monitorWriter struct{ m *Monitor }
 func (w monitorWriter) Write(p *sim.Proc, n int) int {
 	m := w.m
 	got := m.conn.Sender.Write(p, n)
-	if got > 0 && m.alive {
+	if got > 0 && m.state == stateRunning {
 		cum := m.conn.Sender.WrittenCum()
 		m.snd.OnWrite(cum)
 		if m.min != nil {
@@ -224,7 +221,7 @@ type monitorReader struct{ m *Monitor }
 func (r monitorReader) Read(p *sim.Proc, max int) int {
 	m := r.m
 	got := m.conn.Receiver.Read(p, max)
-	if got > 0 && m.alive {
+	if got > 0 && m.state == stateRunning {
 		m.rcv.OnRead(m.conn.Receiver.ReadCum(), got, got < max)
 	}
 	return got
@@ -281,7 +278,6 @@ func (m *Monitor) seed(cs ConnSnapshot) {
 
 func (m *Monitor) becomeRunning() {
 	m.state = stateRunning
-	m.alive = true
 	m.pollMark = -1 // grace: the first watchdog pass after a start never fires
 	m.scheduleTick()
 }
@@ -297,7 +293,7 @@ func tickMonitor(arg any) { arg.(*Monitor).tick() }
 // restartMonitor fires when a crashed monitor's backoff expires.
 func restartMonitor(arg any) {
 	m := arg.(*Monitor)
-	if m.state != stateBackoff || m.fl.draining {
+	if m.state != stateBackoff {
 		return
 	}
 	m.doRestart()
@@ -306,7 +302,7 @@ func restartMonitor(arg any) {
 // tick is one supervised poll: the only place tracker code runs, wrapped
 // in recover so a panicking monitor takes down nothing but itself.
 func (m *Monitor) tick() {
-	if m.state != stateRunning || m.fl.draining {
+	if m.state != stateRunning {
 		return
 	}
 	if m.wedged {
@@ -396,18 +392,12 @@ const (
 // onCrash handles a recovered panic: count it, drop the incarnation, and
 // schedule a restart after the current backoff.
 func (m *Monitor) onCrash() {
-	sh := m.sh
 	m.crashes++
-	sh.crashes++
-	if sh.ctrCrashes != nil {
-		sh.ctrCrashes.Inc()
-	}
 	m.dropIncarnation()
 	m.state = stateBackoff
 	delay := m.backoffCur
 	m.backoffCur = min(delay*backoffFactor, backoffMax)
-	sh.updateGauges()
-	sh.eng.ScheduleCall(delay, restartMonitor, m)
+	m.sh.eng.ScheduleCall(delay, restartMonitor, m)
 }
 
 // watchdogCheck recycles a running monitor that made no poll progress
@@ -441,17 +431,12 @@ func (m *Monitor) watchdogCheck() {
 		return
 	}
 	m.recycles++
-	m.sh.recycles++
-	if m.sh.ctrRecycles != nil {
-		m.sh.ctrRecycles.Inc()
-	}
 	m.wedged = false
 	m.dropIncarnation()
 	m.doRestart()
 }
 
 func (m *Monitor) dropIncarnation() {
-	m.alive = false
 	if m.snd != nil {
 		m.snd.Stop()
 	}
@@ -467,12 +452,7 @@ func (m *Monitor) dropIncarnation() {
 
 func (m *Monitor) doRestart() {
 	m.restarts++
-	m.sh.restarts++
-	if m.sh.ctrRestarts != nil {
-		m.sh.ctrRestarts.Inc()
-	}
 	m.restore()
-	m.sh.updateGauges()
 }
 
 // checkpoint refills the held checkpoint from the live trackers, in
@@ -490,9 +470,6 @@ func (m *Monitor) checkpoint() {
 	}
 	m.hold()
 	m.sh.checkpoints++
-	if m.sh.ctrCheckpoints != nil {
-		m.sh.ctrCheckpoints.Inc()
-	}
 }
 
 // hold refills the held checkpoint from the live trackers.

@@ -7,7 +7,6 @@ import (
 	"element/internal/core"
 	"element/internal/faults"
 	"element/internal/stats"
-	"element/internal/telemetry"
 	"element/internal/testutil"
 	"element/internal/units"
 )
@@ -86,49 +85,12 @@ func sameSeries(a, b *stats.Log[core.Measurement]) error {
 	return nil
 }
 
-// TestFleetShardTelemetryMerges checks that per-shard telemetry buffers
-// fold into the caller's instance: supervisor counters sum to the Result
-// totals and the health gauges (summed across shards) are present, for a
-// multi-shard run.
+// TestFleetShardTelemetryMerges checks that three shards' telemetry
+// folds into the caller's instance and matches the Result as one
+// shard's does (see checkFleetTelemetry).
 func TestFleetShardTelemetryMerges(t *testing.T) {
 	testutil.NoLeaks(t)
-	telem := telemetry.New()
-	cfg := testConfig(31, 9)
-	cfg.Shards = 3
-	cfg.Telem = telem
-	res := New(cfg).Run()
-	got := map[string]float64{}
-	for _, c := range telem.Registry().Counters() {
-		got[c.Component+"/"+c.Name] = c.Value()
-	}
-	want := map[string]float64{
-		"fleet/restarts":          float64(res.Restarts),
-		"fleet/crashes":           float64(res.Crashes),
-		"fleet/watchdog_recycles": float64(res.Recycles),
-		"fleet/checkpoints":       float64(res.Checkpoints),
-	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("%s = %v, want %v", k, got[k], w)
-		}
-	}
-	if v, ok := gaugeValue(telem, "fleet", "connections_open"); !ok {
-		t.Errorf("connections_open gauge missing after merge")
-	} else if v < 0 || v > float64(cfg.Connections) {
-		t.Errorf("connections_open = %v, want within [0,%d]", v, cfg.Connections)
-	}
-	if telem.Tracer().Len() == 0 {
-		t.Errorf("no trace events merged from shards")
-	}
-}
-
-func gaugeValue(telem *telemetry.Telemetry, component, name string) (float64, bool) {
-	for _, g := range telem.Registry().Gauges() {
-		if g.Component == component && g.Name == name {
-			return g.Value()
-		}
-	}
-	return 0, false
+	checkFleetTelemetry(t, 3)
 }
 
 // BenchmarkFleetSharded measures wall-clock fleet throughput by shard

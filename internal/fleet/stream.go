@@ -50,11 +50,6 @@ func (sh *shard) buildStream(cfg Config) {
 	sh.wf.StreamTo(sh.stream)
 	sh.rt.StreamTo(sh.stream)
 	sh.fl.pipe.addStream(sh.stream)
-	if sh.telem != nil {
-		sc := sh.telem.Scope("fleet")
-		sh.ctrEscalations = sc.Counter("escalations")
-		sh.ctrDemotions = sc.Counter("demotions")
-	}
 }
 
 // --- Escalation glue ------------------------------------------------------
@@ -89,28 +84,19 @@ func (m *Monitor) observeStream(mm core.Measurement, sender bool) (retain bool) 
 	return m.esc.Escalated()
 }
 
-// setEscalated applies a state transition decided by the escalator:
-// counters, and — when the fleet has a waterfall — opening or shutting
-// the gate of this flow's recorder.
+// setEscalated applies a state transition the escalator decided (and
+// counted): when the fleet has a waterfall, it opens or shuts the gate
+// of this flow's recorder.
 func (m *Monitor) setEscalated(on bool) {
-	sh := m.sh
-	if on {
-		if sh.ctrEscalations != nil {
-			sh.ctrEscalations.Inc()
-		}
-		if m.gated && m.connOpen {
-			// Attaching mid-flow: ranges below the current write horizon
-			// have already lost their sndbuf-entry stamps, so the gate
-			// only admits ranges written from here on — every recorded
-			// range has complete boundaries.
-			m.wf.Gate(true, m.conn.Sender.WrittenCum())
-		}
-	} else {
-		if sh.ctrDemotions != nil {
-			sh.ctrDemotions.Inc()
-		}
-		if m.gated {
-			m.wf.Gate(false, 0)
-		}
+	switch {
+	case !m.gated:
+	case on && m.connOpen():
+		// Attaching mid-flow: ranges below the current write horizon
+		// have already lost their sndbuf-entry stamps, so the gate only
+		// admits ranges written from here on — every recorded range has
+		// complete boundaries.
+		m.wf.Gate(true, m.conn.Sender.WrittenCum())
+	case !on:
+		m.wf.Gate(false, 0)
 	}
 }

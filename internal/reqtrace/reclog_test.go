@@ -130,11 +130,11 @@ func FuzzRecordLog(f *testing.F) {
 		ref := refRecords{stride: 1}
 		for i := range min(len(recs)*(int(reps)+1), 8*fuzzMaxRecords) {
 			e := recs[i%len(recs)]
-			tr.retain(e)
+			tr.records.Keep(e, tr.maxRecords())
 			ref.retain(e, fuzzMaxRecords)
-			if tr.records.Len() != len(ref.recs) || tr.stride != ref.stride || tr.strideSkip != ref.skip {
+			if tr.records.Len() != len(ref.recs) || tr.records.Stride() != ref.stride || tr.records.Skip() != ref.skip {
 				t.Fatalf("request %d: retained %d stride %d skip %d, reference %d/%d/%d",
-					i, tr.records.Len(), tr.stride, tr.strideSkip, len(ref.recs), ref.stride, ref.skip)
+					i, tr.records.Len(), tr.records.Stride(), tr.records.Skip(), len(ref.recs), ref.stride, ref.skip)
 			}
 		}
 		i := 0

@@ -177,10 +177,8 @@ type Tracer struct {
 	completed uint64
 	stray     uint64 // bytes finalized under no declared leg
 
-	records    stats.Log[entry]
-	absorbed   []stats.Log[entry] // shard tracers' records, as Absorb took them
-	stride     int
-	strideSkip int
+	records  stats.DecimatedLog[entry]
+	absorbed []stats.Log[entry] // shard tracers' records, as Absorb took them
 
 	slow []*SpanTree // min-heap: root = least slow retained
 
@@ -191,7 +189,7 @@ type Tracer struct {
 }
 
 // New returns an empty tracer.
-func New() *Tracer { return &Tracer{stride: 1} }
+func New() *Tracer { return &Tracer{} }
 
 // SetClock binds the virtual clock (typically sim.Engine.Now).
 func (t *Tracer) SetClock(fn func() units.Time) {
@@ -393,7 +391,7 @@ func (t *Tracer) complete(r *Request) {
 		}
 	}
 
-	t.retain(e)
+	t.records.Keep(e, t.maxRecords())
 	t.retainSlow(r, &rec)
 	t.completed++
 	done := r.done
@@ -475,21 +473,6 @@ func (e entry) AppendDecoded(dst []entry, src []byte, n int) ([]entry, int) {
 		dst = append(dst, e)
 	}
 	return dst, i
-}
-
-// retain keeps the request, decimating deterministically once the cap is
-// reached (same discipline as the waterfall's range retention).
-func (t *Tracer) retain(e entry) {
-	if t.strideSkip > 0 {
-		t.strideSkip--
-		return
-	}
-	if t.records.Len() >= t.maxRecords() {
-		t.records.Halve()
-		t.stride *= 2
-	}
-	t.strideSkip = t.stride - 1
-	t.records.Append(e)
 }
 
 // slower is the strict retention order for span trees: by e2e, ties by
@@ -599,7 +582,7 @@ func (t *Tracer) Records() []Record {
 			out = append(out, e.record())
 		}
 	}
-	decode(&t.records)
+	decode(&t.records.Log)
 	for i := range t.absorbed {
 		decode(&t.absorbed[i])
 	}
@@ -609,7 +592,7 @@ func (t *Tracer) Records() []Record {
 
 // Decimated reports whether record retention has dropped any records
 // (exact quantiles then cover a subset; sketches remain exact).
-func (t *Tracer) Decimated() bool { return t.stride > 1 }
+func (t *Tracer) Decimated() bool { return t.records.Stride() > 1 }
 
 // Slowest returns the retained slowest span trees, slowest first.
 func (t *Tracer) Slowest() []*SpanTree {
@@ -648,12 +631,10 @@ func (t *Tracer) Absorb(src *Tracer) {
 		t.sk[i].Merge(&src.sk[i])
 	}
 	if src.records.Len() > 0 {
-		t.absorbed = append(t.absorbed, src.records)
+		t.absorbed = append(t.absorbed, src.records.Log)
 	}
 	t.absorbed = append(t.absorbed, src.absorbed...)
-	if src.stride > t.stride {
-		t.stride = src.stride
-	}
+	t.records.Widen(src.records.Stride())
 	cap := t.slowCap()
 	for _, st := range src.slow {
 		if cap > 0 {

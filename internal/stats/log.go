@@ -89,9 +89,9 @@ func Varint(src []byte, i int) (int64, int) {
 //     keeps the tail's array and the last chunk, so the steady state
 //     allocates nothing.
 //
-// Halve decimates a log in place (the waterfall's retained ranges, the
-// request tracer's records). The zero value is an empty log. Nothing
-// reads a Log while it is written: it belongs to one goroutine.
+// Halve decimates a log in place (DecimatedLog). The zero value is an
+// empty log. Nothing reads a Log while it is written: it belongs to one
+// goroutine.
 type Log[T Entry[T]] struct {
 	chunks []chunk
 	// tail is the last block, not yet encoded, in an array of LogBlock
@@ -398,6 +398,42 @@ func (l *Log[T]) Halve() {
 	}
 	*l = kept
 }
+
+// DecimatedLog is a Log held under a cap by deterministic decimation
+// (the waterfall's retained ranges, the request tracer's records): Keep
+// appends every stride-th entry offered, the first included, and a Keep
+// that finds the log at its cap first halves it and doubles the stride.
+// What it keeps is a pure function of the entries offered and the cap.
+// The zero value keeps every entry until its first decimation.
+type DecimatedLog[T Entry[T]] struct {
+	Log[T]
+	stride int // 0 reads as 1
+	skip   int
+}
+
+// Keep offers v to the log, which keeps it if it falls on the stride.
+func (d *DecimatedLog[T]) Keep(v T, limit int) {
+	if d.skip > 0 {
+		d.skip--
+		return
+	}
+	if d.Len() >= limit {
+		d.Halve()
+		d.stride = d.Stride() * 2
+	}
+	d.skip = d.Stride() - 1
+	d.Append(v)
+}
+
+// Stride reports how many entries offered each kept one stands for.
+func (d *DecimatedLog[T]) Stride() int { return max(d.stride, 1) }
+
+// Skip reports how many entries Keep passes over before it keeps one.
+func (d *DecimatedLog[T]) Skip() int { return d.skip }
+
+// Widen raises the stride to at least stride: logs kept at different
+// strides, read together, stand for the coarsest.
+func (d *DecimatedLog[T]) Widen(stride int) { d.stride = max(d.Stride(), stride) }
 
 // Time, AppendDeltas and AppendDecoded are Sample's Log codec: three
 // varints, the differences of At, Delay and Bytes.

@@ -8,10 +8,10 @@ package telemetry
 // source is still being written.
 
 // Merge folds src's metrics into r: counters add, histograms add
-// bucket-wise (the sketch merge is exact), and gauges sum. Summing gauges is the aggregation the
-// fleet's health gauges want (running connections per shard sum to
-// running connections fleet-wide); a gauge whose merged value should be
-// something other than a sum does not belong in a per-shard registry.
+// bucket-wise (the sketch merge is exact), and gauges sum, so fleets that
+// publish into one instance add up (a fleet folds its health gauges
+// once, at drain); a gauge whose merged value should be something other
+// than a sum does not belong in a per-shard registry.
 // Nil receivers and sources no-op.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {

@@ -408,13 +408,13 @@ func TestRetainDecimationMatchesSlice(t *testing.T) {
 		}
 		r.retain(rr)
 		ref.retain(rr)
-		if r.ranges.Len() != len(ref.ranges) || r.stride != ref.stride || r.strideSkip != ref.strideSkip {
+		if r.ranges.Len() != len(ref.ranges) || r.ranges.Stride() != ref.stride || r.ranges.Skip() != ref.strideSkip {
 			t.Fatalf("range %d: retained %d stride %d skip %d, reference %d/%d/%d",
-				i, r.ranges.Len(), r.stride, r.strideSkip, len(ref.ranges), ref.stride, ref.strideSkip)
+				i, r.ranges.Len(), r.ranges.Stride(), r.ranges.Skip(), len(ref.ranges), ref.stride, ref.strideSkip)
 		}
 	}
-	if r.stride != 4 {
-		t.Fatalf("stride %d after %d ranges, want 4: the test does not cover decimation", r.stride, 2*maxRanges+maxRanges/2+17)
+	if r.ranges.Stride() != 4 {
+		t.Fatalf("stride %d after %d ranges, want 4: the test does not cover decimation", r.ranges.Stride(), 2*maxRanges+maxRanges/2+17)
 	}
 	checkRetainedMatches(t, r, ref.ranges)
 }
@@ -522,9 +522,9 @@ func FuzzRangeLog(f *testing.F) {
 			rr := recs[i%len(recs)]
 			r.retain(rr)
 			ref.retain(rr)
-			if r.ranges.Len() != len(ref.ranges) || r.stride != ref.stride || r.strideSkip != ref.strideSkip {
+			if r.ranges.Len() != len(ref.ranges) || r.ranges.Stride() != ref.stride || r.ranges.Skip() != ref.strideSkip {
 				t.Fatalf("range %d: retained %d stride %d skip %d, reference %d/%d/%d",
-					i, r.ranges.Len(), r.stride, r.strideSkip, len(ref.ranges), ref.stride, ref.strideSkip)
+					i, r.ranges.Len(), r.ranges.Stride(), r.ranges.Skip(), len(ref.ranges), ref.stride, ref.strideSkip)
 			}
 		}
 		checkRetainedMatches(t, r, ref.ranges)

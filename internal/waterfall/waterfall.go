@@ -316,7 +316,7 @@ func (w *Waterfall) NewFlow() *Recorder {
 	if w == nil {
 		return nil
 	}
-	r := &Recorder{wf: w, clock: w.clock, stride: 1}
+	r := &Recorder{wf: w, clock: w.clock}
 	w.recs = append(w.recs, r)
 	return r
 }
@@ -553,10 +553,8 @@ type Recorder struct {
 	truth *Truth
 
 	// Finalized ranges, decimated for bounded retention.
-	ranges     stats.Log[rangeRec]
-	stride     int
-	strideSkip int
-	agg        aggregate
+	ranges stats.DecimatedLog[rangeRec]
+	agg    aggregate
 
 	// Drop and resize markers, at most maxMarks of each. The counts cover
 	// every marker within the cap, kept or not: a join-only recorder keeps
@@ -1017,19 +1015,9 @@ func (r *Recorder) finalize(a arrival, start, end uint64, readAt units.Time) {
 // retain keeps the range for exports, decimating deterministically once
 // the retention cap is reached; a join-only waterfall keeps none.
 func (r *Recorder) retain(rr rangeRec) {
-	if r.wf.joinOnly {
-		return
+	if !r.wf.joinOnly {
+		r.ranges.Keep(rr, maxRanges)
 	}
-	if r.strideSkip > 0 {
-		r.strideSkip--
-		return
-	}
-	if r.ranges.Len() >= maxRanges {
-		r.ranges.Halve()
-		r.stride *= 2
-	}
-	r.strideSkip = r.stride - 1
-	r.ranges.Append(rr)
 }
 
 // Spans materializes the retained ranges as stage spans (zero-duration
